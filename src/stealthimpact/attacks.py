@@ -492,6 +492,8 @@ def candidates(
             pairs = [(dict(spec.pi_y or {}), dict(spec.pi_u or {}))]
         else:
             pairs = _permutation_pairs(res)
+            if not pairs:
+                raise EmptyResources("rerouting needs two or more sensors or two or more actuators")
         if len(pairs) > SUBSET_CAP:
             raise EnumerationCapExceeded(
                 f"{len(pairs)} permutation pairs exceed the cap {SUBSET_CAP}"

@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +24,10 @@ import numpy as np
 from . import numcore
 from .attacks import (
     Candidate,
+    EmptyResources,
     EnumerationCapExceeded,
     InvalidPermutation,
+    ResourceSet,
     StrategySpec,
     candidates,
     decision_layout,
@@ -41,9 +42,9 @@ from .scenario import (
     bundled_scenario_path,
     load_scenario,
 )
-from .solver import ImpactReport, NumericalFailure, compute_impact
+from .solver import ImpactReport, NumericalFailure, PatternCapExceeded, compute_impact
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,8 +55,10 @@ _VALIDATION_ERRORS = (
     ParseError,
     SchemaError,
     DimensionError,
+    EmptyResources,
     EnumerationCapExceeded,
     InvalidPermutation,
+    PatternCapExceeded,
 )
 _NUMERICAL_ERRORS = (
     NumericalFailure,
@@ -120,16 +123,20 @@ def assess(
     scenario: Scenario,
     vulnerability: str,
     strategy: str,
-    jobs: Optional[int] = None,
 ) -> AssessmentEntry:
     """Worst case over the strategy's configuration space for one vulnerability.
 
     Configurations are enumerated in a fixed lexicographic order and ranked by
-    exceedance probability; the first maximizer wins, so the selection is
-    deterministic regardless of evaluation schedule.
+    exceedance probability; the first maximizer wins. fdi_plus_dos injects on
+    the vulnerability's sensors and denies its actuators.
     """
     resources = scenario.vulnerabilities[vulnerability]
-    spec = StrategySpec(kind=strategy, resources=resources)
+    spec = StrategySpec(
+        kind=strategy,
+        resources=resources,
+        inject=ResourceSet(sensors=resources.sensors),
+        deny=ResourceSet(actuators=resources.actuators),
+    )
     cands = candidates(
         spec,
         scenario.system.dims,
@@ -137,11 +144,7 @@ def assess(
         plant=scenario.system.plant,
         nominal=scenario.system.nominal,
     )
-    if jobs is not None and jobs > 1 and len(cands) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda c: _evaluate_candidate(scenario, c), cands))
-    else:
-        reports = [_evaluate_candidate(scenario, c) for c in cands]
+    reports = [_evaluate_candidate(scenario, c) for c in cands]
 
     best = 0
     for i in range(1, len(reports)):
@@ -249,8 +252,8 @@ def _entry_dict(entry: AssessmentEntry, timings: bool) -> dict:
         out["decision_vector"] = None
     out["candidates_evaluated"] = entry.candidates_evaluated
     out["solver"] = {
-        "kkt_residual": _round12(report.kkt_residual),
-        "newton_iterations": report.newton_iters,
+        "duality_gap": _round12(report.duality_gap),
+        "feasibility_residual": _round12(report.feasibility_residual),
     }
     if entry.mc_block is not None:
         out["mc"] = entry.mc_block
@@ -292,8 +295,8 @@ _CSV_COLUMNS = [
     "argmax_step",
     "argmax_component",
     "candidates_evaluated",
-    "kkt_residual",
-    "newton_iterations",
+    "duality_gap",
+    "feasibility_residual",
 ]
 
 
@@ -305,7 +308,7 @@ def _emit_csv(scenario_name: str, entries: list[AssessmentEntry], timings: bool)
         d = _entry_dict(entry, timings)
         row: list[str] = [scenario_name]
         for col in _CSV_COLUMNS[1:]:
-            if col in ("kkt_residual", "newton_iterations"):
+            if col in d["solver"]:
                 val = d["solver"][col]
             else:
                 val = d.get(col)
@@ -325,7 +328,6 @@ def _run_assessments(
     scenario: Scenario,
     vulns: list[str],
     strategies: list[str],
-    jobs: Optional[int],
     mc_validate: bool,
     seed: int,
     timings: bool,
@@ -334,7 +336,7 @@ def _run_assessments(
     for vname in vulns:
         for sname in strategies:
             t0 = time.perf_counter()
-            entry = assess(scenario, vname, sname, jobs=jobs)
+            entry = assess(scenario, vname, sname)
             if mc_validate:
                 entry.mc_block = _mc_block(scenario, entry, seed)
             entry.timing_s = time.perf_counter() - t0
@@ -386,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--seed", type=int, default=None, help="simulation seed override")
-    p.add_argument("--jobs", type=int, default=None, help="parallel candidate solves")
     p.add_argument(
         "--timings",
         action="store_true",
@@ -447,7 +448,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 variant = dataclasses.replace(scenario, **{parameter: val})
                 entries.extend(
                     _run_assessments(
-                        variant, vulns, strategies, args.jobs, args.mc_validate, seed, args.timings
+                        variant, vulns, strategies, args.mc_validate, seed, args.timings
                     )
                 )
             sweep_doc = {
@@ -458,7 +459,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             }
         else:
             entries = _run_assessments(
-                scenario, vulns, strategies, args.jobs, args.mc_validate, seed, args.timings
+                scenario, vulns, strategies, args.mc_validate, seed, args.timings
             )
 
         if args.format == "csv":

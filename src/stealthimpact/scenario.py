@@ -141,6 +141,9 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         raise DimensionError(
             f"critical_map must have {plant.n_x} or {2 * plant.n_x} columns, got {q_z.shape[1]}"
         )
+    zero_rows = np.flatnonzero(~q_z.any(axis=1))
+    if zero_rows.size:
+        raise SchemaError(f"critical_map row {zero_rows[0] + 1} is all zeros")
 
     horizon = _require(doc, "horizon", "")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
@@ -155,6 +158,8 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     vulnerabilities: dict[str, ResourceSet] = {}
     for vname, spec in vuln_doc.items():
         where = f"vulnerabilities.{vname}"
+        if not isinstance(spec, dict):
+            raise SchemaError(f"{where} must be an object with sensors and actuators")
         sensors = _index_list(spec.get("sensors", []), f"{where}.sensors", plant.n_y)
         actuators = _index_list(spec.get("actuators", []), f"{where}.actuators", plant.n_u)
         if not sensors and not actuators:

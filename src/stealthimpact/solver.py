@@ -7,16 +7,67 @@ outside [-1, 1] is even and increasing in |mu|, maximizing the mean maximizes
 the probability, so the worst exceedance probability is max_i P_i and the
 worst expected infinity norm is lower-bounded by max_i mu_i.
 
-The solve runs a log-barrier interior-point method after eliminating the
-equalities through an orthonormal null-space basis and restricting to the row
-space of the remaining constraint maps (directions outside it either leave the
-objective flat or certify unboundedness).
+Method. The equalities are eliminated through an orthonormal null-space basis
+and the problem is restricted to the row space of the remaining constraint
+maps (directions outside it either leave the objective flat or certify
+unboundedness). In these reduced coordinates every row solves
+
+    maximize c'eta  subject to  |A eta|_inf <= 1,  eta' G eta <= 1,
+
+with G = M'M (M the quadratic map scaled by 1/sqrt(radius), absent when the
+radius collapses) and ker A & ker M = {0}, so the feasible set is compact.
+Directions M sees only at rounding level next to the box are dropped, and a
+reduced objective at rounding level of its row counts as zero: otherwise
+rounding noise would enter G^+ and the certificate below. The box acts only
+on the reference, so A has k = n_yr rows.
+
+A sign pattern (S, s) fixes the box rows S at A_S eta = s. With N a basis of
+null(A_S) and eta0 = pinv(A_S) s, the slice {eta0 + N xi : eta' G eta <= 1}
+is the ellipsoid (xi - xi_c)' G_N (xi - xi_c) <= rho, G_N = N'GN,
+xi_c = -G_N^-1 N'G eta0, rho = 1 - eta0'G eta0 + eta0'G N G_N^-1 N'G eta0.
+Its maximizer of c is xi_c + sqrt(rho) G_N^-1 c_N / ||c_N||_{G_N^-1}
+(c_N = N'c), or the centre xi_c when c_N = 0; when N is empty the pattern's
+one candidate is eta0. Patterns with A_S rank-deficient, G_N singular or
+rho < 0 (beyond CERT_TOL) are skipped. There are at most 3^k patterns, their
+factorizations depend only on the geometry, and all rows of T_Z are handled
+by a few matrix products per pattern. Each row keeps its best candidate that
+satisfies every constraint to CERT_TOL.
+
+Exactness. Every candidate is feasible, so the best one is at most the optimum
+mu. Conversely, the optimal set is compact and convex; take an optimal eta*
+whose active box rows have the largest rank, an independent subset S of them
+with signs s, and N = null(A_S).
+  * If the quadratic constraint is inactive at eta*, moving along v in N keeps
+    eta* feasible for small steps, so c_N = 0 (else eta* is not optimal) and
+    eta* + t v stays optimal until a box row outside span(A_S) turns active,
+    which would raise the rank, or the quadratic turns active. So either
+    N = {0}, and eta* = eta0 is its pattern's candidate, or an optimal point
+    of the same pattern has the quadratic active.
+  * With the quadratic active, a direction v in N with M v = 0 would slide
+    eta* along an optimal segment until another box row turns active, so G_N
+    is positive definite. eta* lies in the slice (rho >= 0) and maximizes c
+    over it, because the slice and the feasible set agree near eta*. When
+    c_N != 0 that maximizer is unique, and it is the candidate. When c_N = 0
+    the whole slice is optimal and the candidate is its centre: were an
+    inactive box row broken there, the point where the segment from eta* to
+    the centre first meets that row would be optimal with a larger rank.
+So some pattern's candidate attains mu, and the best candidate equals mu.
+
+Certificate. For any box multipliers y, weak duality bounds the optimum by
+||y||_1 + sqrt(g' G^+ g) with g = c - A'y, or +inf when g leaves range(G)
+(Boyd & Vandenberghe, Convex Optimization, 5.2). A pattern's multipliers are in
+closed form: 2 lambda = ||c_N||_{G_N^-1} / sqrt(rho) and
+y_S = pinv(A_S)' (c - 2 lambda G eta), whose bound is ||y||_1 + 2 lambda. Each
+row takes the pattern with the smallest such bound (the winning pattern, at a
+nondegenerate optimum), evaluates the bound directly from its y, and reports
+the relative gap to the attained value together with the constraint residuals
+of d*. Either one above CERT_TOL raises NumericalFailure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,14 +77,10 @@ from . import numcore
 from .attacks import DecisionLayout
 from .distrib import GaussianSummary
 
-KKT_TOL = 1e-6
-CONSTRAINT_SLACK = 1e-7
-_GAP_TARGET = 1e-7
-_DECREMENT_TOL = 1e-13
-_POLISH_DECREMENT = 1e-15
-_T_MULT = 20.0
-_MAX_NEWTON = 200
+CERT_TOL = 1e-9
+PATTERN_CAP = 8  # box rows; 3^8 sign patterns
 _RADIUS_FLOOR = 1e-12
+_FLAT_RTOL = 1e-12
 
 
 class Infeasible(RuntimeError):
@@ -41,7 +88,11 @@ class Infeasible(RuntimeError):
 
 
 class NumericalFailure(RuntimeError):
-    """The interior-point solve did not reach its optimality certificate."""
+    """A solve did not reach its optimality certificate."""
+
+
+class PatternCapExceeded(ValueError):
+    """The reference box has more rows than the active-set enumeration allows."""
 
 
 @dataclass
@@ -65,8 +116,8 @@ class SolveResult:
     d_star: np.ndarray
     mu: float
     status: str  # optimal | infeasible | unbounded
-    kkt_residual: float
-    newton_iters: int
+    duality_gap: float
+    feasibility_residual: float
 
 
 @dataclass
@@ -84,8 +135,9 @@ class ImpactReport:
     feasible: bool
     unbounded: bool
     eps_prime: float
-    kkt_residual: float
-    newton_iters: int
+    duality_gap: float
+    feasibility_residual: float
+    newton_iters: int = 0  # the exact solve takes no Newton steps; the bench tracer sums this
 
 
 def eliminate_equalities(f_eq: np.ndarray, dim_d: int) -> np.ndarray:
@@ -119,202 +171,227 @@ class _Geometry:
         q_box = np.asarray(q_box, dtype=float).reshape(-1, dim_d)
         m_quad = np.asarray(m_quad, dtype=float).reshape(-1, dim_d)
         f_eq = np.asarray(f_eq, dtype=float).reshape(-1, dim_d)
+        if q_box.shape[0] > PATTERN_CAP:
+            raise PatternCapExceeded(
+                f"{q_box.shape[0]} reference-box rows exceed the cap {PATTERN_CAP}"
+            )
 
         z_eq = eliminate_equalities(f_eq, dim_d)
+        m_red = m_quad @ z_eq
+        if radius > _RADIUS_FLOOR:
+            m_red = m_red / math.sqrt(radius)
+        # keep only the directions the quadratic map sees above rounding level
+        # next to the box and itself, as the row-space restriction below does
+        _, s, vt = np.linalg.svd(m_red)
+        scale = max(np.max(s, initial=0.0), np.linalg.norm(q_box @ z_eq))
+        rank = int(np.count_nonzero(s > numcore.RANK_RTOL * scale))
         if radius <= _RADIUS_FLOOR:
             # budget numerically zero: the quadratic cap collapses to the
             # equality m_quad d = 0 and joins the eliminated block
-            z_more = numcore.null_basis(m_quad @ z_eq)
-            z_eq = z_eq @ z_more
+            z_eq = z_eq @ vt[rank:].T
             m_red = None
         else:
-            m_red = (m_quad @ z_eq) / math.sqrt(radius)
+            m_red = s[:rank, None] * vt[:rank] if rank else None
         a_red = q_box @ z_eq
 
         stack = a_red if m_red is None else np.vstack([a_red, m_red])
         w = numcore.row_space_basis(stack)
+        self.q_box, self.m_quad, self.f_eq, self.radius = q_box, m_quad, f_eq, radius
         self.z_eq = z_eq
         self.basis = z_eq @ w
         self.a_rows = a_red @ w
         self.m_rows = None if m_red is None else m_red @ w
         self.dim_d = dim_d
         self.n_eta = w.shape[1]
-        self.n_ineq = 2 * self.a_rows.shape[0] + (0 if self.m_rows is None else 1)
 
-    def objective(self, c: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Reduced objective and whether it is bounded over the feasible set.
+    def objective(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced objectives of the rows of c and whether each is bounded.
 
-        The component of c (restricted to the equality null space) outside the
-        constraint row space is a feasible ascent ray, so the program is
-        unbounded exactly when that component is nonzero.
+        The component of a row (restricted to the equality null space) outside
+        the constraint row space is a feasible ascent ray, so a program is
+        unbounded exactly when that component is nonzero. A reduced objective
+        at rounding level of its row is set to zero: that row's optimum is 0.
         """
-        c_xi = self.z_eq.T @ np.asarray(c, dtype=float)
-        c_eta = self.basis.T @ np.asarray(c, dtype=float)
-        resid = c_xi - (self.z_eq.T @ self.basis) @ c_eta
-        bounded = np.linalg.norm(resid) <= numcore.RANK_RTOL * max(
-            1.0, np.linalg.norm(c_xi)
+        c_xi = c @ self.z_eq
+        c_eta = c @ self.basis
+        resid = c_xi - c_eta @ (self.basis.T @ self.z_eq)
+        bounded = np.linalg.norm(resid, axis=1) <= numcore.RANK_RTOL * np.maximum(
+            1.0, np.linalg.norm(c_xi, axis=1)
         )
+        c_eta[np.linalg.norm(c_eta, axis=1) <= _FLAT_RTOL * np.linalg.norm(c, axis=1)] = 0.0
         return c_eta, bounded
 
+    def residual(self, d: np.ndarray) -> np.ndarray:
+        """Largest constraint violation of each row of d.
 
-def _barrier_terms(geom: _Geometry, eta: np.ndarray):
-    """Slacks (positive iff strictly feasible) and quadratic-term state."""
-    ax = geom.a_rows @ eta
-    s_minus = 1.0 - ax
-    s_plus = 1.0 + ax
-    if geom.m_rows is None:
-        return ax, s_minus, s_plus, None, 1.0
-    me = geom.m_rows @ eta
-    s_quad = 1.0 - float(me @ me)
-    return ax, s_minus, s_plus, me, s_quad
-
-
-def _gradient(geom: _Geometry, c_hat: np.ndarray, t: float, eta: np.ndarray) -> np.ndarray:
-    ax, s_minus, s_plus, me, s_quad = _barrier_terms(geom, eta)
-    grad = -t * c_hat + geom.a_rows.T @ (1.0 / s_minus - 1.0 / s_plus)
-    if geom.m_rows is not None:
-        grad = grad + (2.0 / s_quad) * (geom.m_rows.T @ me)
-    return grad
+        The box excess is absolute, the quadratic one relative to the radius
+        and the equality one relative to max(1, |d|_inf).
+        """
+        box = np.max(np.abs(d @ self.q_box.T), axis=1, initial=0.0) - 1.0
+        quad = (np.sum(np.square(d @ self.m_quad.T), axis=1) - self.radius) / max(
+            self.radius, _RADIUS_FLOOR
+        )
+        eq = np.max(np.abs(d @ self.f_eq.T), axis=1, initial=0.0) / np.maximum(
+            1.0, np.max(np.abs(d), axis=1, initial=0.0)
+        )
+        return np.maximum.reduce([box, quad, eq, np.zeros(d.shape[0])])
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve hess step = -grad with Jacobi scaling for conditioning."""
-    d = np.sqrt(np.clip(np.diag(hess), 1e-300, None))
-    scaled = hess / d[:, None] / d[None, :]
-    scaled = 0.5 * (scaled + scaled.T)
-    rhs = -grad / d
-    try:
-        y = np.linalg.solve(scaled, rhs)
-    except np.linalg.LinAlgError:
-        y = np.linalg.lstsq(scaled, rhs, rcond=None)[0]
-    return y / d
+def _solve_rows(geom: _Geometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact maximizers of the rows of c over the reduced feasible set.
 
-
-def _phi(geom: _Geometry, c_hat: np.ndarray, t: float, eta: np.ndarray) -> float:
-    ax, s_minus, s_plus, me, s_quad = _barrier_terms(geom, eta)
-    if np.any(s_minus <= 0) or np.any(s_plus <= 0) or s_quad <= 0:
-        return math.inf
-    val = -t * float(c_hat @ eta) - float(np.sum(np.log(s_minus)) + np.sum(np.log(s_plus)))
-    if geom.m_rows is not None:
-        val -= math.log(s_quad)
-    return val
-
-
-def _newton_center(
-    geom: _Geometry, c_hat: np.ndarray, t: float, eta: np.ndarray, decrement_tol: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Minimize -t c'eta + barrier from a strictly feasible start."""
-    a = geom.a_rows
-    m = geom.m_rows
-    iters = 0
-    for _ in range(_MAX_NEWTON):
-        ax, s_minus, s_plus, me, s_quad = _barrier_terms(geom, eta)
-        inv_m = 1.0 / s_minus
-        inv_p = 1.0 / s_plus
-        grad = -t * c_hat + a.T @ (inv_m - inv_p)
-        hess = (a * (inv_m**2 + inv_p**2)[:, None]).T @ a
-        if m is not None:
-            mtme = m.T @ me
-            grad = grad + (2.0 / s_quad) * mtme
-            hess = hess + (2.0 / s_quad) * (m.T @ m) + (4.0 / s_quad**2) * np.outer(
-                mtme, mtme
-            )
-        step = _newton_step(hess, grad)
-        slope = float(grad @ step)
-        if slope >= 0.0:  # numerically noisy solve; fall back to steepest descent
-            step = -grad
-            slope = -float(grad @ grad)
-        if -0.5 * slope <= decrement_tol:
-            return eta, grad, iters
-        phi = _phi(geom, c_hat, t, eta)
-        moved = False
-        for step_try, slope_try in ((step, slope), (-grad, -float(grad @ grad))):
-            alpha = 1.0
-            for _ in range(60):
-                cand = eta + alpha * step_try
-                phi2 = _phi(geom, c_hat, t, cand)
-                if phi2 <= phi + 0.25 * alpha * slope_try:
-                    eta = cand
-                    moved = True
-                    break
-                alpha *= 0.5
-            if moved:
-                break
-        if not moved:
-            return eta, grad, iters  # no float-representable progress; caller audits
-        iters += 1
-    return eta, _gradient(geom, c_hat, t, eta), iters
-
-
-def _solve_reduced(geom: _Geometry, c_eta: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Barrier loop in reduced coordinates; returns (eta, kkt_residual, iters).
-
-    The stationarity residual that float64 can certify has a noise floor that
-    grows with t (slack cancellation), so the loop keeps the best certified
-    stage and stops climbing t once the residual turns back up.
+    Returns (eta, y): one maximizer per row and the box multipliers of the
+    pattern whose closed-form dual bound is smallest for that row.
     """
-    scale = float(np.linalg.norm(c_eta))
-    c_hat = c_eta / scale
-    eta = np.zeros(geom.n_eta)
-    m_total = max(geom.n_ineq, 1)
-    t = float(m_total)
-    total_iters = 0
-    best_kkt = math.inf
-    best_eta = eta
-    best_t = t
-    while True:
-        eta, grad, iters = _newton_center(geom, c_hat, t, eta, _DECREMENT_TOL)
-        total_iters += iters
-        kkt = float(np.max(np.abs(grad))) / t + m_total / t
-        if kkt < best_kkt:
-            best_kkt, best_eta, best_t = kkt, eta.copy(), t
-        if m_total / t <= _GAP_TARGET or kkt > 4.0 * best_kkt:
-            break
-        t *= _T_MULT
-    eta, grad, iters = _newton_center(geom, c_hat, best_t, best_eta, _POLISH_DECREMENT)
-    total_iters += iters
-    kkt = float(np.max(np.abs(grad))) / best_t + m_total / best_t
-    if kkt < best_kkt:
-        best_kkt, best_eta = kkt, eta
-    return best_eta, best_kkt, total_iters
+    a, m = geom.a_rows, geom.m_rows
+    k, n = a.shape
+    n_rows = c.shape[0]
+    rows = np.arange(n_rows)
+    c_norm = np.linalg.norm(c, axis=1)
+    best = np.full(n_rows, -np.inf)
+    eta = np.zeros((n_rows, n))
+    best_bound = np.full(n_rows, np.inf)
+    y_best = np.zeros((n_rows, k))
+
+    for size in range(min(k, n) + 1):
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=size))).T
+        for subset in itertools.combinations(range(k), size):
+            if size:
+                u, sv, vt = np.linalg.svd(a[list(subset)])
+                if sv[-1] < numcore.RANK_RTOL * sv[0] or sv[0] == 0.0:
+                    continue  # A_S rank-deficient
+                pinv = (vt[:size].T / sv) @ u.T
+                null = vt[size:].T
+            else:
+                pinv = np.zeros((n, 0))
+                null = np.eye(n)
+            centre = pinv @ signs  # eta0 per sign, replaced by the slice centre below
+            if null.shape[1] == 0:
+                rho = np.zeros(signs.shape[1])
+                valid = np.ones(signs.shape[1], dtype=bool)
+                if m is not None:
+                    valid = np.sum(np.square(m @ centre), axis=0) <= 1.0 + CERT_TOL
+                dirs = np.zeros((n_rows, n))
+                norm = np.zeros(n_rows)
+            else:
+                if m is None:
+                    continue
+                u2, s2, v2t = np.linalg.svd(m @ null, full_matrices=False)
+                if s2.size < null.shape[1] or s2[-1] < numcore.RANK_RTOL * s2[0] or s2[0] == 0.0:
+                    continue  # G_N singular
+                # the centre minimizes |M eta| over the slice; rho is what is left of the unit budget
+                centre = centre - null @ ((v2t.T / s2) @ (u2.T @ (m @ centre)))
+                rho = 1.0 - np.sum(np.square(m @ centre), axis=0)
+                valid = rho >= -CERT_TOL
+                c_n = c @ null
+                w = (c_n @ v2t.T) / s2  # ||w|| = ||c_N||_{G_N^-1}
+                norm = np.linalg.norm(w, axis=1)
+                norm[np.linalg.norm(c_n, axis=1) <= _FLAT_RTOL * c_norm] = 0.0
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    dirs = np.where(
+                        norm[:, None] > 0.0, ((w / s2) @ v2t) @ null.T / norm[:, None], 0.0
+                    )
+            if not valid.any():
+                continue
+            root = np.sqrt(np.maximum(rho, 0.0))
+            value = c @ centre + norm[:, None] * root[None, :]
+            box = (a @ centre)[:, None, :] + (dirs @ a.T).T[:, :, None] * root[None, None, :]
+            ok = valid[None, :] & np.all(np.abs(box) <= 1.0 + CERT_TOL, axis=0)
+            value = np.where(ok, value, -np.inf)
+            j = np.argmax(value, axis=1)
+            better = value[rows, j] > best
+            if better.any():
+                jb = j[better]
+                best[better] = value[better, jb]
+                eta[better] = centre[:, jb].T + root[jb][:, None] * dirs[better]
+
+            # closed-form multipliers: c = A_S'y + 2 lambda G eta at each candidate
+            with np.errstate(divide="ignore", invalid="ignore"):
+                two_lam = np.where(norm[:, None] > 0.0, norm[:, None] / root[None, :], 0.0)
+            y = np.broadcast_to((c @ pinv)[:, None, :], (n_rows, signs.shape[1], size))
+            if m is not None and size and null.shape[1]:
+                g_centre = pinv.T @ (m.T @ (m @ centre))  # size x signs
+                g_dirs = ((dirs @ m.T) @ m) @ pinv  # rows x size
+                lam = np.where(np.isfinite(two_lam), two_lam, 0.0)
+                y = y - lam[:, :, None] * (
+                    g_centre.T[None, :, :] + root[None, :, None] * g_dirs[:, None, :]
+                )
+            bound = np.abs(y).sum(axis=2) + two_lam
+            bound = np.where(valid[None, :], bound, np.inf)
+            jb = np.argmin(bound, axis=1)
+            tighter = bound[rows, jb] < best_bound
+            if tighter.any():
+                best_bound[tighter] = bound[tighter, jb[tighter]]
+                y_best[tighter] = 0.0
+                if size:
+                    y_best[np.ix_(tighter, subset)] = y[tighter, jb[tighter]]
+
+    flat = c_norm == 0.0
+    eta[flat] = 0.0
+    y_best[flat] = 0.0
+    if not np.all(np.isfinite(best[~flat])):
+        raise NumericalFailure("no sign pattern produced a feasible candidate")
+    return eta, y_best
 
 
-def _solve_with_geometry(geom: _Geometry, c: np.ndarray) -> SolveResult:
-    c = np.asarray(c, dtype=float)
+def _dual_bound(geom: _Geometry, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weak-duality bound ||y||_1 + sqrt(g' G^+ g), g = c - A'y, per row."""
+    g = c - y @ geom.a_rows
+    if geom.m_rows is None:
+        s, vt = np.zeros(0), np.eye(geom.n_eta)
+    else:
+        _, s, vt = np.linalg.svd(geom.m_rows)  # full row rank: range(G) is spanned by vt[:s.size]
+    coords = g @ vt.T
+    inner = np.sum(np.square(coords[:, : s.size] / s), axis=1)
+    outside = np.linalg.norm(coords[:, s.size :], axis=1)
+    tol = _FLAT_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
+    return np.where(outside <= tol, np.abs(y).sum(axis=1) + np.sqrt(inner), np.inf)
+
+
+@dataclass
+class _Batch:
+    d_star: np.ndarray
+    mu: np.ndarray
+    duality_gap: float
+    feasibility_residual: float
+
+
+def _solve_batch(geom: _Geometry, c: np.ndarray) -> Optional[_Batch]:
+    """Exact optimum of every row of c, or None when some row is unbounded.
+
+    Raises NumericalFailure when the duality gap or a constraint residual of
+    any row exceeds CERT_TOL.
+    """
+    c = np.asarray(c, dtype=float).reshape(-1, geom.dim_d)
     c_eta, bounded = geom.objective(c)
-    if not bounded:
-        return SolveResult(
-            d_star=np.zeros(geom.dim_d),
-            mu=math.inf,
-            status="unbounded",
-            kkt_residual=math.nan,
-            newton_iters=0,
-        )
-    if np.linalg.norm(c_eta) == 0.0:
-        return SolveResult(
-            d_star=np.zeros(geom.dim_d),
-            mu=0.0,
-            status="optimal",
-            kkt_residual=0.0,
-            newton_iters=0,
-        )
-    eta, kkt, iters = _solve_reduced(geom, c_eta)
-    if not math.isfinite(kkt) or kkt > KKT_TOL:
+    if not bounded.all():
+        return None
+    eta, y = _solve_rows(geom, c_eta)
+    d_star = eta @ geom.basis.T
+    mu = np.sum(c * d_star, axis=1)
+    bound = _dual_bound(geom, c_eta, y)
+    gap = np.abs(bound - mu) / np.maximum(np.abs(mu), np.finfo(float).tiny)
+    residual = geom.residual(d_star)
+    worst_gap = float(np.max(gap, initial=0.0))
+    worst_res = float(np.max(residual, initial=0.0))
+    if not worst_gap <= CERT_TOL or not worst_res <= CERT_TOL:
         raise NumericalFailure(
-            f"optimality certificate not met: kkt residual {kkt:.3e} > {KKT_TOL:.0e}"
+            f"optimality certificate not met: duality gap {worst_gap:.3e}, "
+            f"feasibility residual {worst_res:.3e} (tolerance {CERT_TOL:.0e})"
         )
-    d_star = geom.basis @ eta
-    mu = float(c @ d_star)
-    return SolveResult(
-        d_star=d_star, mu=mu, status="optimal", kkt_residual=kkt, newton_iters=iters
-    )
+    return _Batch(d_star, mu, worst_gap, worst_res)
 
 
 def solve_qclp(problem: ConvexProblem) -> SolveResult:
     """Solve one program; raises Infeasible when the radius is negative."""
     dim_d = np.asarray(problem.c).shape[-1]
     geom = _Geometry(problem.q_box, problem.m_quad, problem.f_eq, problem.radius, dim_d)
-    return _solve_with_geometry(geom, np.asarray(problem.c, dtype=float))
+    batch = _solve_batch(geom, problem.c)
+    if batch is None:
+        return SolveResult(np.zeros(dim_d), math.inf, "unbounded", math.nan, math.nan)
+    return SolveResult(
+        batch.d_star[0], float(batch.mu[0]), "optimal", batch.duality_gap, batch.feasibility_residual
+    )
 
 
 def _empty_report(feasible: bool, unbounded: bool, n_rows: int, dim_d: int, eps_prime: float, sigma: np.ndarray) -> ImpactReport:
@@ -331,17 +408,13 @@ def _empty_report(feasible: bool, unbounded: bool, n_rows: int, dim_d: int, eps_
         feasible=feasible,
         unbounded=unbounded,
         eps_prime=eps_prime,
-        kkt_residual=0.0,
-        newton_iters=0,
+        duality_gap=0.0,
+        feasibility_residual=0.0,
     )
 
 
-def compute_impact(
-    summary: GaussianSummary,
-    layout: DecisionLayout,
-    max_workers: Optional[int] = None,
-) -> ImpactReport:
-    """Run the per-index solves over every critical row and aggregate.
+def compute_impact(summary: GaussianSummary, layout: DecisionLayout) -> ImpactReport:
+    """Solve the program of every critical row in one batch and aggregate.
 
     Shortcut paths: a residual covariance that is not positive definite, or a
     negative stealthiness radius, means no attack satisfies the budget and the
@@ -358,21 +431,11 @@ def compute_impact(
         return _empty_report(True, True, n_rows, dim_d, summary.eps_prime, sigma)
 
     geom = _Geometry(layout.Q, summary.t_r, layout.F, summary.eps_prime, dim_d)
-
-    def solve_row(i: int) -> SolveResult:
-        return _solve_with_geometry(geom, summary.t_z[i])
-
-    if max_workers is not None and max_workers > 1 and n_rows > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(solve_row, range(n_rows)))
-    else:
-        results = [solve_row(i) for i in range(n_rows)]
-
-    if any(r.status == "unbounded" for r in results):
+    batch = _solve_batch(geom, summary.t_z)
+    if batch is None:
         return _empty_report(True, True, n_rows, dim_d, summary.eps_prime, sigma)
 
-    mu = np.array([r.mu for r in results])
-    d_star = np.vstack([r.d_star for r in results])
+    mu = batch.mu
     p = np.asarray(numcore.gaussian_exceed(mu, sigma))
     argmax_p = int(np.argmax(p))
     argmax_mu = int(np.argmax(mu))
@@ -380,7 +443,7 @@ def compute_impact(
         mu=mu,
         sigma=sigma,
         p_exceed=p,
-        d_star=d_star,
+        d_star=batch.d_star,
         exceed_prob=float(p[argmax_p]),
         mean_lower=float(mu[argmax_mu]),
         argmax_exceed=argmax_p,
@@ -388,8 +451,8 @@ def compute_impact(
         feasible=True,
         unbounded=False,
         eps_prime=summary.eps_prime,
-        kkt_residual=max(r.kkt_residual for r in results),
-        newton_iters=sum(r.newton_iters for r in results),
+        duality_gap=batch.duality_gap,
+        feasibility_residual=batch.feasibility_residual,
     )
 
 

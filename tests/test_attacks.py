@@ -222,6 +222,12 @@ def test_candidate_enumeration_rerouting_excludes_identity():
         assert not (all(k == v for k, v in py.items()) and all(k == v for k, v in pu.items()))
 
 
+def test_rerouting_needs_two_channels_of_one_type():
+    spec = attacks.StrategySpec(kind="rerouting", resources=attacks.ResourceSet(sensors=(0,), actuators=(1,)))
+    with pytest.raises(attacks.EmptyResources):
+        attacks.candidates(spec, DIMS, N=2)
+
+
 def test_candidate_enumeration_single_config_strategies():
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
     for kind in ("fdi", "bias_injection"):

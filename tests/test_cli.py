@@ -1,9 +1,14 @@
+import copy
 import csv
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stealthimpact import cli
+from stealthimpact import attacks, cli
+from stealthimpact.scenario import bundled_scenario_path
 
 
 def _run(tmp_path, *extra, name="out.json"):
@@ -29,7 +34,9 @@ def test_single_entry_json_shape(tmp_path):
     assert entry["unbounded"] is False
     assert 0.0 < entry["exceedance_probability"] < 1.0
     assert entry["mean_impact_lower_bound"] > 0.0
-    assert entry["solver"]["kkt_residual"] <= 1e-6
+    assert set(entry["solver"]) == {"duality_gap", "feasibility_residual"}
+    assert entry["solver"]["duality_gap"] <= 1e-9
+    assert entry["solver"]["feasibility_residual"] <= 1e-9
     assert entry["argmax_step"] >= 1
     assert isinstance(entry["decision_vector"], list)
     assert "timing_s" not in entry
@@ -40,13 +47,6 @@ def test_output_byte_deterministic(tmp_path):
     _, first = _run(tmp_path, *args, name="a.json")
     _, second = _run(tmp_path, *args, name="b.json")
     assert first.read_bytes() == second.read_bytes()
-
-
-def test_jobs_do_not_change_output(tmp_path):
-    args = ("--vulnerability", "vulnerability_2", "--strategy", "dos")
-    _, serial = _run(tmp_path, *args, name="serial.json")
-    _, pooled = _run(tmp_path, *args, "--jobs", "4", name="pooled.json")
-    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_all_zero_exit_code(tmp_path):
@@ -234,3 +234,104 @@ def test_stdout_default(capsys):
     assert code == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["entries"][0]["strategy"] == "bias_injection"
+
+
+def test_fdi_plus_dos_injects_on_sensors_and_denies_actuators(scenario):
+    for name, res in scenario.vulnerabilities.items():
+        entry = cli.assess(scenario, name, "fdi_plus_dos")
+        spec = attacks.StrategySpec(
+            kind="fdi_plus_dos",
+            resources=res,
+            inject=attacks.ResourceSet(sensors=res.sensors),
+            deny=attacks.ResourceSet(actuators=res.actuators),
+        )
+        expected = attacks.build_fdi_plus_dos(spec, scenario.system.dims, scenario.horizon)
+        for field, value in vars(expected).items():
+            assert np.array_equal(getattr(entry.candidate.attack, field), value), field
+        free = attacks.candidates(
+            attacks.StrategySpec(kind="fdi_plus_dos", resources=res), scenario.system.dims, scenario.horizon
+        )[0]
+        assert not np.any(free.attack.gamma_y) and not np.any(free.attack.gamma_u)
+        free_report = cli._evaluate_candidate(scenario, free)
+        assert free_report.exceed_prob > 0.05
+        assert entry.report.eps_prime != free_report.eps_prime
+        assert entry.report.exceed_prob != free_report.exceed_prob
+
+
+def _write_scenario(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_pattern_cap_exit_code(tmp_path, capsys):
+    doc = json.loads(bundled_scenario_path().read_text())
+    n_yr = 9
+    doc["controller"]["L_yr"] = [row + [0.0] * (n_yr - len(row)) for row in doc["controller"]["L_yr"]]
+    doc["controller"]["Q_yr"] = (0.4 * np.eye(n_yr)).tolist()
+    path = _write_scenario(tmp_path, doc)
+    code, _ = _run(tmp_path, "--scenario", str(path), "--vulnerability", "vulnerability_2", "--strategy", "fdi")
+    assert code == cli.EXIT_VALIDATION
+    assert "reference-box rows" in capsys.readouterr().err
+
+
+def test_loader_rejections_exit_code(tmp_path, capsys):
+    base = json.loads(bundled_scenario_path().read_text())
+    doc = copy.deepcopy(base)
+    doc["vulnerabilities"] = {"v": [1, 2]}
+    code, _ = _run(tmp_path, "--scenario", str(_write_scenario(tmp_path, doc)))
+    assert code == cli.EXIT_VALIDATION
+    assert "vulnerabilities.v" in capsys.readouterr().err
+    doc = copy.deepcopy(base)
+    doc["critical_map"].append([0.0] * len(doc["critical_map"][0]))
+    code, _ = _run(tmp_path, "--scenario", str(_write_scenario(tmp_path, doc)))
+    assert code == cli.EXIT_VALIDATION
+    assert "all zeros" in capsys.readouterr().err
+
+
+_WRONG_TYPE = {
+    "number": st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(-2, 5), max_size=3), st.just({})),
+    "string": st.one_of(st.none(), st.integers(-2, 5), st.lists(st.text(max_size=3), max_size=2), st.just({})),
+    "list": st.one_of(
+        st.none(), st.integers(-2, 5), st.text(max_size=3), st.dictionaries(st.text(max_size=3), st.integers(1, 3), max_size=2)
+    ),
+    "object": st.one_of(st.none(), st.integers(-2, 5), st.text(max_size=3), st.lists(st.integers(1, 3), max_size=3)),
+}
+
+
+def _kind(value):
+    if isinstance(value, dict):
+        return "object"
+    if isinstance(value, list):
+        return "list"
+    return "string" if isinstance(value, str) else "number"
+
+
+def test_mutated_scenarios_exit_with_documented_codes(tmp_path):
+    base = json.loads(bundled_scenario_path().read_text())
+    scenario_path = tmp_path / "mutated.json"
+    out = tmp_path / "out.json"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        doc = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(1, 3))):
+            # walk down from the root, stopping at each level with probability 1/2
+            parent, key = None, None
+            node = doc
+            while isinstance(node, (dict, list)) and node and (key is None or data.draw(st.booleans())):
+                parent = node
+                key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+                node = node[key]
+            if parent is None:
+                break
+            if data.draw(st.booleans()):
+                del parent[key]
+            else:
+                parent[key] = data.draw(_WRONG_TYPE[_kind(node)])
+        scenario_path.write_text(json.dumps(doc))
+        code = cli.main(["assess", "--scenario", str(scenario_path), "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_ALL_ZERO)
+
+    check()

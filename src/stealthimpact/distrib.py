@@ -10,7 +10,7 @@ reduces to the quadratic constraint d' T_R' T_R d <= eps_prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,20 +36,17 @@ class StackedMaps:
     r_{0:N} = r_x x_e(start) + r_f f_window + r_r y_r + r_a a_{0:N}
 
     The recorded-signal substitution (replay) is already folded into the x, f,
-    and reference maps; p_s / r_s retain the raw maps from the recorded stack
-    for diagnostics. f_window stacks f(start..N); start <= 0.
+    and reference maps. f_window stacks f(start..N); start <= 0.
     """
 
     p_x: np.ndarray
     p_f: np.ndarray
     p_r: np.ndarray
     p_a: np.ndarray
-    p_s: np.ndarray
     r_x: np.ndarray
     r_f: np.ndarray
     r_r: np.ndarray
     r_a: np.ndarray
-    r_s: np.ndarray
     start_step: int
     horizon: int
     n_z: int
@@ -73,6 +70,15 @@ class GaussianSummary:
     horizon: int
     n_z: int
     n_y: int
+
+    def at_epsilon(self, epsilon: float) -> "GaussianSummary":
+        """The same laws and audits under another budget: only the radius moves."""
+        if epsilon == self.epsilon:
+            return self
+        eps_p = self.eps_prime  # -inf when Sigma_R is not positive definite
+        if self.residual_cov_pd:
+            eps_p = epsilon_prime(self.sigma_r, self.horizon, self.n_y, epsilon)
+        return replace(self, epsilon=epsilon, eps_prime=eps_p)
 
 
 def stationary_law(nominal: NominalLoop) -> tuple[np.ndarray, np.ndarray]:
@@ -215,12 +221,10 @@ def stack_dynamics(
         p_f=p_f,
         p_r=p_r,
         p_a=p_a,
-        p_s=p_s,
         r_x=r_x,
         r_f=r_f,
         r_r=r_r,
         r_a=r_a,
-        r_s=r_s,
         start_step=start,
         horizon=N,
         n_z=n_z,

@@ -31,7 +31,6 @@ class SimulationConfig:
     samples: int = 100_000
     seed: int = 0
     horizon: Optional[int] = None
-    burn_in: int = 1_000
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -220,17 +219,22 @@ def empirical_kl_check(
     sigma_r = maps.r_x @ sigma_0 @ maps.r_x.T + maps.r_f @ big_f @ maps.r_f.T
     sigma_r = 0.5 * (sigma_r + sigma_r.T)
 
-    n_y = system.plant.n_y
-    radius = epsilon_prime(sigma_r, N, n_y, epsilon)
+    radius = epsilon_prime(sigma_r, N, system.plant.n_y, epsilon)
+    sim = simulate(system, attack, d, cfg)
+    return kl_verdict(sim, t_r, d, radius, epsilon, N)
+
+
+def kl_verdict(
+    sim: EmpiricalSummary, t_r: np.ndarray, d: np.ndarray, radius: float, epsilon: float, N: int
+) -> KlCheckResult:
+    """Analytic and empirical budget verdicts at d; see empirical_kl_check."""
     quad = float(np.square(t_r @ np.asarray(d, dtype=float)).sum())
     analytic_ok = quad <= radius + 1e-9 * max(1.0, abs(radius))
-
-    sim = simulate(system, attack, d, cfg)
     dim_r = sim.r_mean.shape[0]
     rate = kl_divergence_gaussian(
         sim.r_mean, sim.r_cov, np.zeros(dim_r), np.eye(dim_r)
     ) / (N + 1)
-    slack = 4.0 * math.sqrt(2.0 * dim_r / cfg.samples) * (1.0 + quad) / (N + 1)
+    slack = 4.0 * math.sqrt(2.0 * dim_r / sim.samples) * (1.0 + quad) / (N + 1)
     if rate > epsilon + slack:
         empirical_ok = False
     elif rate < epsilon - slack:

@@ -7,10 +7,10 @@ a pure function of its arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 # Relative tolerances shared across the package.
 PD_RTOL = 1e-10
@@ -19,6 +19,8 @@ RANK_RTOL = 1e-9
 _DARE_TOL = 1e-10
 _DARE_MAX_ITER = 100_000
 _KRON_LIMIT = 20
+
+_erfc = np.vectorize(math.erfc, otypes=[float])  # importing scipy.special costs ~0.2 s
 
 
 class NonConvergence(RuntimeError):
@@ -192,7 +194,7 @@ def gaussian_exceed(mu, sigma):
     if np.any(sigma <= 0.0):
         raise DegenerateVariance("sigma must be positive")
     root2 = np.sqrt(2.0)
-    p = 0.5 * erfc((1.0 - mu) / (sigma * root2)) + 0.5 * erfc((1.0 + mu) / (sigma * root2))
+    p = 0.5 * _erfc((1.0 - mu) / (sigma * root2)) + 0.5 * _erfc((1.0 + mu) / (sigma * root2))
     if p.ndim == 0:
         return float(p)
     return p

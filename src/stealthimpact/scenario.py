@@ -50,7 +50,6 @@ class Scenario:
     strategies: tuple[str, ...]
     mc_samples: int
     mc_seed: int
-    mc_burn_in: int
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -62,9 +61,13 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _matrix(obj, where: str) -> np.ndarray:
+    for row in obj if isinstance(obj, list) else ():
+        for x in row if isinstance(row, list) else ():
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise SchemaError(f"{where} is not a numeric matrix: entry {x!r} is not a number")
     try:
         arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise SchemaError(f"{where} must be a 2-d nested array, got {arr.ndim} dimensions")
@@ -179,8 +182,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         raise SchemaError("mc must be an object")
     mc_samples = mc_doc.get("samples", 100_000)
     mc_seed = mc_doc.get("seed", 0)
-    mc_burn_in = mc_doc.get("burn_in", 1_000)
-    for key, val in (("samples", mc_samples), ("seed", mc_seed), ("burn_in", mc_burn_in)):
+    for key, val in (("samples", mc_samples), ("seed", mc_seed)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 0:
             raise SchemaError(f"mc.{key} must be a nonnegative integer")
     if mc_samples < 1:
@@ -196,7 +198,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         strategies=strategies,
         mc_samples=mc_samples,
         mc_seed=mc_seed,
-        mc_burn_in=mc_burn_in,
     )
 
 

@@ -1,12 +1,17 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stealthimpact
 from stealthimpact import attacks, cli
 from stealthimpact.scenario import bundled_scenario_path
 
@@ -287,6 +292,57 @@ def test_loader_rejections_exit_code(tmp_path, capsys):
     code, _ = _run(tmp_path, "--scenario", str(_write_scenario(tmp_path, doc)))
     assert code == cli.EXIT_VALIDATION
     assert "all zeros" in capsys.readouterr().err
+    doc = copy.deepcopy(base)
+    doc["critical_map"] = [[False, False, True, False, False, False]]
+    code, _ = _run(tmp_path, "--scenario", str(_write_scenario(tmp_path, doc)))
+    assert code == cli.EXIT_VALIDATION
+    assert "False is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mc_validate", [False, True])
+def test_eps_sweep_matches_single_epsilon_runs(tmp_path, mc_validate):
+    # The sweep builds each configuration's law once and re-solves it per
+    # epsilon; every entry must equal a fresh run at that epsilon alone.
+    base = json.loads(bundled_scenario_path().read_text())
+    base["mc"]["samples"] = 500
+    eps_grid = [float(e) for e in np.linspace(0.05, 0.95, 10)]
+    extra = ["--mc-validate"] if mc_validate else []
+
+    def run(doc, fmt, *args):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"out.{fmt}"
+        code = cli.main(["assess", "--scenario", str(path), "--format", fmt, "--out", str(out), *extra, *args])
+        assert code == cli.EXIT_OK
+        return out.read_text()
+
+    values = ",".join(repr(e) for e in eps_grid)
+    sweep_json = json.loads(run(base, "json", "--sweep", "eps", "--values", values))["entries"]
+    sweep_csv = run(base, "csv", "--sweep", "eps", "--values", values).splitlines()[1:]
+    per_value = len(sweep_json) // len(eps_grid)
+    assert per_value == len(base["vulnerabilities"]) * len(base["strategies"])
+    for i, eps in enumerate(eps_grid):
+        doc = dict(base, epsilon=eps)
+        rows = slice(i * per_value, (i + 1) * per_value)
+        assert sweep_json[rows] == json.loads(run(doc, "json"))["entries"]
+        assert sweep_csv[rows] == run(doc, "csv").splitlines()[1:]
+    assert any("mc" in e for e in sweep_json) == mc_validate
+
+
+def test_assess_does_not_import_scipy():
+    # scipy costs more to import than a whole small assessment
+    src = str(Path(stealthimpact.__file__).resolve().parent.parent)
+    code = (
+        "import io, sys, contextlib\n"
+        "from stealthimpact import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['assess']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 _WRONG_TYPE = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,3 +239,22 @@ def test_zero_critical_map_rejected(system):
     with pytest.raises(distrib.SigmaZNotPd):
         layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
         distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+
+
+def test_summary_at_another_epsilon(system):
+    """Only the radius depends on epsilon; it matches a fresh summary exactly."""
+    N = 5
+    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
+    layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
+    summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+    assert summary.at_epsilon(0.3) is summary
+    for eps in (0.0, 1e-4, 0.7, 10.0):
+        moved = summary.at_epsilon(eps)
+        fresh = distrib.gaussian_summary(system, atk, layout, q_z, N, eps)
+        assert moved.epsilon == eps
+        assert moved.eps_prime == fresh.eps_prime
+        assert moved.t_z is summary.t_z and moved.sigma_r is summary.sigma_r
+        assert moved.impact_bounded == fresh.impact_bounded
+    singular = dataclasses.replace(summary, residual_cov_pd=False, eps_prime=-np.inf)
+    assert singular.at_epsilon(5.0).eps_prime == -np.inf

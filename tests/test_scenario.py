@@ -69,6 +69,20 @@ def test_non_numeric_matrix_rejected(tmp_path, doc):
         scen.load_scenario(_dump(tmp_path, doc))
 
 
+@pytest.mark.parametrize("entry", [True, False, "0.5", "1", None, [1.0]])
+def test_matrix_entries_must_be_numbers(tmp_path, doc, entry):
+    # numpy would read booleans and numeric strings as floats
+    doc["critical_map"][0][0] = entry
+    with pytest.raises(scen.SchemaError, match="critical_map is not a numeric matrix"):
+        scen.load_scenario(_dump(tmp_path, doc))
+
+
+def test_matrix_entry_too_large_for_float(tmp_path, doc):
+    doc["plant"]["A"][0][0] = 10**400
+    with pytest.raises(scen.SchemaError, match="plant.A is not a numeric matrix"):
+        scen.load_scenario(_dump(tmp_path, doc))
+
+
 def test_dimension_mismatch_is_dimension_error(tmp_path, doc):
     doc["controller"]["L_xhat"] = [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]]
     with pytest.raises(scen.DimensionError):
@@ -137,7 +151,6 @@ def test_mc_defaults_and_validation(tmp_path, doc):
     loaded = scen.load_scenario(_dump(tmp_path, doc))
     assert loaded.mc_samples == 100_000
     assert loaded.mc_seed == 0
-    assert loaded.mc_burn_in == 1_000
     doc["mc"] = {"samples": -5}
     with pytest.raises(scen.SchemaError, match="mc.samples"):
         scen.load_scenario(_dump(tmp_path, doc, "mc.json"))

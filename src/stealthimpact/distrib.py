@@ -269,6 +269,23 @@ def kl_divergence_gaussian(mu1, sigma1, mu2, sigma2) -> float:
     return 0.5 * (trace_term + quad - n + logdet2 - logdet1)
 
 
+def _laws(
+    maps: StackedMaps, t_0: np.ndarray, sigma_0: np.ndarray, sigma_f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(T_Z, Sigma_Z, T_R, Sigma_R) as in summarize, without its audits."""
+    W = maps.horizon - maps.start_step + 1
+    big_f = np.kron(np.eye(W), np.asarray(sigma_f, dtype=float))
+
+    def law(m_a, m_x, m_r, m_f):
+        sigma = m_x @ sigma_0 @ m_x.T + m_f @ big_f @ m_f.T
+        return np.hstack([m_a, m_x @ t_0 + m_r]), 0.5 * (sigma + sigma.T)
+
+    return (
+        *law(maps.p_a, maps.p_x, maps.p_r, maps.p_f),
+        *law(maps.r_a, maps.r_x, maps.r_r, maps.r_f),
+    )
+
+
 def summarize(
     maps: StackedMaps,
     t_0: np.ndarray,
@@ -284,17 +301,7 @@ def summarize(
     covariances are constants of the strategy.
     """
     N = maps.horizon
-    W = N - maps.start_step + 1
-    sigma_f = np.asarray(sigma_f, dtype=float)
-    big_f = np.kron(np.eye(W), sigma_f)
-
-    t_z = np.hstack([maps.p_a, maps.p_x @ t_0 + maps.p_r])
-    sigma_z = maps.p_x @ sigma_0 @ maps.p_x.T + maps.p_f @ big_f @ maps.p_f.T
-    sigma_z = 0.5 * (sigma_z + sigma_z.T)
-    t_r = np.hstack([maps.r_a, maps.r_x @ t_0 + maps.r_r])
-    sigma_r = maps.r_x @ sigma_0 @ maps.r_x.T + maps.r_f @ big_f @ maps.r_f.T
-    sigma_r = 0.5 * (sigma_r + sigma_r.T)
-
+    t_z, sigma_z, t_r, sigma_r = _laws(maps, t_0, sigma_0, sigma_f)
     if t_z.shape[1] != layout.dim_d or t_r.shape[1] != layout.dim_d:
         raise DimensionMismatch("maps and decision layout disagree on dim_d")
 

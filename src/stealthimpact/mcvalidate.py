@@ -17,6 +17,7 @@ import numpy as np
 from . import numcore
 from .attacks import AttackMatrices
 from .distrib import (
+    _laws,
     epsilon_prime,
     kl_divergence_gaussian,
     normalize_critical_map,
@@ -73,13 +74,10 @@ class KlCheckResult:
 
 def _split_decision(d: np.ndarray, attack: AttackMatrices, N: int, n_yr: int):
     d = np.asarray(d, dtype=float).ravel()
-    n_a = attack.n_a
-    want = (N + 1) * n_a + n_yr
-    if d.shape[0] != want:
-        raise DimensionMismatch(f"decision vector has length {d.shape[0]}, expected {want}")
-    a_seq = d[: (N + 1) * n_a].reshape(N + 1, n_a) if n_a else np.zeros((N + 1, 0))
-    y_r = d[(N + 1) * n_a :]
-    return a_seq, y_r
+    n_a = (N + 1) * attack.n_a
+    if d.shape[0] != n_a + n_yr:
+        raise DimensionMismatch(f"decision vector has length {d.shape[0]}, expected {n_a + n_yr}")
+    return d[:n_a].reshape(N + 1, attack.n_a), d[n_a:]
 
 
 def simulate(
@@ -97,100 +95,97 @@ def simulate(
     attack window. Critical rows cover steps 1..N, residual rows steps 0..N,
     matching the stacked-map row order. The critical map defaults to the
     identity on the plant states.
+
+    Every signal is stored feature-major, shape (dim, cfg.samples). The Philox
+    draws are part of the contract: one (samples, 2 n_x) block for the initial
+    state, then per step a (samples, n_y) block for the sensor noise w and,
+    except at step N, a (samples, n_x) block for the process noise v, so a seed
+    gives the same trajectories, up to rounding, whatever the storage layout.
     """
     if cfg.horizon is None:
         raise ValueError("cfg.horizon must be set for simulation")
     N = int(cfg.horizon)
     plant, ctrl, est = system.plant, system.controller, system.estimator
     n_x, n_y = plant.n_x, plant.n_y
-    n_yr = ctrl.L_yr.shape[1]
-    a_seq, y_r = _split_decision(d, attack, N, n_yr)
+    a_seq, y_r = _split_decision(d, attack, N, ctrl.L_yr.shape[1])
     n_au = attack.n_au
 
     t_0, sigma_0 = stationary_law(system.nominal)
     sqrt_0 = numcore.sym_sqrt(sigma_0)
     chol_v = np.linalg.cholesky(plant.sigma_v)
     chol_w = np.linalg.cholesky(plant.sigma_w)
-    if q_z is None:
-        q_z = np.eye(n_x)
-    q_ze = normalize_critical_map(q_z, n_x)
+    q_ze = normalize_critical_map(np.eye(n_x) if q_z is None else q_z, n_x)
+    n_z = q_ze.shape[0]
     n_s = cfg.samples
-    start = attack.start_step
-
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    x_e = t_0 @ y_r + rng.standard_normal((n_s, 2 * n_x)) @ sqrt_0.T
-
-    z_rows: list[np.ndarray] = []
-    r_rows: list[np.ndarray] = []
-    recorded: dict[int, np.ndarray] = {}
     lam_y, gam_y = attack.lambda_y, attack.gamma_y
     lam_u, gam_u = attack.lambda_u, attack.gamma_u
-    s_r_inv = est.sigma_r_invsqrt
 
-    for k in range(start, N + 1):
-        x = x_e[:, :n_x]
-        x_hat = x_e[:, n_x:]
-        w = rng.standard_normal((n_s, n_y)) @ chol_w.T
-        y = x @ plant.C.T + w
-        u = -x_hat @ ctrl.L_xhat.T + (ctrl.L_yr @ y_r)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    x_e = (t_0 @ y_r)[:, None] + sqrt_0 @ rng.standard_normal((n_s, 2 * n_x)).T
+    x_next = np.empty_like(x_e)
+    z = np.empty((N * n_z, n_s))
+    r = np.empty(((N + 1) * n_y, n_s))
+    recorded: dict[int, np.ndarray] = {}
+
+    for k in range(attack.start_step, N + 1):
+        x, x_hat = x_e[:n_x], x_e[n_x:]
+        y = plant.C @ x + chol_w @ rng.standard_normal((n_s, n_y)).T
+        u = (ctrl.L_yr @ y_r)[:, None] - ctrl.L_xhat @ x_hat
         if k < 0:
             if attack.has_recording:
-                recorded[k] = y @ attack.c_rec.T
-            y_tilde = y
-            u_tilde = u
+                recorded[k] = attack.c_rec @ y
+            y_tilde, u_tilde = y, u
         else:
-            a_u = a_seq[k, :n_au]
-            a_y = a_seq[k, n_au:]
-            y_tilde = y @ lam_y.T + gam_y @ a_y
+            y_tilde = lam_y @ y + (gam_y @ a_seq[k, n_au:])[:, None]
             if attack.has_recording:
-                y_tilde = y_tilde + recorded[k - (N + 1)] @ gam_y.T
-            u_tilde = u @ lam_u.T + gam_u @ a_u
-        innov = y_tilde - x_hat @ plant.C.T
+                y_tilde += gam_y @ recorded.pop(k - (N + 1))
+            u_tilde = lam_u @ u + (gam_u @ a_seq[k, :n_au])[:, None]
+        innov = y_tilde - plant.C @ x_hat
         if k >= 0:
-            r_rows.append(innov @ s_r_inv.T)
+            np.matmul(est.sigma_r_invsqrt, innov, out=r[k * n_y : (k + 1) * n_y])
         if k == N:
             break
-        v = rng.standard_normal((n_s, n_x)) @ chol_v.T
-        x_next = x @ plant.A.T + u_tilde @ plant.B.T + v
-        x_hat_next = x_hat @ plant.A.T + u @ plant.B.T + innov @ est.K.T
-        x_e = np.hstack([x_next, x_hat_next])
+        x_new, x_hat_new = x_next[:n_x], x_next[n_x:]
+        np.matmul(plant.A, x, out=x_new)
+        x_new += plant.B @ u_tilde
+        x_new += chol_v @ rng.standard_normal((n_s, n_x)).T
+        np.matmul(plant.A, x_hat, out=x_hat_new)
+        x_hat_new += plant.B @ u
+        x_hat_new += est.K @ innov
+        x_e, x_next = x_next, x_e
         if k >= 0:
-            z_rows.append(x_e @ q_ze.T)
+            np.matmul(q_ze, x_e, out=z[k * n_z : (k + 1) * n_z])
 
-    z_full = np.hstack(z_rows) if z_rows else np.zeros((n_s, 0))
-    r_full = np.hstack(r_rows)
-    return _summarize_samples(z_full, r_full)
+    return _summarize_samples(z, r)
 
 
 def _summarize_samples(z: np.ndarray, r: np.ndarray) -> EmpiricalSummary:
-    n_s = z.shape[0]
-    z_mean = z.mean(axis=0)
-    r_mean = r.mean(axis=0)
-    z_cov = np.atleast_2d(np.cov(z.T, ddof=1)) if z.shape[1] else np.zeros((0, 0))
-    r_cov = np.atleast_2d(np.cov(r.T, ddof=1))
-    z_mean_se = z.std(axis=0, ddof=1) / math.sqrt(n_s)
-    r_mean_se = r.std(axis=0, ddof=1) / math.sqrt(n_s)
-    exceed = (np.abs(z) > 1.0).mean(axis=0)
-    exceed_se = np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n_s)
-    if z.shape[1]:
-        inf_norms = np.abs(z).max(axis=1)
-        e_inf = float(inf_norms.mean())
-        e_inf_se = float(inf_norms.std(ddof=1) / math.sqrt(n_s))
-    else:
-        e_inf, e_inf_se = 0.0, 0.0
+    """Statistics of feature-major samples; centres z and r in place."""
+    n_s = r.shape[1]
+    exceed = np.count_nonzero(np.abs(z) > 1.0, axis=1) / n_s
+    inf_norms = np.abs(z).max(axis=0, initial=0.0)  # zeros when z has no rows
+    z_mean, z_cov = _centred_moments(z)
+    r_mean, r_cov = _centred_moments(r)
     return EmpiricalSummary(
         z_mean=z_mean,
         z_cov=z_cov,
-        z_mean_se=z_mean_se,
+        z_mean_se=np.sqrt(np.diag(z_cov) / n_s),
         exceed_freq=exceed,
-        exceed_se=exceed_se,
+        exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n_s),
         r_mean=r_mean,
         r_cov=r_cov,
-        r_mean_se=r_mean_se,
-        e_inf_norm=e_inf,
-        e_inf_norm_se=e_inf_se,
+        r_mean_se=np.sqrt(np.diag(r_cov) / n_s),
+        e_inf_norm=float(inf_norms.mean()),
+        e_inf_norm_se=float(inf_norms.std(ddof=1) / math.sqrt(n_s)),
         samples=n_s,
     )
+
+
+def _centred_moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means and sample covariance (ddof=1) of s, which is centred in place."""
+    mean = s.mean(axis=1)
+    s -= mean[:, None]
+    return mean, s @ s.T / (s.shape[1] - 1)
 
 
 def empirical_kl_check(
@@ -207,20 +202,14 @@ def empirical_kl_check(
     closed-form Gaussian divergence. Within the Monte Carlo slack band around
     epsilon, the empirical verdict defers to the analytic one.
     """
-    if cfg.horizon is None:
-        raise ValueError("cfg.horizon must be set")
+    sim = simulate(system, attack, d, cfg)  # raises unless cfg.horizon is set
     N = int(cfg.horizon)
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
     maps = stack_dynamics(ext, attack, system.nominal, np.eye(system.plant.n_x), N)
     t_0, sigma_0 = stationary_law(system.nominal)
-    W = N - maps.start_step + 1
-    big_f = np.kron(np.eye(W), system.nominal.sigma_f)
-    t_r = np.hstack([maps.r_a, maps.r_x @ t_0 + maps.r_r])
-    sigma_r = maps.r_x @ sigma_0 @ maps.r_x.T + maps.r_f @ big_f @ maps.r_f.T
-    sigma_r = 0.5 * (sigma_r + sigma_r.T)
-
+    # the laws without summarize's audits, which reject unstable attacked loops
+    _, _, t_r, sigma_r = _laws(maps, t_0, sigma_0, system.nominal.sigma_f)
     radius = epsilon_prime(sigma_r, N, system.plant.n_y, epsilon)
-    sim = simulate(system, attack, d, cfg)
     return kl_verdict(sim, t_r, d, radius, epsilon, N)
 
 

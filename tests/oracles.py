@@ -263,3 +263,83 @@ def explicit_rollout(system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack):
             break
         x_e = ext.A_cl @ x_e + ext.B_f @ f_k + ext.E_r @ y_r + ext.G_a @ a_k + ext.J_s @ a_s
     return np.concatenate(z_rows), np.concatenate(r_rows)
+
+
+def reference_simulate(system, attack, d, cfg, q_z=None):
+    """Sample-major Monte Carlo loop that mcvalidate.simulate must reproduce.
+
+    Same Philox stream (draw shapes and order) and the same literal loop as the
+    package's simulator, but every signal is stored one row per sample and the
+    statistics come from np.cov and separate std passes. It borrows the
+    package's stationary law and symmetric square root, so it checks the loop,
+    the layout and the statistics, not the law.
+    """
+    from stealthimpact import numcore
+    from stealthimpact.distrib import normalize_critical_map, stationary_law
+    from stealthimpact.mcvalidate import EmpiricalSummary, _split_decision
+
+    N = int(cfg.horizon)
+    plant, ctrl, est = system.plant, system.controller, system.estimator
+    n_x, n_y = plant.n_x, plant.n_y
+    a_seq, y_r = _split_decision(d, attack, N, ctrl.L_yr.shape[1])
+    n_au = attack.n_au
+    t_0, sigma_0 = stationary_law(system.nominal)
+    sqrt_0 = numcore.sym_sqrt(sigma_0)
+    chol_v = np.linalg.cholesky(plant.sigma_v)
+    chol_w = np.linalg.cholesky(plant.sigma_w)
+    q_ze = normalize_critical_map(np.eye(n_x) if q_z is None else q_z, n_x)
+    n_s = cfg.samples
+
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    x_e = t_0 @ y_r + rng.standard_normal((n_s, 2 * n_x)) @ sqrt_0.T
+    z_rows, r_rows, recorded = [], [], {}
+    lam_y, gam_y = attack.lambda_y, attack.gamma_y
+    lam_u, gam_u = attack.lambda_u, attack.gamma_u
+    for k in range(attack.start_step, N + 1):
+        x = x_e[:, :n_x]
+        x_hat = x_e[:, n_x:]
+        w = rng.standard_normal((n_s, n_y)) @ chol_w.T
+        y = x @ plant.C.T + w
+        u = -x_hat @ ctrl.L_xhat.T + (ctrl.L_yr @ y_r)
+        if k < 0:
+            if attack.has_recording:
+                recorded[k] = y @ attack.c_rec.T
+            y_tilde, u_tilde = y, u
+        else:
+            y_tilde = y @ lam_y.T + gam_y @ a_seq[k, n_au:]
+            if attack.has_recording:
+                y_tilde = y_tilde + recorded[k - (N + 1)] @ gam_y.T
+            u_tilde = u @ lam_u.T + gam_u @ a_seq[k, :n_au]
+        innov = y_tilde - x_hat @ plant.C.T
+        if k >= 0:
+            r_rows.append(innov @ est.sigma_r_invsqrt.T)
+        if k == N:
+            break
+        v = rng.standard_normal((n_s, n_x)) @ chol_v.T
+        x_next = x @ plant.A.T + u_tilde @ plant.B.T + v
+        x_hat_next = x_hat @ plant.A.T + u @ plant.B.T + innov @ est.K.T
+        x_e = np.hstack([x_next, x_hat_next])
+        if k >= 0:
+            z_rows.append(x_e @ q_ze.T)
+
+    z = np.hstack(z_rows) if z_rows else np.zeros((n_s, 0))
+    r = np.hstack(r_rows)
+    exceed = (np.abs(z) > 1.0).mean(axis=0)
+    if z.shape[1]:
+        inf_norms = np.abs(z).max(axis=1)
+        e_inf, e_inf_se = float(inf_norms.mean()), float(inf_norms.std(ddof=1) / np.sqrt(n_s))
+    else:
+        e_inf, e_inf_se = 0.0, 0.0
+    return EmpiricalSummary(
+        z_mean=z.mean(axis=0),
+        z_cov=np.atleast_2d(np.cov(z.T, ddof=1)) if z.shape[1] else np.zeros((0, 0)),
+        z_mean_se=z.std(axis=0, ddof=1) / np.sqrt(n_s),
+        exceed_freq=exceed,
+        exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n_s),
+        r_mean=r.mean(axis=0),
+        r_cov=np.atleast_2d(np.cov(r.T, ddof=1)),
+        r_mean_se=r.std(axis=0, ddof=1) / np.sqrt(n_s),
+        e_inf_norm=e_inf,
+        e_inf_norm_se=e_inf_se,
+        samples=n_s,
+    )

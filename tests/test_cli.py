@@ -329,9 +329,21 @@ def test_eps_sweep_matches_single_epsilon_runs(tmp_path, mc_validate):
     assert any("mc" in e for e in sweep_json) == mc_validate
 
 
+def _src_env():
+    src = str(Path(stealthimpact.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_m_runs_the_cli():
+    args = ["-m", "stealthimpact", "assess", "--vulnerability", "vulnerability_1", "--strategy", "fdi"]
+    done = subprocess.run([sys.executable, *args], env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["entries"][0]["strategy"] == "fdi"
+
+
 def test_assess_does_not_import_scipy():
     # scipy costs more to import than a whole small assessment
-    src = str(Path(stealthimpact.__file__).resolve().parent.parent)
     code = (
         "import io, sys, contextlib\n"
         "from stealthimpact import cli\n"
@@ -339,8 +351,7 @@ def test_assess_does_not_import_scipy():
         "    assert cli.main(['assess']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 

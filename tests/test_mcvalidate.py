@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stealthimpact import attacks, distrib, mcvalidate, numcore
 from stealthimpact.sysmodel import DimensionMismatch
+from oracles import reference_simulate
 
 
 def _fdi_setup(system, N=4, sensors=(0,), actuators=(0, 1)):
@@ -41,6 +44,35 @@ def test_simulate_reproducible(system, scenario):
         system, atk, d, mcvalidate.SimulationConfig(samples=500, seed=43, horizon=4), q_z=scenario.q_z
     )
     assert not np.array_equal(one.z_mean, three.z_mean)
+
+
+def _attack(system, kind, N):
+    res = attacks.ResourceSet(sensors=(0, 1), actuators=(2,))
+    if kind == "replay":
+        return attacks.build_replay(res, system.plant, system.nominal, 3, N, actuator_mode="dos")
+    build = {"fdi": attacks.build_fdi, "dos": attacks.build_dos, "bias_injection": attacks.build_bias}[kind]
+    return build(res, system.dims, N)
+
+
+@pytest.mark.parametrize("critical", ["none", "plant", "extended"])
+@pytest.mark.parametrize("kind", ["fdi", "dos", "bias_injection", "replay"])
+def test_simulate_matches_sample_major_reference(system, scenario, kind, critical):
+    """The feature-major loop keeps the Philox stream and the statistics."""
+    N = 4
+    atk = _attack(system, kind, N)
+    if kind == "replay":
+        assert atk.start_step < 0 and atk.has_recording
+    layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
+    d = 0.2 * np.random.default_rng(1).normal(size=layout.dim_d)
+    q_z = {"none": None, "plant": np.array([[0.0, 0.0, 1.0], [1.0, -0.5, 0.0]]), "extended": scenario.q_z}[critical]
+    cfg = mcvalidate.SimulationConfig(samples=2_000, seed=17, horizon=N)
+    got = mcvalidate.simulate(system, atk, d, cfg, q_z=q_z)
+    want = reference_simulate(system, atk, d, cfg, q_z=q_z)
+    assert np.array_equal(got.exceed_freq, want.exceed_freq)
+    for field in dataclasses.fields(mcvalidate.EmpiricalSummary):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.shape(a) == np.shape(b), field.name
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=field.name)
 
 
 def test_simulate_matches_analytic_fdi(system, scenario):

@@ -42,7 +42,7 @@ from .scenario import (
     bundled_scenario_path,
     load_scenario,
 )
-from .solver import ImpactReport, NumericalFailure, PatternCapExceeded, compute_impact
+from .solver import ImpactReport, NumericalFailure, PatternCapExceeded, compute_impact, first_near_max
 
 SCHEMA_VERSION = 2
 
@@ -113,10 +113,6 @@ def _candidate_law(scenario: Scenario, cand: Candidate, epsilon: float):
     return gaussian_summary(scenario.system, cand.attack, layout, scenario.q_z, N, epsilon), layout
 
 
-def _evaluate_candidate(scenario: Scenario, cand: Candidate) -> ImpactReport:
-    return compute_impact(*_candidate_law(scenario, cand, scenario.epsilon))
-
-
 def _assess_pair(
     scenario: Scenario,
     vulnerability: str,
@@ -127,8 +123,9 @@ def _assess_pair(
     """Worst case over the strategy's configuration space, one entry per epsilon.
 
     Configurations are enumerated in a fixed lexicographic order and ranked by
-    exceedance probability; the first maximizer wins. fdi_plus_dos injects on
-    the vulnerability's sensors and denies its actuators. Only the radius
+    exceedance probability; the first one within the solver's certified
+    accuracy of the maximum wins. fdi_plus_dos injects on the vulnerability's
+    sensors and denies its actuators. Only the radius
     depends on epsilon, so each configuration's law is built once and solved
     per value; the first entry's timing includes that shared work. With
     mc_seed every entry is cross-checked by simulation.
@@ -152,10 +149,7 @@ def _assess_pair(
     entries = []
     for eps in epsilons:
         reports = [compute_impact(summary.at_epsilon(eps), layout) for summary, layout in laws]
-        best = 0
-        for i in range(1, len(reports)):
-            if reports[i].exceed_prob > reports[best].exceed_prob:
-                best = i
+        best = first_near_max([r.exceed_prob for r in reports])
         entry = AssessmentEntry(
             vulnerability=vulnerability,
             strategy=strategy,

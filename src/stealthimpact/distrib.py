@@ -6,6 +6,20 @@ trajectory z_{1:N} and the whitened residual trajectory r_{0:N}, then summarizes
 both as Gaussian laws (T_Z d, Sigma_Z) and (T_R d, Sigma_R) in the decision
 vector d = [a_{0:N}; y_r]. The stealthiness budget on the residual KL rate
 reduces to the quadratic constraint d' T_R' T_R d <= eps_prime.
+
+The maps are built in lifted form. With A = A_cl of the attacked loop and
+"out" the critical map or C_r, the row block of step k is
+
+    out A^k x_e(0) + sum_{j<k} out A^(k-1-j) [B_f G_a J_s E_r] (f, a, a_s, y_r)(j)
+                   + [D_f H_a K_s F_r] (f, a, a_s, y_r)(k)     (residual rows only)
+
+so the rows are the observability blocks out A^k and the input columns one
+block-Toeplitz gather of the Markov blocks over the lag k-1-j; the y_r
+columns sum over the lags. Replay first runs the nominal loop over its
+recording window, which maps (x_e(start), f(start..-1), y_r) to x_e(0).
+The covariances are formed from whitened factors, Sigma = F F' with
+F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))], and Sigma_R is factored
+once per configuration, so the radius eps' at another epsilon costs O(1).
 """
 
 from __future__ import annotations
@@ -22,9 +36,12 @@ from .sysmodel import DimensionMismatch, ExtendedSystem, NominalLoop, SystemMode
 class SigmaZNotPd(RuntimeError):
     """Critical-trajectory covariance is not positive definite.
 
-    This signals a modeling bug (or a critical map without full row rank on
-    the plant states): with positive definite process noise the covariance is
-    guaranteed definite.
+    The test is relative: the minimum eigenvalue must exceed
+    numcore.PD_RTOL times the largest. It fails for a critical map without
+    full row rank on the plant states, and also for a positive definite
+    matrix whose spread exceeds that ratio, as on an attacked loop with
+    spectral radius above 1 over a long horizon, where Sigma_Z grows
+    geometrically along the window.
     """
 
 
@@ -57,14 +74,14 @@ class StackedMaps:
 class GaussianSummary:
     """Gaussian laws of the critical and residual trajectories plus audits."""
 
-    t_0: np.ndarray
-    sigma_0: np.ndarray
     t_z: np.ndarray
     sigma_z: np.ndarray
     t_r: np.ndarray
     sigma_r: np.ndarray
     eps_prime: float
     residual_cov_pd: bool
+    sigma_r_trace: float  # tr and ln det of Sigma_R; nan when it is not positive definite
+    sigma_r_logdet: float
     impact_bounded: bool
     epsilon: float
     horizon: int
@@ -77,7 +94,7 @@ class GaussianSummary:
             return self
         eps_p = self.eps_prime  # -inf when Sigma_R is not positive definite
         if self.residual_cov_pd:
-            eps_p = epsilon_prime(self.sigma_r, self.horizon, self.n_y, epsilon)
+            eps_p = _radius(self.horizon, self.n_y, epsilon, self.sigma_r_trace, self.sigma_r_logdet)
         return replace(self, epsilon=epsilon, eps_prime=eps_p)
 
 
@@ -123,12 +140,16 @@ def stack_dynamics(
     q_z: np.ndarray,
     N: int,
 ) -> StackedMaps:
-    """Unroll the closed loop over [start, N] into stacked affine maps.
+    """Stacked affine maps of the window [start, N] in lifted form.
 
-    The loop runs nominally before step 0 (replay recording phase) and under
-    the attack from step 0 on. Critical rows cover steps 1..N, residual rows
-    steps 0..N. The recorded-signal maps from the attack are folded into the
-    state, noise, and reference maps at the end.
+    The nominal recording phase before step 0 (replay) is unrolled into
+    x_e(0) as a map of (x_e(start), f(start..-1), y_r). From step 0 on, each
+    output row at step k is its observability block out A^k applied to x_e(0)
+    plus the block-Toeplitz sum over inputs j < k of the Markov blocks
+    out A^(k-1-j) [B_f G_a J_s E_r], with the direct terms [D_f H_a K_s F_r]
+    at j = k on the residual rows. Critical rows cover steps 1..N, residual
+    rows steps 0..N. The recorded-signal maps from the attack are folded into
+    the state, noise, and reference maps at the end.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
@@ -138,71 +159,30 @@ def stack_dynamics(
     n_z = q_ze.shape[0]
     start = attack.start_step
     W = N - start + 1  # noise blocks f(start..N)
-    two_nx = 2 * n_x
 
-    p_x = np.zeros((n_z * N, two_nx))
-    p_f = np.zeros((n_z * N, W * n_f))
-    p_r = np.zeros((n_z * N, n_yr))
-    p_a = np.zeros((n_z * N, (N + 1) * n_a))
-    p_s = np.zeros((n_z * N, (N + 1) * n_ay))
-    r_x = np.zeros(((N + 1) * n_y, two_nx))
-    r_f = np.zeros(((N + 1) * n_y, W * n_f))
-    r_r = np.zeros(((N + 1) * n_y, n_yr))
-    r_a = np.zeros(((N + 1) * n_y, (N + 1) * n_a))
-    r_s = np.zeros(((N + 1) * n_y, (N + 1) * n_ay))
+    # x_e(0) = x0_x x_e(start) + x0_f f(start..-1) + x0_r y_r under the nominal loop
+    x0_x = np.eye(2 * n_x)
+    x0_f = np.zeros((2 * n_x, -start * n_f))
+    x0_r = np.zeros((2 * n_x, n_yr))
+    for j in range(-start):
+        x0_x = nominal.A_cl @ x0_x
+        x0_f = nominal.A_cl @ x0_f
+        x0_f[:, j * n_f : (j + 1) * n_f] += nominal.B_f
+        x0_r = nominal.A_cl @ x0_r + nominal.E_r
 
-    # running maps of x_e(k) as a function of (x_e(start), f_window, y_r, a, a_s)
-    Xx = np.eye(two_nx)
-    Xf = np.zeros((two_nx, W * n_f))
-    Xr = np.zeros((two_nx, n_yr))
-    Xa = np.zeros((two_nx, (N + 1) * n_a))
-    Xs = np.zeros((two_nx, (N + 1) * n_ay))
-
-    for k in range(start, N + 1):
-        j = k - start
-        if 1 <= k:
-            r = (k - 1) * n_z
-            p_x[r : r + n_z] = q_ze @ Xx
-            p_f[r : r + n_z] = q_ze @ Xf
-            p_r[r : r + n_z] = q_ze @ Xr
-            p_a[r : r + n_z] = q_ze @ Xa
-            p_s[r : r + n_z] = q_ze @ Xs
-        if 0 <= k:
-            r = k * n_y
-            r_x[r : r + n_y] = ext.C_r @ Xx
-            row = ext.C_r @ Xf
-            row[:, j * n_f : (j + 1) * n_f] += ext.D_f
-            r_f[r : r + n_y] = row
-            r_r[r : r + n_y] = ext.C_r @ Xr + ext.F_r
-            row = ext.C_r @ Xa
-            if n_a:
-                row[:, k * n_a : (k + 1) * n_a] += ext.H_a
-            r_a[r : r + n_y] = row
-            row = ext.C_r @ Xs
-            if n_ay:
-                row[:, k * n_ay : (k + 1) * n_ay] += ext.K_s
-            r_s[r : r + n_y] = row
-        if k == N:
-            break
-        if k < 0:
-            Xx = nominal.A_cl @ Xx
-            Xf = nominal.A_cl @ Xf
-            Xf[:, j * n_f : (j + 1) * n_f] += nominal.B_f
-            Xr = nominal.A_cl @ Xr + nominal.E_r
-            Xa = nominal.A_cl @ Xa
-            Xs = nominal.A_cl @ Xs
-        else:
-            Xx_next = ext.A_cl @ Xx
-            Xf = ext.A_cl @ Xf
-            Xf[:, j * n_f : (j + 1) * n_f] += ext.B_f
-            Xr = ext.A_cl @ Xr + ext.E_r
-            Xa = ext.A_cl @ Xa
-            if n_a:
-                Xa[:, k * n_a : (k + 1) * n_a] += ext.G_a
-            Xs = ext.A_cl @ Xs
-            if n_ay:
-                Xs[:, k * n_ay : (k + 1) * n_ay] += ext.J_s
-            Xx = Xx_next
+    powers = _powers(ext.A_cl, N)
+    inputs = np.hstack([ext.B_f, ext.G_a, ext.J_s, ext.E_r])
+    direct = np.hstack([ext.D_f, ext.H_a, ext.K_s, ext.F_r])
+    widths = (n_f, n_a, n_ay)
+    obs_z, obs_r = q_ze @ powers, ext.C_r @ powers
+    p_x, p_f, p_a, p_s, p_r = _lifted_rows(
+        obs_z[1:], obs_z[:N] @ inputs, np.zeros((n_z, direct.shape[1])), 1, widths
+    )
+    r_x, r_f, r_a, r_s, r_r = _lifted_rows(obs_r, obs_r[:N] @ inputs, direct, 0, widths)
+    # the recording phase acts through x_e(0)
+    p_f, r_f = np.hstack([p_x @ x0_f, p_f]), np.hstack([r_x @ x0_f, r_f])
+    p_r, r_r = p_r + p_x @ x0_r, r_r + r_x @ x0_r
+    p_x, r_x = p_x @ x0_x, r_x @ x0_x
 
     # fold the recorded stack a_s = t_sx x_e(start) + t_sr y_r + t_sf f_pre
     if n_ay:
@@ -232,11 +212,54 @@ def stack_dynamics(
     )
 
 
+def _powers(A: np.ndarray, N: int) -> np.ndarray:
+    """A^0..A^N stacked along the first axis, by doubling."""
+    powers = np.eye(A.shape[0])[None]
+    while powers.shape[0] <= N:
+        powers = np.concatenate([powers, (powers[-1] @ A) @ powers])
+    return powers[: N + 1]
+
+
+def _lifted_rows(
+    obs: np.ndarray, markov: np.ndarray, direct: np.ndarray, first: int, widths: tuple
+) -> list[np.ndarray]:
+    """Maps of the output rows at steps first..N over the attack window.
+
+    obs[i] is the observability block of step first + i, markov[l] the Markov
+    block at lag l = k-1-j over the stacked input columns, and direct the
+    feedthrough at lag -1 (j = k). Returns the row map of x_e(0), one stacked
+    map per input group of the given widths over steps 0..N, and the sum over
+    lags of the remaining (reference) columns.
+    """
+    N = markov.shape[0]
+    lag = np.arange(first, N + 1)[:, None] - 1 - np.arange(N + 1)
+    blocks = np.concatenate([markov, np.zeros_like(direct)[None], direct[None]])
+    toeplitz = blocks[np.where(lag >= -1, lag, N)]  # (steps, N+1, rows, columns)
+    steps, _, rows, _ = toeplitz.shape
+    out = [obs.reshape(steps * rows, -1)]
+    col = 0
+    for w in widths:
+        group = toeplitz[..., col : col + w].transpose(0, 2, 1, 3)
+        out.append(group.reshape(steps * rows, (N + 1) * w))
+        col += w
+    out.append(toeplitz[..., col:].sum(axis=1).reshape(steps * rows, -1))
+    return out
+
+
+def _trace_logdet(sigma_r: np.ndarray) -> tuple[float, float]:
+    """tr(Sigma_R) and ln det(Sigma_R), the latter from a Cholesky factor to avoid overflow."""
+    L = np.linalg.cholesky(0.5 * (sigma_r + sigma_r.T))
+    return float(np.trace(sigma_r)), 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> float:
+    return float((N + 1) * (2.0 * epsilon + n_y) - trace + logdet)
+
+
 def epsilon_prime(sigma_r: np.ndarray, N: int, n_y: int, epsilon: float) -> float:
     """Quadratic stealthiness radius from the residual covariance.
 
-    eps' = (N+1)(2 eps + n_y) - tr(Sigma_R) + ln det(Sigma_R); the log
-    determinant is accumulated from a triangular factor to avoid overflow.
+    eps' = (N+1)(2 eps + n_y) - tr(Sigma_R) + ln det(Sigma_R).
     """
     sigma_r = np.asarray(sigma_r, dtype=float)
     chk = numcore.spd_check(sigma_r)
@@ -244,9 +267,7 @@ def epsilon_prime(sigma_r: np.ndarray, N: int, n_y: int, epsilon: float) -> floa
         raise numcore.NotPositiveDefinite(
             f"stacked residual covariance not PD (min eigenvalue {chk.min_eigenvalue:.3e})"
         )
-    L = np.linalg.cholesky(0.5 * (sigma_r + sigma_r.T))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float((N + 1) * (2.0 * epsilon + n_y) - np.trace(sigma_r) + logdet)
+    return _radius(N, n_y, epsilon, *_trace_logdet(sigma_r))
 
 
 def kl_divergence_gaussian(mu1, sigma1, mu2, sigma2) -> float:
@@ -272,12 +293,19 @@ def kl_divergence_gaussian(mu1, sigma1, mu2, sigma2) -> float:
 def _laws(
     maps: StackedMaps, t_0: np.ndarray, sigma_0: np.ndarray, sigma_f: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(T_Z, Sigma_Z, T_R, Sigma_R) as in summarize, without its audits."""
-    W = maps.horizon - maps.start_step + 1
-    big_f = np.kron(np.eye(W), np.asarray(sigma_f, dtype=float))
+    """(T_Z, Sigma_Z, T_R, Sigma_R) as in summarize, without its audits.
+
+    Each covariance is F F' with the whitened factor
+    F = [m_x sqrt(Sigma_0) | m_f (I_W kron sqrt(Sigma_f))]; the Kronecker
+    product acts block by block through a reshape and is never formed.
+    """
+    root_0 = numcore.sym_sqrt(sigma_0)
+    root_f = numcore.sym_sqrt(sigma_f)
 
     def law(m_a, m_x, m_r, m_f):
-        sigma = m_x @ sigma_0 @ m_x.T + m_f @ big_f @ m_f.T
+        noise = (m_f.reshape(-1, root_f.shape[0]) @ root_f).reshape(m_f.shape)
+        factor = np.hstack([m_x @ root_0, noise])
+        sigma = factor @ factor.T
         return np.hstack([m_a, m_x @ t_0 + m_r]), 0.5 * (sigma + sigma.T)
 
     return (
@@ -312,19 +340,22 @@ def summarize(
             "check that the critical map has full row rank on the plant states"
         )
     residual_cov_pd = numcore.spd_check(sigma_r).is_positive_definite
-    eps_p = epsilon_prime(sigma_r, N, maps.n_y, epsilon) if residual_cov_pd else -np.inf
+    trace, logdet, eps_p = np.nan, np.nan, -np.inf
+    if residual_cov_pd:
+        trace, logdet = _trace_logdet(sigma_r)
+        eps_p = _radius(N, maps.n_y, epsilon, trace, logdet)
     constraint_stack = np.vstack([layout.Q, t_r, layout.F])
     impact_bounded = numcore.null_space_contained(constraint_stack, t_z)
 
     return GaussianSummary(
-        t_0=t_0,
-        sigma_0=sigma_0,
         t_z=t_z,
         sigma_z=sigma_z,
         t_r=t_r,
         sigma_r=sigma_r,
         eps_prime=eps_p,
         residual_cov_pd=residual_cov_pd,
+        sigma_r_trace=trace,
+        sigma_r_logdet=logdet,
         impact_bounded=impact_bounded,
         epsilon=epsilon,
         horizon=N,
@@ -346,5 +377,4 @@ def gaussian_summary(
 
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
     maps = stack_dynamics(ext, attack, system.nominal, q_z, N)
-    t_0, sigma_0 = stationary_law(system.nominal)
-    return summarize(maps, t_0, sigma_0, system.nominal.sigma_f, layout, epsilon)
+    return summarize(maps, system.t_0, system.sigma_0, system.nominal.sigma_f, layout, epsilon)

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import numcore
 from .attacks import AttackMatrices
 from .distrib import (
     _laws,
@@ -22,7 +21,6 @@ from .distrib import (
     kl_divergence_gaussian,
     normalize_critical_map,
     stack_dynamics,
-    stationary_law,
 )
 from .sysmodel import DimensionMismatch, SystemModel, assemble_extended
 
@@ -110,8 +108,6 @@ def simulate(
     a_seq, y_r = _split_decision(d, attack, N, ctrl.L_yr.shape[1])
     n_au = attack.n_au
 
-    t_0, sigma_0 = stationary_law(system.nominal)
-    sqrt_0 = numcore.sym_sqrt(sigma_0)
     chol_v = np.linalg.cholesky(plant.sigma_v)
     chol_w = np.linalg.cholesky(plant.sigma_w)
     q_ze = normalize_critical_map(np.eye(n_x) if q_z is None else q_z, n_x)
@@ -121,7 +117,7 @@ def simulate(
     lam_u, gam_u = attack.lambda_u, attack.gamma_u
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    x_e = (t_0 @ y_r)[:, None] + sqrt_0 @ rng.standard_normal((n_s, 2 * n_x)).T
+    x_e = (system.t_0 @ y_r)[:, None] + system.sqrt_sigma_0 @ rng.standard_normal((n_s, 2 * n_x)).T
     x_next = np.empty_like(x_e)
     z = np.empty((N * n_z, n_s))
     r = np.empty(((N + 1) * n_y, n_s))
@@ -206,9 +202,8 @@ def empirical_kl_check(
     N = int(cfg.horizon)
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
     maps = stack_dynamics(ext, attack, system.nominal, np.eye(system.plant.n_x), N)
-    t_0, sigma_0 = stationary_law(system.nominal)
     # the laws without summarize's audits, which reject unstable attacked loops
-    _, _, t_r, sigma_r = _laws(maps, t_0, sigma_0, system.nominal.sigma_f)
+    _, _, t_r, sigma_r = _laws(maps, system.t_0, system.sigma_0, system.nominal.sigma_f)
     radius = epsilon_prime(sigma_r, N, system.plant.n_y, epsilon)
     return kl_verdict(sim, t_r, d, radius, epsilon, N)
 
@@ -240,49 +235,3 @@ def kl_verdict(
         empirical_ok=empirical_ok,
         consistent=empirical_ok == analytic_ok,
     )
-
-
-def nominal_long_run(
-    system: SystemModel,
-    y_r: np.ndarray,
-    steps: int = 1_000_000,
-    burn_in: int = 10_000,
-    seed: int = 0,
-    batches: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Long-run time average of the nominal loop state with batch-mean errors.
-
-    Returns (mean, standard error) per extended-state coordinate. Batch means
-    absorb the serial correlation of the single trajectory.
-    """
-    plant, ctrl, est = system.plant, system.controller, system.estimator
-    n_x, n_y = plant.n_x, plant.n_y
-    y_r = np.asarray(y_r, dtype=float).ravel()
-    rng = np.random.Generator(np.random.Philox(seed))
-    x_e = np.zeros(2 * n_x)
-    kept = steps - burn_in
-    if kept < batches:
-        raise ValueError("steps must exceed burn_in by at least the batch count")
-    batch_len = kept // batches
-    kept = batch_len * batches
-    sums = np.zeros((batches, 2 * n_x))
-    feed = ctrl.L_yr @ y_r
-    chol_v = np.linalg.cholesky(plant.sigma_v)
-    chol_w = np.linalg.cholesky(plant.sigma_w)
-    for i in range(burn_in + kept):
-        x = x_e[:n_x]
-        x_hat = x_e[n_x:]
-        y = plant.C @ x + chol_w @ rng.standard_normal(n_y)
-        u = -ctrl.L_xhat @ x_hat + feed
-        innov = y - plant.C @ x_hat
-        v = chol_v @ rng.standard_normal(n_x)
-        x_new = plant.A @ x + plant.B @ u + v
-        x_hat_new = plant.A @ x_hat + plant.B @ u + est.K @ innov
-        x_e = np.concatenate([x_new, x_hat_new])
-        j = i - burn_in
-        if j >= 0:
-            sums[j // batch_len] += x_e
-    means = sums / batch_len
-    overall = means.mean(axis=0)
-    se = means.std(axis=0, ddof=1) / math.sqrt(batches)
-    return overall, se

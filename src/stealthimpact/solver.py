@@ -140,6 +140,17 @@ class ImpactReport:
     newton_iters: int = 0  # the exact solve takes no Newton steps; the bench tracer sums this
 
 
+def first_near_max(values) -> int:
+    """First index whose value is within CERT_TOL * max(1, |max|) of the maximum.
+
+    Values that close are equal to the accuracy the solve certifies, so the
+    pick does not depend on rounding noise.
+    """
+    values = np.asarray(values, dtype=float)
+    top = float(values.max())
+    return int(np.argmax(values >= top - CERT_TOL * max(1.0, abs(top))))
+
+
 def eliminate_equalities(f_eq: np.ndarray, dim_d: int) -> np.ndarray:
     """Orthonormal basis of the equality null space: d = Z xi spans {F d = 0}."""
     f_eq = np.asarray(f_eq, dtype=float)
@@ -437,8 +448,8 @@ def compute_impact(summary: GaussianSummary, layout: DecisionLayout) -> ImpactRe
 
     mu = batch.mu
     p = np.asarray(numcore.gaussian_exceed(mu, sigma))
-    argmax_p = int(np.argmax(p))
-    argmax_mu = int(np.argmax(mu))
+    argmax_p = first_near_max(p)
+    argmax_mu = first_near_max(mu)
     return ImpactReport(
         mu=mu,
         sigma=sigma,
@@ -455,11 +466,3 @@ def compute_impact(summary: GaussianSummary, layout: DecisionLayout) -> ImpactRe
         feasibility_residual=batch.feasibility_residual,
     )
 
-
-def mean_impact_lower(report: ImpactReport) -> float:
-    """Lower bound on the expected worst critical excursion for the report."""
-    if not report.feasible:
-        return 0.0
-    if report.unbounded:
-        return math.inf
-    return report.mean_lower

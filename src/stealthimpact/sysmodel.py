@@ -288,12 +288,19 @@ def assemble_nominal(
 
 @dataclass
 class SystemModel:
-    """Plant + controller + derived estimator and nominal loop."""
+    """Plant + controller + derived estimator, nominal loop and its stationary law.
+
+    The loop state starts from N(t_0 y_r, sigma_0); sqrt_sigma_0 is the
+    symmetric square root of sigma_0.
+    """
 
     plant: PlantModel
     controller: ControllerModel
     estimator: EstimatorModel = field(init=False)
     nominal: NominalLoop = field(init=False)
+    t_0: np.ndarray = field(init=False)
+    sigma_0: np.ndarray = field(init=False)
+    sqrt_sigma_0: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.controller.n_u != self.plant.n_u:
@@ -302,6 +309,10 @@ class SystemModel:
             raise DimensionMismatch("L_xhat column count must match plant state")
         self.estimator = build_estimator(self.plant)
         self.nominal = assemble_nominal(self.plant, self.controller, self.estimator)
+        from .distrib import stationary_law  # distrib imports this module
+
+        self.t_0, self.sigma_0 = stationary_law(self.nominal)
+        self.sqrt_sigma_0 = numcore.sym_sqrt(self.sigma_0)
 
     @property
     def dims(self) -> SystemDims:

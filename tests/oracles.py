@@ -343,3 +343,170 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
         e_inf_norm_se=e_inf_se,
         samples=n_s,
     )
+
+
+def reference_stack_dynamics(ext, attack, nominal, q_z, N):
+    """Step-by-step unrolling that distrib.stack_dynamics must reproduce.
+
+    Running maps of x_e(k) in (x_e(start), f_window, y_r, a, a_s) are advanced
+    one step at a time, nominally before step 0 (replay recording phase) and
+    under the attack from step 0 on, and each step's critical and residual
+    rows are read off them. The recorded-signal maps from the attack are
+    folded into the state, noise, and reference maps at the end.
+    """
+    from stealthimpact import distrib
+
+    if N < 1:
+        raise ValueError("horizon must be at least 1")
+    n_x, n_y, n_f = ext.n_x, ext.n_y, ext.n_f
+    n_a, n_ay, n_yr = attack.n_a, attack.n_ay, ext.n_yr
+    q_ze = distrib.normalize_critical_map(q_z, n_x)
+    n_z = q_ze.shape[0]
+    start = attack.start_step
+    W = N - start + 1  # noise blocks f(start..N)
+    two_nx = 2 * n_x
+
+    p_x = np.zeros((n_z * N, two_nx))
+    p_f = np.zeros((n_z * N, W * n_f))
+    p_r = np.zeros((n_z * N, n_yr))
+    p_a = np.zeros((n_z * N, (N + 1) * n_a))
+    p_s = np.zeros((n_z * N, (N + 1) * n_ay))
+    r_x = np.zeros(((N + 1) * n_y, two_nx))
+    r_f = np.zeros(((N + 1) * n_y, W * n_f))
+    r_r = np.zeros(((N + 1) * n_y, n_yr))
+    r_a = np.zeros(((N + 1) * n_y, (N + 1) * n_a))
+    r_s = np.zeros(((N + 1) * n_y, (N + 1) * n_ay))
+
+    # running maps of x_e(k) as a function of (x_e(start), f_window, y_r, a, a_s)
+    Xx = np.eye(two_nx)
+    Xf = np.zeros((two_nx, W * n_f))
+    Xr = np.zeros((two_nx, n_yr))
+    Xa = np.zeros((two_nx, (N + 1) * n_a))
+    Xs = np.zeros((two_nx, (N + 1) * n_ay))
+
+    for k in range(start, N + 1):
+        j = k - start
+        if 1 <= k:
+            r = (k - 1) * n_z
+            p_x[r : r + n_z] = q_ze @ Xx
+            p_f[r : r + n_z] = q_ze @ Xf
+            p_r[r : r + n_z] = q_ze @ Xr
+            p_a[r : r + n_z] = q_ze @ Xa
+            p_s[r : r + n_z] = q_ze @ Xs
+        if 0 <= k:
+            r = k * n_y
+            r_x[r : r + n_y] = ext.C_r @ Xx
+            row = ext.C_r @ Xf
+            row[:, j * n_f : (j + 1) * n_f] += ext.D_f
+            r_f[r : r + n_y] = row
+            r_r[r : r + n_y] = ext.C_r @ Xr + ext.F_r
+            row = ext.C_r @ Xa
+            if n_a:
+                row[:, k * n_a : (k + 1) * n_a] += ext.H_a
+            r_a[r : r + n_y] = row
+            row = ext.C_r @ Xs
+            if n_ay:
+                row[:, k * n_ay : (k + 1) * n_ay] += ext.K_s
+            r_s[r : r + n_y] = row
+        if k == N:
+            break
+        if k < 0:
+            Xx = nominal.A_cl @ Xx
+            Xf = nominal.A_cl @ Xf
+            Xf[:, j * n_f : (j + 1) * n_f] += nominal.B_f
+            Xr = nominal.A_cl @ Xr + nominal.E_r
+            Xa = nominal.A_cl @ Xa
+            Xs = nominal.A_cl @ Xs
+        else:
+            Xx_next = ext.A_cl @ Xx
+            Xf = ext.A_cl @ Xf
+            Xf[:, j * n_f : (j + 1) * n_f] += ext.B_f
+            Xr = ext.A_cl @ Xr + ext.E_r
+            Xa = ext.A_cl @ Xa
+            if n_a:
+                Xa[:, k * n_a : (k + 1) * n_a] += ext.G_a
+            Xs = ext.A_cl @ Xs
+            if n_ay:
+                Xs[:, k * n_ay : (k + 1) * n_ay] += ext.J_s
+            Xx = Xx_next
+
+    # fold the recorded stack a_s = t_sx x_e(start) + t_sr y_r + t_sf f_pre
+    if n_ay:
+        t_sf_full = np.zeros(((N + 1) * n_ay, W * n_f))
+        pre_cols = attack.t_sf.shape[1]
+        t_sf_full[:, :pre_cols] = attack.t_sf
+        p_x = p_x + p_s @ attack.t_sx
+        p_r = p_r + p_s @ attack.t_sr
+        p_f = p_f + p_s @ t_sf_full
+        r_x = r_x + r_s @ attack.t_sx
+        r_r = r_r + r_s @ attack.t_sr
+        r_f = r_f + r_s @ t_sf_full
+
+    return distrib.StackedMaps(
+        p_x=p_x,
+        p_f=p_f,
+        p_r=p_r,
+        p_a=p_a,
+        r_x=r_x,
+        r_f=r_f,
+        r_r=r_r,
+        r_a=r_a,
+        start_step=start,
+        horizon=N,
+        n_z=n_z,
+        n_y=n_y,
+    )
+
+
+def reference_laws(maps, t_0, sigma_0, sigma_f):
+    """(T_Z, Sigma_Z, T_R, Sigma_R) with the noise window's covariance formed densely.
+
+    Sigma = m_x Sigma_0 m_x' + m_f (I_W kron Sigma_f) m_f', the textbook
+    triple products that distrib._laws replaces with a whitened factor.
+    """
+    W = maps.horizon - maps.start_step + 1
+    big_f = np.kron(np.eye(W), np.asarray(sigma_f, dtype=float))
+
+    def law(m_a, m_x, m_r, m_f):
+        sigma = m_x @ sigma_0 @ m_x.T + m_f @ big_f @ m_f.T
+        return np.hstack([m_a, m_x @ t_0 + m_r]), 0.5 * (sigma + sigma.T)
+
+    return (
+        *law(maps.p_a, maps.p_x, maps.p_r, maps.p_f),
+        *law(maps.r_a, maps.r_x, maps.r_r, maps.r_f),
+    )
+
+
+def nominal_long_run(system, y_r, steps=1_000_000, burn_in=10_000, seed=0, batches=100):
+    """Long-run time average of the nominal loop state with its standard error.
+
+    Steps the literal loop (plant, estimator, feedback) for `batches`
+    independent chains at once, each from x_e = 0: every chain discards
+    `burn_in` steps and averages the next (steps - burn_in) // batches. The
+    chain means are independent batches, so their spread gives the standard
+    error. Returns (mean, standard error) per extended-state coordinate.
+    """
+    plant, ctrl, est = system.plant, system.controller, system.estimator
+    n_x, n_y = plant.n_x, plant.n_y
+    kept = steps - burn_in
+    if kept < batches:
+        raise ValueError("steps must exceed burn_in by at least the batch count")
+    batch_len = kept // batches
+    rng = np.random.Generator(np.random.Philox(seed))
+    chol_v = np.linalg.cholesky(plant.sigma_v)
+    chol_w = np.linalg.cholesky(plant.sigma_w)
+    feed = (ctrl.L_yr @ np.asarray(y_r, dtype=float).ravel())[:, None]
+    x = np.zeros((n_x, batches))
+    x_hat = np.zeros((n_x, batches))
+    sums = np.zeros((2 * n_x, batches))
+    for i in range(burn_in + batch_len):
+        y = plant.C @ x + chol_w @ rng.standard_normal((n_y, batches))
+        u = feed - ctrl.L_xhat @ x_hat
+        innov = y - plant.C @ x_hat
+        x = plant.A @ x + plant.B @ u + chol_v @ rng.standard_normal((n_x, batches))
+        x_hat = plant.A @ x_hat + plant.B @ u + est.K @ innov
+        if i >= burn_in:
+            sums[:n_x] += x
+            sums[n_x:] += x_hat
+    means = sums / batch_len
+    return means.mean(axis=1), means.std(axis=1, ddof=1) / np.sqrt(batches)

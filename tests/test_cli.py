@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stealthimpact
-from stealthimpact import attacks, cli
+from stealthimpact import attacks, cli, solver
 from stealthimpact.scenario import bundled_scenario_path
 
 
@@ -257,7 +257,7 @@ def test_fdi_plus_dos_injects_on_sensors_and_denies_actuators(scenario):
             attacks.StrategySpec(kind="fdi_plus_dos", resources=res), scenario.system.dims, scenario.horizon
         )[0]
         assert not np.any(free.attack.gamma_y) and not np.any(free.attack.gamma_u)
-        free_report = cli._evaluate_candidate(scenario, free)
+        free_report = solver.compute_impact(*cli._candidate_law(scenario, free, scenario.epsilon))
         assert free_report.exceed_prob > 0.05
         assert entry.report.eps_prime != free_report.eps_prime
         assert entry.report.exceed_prob != free_report.exceed_prob

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from stealthimpact import attacks, distrib, numcore
 from stealthimpact.sysmodel import NominalLoop, assemble_extended
 from conftest import random_system
-from oracles import explicit_rollout, kl_quadrature_diag, lyapunov_series
+from oracles import (
+    explicit_rollout,
+    kl_quadrature_diag,
+    lyapunov_series,
+    reference_laws,
+    reference_stack_dynamics,
+)
 
 
 def _build(system, kind, N, sensors=(), actuators=(), actuator_mode="dos"):
@@ -69,6 +75,9 @@ def test_stationary_law_rejects_unstable():
 
 def test_stationary_law_matches_series(system):
     t_0, sigma_0 = distrib.stationary_law(system.nominal)
+    # the system keeps the same law, computed once when it is built
+    assert np.array_equal(system.t_0, t_0) and np.array_equal(system.sigma_0, sigma_0)
+    assert np.allclose(system.sqrt_sigma_0 @ system.sqrt_sigma_0, sigma_0, rtol=1e-12, atol=1e-14)
     Q = system.nominal.B_f @ system.nominal.sigma_f @ system.nominal.B_f.T
     assert np.allclose(sigma_0, lyapunov_series(system.nominal.A_cl, Q), rtol=1e-9, atol=1e-11)
     # fixed point of the mean recursion
@@ -258,3 +267,76 @@ def test_summary_at_another_epsilon(system):
         assert moved.impact_bounded == fresh.impact_bounded
     singular = dataclasses.replace(summary, residual_cov_pd=False, eps_prime=-np.inf)
     assert singular.at_epsilon(5.0).eps_prime == -np.inf
+
+
+MAP_FIELDS = ("p_x", "p_f", "p_r", "p_a", "r_x", "r_f", "r_r", "r_a")
+
+
+@pytest.mark.parametrize("N", [1, 2, 10, 50])
+@pytest.mark.parametrize("kind", attacks.KINDS)
+def test_lifted_maps_match_reference_loop(scenario, kind, N):
+    """Lifted maps and whitened laws equal the per-step loop and the kron-form laws.
+
+    Every configuration of every strategy on vulnerability_1 (which includes
+    replay's recording window and the unstable rerouting loops), with the
+    critical map on the plant state and on the extended state. The absolute
+    tolerance scales with each array's largest entry: on the unstable loops
+    at N = 50 entries reach 1e3 to 1e4, and an entry left small by
+    cancellation carries rounding of that size in either summation order.
+    """
+
+    def close(got, want, name):
+        assert got.shape == want.shape, name
+        atol = 1e-14 * max(1.0, np.max(np.abs(want), initial=0.0))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol, err_msg=name)
+
+    system = scenario.system
+    res = scenario.vulnerabilities["vulnerability_1"]
+    spec = attacks.StrategySpec(
+        kind=kind,
+        resources=res,
+        inject=attacks.ResourceSet(sensors=res.sensors),
+        deny=attacks.ResourceSet(actuators=res.actuators),
+    )
+    cands = attacks.candidates(spec, system.dims, N, plant=system.plant, nominal=system.nominal)
+    sigma_f = system.nominal.sigma_f
+    for q_z in (scenario.q_z[:, : system.plant.n_x], scenario.q_z):
+        for cand in cands:
+            ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
+            maps = distrib.stack_dynamics(ext, cand.attack, system.nominal, q_z, N)
+            ref = reference_stack_dynamics(ext, cand.attack, system.nominal, q_z, N)
+            for name in MAP_FIELDS:
+                close(getattr(maps, name), getattr(ref, name), name)
+            for name in ("start_step", "horizon", "n_z", "n_y"):
+                assert getattr(maps, name) == getattr(ref, name), name
+            laws = distrib._laws(maps, system.t_0, system.sigma_0, sigma_f)
+            ref_laws = reference_laws(ref, system.t_0, system.sigma_0, sigma_f)
+            for name, got, want in zip(("T_Z", "Sigma_Z", "T_R", "Sigma_R"), laws, ref_laws):
+                close(got, want, name)
+
+
+def test_epsilon_prime_reused_across_epsilon(system):
+    """at_epsilon reuses one factorization and gives epsilon_prime's value bit for bit."""
+    N = 10
+    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    for kind, sensors, actuators in (("bias", (0,), (0, 1)), ("replay", (0, 1), (2,))):
+        atk, _ = _build(system, kind, N, sensors, actuators)
+        layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
+        summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+        assert summary.residual_cov_pd
+        for eps in np.linspace(0.05, 0.95, 10):  # criterion 6's values
+            direct = distrib.epsilon_prime(summary.sigma_r, N, system.plant.n_y, eps)
+            assert summary.at_epsilon(eps).eps_prime == direct
+
+
+def test_non_pd_residual_keeps_minus_inf(system):
+    """Denying sensor 0 leaves Sigma_R singular: no budget makes any attack stealthy."""
+    N = 5
+    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
+    layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
+    summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+    assert not summary.residual_cov_pd
+    assert summary.eps_prime == -np.inf
+    for eps in (0.0, 0.5, 10.0):
+        assert summary.at_epsilon(eps).eps_prime == -np.inf

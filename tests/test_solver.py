@@ -243,10 +243,11 @@ def test_compute_impact_aggregation(system):
     report, _, _ = _bias_report(system)
     assert report.exceed_prob == pytest.approx(float(np.max(report.p_exceed)), abs=1e-15)
     assert report.mean_lower == pytest.approx(float(np.max(report.mu)), abs=1e-15)
-    # smallest index attains the max (first-occurrence tie break)
-    assert report.argmax_exceed == int(np.argmax(report.p_exceed))
-    assert report.p_exceed[: report.argmax_exceed].max(initial=-1.0) < report.exceed_prob
-    assert solver.mean_impact_lower(report) == report.mean_lower
+    # the smallest index within the certified accuracy of the max wins
+    p, i = report.p_exceed, report.argmax_exceed
+    floor = p.max() - solver.CERT_TOL * max(1.0, p.max())
+    assert p[i] >= floor and p[:i].max(initial=-1.0) < floor
+    assert report.exceed_prob == p[i]
 
 
 def test_compute_impact_unbounded_path(system):
@@ -260,7 +261,6 @@ def test_compute_impact_unbounded_path(system):
     assert report.unbounded and report.feasible
     assert report.exceed_prob == 1.0
     assert report.mean_lower == math.inf
-    assert solver.mean_impact_lower(report) == math.inf
     assert report.argmax_exceed is None
 
 
@@ -272,5 +272,5 @@ def test_compute_impact_infeasible_path(system):
     out = solver.compute_impact(starved, layout)
     assert not out.feasible
     assert out.exceed_prob == 0.0
-    assert solver.mean_impact_lower(out) == 0.0
+    assert out.mean_lower == 0.0
     assert out.argmax_exceed is None

@@ -5,25 +5,23 @@ Every strategy is reduced to one tuple of matrices:
     lambda_y, lambda_u   multiplicative routing applied to sensors / actuators
     gamma_y, gamma_u     selectors channeling the injected signal a = [a_u; a_y]
     f_a                  linear equality constraints on the stacked a_{0:N}
-    t_sx, t_sr, t_sf     maps expressing the recorded signal a_s (replay) as a
-                         function of the initial state, the reference, and the
-                         pre-attack noise window
-    c_rec                selector extracting the recorded channels from y
 
 plus the start step of the simulation window (negative when a recording phase
-precedes the attack). Strategies without injection channels carry zero-width
-blocks so that downstream code has a single path.
+precedes the attack). Replay fits the same tuple: its recorded signal is one
+more sensor injection through gamma_y, which the distribution engine derives
+from the recording window. Strategies without injection channels carry
+zero-width blocks so that downstream code has a single path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .sysmodel import DimensionMismatch, NominalLoop, PlantModel, SystemDims
+from .sysmodel import DimensionMismatch, SystemDims
 
 SUBSET_CAP = 2**12
 
@@ -107,10 +105,6 @@ class AttackMatrices:
     gamma_y: np.ndarray
     gamma_u: np.ndarray
     f_a: np.ndarray
-    t_sx: np.ndarray
-    t_sr: np.ndarray
-    t_sf: np.ndarray
-    c_rec: np.ndarray
     n_ay: int
     n_au: int
     start_step: int
@@ -156,29 +150,17 @@ def _selector(n: int, idx: Iterable[int]) -> np.ndarray:
     return G
 
 
-def _empty_recording(dims: SystemDims, N: int, n_ay: int, start_step: int = 0) -> dict:
-    rows = (N + 1) * n_ay
-    return dict(
-        t_sx=np.zeros((rows, 2 * dims.n_x)),
-        t_sr=np.zeros((rows, dims.n_yr)),
-        t_sf=np.zeros((rows, (-start_step) * (dims.n_x + dims.n_y))),
-        start_step=start_step,
-    )
-
-
 def identity_routing(n_y: int, n_u: int) -> AttackMatrices:
     """No-attack configuration: identity routing, no channels, no constraints."""
-    dims = SystemDims(n_x=0, n_y=n_y, n_u=n_u, n_yr=0)
     return AttackMatrices(
         lambda_y=np.eye(n_y),
         lambda_u=np.eye(n_u),
         gamma_y=_no_injection(n_y),
         gamma_u=_no_injection(n_u),
         f_a=np.zeros((0, 0)),
-        c_rec=np.zeros((0, n_y)),
         n_ay=0,
         n_au=0,
-        **_empty_recording(dims, 0, 0),
+        start_step=0,
     )
 
 
@@ -199,10 +181,9 @@ def build_dos(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
         gamma_y=_no_injection(dims.n_y),
         gamma_u=_no_injection(dims.n_u),
         f_a=np.zeros((0, 0)),
-        c_rec=np.zeros((0, dims.n_y)),
         n_ay=0,
         n_au=0,
-        **_empty_recording(dims, N, 0),
+        start_step=0,
     )
 
 
@@ -257,10 +238,9 @@ def build_fdi(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
         gamma_y=gam_y,
         gamma_u=gam_u,
         f_a=np.zeros((0, (N + 1) * n_a)),
-        c_rec=gam_y.T.copy(),
         n_ay=gam_y.shape[1],
         n_au=gam_u.shape[1],
-        **_empty_recording(dims, N, gam_y.shape[1]),
+        start_step=0,
     )
 
 
@@ -301,12 +281,7 @@ def build_fdi_plus_dos(spec: StrategySpec, dims: SystemDims, N: int) -> AttackMa
 
 
 def build_replay(
-    res: ResourceSet,
-    plant: PlantModel,
-    nominal: NominalLoop,
-    n_yr: int,
-    N: int,
-    actuator_mode: str = "dos",
+    res: ResourceSet, dims: SystemDims, N: int, actuator_mode: str = "dos"
 ) -> AttackMatrices:
     """Record-then-replay on the compromised sensors.
 
@@ -316,24 +291,20 @@ def build_replay(
     (actuator_mode="dos") or driven by one constant injected value
     (actuator_mode="bias").
 
-    The recorded signal at attack step k equals y(k-N-1) on the selected
-    channels; iterating the nominal loop expresses the whole recorded stack as
-    t_sx x_e(start) + t_sr y_r + t_sf f_pre, which is what the distribution
-    engine folds into its maps.
+    lambda_y cuts the live compromised channels, and the recording, y(k-N-1)
+    on those channels at attack step k, enters through gamma_y as a sensor
+    injection whose deterministic part is pinned to zero. The distribution
+    engine and the simulator derive it from the nominal loop.
     """
     if actuator_mode not in ("dos", "bias"):
         raise ValueError(f"actuator_mode must be 'dos' or 'bias', got {actuator_mode!r}")
-    dims = SystemDims(n_x=plant.n_x, n_y=plant.n_y, n_u=plant.n_u, n_yr=n_yr)
     res.validate(dims)
-    n_x, n_y, n_f = plant.n_x, plant.n_y, plant.n_x + plant.n_y
     n_ay = len(res.sensors)
-    start = -N - 1
 
-    lam_y = np.eye(n_y)
+    lam_y = np.eye(dims.n_y)
     for i in res.sensors:
         lam_y[i, i] = 0.0
-    gam_y = _selector(n_y, res.sensors)
-    c_rec = gam_y.T.copy()
+    gam_y = _selector(dims.n_y, res.sensors)
 
     if actuator_mode == "dos":
         lam_u = np.eye(dims.n_u)
@@ -341,8 +312,7 @@ def build_replay(
             lam_u[i, i] = 0.0
         gam_u = _no_injection(dims.n_u)
         n_au = 0
-        # the sensor channel exists only to carry the recording; its
-        # deterministic part is pinned to zero
+        # the sensor channel exists only to carry the recording
         f_a = np.eye((N + 1) * n_ay)
     else:
         lam_u = np.eye(dims.n_u)
@@ -359,45 +329,15 @@ def build_replay(
             rows.append(pin)
         f_a = np.vstack(rows) if rows else np.zeros((0, (N + 1) * n_a))
 
-    # Unroll the nominal loop over the recording window. At each recorded step
-    # y(k) = C x(k) + w(k); the w(k) columns enter t_sf directly.
-    measure_x = np.hstack([plant.C, np.zeros((n_y, n_x))])
-    pick_w = np.hstack([np.zeros((n_y, n_x)), np.eye(n_y)])
-    n_pre = N + 1
-    t_sx = np.zeros(((N + 1) * n_ay, 2 * n_x))
-    t_sr = np.zeros(((N + 1) * n_ay, n_yr))
-    t_sf = np.zeros(((N + 1) * n_ay, n_pre * n_f))
-    phi = np.eye(2 * n_x)
-    psi_f = np.zeros((2 * n_x, n_pre * n_f))
-    psi_r = np.zeros((2 * n_x, n_yr))
-    for k in range(start, 0):
-        j = k - start
-        r = j * n_ay
-        t_sx[r : r + n_ay] = c_rec @ measure_x @ phi
-        t_sr[r : r + n_ay] = c_rec @ measure_x @ psi_r
-        row_f = c_rec @ measure_x @ psi_f
-        row_f[:, j * n_f : (j + 1) * n_f] += c_rec @ pick_w
-        t_sf[r : r + n_ay] = row_f
-        if k == -1:
-            break
-        psi_f = nominal.A_cl @ psi_f
-        psi_f[:, j * n_f : (j + 1) * n_f] += nominal.B_f
-        psi_r = nominal.A_cl @ psi_r + nominal.E_r
-        phi = nominal.A_cl @ phi
-
     return AttackMatrices(
         lambda_y=lam_y,
         lambda_u=lam_u,
         gamma_y=gam_y,
         gamma_u=gam_u,
         f_a=f_a,
-        t_sx=t_sx,
-        t_sr=t_sr,
-        t_sf=t_sf,
-        c_rec=c_rec,
         n_ay=n_ay,
         n_au=n_au,
-        start_step=start,
+        start_step=-N - 1,
     )
 
 
@@ -459,13 +399,7 @@ def _permutation_pairs(res: ResourceSet):
     return out
 
 
-def candidates(
-    spec: StrategySpec,
-    dims: SystemDims,
-    N: int,
-    plant: Optional[PlantModel] = None,
-    nominal: Optional[NominalLoop] = None,
-) -> list[Candidate]:
+def candidates(spec: StrategySpec, dims: SystemDims, N: int) -> list[Candidate]:
     """Concrete attack configurations to evaluate for one strategy.
 
     Denial and sign flips search all non-empty sub-subsets of the granted
@@ -510,10 +444,6 @@ def candidates(
     if kind == "fdi_plus_dos":
         return [Candidate(None, build_fdi_plus_dos(spec, dims, N))]
     if kind in ("replay_dos", "replay_bias"):
-        if plant is None or nominal is None:
-            raise ValueError("replay strategies need the plant and nominal loop")
         mode = "dos" if kind == "replay_dos" else "bias"
-        return [
-            Candidate(None, build_replay(res, plant, nominal, dims.n_yr, N, actuator_mode=mode))
-        ]
+        return [Candidate(None, build_replay(res, dims, N, actuator_mode=mode))]
     raise ValueError(f"unhandled strategy kind {kind!r}")

@@ -138,13 +138,7 @@ def _assess_pair(
         inject=ResourceSet(sensors=resources.sensors),
         deny=ResourceSet(actuators=resources.actuators),
     )
-    cands = candidates(
-        spec,
-        scenario.system.dims,
-        scenario.horizon,
-        plant=scenario.system.plant,
-        nominal=scenario.system.nominal,
-    )
+    cands = candidates(spec, scenario.system.dims, scenario.horizon)
     laws = [_candidate_law(scenario, c, epsilons[0]) for c in cands]
     entries = []
     for eps in epsilons:

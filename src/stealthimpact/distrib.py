@@ -10,13 +10,16 @@ reduces to the quadratic constraint d' T_R' T_R d <= eps_prime.
 The maps are built in lifted form. With A = A_cl of the attacked loop and
 "out" the critical map or C_r, the row block of step k is
 
-    out A^k x_e(0) + sum_{j<k} out A^(k-1-j) [B_f G_a J_s E_r] (f, a, a_s, y_r)(j)
-                   + [D_f H_a K_s F_r] (f, a, a_s, y_r)(k)     (residual rows only)
+    out A^k x_e(0) + sum_{j<k} out A^(k-1-j) [B_f G_a E_r] (f, a, y_r)(j)
+                   + [D_f H_a 0] (f, a, y_r)(k)     (residual rows only)
 
 so the rows are the observability blocks out A^k and the input columns one
 block-Toeplitz gather of the Markov blocks over the lag k-1-j; the y_r
 columns sum over the lags. Replay first runs the nominal loop over its
-recording window, which maps (x_e(start), f(start..-1), y_r) to x_e(0).
+recording window in one pass, which maps (x_e(start), f(start..-1), y_r) to
+x_e(0) and to the recorded stack gamma_y' y(start..-1). The recording is a
+sensor injection, so it is folded in through the sensor columns of the
+attack maps.
 The covariances are formed from whitened factors, Sigma = F F' with
 F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))], and Sigma_R is factored
 once per configuration, so the radius eps' at another epsilon costs O(1).
@@ -31,6 +34,10 @@ import numpy as np
 from . import numcore
 from .attacks import AttackMatrices, DecisionLayout
 from .sysmodel import DimensionMismatch, ExtendedSystem, NominalLoop, SystemModel
+
+# eps' sums terms of size (N+1)(2 eps + n_y); a result within this fraction of
+# their magnitudes is rounding noise around 0, as for Sigma_R = I at eps = 0.
+_RADIUS_RTOL = 1e-12
 
 
 class SigmaZNotPd(RuntimeError):
@@ -136,65 +143,52 @@ def normalize_critical_map(q_z: np.ndarray, n_x: int) -> np.ndarray:
 def stack_dynamics(
     ext: ExtendedSystem,
     attack: AttackMatrices,
-    nominal: NominalLoop,
+    system: SystemModel,
     q_z: np.ndarray,
     N: int,
 ) -> StackedMaps:
     """Stacked affine maps of the window [start, N] in lifted form.
 
-    The nominal recording phase before step 0 (replay) is unrolled into
-    x_e(0) as a map of (x_e(start), f(start..-1), y_r). From step 0 on, each
-    output row at step k is its observability block out A^k applied to x_e(0)
-    plus the block-Toeplitz sum over inputs j < k of the Markov blocks
-    out A^(k-1-j) [B_f G_a J_s E_r], with the direct terms [D_f H_a K_s F_r]
-    at j = k on the residual rows. Critical rows cover steps 1..N, residual
-    rows steps 0..N. The recorded-signal maps from the attack are folded into
-    the state, noise, and reference maps at the end.
+    The nominal recording phase before step 0 (replay) is unrolled once into
+    the maps of x_e(0) and of the recorded stack in (x_e(start), f(start..-1),
+    y_r). From step 0 on, each output row at step k is its observability block
+    out A^k applied to x_e(0) plus the block-Toeplitz sum over inputs j < k of
+    the Markov blocks out A^(k-1-j) [B_f G_a E_r], with the direct terms
+    [D_f H_a 0] at j = k on the residual rows. Critical rows cover steps 1..N,
+    residual rows steps 0..N. The recorded stack is the sensor injection, so
+    it is folded in through the sensor columns of the attack maps.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
     n_x, n_y, n_f = ext.n_x, ext.n_y, ext.n_f
-    n_a, n_ay, n_yr = attack.n_a, attack.n_ay, ext.n_yr
     q_ze = normalize_critical_map(q_z, n_x)
     n_z = q_ze.shape[0]
-    start = attack.start_step
-    W = N - start + 1  # noise blocks f(start..N)
-
-    # x_e(0) = x0_x x_e(start) + x0_f f(start..-1) + x0_r y_r under the nominal loop
-    x0_x = np.eye(2 * n_x)
-    x0_f = np.zeros((2 * n_x, -start * n_f))
-    x0_r = np.zeros((2 * n_x, n_yr))
-    for j in range(-start):
-        x0_x = nominal.A_cl @ x0_x
-        x0_f = nominal.A_cl @ x0_f
-        x0_f[:, j * n_f : (j + 1) * n_f] += nominal.B_f
-        x0_r = nominal.A_cl @ x0_r + nominal.E_r
+    (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r) = _recording_window(system, attack)
 
     powers = _powers(ext.A_cl, N)
-    inputs = np.hstack([ext.B_f, ext.G_a, ext.J_s, ext.E_r])
-    direct = np.hstack([ext.D_f, ext.H_a, ext.K_s, ext.F_r])
-    widths = (n_f, n_a, n_ay)
+    inputs = np.hstack([ext.B_f, ext.G_a, ext.E_r])
+    direct = np.hstack([ext.D_f, ext.H_a, np.zeros((n_y, ext.n_yr))])
+    widths = (n_f, attack.n_a)
     obs_z, obs_r = q_ze @ powers, ext.C_r @ powers
-    p_x, p_f, p_a, p_s, p_r = _lifted_rows(
+    p_x, p_f, p_a, p_r = _lifted_rows(
         obs_z[1:], obs_z[:N] @ inputs, np.zeros((n_z, direct.shape[1])), 1, widths
     )
-    r_x, r_f, r_a, r_s, r_r = _lifted_rows(obs_r, obs_r[:N] @ inputs, direct, 0, widths)
+    r_x, r_f, r_a, r_r = _lifted_rows(obs_r, obs_r[:N] @ inputs, direct, 0, widths)
     # the recording phase acts through x_e(0)
     p_f, r_f = np.hstack([p_x @ x0_f, p_f]), np.hstack([r_x @ x0_f, r_f])
     p_r, r_r = p_r + p_x @ x0_r, r_r + r_x @ x0_r
     p_x, r_x = p_x @ x0_x, r_x @ x0_x
 
-    # fold the recorded stack a_s = t_sx x_e(start) + t_sr y_r + t_sf f_pre
-    if n_ay:
-        t_sf_full = np.zeros(((N + 1) * n_ay, W * n_f))
-        pre_cols = attack.t_sf.shape[1]
-        t_sf_full[:, :pre_cols] = attack.t_sf
-        p_x = p_x + p_s @ attack.t_sx
-        p_r = p_r + p_s @ attack.t_sr
-        p_f = p_f + p_s @ t_sf_full
-        r_x = r_x + r_s @ attack.t_sx
-        r_r = r_r + r_s @ attack.t_sr
-        r_f = r_f + r_s @ t_sf_full
+    # and the recorded stack through the sensor columns of the attack maps
+    if attack.has_recording:
+        pre = rec_f.shape[1]
+        p_s, r_s = _sensor_columns(p_a, attack, N), _sensor_columns(r_a, attack, N)
+        p_x = p_x + p_s @ rec_x
+        p_r = p_r + p_s @ rec_r
+        p_f[:, :pre] += p_s @ rec_f
+        r_x = r_x + r_s @ rec_x
+        r_r = r_r + r_s @ rec_r
+        r_f[:, :pre] += r_s @ rec_f
 
     return StackedMaps(
         p_x=p_x,
@@ -205,11 +199,47 @@ def stack_dynamics(
         r_f=r_f,
         r_r=r_r,
         r_a=r_a,
-        start_step=start,
+        start_step=attack.start_step,
         horizon=N,
         n_z=n_z,
         n_y=n_y,
     )
+
+
+def _recording_window(system: SystemModel, attack: AttackMatrices) -> tuple:
+    """One nominal pass over the recording window [start, -1]; empty when start = 0.
+
+    Returns the maps of x_e(0) and of the recorded stack gamma_y' y(start..-1),
+    each as its (x_e(start), f(start..-1), y_r) column blocks.
+    """
+    nominal, plant = system.nominal, system.plant
+    n_x, n_f, n_ay = plant.n_x, plant.n_x + plant.n_y, attack.n_ay
+    steps = -attack.start_step
+    tap = attack.gamma_y.T @ np.hstack([plant.C, np.zeros_like(plant.C)])
+    x0_x = np.eye(2 * n_x)
+    x0_f = np.zeros((2 * n_x, steps * n_f))
+    x0_r = np.zeros((2 * n_x, nominal.E_r.shape[1]))
+    rec_x = np.zeros((steps * n_ay, 2 * n_x))
+    rec_f = np.zeros((steps * n_ay, steps * n_f))
+    rec_r = np.zeros((steps * n_ay, nominal.E_r.shape[1]))
+    for j in range(steps):
+        # y(start + j) = C x + w(start + j), tapped on the recorded channels
+        rows = slice(j * n_ay, (j + 1) * n_ay)
+        rec_x[rows] = tap @ x0_x
+        rec_r[rows] = tap @ x0_r
+        rec_f[rows] = tap @ x0_f
+        rec_f[rows, j * n_f + n_x : (j + 1) * n_f] += attack.gamma_y.T
+        x0_x = nominal.A_cl @ x0_x
+        x0_f = nominal.A_cl @ x0_f
+        x0_f[:, j * n_f : (j + 1) * n_f] += nominal.B_f
+        x0_r = nominal.A_cl @ x0_r + nominal.E_r
+    return (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r)
+
+
+def _sensor_columns(m: np.ndarray, attack: AttackMatrices, N: int) -> np.ndarray:
+    """The a_y(0..N) columns of a map over the stacked a(0..N)."""
+    blocks = m.reshape(m.shape[0], N + 1, attack.n_a)
+    return blocks[:, :, attack.n_au :].reshape(m.shape[0], -1)
 
 
 def _powers(A: np.ndarray, N: int) -> np.ndarray:
@@ -253,13 +283,18 @@ def _trace_logdet(sigma_r: np.ndarray) -> tuple[float, float]:
 
 
 def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> float:
-    return float((N + 1) * (2.0 * epsilon + n_y) - trace + logdet)
+    budget = (N + 1) * (2.0 * epsilon + n_y)
+    radius = float(budget - trace + logdet)
+    if abs(radius) <= _RADIUS_RTOL * (budget + abs(trace) + abs(logdet)):
+        return 0.0
+    return radius
 
 
 def epsilon_prime(sigma_r: np.ndarray, N: int, n_y: int, epsilon: float) -> float:
     """Quadratic stealthiness radius from the residual covariance.
 
-    eps' = (N+1)(2 eps + n_y) - tr(Sigma_R) + ln det(Sigma_R).
+    eps' = (N+1)(2 eps + n_y) - tr(Sigma_R) + ln det(Sigma_R), read as 0 when
+    it sits at rounding level of those terms.
     """
     sigma_r = np.asarray(sigma_r, dtype=float)
     chk = numcore.spd_check(sigma_r)
@@ -376,5 +411,5 @@ def gaussian_summary(
     from .sysmodel import assemble_extended
 
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
-    maps = stack_dynamics(ext, attack, system.nominal, q_z, N)
+    maps = stack_dynamics(ext, attack, system, q_z, N)
     return summarize(maps, system.t_0, system.sigma_0, system.nominal.sigma_f, layout, epsilon)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attacks import AttackMatrices
+from .attacks import AttackMatrices, decision_layout
 from .distrib import (
     _laws,
     epsilon_prime,
@@ -22,7 +22,7 @@ from .distrib import (
     normalize_critical_map,
     stack_dynamics,
 )
-from .sysmodel import DimensionMismatch, SystemModel, assemble_extended
+from .sysmodel import SystemModel, assemble_extended
 
 
 @dataclass
@@ -70,14 +70,6 @@ class KlCheckResult:
         return self.consistent
 
 
-def _split_decision(d: np.ndarray, attack: AttackMatrices, N: int, n_yr: int):
-    d = np.asarray(d, dtype=float).ravel()
-    n_a = (N + 1) * attack.n_a
-    if d.shape[0] != n_a + n_yr:
-        raise DimensionMismatch(f"decision vector has length {d.shape[0]}, expected {n_a + n_yr}")
-    return d[:n_a].reshape(N + 1, attack.n_a), d[n_a:]
-
-
 def simulate(
     system: SystemModel,
     attack: AttackMatrices,
@@ -105,7 +97,7 @@ def simulate(
     N = int(cfg.horizon)
     plant, ctrl, est = system.plant, system.controller, system.estimator
     n_x, n_y = plant.n_x, plant.n_y
-    a_seq, y_r = _split_decision(d, attack, N, ctrl.L_yr.shape[1])
+    a_seq, y_r = decision_layout(attack, N, ctrl.Q_yr).split(d)
     n_au = attack.n_au
 
     chol_v = np.linalg.cholesky(plant.sigma_v)
@@ -127,9 +119,8 @@ def simulate(
         x, x_hat = x_e[:n_x], x_e[n_x:]
         y = plant.C @ x + chol_w @ rng.standard_normal((n_s, n_y)).T
         u = (ctrl.L_yr @ y_r)[:, None] - ctrl.L_xhat @ x_hat
-        if k < 0:
-            if attack.has_recording:
-                recorded[k] = attack.c_rec @ y
+        if k < 0:  # recording window: the loop runs nominally
+            recorded[k] = gam_y.T @ y
             y_tilde, u_tilde = y, u
         else:
             y_tilde = lam_y @ y + (gam_y @ a_seq[k, n_au:])[:, None]
@@ -201,7 +192,7 @@ def empirical_kl_check(
     sim = simulate(system, attack, d, cfg)  # raises unless cfg.horizon is set
     N = int(cfg.horizon)
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
-    maps = stack_dynamics(ext, attack, system.nominal, np.eye(system.plant.n_x), N)
+    maps = stack_dynamics(ext, attack, system, np.eye(system.plant.n_x), N)
     # the laws without summarize's audits, which reject unstable attacked loops
     _, _, t_r, sigma_r = _laws(maps, system.t_0, system.sigma_0, system.nominal.sigma_f)
     radius = epsilon_prime(sigma_r, N, system.plant.n_y, epsilon)

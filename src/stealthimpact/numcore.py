@@ -18,7 +18,6 @@ RANK_RTOL = 1e-9
 
 _DARE_TOL = 1e-10
 _DARE_MAX_ITER = 100_000
-_KRON_LIMIT = 20
 
 _erfc = np.vectorize(math.erfc, otypes=[float])  # importing scipy.special costs ~0.2 s
 
@@ -135,20 +134,14 @@ def kalman_gain(
 def solve_lyapunov(A_e: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve S = A_e S A_e' + Q for Schur-stable A_e.
 
-    Uses the Kronecker-product linear system for n <= 20 and a doubling
-    iteration (S accumulates, A_e squares) above that.
+    Doubling iteration: S accumulates the series sum_k A_e^k Q A_e'^k in
+    blocks of 2^j terms while A_e squares, until a block is below rounding.
     """
     A_e = np.asarray(A_e, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    n = A_e.shape[0]
     rho = spectral_radius(A_e)
     if rho >= 1.0:
         raise UnstableMatrix(f"spectral radius {rho:.6f} >= 1")
-    if n <= _KRON_LIMIT:
-        # vec_C(A S A') = (A kron A) vec_C(S) in row-major vectorization
-        lhs = np.eye(n * n) - np.kron(A_e, A_e)
-        S = np.linalg.solve(lhs, Q.reshape(-1)).reshape(n, n)
-        return 0.5 * (S + S.T)
     S = Q.copy()
     M = A_e.copy()
     for _ in range(200):
@@ -200,42 +193,36 @@ def gaussian_exceed(mu, sigma):
     return p
 
 
+def _svd_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank of a non-empty M, with singular values >= RANK_RTOL * largest counting, and its V'."""
+    _, s, vt = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s >= RANK_RTOL * s[0])) if s[0] > 0.0 else 0
+    return rank, vt
+
+
 def matrix_rank(M: np.ndarray) -> int:
     """Rank with singular values >= RANK_RTOL * largest counting."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s >= RANK_RTOL * s[0]))
+    return _svd_rank(M)[0]
 
 
 def null_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of M."""
     M = np.asarray(M, dtype=float)
-    n = M.shape[1]
-    if M.shape[0] == 0 or M.size == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(M)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s >= RANK_RTOL * s[0]))
+    if M.size == 0:
+        return np.eye(M.shape[1])
+    rank, vt = _svd_rank(M)
     return vt[rank:].T
 
 
 def row_space_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the row space of M."""
     M = np.asarray(M, dtype=float)
-    n = M.shape[1]
-    if M.shape[0] == 0 or M.size == 0:
-        return np.zeros((n, 0))
-    _, s, vt = np.linalg.svd(M)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s >= RANK_RTOL * s[0]))
+    if M.size == 0:
+        return np.zeros((M.shape[1], 0))
+    rank, vt = _svd_rank(M)
     return vt[:rank].T
 
 

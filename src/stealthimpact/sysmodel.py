@@ -2,13 +2,15 @@
 
 The attacked loop couples the plant state x with the estimator state xhat into
 an extended state x_e = [x; xhat] driven by noise f = [v; w], the constant
-reference y_r, the injected attack a = [a_u; a_y], and the recorded signal a_s:
+reference y_r, and the injected attack a = [a_u; a_y]:
 
-    x_e(k+1) = A_cl x_e(k) + B_f f(k) + E_r y_r + G_a a(k) + J_s a_s(k)
-    r(k)     = C_r x_e(k) + D_f f(k) + F_r y_r + H_a a(k) + K_s a_s(k)
+    x_e(k+1) = A_cl x_e(k) + B_f f(k) + E_r y_r + G_a a(k)
+    r(k)     = C_r x_e(k) + D_f f(k) + H_a a(k)
 
-where r is the whitened residual. With identity routing and no injection
-channels this reduces to the nominal loop (A_cl, B_f, E_r).
+where r is the whitened residual. A replayed recording a_s is a sensor
+injection too: it enters through the sensor columns of G_a and H_a. With
+identity routing and no injection channels this reduces to the nominal loop
+(A_cl, B_f, E_r).
 """
 
 from __future__ import annotations
@@ -154,11 +156,8 @@ class ExtendedSystem:
     C_r: np.ndarray
     D_f: np.ndarray
     E_r: np.ndarray
-    F_r: np.ndarray
     G_a: np.ndarray
     H_a: np.ndarray
-    J_s: np.ndarray
-    K_s: np.ndarray
     n_x: int
     n_y: int
     n_u: int
@@ -238,7 +237,6 @@ def assemble_extended(
     C_r = W @ np.hstack([lam_y @ C, -C])
     D_f = np.hstack([np.zeros((n_y, n_x)), W @ lam_y])
     E_r = np.vstack([B @ lam_u @ L_r, B @ L_r])
-    F_r = np.zeros((n_y, controller.n_yr))
     G_a = np.block(
         [
             [B @ gam_u, np.zeros((n_x, n_ay))],
@@ -246,19 +244,14 @@ def assemble_extended(
         ]
     )
     H_a = np.hstack([np.zeros((n_y, n_au)), W @ gam_y])
-    J_s = np.vstack([np.zeros((n_x, n_ay)), K @ gam_y])
-    K_s = W @ gam_y
     return ExtendedSystem(
         A_cl=A_cl,
         B_f=B_f,
         C_r=C_r,
         D_f=D_f,
         E_r=E_r,
-        F_r=F_r,
         G_a=G_a,
         H_a=H_a,
-        J_s=J_s,
-        K_s=K_s,
         n_x=n_x,
         n_y=n_y,
         n_u=n_u,

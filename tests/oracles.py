@@ -243,6 +243,7 @@ def explicit_rollout(system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack):
     n_f = n_x + system.plant.n_y
     n_a, n_ay = atk.n_a, atk.n_ay
     nom = system.nominal
+    J_s, K_s = recording_inputs(system, atk)
     x_e = np.asarray(x_e0, dtype=float).copy()
     recorded = {}
     z_rows, r_rows = [], []
@@ -251,17 +252,17 @@ def explicit_rollout(system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack):
         f_k = f_stack[j * n_f : (j + 1) * n_f]
         if k < 0:
             y = system.plant.C @ x_e[:n_x] + f_k[n_x:]
-            recorded[k] = atk.c_rec @ y
+            recorded[k] = atk.gamma_y.T @ y
             x_e = nom.A_cl @ x_e + nom.B_f @ f_k + nom.E_r @ y_r
             continue
         a_k = a_stack[k * n_a : (k + 1) * n_a] if n_a else np.zeros(0)
         a_s = recorded[k - (N + 1)] if atk.has_recording else np.zeros(n_ay)
         if k >= 1:
             z_rows.append(q_ze @ x_e)
-        r_rows.append(ext.C_r @ x_e + ext.D_f @ f_k + ext.H_a @ a_k + ext.K_s @ a_s)
+        r_rows.append(ext.C_r @ x_e + ext.D_f @ f_k + ext.H_a @ a_k + K_s @ a_s)
         if k == N:
             break
-        x_e = ext.A_cl @ x_e + ext.B_f @ f_k + ext.E_r @ y_r + ext.G_a @ a_k + ext.J_s @ a_s
+        x_e = ext.A_cl @ x_e + ext.B_f @ f_k + ext.E_r @ y_r + ext.G_a @ a_k + J_s @ a_s
     return np.concatenate(z_rows), np.concatenate(r_rows)
 
 
@@ -276,12 +277,14 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
     """
     from stealthimpact import numcore
     from stealthimpact.distrib import normalize_critical_map, stationary_law
-    from stealthimpact.mcvalidate import EmpiricalSummary, _split_decision
+    from stealthimpact.mcvalidate import EmpiricalSummary
 
     N = int(cfg.horizon)
     plant, ctrl, est = system.plant, system.controller, system.estimator
     n_x, n_y = plant.n_x, plant.n_y
-    a_seq, y_r = _split_decision(d, attack, N, ctrl.L_yr.shape[1])
+    d = np.asarray(d, dtype=float)
+    n_blk = (N + 1) * attack.n_a
+    a_seq, y_r = d[:n_blk].reshape(N + 1, attack.n_a), d[n_blk:]
     n_au = attack.n_au
     t_0, sigma_0 = stationary_law(system.nominal)
     sqrt_0 = numcore.sym_sqrt(sigma_0)
@@ -303,7 +306,7 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
         u = -x_hat @ ctrl.L_xhat.T + (ctrl.L_yr @ y_r)
         if k < 0:
             if attack.has_recording:
-                recorded[k] = y @ attack.c_rec.T
+                recorded[k] = y @ attack.gamma_y
             y_tilde, u_tilde = y, u
         else:
             y_tilde = y @ lam_y.T + gam_y @ a_seq[k, n_au:]
@@ -345,17 +348,69 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
     )
 
 
-def reference_stack_dynamics(ext, attack, nominal, q_z, N):
+def recording_inputs(system, attack):
+    """(J_s, K_s): how a replayed recording a_s enters x_e(k+1) and the whitened r(k).
+
+    The recording replaces the cut sensor channels, so it drives the estimator
+    through K gamma_y and the residual through Sigma_r^-1/2 gamma_y.
+    """
+    est = system.estimator
+    J_s = np.vstack([np.zeros((system.plant.n_x, attack.n_ay)), est.K @ attack.gamma_y])
+    return J_s, est.sigma_r_invsqrt @ attack.gamma_y
+
+
+def reference_recording(system, attack, N):
+    """Maps (t_sx, t_sr, t_sf) of replay's recorded stack, unrolled step by step.
+
+    The recorded signal at attack step k is gamma_y' y(k-N-1); iterating the
+    nominal loop over [-N-1, -1] expresses the stack as
+    t_sx x_e(start) + t_sr y_r + t_sf f(start..-1).
+    """
+    plant, nominal = system.plant, system.nominal
+    n_x, n_y, n_f = plant.n_x, plant.n_y, plant.n_x + plant.n_y
+    n_yr, n_ay = nominal.E_r.shape[1], attack.n_ay
+    c_rec = attack.gamma_y.T
+    start = -N - 1
+    measure_x = np.hstack([plant.C, np.zeros((n_y, n_x))])
+    pick_w = np.hstack([np.zeros((n_y, n_x)), np.eye(n_y)])
+    n_pre = N + 1
+    t_sx = np.zeros(((N + 1) * n_ay, 2 * n_x))
+    t_sr = np.zeros(((N + 1) * n_ay, n_yr))
+    t_sf = np.zeros(((N + 1) * n_ay, n_pre * n_f))
+    phi = np.eye(2 * n_x)
+    psi_f = np.zeros((2 * n_x, n_pre * n_f))
+    psi_r = np.zeros((2 * n_x, n_yr))
+    for k in range(start, 0):
+        j = k - start
+        r = j * n_ay
+        t_sx[r : r + n_ay] = c_rec @ measure_x @ phi
+        t_sr[r : r + n_ay] = c_rec @ measure_x @ psi_r
+        row_f = c_rec @ measure_x @ psi_f
+        row_f[:, j * n_f : (j + 1) * n_f] += c_rec @ pick_w
+        t_sf[r : r + n_ay] = row_f
+        if k == -1:
+            break
+        psi_f = nominal.A_cl @ psi_f
+        psi_f[:, j * n_f : (j + 1) * n_f] += nominal.B_f
+        psi_r = nominal.A_cl @ psi_r + nominal.E_r
+        phi = nominal.A_cl @ phi
+    return t_sx, t_sr, t_sf
+
+
+def reference_stack_dynamics(ext, attack, system, q_z, N):
     """Step-by-step unrolling that distrib.stack_dynamics must reproduce.
 
     Running maps of x_e(k) in (x_e(start), f_window, y_r, a, a_s) are advanced
     one step at a time, nominally before step 0 (replay recording phase) and
     under the attack from step 0 on, and each step's critical and residual
-    rows are read off them. The recorded-signal maps from the attack are
-    folded into the state, noise, and reference maps at the end.
+    rows are read off them. The recorded signal a_s enters through
+    recording_inputs, and its maps from reference_recording are folded into
+    the state, noise, and reference maps at the end.
     """
     from stealthimpact import distrib
 
+    nominal = system.nominal
+    J_s, K_s = recording_inputs(system, attack)
     if N < 1:
         raise ValueError("horizon must be at least 1")
     n_x, n_y, n_f = ext.n_x, ext.n_y, ext.n_f
@@ -399,14 +454,14 @@ def reference_stack_dynamics(ext, attack, nominal, q_z, N):
             row = ext.C_r @ Xf
             row[:, j * n_f : (j + 1) * n_f] += ext.D_f
             r_f[r : r + n_y] = row
-            r_r[r : r + n_y] = ext.C_r @ Xr + ext.F_r
+            r_r[r : r + n_y] = ext.C_r @ Xr
             row = ext.C_r @ Xa
             if n_a:
                 row[:, k * n_a : (k + 1) * n_a] += ext.H_a
             r_a[r : r + n_y] = row
             row = ext.C_r @ Xs
             if n_ay:
-                row[:, k * n_ay : (k + 1) * n_ay] += ext.K_s
+                row[:, k * n_ay : (k + 1) * n_ay] += K_s
             r_s[r : r + n_y] = row
         if k == N:
             break
@@ -427,19 +482,19 @@ def reference_stack_dynamics(ext, attack, nominal, q_z, N):
                 Xa[:, k * n_a : (k + 1) * n_a] += ext.G_a
             Xs = ext.A_cl @ Xs
             if n_ay:
-                Xs[:, k * n_ay : (k + 1) * n_ay] += ext.J_s
+                Xs[:, k * n_ay : (k + 1) * n_ay] += J_s
             Xx = Xx_next
 
     # fold the recorded stack a_s = t_sx x_e(start) + t_sr y_r + t_sf f_pre
-    if n_ay:
+    if attack.has_recording and n_ay:
+        t_sx, t_sr, t_sf = reference_recording(system, attack, N)
         t_sf_full = np.zeros(((N + 1) * n_ay, W * n_f))
-        pre_cols = attack.t_sf.shape[1]
-        t_sf_full[:, :pre_cols] = attack.t_sf
-        p_x = p_x + p_s @ attack.t_sx
-        p_r = p_r + p_s @ attack.t_sr
+        t_sf_full[:, : t_sf.shape[1]] = t_sf
+        p_x = p_x + p_s @ t_sx
+        p_r = p_r + p_s @ t_sr
         p_f = p_f + p_s @ t_sf_full
-        r_x = r_x + r_s @ attack.t_sx
-        r_r = r_r + r_s @ attack.t_sr
+        r_x = r_x + r_s @ t_sx
+        r_r = r_r + r_s @ t_sr
         r_f = r_f + r_s @ t_sf_full
 
     return distrib.StackedMaps(

@@ -417,11 +417,9 @@ def test_criterion_7_numerical_residuals(scenario, system):
         elif kind == "bias":
             atk = attacks.build_bias(res, system.dims, N)
         else:
-            atk = attacks.build_replay(
-                res, system.plant, system.nominal, system.dims.n_yr, N, mode
-            )
+            atk = attacks.build_replay(res, system.dims, N, mode)
         ext = assemble_extended(system.plant, system.controller, system.estimator, atk)
-        maps = distrib.stack_dynamics(ext, atk, system.nominal, scenario.q_z, N)
+        maps = distrib.stack_dynamics(ext, atk, system, scenario.q_z, N)
         W = N - atk.start_step + 1
         for _ in range(20):
             x_e0 = rng.normal(size=2 * system.plant.n_x)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stealthimpact import attacks
+from stealthimpact import attacks, distrib
 from stealthimpact.sysmodel import SystemDims
 from conftest import random_system
 
@@ -127,19 +127,20 @@ def test_fdi_plus_dos_combines():
 
 
 def test_replay_recording_maps(system):
-    """Recorded stack must reproduce an explicit nominal-loop unroll."""
+    """The recording window's maps reproduce an explicit nominal-loop unroll."""
     N = 4
     res = attacks.ResourceSet(sensors=(0, 1), actuators=())
-    atk = attacks.build_replay(res, system.plant, system.nominal, 3, N, actuator_mode="dos")
+    atk = attacks.build_replay(res, system.dims, N, actuator_mode="dos")
     assert atk.start_step == -N - 1
     assert atk.has_recording
+    (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r) = distrib._recording_window(system, atk)
     n_x, n_y = system.plant.n_x, system.plant.n_y
     n_f = n_x + n_y
     rng = np.random.default_rng(8)
     x_e0 = rng.normal(size=2 * n_x)
     y_r = rng.normal(size=3)
     f_pre = rng.normal(size=(N + 1) * n_f)
-    predicted = atk.t_sx @ x_e0 + atk.t_sr @ y_r + atk.t_sf @ f_pre
+    predicted = rec_x @ x_e0 + rec_r @ y_r + rec_f @ f_pre
     # explicit unroll of the nominal loop over [-N-1, -1]
     nom = system.nominal
     x_e = x_e0.copy()
@@ -147,16 +148,22 @@ def test_replay_recording_maps(system):
     for j in range(N + 1):
         f_k = f_pre[j * n_f : (j + 1) * n_f]
         y = system.plant.C @ x_e[:n_x] + f_k[n_x:]
-        rows.append(atk.c_rec @ y)
+        rows.append(atk.gamma_y.T @ y)
         x_e = nom.A_cl @ x_e + nom.B_f @ f_k + nom.E_r @ y_r
     assert np.allclose(predicted, np.concatenate(rows), atol=1e-10)
+    assert np.allclose(x0_x @ x_e0 + x0_f @ f_pre + x0_r @ y_r, x_e, atol=1e-10)
+    # strategies without a recording phase have an empty window
+    fdi = attacks.build_fdi(res, system.dims, N)
+    (x0_x, x0_f, _), (rec_x, _, _) = distrib._recording_window(system, fdi)
+    assert np.array_equal(x0_x, np.eye(2 * n_x))
+    assert x0_f.shape[1] == 0 and rec_x.shape[0] == 0
 
 
 def test_replay_dos_pins_injection():
     sys_model = random_system(np.random.default_rng(9))
     N = 3
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
-    atk = attacks.build_replay(res, sys_model.plant, sys_model.nominal, 1, N, actuator_mode="dos")
+    atk = attacks.build_replay(res, sys_model.dims, N, actuator_mode="dos")
     # replayed sensors are cut from the live path but carried by gamma_y
     assert atk.lambda_y[0, 0] == 0.0
     assert atk.gamma_y[0, 0] == 1.0
@@ -171,7 +178,7 @@ def test_replay_bias_constraints():
     sys_model = random_system(np.random.default_rng(10))
     N = 2
     res = attacks.ResourceSet(sensors=(0,), actuators=(0, 1))
-    atk = attacks.build_replay(res, sys_model.plant, sys_model.nominal, 1, N, actuator_mode="bias")
+    atk = attacks.build_replay(res, sys_model.dims, N, actuator_mode="bias")
     assert (atk.n_au, atk.n_ay) == (2, 1)
     n_a = atk.n_a
     # constant actuator part with pinned sensor part satisfies the equalities
@@ -247,10 +254,14 @@ def test_candidate_cap():
         attacks.candidates(spec, big, N=2)
 
 
-def test_replay_candidates_need_loop():
-    spec = attacks.StrategySpec(kind="replay_dos", resources=attacks.ResourceSet(sensors=(0,)))
-    with pytest.raises(ValueError, match="plant and nominal loop"):
-        attacks.candidates(spec, DIMS, N=2)
+def test_replay_candidates_from_dims():
+    """Replay needs no loop to enumerate: its recording is derived downstream."""
+    res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
+    for kind, n_au in (("replay_dos", 0), ("replay_bias", 1)):
+        cands = attacks.candidates(attacks.StrategySpec(kind=kind, resources=res), DIMS, N=2)
+        assert len(cands) == 1 and cands[0].variant is None
+        atk = cands[0].attack
+        assert atk.start_step == -3 and (atk.n_au, atk.n_ay) == (n_au, 1)
 
 
 def test_unknown_kind_rejected():

@@ -117,6 +117,23 @@ def test_eps_sweep_entries(tmp_path):
         doc["entries"][1]["exceedance_probability"]
         >= doc["entries"][0]["exceedance_probability"]
     )
+    # at eps = 0 injection leaves Sigma_R = I, so eps' is 0, not rounding noise
+    # below it: an attack invisible to the residual exists and is reported,
+    # while denial of service stays detectable at any budget this small
+    code, out = _run(
+        tmp_path,
+        "--vulnerability", "vulnerability_1",
+        "--strategy", "fdi",
+        "--strategy", "dos",
+        "--sweep", "eps",
+        "--values", "0",
+    )
+    assert code == cli.EXIT_OK
+    fdi, dos = json.loads(out.read_text())["entries"]
+    assert (fdi["strategy"], fdi["stealthiness_radius"], fdi["feasible"]) == ("fdi", 0.0, True)
+    assert fdi["exceedance_probability"] == 1.0
+    assert dos["strategy"] == "dos" and not dos["feasible"]
+    assert dos["exceedance_probability"] == 0.0
 
 
 def test_horizon_sweep_entries(tmp_path):

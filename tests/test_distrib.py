@@ -28,7 +28,7 @@ def _build(system, kind, N, sensors=(), actuators=(), actuator_mode="dos"):
     elif kind == "bias":
         atk = attacks.build_bias(res, dims, N)
     elif kind == "replay":
-        atk = attacks.build_replay(res, system.plant, system.nominal, dims.n_yr, N, actuator_mode)
+        atk = attacks.build_replay(res, dims, N, actuator_mode)
     else:
         raise ValueError(kind)
     ext = assemble_extended(system.plant, system.controller, system.estimator, atk)
@@ -115,7 +115,7 @@ def test_stacked_maps_match_explicit_rollout(system, kind, sensors, actuators, m
     atk, ext = _build(system, kind, N, sensors, actuators, mode)
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
     q_ze = distrib.normalize_critical_map(q_z, system.plant.n_x)
-    maps = distrib.stack_dynamics(ext, atk, system.nominal, q_z, N)
+    maps = distrib.stack_dynamics(ext, atk, system, q_z, N)
     n_f = system.plant.n_x + system.plant.n_y
     W = N - atk.start_step + 1
     rng = np.random.default_rng(hash((kind, sensors, actuators, mode)) % 2**32)
@@ -140,6 +140,12 @@ def test_epsilon_prime_values():
     N, n_y = 10, 3
     val = distrib.epsilon_prime(np.eye((N + 1) * n_y), N=N, n_y=n_y, epsilon=0.3)
     assert val == pytest.approx(2.0 * 0.3 * 11, abs=1e-9)
+    # at eps = 0 an identity formed with rounding (Q Q', Q orthogonal) gives 0
+    # exactly, while a genuinely negative radius far smaller than the terms stays
+    Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=((N + 1) * n_y,) * 2))
+    assert distrib.epsilon_prime(Q @ Q.T, N=N, n_y=n_y, epsilon=0.0) == 0.0
+    shrunk = distrib.epsilon_prime((1.0 - 1e-5) * np.eye((N + 1) * n_y), N=N, n_y=n_y, epsilon=0.0)
+    assert shrunk == pytest.approx(33 * (1e-5 + np.log1p(-1e-5)), rel=1e-6) and shrunk < 0
 
 
 def test_epsilon_prime_rejects_indefinite():
@@ -298,13 +304,13 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
         inject=attacks.ResourceSet(sensors=res.sensors),
         deny=attacks.ResourceSet(actuators=res.actuators),
     )
-    cands = attacks.candidates(spec, system.dims, N, plant=system.plant, nominal=system.nominal)
+    cands = attacks.candidates(spec, system.dims, N)
     sigma_f = system.nominal.sigma_f
     for q_z in (scenario.q_z[:, : system.plant.n_x], scenario.q_z):
         for cand in cands:
             ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
-            maps = distrib.stack_dynamics(ext, cand.attack, system.nominal, q_z, N)
-            ref = reference_stack_dynamics(ext, cand.attack, system.nominal, q_z, N)
+            maps = distrib.stack_dynamics(ext, cand.attack, system, q_z, N)
+            ref = reference_stack_dynamics(ext, cand.attack, system, q_z, N)
             for name in MAP_FIELDS:
                 close(getattr(maps, name), getattr(ref, name), name)
             for name in ("start_step", "horizon", "n_z", "n_y"):

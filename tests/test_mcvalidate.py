@@ -49,7 +49,7 @@ def test_simulate_reproducible(system, scenario):
 def _attack(system, kind, N):
     res = attacks.ResourceSet(sensors=(0, 1), actuators=(2,))
     if kind == "replay":
-        return attacks.build_replay(res, system.plant, system.nominal, 3, N, actuator_mode="dos")
+        return attacks.build_replay(res, system.dims, N, actuator_mode="dos")
     build = {"fdi": attacks.build_fdi, "dos": attacks.build_dos, "bias_injection": attacks.build_bias}[kind]
     return build(res, system.dims, N)
 
@@ -97,7 +97,7 @@ def test_simulate_matches_analytic_fdi(system, scenario):
 def test_simulate_matches_analytic_replay(system, scenario):
     N = 3
     res = attacks.ResourceSet(sensors=(0, 1), actuators=(2,))
-    atk = attacks.build_replay(res, system.plant, system.nominal, 3, N, actuator_mode="dos")
+    atk = attacks.build_replay(res, system.dims, N, actuator_mode="dos")
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     summary = distrib.gaussian_summary(system, atk, layout, scenario.q_z, N, scenario.epsilon)
     d = np.zeros(layout.dim_d)

@@ -80,7 +80,7 @@ def test_lyapunov_matches_series():
 
 
 def test_lyapunov_doubling_branch():
-    # dimension above the Kronecker cutoff exercises the doubling path
+    # a larger, denser system than the 4 x 4 series checks
     rng = np.random.default_rng(5)
     n = 25
     A = rng.normal(size=(n, n))

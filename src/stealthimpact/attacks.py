@@ -45,10 +45,6 @@ class EmptyResources(ValueError):
     """Strategy requires at least one compromised channel."""
 
 
-class OverlappingSets(ValueError):
-    """Injection and denial sets must be disjoint per signal type."""
-
-
 class EnumerationCapExceeded(ValueError):
     """Worst-case search would exceed the combination cap."""
 
@@ -81,17 +77,14 @@ class StrategySpec:
     """One strategy template: the kind plus any kind-specific parameters.
 
     pi_y / pi_u map destination channel -> source channel over the compromised
-    set (rerouting); inject / deny split the resources for fdi_plus_dos.
-    When pi maps are omitted for rerouting, the worst case over all admissible
-    permutation pairs is searched.
+    set (rerouting). When pi maps are omitted for rerouting, the worst case
+    over all admissible permutation pairs is searched.
     """
 
     kind: str
     resources: ResourceSet
     pi_y: Optional[dict[int, int]] = None
     pi_u: Optional[dict[int, int]] = None
-    inject: Optional[ResourceSet] = None
-    deny: Optional[ResourceSet] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -261,21 +254,17 @@ def build_bias(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
     return out
 
 
-def build_fdi_plus_dos(spec: StrategySpec, dims: SystemDims, N: int) -> AttackMatrices:
-    """Injection on one channel set combined with denial on a disjoint set."""
-    inject = spec.inject or ResourceSet()
-    deny = spec.deny or ResourceSet()
-    inject.validate(dims)
-    deny.validate(dims)
-    if set(inject.sensors) & set(deny.sensors) or set(inject.actuators) & set(deny.actuators):
-        raise OverlappingSets("injection and denial sets must be disjoint per signal type")
-    if inject.sensors or inject.actuators:
-        out = build_fdi(inject, dims, N)
+def build_fdi_plus_dos(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
+    """Injection on the compromised sensors, denial of the compromised actuators.
+
+    Without compromised sensors the attack is denial only.
+    """
+    res.validate(dims)
+    if res.sensors:
+        out = build_fdi(ResourceSet(sensors=res.sensors), dims, N)
     else:
         out = build_dos(ResourceSet(), dims, N)
-    for i in deny.sensors:
-        out.lambda_y[i, i] = 0.0
-    for i in deny.actuators:
+    for i in res.actuators:
         out.lambda_u[i, i] = 0.0
     return out
 
@@ -442,7 +431,7 @@ def candidates(spec: StrategySpec, dims: SystemDims, N: int) -> list[Candidate]:
     if kind == "bias_injection":
         return [Candidate(None, build_bias(res, dims, N))]
     if kind == "fdi_plus_dos":
-        return [Candidate(None, build_fdi_plus_dos(spec, dims, N))]
+        return [Candidate(None, build_fdi_plus_dos(res, dims, N))]
     if kind in ("replay_dos", "replay_bias"):
         mode = "dos" if kind == "replay_dos" else "bias"
         return [Candidate(None, build_replay(res, dims, N, actuator_mode=mode))]

@@ -27,12 +27,11 @@ from .attacks import (
     EmptyResources,
     EnumerationCapExceeded,
     InvalidPermutation,
-    ResourceSet,
     StrategySpec,
     candidates,
     decision_layout,
 )
-from .distrib import GaussianSummary, SigmaZNotPd, gaussian_summary
+from .distrib import GaussianSummary, gaussian_summary
 from .mcvalidate import SimulationConfig, kl_verdict, simulate
 from .scenario import (
     DimensionError,
@@ -62,7 +61,6 @@ _VALIDATION_ERRORS = (
 )
 _NUMERICAL_ERRORS = (
     NumericalFailure,
-    SigmaZNotPd,
     numcore.NonConvergence,
     numcore.UnstableClosedLoop,
     numcore.UnstableMatrix,
@@ -132,13 +130,7 @@ def _assess_pair(
     """
     t0 = time.perf_counter()
     resources = scenario.vulnerabilities[vulnerability]
-    spec = StrategySpec(
-        kind=strategy,
-        resources=resources,
-        inject=ResourceSet(sensors=resources.sensors),
-        deny=ResourceSet(actuators=resources.actuators),
-    )
-    cands = candidates(spec, scenario.system.dims, scenario.horizon)
+    cands = candidates(StrategySpec(strategy, resources), scenario.system.dims, scenario.horizon)
     laws = [_candidate_law(scenario, c, epsilons[0]) for c in cands]
     entries = []
     for eps in epsilons:
@@ -223,7 +215,8 @@ def _entry_dict(entry: AssessmentEntry, timings: bool) -> dict:
         "unbounded": unbounded,
         "exceedance_probability": _round12(report.exceed_prob),
         "mean_impact_lower_bound": None if unbounded else _round12(report.mean_lower),
-        "stealthiness_radius": _round12(report.eps_prime),
+        # -inf when Sigma_R is singular; JSON has no infinity
+        "stealthiness_radius": _round12(report.eps_prime) if np.isfinite(report.eps_prime) else None,
     }
     n_z = report.mu.shape[0] // entry.horizon if entry.horizon else 1
     if feasible and not unbounded and report.argmax_exceed is not None:

@@ -40,18 +40,6 @@ from .sysmodel import DimensionMismatch, ExtendedSystem, NominalLoop, SystemMode
 _RADIUS_RTOL = 1e-12
 
 
-class SigmaZNotPd(RuntimeError):
-    """Critical-trajectory covariance is not positive definite.
-
-    The test is relative: the minimum eigenvalue must exceed
-    numcore.PD_RTOL times the largest. It fails for a critical map without
-    full row rank on the plant states, and also for a positive definite
-    matrix whose spread exceeds that ratio, as on an attacked loop with
-    spectral radius above 1 over a long horizon, where Sigma_Z grows
-    geometrically along the window.
-    """
-
-
 @dataclass
 class StackedMaps:
     """Affine maps over one attack window.
@@ -326,16 +314,16 @@ def kl_divergence_gaussian(mu1, sigma1, mu2, sigma2) -> float:
 
 
 def _laws(
-    maps: StackedMaps, t_0: np.ndarray, sigma_0: np.ndarray, sigma_f: np.ndarray
+    maps: StackedMaps, system: SystemModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(T_Z, Sigma_Z, T_R, Sigma_R) as in summarize, without its audits.
+    """(T_Z, Sigma_Z, T_R, Sigma_R) of the maps from the system's stationary law.
 
     Each covariance is F F' with the whitened factor
     F = [m_x sqrt(Sigma_0) | m_f (I_W kron sqrt(Sigma_f))]; the Kronecker
     product acts block by block through a reshape and is never formed.
     """
-    root_0 = numcore.sym_sqrt(sigma_0)
-    root_f = numcore.sym_sqrt(sigma_f)
+    t_0, root_0 = system.t_0, system.sqrt_sigma_0
+    root_f = numcore.sym_sqrt(system.nominal.sigma_f)
 
     def law(m_a, m_x, m_r, m_f):
         noise = (m_f.reshape(-1, root_f.shape[0]) @ root_f).reshape(m_f.shape)
@@ -350,30 +338,23 @@ def _laws(
 
 
 def summarize(
-    maps: StackedMaps,
-    t_0: np.ndarray,
-    sigma_0: np.ndarray,
-    sigma_f: np.ndarray,
-    layout: DecisionLayout,
-    epsilon: float,
+    maps: StackedMaps, system: SystemModel, layout: DecisionLayout, epsilon: float
 ) -> GaussianSummary:
-    """Gaussian laws in the decision vector, with feasibility/boundedness audits.
+    """Gaussian laws in the decision vector, with the solver's two audits.
 
-    The initial state is N(t_0 y_r, sigma_0) and the noise window is white with
-    per-step covariance sigma_f, so the means are affine in d and the
-    covariances are constants of the strategy.
+    The initial state is the system's stationary law N(t_0 y_r, sigma_0) and
+    the noise window is white with per-step covariance sigma_f, so the means
+    are affine in d and the covariances are constants of the strategy. The
+    audits are whether Sigma_R is positive definite (else no attack is
+    stealthy and the radius is -inf) and whether the critical rows are
+    bounded on the feasible set. Sigma_Z enters the metrics only through its
+    diagonal, the marginal variances, so it is not audited as a whole.
     """
     N = maps.horizon
-    t_z, sigma_z, t_r, sigma_r = _laws(maps, t_0, sigma_0, sigma_f)
+    t_z, sigma_z, t_r, sigma_r = _laws(maps, system)
     if t_z.shape[1] != layout.dim_d or t_r.shape[1] != layout.dim_d:
         raise DimensionMismatch("maps and decision layout disagree on dim_d")
 
-    z_chk = numcore.spd_check(sigma_z)
-    if not z_chk.is_positive_definite:
-        raise SigmaZNotPd(
-            f"critical covariance min eigenvalue {z_chk.min_eigenvalue:.3e}; "
-            "check that the critical map has full row rank on the plant states"
-        )
     residual_cov_pd = numcore.spd_check(sigma_r).is_positive_definite
     trace, logdet, eps_p = np.nan, np.nan, -np.inf
     if residual_cov_pd:
@@ -412,4 +393,4 @@ def gaussian_summary(
 
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
     maps = stack_dynamics(ext, attack, system, q_z, N)
-    return summarize(maps, system.t_0, system.sigma_0, system.nominal.sigma_f, layout, epsilon)
+    return summarize(maps, system, layout, epsilon)

@@ -15,14 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .attacks import AttackMatrices, decision_layout
-from .distrib import (
-    _laws,
-    epsilon_prime,
-    kl_divergence_gaussian,
-    normalize_critical_map,
-    stack_dynamics,
-)
-from .sysmodel import SystemModel, assemble_extended
+from .distrib import gaussian_summary, kl_divergence_gaussian, normalize_critical_map
+from .sysmodel import SystemModel
 
 
 @dataclass
@@ -184,19 +178,17 @@ def empirical_kl_check(
 ) -> KlCheckResult:
     """Compare the analytic budget verdict with the empirical KL rate.
 
-    The analytic side evaluates the quadratic form against the reduced radius.
-    The empirical side plugs the sample residual mean and covariance into the
-    closed-form Gaussian divergence. Within the Monte Carlo slack band around
-    epsilon, the empirical verdict defers to the analytic one.
+    The analytic side evaluates the quadratic form against the reduced radius
+    of the configuration's Gaussian summary. The empirical side plugs the
+    sample residual mean and covariance into the closed-form Gaussian
+    divergence. Within the Monte Carlo slack band around epsilon, the
+    empirical verdict defers to the analytic one.
     """
     sim = simulate(system, attack, d, cfg)  # raises unless cfg.horizon is set
     N = int(cfg.horizon)
-    ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
-    maps = stack_dynamics(ext, attack, system, np.eye(system.plant.n_x), N)
-    # the laws without summarize's audits, which reject unstable attacked loops
-    _, _, t_r, sigma_r = _laws(maps, system.t_0, system.sigma_0, system.nominal.sigma_f)
-    radius = epsilon_prime(sigma_r, N, system.plant.n_y, epsilon)
-    return kl_verdict(sim, t_r, d, radius, epsilon, N)
+    layout = decision_layout(attack, N, system.controller.Q_yr)
+    summary = gaussian_summary(system, attack, layout, np.eye(system.plant.n_x), N, epsilon)
+    return kl_verdict(sim, summary.t_r, d, summary.eps_prime, epsilon, N)
 
 
 def kl_verdict(

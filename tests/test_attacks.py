@@ -102,28 +102,23 @@ def test_bias_constancy_rows():
     assert np.max(np.abs(atk.f_a @ varying)) > 0.5
 
 
-def test_fdi_plus_dos_disjointness():
-    spec = attacks.StrategySpec(
-        kind="fdi_plus_dos",
-        resources=attacks.ResourceSet(sensors=(0, 1)),
-        inject=attacks.ResourceSet(sensors=(0,)),
-        deny=attacks.ResourceSet(sensors=(0,)),
-    )
-    with pytest.raises(attacks.OverlappingSets):
-        attacks.build_fdi_plus_dos(spec, DIMS, N=2)
-
-
 def test_fdi_plus_dos_combines():
-    spec = attacks.StrategySpec(
-        kind="fdi_plus_dos",
-        resources=attacks.ResourceSet(sensors=(0, 1)),
-        inject=attacks.ResourceSet(sensors=(0,)),
-        deny=attacks.ResourceSet(sensors=(1,)),
-    )
-    atk = attacks.build_fdi_plus_dos(spec, DIMS, N=2)
-    assert atk.lambda_y[1, 1] == 0.0
+    """Injection on the compromised sensors, denial of the compromised actuators."""
+    res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
+    atk = attacks.build_fdi_plus_dos(res, DIMS, N=2)
+    assert np.array_equal(atk.lambda_y, np.eye(3))
     assert atk.gamma_y[0, 0] == 1.0
-    assert atk.n_ay == 1
+    assert atk.n_ay == 1 and atk.n_au == 0
+    assert atk.lambda_u[1, 1] == 0.0
+    assert np.count_nonzero(np.diag(atk.lambda_u)) == 3
+
+
+def test_fdi_plus_dos_without_sensors_is_denial():
+    res = attacks.ResourceSet(actuators=(0, 2))
+    atk = attacks.build_fdi_plus_dos(res, DIMS, N=2)
+    dos = attacks.build_dos(res, DIMS, N=2)
+    for field, value in vars(dos).items():
+        assert np.array_equal(getattr(atk, field), value), field
 
 
 def test_replay_recording_maps(system):

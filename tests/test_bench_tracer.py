@@ -4,8 +4,8 @@ perfbench/tracer.py wraps the functions in its TRACED list and its hooks read
 fields of the program's types (the attack's start step, the summary's radius
 and audits, the report's Newton count). A renamed function or field fails the
 benchmark itself, so this runs the tracer, loaded from its file and left
-unchanged, over a Monte Carlo replay op and the long-horizon rerouting op that
-exits 3.
+unchanged, over a Monte Carlo replay op and the long-horizon rerouting op,
+whose configurations are all over budget, so it reports zero and exits 4.
 """
 
 import importlib.util
@@ -59,8 +59,9 @@ def test_tracer_counts_replay_and_failing_op(tmp_path, monkeypatch, capsys):
     assert cli.main is original
 
     assert codes[0] in (cli.EXIT_OK, cli.EXIT_ALL_ZERO)
-    assert codes[1] == cli.EXIT_NUMERICAL  # the known rerouting Sigma_Z failure at N = 50
-    assert "numerical failure" in capsys.readouterr().err
+    # every rerouting loop at N = 50 is over budget: a zero report, not a failure
+    assert codes[1] == cli.EXIT_ALL_ZERO
+    assert capsys.readouterr().err == ""
     counters = tracer.counters
     assert sum(counters[f"cli.exit_code.{code}"] for code in (0, 2, 3, 4)) == len(ops)
     metrics = tracer.metrics(passes=1, untraced_s=1.0, traced_s=1.0)

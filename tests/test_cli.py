@@ -154,6 +154,40 @@ def test_horizon_sweep_entries(tmp_path):
     assert [e["horizon"] for e in doc["entries"]] == [2, 4]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_horizon_sweep_past_unstable_attacked_loops(capsys):
+    """Rerouting loops that diverge over a long window report over budget, not exit 3.
+
+    From N = 30 every rerouting configuration of the bundled scenario has a
+    negative radius or a singular Sigma_R, so its worst case is p = 0 and
+    infeasible; the report stays strict JSON when the radius is -inf.
+    """
+    values = ",".join(str(n) for n in range(1, 51))
+    code = cli.main(["assess", "--sweep", "N", "--values", values])
+    assert code == cli.EXIT_OK
+    entries = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["entries"]
+    late = [e for e in entries if e["strategy"] == "rerouting" and e["horizon"] >= 30]
+    assert len(late) == 2 * 21
+    for e in late:
+        assert e["feasible"] is False and e["exceedance_probability"] == 0.0
+    assert None in [e["stealthiness_radius"] for e in late]
+
+
+def test_singular_residual_radius_is_empty(tmp_path):
+    """A -inf radius is an empty CSV cell, as in the JSON report's null."""
+    out = tmp_path / "singular.csv"
+    argv = ["assess", "--vulnerability", "vulnerability_1", "--strategy", "rerouting",
+            "--sweep", "N", "--values", "50", "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_ALL_ZERO
+    with open(out, newline="") as fh:
+        head, row = list(csv.reader(fh))
+    assert row[head.index("stealthiness_radius")] == ""
+    assert row[head.index("feasible")] == "false"
+
+
 def test_csv_output(tmp_path):
     out = tmp_path / "report.csv"
     code = cli.main(
@@ -259,21 +293,14 @@ def test_stdout_default(capsys):
 
 
 def test_fdi_plus_dos_injects_on_sensors_and_denies_actuators(scenario):
+    dims, N = scenario.system.dims, scenario.horizon
     for name, res in scenario.vulnerabilities.items():
         entry = cli.assess(scenario, name, "fdi_plus_dos")
-        spec = attacks.StrategySpec(
-            kind="fdi_plus_dos",
-            resources=res,
-            inject=attacks.ResourceSet(sensors=res.sensors),
-            deny=attacks.ResourceSet(actuators=res.actuators),
-        )
-        expected = attacks.build_fdi_plus_dos(spec, scenario.system.dims, scenario.horizon)
+        expected = attacks.build_fdi(attacks.ResourceSet(sensors=res.sensors), dims, N)
+        expected.lambda_u = attacks.build_dos(attacks.ResourceSet(actuators=res.actuators), dims, N).lambda_u
         for field, value in vars(expected).items():
             assert np.array_equal(getattr(entry.candidate.attack, field), value), field
-        free = attacks.candidates(
-            attacks.StrategySpec(kind="fdi_plus_dos", resources=res), scenario.system.dims, scenario.horizon
-        )[0]
-        assert not np.any(free.attack.gamma_y) and not np.any(free.attack.gamma_u)
+        free = attacks.Candidate(None, attacks.build_dos(attacks.ResourceSet(), dims, N))
         free_report = solver.compute_impact(*cli._candidate_law(scenario, free, scenario.epsilon))
         assert free_report.exceed_prob > 0.05
         assert entry.report.eps_prime != free_report.eps_prime
@@ -314,6 +341,19 @@ def test_loader_rejections_exit_code(tmp_path, capsys):
     code, _ = _run(tmp_path, "--scenario", str(_write_scenario(tmp_path, doc)))
     assert code == cli.EXIT_VALIDATION
     assert "False is not a number" in capsys.readouterr().err
+
+
+def test_proportional_critical_rows_assessed(tmp_path):
+    """A critical map of rank 1 (z2 = 2 z1) is valid: only the marginals enter the metrics."""
+    doc = json.loads(bundled_scenario_path().read_text())
+    row = doc["critical_map"][0]
+    doc["critical_map"] = [row, [2.0 * v for v in row]]
+    code, out = _run(tmp_path, "--scenario", str(_write_scenario(tmp_path, doc)),
+                     "--vulnerability", "vulnerability_2", "--strategy", "fdi")
+    assert code == cli.EXIT_OK
+    entry = json.loads(out.read_text())["entries"][0]
+    assert entry["argmax_component"] == 2
+    assert entry["exceedance_probability"] > 0.99
 
 
 @pytest.mark.parametrize("mc_validate", [False, True])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthimpact import attacks, distrib, numcore
+from stealthimpact import attacks, distrib, numcore, solver
 from stealthimpact.sysmodel import NominalLoop, assemble_extended
 from conftest import random_system
 from oracles import (
@@ -248,12 +248,15 @@ def test_summary_audit_flags(system):
 
 
 def test_zero_critical_map_rejected(system):
+    """A zero critical row has zero variance: its exceedance probability is undefined."""
     N = 3
-    atk, ext = _build(system, "dos", N, sensors=(0,))
+    atk, ext = _build(system, "fdi", N, sensors=(0,))
     q_z = np.zeros((1, 3))
-    with pytest.raises(distrib.SigmaZNotPd):
-        layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
-        distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+    layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
+    summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+    assert summary.residual_cov_pd and summary.eps_prime >= 0
+    with pytest.raises(numcore.DegenerateVariance):
+        solver.compute_impact(summary, layout)
 
 
 def test_summary_at_another_epsilon(system):
@@ -298,13 +301,7 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
 
     system = scenario.system
     res = scenario.vulnerabilities["vulnerability_1"]
-    spec = attacks.StrategySpec(
-        kind=kind,
-        resources=res,
-        inject=attacks.ResourceSet(sensors=res.sensors),
-        deny=attacks.ResourceSet(actuators=res.actuators),
-    )
-    cands = attacks.candidates(spec, system.dims, N)
+    cands = attacks.candidates(attacks.StrategySpec(kind, res), system.dims, N)
     sigma_f = system.nominal.sigma_f
     for q_z in (scenario.q_z[:, : system.plant.n_x], scenario.q_z):
         for cand in cands:
@@ -315,7 +312,7 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
                 close(getattr(maps, name), getattr(ref, name), name)
             for name in ("start_step", "horizon", "n_z", "n_y"):
                 assert getattr(maps, name) == getattr(ref, name), name
-            laws = distrib._laws(maps, system.t_0, system.sigma_0, sigma_f)
+            laws = distrib._laws(maps, system)
             ref_laws = reference_laws(ref, system.t_0, system.sigma_0, sigma_f)
             for name, got, want in zip(("T_Z", "Sigma_Z", "T_R", "Sigma_R"), laws, ref_laws):
                 close(got, want, name)

@@ -373,14 +373,15 @@ def _parse_sweep_values(raw: str, parameter: str) -> list:
         tok = tok.strip()
         if not tok:
             continue
-        if parameter == "N":
-            val = int(tok)
-            if val < 1:
-                raise SchemaError("horizon sweep values must be >= 1")
-        else:
-            val = float(tok)
-            if val < 0 or not np.isfinite(val):
-                raise SchemaError("epsilon sweep values must be finite and >= 0")
+        try:
+            val = int(tok) if parameter == "N" else float(tok)
+        except ValueError:
+            kind = "an integer" if parameter == "N" else "a number"
+            raise SchemaError(f"sweep value '{tok}' is not {kind}") from None
+        if parameter == "N" and val < 1:
+            raise SchemaError("horizon sweep values must be >= 1")
+        if parameter == "eps" and (val < 0 or not np.isfinite(val)):
+            raise SchemaError("epsilon sweep values must be finite and >= 0")
         values.append(val)
     if not values:
         raise SchemaError("--values must name at least one value")
@@ -408,6 +409,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 )
         if (args.sweep is None) != (args.values is None):
             raise SchemaError("--sweep and --values must be given together")
+        if args.seed is not None and args.seed < 0:
+            raise SchemaError("--seed must be a nonnegative integer")
         seed = args.seed if args.seed is not None else scenario.mc_seed
 
         epsilons, horizons, sweep_doc = [scenario.epsilon], [scenario.horizon], None
@@ -434,8 +437,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             text = _emit_json(scenario.name, seed, entries, sweep_doc, args.timings)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise SchemaError(f"cannot write --out: {exc}") from None
         else:
             sys.stdout.write(text)
 

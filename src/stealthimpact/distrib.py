@@ -67,7 +67,7 @@ class StackedMaps:
 
 @dataclass
 class GaussianSummary:
-    """Gaussian laws of the critical and residual trajectories plus audits."""
+    """Gaussian laws of the critical and residual trajectories plus the Sigma_R audit."""
 
     t_z: np.ndarray
     sigma_z: np.ndarray
@@ -77,11 +77,24 @@ class GaussianSummary:
     residual_cov_pd: bool
     sigma_r_trace: float  # tr and ln det of Sigma_R; nan when it is not positive definite
     sigma_r_logdet: float
-    impact_bounded: bool
+    layout: DecisionLayout
     epsilon: float
     horizon: int
     n_z: int
     n_y: int
+
+    @property
+    def impact_bounded(self) -> bool:
+        """Whether every critical row is bounded on the feasible set, computed on demand.
+
+        True when null([Q; T_R; F]) lies in null(T_Z): no direction that
+        leaves the box, budget and equality maps flat moves a critical mean.
+        No report reads it: the solver decides boundedness row by row in its
+        own reduced coordinates and reports an unbounded row the same way.
+        Each read takes a full SVD of the stacked constraint maps.
+        """
+        stack = np.vstack([self.layout.Q, self.t_r, self.layout.F])
+        return numcore.null_space_contained(stack, self.t_z)
 
     def at_epsilon(self, epsilon: float) -> "GaussianSummary":
         """The same laws and audits under another budget: only the radius moves."""
@@ -340,15 +353,16 @@ def _laws(
 def summarize(
     maps: StackedMaps, system: SystemModel, layout: DecisionLayout, epsilon: float
 ) -> GaussianSummary:
-    """Gaussian laws in the decision vector, with the solver's two audits.
+    """Gaussian laws in the decision vector, with the one audit the solver reads.
 
     The initial state is the system's stationary law N(t_0 y_r, sigma_0) and
     the noise window is white with per-step covariance sigma_f, so the means
     are affine in d and the covariances are constants of the strategy. The
-    audits are whether Sigma_R is positive definite (else no attack is
-    stealthy and the radius is -inf) and whether the critical rows are
-    bounded on the feasible set. Sigma_Z enters the metrics only through its
-    diagonal, the marginal variances, so it is not audited as a whole.
+    audit is whether Sigma_R is positive definite (else no attack is stealthy
+    and the radius is -inf). Whether the critical rows are bounded on the
+    feasible set is left to the solver, which tests it per row as it reduces
+    each objective. Sigma_Z enters the metrics only through its diagonal, the
+    marginal variances, so it is not audited as a whole.
     """
     N = maps.horizon
     t_z, sigma_z, t_r, sigma_r = _laws(maps, system)
@@ -360,8 +374,6 @@ def summarize(
     if residual_cov_pd:
         trace, logdet = _trace_logdet(sigma_r)
         eps_p = _radius(N, maps.n_y, epsilon, trace, logdet)
-    constraint_stack = np.vstack([layout.Q, t_r, layout.F])
-    impact_bounded = numcore.null_space_contained(constraint_stack, t_z)
 
     return GaussianSummary(
         t_z=t_z,
@@ -372,7 +384,7 @@ def summarize(
         residual_cov_pd=residual_cov_pd,
         sigma_r_trace=trace,
         sigma_r_logdet=logdet,
-        impact_bounded=impact_bounded,
+        layout=layout,
         epsilon=epsilon,
         horizon=N,
         n_z=maps.n_z,

@@ -28,10 +28,12 @@ xi_c = -G_N^-1 N'G eta0, rho = 1 - eta0'G eta0 + eta0'G N G_N^-1 N'G eta0.
 Its maximizer of c is xi_c + sqrt(rho) G_N^-1 c_N / ||c_N||_{G_N^-1}
 (c_N = N'c), or the centre xi_c when c_N = 0; when N is empty the pattern's
 one candidate is eta0. Patterns with A_S rank-deficient, G_N singular or
-rho < 0 (beyond CERT_TOL) are skipped. There are at most 3^k patterns, their
-factorizations depend only on the geometry, and all rows of T_Z are handled
-by a few matrix products per pattern. Each row keeps its best candidate that
-satisfies every constraint to CERT_TOL.
+rho < 0 (beyond CERT_TOL) are skipped. G_N = N'M'MN is singular whenever N
+has more columns than M has rows (or M is absent), so those patterns are
+skipped by their size alone, before any factorization. There are at most 3^k
+patterns, their factorizations depend only on the geometry, and all rows of
+T_Z are handled by a few matrix products per pattern. Each row keeps its best
+candidate that satisfies every constraint to CERT_TOL.
 
 Exactness. Every candidate is feasible, so the best one is at most the optimum
 mu. Conversely, the optimal set is compact and convex; take an optimal eta*
@@ -265,6 +267,8 @@ def _solve_rows(geom: _Geometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     y_best = np.zeros((n_rows, k))
 
     for size in range(min(k, n) + 1):
+        if size < n and (m is None or m.shape[0] < n - size):
+            continue  # a full-rank A_S leaves n - size null directions: G_N singular
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=size))).T
         for subset in itertools.combinations(range(k), size):
             if size:
@@ -285,10 +289,8 @@ def _solve_rows(geom: _Geometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                 dirs = np.zeros((n_rows, n))
                 norm = np.zeros(n_rows)
             else:
-                if m is None:
-                    continue
                 u2, s2, v2t = np.linalg.svd(m @ null, full_matrices=False)
-                if s2.size < null.shape[1] or s2[-1] < numcore.RANK_RTOL * s2[0] or s2[0] == 0.0:
+                if s2[-1] < numcore.RANK_RTOL * s2[0] or s2[0] == 0.0:
                     continue  # G_N singular
                 # the centre minimizes |M eta| over the slice; rho is what is left of the unit budget
                 centre = centre - null @ ((v2t.T / s2) @ (u2.T @ (m @ centre)))
@@ -429,17 +431,17 @@ def compute_impact(summary: GaussianSummary, layout: DecisionLayout) -> ImpactRe
 
     Shortcut paths: a residual covariance that is not positive definite, or a
     negative stealthiness radius, means no attack satisfies the budget and the
-    impact is zero by convention. A failed boundedness audit with a
-    nonnegative radius means the impact grows without bound: the probability
-    metric saturates at 1 and the mean metric is reported as infinity.
+    impact is zero by convention. With a nonnegative radius, a critical row
+    with a component outside the constraint row space (the solver's
+    boundedness test as it reduces the objectives) means the impact grows
+    without bound: the probability metric saturates at 1 and the mean metric
+    is reported as infinity.
     """
     n_rows = summary.t_z.shape[0]
     dim_d = layout.dim_d
     sigma = np.sqrt(np.diag(summary.sigma_z))
     if not summary.residual_cov_pd or summary.eps_prime < 0:
         return _empty_report(False, False, n_rows, dim_d, summary.eps_prime, sigma)
-    if not summary.impact_bounded:
-        return _empty_report(True, True, n_rows, dim_d, summary.eps_prime, sigma)
 
     geom = _Geometry(layout.Q, summary.t_r, layout.F, summary.eps_prime, dim_d)
     batch = _solve_batch(geom, summary.t_z)

@@ -92,6 +92,32 @@ def test_sweep_value_parsing(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     code, _ = _run(tmp_path, "--sweep", "eps", "--values", "-1.0")
     assert code == cli.EXIT_VALIDATION
+    capsys.readouterr()
+    code, _ = _run(tmp_path, "--sweep", "N", "--values", "10,1.5")
+    assert code == cli.EXIT_VALIDATION
+    assert "'1.5' is not an integer" in capsys.readouterr().err
+    code, _ = _run(tmp_path, "--sweep", "eps", "--values", "abc")
+    assert code == cli.EXIT_VALIDATION
+    assert "'abc' is not a number" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the seed")
+
+    monkeypatch.setattr(cli, "compute_impact", no_solve)
+    code, out = _run(tmp_path, "--seed", "-1", "--mc-validate")
+    assert code == cli.EXIT_VALIDATION
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_into_missing_directory_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    args = ["assess", "--vulnerability", "vulnerability_2", "--strategy", "dos", "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_VALIDATION
+    assert "cannot write --out" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_eps_sweep_entries(tmp_path):

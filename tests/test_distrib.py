@@ -247,6 +247,25 @@ def test_summary_audit_flags(system):
     assert summary.residual_cov_pd
 
 
+def test_summary_takes_no_svd(system, monkeypatch):
+    """Building a law factors no stacked map: boundedness is left to the solver."""
+    N = 4
+    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    built = []
+    for kind, sensors, actuators in (("fdi", (1, 2), (2, 3)), ("bias", (0,), (0, 1))):
+        atk, _ = _build(system, kind, N, sensors=sensors, actuators=actuators)
+        built.append((atk, attacks.decision_layout(atk, N, system.controller.Q_yr)))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("gaussian_summary took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    summaries = [distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3) for atk, layout in built]
+    monkeypatch.undo()
+    # the unbounded fdi configuration and the bounded bias one, as the audit reads them
+    assert [s.impact_bounded for s in summaries] == [False, True]
+
+
 def test_zero_critical_map_rejected(system):
     """A zero critical row has zero variance: its exceedance probability is undefined."""
     N = 3

@@ -264,6 +264,35 @@ def test_compute_impact_unbounded_path(system):
     assert report.argmax_exceed is None
 
 
+def test_solver_boundedness_matches_audit(scenario):
+    """The solver's per-row test gives the unbounded verdict the stacked audit gives.
+
+    Every configuration of every bundled pair at N = 10 and 50, at each epsilon
+    whose budget is feasible.
+    """
+    verdicts = set()
+    for N in (10, 50):
+        for vulnerability, resources in scenario.vulnerabilities.items():
+            for kind in scenario.strategies:
+                spec = attacks.StrategySpec(kind, resources)
+                for cand in attacks.candidates(spec, scenario.system.dims, N):
+                    layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
+                    summary = distrib.gaussian_summary(
+                        scenario.system, cand.attack, layout, scenario.q_z, N, 0.0
+                    )
+                    audit = None
+                    for eps in (0.0, 0.05, 0.3, 0.95):
+                        moved = summary.at_epsilon(eps)
+                        if not moved.residual_cov_pd or moved.eps_prime < 0:
+                            continue
+                        if audit is None:
+                            audit = summary.impact_bounded
+                        report = solver.compute_impact(moved, layout)
+                        assert report.unbounded == (not audit), (vulnerability, kind, N, eps)
+                        verdicts.add(report.unbounded)
+    assert verdicts == {False, True}
+
+
 def test_compute_impact_infeasible_path(system):
     import dataclasses
 

@@ -41,7 +41,14 @@ from .scenario import (
     bundled_scenario_path,
     load_scenario,
 )
-from .solver import ImpactReport, NumericalFailure, PatternCapExceeded, compute_impact, first_near_max
+from .solver import (
+    CERT_TOL,
+    ImpactReport,
+    NumericalFailure,
+    PatternCapExceeded,
+    compute_impact,
+    first_near_max,
+)
 
 SCHEMA_VERSION = 2
 
@@ -226,7 +233,9 @@ def _entry_dict(entry: AssessmentEntry, timings: bool) -> dict:
         out["argmax_component"] = i % n_z + 1
         out["mean_argmax_step"] = j // n_z + 1
         out["mean_argmax_component"] = j % n_z + 1
-        out["decision_vector"] = [_round12(v) for v in report.d_star[i]]
+        d = report.d_star[i]
+        noise = CERT_TOL * np.max(np.abs(d), initial=0.0)  # below the certified accuracy
+        out["decision_vector"] = [_round12(v) if abs(v) > noise else 0.0 for v in d]
     else:
         out["argmax_step"] = None
         out["argmax_component"] = None

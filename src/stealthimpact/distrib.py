@@ -164,8 +164,6 @@ def stack_dynamics(
     n_x, n_y, n_f = ext.n_x, ext.n_y, ext.n_f
     q_ze = normalize_critical_map(q_z, n_x)
     n_z = q_ze.shape[0]
-    (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r) = _recording_window(system, attack)
-
     powers = _powers(ext.A_cl, N)
     inputs = np.hstack([ext.B_f, ext.G_a, ext.E_r])
     direct = np.hstack([ext.D_f, ext.H_a, np.zeros((n_y, ext.n_yr))])
@@ -175,13 +173,13 @@ def stack_dynamics(
         obs_z[1:], obs_z[:N] @ inputs, np.zeros((n_z, direct.shape[1])), 1, widths
     )
     r_x, r_f, r_a, r_r = _lifted_rows(obs_r, obs_r[:N] @ inputs, direct, 0, widths)
-    # the recording phase acts through x_e(0)
-    p_f, r_f = np.hstack([p_x @ x0_f, p_f]), np.hstack([r_x @ x0_f, r_f])
-    p_r, r_r = p_r + p_x @ x0_r, r_r + r_x @ x0_r
-    p_x, r_x = p_x @ x0_x, r_x @ x0_x
-
-    # and the recorded stack through the sensor columns of the attack maps
     if attack.has_recording:
+        (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r) = _recording_window(system, attack)
+        # the recording phase acts through x_e(0)
+        p_f, r_f = np.hstack([p_x @ x0_f, p_f]), np.hstack([r_x @ x0_f, r_f])
+        p_r, r_r = p_r + p_x @ x0_r, r_r + r_x @ x0_r
+        p_x, r_x = p_x @ x0_x, r_x @ x0_x
+        # and the recorded stack through the sensor columns of the attack maps
         pre = rec_f.shape[1]
         p_s, r_s = _sensor_columns(p_a, attack, N), _sensor_columns(r_a, attack, N)
         p_x = p_x + p_s @ rec_x
@@ -208,7 +206,7 @@ def stack_dynamics(
 
 
 def _recording_window(system: SystemModel, attack: AttackMatrices) -> tuple:
-    """One nominal pass over the recording window [start, -1]; empty when start = 0.
+    """One nominal pass over the recording window [start, -1], start < 0.
 
     Returns the maps of x_e(0) and of the recorded stack gamma_y' y(start..-1),
     each as its (x_e(start), f(start..-1), y_r) column blocks.
@@ -260,12 +258,14 @@ def _lifted_rows(
     block at lag l = k-1-j over the stacked input columns, and direct the
     feedthrough at lag -1 (j = k). Returns the row map of x_e(0), one stacked
     map per input group of the given widths over steps 0..N, and the sum over
-    lags of the remaining (reference) columns.
+    lags of the remaining (reference) columns, a prefix sum of their Markov
+    blocks.
     """
     N = markov.shape[0]
+    n_in = sum(widths)
     lag = np.arange(first, N + 1)[:, None] - 1 - np.arange(N + 1)
-    blocks = np.concatenate([markov, np.zeros_like(direct)[None], direct[None]])
-    toeplitz = blocks[np.where(lag >= -1, lag, N)]  # (steps, N+1, rows, columns)
+    blocks = np.concatenate([markov, np.zeros_like(direct)[None], direct[None]])[..., :n_in]
+    toeplitz = blocks[np.where(lag >= -1, lag, N)]  # (steps, N+1, rows, input columns)
     steps, _, rows, _ = toeplitz.shape
     out = [obs.reshape(steps * rows, -1)]
     col = 0
@@ -273,14 +273,23 @@ def _lifted_rows(
         group = toeplitz[..., col : col + w].transpose(0, 2, 1, 3)
         out.append(group.reshape(steps * rows, (N + 1) * w))
         col += w
-    out.append(toeplitz[..., col:].sum(axis=1).reshape(steps * rows, -1))
+    ref = markov[..., n_in:]
+    lags_below = np.cumsum(np.concatenate([np.zeros_like(ref[:1]), ref]), axis=0)  # [k]: lags < k
+    out.append((lags_below[first:] + direct[:, n_in:]).reshape(steps * rows, -1))
     return out
 
 
-def _trace_logdet(sigma_r: np.ndarray) -> tuple[float, float]:
-    """tr(Sigma_R) and ln det(Sigma_R), the latter from a Cholesky factor to avoid overflow."""
-    L = np.linalg.cholesky(0.5 * (sigma_r + sigma_r.T))
-    return float(np.trace(sigma_r)), 2.0 * float(np.sum(np.log(np.diag(L))))
+def _residual_audit(sigma_r: np.ndarray) -> tuple[bool, float, float]:
+    """Whether Sigma_R is positive definite, with its trace and ln det (nan when not).
+
+    numcore.spd_factor factors Sigma_R first: a failed factorization settles
+    the verdict without an eigenvalue solve, and on success the same factor
+    gives ln det, summed from its diagonal so that it cannot overflow.
+    """
+    factor = numcore.spd_factor(sigma_r)
+    if factor is None:
+        return False, np.nan, np.nan
+    return True, float(np.trace(sigma_r)), 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
 def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> float:
@@ -289,21 +298,6 @@ def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> fl
     if abs(radius) <= _RADIUS_RTOL * (budget + abs(trace) + abs(logdet)):
         return 0.0
     return radius
-
-
-def epsilon_prime(sigma_r: np.ndarray, N: int, n_y: int, epsilon: float) -> float:
-    """Quadratic stealthiness radius from the residual covariance.
-
-    eps' = (N+1)(2 eps + n_y) - tr(Sigma_R) + ln det(Sigma_R), read as 0 when
-    it sits at rounding level of those terms.
-    """
-    sigma_r = np.asarray(sigma_r, dtype=float)
-    chk = numcore.spd_check(sigma_r)
-    if not chk.is_positive_definite:
-        raise numcore.NotPositiveDefinite(
-            f"stacked residual covariance not PD (min eigenvalue {chk.min_eigenvalue:.3e})"
-        )
-    return _radius(N, n_y, epsilon, *_trace_logdet(sigma_r))
 
 
 def kl_divergence_gaussian(mu1, sigma1, mu2, sigma2) -> float:
@@ -335,8 +329,7 @@ def _laws(
     F = [m_x sqrt(Sigma_0) | m_f (I_W kron sqrt(Sigma_f))]; the Kronecker
     product acts block by block through a reshape and is never formed.
     """
-    t_0, root_0 = system.t_0, system.sqrt_sigma_0
-    root_f = numcore.sym_sqrt(system.nominal.sigma_f)
+    t_0, root_0, root_f = system.t_0, system.sqrt_sigma_0, system.sqrt_sigma_f
 
     def law(m_a, m_x, m_r, m_f):
         noise = (m_f.reshape(-1, root_f.shape[0]) @ root_f).reshape(m_f.shape)
@@ -359,9 +352,9 @@ def summarize(
     the noise window is white with per-step covariance sigma_f, so the means
     are affine in d and the covariances are constants of the strategy. The
     audit is whether Sigma_R is positive definite (else no attack is stealthy
-    and the radius is -inf). Whether the critical rows are bounded on the
-    feasible set is left to the solver, which tests it per row as it reduces
-    each objective. Sigma_Z enters the metrics only through its diagonal, the
+    and the radius is -inf), decided Cholesky first (see _residual_audit).
+    Whether the critical rows are bounded on the feasible set is left to the
+    solver, which tests it per row as it reduces each objective. Sigma_Z enters the metrics only through its diagonal, the
     marginal variances, so it is not audited as a whole.
     """
     N = maps.horizon
@@ -369,11 +362,8 @@ def summarize(
     if t_z.shape[1] != layout.dim_d or t_r.shape[1] != layout.dim_d:
         raise DimensionMismatch("maps and decision layout disagree on dim_d")
 
-    residual_cov_pd = numcore.spd_check(sigma_r).is_positive_definite
-    trace, logdet, eps_p = np.nan, np.nan, -np.inf
-    if residual_cov_pd:
-        trace, logdet = _trace_logdet(sigma_r)
-        eps_p = _radius(N, maps.n_y, epsilon, trace, logdet)
+    residual_cov_pd, trace, logdet = _residual_audit(sigma_r)
+    eps_p = _radius(N, maps.n_y, epsilon, trace, logdet) if residual_cov_pd else -np.inf
 
     return GaussianSummary(
         t_z=t_z,

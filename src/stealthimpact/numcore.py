@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -60,6 +61,40 @@ def spd_check(M: np.ndarray) -> SpdCheck:
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     lo, hi = float(w[0]), float(w[-1])
     return SpdCheck(lo > PD_RTOL * max(1.0, hi), lo)
+
+
+def _failed_cholesky_decides(n: int) -> bool:
+    """Whether a failed Cholesky factorization of an n x n matrix proves it fails spd_check.
+
+    By Demmel's theorem (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.7) the factorization of a symmetric positive
+    definite M succeeds in floating point when lambda_min(H) > n g / (1 - n g),
+    g = (n+1)u / (1 - (n+1)u), with H = D^-1 M D^-1 of unit diagonal, and
+    lambda_min(H) >= lambda_min(M) / lambda_max(M). So a failure means
+    lambda_min(M) <= n g / (1 - n g) lambda_max(M); this holds for n up to
+    about 950, where that factor is below PD_RTOL.
+    """
+    u = np.finfo(float).eps / 2.0
+    g = (n + 1) * u / (1.0 - (n + 1) * u)
+    return n * g < 1.0 and n * g / (1.0 - n * g) <= PD_RTOL
+
+
+def spd_factor(M: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of a symmetric M that passes spd_check, else None.
+
+    The factorization runs first, and where its failure proves that M fails
+    spd_check (see _failed_cholesky_decides) no eigenvalue is computed.
+    Otherwise spd_check decides as before; a matrix that passes it but cannot
+    be factored raises LinAlgError.
+    """
+    M = np.asarray(M, dtype=float)
+    try:
+        factor = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        if _failed_cholesky_decides(M.shape[0]) or not spd_check(M).is_positive_definite:
+            return None
+        raise
+    return factor if spd_check(M).is_positive_definite else None
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -215,15 +250,6 @@ def null_basis(M: np.ndarray) -> np.ndarray:
         return np.eye(M.shape[1])
     rank, vt = _svd_rank(M)
     return vt[rank:].T
-
-
-def row_space_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the row space of M."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return np.zeros((M.shape[1], 0))
-    rank, vt = _svd_rank(M)
-    return vt[:rank].T
 
 
 def null_space_contained(A: np.ndarray, B: np.ndarray) -> bool:

@@ -7,63 +7,86 @@ outside [-1, 1] is even and increasing in |mu|, maximizing the mean maximizes
 the probability, so the worst exceedance probability is max_i P_i and the
 worst expected infinity norm is lower-bounded by max_i mu_i.
 
-Method. The equalities are eliminated through an orthonormal null-space basis
-and the problem is restricted to the row space of the remaining constraint
-maps (directions outside it either leave the objective flat or certify
-unboundedness). In these reduced coordinates every row solves
+Method. The equalities are eliminated through an orthonormal null-space basis.
+One SVD of the reduced quadratic map M (scaled by 1/sqrt(radius), absent when
+the radius collapses) gives its kept right singular vectors V_r and singular
+values s; the part of the box rows outside span(V_r) gives the box-only
+directions U_perp. Directions outside [V_r U_perp] either leave the objective
+flat or certify unboundedness. In the coordinates eta = (x; w) over
+[V_r U_perp] every row solves
 
-    maximize c'eta  subject to  |A eta|_inf <= 1,  eta' G eta <= 1,
+    maximize c'eta  subject to  |A eta|_inf <= 1,  |s * x|^2 <= 1,
 
-with G = M'M (M the quadratic map scaled by 1/sqrt(radius), absent when the
-radius collapses) and ker A & ker M = {0}, so the feasible set is compact.
-Directions M sees only at rounding level next to the box are dropped, and a
-reduced objective at rounding level of its row counts as zero: otherwise
-rounding noise would enter G^+ and the certificate below. The box acts only
-on the reference, so A has k = n_yr rows.
+with A = [B C] the box over (x, w), G = M'M = diag(s^2, 0) and
+ker A & ker G = {0}, so the feasible set is compact. Directions M sees only
+at rounding level next to the box are dropped, and a reduced objective at
+rounding level of its row counts as zero: otherwise rounding noise would enter
+G^+ and the certificate below. The box acts only on the reference, so A has
+k = n_yr rows.
 
-A sign pattern (S, s) fixes the box rows S at A_S eta = s. With N a basis of
-null(A_S) and eta0 = pinv(A_S) s, the slice {eta0 + N xi : eta' G eta <= 1}
-is the ellipsoid (xi - xi_c)' G_N (xi - xi_c) <= rho, G_N = N'GN,
-xi_c = -G_N^-1 N'G eta0, rho = 1 - eta0'G eta0 + eta0'G N G_N^-1 N'G eta0.
-Its maximizer of c is xi_c + sqrt(rho) G_N^-1 c_N / ||c_N||_{G_N^-1}
-(c_N = N'c), or the centre xi_c when c_N = 0; when N is empty the pattern's
-one candidate is eta0. Patterns with A_S rank-deficient, G_N singular or
-rho < 0 (beyond CERT_TOL) are skipped. G_N = N'M'MN is singular whenever N
-has more columns than M has rows (or M is absent), so those patterns are
-skipped by their size alone, before any factorization. There are at most 3^k
-patterns, their factorizations depend only on the geometry, and all rows of
-T_Z are handled by a few matrix products per pattern. Each row keeps its best
-candidate that satisfies every constraint to CERT_TOL.
+The solve runs in the scaled coordinates u = s * x, where the quadratic is the
+unit ball. The box sees u only through the row space of B diag(1/s), which has
+an orthonormal basis q_u of at most k columns. For one row, split the part of
+u outside range(q_u) into tau e_c, e_c the unit direction of the row's
+objective there, and a remainder that neither the box nor the objective sees:
+dropping the remainder keeps a point feasible and keeps its value. So each row
+solves the same kind of program over zeta = (v, tau, w), u = q_u v + tau e_c,
+of dimension at most 2k + 1, with the box R = [B diag(1/s) q_u, 0, C] and
+G = diag(I, 0); everything below works in it, and no pattern factors an
+n-sized matrix.
+
+A sign pattern (S, s_S) fixes the box rows S at A_S zeta = s_S, where
+A_S = [R_S 0 C_S] over (v, tau, w). G_N, G on null(A_S), is nonsingular iff
+C_S has full column rank p = dim w: a null direction that G does not see is a
+w with C_S w = 0. Then w = C_S^+ (s_S - R_S v) and, with Q_C a basis of the
+left null space of C_S, the slice is {H v = Q_C' s_S} with H = Q_C' R_S, which
+has full row rank iff A_S does. The slice meets the ball in a ball centred at
+v0 = H^+ Q_C' s_S, tau = 0 (its point of least |u|), of squared radius
+rho = 1 - |v0|^2. Once w is eliminated, the objective on it is
+e = t - R_S' C_S^+' c_w in v (t = q_u' c_u) and |c_perp| in tau, so with P the
+projector onto null(H) the maximizer is
+(v0, 0) + sqrt(rho) (P e, |c_perp|) / |(P e, |c_perp|)|, or the centre when
+that gradient is zero; this is xi_c + sqrt(rho) G_N^-1 c_N / ||c_N||_{G_N^-1}
+in coordinates where G_N is the identity. Patterns with C_S or H
+rank-deficient or rho < 0 (beyond CERT_TOL) are skipped, and sizes below p or
+above p + dim v, which leave G_N singular or H too tall, are never formed.
+There are at most 3^k patterns, and all rows of T_Z are handled by a few
+k-sized products per pattern. Each row keeps its best candidate that
+satisfies every constraint to CERT_TOL.
 
 Exactness. Every candidate is feasible, so the best one is at most the optimum
-mu. Conversely, the optimal set is compact and convex; take an optimal eta*
+mu. Conversely, the optimal set is compact and convex; take an optimal zeta*
 whose active box rows have the largest rank, an independent subset S of them
-with signs s, and N = null(A_S).
-  * If the quadratic constraint is inactive at eta*, moving along v in N keeps
-    eta* feasible for small steps, so c_N = 0 (else eta* is not optimal) and
-    eta* + t v stays optimal until a box row outside span(A_S) turns active,
+with signs s_S, and N = null(A_S).
+  * If the quadratic constraint is inactive at zeta*, moving along h in N keeps
+    zeta* feasible for small steps, so c_N = 0 (else zeta* is not optimal) and
+    zeta* + t h stays optimal until a box row outside span(A_S) turns active,
     which would raise the rank, or the quadratic turns active. So either
-    N = {0}, and eta* = eta0 is its pattern's candidate, or an optimal point
+    N = {0}, and zeta* is its pattern's (unique) candidate, or an optimal point
     of the same pattern has the quadratic active.
-  * With the quadratic active, a direction v in N with M v = 0 would slide
-    eta* along an optimal segment until another box row turns active, so G_N
-    is positive definite. eta* lies in the slice (rho >= 0) and maximizes c
-    over it, because the slice and the feasible set agree near eta*. When
+  * With the quadratic active, a direction h in N with G h = 0 would slide
+    zeta* along an optimal segment until another box row turns active, so G_N
+    is positive definite. zeta* lies in the slice (rho >= 0) and maximizes c
+    over it, because the slice and the feasible set agree near zeta*. When
     c_N != 0 that maximizer is unique, and it is the candidate. When c_N = 0
     the whole slice is optimal and the candidate is its centre: were an
-    inactive box row broken there, the point where the segment from eta* to
+    inactive box row broken there, the point where the segment from zeta* to
     the centre first meets that row would be optimal with a larger rank.
 So some pattern's candidate attains mu, and the best candidate equals mu.
 
 Certificate. For any box multipliers y, weak duality bounds the optimum by
 ||y||_1 + sqrt(g' G^+ g) with g = c - A'y, or +inf when g leaves range(G)
-(Boyd & Vandenberghe, Convex Optimization, 5.2). A pattern's multipliers are in
-closed form: 2 lambda = ||c_N||_{G_N^-1} / sqrt(rho) and
-y_S = pinv(A_S)' (c - 2 lambda G eta), whose bound is ||y||_1 + 2 lambda. Each
-row takes the pattern with the smallest such bound (the winning pattern, at a
-nondegenerate optimum), evaluates the bound directly from its y, and reports
-the relative gap to the attained value together with the constraint residuals
-of d*. Either one above CERT_TOL raises NumericalFailure.
+(Boyd & Vandenberghe, Convex Optimization, 5.2); in eta, G^+ = diag(s^-2, 0)
+is read off the singular values. A pattern's multipliers are in closed form:
+2 lambda = |(P e, |c_perp|)| / sqrt(rho), and y_S solves the stationarity
+condition c = A_S'y + 2 lambda G zeta, its w block C_S'y = c_w exactly and its
+v block R_S'y = t - 2 lambda v in least squares:
+y_S = C_S^+' c_w + Q_C H^+' (e - 2 lambda v). The pattern's bound is
+||y||_1 + 2 lambda. Each row takes the pattern with the smallest such bound
+(the winning pattern, at a nondegenerate optimum), evaluates the bound
+directly from its y in eta, and reports the relative gap to the attained value
+together with the constraint residuals of d*. Either one above CERT_TOL raises
+NumericalFailure.
 """
 
 from __future__ import annotations
@@ -166,9 +189,12 @@ def eliminate_equalities(f_eq: np.ndarray, dim_d: int) -> np.ndarray:
 class _Geometry:
     """Shared factorization of the feasible set, reused across objective rows.
 
-    Coordinates: d = basis @ eta where basis stacks the equality null space
-    with the row-space restriction. Box rows a_j and quadratic rows m (scaled
-    so the constraint reads |m eta|^2 <= 1) live in eta coordinates.
+    Coordinates: d = z_eq @ axes @ eta, eta = (x; w). The columns of axes are
+    V_r, the right singular vectors of the reduced quadratic map kept by the
+    rank decision, then U_perp, an orthonormal basis of the part of the box
+    rows outside span(V_r). The quadratic constraint reads |s * x|^2 <= 1 with s
+    the kept singular values, so M in these coordinates is [diag(s) 0], and
+    the box rows are a_rows = [B C] over (x, w).
     """
 
     def __init__(
@@ -194,28 +220,27 @@ class _Geometry:
         if radius > _RADIUS_FLOOR:
             m_red = m_red / math.sqrt(radius)
         # keep only the directions the quadratic map sees above rounding level
-        # next to the box and itself, as the row-space restriction below does
+        # next to the box and itself; the box-only directions get the same cut
         _, s, vt = np.linalg.svd(m_red)
-        scale = max(np.max(s, initial=0.0), np.linalg.norm(q_box @ z_eq))
+        a_red = q_box @ z_eq
+        scale = max(np.max(s, initial=0.0), np.linalg.norm(a_red))
         rank = int(np.count_nonzero(s > numcore.RANK_RTOL * scale))
+        v_r = vt[:rank].T
         if radius <= _RADIUS_FLOOR:
             # budget numerically zero: the quadratic cap collapses to the
             # equality m_quad d = 0 and joins the eliminated block
             z_eq = z_eq @ vt[rank:].T
-            m_red = None
-        else:
-            m_red = s[:rank, None] * vt[:rank] if rank else None
-        a_red = q_box @ z_eq
-
-        stack = a_red if m_red is None else np.vstack([a_red, m_red])
-        w = numcore.row_space_basis(stack)
+            a_red = q_box @ z_eq
+            rank = 0
+            v_r = np.zeros((z_eq.shape[1], 0))
+        _, sv, wt = np.linalg.svd(a_red - (a_red @ v_r) @ v_r.T, full_matrices=False)
+        box_only = int(np.count_nonzero(sv > numcore.RANK_RTOL * scale))
         self.q_box, self.m_quad, self.f_eq, self.radius = q_box, m_quad, f_eq, radius
         self.z_eq = z_eq
-        self.basis = z_eq @ w
-        self.a_rows = a_red @ w
-        self.m_rows = None if m_red is None else m_red @ w
+        self.axes = np.hstack([v_r, wt[:box_only].T])
+        self.a_rows = a_red @ self.axes
+        self.s = s[:rank]
         self.dim_d = dim_d
-        self.n_eta = w.shape[1]
 
     def objective(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Reduced objectives of the rows of c and whether each is bounded.
@@ -226,13 +251,17 @@ class _Geometry:
         at rounding level of its row is set to zero: that row's optimum is 0.
         """
         c_xi = c @ self.z_eq
-        c_eta = c @ self.basis
-        resid = c_xi - c_eta @ (self.basis.T @ self.z_eq)
+        c_eta = c_xi @ self.axes
+        resid = c_xi - c_eta @ self.axes.T
         bounded = np.linalg.norm(resid, axis=1) <= numcore.RANK_RTOL * np.maximum(
             1.0, np.linalg.norm(c_xi, axis=1)
         )
         c_eta[np.linalg.norm(c_eta, axis=1) <= _FLAT_RTOL * np.linalg.norm(c, axis=1)] = 0.0
         return c_eta, bounded
+
+    def decision(self, eta: np.ndarray) -> np.ndarray:
+        """Decision vectors d of the rows of eta."""
+        return (eta @ self.axes.T) @ self.z_eq.T
 
     def residual(self, d: np.ndarray) -> np.ndarray:
         """Largest constraint violation of each row of d.
@@ -254,61 +283,76 @@ def _solve_rows(geom: _Geometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Exact maximizers of the rows of c over the reduced feasible set.
 
     Returns (eta, y): one maximizer per row and the box multipliers of the
-    pattern whose closed-form dual bound is smallest for that row.
+    pattern whose closed-form dual bound is smallest for that row. The work
+    is in the scaled coordinates u = s * x, projected onto the row space of
+    the box (v = q_u' u, at most k of them) plus the one direction tau of
+    each row's objective outside it; w keeps the box-only coordinates.
     """
-    a, m = geom.a_rows, geom.m_rows
-    k, n = a.shape
+    a, s = geom.a_rows, geom.s
+    k = a.shape[0]
+    r = s.size
     n_rows = c.shape[0]
     rows = np.arange(n_rows)
-    c_norm = np.linalg.norm(c, axis=1)
+    q_u, r_u = np.linalg.qr((a[:, :r] / s).T)
+    box_v, box_w = r_u.T, a[:, r:]  # the box over (v, w)
+    kv, p = box_v.shape[1], box_w.shape[1]
+    box_norm = np.linalg.norm(np.hstack([box_v, box_w]), axis=1)
+    c_u, c_w = c[:, :r] / s, c[:, r:]
+    t = c_u @ q_u
+    c_perp = c_u - t @ q_u.T  # tau's direction; its length is tau's objective
+    perp_sq = np.sum(np.square(c_perp), axis=1)
+    c_norm = np.sqrt(np.sum(np.square(t), axis=1) + perp_sq + np.sum(np.square(c_w), axis=1))
     best = np.full(n_rows, -np.inf)
-    eta = np.zeros((n_rows, n))
+    v_best = np.zeros((n_rows, kv))
+    w_best = np.zeros((n_rows, p))
+    tau_best = np.zeros(n_rows)  # tau / |c_perp|
     best_bound = np.full(n_rows, np.inf)
     y_best = np.zeros((n_rows, k))
 
-    for size in range(min(k, n) + 1):
-        if size < n and (m is None or m.shape[0] < n - size):
-            continue  # a full-rank A_S leaves n - size null directions: G_N singular
+    # A_S = [box_v[S] C_S] has full row rank and G_N is nonsingular iff C_S has
+    # full column rank p and H = Q_C' box_v[S] full row rank q = size - p
+    for size in range(p, min(k, p + kv) + 1):
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=size))).T
         for subset in itertools.combinations(range(k), size):
-            if size:
-                u, sv, vt = np.linalg.svd(a[list(subset)])
-                if sv[-1] < numcore.RANK_RTOL * sv[0] or sv[0] == 0.0:
-                    continue  # A_S rank-deficient
-                pinv = (vt[:size].T / sv) @ u.T
-                null = vt[size:].T
-            else:
-                pinv = np.zeros((n, 0))
-                null = np.eye(n)
-            centre = pinv @ signs  # eta0 per sign, replaced by the slice centre below
-            if null.shape[1] == 0:
-                rho = np.zeros(signs.shape[1])
-                valid = np.ones(signs.shape[1], dtype=bool)
-                if m is not None:
-                    valid = np.sum(np.square(m @ centre), axis=0) <= 1.0 + CERT_TOL
-                dirs = np.zeros((n_rows, n))
-                norm = np.zeros(n_rows)
-            else:
-                u2, s2, v2t = np.linalg.svd(m @ null, full_matrices=False)
-                if s2[-1] < numcore.RANK_RTOL * s2[0] or s2[0] == 0.0:
+            sub = list(subset)
+            if p:
+                uc, sc, vct = np.linalg.svd(box_w[sub])
+                if sc[-1] <= numcore.RANK_RTOL * sc[0]:
                     continue  # G_N singular
-                # the centre minimizes |M eta| over the slice; rho is what is left of the unit budget
-                centre = centre - null @ ((v2t.T / s2) @ (u2.T @ (m @ centre)))
-                rho = 1.0 - np.sum(np.square(m @ centre), axis=0)
-                valid = rho >= -CERT_TOL
-                c_n = c @ null
-                w = (c_n @ v2t.T) / s2  # ||w|| = ||c_N||_{G_N^-1}
-                norm = np.linalg.norm(w, axis=1)
-                norm[np.linalg.norm(c_n, axis=1) <= _FLAT_RTOL * c_norm] = 0.0
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    dirs = np.where(
-                        norm[:, None] > 0.0, ((w / s2) @ v2t) @ null.T / norm[:, None], 0.0
-                    )
+                c_pinv = (vct.T / sc) @ uc[:, :p].T
+                q_c = uc[:, p:]
+            else:
+                c_pinv, q_c = np.zeros((0, size)), np.eye(size)
+            b_s = box_v[sub]
+            h_mat = q_c.T @ b_s
+            if size > p:
+                uh, sh, vht = np.linalg.svd(h_mat, full_matrices=False)
+                if sh[-1] <= numcore.RANK_RTOL * np.linalg.norm(box_norm[sub]):
+                    continue  # A_S rank-deficient
+                h_pinv = vht.T @ (uh.T / sh[:, None])
+            else:
+                vht, h_pinv = np.zeros((0, kv)), np.zeros((kv, 0))
+            # the slice: w = c_pinv (sign - b_s v), H v = Q_C' sign, |v|^2 + tau^2 <= 1;
+            # its centre v0 minimizes |v| and rho is what is left of the unit budget
+            centre = h_pinv @ (q_c.T @ signs)
+            rho = 1.0 - np.sum(np.square(centre), axis=0)
+            valid = rho >= -CERT_TOL
             if not valid.any():
                 continue
+            w_signs, w_v, c_ws = c_pinv @ signs, c_pinv @ b_s, c_w @ c_pinv
+            e_v = t - c_ws @ b_s  # the objective on v once w is eliminated
+            pe_v = e_v - (e_v @ vht.T) @ vht
+            norm = np.sqrt(np.sum(np.square(pe_v), axis=1) + perp_sq)  # |c_N| in the slice
+            norm[norm <= _FLAT_RTOL * c_norm] = 0.0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                inv = np.where(norm > 0.0, 1.0 / norm, 0.0)
+            dirs = pe_v * inv[:, None]
             root = np.sqrt(np.maximum(rho, 0.0))
-            value = c @ centre + norm[:, None] * root[None, :]
-            box = (a @ centre)[:, None, :] + (dirs @ a.T).T[:, :, None] * root[None, None, :]
+            value = c_ws @ signs + e_v @ centre + norm[:, None] * root[None, :]
+            slide = box_v - box_w @ w_v  # box rows along v with w eliminated
+            box = (slide @ centre + box_w @ w_signs)[:, None, :] + (
+                dirs @ slide.T
+            ).T[:, :, None] * root[None, None, :]
             ok = valid[None, :] & np.all(np.abs(box) <= 1.0 + CERT_TOL, axis=0)
             value = np.where(ok, value, -np.inf)
             j = np.argmax(value, axis=1)
@@ -316,19 +360,20 @@ def _solve_rows(geom: _Geometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             if better.any():
                 jb = j[better]
                 best[better] = value[better, jb]
-                eta[better] = centre[:, jb].T + root[jb][:, None] * dirs[better]
+                v_best[better] = centre[:, jb].T + root[jb][:, None] * dirs[better]
+                w_best[better] = w_signs[:, jb].T - v_best[better] @ w_v.T
+                tau_best[better] = root[jb] * inv[better]
 
-            # closed-form multipliers: c = A_S'y + 2 lambda G eta at each candidate
+            # closed-form multipliers: C_S'y = c_w exactly and b_s'y = t - 2 lambda v
+            # in least squares, through H
             with np.errstate(divide="ignore", invalid="ignore"):
                 two_lam = np.where(norm[:, None] > 0.0, norm[:, None] / root[None, :], 0.0)
-            y = np.broadcast_to((c @ pinv)[:, None, :], (n_rows, signs.shape[1], size))
-            if m is not None and size and null.shape[1]:
-                g_centre = pinv.T @ (m.T @ (m @ centre))  # size x signs
-                g_dirs = ((dirs @ m.T) @ m) @ pinv  # rows x size
-                lam = np.where(np.isfinite(two_lam), two_lam, 0.0)
-                y = y - lam[:, :, None] * (
-                    g_centre.T[None, :, :] + root[None, :, None] * g_dirs[:, None, :]
-                )
+            lam = np.where(np.isfinite(two_lam), two_lam, 0.0)
+            y_map = h_pinv @ q_c.T
+            base = c_ws + e_v @ y_map
+            y = base[:, None, :] - lam[:, :, None] * (
+                (centre.T @ y_map)[None, :, :] + root[None, :, None] * (dirs @ y_map)[:, None, :]
+            )
             bound = np.abs(y).sum(axis=2) + two_lam
             bound = np.where(valid[None, :], bound, np.inf)
             jb = np.argmin(bound, axis=1)
@@ -340,23 +385,24 @@ def _solve_rows(geom: _Geometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                     y_best[np.ix_(tighter, subset)] = y[tighter, jb[tighter]]
 
     flat = c_norm == 0.0
-    eta[flat] = 0.0
-    y_best[flat] = 0.0
     if not np.all(np.isfinite(best[~flat])):
         raise NumericalFailure("no sign pattern produced a feasible candidate")
+    u = v_best @ q_u.T + tau_best[:, None] * c_perp
+    eta = np.hstack([u / s, w_best])
+    eta[flat] = 0.0
+    y_best[flat] = 0.0
     return eta, y_best
 
 
 def _dual_bound(geom: _Geometry, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weak-duality bound ||y||_1 + sqrt(g' G^+ g), g = c - A'y, per row."""
+    """Weak-duality bound ||y||_1 + sqrt(g' G^+ g), g = c - A'y, per row.
+
+    G = diag(s^2, 0), so G^+ reads off s and range(G) is the x block.
+    """
     g = c - y @ geom.a_rows
-    if geom.m_rows is None:
-        s, vt = np.zeros(0), np.eye(geom.n_eta)
-    else:
-        _, s, vt = np.linalg.svd(geom.m_rows)  # full row rank: range(G) is spanned by vt[:s.size]
-    coords = g @ vt.T
-    inner = np.sum(np.square(coords[:, : s.size] / s), axis=1)
-    outside = np.linalg.norm(coords[:, s.size :], axis=1)
+    r = geom.s.size
+    inner = np.sum(np.square(g[:, :r] / geom.s), axis=1)
+    outside = np.linalg.norm(g[:, r:], axis=1)
     tol = _FLAT_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
     return np.where(outside <= tol, np.abs(y).sum(axis=1) + np.sqrt(inner), np.inf)
 
@@ -380,7 +426,7 @@ def _solve_batch(geom: _Geometry, c: np.ndarray) -> Optional[_Batch]:
     if not bounded.all():
         return None
     eta, y = _solve_rows(geom, c_eta)
-    d_star = eta @ geom.basis.T
+    d_star = geom.decision(eta)
     mu = np.sum(c * d_star, axis=1)
     bound = _dual_bound(geom, c_eta, y)
     gap = np.abs(bound - mu) / np.maximum(np.abs(mu), np.finfo(float).tiny)

@@ -283,8 +283,9 @@ def assemble_nominal(
 class SystemModel:
     """Plant + controller + derived estimator, nominal loop and its stationary law.
 
-    The loop state starts from N(t_0 y_r, sigma_0); sqrt_sigma_0 is the
-    symmetric square root of sigma_0.
+    The loop state starts from N(t_0 y_r, sigma_0); sqrt_sigma_0 and
+    sqrt_sigma_f are the symmetric square roots of sigma_0 and of the per-step
+    noise covariance nominal.sigma_f.
     """
 
     plant: PlantModel
@@ -294,6 +295,7 @@ class SystemModel:
     t_0: np.ndarray = field(init=False)
     sigma_0: np.ndarray = field(init=False)
     sqrt_sigma_0: np.ndarray = field(init=False)
+    sqrt_sigma_f: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.controller.n_u != self.plant.n_u:
@@ -306,6 +308,7 @@ class SystemModel:
 
         self.t_0, self.sigma_0 = stationary_law(self.nominal)
         self.sqrt_sigma_0 = numcore.sym_sqrt(self.sigma_0)
+        self.sqrt_sigma_f = numcore.sym_sqrt(self.nominal.sigma_f)
 
     @property
     def dims(self) -> SystemDims:

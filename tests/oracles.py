@@ -2,11 +2,18 @@
 
 Everything here deliberately avoids the package's own numerics: series sums,
 quadrature, brute-force grids, and an off-the-shelf nonlinear programming
-solver provide the second opinions.
+solver provide the second opinions. The one exception is
+``reference_solve_rows``, an earlier formulation of the package's own exact
+solver kept as a regression reference.
 """
+
+import itertools
+import math
 
 import numpy as np
 from scipy import integrate, linalg, optimize, stats
+
+from stealthimpact import numcore, solver
 
 
 def lyapunov_series(A: np.ndarray, Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -275,7 +282,6 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
     package's stationary law and symmetric square root, so it checks the loop,
     the layout and the statistics, not the law.
     """
-    from stealthimpact import numcore
     from stealthimpact.distrib import normalize_critical_map, stationary_law
     from stealthimpact.mcvalidate import EmpiricalSummary
 
@@ -565,3 +571,237 @@ def nominal_long_run(system, y_r, steps=1_000_000, burn_in=10_000, seed=0, batch
             sums[n_x:] += x_hat
     means = sums / batch_len
     return means.mean(axis=1), means.std(axis=1, ddof=1) / np.sqrt(batches)
+
+
+# The pattern solver as it stood in row-space coordinates: an SVD of the
+# reduced quadratic map, a row-space basis of the stacked constraint maps, and
+# per-pattern SVDs of n-sized matrices. Kept unchanged, with the row-space
+# basis it took from numcore inlined, as the regression reference for the
+# solve in the quadratic map's singular coordinates.
+
+
+class _RefGeometry:
+    """Shared factorization of the feasible set, reused across objective rows.
+
+    Coordinates: d = basis @ eta where basis stacks the equality null space
+    with the row-space restriction. Box rows a_j and quadratic rows m (scaled
+    so the constraint reads |m eta|^2 <= 1) live in eta coordinates.
+    """
+
+    def __init__(
+        self,
+        q_box: np.ndarray,
+        m_quad: np.ndarray,
+        f_eq: np.ndarray,
+        radius: float,
+        dim_d: int,
+    ) -> None:
+        if radius < 0:
+            raise solver.Infeasible(f"negative stealthiness radius {radius:.6e}")
+        q_box = np.asarray(q_box, dtype=float).reshape(-1, dim_d)
+        m_quad = np.asarray(m_quad, dtype=float).reshape(-1, dim_d)
+        f_eq = np.asarray(f_eq, dtype=float).reshape(-1, dim_d)
+        if q_box.shape[0] > solver.PATTERN_CAP:
+            raise solver.PatternCapExceeded(
+                f"{q_box.shape[0]} reference-box rows exceed the cap {solver.PATTERN_CAP}"
+            )
+
+        z_eq = solver.eliminate_equalities(f_eq, dim_d)
+        m_red = m_quad @ z_eq
+        if radius > solver._RADIUS_FLOOR:
+            m_red = m_red / math.sqrt(radius)
+        # keep only the directions the quadratic map sees above rounding level
+        # next to the box and itself, as the row-space restriction below does
+        _, s, vt = np.linalg.svd(m_red)
+        scale = max(np.max(s, initial=0.0), np.linalg.norm(q_box @ z_eq))
+        rank = int(np.count_nonzero(s > numcore.RANK_RTOL * scale))
+        if radius <= solver._RADIUS_FLOOR:
+            # budget numerically zero: the quadratic cap collapses to the
+            # equality m_quad d = 0 and joins the eliminated block
+            z_eq = z_eq @ vt[rank:].T
+            m_red = None
+        else:
+            m_red = s[:rank, None] * vt[:rank] if rank else None
+        a_red = q_box @ z_eq
+
+        stack = a_red if m_red is None else np.vstack([a_red, m_red])
+        w = _row_space_basis(stack)
+        self.q_box, self.m_quad, self.f_eq, self.radius = q_box, m_quad, f_eq, radius
+        self.z_eq = z_eq
+        self.basis = z_eq @ w
+        self.a_rows = a_red @ w
+        self.m_rows = None if m_red is None else m_red @ w
+        self.dim_d = dim_d
+        self.n_eta = w.shape[1]
+
+    def objective(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced objectives of the rows of c and whether each is bounded.
+
+        The component of a row (restricted to the equality null space) outside
+        the constraint row space is a feasible ascent ray, so a program is
+        unbounded exactly when that component is nonzero. A reduced objective
+        at rounding level of its row is set to zero: that row's optimum is 0.
+        """
+        c_xi = c @ self.z_eq
+        c_eta = c @ self.basis
+        resid = c_xi - c_eta @ (self.basis.T @ self.z_eq)
+        bounded = np.linalg.norm(resid, axis=1) <= numcore.RANK_RTOL * np.maximum(
+            1.0, np.linalg.norm(c_xi, axis=1)
+        )
+        c_eta[np.linalg.norm(c_eta, axis=1) <= solver._FLAT_RTOL * np.linalg.norm(c, axis=1)] = 0.0
+        return c_eta, bounded
+
+    def residual(self, d: np.ndarray) -> np.ndarray:
+        """Largest constraint violation of each row of d.
+
+        The box excess is absolute, the quadratic one relative to the radius
+        and the equality one relative to max(1, |d|_inf).
+        """
+        box = np.max(np.abs(d @ self.q_box.T), axis=1, initial=0.0) - 1.0
+        quad = (np.sum(np.square(d @ self.m_quad.T), axis=1) - self.radius) / max(
+            self.radius, solver._RADIUS_FLOOR
+        )
+        eq = np.max(np.abs(d @ self.f_eq.T), axis=1, initial=0.0) / np.maximum(
+            1.0, np.max(np.abs(d), axis=1, initial=0.0)
+        )
+        return np.maximum.reduce([box, quad, eq, np.zeros(d.shape[0])])
+
+
+def _ref_solve_rows(geom: _RefGeometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact maximizers of the rows of c over the reduced feasible set.
+
+    Returns (eta, y): one maximizer per row and the box multipliers of the
+    pattern whose closed-form dual bound is smallest for that row.
+    """
+    a, m = geom.a_rows, geom.m_rows
+    k, n = a.shape
+    n_rows = c.shape[0]
+    rows = np.arange(n_rows)
+    c_norm = np.linalg.norm(c, axis=1)
+    best = np.full(n_rows, -np.inf)
+    eta = np.zeros((n_rows, n))
+    best_bound = np.full(n_rows, np.inf)
+    y_best = np.zeros((n_rows, k))
+
+    for size in range(min(k, n) + 1):
+        if size < n and (m is None or m.shape[0] < n - size):
+            continue  # a full-rank A_S leaves n - size null directions: G_N singular
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=size))).T
+        for subset in itertools.combinations(range(k), size):
+            if size:
+                u, sv, vt = np.linalg.svd(a[list(subset)])
+                if sv[-1] < numcore.RANK_RTOL * sv[0] or sv[0] == 0.0:
+                    continue  # A_S rank-deficient
+                pinv = (vt[:size].T / sv) @ u.T
+                null = vt[size:].T
+            else:
+                pinv = np.zeros((n, 0))
+                null = np.eye(n)
+            centre = pinv @ signs  # eta0 per sign, replaced by the slice centre below
+            if null.shape[1] == 0:
+                rho = np.zeros(signs.shape[1])
+                valid = np.ones(signs.shape[1], dtype=bool)
+                if m is not None:
+                    valid = np.sum(np.square(m @ centre), axis=0) <= 1.0 + solver.CERT_TOL
+                dirs = np.zeros((n_rows, n))
+                norm = np.zeros(n_rows)
+            else:
+                u2, s2, v2t = np.linalg.svd(m @ null, full_matrices=False)
+                if s2[-1] < numcore.RANK_RTOL * s2[0] or s2[0] == 0.0:
+                    continue  # G_N singular
+                # the centre minimizes |M eta| over the slice; rho is what is left of the unit budget
+                centre = centre - null @ ((v2t.T / s2) @ (u2.T @ (m @ centre)))
+                rho = 1.0 - np.sum(np.square(m @ centre), axis=0)
+                valid = rho >= -solver.CERT_TOL
+                c_n = c @ null
+                w = (c_n @ v2t.T) / s2  # ||w|| = ||c_N||_{G_N^-1}
+                norm = np.linalg.norm(w, axis=1)
+                norm[np.linalg.norm(c_n, axis=1) <= solver._FLAT_RTOL * c_norm] = 0.0
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    dirs = np.where(
+                        norm[:, None] > 0.0, ((w / s2) @ v2t) @ null.T / norm[:, None], 0.0
+                    )
+            if not valid.any():
+                continue
+            root = np.sqrt(np.maximum(rho, 0.0))
+            value = c @ centre + norm[:, None] * root[None, :]
+            box = (a @ centre)[:, None, :] + (dirs @ a.T).T[:, :, None] * root[None, None, :]
+            ok = valid[None, :] & np.all(np.abs(box) <= 1.0 + solver.CERT_TOL, axis=0)
+            value = np.where(ok, value, -np.inf)
+            j = np.argmax(value, axis=1)
+            better = value[rows, j] > best
+            if better.any():
+                jb = j[better]
+                best[better] = value[better, jb]
+                eta[better] = centre[:, jb].T + root[jb][:, None] * dirs[better]
+
+            # closed-form multipliers: c = A_S'y + 2 lambda G eta at each candidate
+            with np.errstate(divide="ignore", invalid="ignore"):
+                two_lam = np.where(norm[:, None] > 0.0, norm[:, None] / root[None, :], 0.0)
+            y = np.broadcast_to((c @ pinv)[:, None, :], (n_rows, signs.shape[1], size))
+            if m is not None and size and null.shape[1]:
+                g_centre = pinv.T @ (m.T @ (m @ centre))  # size x signs
+                g_dirs = ((dirs @ m.T) @ m) @ pinv  # rows x size
+                lam = np.where(np.isfinite(two_lam), two_lam, 0.0)
+                y = y - lam[:, :, None] * (
+                    g_centre.T[None, :, :] + root[None, :, None] * g_dirs[:, None, :]
+                )
+            bound = np.abs(y).sum(axis=2) + two_lam
+            bound = np.where(valid[None, :], bound, np.inf)
+            jb = np.argmin(bound, axis=1)
+            tighter = bound[rows, jb] < best_bound
+            if tighter.any():
+                best_bound[tighter] = bound[tighter, jb[tighter]]
+                y_best[tighter] = 0.0
+                if size:
+                    y_best[np.ix_(tighter, subset)] = y[tighter, jb[tighter]]
+
+    flat = c_norm == 0.0
+    eta[flat] = 0.0
+    y_best[flat] = 0.0
+    if not np.all(np.isfinite(best[~flat])):
+        raise solver.NumericalFailure("no sign pattern produced a feasible candidate")
+    return eta, y_best
+
+
+def _ref_dual_bound(geom: _RefGeometry, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weak-duality bound ||y||_1 + sqrt(g' G^+ g), g = c - A'y, per row."""
+    g = c - y @ geom.a_rows
+    if geom.m_rows is None:
+        s, vt = np.zeros(0), np.eye(geom.n_eta)
+    else:
+        _, s, vt = np.linalg.svd(geom.m_rows)  # full row rank: range(G) is spanned by vt[:s.size]
+    coords = g @ vt.T
+    inner = np.sum(np.square(coords[:, : s.size] / s), axis=1)
+    outside = np.linalg.norm(coords[:, s.size :], axis=1)
+    tol = solver._FLAT_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
+    return np.where(outside <= tol, np.abs(y).sum(axis=1) + np.sqrt(inner), np.inf)
+
+
+def _row_space_basis(M):
+    """Orthonormal basis (columns) of the row space of M, singular values >= RANK_RTOL * largest."""
+    if M.size == 0:
+        return np.zeros((M.shape[1], 0))
+    _, s, vt = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s >= numcore.RANK_RTOL * s[0])) if s[0] > 0.0 else 0
+    return vt[:rank].T
+
+
+def reference_solve_rows(c, q_box, m_quad, f_eq, radius):
+    """Maximizers of the rows of c by the row-space pattern solver.
+
+    Returns None when some row is unbounded, else (d_star, mu, duality gap,
+    feasibility residual), each gap and residual per row; unlike the package
+    it certifies nothing and leaves the tolerance to the caller.
+    """
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    geom = _RefGeometry(q_box, m_quad, f_eq, radius, c.shape[1])
+    c_eta, bounded = geom.objective(c)
+    if not bounded.all():
+        return None
+    eta, y = _ref_solve_rows(geom, c_eta)
+    d_star = eta @ geom.basis.T
+    mu = np.sum(c * d_star, axis=1)
+    bound = _ref_dual_bound(geom, c_eta, y)
+    gap = np.abs(bound - mu) / np.maximum(np.abs(mu), np.finfo(float).tiny)
+    return d_star, mu, gap, geom.residual(d_star)

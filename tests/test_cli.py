@@ -47,6 +47,22 @@ def test_single_entry_json_shape(tmp_path):
     assert "timing_s" not in entry
 
 
+def test_decision_vector_noise_written_as_zero(tmp_path):
+    """Entries below CERT_TOL times the largest one are rounding noise and print as 0.0."""
+    code, out = _run(tmp_path, "--vulnerability", "vulnerability_2", "--strategy", "fdi")
+    assert code == cli.EXIT_OK
+    (entry,) = json.loads(out.read_text())["entries"]
+    scenario = stealthimpact.load_scenario(bundled_scenario_path())
+    report = cli.assess(scenario, "vulnerability_2", "fdi").report
+    d = report.d_star[report.argmax_exceed]
+    top = np.max(np.abs(d))
+    noise = np.abs(d) <= solver.CERT_TOL * top
+    assert noise.any() and not noise.all()
+    printed = np.array(entry["decision_vector"])
+    assert np.all(printed[noise] == 0.0) and not np.any(np.signbit(printed[noise]))
+    np.testing.assert_allclose(printed[~noise], d[~noise], rtol=1e-11)
+
+
 def test_output_byte_deterministic(tmp_path):
     args = ("--vulnerability", "vulnerability_2", "--strategy", "dos", "--strategy", "bias_injection")
     _, first = _run(tmp_path, *args, name="a.json")

@@ -132,25 +132,32 @@ def test_stacked_maps_match_explicit_rollout(system, kind, sensors, actuators, m
         assert np.max(np.abs(r_map - r_ref)) <= 1e-10 * scale
 
 
+def _eps_prime(sigma_r, N, n_y, epsilon):
+    """The radius summarize sets for a residual covariance: -inf unless it is positive definite."""
+    pd, trace, logdet = distrib._residual_audit(np.asarray(sigma_r, dtype=float))
+    return distrib._radius(N, n_y, epsilon, trace, logdet) if pd else -np.inf
+
+
 def test_epsilon_prime_values():
     # scalar window: (0+1)(2*0.3 + 1) - 0.5 + ln 0.5
-    val = distrib.epsilon_prime(np.array([[0.5]]), N=0, n_y=1, epsilon=0.3)
+    val = _eps_prime(np.array([[0.5]]), N=0, n_y=1, epsilon=0.3)
     assert val == pytest.approx(1.6 - 0.5 + np.log(0.5), abs=1e-12)
     # identity covariance leaves only the budget term 2 eps (N+1)
     N, n_y = 10, 3
-    val = distrib.epsilon_prime(np.eye((N + 1) * n_y), N=N, n_y=n_y, epsilon=0.3)
+    val = _eps_prime(np.eye((N + 1) * n_y), N=N, n_y=n_y, epsilon=0.3)
     assert val == pytest.approx(2.0 * 0.3 * 11, abs=1e-9)
     # at eps = 0 an identity formed with rounding (Q Q', Q orthogonal) gives 0
     # exactly, while a genuinely negative radius far smaller than the terms stays
     Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=((N + 1) * n_y,) * 2))
-    assert distrib.epsilon_prime(Q @ Q.T, N=N, n_y=n_y, epsilon=0.0) == 0.0
-    shrunk = distrib.epsilon_prime((1.0 - 1e-5) * np.eye((N + 1) * n_y), N=N, n_y=n_y, epsilon=0.0)
+    assert _eps_prime(Q @ Q.T, N=N, n_y=n_y, epsilon=0.0) == 0.0
+    shrunk = _eps_prime((1.0 - 1e-5) * np.eye((N + 1) * n_y), N=N, n_y=n_y, epsilon=0.0)
     assert shrunk == pytest.approx(33 * (1e-5 + np.log1p(-1e-5)), rel=1e-6) and shrunk < 0
 
 
 def test_epsilon_prime_rejects_indefinite():
-    with pytest.raises(numcore.NotPositiveDefinite):
-        distrib.epsilon_prime(np.diag([1.0, 0.0]), N=0, n_y=2, epsilon=0.3)
+    # a singular or indefinite covariance admits no stealthy attack at any budget
+    assert _eps_prime(np.diag([1.0, 0.0]), N=0, n_y=2, epsilon=0.3) == -np.inf
+    assert _eps_prime(np.diag([1.0, -0.1]), N=0, n_y=2, epsilon=10.0) == -np.inf
 
 
 @settings(max_examples=25, deadline=None)
@@ -161,8 +168,8 @@ def test_epsilon_prime_rejects_indefinite():
 )
 def test_epsilon_prime_linear_in_budget(eps1, eps2, N):
     S = np.eye((N + 1) * 2) * 0.7
-    v1 = distrib.epsilon_prime(S, N, 2, eps1)
-    v2 = distrib.epsilon_prime(S, N, 2, eps2)
+    v1 = _eps_prime(S, N, 2, eps1)
+    v2 = _eps_prime(S, N, 2, eps2)
     assert v2 - v1 == pytest.approx(2.0 * (N + 1) * (eps2 - eps1), abs=1e-9)
 
 
@@ -338,7 +345,7 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
 
 
 def test_epsilon_prime_reused_across_epsilon(system):
-    """at_epsilon reuses one factorization and gives epsilon_prime's value bit for bit."""
+    """at_epsilon reuses one factorization and gives a fresh audit's radius bit for bit."""
     N = 10
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
     for kind, sensors, actuators in (("bias", (0,), (0, 1)), ("replay", (0, 1), (2,))):
@@ -347,7 +354,7 @@ def test_epsilon_prime_reused_across_epsilon(system):
         summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
         assert summary.residual_cov_pd
         for eps in np.linspace(0.05, 0.95, 10):  # criterion 6's values
-            direct = distrib.epsilon_prime(summary.sigma_r, N, system.plant.n_y, eps)
+            direct = _eps_prime(summary.sigma_r, N, system.plant.n_y, eps)
             assert summary.at_epsilon(eps).eps_prime == direct
 
 
@@ -362,3 +369,58 @@ def test_non_pd_residual_keeps_minus_inf(system):
     assert summary.eps_prime == -np.inf
     for eps in (0.0, 0.5, 10.0):
         assert summary.at_epsilon(eps).eps_prime == -np.inf
+
+
+def _factors(m):
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("N", [10, 29, 30, 50])
+def test_cholesky_first_verdict_matches_eigenvalues(scenario, N):
+    """spd_factor's verdict on Sigma_R equals spd_check's on every bundled configuration.
+
+    All eight strategies on both vulnerabilities. At N = 50 the set includes
+    Sigma_R with lambda_min / lambda_max between 1e-17 and 1e-10, which
+    factor but fail spd_check, and rerouting's at 9.8e-9, which passes.
+    """
+    system = scenario.system
+    verdicts, factored_but_not_pd = set(), 0
+    for resources in scenario.vulnerabilities.values():
+        for kind in attacks.KINDS:
+            for cand in attacks.candidates(attacks.StrategySpec(kind, resources), system.dims, N):
+                ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
+                maps = distrib.stack_dynamics(ext, cand.attack, system, scenario.q_z, N)
+                sigma_r = distrib._laws(maps, system)[3]
+                pd = numcore.spd_check(sigma_r).is_positive_definite
+                factor = numcore.spd_factor(sigma_r)
+                assert (factor is not None) == pd, (kind, cand.attack.start_step)
+                verdicts.add(pd)
+                if not pd and _factors(sigma_r):
+                    factored_but_not_pd += 1
+    assert verdicts == {False, True}
+    if N == 50:
+        assert factored_but_not_pd >= 10
+
+
+def test_summary_skips_eigenvalues_when_factorization_fails(system, monkeypatch):
+    """Denying sensor 0 makes Sigma_R singular: the failed Cholesky factor decides alone."""
+    N = 50
+    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
+    layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+    monkeypatch.undo()
+    assert not summary.residual_cov_pd and summary.eps_prime == -np.inf
+    assert calls == []

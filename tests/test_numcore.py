@@ -22,6 +22,41 @@ def test_spd_check_relative_guard():
     assert numcore.spd_check(np.diag([1e12, 1e4])).is_positive_definite
 
 
+def test_spd_factor_either_side_of_the_threshold():
+    """Matrices that factor on both sides of PD_RTOL: spd_check's verdict stands."""
+    Q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(40, 40)))
+    for top in (1.0, 1e-3, 1e3):
+        floor = numcore.PD_RTOL * max(1.0, top)
+        for low, passes in ((2.0 * floor, True), (0.5 * floor, False)):
+            M = (Q * np.geomspace(low, top, 40)) @ Q.T
+            M = 0.5 * (M + M.T)
+            np.linalg.cholesky(M)  # factors in either case
+            factor = numcore.spd_factor(M)
+            assert (factor is not None) == passes == numcore.spd_check(M).is_positive_definite
+            if passes:
+                assert np.allclose(factor @ factor.T, M, rtol=0.0, atol=1e-12 * top)
+
+
+def test_spd_factor_failure_decides_without_eigenvalues(monkeypatch):
+    assert numcore._failed_cholesky_decides(948) and not numcore._failed_cholesky_decides(950)
+    singular = np.diag([1.0, 1.0, 0.0])
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any eigenvalue solve would raise
+    assert numcore.spd_factor(singular) is None
+    assert numcore.spd_factor(-np.eye(2)) is None
+    monkeypatch.undo()
+    # above the size where a failure proves it, spd_check decides; a matrix
+    # that passes it but does not factor is a numerical failure
+    monkeypatch.setattr(numcore, "_failed_cholesky_decides", lambda n: False)
+    assert numcore.spd_factor(singular) is None
+
+    def unfactorable(m):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", unfactorable)
+    with pytest.raises(np.linalg.LinAlgError):
+        numcore.spd_factor(np.eye(2))
+
+
 def test_dare_scalar_closed_form():
     # scalar steady state solves c^2 P^2 + (s_w (1 - a^2) - c^2 s_v) P - s_v s_w = 0
     a, c, s_v, s_w = 0.9, 1.3, 0.4, 0.2
@@ -172,15 +207,6 @@ def test_rank_and_null_basis():
 def test_null_basis_empty_rows():
     Z = numcore.null_basis(np.zeros((0, 4)))
     assert np.allclose(Z, np.eye(4))
-
-
-def test_row_space_basis():
-    M = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-    W = numcore.row_space_basis(M)
-    assert W.shape == (3, 2)
-    # row space of M is span(e1, e2)
-    proj = W @ W.T
-    assert np.allclose(proj, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_null_space_containment():

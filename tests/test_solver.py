@@ -5,6 +5,7 @@ import pytest
 from scipy import linalg
 
 from stealthimpact import attacks, distrib, solver
+import oracles
 from oracles import qclp_dual_bound, scipy_reference_qclp
 
 
@@ -303,3 +304,98 @@ def test_compute_impact_infeasible_path(system):
     assert out.exceed_prob == 0.0
     assert out.mean_lower == 0.0
     assert out.argmax_exceed is None
+
+
+def _oracle_cases():
+    """Random programs for the row-space reference: 0-3 box rows, some of them
+    repeated or dependent, quadratic maps of full rank, rank-deficient or at
+    rounding level, and radii 0, 1e-13 (below the floor) and order 1."""
+    rng = np.random.default_rng(44)
+    for trial in range(60):
+        n = 3 + trial % 3
+        n_box = trial % 4
+        q = rng.normal(size=(n_box, n))
+        if n_box >= 2 and trial % 5 == 0:
+            q[1] = q[0]  # a repeated row
+        if n_box == 3 and trial % 7 == 0:
+            q[2] = q[0] - 2.0 * q[1]  # a dependent row
+        m_rows = n if trial % 3 else n - 2
+        m = rng.normal(size=(m_rows, n))
+        if trial % 5 == 1:
+            m = np.vstack([m, 1e-17 * rng.normal(size=(2, n))])  # directions seen at rounding level
+        if trial % 11 == 0:
+            m, q = 1e-17 * m, np.eye(n)  # only the box bounds the map
+        f = rng.normal(size=(trial % 2, n))
+        radius = (0.0, 1e-13, float(rng.uniform(0.2, 4.0)))[(trial // 4) % 3]
+        yield rng.normal(size=(3, n)), q, m, f, radius
+
+
+def _assert_matches_reference(geom, c, ref):
+    batch = solver._solve_batch(geom, c)  # raises unless certified to CERT_TOL
+    if ref is None:
+        assert batch is None
+        return 0
+    assert batch is not None
+    _, mu_ref, _, _ = ref
+    np.testing.assert_allclose(batch.mu, mu_ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(mu_ref), initial=1.0))
+    assert batch.duality_gap <= solver.CERT_TOL and batch.feasibility_residual <= solver.CERT_TOL
+    return 1
+
+
+def test_solve_matches_row_space_reference():
+    """The solve in singular coordinates reproduces the row-space pattern solver.
+
+    The reference keeps the earlier formulation: a row-space basis of the
+    stacked constraint maps and per-pattern SVDs of n-sized matrices.
+    """
+    solved = 0
+    for c, q, m, f, radius in _oracle_cases():
+        geom = solver._Geometry(q, m, f, radius, c.shape[1])
+        solved += _assert_matches_reference(geom, c, oracles.reference_solve_rows(c, q, m, f, radius))
+    assert solved >= 30
+
+
+@pytest.mark.parametrize("N", [10, 50])
+def test_bundled_solves_match_row_space_reference(scenario, N):
+    """Every feasible configuration of the bundled pairs, against the row-space reference."""
+    solved = 0
+    for resources in scenario.vulnerabilities.values():
+        for kind in scenario.strategies:
+            spec = attacks.StrategySpec(kind, resources)
+            for cand in attacks.candidates(spec, scenario.system.dims, N):
+                layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
+                summary = distrib.gaussian_summary(
+                    scenario.system, cand.attack, layout, scenario.q_z, N, scenario.epsilon
+                )
+                if not summary.residual_cov_pd or summary.eps_prime < 0:
+                    continue
+                args = (layout.Q, summary.t_r, layout.F, summary.eps_prime)
+                geom = solver._Geometry(*args, layout.dim_d)
+                ref = oracles.reference_solve_rows(summary.t_z, *args)
+                solved += _assert_matches_reference(geom, summary.t_z, ref)
+    assert solved >= 6
+
+
+def test_solve_factors_no_large_matrix_but_the_quadratic_map(scenario, monkeypatch):
+    """On vulnerability_2/fdi at N = 50 the only SVD with more than k rows is the
+    one of the reduced quadratic map (F is empty there, so no null basis is taken)."""
+    N = 50
+    spec = attacks.StrategySpec("fdi", scenario.vulnerabilities["vulnerability_2"])
+    (cand,) = attacks.candidates(spec, scenario.system.dims, N)
+    layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
+    summary = distrib.gaussian_summary(scenario.system, cand.attack, layout, scenario.q_z, N, scenario.epsilon)
+    k = layout.Q.shape[0]
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = solver.compute_impact(summary, layout)
+    monkeypatch.undo()
+    assert report.feasible and not report.unbounded
+    assert layout.F.shape[0] == 0
+    assert [s for s in shapes if s[0] > k] == [summary.t_r.shape]
+    assert len(shapes) > 1

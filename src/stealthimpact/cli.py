@@ -32,7 +32,7 @@ from .attacks import (
     decision_layout,
 )
 from .distrib import GaussianSummary, gaussian_summary
-from .mcvalidate import SimulationConfig, kl_verdict, simulate
+from .mcvalidate import SimulationConfig, kl_verdict, min_samples, simulate
 from .scenario import (
     DimensionError,
     ParseError,
@@ -435,6 +435,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                     val if isinstance(val, int) else _round12(val) for val in values
                 ],
             }
+        if args.mc_validate:
+            needed = min_samples(scenario.system, max(horizons))
+            if scenario.mc_samples < needed:
+                raise SchemaError(
+                    f"--mc-validate at horizon {max(horizons)} needs mc.samples >= {needed}"
+                    f" ((N+1)*n_y + 1), got {scenario.mc_samples}"
+                )
         mc_seed = seed if args.mc_validate else None
         entries = []
         for horizon in horizons:  # a horizon changes every law: no reuse across them

@@ -9,8 +9,9 @@ KL budgets can be compared against the stacked-map predictions.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -26,8 +27,8 @@ class SimulationConfig:
     horizon: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        if self.samples < 2:  # the sample statistics use ddof=1
+            raise ValueError("samples must be at least 2")
 
 
 @dataclass
@@ -64,6 +65,15 @@ class KlCheckResult:
         return self.consistent
 
 
+def min_samples(system: SystemModel, horizon: int) -> int:
+    """Fewest samples for which kl_verdict's residual covariance can be nonsingular.
+
+    The residual rows stack (N+1) n_y dimensions, and a sample covariance of
+    that dimension has full rank only from (N+1) n_y + 1 samples on.
+    """
+    return (horizon + 1) * system.plant.n_y + 1
+
+
 def simulate(
     system: SystemModel,
     attack: AttackMatrices,
@@ -85,12 +95,32 @@ def simulate(
     state, then per step a (samples, n_y) block for the sensor noise w and,
     except at step N, a (samples, n_x) block for the process noise v, so a seed
     gives the same trajectories, up to rounding, whatever the storage layout.
+    One helper thread draws the per-step blocks one step ahead of the loop
+    (see _prefetched_noise) and is joined before simulate returns or raises;
+    an exception on that thread reaches the caller. The stream, and so every
+    value, is the same as with in-line draws, and the loop writes into arrays
+    allocated once, with the same operands in the same order.
     """
     if cfg.horizon is None:
         raise ValueError("cfg.horizon must be set for simulation")
+    return _summarize_samples(*_trajectories(system, attack, d, cfg, q_z))
+
+
+def _trajectories(
+    system: SystemModel,
+    attack: AttackMatrices,
+    d: np.ndarray,
+    cfg: SimulationConfig,
+    q_z: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Critical rows z and residual rows r of simulate's trajectories.
+
+    A function of its own so that the loop's work arrays, the recording
+    among them, are freed before the statistics are taken.
+    """
     N = int(cfg.horizon)
     plant, ctrl, est = system.plant, system.controller, system.estimator
-    n_x, n_y = plant.n_x, plant.n_y
+    n_x, n_y, n_u = plant.n_x, plant.n_y, plant.n_u
     a_seq, y_r = decision_layout(attack, N, ctrl.Q_yr).split(d)
     n_au = attack.n_au
 
@@ -101,43 +131,93 @@ def simulate(
     n_s = cfg.samples
     lam_y, gam_y = attack.lambda_y, attack.gamma_y
     lam_u, gam_u = attack.lambda_u, attack.gamma_u
+    u_ref = (ctrl.L_yr @ y_r)[:, None]
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     x_e = (system.t_0 @ y_r)[:, None] + system.sqrt_sigma_0 @ rng.standard_normal((n_s, 2 * n_x)).T
     x_next = np.empty_like(x_e)
     z = np.empty((N * n_z, n_s))
     r = np.empty(((N + 1) * n_y, n_s))
-    recorded: dict[int, np.ndarray] = {}
+    # recorded[k] holds the tap of recording step k < 0, read back at step k + N + 1
+    recorded = np.empty((-attack.start_step, attack.n_ay, n_s))
+    # innov is scratch until the step's innovation is formed; y is dead from
+    # then on, so its rows double as the scratch of the state update
+    work = np.empty((max(n_x, n_y), n_s))
+    y, tmp_x = work[:n_y], work[:n_x]
+    innov, u, u_tilde = np.empty((n_y, n_s)), np.empty((n_u, n_s)), np.empty((n_u, n_s))
 
-    for k in range(attack.start_step, N + 1):
-        x, x_hat = x_e[:n_x], x_e[n_x:]
-        y = plant.C @ x + chol_w @ rng.standard_normal((n_s, n_y)).T
-        u = (ctrl.L_yr @ y_r)[:, None] - ctrl.L_xhat @ x_hat
-        if k < 0:  # recording window: the loop runs nominally
-            recorded[k] = gam_y.T @ y
-            y_tilde, u_tilde = y, u
-        else:
-            y_tilde = lam_y @ y + (gam_y @ a_seq[k, n_au:])[:, None]
-            if attack.has_recording:
-                y_tilde += gam_y @ recorded.pop(k - (N + 1))
-            u_tilde = lam_u @ u + (gam_u @ a_seq[k, :n_au])[:, None]
-        innov = y_tilde - plant.C @ x_hat
-        if k >= 0:
-            np.matmul(est.sigma_r_invsqrt, innov, out=r[k * n_y : (k + 1) * n_y])
-        if k == N:
-            break
-        x_new, x_hat_new = x_next[:n_x], x_next[n_x:]
-        np.matmul(plant.A, x, out=x_new)
-        x_new += plant.B @ u_tilde
-        x_new += chol_v @ rng.standard_normal((n_s, n_x)).T
-        np.matmul(plant.A, x_hat, out=x_hat_new)
-        x_hat_new += plant.B @ u
-        x_hat_new += est.K @ innov
-        x_e, x_next = x_next, x_e
-        if k >= 0:
-            np.matmul(q_ze, x_e, out=z[k * n_z : (k + 1) * n_z])
+    steps = range(attack.start_step, N + 1)
+    with closing(_prefetched_noise(rng, n_s, n_y, n_x, len(steps))) as noise:
+        for k, (w, v) in zip(steps, noise):
+            x, x_hat = x_e[:n_x], x_e[n_x:]
+            np.matmul(plant.C, x, out=y)
+            y += np.matmul(chol_w, w.T, out=innov)
+            np.matmul(ctrl.L_xhat, x_hat, out=u)
+            np.subtract(u_ref, u, out=u)
+            if k < 0:  # recording window: the loop runs nominally
+                np.matmul(gam_y.T, y, out=recorded[k])
+                np.copyto(innov, y)
+                u_att = u
+            else:  # innov holds the attacked measurement until C x_hat is subtracted
+                np.matmul(lam_y, y, out=innov)
+                innov += (gam_y @ a_seq[k, n_au:])[:, None]
+                if attack.has_recording:
+                    innov += np.matmul(gam_y, recorded[k - (N + 1)], out=y)
+                u_att = u_tilde
+                np.matmul(lam_u, u, out=u_att)
+                u_att += (gam_u @ a_seq[k, :n_au])[:, None]
+            innov -= np.matmul(plant.C, x_hat, out=y)
+            if k >= 0:
+                np.matmul(est.sigma_r_invsqrt, innov, out=r[k * n_y : (k + 1) * n_y])
+            if k == N:
+                break
+            x_new, x_hat_new = x_next[:n_x], x_next[n_x:]
+            np.matmul(plant.A, x, out=x_new)
+            x_new += np.matmul(plant.B, u_att, out=tmp_x)
+            x_new += np.matmul(chol_v, v.T, out=tmp_x)
+            np.matmul(plant.A, x_hat, out=x_hat_new)
+            x_hat_new += np.matmul(plant.B, u, out=tmp_x)
+            x_hat_new += np.matmul(est.K, innov, out=tmp_x)
+            x_e, x_next = x_next, x_e
+            if k >= 0:
+                np.matmul(q_ze, x_e, out=z[k * n_z : (k + 1) * n_z])
+    return z, r
 
-    return _summarize_samples(z, r)
+
+def _prefetched_noise(
+    rng: np.random.Generator, n_s: int, n_y: int, n_x: int, steps: int
+) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Per-step noise blocks (w, v), drawn one step ahead on a helper thread.
+
+    Yields `steps` pairs in the simulator's draw order: w of shape (n_s, n_y),
+    then v of shape (n_s, n_x), which is None at the last step. The blocks
+    live in a ring of two preallocated slots, so a pair is valid only until
+    the next one is taken. numpy releases the interpreter lock while it fills
+    an array, so the draws for step k + 1 overlap the loop's arithmetic at
+    step k. The thread allocates no array. It is joined when the generator
+    finishes or is closed, and an exception it raises reaches the consumer
+    when that block is taken.
+    """
+    # imported here: concurrent.futures pulls in logging, which no other path needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    ring = [(np.empty((n_s, n_y)), np.empty((n_s, n_x))) for _ in range(2)]
+
+    def draw(i: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        w, v = ring[i % 2]
+        rng.standard_normal(out=w)
+        if i == steps - 1:
+            return w, None
+        rng.standard_normal(out=v)
+        return w, v
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, 0)
+        for i in range(1, steps + 1):
+            block = pending.result()
+            if i < steps:  # the slot it fills held block i - 2, which the loop is done with
+                pending = pool.submit(draw, i)
+            yield block
 
 
 def _summarize_samples(z: np.ndarray, r: np.ndarray) -> EmpiricalSummary:

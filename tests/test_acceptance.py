@@ -7,6 +7,7 @@ stated inline next to the checks they guard.
 """
 
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -452,15 +453,30 @@ def test_criterion_8_report_determinism(tmp_path):
         "--strategy", "fdi",
         "--strategy", "bias_injection",
     ]
+    # the simulator too: its noise is drawn on a helper thread
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["mc"]["samples"] = 5_000
+    mc_scenario = tmp_path / "mc_scenario.json"
+    mc_scenario.write_text(json.dumps(doc))
+    mc = [
+        "assess",
+        "--scenario", str(mc_scenario),
+        "--strategy", "fdi",
+        "--strategy", "replay_dos",
+        "--mc-validate",
+    ]
     outputs = {}
-    for fmt in ("json", "csv"):
+    for name, args in (("json", base), ("csv", base), ("mc", mc)):
+        fmt = "csv" if name == "csv" else "json"
         pair = []
         for run in range(2):
-            out = tmp_path / f"report_{fmt}_{run}.{fmt}"
-            rc = cli.main(base + ["--format", fmt, "--out", str(out)])
+            out = tmp_path / f"report_{name}_{run}.{fmt}"
+            rc = cli.main(args + ["--format", fmt, "--out", str(out)])
             assert rc == 0
             pair.append(out.read_bytes())
-        outputs[fmt] = pair
+        outputs[name] = pair
+    simulated = [e["strategy"] for e in json.loads(outputs["mc"][0])["entries"] if "mc" in e]
+    assert simulated == ["replay_dos", "fdi", "replay_dos"]  # vulnerability_1/fdi is unbounded
     ok = all(a == b for a, b in outputs.values())
     _verdict(8, "repeated runs emit byte-identical reports", ok)
     assert ok, "report bytes differ between identical runs"

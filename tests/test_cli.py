@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,46 @@ def test_mc_validate_block(tmp_path):
     assert mc["z_mean_max_dev_se"] < 4.0
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before rejecting the sample count")
+
+
+@pytest.mark.parametrize(
+    "samples, extra, needed",
+    [(1, [], 34), (2, [], 34), (33, [], 34), (34, ["--sweep", "N", "--values", "2,11,10"], 37)],
+)
+def test_mc_validate_sample_minimum(tmp_path, capsys, monkeypatch, samples, extra, needed):
+    """Fewer samples than (N_max+1)*n_y + 1 make the residual covariance singular: exit 2 up front."""
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["mc"]["samples"] = samples
+    path = _write_scenario(tmp_path, doc)
+    monkeypatch.setattr(cli, "compute_impact", _no_solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["assess", "--scenario", str(path), "--mc-validate", *extra])
+    assert code == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"needs mc.samples >= {needed}" in captured.err
+    assert f"got {samples}" in captured.err
+    assert caught == []
+
+
+def test_mc_validate_sample_minimum_met(tmp_path, capsys):
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["mc"]["samples"] = 34
+    path = _write_scenario(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["assess", "--scenario", str(path), "--mc-validate"]) == cli.EXIT_OK
+    assert caught == []
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [e["mc"]["samples"] for e in entries if "mc" in e] == [34] * 6
+    doc["mc"]["samples"] = 1  # without --mc-validate the sample count is never read
+    path = _write_scenario(tmp_path, doc)
+    assert cli.main(["assess", "--scenario", str(path), "--format", "csv"]) == cli.EXIT_OK
+
+
 def test_timings_flag(tmp_path):
     code, out = _run(
         tmp_path,
@@ -442,13 +483,14 @@ def test_python_m_runs_the_cli():
 
 
 def test_assess_does_not_import_scipy():
-    # scipy costs more to import than a whole small assessment
+    # scipy costs more to import than a whole small assessment; concurrent.futures
+    # (and the logging it imports) serves only the simulator's helper thread
     code = (
         "import io, sys, contextlib\n"
         "from stealthimpact import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['assess']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent', 'logging')))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ def _fdi_setup(system, N=4, sensors=(0,), actuators=(0, 1)):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        mcvalidate.SimulationConfig(samples=0)
+    for samples in (0, 1):  # the statistics use ddof=1
+        with pytest.raises(ValueError, match="at least 2"):
+            mcvalidate.SimulationConfig(samples=samples)
     cfg = mcvalidate.SimulationConfig(samples=10)
     with pytest.raises(ValueError, match="horizon"):
         mcvalidate.simulate(None, None, None, cfg)
@@ -183,3 +186,135 @@ def test_nominal_long_run_matches_stationary_law(system):
 def test_nominal_long_run_guards(system):
     with pytest.raises(ValueError, match="batch"):
         nominal_long_run(system, np.zeros(3), steps=150, burn_in=100, batches=100)
+
+
+class _WatchedRng:
+    """Generator stand-in that notes which threads draw and can fail on one call."""
+
+    def __init__(self, rng, fail_at=None):
+        self.rng, self.fail_at, self.calls, self.threads = rng, fail_at, 0, set()
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        self.threads.add(threading.get_ident())
+        if self.calls == self.fail_at:
+            raise RuntimeError("draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def _patch_noise(monkeypatch, fail_at=None, consume=None):
+    """Route simulate's noise through a _WatchedRng and each taken block through consume."""
+    real = mcvalidate._prefetched_noise
+    seen = {"rng": None, "threads_inside": []}
+
+    def patched(rng, *shape):
+        seen["rng"] = _WatchedRng(rng, fail_at)
+        with closing(real(seen["rng"], *shape)) as blocks:
+            for i, (w, v) in enumerate(blocks):
+                seen["threads_inside"].append(threading.active_count())
+                if consume is not None:
+                    consume(i, w, v)
+                yield w, v
+
+    monkeypatch.setattr(mcvalidate, "_prefetched_noise", patched)
+    return seen
+
+
+def _run_bounded(fn, timeout=60.0):
+    """fn() on a watched thread: fails the test instead of hanging on a lost wake-up."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            outcome["error"] = exc
+
+    t = threading.Thread(target=target)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "simulate did not return"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.mark.parametrize("kind", ["fdi", "replay"])
+def test_simulate_consumes_the_documented_draw_order(system, scenario, monkeypatch, kind):
+    """The prefetched blocks are the sequential Philox draws, block for block."""
+    N, n_s, seed = 3, 257, 5
+    atk = _attack(system, kind, N)
+    assert (atk.start_step < 0) == (kind == "replay")
+    layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
+    d = 0.2 * np.random.default_rng(2).normal(size=layout.dim_d)
+    taken = []
+    _patch_noise(monkeypatch, consume=lambda i, w, v: taken.append((w.copy(), None if v is None else v.copy())))
+    got = mcvalidate.simulate(system, atk, d, mcvalidate.SimulationConfig(n_s, seed, N), q_z=scenario.q_z)
+
+    n_x, n_y = system.plant.n_x, system.plant.n_y
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.standard_normal((n_s, 2 * n_x))
+    steps = N + 1 - atk.start_step
+    assert len(taken) == steps
+    for i, (w, v) in enumerate(taken):
+        assert np.array_equal(w, rng.standard_normal((n_s, n_y))), i
+        if i == steps - 1:
+            assert v is None
+        else:
+            assert np.array_equal(v, rng.standard_normal((n_s, n_x))), i
+    want = reference_simulate(system, atk, d, mcvalidate.SimulationConfig(n_s, seed, N), q_z=scenario.q_z)
+    np.testing.assert_allclose(got.r_cov, want.r_cov, rtol=1e-9, atol=1e-12)
+
+
+def test_simulate_joins_its_one_helper_thread(system, monkeypatch):
+    atk = _attack(system, "replay", 4)
+    layout = attacks.decision_layout(atk, 4, system.controller.Q_yr)
+    before = threading.active_count()
+    seen = _patch_noise(monkeypatch)
+    _run_bounded(lambda: mcvalidate.simulate(
+        system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 4)
+    ))
+    assert threading.active_count() == before
+    assert set(seen["threads_inside"]) == {before + 2}  # the bounded runner and the helper
+    assert len(seen["rng"].threads) == 1
+    assert threading.get_ident() not in seen["rng"].threads
+
+
+class _StepFailingAttack(attacks.AttackMatrices):
+    """Attack whose step loop raises at its fourth step: the loop reads has_recording once a step."""
+
+    steps = 0
+
+    @property
+    def has_recording(self):
+        self.steps += 1
+        if self.steps == 4:
+            raise FloatingPointError("step failed")
+        return False
+
+
+def test_simulate_joins_the_helper_when_the_loop_raises(system, monkeypatch):
+    atk, layout = _fdi_setup(system, N=6)
+    atk = _StepFailingAttack(**vars(atk))
+    before = threading.active_count()
+    seen = _patch_noise(monkeypatch)
+    with pytest.raises(FloatingPointError, match="step failed"):
+        _run_bounded(lambda: mcvalidate.simulate(
+            system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6)
+        ))
+    assert threading.active_count() == before
+    assert seen["threads_inside"] == [before + 2] * 4
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 13])
+def test_simulate_raises_the_helpers_exception(system, monkeypatch, fail_at):
+    """A failed draw on the helper thread reaches the caller, from the first to the last."""
+    atk, layout = _fdi_setup(system, N=6)  # the helper draws 7 w and 6 v blocks
+    before = threading.active_count()
+    seen = _patch_noise(monkeypatch, fail_at=fail_at)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        _run_bounded(lambda: mcvalidate.simulate(
+            system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6)
+        ))
+    assert threading.active_count() == before
+    assert seen["rng"].calls == fail_at

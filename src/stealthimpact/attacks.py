@@ -4,7 +4,9 @@ Every strategy is reduced to one tuple of matrices:
 
     lambda_y, lambda_u   multiplicative routing applied to sensors / actuators
     gamma_y, gamma_u     selectors channeling the injected signal a = [a_u; a_y]
-    f_a                  linear equality constraints on the stacked a_{0:N}
+    au_mode, ay_mode     what each injection block may do over the window:
+                         FREE at every step, HELD at its step-0 value, or
+                         PINNED to 0
 
 plus the start step of the simulation window (negative when a recording phase
 precedes the attack). Replay fits the same tuple: its recorded signal is one
@@ -24,6 +26,11 @@ import numpy as np
 from .sysmodel import DimensionMismatch, SystemDims
 
 SUBSET_CAP = 2**12
+
+# What an injection block may do over the attack window
+FREE = "free"  # any value at every step
+HELD = "held"  # its step-0 value at every step
+PINNED = "pinned"  # 0 at every step
 
 KINDS = (
     "dos",
@@ -97,10 +104,11 @@ class AttackMatrices:
     lambda_u: np.ndarray
     gamma_y: np.ndarray
     gamma_u: np.ndarray
-    f_a: np.ndarray
     n_ay: int
     n_au: int
     start_step: int
+    au_mode: str = FREE
+    ay_mode: str = FREE
 
     @property
     def n_a(self) -> int:
@@ -113,14 +121,18 @@ class AttackMatrices:
 
 @dataclass(frozen=True)
 class DecisionLayout:
-    """Shape of the decision vector d = [a(0); ...; a(N); y_r]."""
+    """Shape of the decision vector d = [a(0); ...; a(N); y_r].
+
+    Q is the reference box map; the columns of Z are an orthonormal basis of
+    the decision vectors the injection modes admit.
+    """
 
     dim_d: int
     n_a: int
     n_yr: int
     horizon: int
     Q: np.ndarray
-    F: np.ndarray
+    Z: np.ndarray
 
     def split(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (a_seq of shape (N+1, n_a), y_r)."""
@@ -150,14 +162,13 @@ def identity_routing(n_y: int, n_u: int) -> AttackMatrices:
         lambda_u=np.eye(n_u),
         gamma_y=_no_injection(n_y),
         gamma_u=_no_injection(n_u),
-        f_a=np.zeros((0, 0)),
         n_ay=0,
         n_au=0,
         start_step=0,
     )
 
 
-def build_dos(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
+def build_dos(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
     """Denial of service: zero the compromised diagonal entries of the routing."""
     res.validate(dims)
     lam_y = np.eye(dims.n_y)
@@ -166,14 +177,11 @@ def build_dos(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
         lam_y[i, i] = 0.0
     for i in res.actuators:
         lam_u[i, i] = 0.0
-    # No injected signal exists, so the signal-pinning constraint degenerates
-    # to a zero-width block.
     return AttackMatrices(
         lambda_y=lam_y,
         lambda_u=lam_u,
         gamma_y=_no_injection(dims.n_y),
         gamma_u=_no_injection(dims.n_u),
-        f_a=np.zeros((0, 0)),
         n_ay=0,
         n_au=0,
         start_step=0,
@@ -196,20 +204,20 @@ def _permutation_matrix(n: int, compromised: tuple[int, ...], pi: Optional[dict[
     return M
 
 
-def build_rerouting(spec: StrategySpec, dims: SystemDims, N: int) -> AttackMatrices:
+def build_rerouting(spec: StrategySpec, dims: SystemDims) -> AttackMatrices:
     """Permute compromised channels; non-compromised channels must stay fixed."""
     spec.resources.validate(dims)
     lam_y = _permutation_matrix(dims.n_y, spec.resources.sensors, spec.pi_y)
     lam_u = _permutation_matrix(dims.n_u, spec.resources.actuators, spec.pi_u)
-    out = build_dos(ResourceSet(), dims, N)
+    out = build_dos(ResourceSet(), dims)
     out.lambda_y, out.lambda_u = lam_y, lam_u
     return out
 
 
-def build_sign_alternation(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
+def build_sign_alternation(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
     """Flip the sign of compromised channels."""
     res.validate(dims)
-    out = build_dos(ResourceSet(), dims, N)
+    out = build_dos(ResourceSet(), dims)
     for i in res.sensors:
         out.lambda_y[i, i] = -1.0
     for i in res.actuators:
@@ -217,53 +225,41 @@ def build_sign_alternation(res: ResourceSet, dims: SystemDims, N: int) -> Attack
     return out
 
 
-def build_fdi(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
+def build_fdi(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
     """Unconstrained injection on the compromised channels."""
     res.validate(dims)
     if not res.sensors and not res.actuators:
         raise EmptyResources("injection requires at least one compromised channel")
     gam_y = _selector(dims.n_y, res.sensors)
     gam_u = _selector(dims.n_u, res.actuators)
-    n_a = gam_y.shape[1] + gam_u.shape[1]
     return AttackMatrices(
         lambda_y=np.eye(dims.n_y),
         lambda_u=np.eye(dims.n_u),
         gamma_y=gam_y,
         gamma_u=gam_u,
-        f_a=np.zeros((0, (N + 1) * n_a)),
         n_ay=gam_y.shape[1],
         n_au=gam_u.shape[1],
         start_step=0,
     )
 
 
-def _constancy_rows(N: int, n_a: int, cols_per_step: int, offset: int = 0) -> np.ndarray:
-    """Rows enforcing a(k) = a(0) for k = 1..N on an n_a-wide sub-block."""
-    F = np.zeros((N * n_a, (N + 1) * cols_per_step))
-    for k in range(1, N + 1):
-        r = (k - 1) * n_a
-        F[r : r + n_a, offset : offset + n_a] = -np.eye(n_a)
-        F[r : r + n_a, k * cols_per_step + offset : k * cols_per_step + offset + n_a] = np.eye(n_a)
-    return F
-
-
-def build_bias(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
-    """Constant injection: like FDI but with a(k) = a(0) enforced over the window."""
-    out = build_fdi(res, dims, N)
-    out.f_a = _constancy_rows(N, out.n_a, out.n_a)
+def build_bias(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
+    """Constant injection: like FDI but with a(k) = a(0) over the window."""
+    out = build_fdi(res, dims)
+    out.au_mode = out.ay_mode = HELD
     return out
 
 
-def build_fdi_plus_dos(res: ResourceSet, dims: SystemDims, N: int) -> AttackMatrices:
+def build_fdi_plus_dos(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
     """Injection on the compromised sensors, denial of the compromised actuators.
 
     Without compromised sensors the attack is denial only.
     """
     res.validate(dims)
     if res.sensors:
-        out = build_fdi(ResourceSet(sensors=res.sensors), dims, N)
+        out = build_fdi(ResourceSet(sensors=res.sensors), dims)
     else:
-        out = build_dos(ResourceSet(), dims, N)
+        out = build_dos(ResourceSet(), dims)
     for i in res.actuators:
         out.lambda_u[i, i] = 0.0
     return out
@@ -277,7 +273,7 @@ def build_replay(
     The attacker records the compromised channels of y over the window
     [-N-1, -1] while the loop runs nominally, then substitutes the recording
     for the live channels on [0, N]. Compromised actuators are either denied
-    (actuator_mode="dos") or driven by one constant injected value
+    (actuator_mode="dos") or driven by one held injected value
     (actuator_mode="bias").
 
     lambda_y cuts the live compromised channels, and the recording, y(k-N-1)
@@ -288,60 +284,55 @@ def build_replay(
     if actuator_mode not in ("dos", "bias"):
         raise ValueError(f"actuator_mode must be 'dos' or 'bias', got {actuator_mode!r}")
     res.validate(dims)
-    n_ay = len(res.sensors)
-
     lam_y = np.eye(dims.n_y)
     for i in res.sensors:
         lam_y[i, i] = 0.0
-    gam_y = _selector(dims.n_y, res.sensors)
-
+    lam_u = np.eye(dims.n_u)
     if actuator_mode == "dos":
-        lam_u = np.eye(dims.n_u)
         for i in res.actuators:
             lam_u[i, i] = 0.0
         gam_u = _no_injection(dims.n_u)
-        n_au = 0
-        # the sensor channel exists only to carry the recording
-        f_a = np.eye((N + 1) * n_ay)
     else:
-        lam_u = np.eye(dims.n_u)
         gam_u = _selector(dims.n_u, res.actuators)
-        n_au = gam_u.shape[1]
-        n_a = n_au + n_ay
-        rows = []
-        if n_au:
-            rows.append(_constancy_rows(N, n_au, n_a))
-        if n_ay:
-            pin = np.zeros(((N + 1) * n_ay, (N + 1) * n_a))
-            for k in range(N + 1):
-                pin[k * n_ay : (k + 1) * n_ay, k * n_a + n_au : (k + 1) * n_a] = np.eye(n_ay)
-            rows.append(pin)
-        f_a = np.vstack(rows) if rows else np.zeros((0, (N + 1) * n_a))
-
     return AttackMatrices(
         lambda_y=lam_y,
         lambda_u=lam_u,
-        gamma_y=gam_y,
+        gamma_y=_selector(dims.n_y, res.sensors),
         gamma_u=gam_u,
-        f_a=f_a,
-        n_ay=n_ay,
-        n_au=n_au,
+        n_ay=len(res.sensors),
+        n_au=gam_u.shape[1],
         start_step=-N - 1,
+        au_mode=HELD,
+        ay_mode=PINNED,
     )
 
 
 def decision_layout(attack: AttackMatrices, N: int, Q_yr: np.ndarray) -> DecisionLayout:
-    """Box and equality maps over d = [a(0); ...; a(N); y_r]."""
+    """Box map and admissible basis over d = [a(0); ...; a(N); y_r].
+
+    Z has one column of 1/sqrt(N+1) over all steps per held channel, one
+    unit column per free channel and step, none for a pinned channel, and the
+    identity on y_r. The columns have disjoint supports, so Z is orthonormal,
+    and it is the identity when every channel is free.
+    """
     Q_yr = np.asarray(Q_yr, dtype=float)
     n_yr = Q_yr.shape[0]
     n_a = attack.n_a
-    dim_d = (N + 1) * n_a + n_yr
-    Q = np.hstack([np.zeros((n_yr, (N + 1) * n_a)), Q_yr])
-    f_a = attack.f_a
-    if f_a.shape[0] and f_a.shape[1] != (N + 1) * n_a:
-        raise DimensionMismatch("f_a column count must be (N+1) * n_a")
-    F = np.hstack([f_a, np.zeros((f_a.shape[0], n_yr))]) if f_a.shape[0] else np.zeros((0, dim_d))
-    return DecisionLayout(dim_d=dim_d, n_a=n_a, n_yr=n_yr, horizon=N, Q=Q, F=F)
+    n_blk = (N + 1) * n_a
+    modes = [attack.au_mode] * attack.n_au + [attack.ay_mode] * attack.n_ay
+    if not set(modes) <= {FREE, HELD, PINNED}:
+        raise ValueError(f"unknown injection mode in {sorted(set(modes))}")
+    # channel j of a(k) is entry k * n_a + j; free columns keep that order
+    eye = np.eye(n_blk + n_yr)
+    held = [
+        eye[:, j:n_blk:n_a].sum(axis=1, keepdims=True) / np.sqrt(N + 1)
+        for j, mode in enumerate(modes)
+        if mode == HELD
+    ]
+    free = eye[:, :n_blk][:, [mode == FREE for mode in modes] * (N + 1)]
+    Z = np.hstack(held + [free, eye[:, n_blk:]])
+    Q = np.hstack([np.zeros((n_yr, n_blk)), Q_yr])
+    return DecisionLayout(dim_d=n_blk + n_yr, n_a=n_a, n_yr=n_yr, horizon=N, Q=Q, Z=Z)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +398,7 @@ def candidates(spec: StrategySpec, dims: SystemDims, N: int) -> list[Candidate]:
             )
         build = build_dos if kind == "dos" else build_sign_alternation
         return [
-            Candidate({"sensors": sy, "actuators": su}, build(ResourceSet(sy, su), dims, N))
+            Candidate({"sensors": sy, "actuators": su}, build(ResourceSet(sy, su), dims))
             for sy, su in pairs
         ]
     if kind == "rerouting":
@@ -424,14 +415,14 @@ def candidates(spec: StrategySpec, dims: SystemDims, N: int) -> list[Candidate]:
         out = []
         for py, pu in pairs:
             sub = StrategySpec(kind="rerouting", resources=res, pi_y=py, pi_u=pu)
-            out.append(Candidate({"pi_y": py, "pi_u": pu}, build_rerouting(sub, dims, N)))
+            out.append(Candidate({"pi_y": py, "pi_u": pu}, build_rerouting(sub, dims)))
         return out
     if kind == "fdi":
-        return [Candidate(None, build_fdi(res, dims, N))]
+        return [Candidate(None, build_fdi(res, dims))]
     if kind == "bias_injection":
-        return [Candidate(None, build_bias(res, dims, N))]
+        return [Candidate(None, build_bias(res, dims))]
     if kind == "fdi_plus_dos":
-        return [Candidate(None, build_fdi_plus_dos(res, dims, N))]
+        return [Candidate(None, build_fdi_plus_dos(res, dims))]
     if kind in ("replay_dos", "replay_bias"):
         mode = "dos" if kind == "replay_dos" else "bias"
         return [Candidate(None, build_replay(res, dims, N, actuator_mode=mode))]

@@ -111,11 +111,11 @@ def _variant_label(cand: Candidate, resources) -> str:
     return f"sensors={_fmt_idx(v['sensors'])};actuators={_fmt_idx(v['actuators'])}"
 
 
-def _candidate_law(scenario: Scenario, cand: Candidate, epsilon: float):
-    """(Gaussian summary at epsilon, decision layout) of one configuration."""
+def _candidate_law(scenario: Scenario, cand: Candidate, epsilon: float) -> GaussianSummary:
+    """Gaussian summary at epsilon of one configuration, carrying its decision layout."""
     N = scenario.horizon
     layout = decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
-    return gaussian_summary(scenario.system, cand.attack, layout, scenario.q_z, N, epsilon), layout
+    return gaussian_summary(scenario.system, cand.attack, layout, scenario.q_z, N, epsilon)
 
 
 def _assess_pair(
@@ -141,7 +141,7 @@ def _assess_pair(
     laws = [_candidate_law(scenario, c, epsilons[0]) for c in cands]
     entries = []
     for eps in epsilons:
-        reports = [compute_impact(summary.at_epsilon(eps), layout) for summary, layout in laws]
+        reports = [compute_impact(summary.at_epsilon(eps)) for summary in laws]
         best = first_near_max([r.exceed_prob for r in reports])
         entry = AssessmentEntry(
             vulnerability=vulnerability,
@@ -154,7 +154,7 @@ def _assess_pair(
             candidates_evaluated=len(cands),
         )
         if mc_seed is not None:
-            entry.mc_block = _mc_block(scenario, entry, laws[best][0].at_epsilon(eps), mc_seed)
+            entry.mc_block = _mc_block(scenario, entry, laws[best].at_epsilon(eps), mc_seed)
         t1 = time.perf_counter()
         entry.timing_s, t0 = t1 - t0, t1
         entries.append(entry)

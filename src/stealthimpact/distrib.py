@@ -87,14 +87,15 @@ class GaussianSummary:
     def impact_bounded(self) -> bool:
         """Whether every critical row is bounded on the feasible set, computed on demand.
 
-        True when null([Q; T_R; F]) lies in null(T_Z): no direction that
-        leaves the box, budget and equality maps flat moves a critical mean.
-        No report reads it: the solver decides boundedness row by row in its
-        own reduced coordinates and reports an unbounded row the same way.
-        Each read takes a full SVD of the stacked constraint maps.
+        True when, over the admissible span of the layout's basis Z,
+        null([Q; T_R] Z) lies in null(T_Z Z): no admissible direction that
+        leaves the box and budget maps flat moves a critical mean. No report
+        reads it: the solver decides boundedness row by row in its own reduced
+        coordinates and reports an unbounded row the same way. Each read takes
+        a full SVD of the stacked constraint maps.
         """
-        stack = np.vstack([self.layout.Q, self.t_r, self.layout.F])
-        return numcore.null_space_contained(stack, self.t_z)
+        Z = self.layout.Z
+        return numcore.null_space_contained(np.vstack([self.layout.Q, self.t_r]) @ Z, self.t_z @ Z)
 
     def at_epsilon(self, epsilon: float) -> "GaussianSummary":
         """The same laws and audits under another budget: only the radius moves."""
@@ -110,16 +111,14 @@ def stationary_law(nominal: NominalLoop) -> tuple[np.ndarray, np.ndarray]:
     """Stationary mean map and covariance of the nominal loop state.
 
     The mean is T_0 y_r with T_0 = (I - A_cl)^-1 E_r; the covariance solves the
-    Lyapunov equation driven by the stacked noise.
+    Lyapunov equation driven by the stacked noise. The Lyapunov solve runs
+    first: it raises UnstableMatrix unless A_cl is Schur stable, which also
+    makes I - A_cl nonsingular.
     """
-    n = nominal.A_cl.shape[0]
-    rho = numcore.spectral_radius(nominal.A_cl)
-    if rho >= 1.0:
-        raise numcore.UnstableMatrix(f"nominal loop unstable: spectral radius {rho:.6f}")
-    t_0 = np.linalg.solve(np.eye(n) - nominal.A_cl, nominal.E_r)
     sigma_0 = numcore.solve_lyapunov(
         nominal.A_cl, nominal.B_f @ nominal.sigma_f @ nominal.B_f.T
     )
+    t_0 = np.linalg.solve(np.eye(nominal.A_cl.shape[0]) - nominal.A_cl, nominal.E_r)
     return t_0, sigma_0
 
 

@@ -1,19 +1,21 @@
 """Per-index convex solves and impact aggregation.
 
 Each row i of the critical map T_Z defines one program: maximize T_Z(i,:) d
-over the symmetric feasible set {|Q d|_inf <= 1, d' M'M d <= radius, F d = 0}.
+over the symmetric feasible set {|Q d|_inf <= 1, d' M'M d <= radius, d = Z xi},
+where the orthonormal columns of Z span the admissible decision vectors.
 Because the set is symmetric and the exceedance probability of N(mu, sigma^2)
 outside [-1, 1] is even and increasing in |mu|, maximizing the mean maximizes
 the probability, so the worst exceedance probability is max_i P_i and the
 worst expected infinity norm is lower-bounded by max_i mu_i.
 
-Method. The equalities are eliminated through an orthonormal null-space basis.
-One SVD of the reduced quadratic map M (scaled by 1/sqrt(radius), absent when
-the radius collapses) gives its kept right singular vectors V_r and singular
-values s; the part of the box rows outside span(V_r) gives the box-only
-directions U_perp. Directions outside [V_r U_perp] either leave the objective
-flat or certify unboundedness. In the coordinates eta = (x; w) over
-[V_r U_perp] every row solves
+Method. The solve works in the coordinates xi. The decision layout writes Z
+down in closed form from the strategy's injection modes; solve_qclp takes the
+null basis of its equality map. One SVD of the reduced quadratic map M Z
+(scaled by 1/sqrt(radius), absent when the radius collapses) gives its kept
+right singular vectors V_r and singular values s; the part of the box rows
+outside span(V_r) gives the box-only directions U_perp. Directions outside
+[V_r U_perp] either leave the objective flat or certify unboundedness. In the
+coordinates eta = (x; w) over [V_r U_perp] every row solves
 
     maximize c'eta  subject to  |A eta|_inf <= 1,  |s * x|^2 <= 1,
 
@@ -85,8 +87,8 @@ y_S = C_S^+' c_w + Q_C H^+' (e - 2 lambda v). The pattern's bound is
 ||y||_1 + 2 lambda. Each row takes the pattern with the smallest such bound
 (the winning pattern, at a nondegenerate optimum), evaluates the bound
 directly from its y in eta, and reports the relative gap to the attained value
-together with the constraint residuals of d*. Either one above CERT_TOL raises
-NumericalFailure.
+together with the constraint residuals of d*, the equality one being the
+distance of d* from span(Z). Either one above CERT_TOL raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ from typing import Optional
 import numpy as np
 
 from . import numcore
-from .attacks import DecisionLayout
 from .distrib import GaussianSummary
 
 CERT_TOL = 1e-9
@@ -176,66 +177,52 @@ def first_near_max(values) -> int:
     return int(np.argmax(values >= top - CERT_TOL * max(1.0, abs(top))))
 
 
-def eliminate_equalities(f_eq: np.ndarray, dim_d: int) -> np.ndarray:
-    """Orthonormal basis of the equality null space: d = Z xi spans {F d = 0}."""
-    f_eq = np.asarray(f_eq, dtype=float)
-    if f_eq.size == 0:
-        return np.eye(dim_d)
-    if f_eq.shape[1] != dim_d:
-        raise ValueError(f"equality map has {f_eq.shape[1]} columns, expected {dim_d}")
-    return numcore.null_basis(f_eq)
-
-
 class _Geometry:
     """Shared factorization of the feasible set, reused across objective rows.
 
-    Coordinates: d = z_eq @ axes @ eta, eta = (x; w). The columns of axes are
-    V_r, the right singular vectors of the reduced quadratic map kept by the
-    rank decision, then U_perp, an orthonormal basis of the part of the box
-    rows outside span(V_r). The quadratic constraint reads |s * x|^2 <= 1 with s
-    the kept singular values, so M in these coordinates is [diag(s) 0], and
-    the box rows are a_rows = [B C] over (x, w).
+    Coordinates: d = z_eq @ axes @ eta, eta = (x; w). z_eq is the orthonormal
+    admissible basis, narrowed to null(m_quad) when the radius collapses. The
+    columns of axes are V_r, the right singular vectors of the reduced
+    quadratic map kept by the rank decision, then U_perp, an orthonormal basis
+    of the part of the box rows outside span(V_r). The quadratic constraint
+    reads |s * x|^2 <= 1 with s the kept singular values, so M in these
+    coordinates is [diag(s) 0], and the box rows are a_rows = [B C] over
+    (x, w).
     """
 
-    def __init__(
-        self,
-        q_box: np.ndarray,
-        m_quad: np.ndarray,
-        f_eq: np.ndarray,
-        radius: float,
-        dim_d: int,
-    ) -> None:
+    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, radius: float) -> None:
         if radius < 0:
             raise Infeasible(f"negative stealthiness radius {radius:.6e}")
+        basis = np.asarray(basis, dtype=float)
+        dim_d = basis.shape[0]
         q_box = np.asarray(q_box, dtype=float).reshape(-1, dim_d)
         m_quad = np.asarray(m_quad, dtype=float).reshape(-1, dim_d)
-        f_eq = np.asarray(f_eq, dtype=float).reshape(-1, dim_d)
         if q_box.shape[0] > PATTERN_CAP:
             raise PatternCapExceeded(
                 f"{q_box.shape[0]} reference-box rows exceed the cap {PATTERN_CAP}"
             )
 
-        z_eq = eliminate_equalities(f_eq, dim_d)
-        m_red = m_quad @ z_eq
+        m_red = m_quad @ basis
         if radius > _RADIUS_FLOOR:
             m_red = m_red / math.sqrt(radius)
         # keep only the directions the quadratic map sees above rounding level
         # next to the box and itself; the box-only directions get the same cut
         _, s, vt = np.linalg.svd(m_red)
-        a_red = q_box @ z_eq
+        a_red = q_box @ basis
         scale = max(np.max(s, initial=0.0), np.linalg.norm(a_red))
         rank = int(np.count_nonzero(s > numcore.RANK_RTOL * scale))
         v_r = vt[:rank].T
+        z_eq = basis
         if radius <= _RADIUS_FLOOR:
             # budget numerically zero: the quadratic cap collapses to the
             # equality m_quad d = 0 and joins the eliminated block
-            z_eq = z_eq @ vt[rank:].T
+            z_eq = basis @ vt[rank:].T
             a_red = q_box @ z_eq
             rank = 0
             v_r = np.zeros((z_eq.shape[1], 0))
         _, sv, wt = np.linalg.svd(a_red - (a_red @ v_r) @ v_r.T, full_matrices=False)
         box_only = int(np.count_nonzero(sv > numcore.RANK_RTOL * scale))
-        self.q_box, self.m_quad, self.f_eq, self.radius = q_box, m_quad, f_eq, radius
+        self.q_box, self.m_quad, self.basis, self.radius = q_box, m_quad, basis, radius
         self.z_eq = z_eq
         self.axes = np.hstack([v_r, wt[:box_only].T])
         self.a_rows = a_red @ self.axes
@@ -245,7 +232,7 @@ class _Geometry:
     def objective(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Reduced objectives of the rows of c and whether each is bounded.
 
-        The component of a row (restricted to the equality null space) outside
+        The component of a row (restricted to the admissible span) outside
         the constraint row space is a feasible ascent ray, so a program is
         unbounded exactly when that component is nonzero. A reduced objective
         at rounding level of its row is set to zero: that row's optimum is 0.
@@ -267,13 +254,15 @@ class _Geometry:
         """Largest constraint violation of each row of d.
 
         The box excess is absolute, the quadratic one relative to the radius
-        and the equality one relative to max(1, |d|_inf).
+        and the equality one, the distance from the admissible span, relative
+        to max(1, |d|_inf).
         """
         box = np.max(np.abs(d @ self.q_box.T), axis=1, initial=0.0) - 1.0
         quad = (np.sum(np.square(d @ self.m_quad.T), axis=1) - self.radius) / max(
             self.radius, _RADIUS_FLOOR
         )
-        eq = np.max(np.abs(d @ self.f_eq.T), axis=1, initial=0.0) / np.maximum(
+        off_span = d - (d @ self.basis) @ self.basis.T
+        eq = np.max(np.abs(off_span), axis=1, initial=0.0) / np.maximum(
             1.0, np.max(np.abs(d), axis=1, initial=0.0)
         )
         return np.maximum.reduce([box, quad, eq, np.zeros(d.shape[0])])
@@ -444,7 +433,8 @@ def _solve_batch(geom: _Geometry, c: np.ndarray) -> Optional[_Batch]:
 def solve_qclp(problem: ConvexProblem) -> SolveResult:
     """Solve one program; raises Infeasible when the radius is negative."""
     dim_d = np.asarray(problem.c).shape[-1]
-    geom = _Geometry(problem.q_box, problem.m_quad, problem.f_eq, problem.radius, dim_d)
+    basis = numcore.null_basis(np.asarray(problem.f_eq, dtype=float).reshape(-1, dim_d))
+    geom = _Geometry(problem.q_box, problem.m_quad, basis, problem.radius)
     batch = _solve_batch(geom, problem.c)
     if batch is None:
         return SolveResult(np.zeros(dim_d), math.inf, "unbounded", math.nan, math.nan)
@@ -472,7 +462,7 @@ def _empty_report(feasible: bool, unbounded: bool, n_rows: int, dim_d: int, eps_
     )
 
 
-def compute_impact(summary: GaussianSummary, layout: DecisionLayout) -> ImpactReport:
+def compute_impact(summary: GaussianSummary) -> ImpactReport:
     """Solve the program of every critical row in one batch and aggregate.
 
     Shortcut paths: a residual covariance that is not positive definite, or a
@@ -483,13 +473,14 @@ def compute_impact(summary: GaussianSummary, layout: DecisionLayout) -> ImpactRe
     without bound: the probability metric saturates at 1 and the mean metric
     is reported as infinity.
     """
+    layout = summary.layout
     n_rows = summary.t_z.shape[0]
     dim_d = layout.dim_d
     sigma = np.sqrt(np.diag(summary.sigma_z))
     if not summary.residual_cov_pd or summary.eps_prime < 0:
         return _empty_report(False, False, n_rows, dim_d, summary.eps_prime, sigma)
 
-    geom = _Geometry(layout.Q, summary.t_r, layout.F, summary.eps_prime, dim_d)
+    geom = _Geometry(layout.Q, summary.t_r, layout.Z, summary.eps_prime)
     batch = _solve_batch(geom, summary.t_z)
     if batch is None:
         return _empty_report(True, True, n_rows, dim_d, summary.eps_prime, sigma)

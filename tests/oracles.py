@@ -606,7 +606,7 @@ class _RefGeometry:
                 f"{q_box.shape[0]} reference-box rows exceed the cap {solver.PATTERN_CAP}"
             )
 
-        z_eq = solver.eliminate_equalities(f_eq, dim_d)
+        z_eq = numcore.null_basis(f_eq)
         m_red = m_quad @ z_eq
         if radius > solver._RADIUS_FLOOR:
             m_red = m_red / math.sqrt(radius)

@@ -101,8 +101,7 @@ def _fdi_instance(rng):
     for _ in range(50):
         system = _study_system(rng)
         N = 2
-        atk = attacks.build_fdi(ResourceSet(sensors=(int(rng.integers(0, 2)),)),
-                                system.dims, N)
+        atk = attacks.build_fdi(ResourceSet(sensors=(int(rng.integers(0, 2)),)), system.dims)
         layout = decision_layout(atk, N, system.controller.Q_yr)
         q_z = _unit_row(rng, 2)
         summ0 = gaussian_summary(system, atk, layout, q_z, N, 0.1)
@@ -125,7 +124,7 @@ def _bias_instance(rng):
     for _ in range(50):
         system = _study_system(rng)
         N = 2
-        atk = attacks.build_bias(ResourceSet(actuators=(0,)), system.dims, N)
+        atk = attacks.build_bias(ResourceSet(actuators=(0,)), system.dims)
         layout = decision_layout(atk, N, system.controller.Q_yr)
         q_z = _unit_row(rng, 2)
         summ0 = gaussian_summary(system, atk, layout, q_z, N, 0.1)
@@ -154,7 +153,7 @@ def _denial_instance(rng, kind):
         else:
             res = ResourceSet(actuators=(0,))
         build = attacks.build_dos if kind == "dos" else attacks.build_sign_alternation
-        atk = build(res, system.dims, N)
+        atk = build(res, system.dims)
         layout = decision_layout(atk, N, system.controller.Q_yr)
         q_z = _unit_row(rng, 2)
         summ0 = gaussian_summary(system, atk, layout, q_z, N, 0.0)
@@ -180,7 +179,7 @@ def _grid_agreement(summary, layout, ranges, lift):
     covering radius of the grid and the probability is allowed one Lipschitz
     step plus the stated 1e-3 slack.
     """
-    report = solver.compute_impact(summary, layout)
+    report = solver.compute_impact(summary)
     assert report.feasible and not report.unbounded
     sig = np.sqrt(np.diag(summary.sigma_z))
     delta = GRID_STEP / 2.0 * np.sqrt(len(ranges))
@@ -410,13 +409,13 @@ def test_criterion_7_numerical_residuals(scenario, system):
     for kind, sensors, actuators, mode in configs:
         res = ResourceSet(sensors=sensors, actuators=actuators)
         if kind == "dos":
-            atk = attacks.build_dos(res, system.dims, N)
+            atk = attacks.build_dos(res, system.dims)
         elif kind == "sign":
-            atk = attacks.build_sign_alternation(res, system.dims, N)
+            atk = attacks.build_sign_alternation(res, system.dims)
         elif kind == "fdi":
-            atk = attacks.build_fdi(res, system.dims, N)
+            atk = attacks.build_fdi(res, system.dims)
         elif kind == "bias":
-            atk = attacks.build_bias(res, system.dims, N)
+            atk = attacks.build_bias(res, system.dims)
         else:
             atk = attacks.build_replay(res, system.dims, N, mode)
         ext = assemble_extended(system.plant, system.controller, system.estimator, atk)

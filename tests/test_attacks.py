@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from stealthimpact import attacks, distrib
+from stealthimpact.attacks import FREE, HELD, PINNED
 from stealthimpact.sysmodel import SystemDims
 from conftest import random_system
 
 DIMS = SystemDims(n_x=3, n_y=3, n_u=4, n_yr=3)
+
+
+def _equality_map(atk, N, n_yr=3):
+    """Equality rows on d = [a(0..N); y_r] built from the admissible basis:
+    F d = 0 iff d lies in span(Z)."""
+    return linalg.null_space(attacks.decision_layout(atk, N, np.eye(n_yr)).Z.T).T
 
 
 def test_resource_set_sorts_and_validates():
@@ -21,17 +29,17 @@ def test_resource_set_sorts_and_validates():
 
 def test_dos_zeroes_diagonal():
     res = attacks.ResourceSet(sensors=(1,), actuators=(0, 2))
-    atk = attacks.build_dos(res, DIMS, N=4)
+    atk = attacks.build_dos(res, DIMS)
     assert np.allclose(atk.lambda_y, np.diag([1.0, 0.0, 1.0]))
     assert np.allclose(atk.lambda_u, np.diag([0.0, 1.0, 0.0, 1.0]))
     assert atk.n_a == 0
-    assert atk.f_a.shape == (0, 0)
+    assert np.array_equal(attacks.decision_layout(atk, 4, np.eye(3)).Z, np.eye(3))
     assert not atk.has_recording
 
 
 def test_sign_alternation_flips():
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
-    atk = attacks.build_sign_alternation(res, DIMS, N=2)
+    atk = attacks.build_sign_alternation(res, DIMS)
     assert atk.lambda_y[0, 0] == -1.0
     assert atk.lambda_u[1, 1] == -1.0
     assert np.allclose(np.abs(atk.lambda_y), np.eye(3))
@@ -44,7 +52,7 @@ def test_rerouting_permutation():
         pi_y={0: 1, 1: 0},
         pi_u=None,
     )
-    atk = attacks.build_rerouting(spec, DIMS, N=2)
+    atk = attacks.build_rerouting(spec, DIMS)
     expected = np.eye(3)[[1, 0, 2]]
     assert np.allclose(atk.lambda_y, expected)
     assert np.allclose(atk.lambda_u, np.eye(4))
@@ -57,7 +65,7 @@ def test_rerouting_rejects_escaping_permutation():
         pi_y={0: 2, 2: 0},
     )
     with pytest.raises(attacks.InvalidPermutation):
-        attacks.build_rerouting(spec, DIMS, N=2)
+        attacks.build_rerouting(spec, DIMS)
 
 
 def test_rerouting_rejects_non_bijection():
@@ -67,45 +75,47 @@ def test_rerouting_rejects_non_bijection():
         pi_y={0: 1, 1: 1},
     )
     with pytest.raises(attacks.InvalidPermutation):
-        attacks.build_rerouting(spec, DIMS, N=2)
+        attacks.build_rerouting(spec, DIMS)
 
 
 def test_fdi_channels():
     res = attacks.ResourceSet(sensors=(0, 2), actuators=(1,))
     N = 3
-    atk = attacks.build_fdi(res, DIMS, N)
+    atk = attacks.build_fdi(res, DIMS)
     assert (atk.n_au, atk.n_ay, atk.n_a) == (1, 2, 3)
     assert np.allclose(atk.lambda_y, np.eye(3))
     assert atk.gamma_y.shape == (3, 2)
     assert atk.gamma_y[0, 0] == 1.0 and atk.gamma_y[2, 1] == 1.0
     assert atk.gamma_u[1, 0] == 1.0
-    assert atk.f_a.shape == (0, (N + 1) * 3)
+    # every channel is free: the admissible basis is the identity
+    assert np.array_equal(attacks.decision_layout(atk, N, np.eye(3)).Z, np.eye((N + 1) * 3 + 3))
 
 
 def test_fdi_requires_resources():
     with pytest.raises(attacks.EmptyResources):
-        attacks.build_fdi(attacks.ResourceSet(), DIMS, N=2)
+        attacks.build_fdi(attacks.ResourceSet(), DIMS)
 
 
 def test_bias_constancy_rows():
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
     N = 3
-    atk = attacks.build_bias(res, DIMS, N)
+    atk = attacks.build_bias(res, DIMS)
     n_a = atk.n_a
-    assert atk.f_a.shape == (N * n_a, (N + 1) * n_a)
+    F = _equality_map(atk, N)
+    assert F.shape == (N * n_a, (N + 1) * n_a + 3)
     # a constant stacked signal is in the null space, a varying one is not
     a0 = np.array([0.7, -0.3])
-    const = np.tile(a0, N + 1)
-    assert np.allclose(atk.f_a @ const, 0.0)
+    const = np.concatenate([np.tile(a0, N + 1), [0.2, -1.0, 0.5]])
+    assert np.allclose(F @ const, 0.0)
     varying = const.copy()
-    varying[-1] += 1.0
-    assert np.max(np.abs(atk.f_a @ varying)) > 0.5
+    varying[(N + 1) * n_a - 1] += 1.0
+    assert np.linalg.norm(F @ varying) > 0.5
 
 
 def test_fdi_plus_dos_combines():
     """Injection on the compromised sensors, denial of the compromised actuators."""
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
-    atk = attacks.build_fdi_plus_dos(res, DIMS, N=2)
+    atk = attacks.build_fdi_plus_dos(res, DIMS)
     assert np.array_equal(atk.lambda_y, np.eye(3))
     assert atk.gamma_y[0, 0] == 1.0
     assert atk.n_ay == 1 and atk.n_au == 0
@@ -115,8 +125,8 @@ def test_fdi_plus_dos_combines():
 
 def test_fdi_plus_dos_without_sensors_is_denial():
     res = attacks.ResourceSet(actuators=(0, 2))
-    atk = attacks.build_fdi_plus_dos(res, DIMS, N=2)
-    dos = attacks.build_dos(res, DIMS, N=2)
+    atk = attacks.build_fdi_plus_dos(res, DIMS)
+    dos = attacks.build_dos(res, DIMS)
     for field, value in vars(dos).items():
         assert np.array_equal(getattr(atk, field), value), field
 
@@ -148,7 +158,7 @@ def test_replay_recording_maps(system):
     assert np.allclose(predicted, np.concatenate(rows), atol=1e-10)
     assert np.allclose(x0_x @ x_e0 + x0_f @ f_pre + x0_r @ y_r, x_e, atol=1e-10)
     # strategies without a recording phase have an empty window
-    fdi = attacks.build_fdi(res, system.dims, N)
+    fdi = attacks.build_fdi(res, system.dims)
     (x0_x, x0_f, _), (rec_x, _, _) = distrib._recording_window(system, fdi)
     assert np.array_equal(x0_x, np.eye(2 * n_x))
     assert x0_f.shape[1] == 0 and rec_x.shape[0] == 0
@@ -165,8 +175,12 @@ def test_replay_dos_pins_injection():
     # denied actuator, no actuator injection channel
     assert atk.lambda_u[1, 1] == 0.0
     assert atk.n_au == 0
-    # every injected coordinate is pinned to the recording (deterministic part 0)
-    assert np.allclose(atk.f_a, np.eye((N + 1) * atk.n_ay))
+    # every injected coordinate is pinned to the recording (deterministic part 0):
+    # the equality rows span exactly the injected block
+    F = _equality_map(atk, N)
+    n_blk = (N + 1) * atk.n_ay
+    assert F.shape[0] == n_blk
+    assert np.allclose(F.T @ F, np.diag([1.0] * n_blk + [0.0] * 3))
 
 
 def test_replay_bias_constraints():
@@ -176,20 +190,22 @@ def test_replay_bias_constraints():
     atk = attacks.build_replay(res, sys_model.dims, N, actuator_mode="bias")
     assert (atk.n_au, atk.n_ay) == (2, 1)
     n_a = atk.n_a
+    F = _equality_map(atk, N)
     # constant actuator part with pinned sensor part satisfies the equalities
-    d_a = np.zeros((N + 1) * n_a)
+    d = np.zeros((N + 1) * n_a + 3)
     for k in range(N + 1):
-        d_a[k * n_a : k * n_a + 2] = [0.4, -0.2]
-    assert np.allclose(atk.f_a @ d_a, 0.0)
+        d[k * n_a : k * n_a + 2] = [0.4, -0.2]
+    d[-3:] = [1.0, -0.5, 0.3]
+    assert np.allclose(F @ d, 0.0)
     # nonzero sensor part violates the pinning rows
-    d_a[2] = 1.0
-    assert np.max(np.abs(atk.f_a @ d_a)) > 0.5
+    d[2] = 1.0
+    assert np.linalg.norm(F @ d) > 0.5
 
 
 def test_decision_layout_shapes():
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
     N = 3
-    atk = attacks.build_bias(res, DIMS, N)
+    atk = attacks.build_bias(res, DIMS)
     layout = attacks.decision_layout(atk, N, 0.4 * np.eye(3))
     assert layout.dim_d == (N + 1) * 2 + 3
     assert layout.Q.shape == (3, layout.dim_d)
@@ -202,6 +218,42 @@ def test_decision_layout_shapes():
     assert y_r.shape == (3,)
     assert np.allclose(a_seq[0], [0.0, 1.0])
     assert np.allclose(y_r, [8.0, 9.0, 10.0])
+
+
+# (actuator mode, sensor mode) per kind; None where the kind has no such injection block
+_MODES = {
+    "dos": (None, None),
+    "rerouting": (None, None),
+    "sign_alternation": (None, None),
+    "fdi": (FREE, FREE),
+    "bias_injection": (HELD, HELD),
+    "fdi_plus_dos": (None, FREE),
+    "replay_bias": (HELD, PINNED),
+    "replay_dos": (None, PINNED),
+}
+
+
+@pytest.mark.parametrize("N", [1, 10, 50])
+@pytest.mark.parametrize("kind", attacks.KINDS)
+def test_admissible_basis(kind, N):
+    """Z is orthonormal, each column holds held channels constant and pinned ones
+    at 0, and the column count is the dimension of the admissible set."""
+    res = attacks.ResourceSet(sensors=(0, 2), actuators=(1, 3))
+    for cand in attacks.candidates(attacks.StrategySpec(kind, res), DIMS, N):
+        atk = cand.attack
+        modes = _MODES[kind]
+        assert (atk.n_au == 0) == (modes[0] is None) and (atk.n_ay == 0) == (modes[1] is None)
+        Z = attacks.decision_layout(atk, N, np.eye(3)).Z
+        assert np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-15
+        a_cols = Z[: (N + 1) * atk.n_a].T.reshape(Z.shape[1], N + 1, atk.n_a)  # column, step, channel
+        channel_modes = [modes[0]] * atk.n_au + [modes[1]] * atk.n_ay
+        for j, mode in enumerate(channel_modes):
+            if mode == HELD:
+                assert np.array_equal(a_cols[:, :, j], np.repeat(a_cols[:, :1, j], N + 1, axis=1))
+            elif mode == PINNED:
+                assert not a_cols[:, :, j].any()
+        free_dim = 3 + sum({FREE: N + 1, HELD: 1, PINNED: 0}[m] for m in channel_modes)
+        assert Z.shape == ((N + 1) * atk.n_a + 3, free_dim)
 
 
 def test_candidate_enumeration_dos():

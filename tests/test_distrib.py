@@ -20,13 +20,13 @@ def _build(system, kind, N, sensors=(), actuators=(), actuator_mode="dos"):
     dims = system.dims
     res = attacks.ResourceSet(sensors=sensors, actuators=actuators)
     if kind == "dos":
-        atk = attacks.build_dos(res, dims, N)
+        atk = attacks.build_dos(res, dims)
     elif kind == "sign":
-        atk = attacks.build_sign_alternation(res, dims, N)
+        atk = attacks.build_sign_alternation(res, dims)
     elif kind == "fdi":
-        atk = attacks.build_fdi(res, dims, N)
+        atk = attacks.build_fdi(res, dims)
     elif kind == "bias":
-        atk = attacks.build_bias(res, dims, N)
+        atk = attacks.build_bias(res, dims)
     elif kind == "replay":
         atk = attacks.build_replay(res, dims, N, actuator_mode)
     else:
@@ -282,7 +282,7 @@ def test_zero_critical_map_rejected(system):
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
     assert summary.residual_cov_pd and summary.eps_prime >= 0
     with pytest.raises(numcore.DegenerateVariance):
-        solver.compute_impact(summary, layout)
+        solver.compute_impact(summary)
 
 
 def test_summary_at_another_epsilon(system):

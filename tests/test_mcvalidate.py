@@ -12,7 +12,7 @@ from oracles import nominal_long_run, reference_simulate
 
 def _fdi_setup(system, N=4, sensors=(0,), actuators=(0, 1)):
     res = attacks.ResourceSet(sensors=sensors, actuators=actuators)
-    atk = attacks.build_fdi(res, system.dims, N)
+    atk = attacks.build_fdi(res, system.dims)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     return atk, layout
 
@@ -54,7 +54,7 @@ def _attack(system, kind, N):
     if kind == "replay":
         return attacks.build_replay(res, system.dims, N, actuator_mode="dos")
     build = {"fdi": attacks.build_fdi, "dos": attacks.build_dos, "bias_injection": attacks.build_bias}[kind]
-    return build(res, system.dims, N)
+    return build(res, system.dims)
 
 
 @pytest.mark.parametrize("critical", ["none", "plant", "extended"])
@@ -116,7 +116,7 @@ def test_simulate_matches_analytic_replay(system, scenario):
 def test_nominal_residuals_white(system, scenario):
     """Identity routing leaves the whitened residuals standard normal."""
     N = 3
-    atk = attacks.build_dos(attacks.ResourceSet(), system.dims, N)
+    atk = attacks.build_dos(attacks.ResourceSet(), system.dims)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     d = np.array([0.5, 0.5, 0.5])  # reference only
     cfg = mcvalidate.SimulationConfig(samples=30_000, seed=11, horizon=N)

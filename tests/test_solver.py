@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from stealthimpact import attacks, distrib, solver
+from stealthimpact import attacks, distrib, numcore, solver
 import oracles
 from oracles import qclp_dual_bound, scipy_reference_qclp
 
@@ -199,42 +199,40 @@ def test_pattern_cap():
         solver.solve_qclp(_problem(np.ones(n), q_box=np.eye(n), m_quad=np.eye(n)))
 
 
-def test_eliminate_equalities_constancy():
-    # a(1) = a(0) on one channel leaves the diagonal direction
-    f = np.array([[-1.0, 1.0]])
-    Z = solver.eliminate_equalities(f, 2)
-    assert Z.shape == (2, 1)
-    assert np.allclose(np.abs(Z[:, 0]), np.sqrt(0.5), atol=1e-12)
-    assert np.allclose(solver.eliminate_equalities(np.zeros((0, 3)), 3), np.eye(3))
+def _equality_map(layout):
+    """Orthonormal rows spanning the complement of the admissible span: F d = 0 iff d = Z xi."""
+    return linalg.null_space(layout.Z.T).T
 
 
 def _bias_report(system, N=6, epsilon=0.3):
     res = attacks.ResourceSet(sensors=(0,), actuators=(0, 1))
-    atk = attacks.build_bias(res, system.dims, N)
+    atk = attacks.build_bias(res, system.dims)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, epsilon)
-    return solver.compute_impact(summary, layout), summary, layout
+    return solver.compute_impact(summary), summary, layout
 
 
 def test_compute_impact_constraints_hold(system):
     report, summary, layout = _bias_report(system)
+    F = _equality_map(layout)
     assert report.feasible and not report.unbounded
     assert report.duality_gap <= 1e-9
     assert report.feasibility_residual <= 1e-9
-    assert layout.F.shape[0]
+    assert F.shape[0]
     for i in range(report.mu.shape[0]):
         d = report.d_star[i]
         assert np.max(np.abs(layout.Q @ d)) <= 1.0 + 1e-9
         quad = float(d @ summary.t_r.T @ summary.t_r @ d)
         assert quad <= summary.eps_prime * (1.0 + 1e-9)
-        assert np.max(np.abs(layout.F @ d)) <= 1e-9
+        assert np.max(np.abs(F @ d)) <= 1e-9
 
 
 def test_compute_impact_matches_single_row_solves(system):
     report, summary, layout = _bias_report(system)
+    F = _equality_map(layout)
     for i in range(summary.t_z.shape[0]):
-        problem = solver.ConvexProblem(summary.t_z[i], layout.Q, summary.t_r, layout.F, summary.eps_prime)
+        problem = solver.ConvexProblem(summary.t_z[i], layout.Q, summary.t_r, F, summary.eps_prime)
         res = solver.solve_qclp(problem)
         assert res.mu == pytest.approx(report.mu[i], rel=1e-12)
         assert np.allclose(res.d_star, report.d_star[i], atol=1e-10)
@@ -254,11 +252,11 @@ def test_compute_impact_aggregation(system):
 def test_compute_impact_unbounded_path(system):
     N = 4
     res = attacks.ResourceSet(sensors=(1, 2), actuators=(2, 3))
-    atk = attacks.build_fdi(res, system.dims, N)
+    atk = attacks.build_fdi(res, system.dims)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
-    report = solver.compute_impact(summary, layout)
+    report = solver.compute_impact(summary)
     assert report.unbounded and report.feasible
     assert report.exceed_prob == 1.0
     assert report.mean_lower == math.inf
@@ -288,7 +286,7 @@ def test_solver_boundedness_matches_audit(scenario):
                             continue
                         if audit is None:
                             audit = summary.impact_bounded
-                        report = solver.compute_impact(moved, layout)
+                        report = solver.compute_impact(moved)
                         assert report.unbounded == (not audit), (vulnerability, kind, N, eps)
                         verdicts.add(report.unbounded)
     assert verdicts == {False, True}
@@ -299,7 +297,7 @@ def test_compute_impact_infeasible_path(system):
 
     report, summary, layout = _bias_report(system)
     starved = dataclasses.replace(summary, eps_prime=-1.0)
-    out = solver.compute_impact(starved, layout)
+    out = solver.compute_impact(starved)
     assert not out.feasible
     assert out.exceed_prob == 0.0
     assert out.mean_lower == 0.0
@@ -350,7 +348,7 @@ def test_solve_matches_row_space_reference():
     """
     solved = 0
     for c, q, m, f, radius in _oracle_cases():
-        geom = solver._Geometry(q, m, f, radius, c.shape[1])
+        geom = solver._Geometry(q, m, numcore.null_basis(f), radius)
         solved += _assert_matches_reference(geom, c, oracles.reference_solve_rows(c, q, m, f, radius))
     assert solved >= 30
 
@@ -369,33 +367,45 @@ def test_bundled_solves_match_row_space_reference(scenario, N):
                 )
                 if not summary.residual_cov_pd or summary.eps_prime < 0:
                     continue
-                args = (layout.Q, summary.t_r, layout.F, summary.eps_prime)
-                geom = solver._Geometry(*args, layout.dim_d)
-                ref = oracles.reference_solve_rows(summary.t_z, *args)
+                geom = solver._Geometry(layout.Q, summary.t_r, layout.Z, summary.eps_prime)
+                ref = oracles.reference_solve_rows(
+                    summary.t_z, layout.Q, summary.t_r, _equality_map(layout), summary.eps_prime
+                )
                 solved += _assert_matches_reference(geom, summary.t_z, ref)
     assert solved >= 6
 
 
 def test_solve_factors_no_large_matrix_but_the_quadratic_map(scenario, monkeypatch):
-    """On vulnerability_2/fdi at N = 50 the only SVD with more than k rows is the
-    one of the reduced quadratic map (F is empty there, so no null basis is taken)."""
+    """At N = 50 the only SVD with more than k rows is the one of the reduced
+    quadratic map: the admissible basis comes in closed form, so none is taken
+    to find it, for free (fdi), held (bias_injection, replay_bias) and pinned
+    (replay_bias, replay_dos) injection alike."""
     N = 50
-    spec = attacks.StrategySpec("fdi", scenario.vulnerabilities["vulnerability_2"])
-    (cand,) = attacks.candidates(spec, scenario.system.dims, N)
-    layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
-    summary = distrib.gaussian_summary(scenario.system, cand.attack, layout, scenario.q_z, N, scenario.epsilon)
-    k = layout.Q.shape[0]
-    shapes = []
-    svd = np.linalg.svd
+    cases = [
+        ("vulnerability_2", "fdi"),
+        ("vulnerability_1", "bias_injection"),
+        ("vulnerability_2", "replay_bias"),
+        ("vulnerability_2", "replay_dos"),
+    ]
+    for vulnerability, kind in cases:
+        spec = attacks.StrategySpec(kind, scenario.vulnerabilities[vulnerability])
+        (cand,) = attacks.candidates(spec, scenario.system.dims, N)
+        layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
+        summary = distrib.gaussian_summary(
+            scenario.system, cand.attack, layout, scenario.q_z, N, scenario.epsilon
+        )
+        assert summary.residual_cov_pd and summary.eps_prime > 0, kind
+        k = layout.Q.shape[0]
+        shapes = []
+        svd = np.linalg.svd
 
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    report = solver.compute_impact(summary, layout)
-    monkeypatch.undo()
-    assert report.feasible and not report.unbounded
-    assert layout.F.shape[0] == 0
-    assert [s for s in shapes if s[0] > k] == [summary.t_r.shape]
-    assert len(shapes) > 1
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = solver.compute_impact(summary)
+        monkeypatch.undo()
+        assert report.feasible and not report.unbounded, kind
+        assert [s for s in shapes if s[0] > k] == [(summary.t_r.shape[0], layout.Z.shape[1])], kind
+        assert len(shapes) > 1, kind

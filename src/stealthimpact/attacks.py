@@ -104,11 +104,17 @@ class AttackMatrices:
     lambda_u: np.ndarray
     gamma_y: np.ndarray
     gamma_u: np.ndarray
-    n_ay: int
-    n_au: int
     start_step: int
     au_mode: str = FREE
     ay_mode: str = FREE
+
+    @property
+    def n_ay(self) -> int:
+        return self.gamma_y.shape[1]
+
+    @property
+    def n_au(self) -> int:
+        return self.gamma_u.shape[1]
 
     @property
     def n_a(self) -> int:
@@ -162,8 +168,6 @@ def identity_routing(n_y: int, n_u: int) -> AttackMatrices:
         lambda_u=np.eye(n_u),
         gamma_y=_no_injection(n_y),
         gamma_u=_no_injection(n_u),
-        n_ay=0,
-        n_au=0,
         start_step=0,
     )
 
@@ -182,8 +186,6 @@ def build_dos(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
         lambda_u=lam_u,
         gamma_y=_no_injection(dims.n_y),
         gamma_u=_no_injection(dims.n_u),
-        n_ay=0,
-        n_au=0,
         start_step=0,
     )
 
@@ -237,8 +239,6 @@ def build_fdi(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
         lambda_u=np.eye(dims.n_u),
         gamma_y=gam_y,
         gamma_u=gam_u,
-        n_ay=gam_y.shape[1],
-        n_au=gam_u.shape[1],
         start_step=0,
     )
 
@@ -299,8 +299,6 @@ def build_replay(
         lambda_u=lam_u,
         gamma_y=_selector(dims.n_y, res.sensors),
         gamma_u=gam_u,
-        n_ay=len(res.sensors),
-        n_au=gam_u.shape[1],
         start_step=-N - 1,
         au_mode=HELD,
         ay_mode=PINNED,

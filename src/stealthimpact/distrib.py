@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numcore
 from .attacks import AttackMatrices, DecisionLayout
-from .sysmodel import DimensionMismatch, ExtendedSystem, NominalLoop, SystemModel
+from .sysmodel import DimensionMismatch, ExtendedSystem, SystemModel
 
 # eps' sums terms of size (N+1)(2 eps + n_y); a result within this fraction of
 # their magnitudes is rounding noise around 0, as for Sigma_R = I at eps = 0.
@@ -107,17 +107,19 @@ class GaussianSummary:
         return replace(self, epsilon=epsilon, eps_prime=eps_p)
 
 
-def stationary_law(nominal: NominalLoop) -> tuple[np.ndarray, np.ndarray]:
+def stationary_law(nominal: ExtendedSystem, sigma_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stationary mean map and covariance of the nominal loop state.
 
     The mean is T_0 y_r with T_0 = (I - A_cl)^-1 E_r; the covariance solves the
-    Lyapunov equation driven by the stacked noise. The Lyapunov solve runs
-    first: it raises UnstableMatrix unless A_cl is Schur stable, which also
-    makes I - A_cl nonsingular.
+    Lyapunov equation driven by the per-step noise covariance sigma_f. The
+    Lyapunov solve runs first and is the loop's one stability check: it raises
+    UnstableMatrix, naming the nominal loop, unless A_cl is Schur stable, which
+    also makes I - A_cl nonsingular.
     """
-    sigma_0 = numcore.solve_lyapunov(
-        nominal.A_cl, nominal.B_f @ nominal.sigma_f @ nominal.B_f.T
-    )
+    try:
+        sigma_0 = numcore.solve_lyapunov(nominal.A_cl, nominal.B_f @ sigma_f @ nominal.B_f.T)
+    except numcore.UnstableMatrix as exc:
+        raise numcore.UnstableMatrix(f"nominal loop unstable: {exc}") from None
     t_0 = np.linalg.solve(np.eye(nominal.A_cl.shape[0]) - nominal.A_cl, nominal.E_r)
     return t_0, sigma_0
 
@@ -300,23 +302,25 @@ def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> fl
 
 
 def kl_divergence_gaussian(mu1, sigma1, mu2, sigma2) -> float:
-    """Closed-form KL divergence between two Gaussians (first relative to second)."""
+    """Closed-form KL divergence between two Gaussians (first relative to second).
+
+    numcore.spd_factor decides each covariance's definiteness, and its
+    Cholesky factor gives the log determinant.
+    """
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
     mu2 = np.atleast_1d(np.asarray(mu2, dtype=float))
     sigma1 = np.atleast_2d(np.asarray(sigma1, dtype=float))
     sigma2 = np.atleast_2d(np.asarray(sigma2, dtype=float))
-    n = mu1.shape[0]
+    logdet = []
     for name, S in (("first covariance", sigma1), ("second covariance", sigma2)):
-        if not numcore.spd_check(S).is_positive_definite:
+        factor = numcore.spd_factor(0.5 * (S + S.T))
+        if factor is None:
             raise numcore.NotPositiveDefinite(f"{name} not positive definite")
-    L2 = np.linalg.cholesky(0.5 * (sigma2 + sigma2.T))
-    L1 = np.linalg.cholesky(0.5 * (sigma1 + sigma1.T))
+        logdet.append(2.0 * float(np.sum(np.log(np.diag(factor)))))
     trace_term = float(np.trace(np.linalg.solve(sigma2, sigma1)))
     diff = mu2 - mu1
     quad = float(diff @ np.linalg.solve(sigma2, diff))
-    logdet2 = 2.0 * float(np.sum(np.log(np.diag(L2))))
-    logdet1 = 2.0 * float(np.sum(np.log(np.diag(L1))))
-    return 0.5 * (trace_term + quad - n + logdet2 - logdet1)
+    return 0.5 * (trace_term + quad - mu1.shape[0] + logdet[1] - logdet[0])
 
 
 def _laws(

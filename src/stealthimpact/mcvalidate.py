@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .attacks import AttackMatrices, decision_layout
-from .distrib import gaussian_summary, kl_divergence_gaussian, normalize_critical_map
+from .distrib import kl_divergence_gaussian, normalize_critical_map
 from .sysmodel import SystemModel
 
 
@@ -249,32 +249,18 @@ def _centred_moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, s @ s.T / (s.shape[1] - 1)
 
 
-def empirical_kl_check(
-    system: SystemModel,
-    attack: AttackMatrices,
-    d: np.ndarray,
-    epsilon: float,
-    cfg: SimulationConfig,
-) -> KlCheckResult:
-    """Compare the analytic budget verdict with the empirical KL rate.
-
-    The analytic side evaluates the quadratic form against the reduced radius
-    of the configuration's Gaussian summary. The empirical side plugs the
-    sample residual mean and covariance into the closed-form Gaussian
-    divergence. Within the Monte Carlo slack band around epsilon, the
-    empirical verdict defers to the analytic one.
-    """
-    sim = simulate(system, attack, d, cfg)  # raises unless cfg.horizon is set
-    N = int(cfg.horizon)
-    layout = decision_layout(attack, N, system.controller.Q_yr)
-    summary = gaussian_summary(system, attack, layout, np.eye(system.plant.n_x), N, epsilon)
-    return kl_verdict(sim, summary.t_r, d, summary.eps_prime, epsilon, N)
-
-
 def kl_verdict(
     sim: EmpiricalSummary, t_r: np.ndarray, d: np.ndarray, radius: float, epsilon: float, N: int
 ) -> KlCheckResult:
-    """Analytic and empirical budget verdicts at d; see empirical_kl_check."""
+    """Compare the analytic budget verdict at d with the empirical KL rate.
+
+    The analytic side evaluates the quadratic form |t_r d|^2 against the
+    stealthiness radius of the configuration's Gaussian summary. The empirical
+    side plugs the sample residual mean and covariance of sim into the
+    closed-form Gaussian divergence from the nominal N(0, I), per step of the
+    window [0, N]. Within the Monte Carlo slack band around epsilon, the
+    empirical verdict defers to the analytic one.
+    """
     quad = float(np.square(t_r @ np.asarray(d, dtype=float)).sum())
     analytic_ok = quad <= radius + 1e-9 * max(1.0, abs(radius))
     dim_r = sim.r_mean.shape[0]

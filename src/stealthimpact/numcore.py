@@ -176,7 +176,7 @@ def solve_lyapunov(A_e: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     rho = spectral_radius(A_e)
     if rho >= 1.0:
-        raise UnstableMatrix(f"spectral radius {rho:.6f} >= 1")
+        raise UnstableMatrix(f"spectral radius {rho:.6f}")
     S = Q.copy()
     M = A_e.copy()
     for _ in range(200):

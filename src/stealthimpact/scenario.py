@@ -10,6 +10,7 @@ package.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -152,8 +153,13 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise SchemaError("horizon must be an integer >= 1")
     epsilon = _require(doc, "epsilon", "")
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or epsilon < 0:
-        raise SchemaError("epsilon must be a number >= 0")
+    # json reads Infinity and NaN, and 1e400 as inf; the last test rejects them all
+    if (
+        not isinstance(epsilon, (int, float))
+        or isinstance(epsilon, bool)
+        or not 0 <= epsilon <= sys.float_info.max
+    ):
+        raise SchemaError("epsilon must be a finite number >= 0")
 
     vuln_doc = _require(doc, "vulnerabilities", "")
     if not isinstance(vuln_doc, dict) or not vuln_doc:

@@ -8,12 +8,13 @@ outside [-1, 1] is even and increasing in |mu|, maximizing the mean maximizes
 the probability, so the worst exceedance probability is max_i P_i and the
 worst expected infinity norm is lower-bounded by max_i mu_i.
 
-Method. The solve works in the coordinates xi. The decision layout writes Z
-down in closed form from the strategy's injection modes; solve_qclp takes the
-null basis of its equality map. One SVD of the reduced quadratic map M Z
-(scaled by 1/sqrt(radius), absent when the radius collapses) gives its kept
-right singular vectors V_r and singular values s; the part of the box rows
-outside span(V_r) gives the box-only directions U_perp. Directions outside
+Method. compute_impact is the one entry: it solves every critical row of a
+Gaussian summary in one batch. The solve works in the coordinates xi, over the
+basis Z that the decision layout writes down in closed form from the
+strategy's injection modes. One SVD of the reduced quadratic map M Z (scaled
+by 1/sqrt(radius), absent when the radius collapses) gives its kept right
+singular vectors V_r and singular values s; the part of the box rows outside
+span(V_r) gives the box-only directions U_perp. Directions outside
 [V_r U_perp] either leave the objective flat or certify unboundedness. In the
 coordinates eta = (x; w) over [V_r U_perp] every row solves
 
@@ -87,8 +88,8 @@ y_S = C_S^+' c_w + Q_C H^+' (e - 2 lambda v). The pattern's bound is
 ||y||_1 + 2 lambda. Each row takes the pattern with the smallest such bound
 (the winning pattern, at a nondegenerate optimum), evaluates the bound
 directly from its y in eta, and reports the relative gap to the attained value
-together with the constraint residuals of d*, the equality one being the
-distance of d* from span(Z). Either one above CERT_TOL raises NumericalFailure.
+together with the constraint residuals of d*, its distance from span(Z)
+among them. Either one above CERT_TOL raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -119,31 +120,6 @@ class NumericalFailure(RuntimeError):
 
 class PatternCapExceeded(ValueError):
     """The reference box has more rows than the active-set enumeration allows."""
-
-
-@dataclass
-class ConvexProblem:
-    """One linear-objective program over the symmetric feasible set.
-
-    maximize c' d  subject to  |q_box d|_inf <= 1,
-                               d' m_quad' m_quad d <= radius,
-                               f_eq d = 0.
-    """
-
-    c: np.ndarray
-    q_box: np.ndarray
-    m_quad: np.ndarray
-    f_eq: np.ndarray
-    radius: float
-
-
-@dataclass
-class SolveResult:
-    d_star: np.ndarray
-    mu: float
-    status: str  # optimal | infeasible | unbounded
-    duality_gap: float
-    feasibility_residual: float
 
 
 @dataclass
@@ -428,19 +404,6 @@ def _solve_batch(geom: _Geometry, c: np.ndarray) -> Optional[_Batch]:
             f"feasibility residual {worst_res:.3e} (tolerance {CERT_TOL:.0e})"
         )
     return _Batch(d_star, mu, worst_gap, worst_res)
-
-
-def solve_qclp(problem: ConvexProblem) -> SolveResult:
-    """Solve one program; raises Infeasible when the radius is negative."""
-    dim_d = np.asarray(problem.c).shape[-1]
-    basis = numcore.null_basis(np.asarray(problem.f_eq, dtype=float).reshape(-1, dim_d))
-    geom = _Geometry(problem.q_box, problem.m_quad, basis, problem.radius)
-    batch = _solve_batch(geom, problem.c)
-    if batch is None:
-        return SolveResult(np.zeros(dim_d), math.inf, "unbounded", math.nan, math.nan)
-    return SolveResult(
-        batch.d_star[0], float(batch.mu[0]), "optimal", batch.duality_gap, batch.feasibility_residual
-    )
 
 
 def _empty_report(feasible: bool, unbounded: bool, n_rows: int, dim_d: int, eps_prime: float, sigma: np.ndarray) -> ImpactReport:

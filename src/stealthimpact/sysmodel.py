@@ -9,8 +9,8 @@ reference y_r, and the injected attack a = [a_u; a_y]:
 
 where r is the whitened residual. A replayed recording a_s is a sensor
 injection too: it enters through the sensor columns of G_a and H_a. With
-identity routing and no injection channels this reduces to the nominal loop
-(A_cl, B_f, E_r).
+identity routing and no injection channels this reduces to the nominal loop,
+which SystemModel keeps as its `nominal` ExtendedSystem.
 """
 
 from __future__ import annotations
@@ -158,27 +158,26 @@ class ExtendedSystem:
     E_r: np.ndarray
     G_a: np.ndarray
     H_a: np.ndarray
-    n_x: int
-    n_y: int
-    n_u: int
-    n_yr: int
-    n_a: int
-    n_ay: int
-    n_au: int
+
+    @property
+    def n_x(self) -> int:
+        return self.A_cl.shape[0] // 2
+
+    @property
+    def n_y(self) -> int:
+        return self.C_r.shape[0]
 
     @property
     def n_f(self) -> int:
-        return self.n_x + self.n_y
+        return self.B_f.shape[1]
 
+    @property
+    def n_yr(self) -> int:
+        return self.E_r.shape[1]
 
-@dataclass
-class NominalLoop:
-    """Attack-free closed loop and the stacked noise covariance."""
-
-    A_cl: np.ndarray
-    B_f: np.ndarray
-    E_r: np.ndarray
-    sigma_f: np.ndarray
+    @property
+    def n_a(self) -> int:
+        return self.G_a.shape[1]
 
 
 @dataclass
@@ -244,54 +243,26 @@ def assemble_extended(
         ]
     )
     H_a = np.hstack([np.zeros((n_y, n_au)), W @ gam_y])
-    return ExtendedSystem(
-        A_cl=A_cl,
-        B_f=B_f,
-        C_r=C_r,
-        D_f=D_f,
-        E_r=E_r,
-        G_a=G_a,
-        H_a=H_a,
-        n_x=n_x,
-        n_y=n_y,
-        n_u=n_u,
-        n_yr=controller.n_yr,
-        n_a=n_au + n_ay,
-        n_ay=n_ay,
-        n_au=n_au,
-    )
-
-
-def assemble_nominal(
-    plant: PlantModel, controller: ControllerModel, estimator: EstimatorModel
-) -> NominalLoop:
-    """Attack-free loop; raises UnstableMatrix when the loop is not stable."""
-    from .attacks import identity_routing
-
-    ext = assemble_extended(plant, controller, estimator, identity_routing(plant.n_y, plant.n_u))
-    rho = numcore.spectral_radius(ext.A_cl)
-    if rho >= 1.0:
-        raise numcore.UnstableMatrix(f"nominal loop unstable: spectral radius {rho:.6f}")
-    n_x, n_y = plant.n_x, plant.n_y
-    sigma_f = np.zeros((n_x + n_y, n_x + n_y))
-    sigma_f[:n_x, :n_x] = plant.sigma_v
-    sigma_f[n_x:, n_x:] = plant.sigma_w
-    return NominalLoop(A_cl=ext.A_cl, B_f=ext.B_f, E_r=ext.E_r, sigma_f=sigma_f)
+    return ExtendedSystem(A_cl=A_cl, B_f=B_f, C_r=C_r, D_f=D_f, E_r=E_r, G_a=G_a, H_a=H_a)
 
 
 @dataclass
 class SystemModel:
     """Plant + controller + derived estimator, nominal loop and its stationary law.
 
-    The loop state starts from N(t_0 y_r, sigma_0); sqrt_sigma_0 and
-    sqrt_sigma_f are the symmetric square roots of sigma_0 and of the per-step
-    noise covariance nominal.sigma_f.
+    The nominal loop is the attacked loop under identity routing with no
+    injection channels; sigma_f = diag(sigma_v, sigma_w) is its per-step noise
+    covariance. The loop state starts from N(t_0 y_r, sigma_0); sqrt_sigma_0
+    and sqrt_sigma_f are the symmetric square roots of sigma_0 and sigma_f.
+    Building the stationary law checks the nominal loop's stability
+    (UnstableMatrix).
     """
 
     plant: PlantModel
     controller: ControllerModel
     estimator: EstimatorModel = field(init=False)
-    nominal: NominalLoop = field(init=False)
+    nominal: ExtendedSystem = field(init=False)
+    sigma_f: np.ndarray = field(init=False)
     t_0: np.ndarray = field(init=False)
     sigma_0: np.ndarray = field(init=False)
     sqrt_sigma_0: np.ndarray = field(init=False)
@@ -302,13 +273,20 @@ class SystemModel:
             raise DimensionMismatch("controller and plant disagree on input count")
         if self.controller.L_xhat.shape[1] != self.plant.n_x:
             raise DimensionMismatch("L_xhat column count must match plant state")
-        self.estimator = build_estimator(self.plant)
-        self.nominal = assemble_nominal(self.plant, self.controller, self.estimator)
-        from .distrib import stationary_law  # distrib imports this module
+        # both modules import this one
+        from .attacks import identity_routing
+        from .distrib import stationary_law
 
-        self.t_0, self.sigma_0 = stationary_law(self.nominal)
+        plant = self.plant
+        self.estimator = build_estimator(plant)
+        self.nominal = assemble_extended(
+            plant, self.controller, self.estimator, identity_routing(plant.n_y, plant.n_u)
+        )
+        gap = np.zeros((plant.n_x, plant.n_y))
+        self.sigma_f = np.block([[plant.sigma_v, gap], [gap.T, plant.sigma_w]])
+        self.t_0, self.sigma_0 = stationary_law(self.nominal, self.sigma_f)
         self.sqrt_sigma_0 = numcore.sym_sqrt(self.sigma_0)
-        self.sqrt_sigma_f = numcore.sym_sqrt(self.nominal.sigma_f)
+        self.sqrt_sigma_f = numcore.sym_sqrt(self.sigma_f)
 
     @property
     def dims(self) -> SystemDims:

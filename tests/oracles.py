@@ -292,7 +292,7 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
     n_blk = (N + 1) * attack.n_a
     a_seq, y_r = d[:n_blk].reshape(N + 1, attack.n_a), d[n_blk:]
     n_au = attack.n_au
-    t_0, sigma_0 = stationary_law(system.nominal)
+    t_0, sigma_0 = stationary_law(system.nominal, system.sigma_f)
     sqrt_0 = numcore.sym_sqrt(sigma_0)
     chol_v = np.linalg.cholesky(plant.sigma_v)
     chol_w = np.linalg.cholesky(plant.sigma_w)

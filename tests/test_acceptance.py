@@ -388,9 +388,9 @@ def test_criterion_7_numerical_residuals(scenario, system):
         r_dare = numcore.dare_residual(
             plant.A, plant.C, plant.sigma_v, plant.sigma_w, est.sigma_e
         )
-        _, sigma_0 = distrib.stationary_law(nom)
+        _, sigma_0 = distrib.stationary_law(nom, model.sigma_f)
         r_lyap = numcore.lyapunov_residual(
-            nom.A_cl, nom.B_f @ nom.sigma_f @ nom.B_f.T, sigma_0
+            nom.A_cl, nom.B_f @ model.sigma_f @ nom.B_f.T, sigma_0
         )
         if r_dare > 1e-9 or r_lyap > 1e-9:
             bad.append((i, r_dare, r_lyap))

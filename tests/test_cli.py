@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import stealthimpact
 from stealthimpact import attacks, cli, solver
-from stealthimpact.scenario import bundled_scenario_path
+from stealthimpact.scenario import bundled_scenario_path, load_scenario
 
 
 def _run(tmp_path, *extra, name="out.json"):
@@ -424,6 +424,61 @@ def test_loader_rejections_exit_code(tmp_path, capsys):
     code, _ = _run(tmp_path, "--scenario", str(_write_scenario(tmp_path, doc)))
     assert code == cli.EXIT_VALIDATION
     assert "False is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "literal", ["Infinity", "NaN", "1e400", "1" + "0" * 400], ids=["Infinity", "NaN", "1e400", "int401"]
+)
+def test_non_finite_epsilon_rejected(tmp_path, capsys, literal):
+    """json reads Infinity and NaN, 1e400 overflows to inf, and a 401-digit integer
+    overflows float(); each is a validation error, not a run at a rounded budget."""
+    text = bundled_scenario_path().read_text().replace('"epsilon": 0.3', f'"epsilon": {literal}')
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code = cli.main(["assess", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert "epsilon must be a finite number >= 0" in err
+
+
+def test_unstable_nominal_loop_exit_code(tmp_path, capsys, monkeypatch):
+    """A nominal loop that is not Schur stable stops the load with exit 3.
+
+    Its stability is decided once per load, by the Lyapunov solve of the
+    stationary law: one eigenvalue solve of the 6x6 nominal A_cl next to the
+    3x3 one of the Kalman filter check, on a stable and an unstable loop alike.
+    """
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["controller"]["L_xhat"] = (50.0 * np.array(doc["controller"]["L_xhat"])).tolist()
+    path = _write_scenario(tmp_path, doc)
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    code = cli.main(["assess", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("numerical failure: nominal loop unstable: spectral radius ")
+    assert shapes == [(3, 3), (6, 6)]
+    shapes.clear()
+    load_scenario(bundled_scenario_path())
+    assert shapes == [(3, 3), (6, 6)]
+
+
+def test_public_names_resolve():
+    names = stealthimpact.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(stealthimpact, name) is not None, name
+    namespace = {}
+    exec("from stealthimpact import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def test_proportional_critical_rows_assessed(tmp_path):

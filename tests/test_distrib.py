@@ -1,11 +1,12 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stealthimpact import attacks, distrib, numcore, solver
-from stealthimpact.sysmodel import NominalLoop, assemble_extended
+from stealthimpact.sysmodel import assemble_extended
 from conftest import random_system
 from oracles import (
     explicit_rollout,
@@ -37,48 +38,45 @@ def _build(system, kind, N, sensors=(), actuators=(), actuator_mode="dos"):
 
 def test_stationary_law_zero_dynamics():
     # with A_cl = 0 the loop settles in one step: T_0 = E_r, Sigma_0 = B Sf B'
-    nom = NominalLoop(
+    nom = SimpleNamespace(
         A_cl=np.zeros((2, 2)),
         B_f=np.eye(2),
         E_r=np.array([[1.0], [2.0]]),
-        sigma_f=0.3 * np.eye(2),
     )
-    t_0, sigma_0 = distrib.stationary_law(nom)
+    t_0, sigma_0 = distrib.stationary_law(nom, 0.3 * np.eye(2))
     assert np.allclose(t_0, nom.E_r)
     assert np.allclose(sigma_0, 0.3 * np.eye(2))
 
 
 def test_stationary_law_scalar_geometric():
     # x+ = 0.5 x + y_r accumulates to 2 y_r
-    nom = NominalLoop(
+    nom = SimpleNamespace(
         A_cl=np.array([[0.5]]),
         B_f=np.array([[1.0]]),
         E_r=np.array([[1.0]]),
-        sigma_f=np.array([[1.0]]),
     )
-    t_0, sigma_0 = distrib.stationary_law(nom)
+    t_0, sigma_0 = distrib.stationary_law(nom, np.array([[1.0]]))
     assert t_0[0, 0] == pytest.approx(2.0, abs=1e-12)
     # variance of sum 0.5^k w: 1 / (1 - 0.25)
     assert sigma_0[0, 0] == pytest.approx(1.0 / 0.75, abs=1e-12)
 
 
 def test_stationary_law_rejects_unstable():
-    nom = NominalLoop(
+    nom = SimpleNamespace(
         A_cl=np.array([[1.0]]),
         B_f=np.array([[1.0]]),
         E_r=np.array([[1.0]]),
-        sigma_f=np.array([[1.0]]),
     )
-    with pytest.raises(numcore.UnstableMatrix):
-        distrib.stationary_law(nom)
+    with pytest.raises(numcore.UnstableMatrix, match="nominal loop unstable: spectral radius"):
+        distrib.stationary_law(nom, np.array([[1.0]]))
 
 
 def test_stationary_law_matches_series(system):
-    t_0, sigma_0 = distrib.stationary_law(system.nominal)
+    t_0, sigma_0 = distrib.stationary_law(system.nominal, system.sigma_f)
     # the system keeps the same law, computed once when it is built
     assert np.array_equal(system.t_0, t_0) and np.array_equal(system.sigma_0, sigma_0)
     assert np.allclose(system.sqrt_sigma_0 @ system.sqrt_sigma_0, sigma_0, rtol=1e-12, atol=1e-14)
-    Q = system.nominal.B_f @ system.nominal.sigma_f @ system.nominal.B_f.T
+    Q = system.nominal.B_f @ system.sigma_f @ system.nominal.B_f.T
     assert np.allclose(sigma_0, lyapunov_series(system.nominal.A_cl, Q), rtol=1e-9, atol=1e-11)
     # fixed point of the mean recursion
     assert np.allclose(
@@ -225,7 +223,7 @@ def test_nominal_mean_is_stationary(system):
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
-    t_0, sigma_0 = distrib.stationary_law(system.nominal)
+    t_0, sigma_0 = distrib.stationary_law(system.nominal, system.sigma_f)
     q_ze = distrib.normalize_critical_map(q_z, system.plant.n_x)
     expected_row = (q_ze @ t_0).ravel()
     for k in range(N):
@@ -328,7 +326,7 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
     system = scenario.system
     res = scenario.vulnerabilities["vulnerability_1"]
     cands = attacks.candidates(attacks.StrategySpec(kind, res), system.dims, N)
-    sigma_f = system.nominal.sigma_f
+    sigma_f = system.sigma_f
     for q_z in (scenario.q_z[:, : system.plant.n_x], scenario.q_z):
         for cand in cands:
             ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)

@@ -125,11 +125,18 @@ def test_nominal_residuals_white(system, scenario):
     assert np.max(np.abs(sim.r_cov - np.eye(sim.r_mean.shape[0]))) < 0.05
 
 
+def _kl_check(system, atk, d, summary, cfg):
+    """Simulate at d and take kl_verdict against the summary's residual map and radius."""
+    sim = mcvalidate.simulate(system, atk, d, cfg)
+    return mcvalidate.kl_verdict(sim, summary.t_r, d, summary.eps_prime, summary.epsilon, cfg.horizon)
+
+
 def test_kl_check_feasible_point(system):
     N = 4
     atk, layout = _fdi_setup(system, N)
     cfg = mcvalidate.SimulationConfig(samples=20_000, seed=2, horizon=N)
-    check = mcvalidate.empirical_kl_check(system, atk, np.zeros(layout.dim_d), 0.3, cfg)
+    summary = distrib.gaussian_summary(system, atk, layout, np.eye(system.plant.n_x), N, 0.3)
+    check = _kl_check(system, atk, np.zeros(layout.dim_d), summary, cfg)
     assert check.analytic_ok
     assert check.empirical_ok
     assert check.consistent
@@ -138,7 +145,7 @@ def test_kl_check_feasible_point(system):
 
 
 def _scaled_injection(system, atk, layout, N, target_quad):
-    """Injection-only decision vector with a prescribed quadratic value."""
+    """Injection-only decision vector with a prescribed quadratic value, and the summary at 0.3."""
     ext_summary = distrib.gaussian_summary(
         system, atk, layout, np.eye(system.plant.n_x), N, 0.3
     )
@@ -146,7 +153,7 @@ def _scaled_injection(system, atk, layout, N, target_quad):
     d = np.zeros(layout.dim_d)
     d[: layout.dim_d - layout.n_yr] = rng.normal(size=layout.dim_d - layout.n_yr)
     quad0 = float(np.square(ext_summary.t_r @ d).sum())
-    return d * np.sqrt(target_quad / quad0), ext_summary.eps_prime
+    return d * np.sqrt(target_quad / quad0), ext_summary
 
 
 def test_kl_check_boundary_defers_to_analytic(system):
@@ -154,9 +161,9 @@ def test_kl_check_boundary_defers_to_analytic(system):
     atk, layout = _fdi_setup(system, N)
     cfg = mcvalidate.SimulationConfig(samples=20_000, seed=4, horizon=N)
     # place the point exactly on the budget boundary
-    d, radius = _scaled_injection(system, atk, layout, N, target_quad=1.0)
-    d = d * np.sqrt(radius)
-    check = mcvalidate.empirical_kl_check(system, atk, d, 0.3, cfg)
+    d, summary = _scaled_injection(system, atk, layout, N, target_quad=1.0)
+    d = d * np.sqrt(summary.eps_prime)
+    check = _kl_check(system, atk, d, summary, cfg)
     assert check.quad_value == pytest.approx(check.radius, rel=1e-9)
     assert check.analytic_ok
     assert check.consistent
@@ -166,9 +173,9 @@ def test_kl_check_rejects_oversized_injection(system):
     N = 4
     atk, layout = _fdi_setup(system, N)
     cfg = mcvalidate.SimulationConfig(samples=20_000, seed=6, horizon=N)
-    d, radius = _scaled_injection(system, atk, layout, N, target_quad=1.0)
-    d = d * np.sqrt(3.0 * radius)
-    check = mcvalidate.empirical_kl_check(system, atk, d, 0.3, cfg)
+    d, summary = _scaled_injection(system, atk, layout, N, target_quad=1.0)
+    d = d * np.sqrt(3.0 * summary.eps_prime)
+    check = _kl_check(system, atk, d, summary, cfg)
     assert not check.analytic_ok
     assert not check.empirical_ok
     assert check.consistent
@@ -177,7 +184,7 @@ def test_kl_check_rejects_oversized_injection(system):
 
 def test_nominal_long_run_matches_stationary_law(system):
     y_r = np.array([0.5, 0.2, -0.3])
-    t_0, sigma_0 = distrib.stationary_law(system.nominal)
+    t_0, sigma_0 = distrib.stationary_law(system.nominal, system.sigma_f)
     mean, se = nominal_long_run(system, y_r, steps=200_000, burn_in=5_000, seed=1)
     expected = t_0 @ y_r
     assert np.all(np.abs(mean - expected) <= 5.0 * np.maximum(se, 1e-6))

@@ -9,76 +9,76 @@ import oracles
 from oracles import qclp_dual_bound, scipy_reference_qclp
 
 
-def _problem(c, q_box=None, m_quad=None, f_eq=None, radius=1.0):
+def _solve(c, q_box=None, m_quad=None, f_eq=None, radius=1.0):
+    """One program through the solver's path: the geometry over null(f_eq), then one batch.
+
+    Returns the batch (rows of d_star and mu), or None when the program is unbounded.
+    """
     c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    return solver.ConvexProblem(
-        c=c,
-        q_box=np.zeros((0, n)) if q_box is None else np.asarray(q_box, dtype=float),
-        m_quad=np.zeros((0, n)) if m_quad is None else np.asarray(m_quad, dtype=float),
-        f_eq=np.zeros((0, n)) if f_eq is None else np.asarray(f_eq, dtype=float),
-        radius=radius,
+    n = c.shape[-1]
+    f_eq = np.zeros((0, n)) if f_eq is None else np.asarray(f_eq, dtype=float)
+    geom = solver._Geometry(
+        np.zeros((0, n)) if q_box is None else q_box,
+        np.zeros((0, n)) if m_quad is None else m_quad,
+        linalg.null_space(f_eq) if f_eq.size else np.eye(n),
+        radius,
     )
+    return solver._solve_batch(geom, c)
 
 
 def test_quadratic_binds_before_box():
     # unit box with a radius-0.25 ball inside: optimum on the ball at (0.5, 0)
-    res = solver.solve_qclp(_problem([1.0, 0.0], q_box=np.eye(2), m_quad=np.eye(2), radius=0.25))
-    assert res.status == "optimal"
-    assert res.mu == pytest.approx(0.5, abs=1e-6)
-    assert np.allclose(res.d_star, [0.5, 0.0], atol=1e-5)
+    res = _solve([1.0, 0.0], q_box=np.eye(2), m_quad=np.eye(2), radius=0.25)
+    assert res is not None
+    assert res.mu[0] == pytest.approx(0.5, abs=1e-6)
+    assert np.allclose(res.d_star[0], [0.5, 0.0], atol=1e-5)
 
 
 def test_box_binds_before_quadratic():
     # radius 9 ball strictly contains the unit box: optimum at the face d_1 = 1
-    res = solver.solve_qclp(_problem([1.0, 0.0], q_box=np.eye(2), m_quad=np.eye(2), radius=9.0))
-    assert res.mu == pytest.approx(1.0, abs=1e-6)
+    res = _solve([1.0, 0.0], q_box=np.eye(2), m_quad=np.eye(2), radius=9.0)
+    assert res.mu[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_corner_solution():
-    res = solver.solve_qclp(_problem([2.0, 1.0], q_box=np.eye(2), m_quad=np.eye(2), radius=100.0))
-    assert res.mu == pytest.approx(3.0, abs=1e-5)
-    assert np.allclose(res.d_star, [1.0, 1.0], atol=1e-4)
+    res = _solve([2.0, 1.0], q_box=np.eye(2), m_quad=np.eye(2), radius=100.0)
+    assert res.mu[0] == pytest.approx(3.0, abs=1e-5)
+    assert np.allclose(res.d_star[0], [1.0, 1.0], atol=1e-4)
 
 
 def test_full_rank_equalities_pin_origin():
-    res = solver.solve_qclp(_problem([1.0, 1.0], q_box=np.eye(2), m_quad=np.eye(2), f_eq=np.eye(2)))
-    assert res.status == "optimal"
-    assert res.mu == pytest.approx(0.0, abs=1e-12)
+    res = _solve([1.0, 1.0], q_box=np.eye(2), m_quad=np.eye(2), f_eq=np.eye(2))
+    assert res is not None
+    assert res.mu[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negative_radius_infeasible():
     with pytest.raises(solver.Infeasible):
-        solver.solve_qclp(_problem([1.0, 0.0], m_quad=np.eye(2), radius=-0.1))
+        _solve([1.0, 0.0], m_quad=np.eye(2), radius=-0.1)
 
 
 def test_zero_radius_collapses_quadratic():
     # radius 0 turns m_quad d <= 0 into an equality; remaining freedom hits the box
-    res = solver.solve_qclp(
-        _problem([0.0, 1.0], q_box=np.eye(2), m_quad=np.array([[1.0, 0.0]]), radius=0.0)
-    )
-    assert res.mu == pytest.approx(1.0, abs=1e-6)
-    assert abs(res.d_star[0]) < 1e-9
+    res = _solve([0.0, 1.0], q_box=np.eye(2), m_quad=np.array([[1.0, 0.0]]), radius=0.0)
+    assert res.mu[0] == pytest.approx(1.0, abs=1e-6)
+    assert abs(res.d_star[0, 0]) < 1e-9
 
 
 def test_unbounded_direction_detected():
     # nothing constrains d_2
-    res = solver.solve_qclp(_problem([0.0, 1.0], m_quad=np.array([[1.0, 0.0]]), radius=1.0))
-    assert res.status == "unbounded"
-    assert res.mu == math.inf
+    res = _solve([0.0, 1.0], m_quad=np.array([[1.0, 0.0]]), radius=1.0)
+    assert res is None  # the unbounded verdict
 
 
 def test_objective_orthogonal_to_constraints_is_zero():
     # c lies in the equality row space: only d with c'd = 0 are feasible
-    res = solver.solve_qclp(
-        _problem([1.0, 0.0], q_box=np.eye(2), m_quad=np.eye(2), f_eq=np.array([[1.0, 0.0]]))
-    )
-    assert res.status == "optimal"
-    assert res.mu == pytest.approx(0.0, abs=1e-12)
+    res = _solve([1.0, 0.0], q_box=np.eye(2), m_quad=np.eye(2), f_eq=np.array([[1.0, 0.0]]))
+    assert res is not None
+    assert res.mu[0] == pytest.approx(0.0, abs=1e-12)
     # a generic row: the reduced objective is rounding noise, not a program to certify
     f = np.random.default_rng(4).normal(size=(1, 3))
-    res = solver.solve_qclp(_problem(2.0 * f[0], q_box=np.eye(3), m_quad=np.eye(3), f_eq=f))
-    assert res.mu == 0.0 and res.duality_gap == 0.0
+    res = _solve(2.0 * f[0], q_box=np.eye(3), m_quad=np.eye(3), f_eq=f)
+    assert res.mu[0] == 0.0 and res.duality_gap == 0.0
 
 
 def test_symmetry_of_feasible_set():
@@ -87,9 +87,9 @@ def test_symmetry_of_feasible_set():
         c = rng.normal(size=4)
         q = rng.normal(size=(2, 4))
         m = rng.normal(size=(4, 4))
-        plus = solver.solve_qclp(_problem(c, q_box=q, m_quad=m, radius=2.0))
-        minus = solver.solve_qclp(_problem(-c, q_box=q, m_quad=m, radius=2.0))
-        assert plus.mu == pytest.approx(minus.mu, rel=1e-6, abs=1e-9)
+        plus = _solve(c, q_box=q, m_quad=m, radius=2.0)
+        minus = _solve(-c, q_box=q, m_quad=m, radius=2.0)
+        assert plus.mu[0] == pytest.approx(minus.mu[0], rel=1e-6, abs=1e-9)
 
 
 def test_against_reference_solver():
@@ -100,10 +100,10 @@ def test_against_reference_solver():
         m = rng.normal(size=(3, 4))
         f = rng.normal(size=(1, 4))
         radius = float(rng.uniform(0.5, 4.0))
-        res = solver.solve_qclp(_problem(c, q_box=q, m_quad=m, f_eq=f, radius=radius))
-        assert res.status == "optimal"
+        res = _solve(c, q_box=q, m_quad=m, f_eq=f, radius=radius)
+        assert res is not None
         mu_ref, d_ref = scipy_reference_qclp(c, q, m, f, radius)
-        assert res.mu == pytest.approx(mu_ref, rel=1e-4, abs=1e-6)
+        assert res.mu[0] == pytest.approx(mu_ref, rel=1e-4, abs=1e-6)
 
 
 def test_reference_oracle_self_check():
@@ -138,8 +138,8 @@ def test_reference_oracle_self_check():
 
 def test_certificate_reported():
     # the ball of radius sqrt(0.5) lies inside the unit box: optimum sqrt(0.5) * |c|
-    res = solver.solve_qclp(_problem([1.0, 0.3], q_box=np.eye(2), m_quad=np.eye(2), radius=0.5))
-    assert res.mu == pytest.approx(math.sqrt(0.545), rel=1e-14)
+    res = _solve([1.0, 0.3], q_box=np.eye(2), m_quad=np.eye(2), radius=0.5)
+    assert res.mu[0] == pytest.approx(math.sqrt(0.545), rel=1e-14)
     assert res.duality_gap <= 1e-9
     assert res.feasibility_residual <= 1e-12
 
@@ -148,33 +148,33 @@ def test_flat_slice_with_infeasible_centre():
     # on the face x = 1 the objective is flat, and the slice centre (1, 0.5)
     # breaks the second box row; the optimum is the vertex (1, 0)
     m_quad = linalg.cholesky(np.array([[0.3, -0.5], [-0.5, 1.0]]), lower=True).T
-    res = solver.solve_qclp(_problem([1.0, 0.0], q_box=[[1.0, 0.0], [1.0, 2.0]], m_quad=m_quad))
-    assert res.mu == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(res.d_star, [1.0, 0.0], atol=1e-14)
+    res = _solve([1.0, 0.0], q_box=[[1.0, 0.0], [1.0, 2.0]], m_quad=m_quad)
+    assert res.mu[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(res.d_star[0], [1.0, 0.0], atol=1e-14)
     assert res.duality_gap <= 1e-9
 
 
 def test_rank_deficient_box():
     # a repeated row makes every pattern holding both copies rank-deficient
     q_box = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    res = solver.solve_qclp(_problem([2.0, 1.0], q_box=q_box, m_quad=np.eye(2), radius=100.0))
-    assert res.mu == pytest.approx(3.0, abs=1e-14)
-    assert np.allclose(res.d_star, [1.0, 1.0], atol=1e-14)
-    res = solver.solve_qclp(_problem([1.0, 2.0], q_box=q_box, m_quad=np.eye(2), radius=0.25))
-    assert res.mu == pytest.approx(0.5 * math.sqrt(5.0), rel=1e-14)
+    res = _solve([2.0, 1.0], q_box=q_box, m_quad=np.eye(2), radius=100.0)
+    assert res.mu[0] == pytest.approx(3.0, abs=1e-14)
+    assert np.allclose(res.d_star[0], [1.0, 1.0], atol=1e-14)
+    res = _solve([1.0, 2.0], q_box=q_box, m_quad=np.eye(2), radius=0.25)
+    assert res.mu[0] == pytest.approx(0.5 * math.sqrt(5.0), rel=1e-14)
 
 
 def test_rounding_level_quadratic_map():
     # next to the box a quadratic map at rounding level cannot bind: the vertex (1, 1) is optimal
     m_quad = 1e-17 * np.random.default_rng(3).normal(size=(3, 2))
-    res = solver.solve_qclp(_problem([1.0, 2.0], q_box=np.eye(2), m_quad=m_quad))
-    assert res.mu == pytest.approx(3.0, abs=1e-14)
+    res = _solve([1.0, 2.0], q_box=np.eye(2), m_quad=m_quad)
+    assert res.mu[0] == pytest.approx(3.0, abs=1e-14)
     assert res.duality_gap <= 1e-9
     # without a box the same map is all there is, and it sets a huge optimum
     f = np.array([[1.0, -1.0]])
-    res = solver.solve_qclp(_problem([1.0, 2.0], m_quad=m_quad, f_eq=f))
+    res = _solve([1.0, 2.0], m_quad=m_quad, f_eq=f)
     z = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert res.mu == pytest.approx(3.0 * z[0] / np.linalg.norm(m_quad @ z), rel=1e-12)
+    assert res.mu[0] == pytest.approx(3.0 * z[0] / np.linalg.norm(m_quad @ z), rel=1e-12)
     assert res.duality_gap <= 1e-9 and res.feasibility_residual <= 1e-9
 
 
@@ -187,16 +187,16 @@ def test_random_problems_against_reference():
         m = rng.normal(size=(4, 4))
         f = rng.normal(size=(trial % 2, 4))
         radius = float(rng.uniform(0.2, 4.0))
-        res = solver.solve_qclp(_problem(c, q_box=q, m_quad=m, f_eq=f, radius=radius))
+        res = _solve(c, q_box=q, m_quad=m, f_eq=f, radius=radius)
         mu_ref, _ = scipy_reference_qclp(c, q, m, f, radius)
-        assert res.mu == pytest.approx(mu_ref, rel=2e-7)  # the oracle is certified to 1e-7
+        assert res.mu[0] == pytest.approx(mu_ref, rel=2e-7)  # the oracle is certified to 1e-7
         assert res.duality_gap <= 1e-9 and res.feasibility_residual <= 1e-9
 
 
 def test_pattern_cap():
     n = solver.PATTERN_CAP + 1
     with pytest.raises(solver.PatternCapExceeded):
-        solver.solve_qclp(_problem(np.ones(n), q_box=np.eye(n), m_quad=np.eye(n)))
+        _solve(np.ones(n), q_box=np.eye(n), m_quad=np.eye(n))
 
 
 def _equality_map(layout):
@@ -232,10 +232,9 @@ def test_compute_impact_matches_single_row_solves(system):
     report, summary, layout = _bias_report(system)
     F = _equality_map(layout)
     for i in range(summary.t_z.shape[0]):
-        problem = solver.ConvexProblem(summary.t_z[i], layout.Q, summary.t_r, F, summary.eps_prime)
-        res = solver.solve_qclp(problem)
-        assert res.mu == pytest.approx(report.mu[i], rel=1e-12)
-        assert np.allclose(res.d_star, report.d_star[i], atol=1e-10)
+        res = _solve(summary.t_z[i], layout.Q, summary.t_r, F, summary.eps_prime)
+        assert res.mu[0] == pytest.approx(report.mu[i], rel=1e-12)
+        assert np.allclose(res.d_star[0], report.d_star[i], atol=1e-10)
 
 
 def test_compute_impact_aggregation(system):

@@ -110,12 +110,12 @@ def test_extended_nominal_residual_is_white():
     sys = random_system(np.random.default_rng(1))
     nom = sys.nominal
     n = nom.A_cl.shape[0]
-    S = numcore.solve_lyapunov(nom.A_cl, nom.B_f @ nom.sigma_f @ nom.B_f.T)
+    S = numcore.solve_lyapunov(nom.A_cl, nom.B_f @ sys.sigma_f @ nom.B_f.T)
     ext = sysmodel.assemble_extended(
         sys.plant, sys.controller, sys.estimator, attacks.identity_routing(sys.plant.n_y, sys.plant.n_u)
     )
     # residual at step k uses noise f(k), which is independent of x_e(k)
-    cov_r = ext.C_r @ S @ ext.C_r.T + ext.D_f @ nom.sigma_f @ ext.D_f.T
+    cov_r = ext.C_r @ S @ ext.C_r.T + ext.D_f @ sys.sigma_f @ ext.D_f.T
     assert np.allclose(cov_r, np.eye(sys.plant.n_y), atol=1e-8)
 
 
@@ -123,9 +123,9 @@ def test_nominal_loop_stable_fixture():
     sys = random_system(np.random.default_rng(4))
     assert numcore.spectral_radius(sys.nominal.A_cl) < 1.0
     n_x, n_y = sys.plant.n_x, sys.plant.n_y
-    assert sys.nominal.sigma_f.shape == (n_x + n_y, n_x + n_y)
-    assert np.allclose(sys.nominal.sigma_f[:n_x, :n_x], sys.plant.sigma_v)
-    assert np.allclose(sys.nominal.sigma_f[n_x:, n_x:], sys.plant.sigma_w)
+    assert sys.sigma_f.shape == (n_x + n_y, n_x + n_y)
+    assert np.allclose(sys.sigma_f[:n_x, :n_x], sys.plant.sigma_v)
+    assert np.allclose(sys.sigma_f[n_x:, n_x:], sys.plant.sigma_w)
 
 
 def test_system_model_dims(system):

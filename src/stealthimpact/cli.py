@@ -31,7 +31,7 @@ from .attacks import (
     candidates,
     decision_layout,
 )
-from .distrib import GaussianSummary, gaussian_summary
+from .distrib import BudgetOverflow, GaussianSummary, gaussian_summary, kl_budget
 from .mcvalidate import SimulationConfig, kl_verdict, min_samples, simulate
 from .scenario import (
     DimensionError,
@@ -65,6 +65,7 @@ _VALIDATION_ERRORS = (
     EnumerationCapExceeded,
     InvalidPermutation,
     PatternCapExceeded,
+    BudgetOverflow,
 )
 _NUMERICAL_ERRORS = (
     NumericalFailure,
@@ -435,6 +436,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                     val if isinstance(val, int) else _round12(val) for val in values
                 ],
             }
+        for eps in epsilons:  # at the largest horizon, before any solve
+            kl_budget(max(horizons), scenario.system.plant.n_y, eps)
         if args.mc_validate:
             needed = min_samples(scenario.system, max(horizons))
             if scenario.mc_samples < needed:
@@ -469,4 +472,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -27,6 +27,7 @@ once per configuration, so the radius eps' at another epsilon costs O(1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,17 +86,16 @@ class GaussianSummary:
 
     @property
     def impact_bounded(self) -> bool:
-        """Whether every critical row is bounded on the feasible set, computed on demand.
+        """Whether every critical row is bounded on the feasible set: the solver's own verdict.
 
-        True when, over the admissible span of the layout's basis Z,
-        null([Q; T_R] Z) lies in null(T_Z Z): no admissible direction that
-        leaves the box and budget maps flat moves a critical mean. No report
-        reads it: the solver decides boundedness row by row in its own reduced
-        coordinates and reports an unbounded row the same way. Each read takes
-        a full SVD of the stacked constraint maps.
+        Read off the solver's geometry at unit radius; its rank cut reads no
+        radius, so compute_impact gives this verdict at every feasible epsilon.
+        No report reads this property; each read builds that geometry.
         """
-        Z = self.layout.Z
-        return numcore.null_space_contained(np.vstack([self.layout.Q, self.t_r]) @ Z, self.t_z @ Z)
+        from .solver import _Geometry  # the solver imports this module
+
+        geom = _Geometry(self.layout.Q, self.t_r, self.layout.Z, 1.0)
+        return bool(geom.objective(self.t_z)[1].all())
 
     def at_epsilon(self, epsilon: float) -> "GaussianSummary":
         """The same laws and audits under another budget: only the radius moves."""
@@ -293,8 +293,22 @@ def _residual_audit(sigma_r: np.ndarray) -> tuple[bool, float, float]:
     return True, float(np.trace(sigma_r)), 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
-def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> float:
+class BudgetOverflow(ValueError):
+    """The KL budget of an epsilon overflows double precision."""
+
+
+def kl_budget(N: int, n_y: int, epsilon: float) -> float:
+    """The KL budget (N+1)(2 eps + n_y) of steps 0..N; BudgetOverflow when it is not finite."""
     budget = (N + 1) * (2.0 * epsilon + n_y)
+    if not math.isfinite(budget):
+        raise BudgetOverflow(
+            f"epsilon {epsilon:g} overflows the KL budget (N+1)(2 eps + n_y) at horizon {N}"
+        )
+    return budget
+
+
+def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> float:
+    budget = kl_budget(N, n_y, epsilon)
     radius = float(budget - trace + logdet)
     if abs(radius) <= _RADIUS_RTOL * (budget + abs(trace) + abs(logdet)):
         return 0.0

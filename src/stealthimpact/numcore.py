@@ -228,46 +228,10 @@ def gaussian_exceed(mu, sigma):
     return p
 
 
-def _svd_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank of a non-empty M, with singular values >= RANK_RTOL * largest counting, and its V'."""
-    _, s, vt = np.linalg.svd(M)
-    rank = int(np.count_nonzero(s >= RANK_RTOL * s[0])) if s[0] > 0.0 else 0
-    return rank, vt
-
-
 def matrix_rank(M: np.ndarray) -> int:
     """Rank with singular values >= RANK_RTOL * largest counting."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    return _svd_rank(M)[0]
-
-
-def null_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of M."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return np.eye(M.shape[1])
-    rank, vt = _svd_rank(M)
-    return vt[rank:].T
-
-
-def null_space_contained(A: np.ndarray, B: np.ndarray) -> bool:
-    """True iff null(A) is contained in null(B), up to the rank tolerance.
-
-    Implemented by projecting B onto an orthonormal null basis of A; this is
-    the rank([A;B]) = rank(A) predicate in a form that is immune to scale
-    mismatch between the two blocks.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("column counts differ")
-    Z = null_basis(A)
-    if Z.shape[1] == 0:
-        return True
-    if B.shape[0] == 0:
-        return True
-    leak = np.linalg.norm(B @ Z, 2)
-    scale = max(1.0, np.linalg.norm(B, 2))
-    return bool(leak <= RANK_RTOL * scale)
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.count_nonzero(s >= RANK_RTOL * s[0])) if s[0] > 0.0 else 0

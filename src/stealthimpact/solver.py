@@ -11,21 +11,29 @@ worst expected infinity norm is lower-bounded by max_i mu_i.
 Method. compute_impact is the one entry: it solves every critical row of a
 Gaussian summary in one batch. The solve works in the coordinates xi, over the
 basis Z that the decision layout writes down in closed form from the
-strategy's injection modes. One SVD of the reduced quadratic map M Z (scaled
-by 1/sqrt(radius), absent when the radius collapses) gives its kept right
-singular vectors V_r and singular values s; the part of the box rows outside
-span(V_r) gives the box-only directions U_perp. Directions outside
-[V_r U_perp] either leave the objective flat or certify unboundedness. In the
-coordinates eta = (x; w) over [V_r U_perp] every row solves
+strategy's injection modes. One SVD of the reduced quadratic map T_R Z gives
+its kept right singular vectors V_r and singular values s_R; the part of the
+box rows outside span(V_r) gives the box-only directions U_perp. Directions
+outside [V_r U_perp] either leave the objective flat or certify
+unboundedness. In the coordinates eta = (x; w) over [V_r U_perp] every row
+solves
 
     maximize c'eta  subject to  |A eta|_inf <= 1,  |s * x|^2 <= 1,
 
-with A = [B C] the box over (x, w), G = M'M = diag(s^2, 0) and
-ker A & ker G = {0}, so the feasible set is compact. Directions M sees only
-at rounding level next to the box are dropped, and a reduced objective at
-rounding level of its row counts as zero: otherwise rounding noise would enter
-G^+ and the certificate below. The box acts only on the reference, so A has
-k = n_yr rows.
+with s = s_R / sqrt(radius), A = [B C] the box over (x, w), G = diag(s^2, 0)
+and ker A & ker G = {0}, so the feasible set is compact. The box acts only on
+the reference, so A has k = n_yr rows.
+
+One rank decision: singular values of T_R Z below RANK_RTOL times the larger
+of its largest one and the box norm are rounding noise, and their directions
+are dropped, else that noise would enter G^+ and the certificate below. The
+cut reads T_R Z unscaled, so it keeps the same directions, and gives the same
+boundedness verdicts, at every radius: whether the detector sees an attack
+direction does not depend on the budget. The same RANK_RTOL, relative to the
+row, zeroes a reduced objective, a pattern's objective in the slice and the
+part of g outside range(G) in the dual bound: a tighter tolerance would read
+as signal what the cut's dropped directions leave behind, of relative size
+RANK_RTOL.
 
 The solve runs in the scaled coordinates u = s * x, where the quadratic is the
 unit ball. The box sees u only through the row space of B diag(1/s), which has
@@ -107,7 +115,6 @@ from .distrib import GaussianSummary
 CERT_TOL = 1e-9
 PATTERN_CAP = 8  # box rows; 3^8 sign patterns
 _RADIUS_FLOOR = 1e-12
-_FLAT_RTOL = 1e-12
 
 
 class Infeasible(RuntimeError):
@@ -161,9 +168,9 @@ class _Geometry:
     columns of axes are V_r, the right singular vectors of the reduced
     quadratic map kept by the rank decision, then U_perp, an orthonormal basis
     of the part of the box rows outside span(V_r). The quadratic constraint
-    reads |s * x|^2 <= 1 with s the kept singular values, so M in these
-    coordinates is [diag(s) 0], and the box rows are a_rows = [B C] over
-    (x, w).
+    reads |s * x|^2 <= 1 with s the kept singular values over sqrt(radius),
+    so M in these coordinates is [diag(s) 0], and the box rows are
+    a_rows = [B C] over (x, w).
     """
 
     def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, radius: float) -> None:
@@ -179,10 +186,9 @@ class _Geometry:
             )
 
         m_red = m_quad @ basis
-        if radius > _RADIUS_FLOOR:
-            m_red = m_red / math.sqrt(radius)
         # keep only the directions the quadratic map sees above rounding level
-        # next to the box and itself; the box-only directions get the same cut
+        # next to the box and itself, at any radius; the box-only directions
+        # get the same cut
         _, s, vt = np.linalg.svd(m_red)
         a_red = q_box @ basis
         scale = max(np.max(s, initial=0.0), np.linalg.norm(a_red))
@@ -202,7 +208,7 @@ class _Geometry:
         self.z_eq = z_eq
         self.axes = np.hstack([v_r, wt[:box_only].T])
         self.a_rows = a_red @ self.axes
-        self.s = s[:rank]
+        self.s = s[:rank] / math.sqrt(radius)  # empty when the radius collapses
         self.dim_d = dim_d
 
     def objective(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +225,7 @@ class _Geometry:
         bounded = np.linalg.norm(resid, axis=1) <= numcore.RANK_RTOL * np.maximum(
             1.0, np.linalg.norm(c_xi, axis=1)
         )
-        c_eta[np.linalg.norm(c_eta, axis=1) <= _FLAT_RTOL * np.linalg.norm(c, axis=1)] = 0.0
+        c_eta[np.linalg.norm(c_eta, axis=1) <= numcore.RANK_RTOL * np.linalg.norm(c, axis=1)] = 0.0
         return c_eta, bounded
 
     def decision(self, eta: np.ndarray) -> np.ndarray:
@@ -308,7 +314,7 @@ def _solve_rows(geom: _Geometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             e_v = t - c_ws @ b_s  # the objective on v once w is eliminated
             pe_v = e_v - (e_v @ vht.T) @ vht
             norm = np.sqrt(np.sum(np.square(pe_v), axis=1) + perp_sq)  # |c_N| in the slice
-            norm[norm <= _FLAT_RTOL * c_norm] = 0.0
+            norm[norm <= numcore.RANK_RTOL * c_norm] = 0.0
             with np.errstate(invalid="ignore", divide="ignore"):
                 inv = np.where(norm > 0.0, 1.0 / norm, 0.0)
             dirs = pe_v * inv[:, None]
@@ -368,7 +374,7 @@ def _dual_bound(geom: _Geometry, c: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = geom.s.size
     inner = np.sum(np.square(g[:, :r] / geom.s), axis=1)
     outside = np.linalg.norm(g[:, r:], axis=1)
-    tol = _FLAT_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
+    tol = numcore.RANK_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
     return np.where(outside <= tol, np.abs(y).sum(axis=1) + np.sqrt(inner), np.inf)
 
 

@@ -72,9 +72,13 @@ class PlantModel:
                 raise numcore.NotPositiveDefinite(
                     f"{name} not positive definite (min eigenvalue {chk.min_eigenvalue:.3e})"
                 )
-        if numcore.matrix_rank(self._observability()) < n_x:
+        with np.errstate(over="ignore", invalid="ignore"):
+            obs, ctrb = self._observability(), self._controllability()
+        if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(ctrb))):
+            raise ValueError("observability or controllability matrix overflows")
+        if numcore.matrix_rank(obs) < n_x:
             raise ValueError("(C, A) is not observable")
-        if numcore.matrix_rank(self._controllability()) < n_x:
+        if numcore.matrix_rank(ctrb) < n_x:
             raise ValueError("(B, A) is not controllable")
 
     @property

@@ -576,8 +576,10 @@ def nominal_long_run(system, y_r, steps=1_000_000, burn_in=10_000, seed=0, batch
 # The pattern solver as it stood in row-space coordinates: an SVD of the
 # reduced quadratic map, a row-space basis of the stacked constraint maps, and
 # per-pattern SVDs of n-sized matrices. Kept unchanged, with the row-space
-# basis it took from numcore inlined, as the regression reference for the
-# solve in the quadratic map's singular coordinates.
+# basis it took from numcore inlined, its equality null space from scipy and
+# its own flat-row tolerance, as the regression reference for the solve in the
+# quadratic map's singular coordinates.
+_FLAT_RTOL = 1e-12
 
 
 class _RefGeometry:
@@ -606,7 +608,7 @@ class _RefGeometry:
                 f"{q_box.shape[0]} reference-box rows exceed the cap {solver.PATTERN_CAP}"
             )
 
-        z_eq = numcore.null_basis(f_eq)
+        z_eq = linalg.null_space(f_eq, rcond=numcore.RANK_RTOL)
         m_red = m_quad @ z_eq
         if radius > solver._RADIUS_FLOOR:
             m_red = m_red / math.sqrt(radius)
@@ -648,7 +650,7 @@ class _RefGeometry:
         bounded = np.linalg.norm(resid, axis=1) <= numcore.RANK_RTOL * np.maximum(
             1.0, np.linalg.norm(c_xi, axis=1)
         )
-        c_eta[np.linalg.norm(c_eta, axis=1) <= solver._FLAT_RTOL * np.linalg.norm(c, axis=1)] = 0.0
+        c_eta[np.linalg.norm(c_eta, axis=1) <= _FLAT_RTOL * np.linalg.norm(c, axis=1)] = 0.0
         return c_eta, bounded
 
     def residual(self, d: np.ndarray) -> np.ndarray:
@@ -716,7 +718,7 @@ def _ref_solve_rows(geom: _RefGeometry, c: np.ndarray) -> tuple[np.ndarray, np.n
                 c_n = c @ null
                 w = (c_n @ v2t.T) / s2  # ||w|| = ||c_N||_{G_N^-1}
                 norm = np.linalg.norm(w, axis=1)
-                norm[np.linalg.norm(c_n, axis=1) <= solver._FLAT_RTOL * c_norm] = 0.0
+                norm[np.linalg.norm(c_n, axis=1) <= _FLAT_RTOL * c_norm] = 0.0
                 with np.errstate(invalid="ignore", divide="ignore"):
                     dirs = np.where(
                         norm[:, None] > 0.0, ((w / s2) @ v2t) @ null.T / norm[:, None], 0.0
@@ -774,7 +776,7 @@ def _ref_dual_bound(geom: _RefGeometry, c: np.ndarray, y: np.ndarray) -> np.ndar
     coords = g @ vt.T
     inner = np.sum(np.square(coords[:, : s.size] / s), axis=1)
     outside = np.linalg.norm(coords[:, s.size :], axis=1)
-    tol = solver._FLAT_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
+    tol = _FLAT_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
     return np.where(outside <= tol, np.abs(y).sum(axis=1) + np.sqrt(inner), np.inf)
 
 

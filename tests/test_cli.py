@@ -313,7 +313,7 @@ def test_mc_validate_block(tmp_path):
 
 
 def _no_solve(*args, **kwargs):
-    raise AssertionError("solved before rejecting the sample count")
+    raise AssertionError("solved before rejecting the input")
 
 
 @pytest.mark.parametrize(
@@ -440,6 +440,62 @@ def test_non_finite_epsilon_rejected(tmp_path, capsys, literal):
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert "epsilon must be a finite number >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "epsilon, extra, horizon",
+    [
+        (0.3, ["--sweep", "eps", "--values", "1e300,1e307"], 10),
+        (1e308, [], 10),
+        (8e306, ["--sweep", "N", "--values", "10,20"], 20),
+    ],
+    ids=["sweep", "scenario", "largest-horizon"],
+)
+def test_overflowing_budget_rejected_before_solving(tmp_path, capsys, monkeypatch, epsilon, extra, horizon):
+    """An epsilon whose KL budget (N+1)(2 eps + n_y) overflows has no radius: exit 2 up front.
+
+    The budget is checked at the largest horizon of the run; 8e306 fits at
+    N = 10 and overflows at N = 20.
+    """
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["epsilon"] = epsilon
+    path = _write_scenario(tmp_path, doc)
+    monkeypatch.setattr(cli, "compute_impact", _no_solve)
+    code = cli.main(["assess", "--scenario", str(path), *extra])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert f"overflows the KL budget (N+1)(2 eps + n_y) at horizon {horizon}" in err
+
+
+def test_overflowing_plant_rejected_without_hanging(tmp_path):
+    """A plant whose observability matrix overflows to inf and nan is a validation error.
+
+    Runs in a subprocess with a timeout: a full SVD of such a matrix may not return.
+    """
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["plant"]["A"] = [[1e200, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+    path = _write_scenario(tmp_path, doc)
+    args = ["-m", "stealthimpact", "assess", "--scenario", str(path)]
+    done = subprocess.run([sys.executable, *args], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == cli.EXIT_VALIDATION
+    assert done.stdout == ""
+    assert done.stderr == "error: observability or controllability matrix overflows\n"
+
+
+def test_out_of_memory_exit_code(tmp_path, capsys):
+    """A horizon whose decision layout cannot be allocated ends with exit 3 and one line.
+
+    At N = 10^6 the first large request, the identity basis of fdi's
+    (N+1)*4 + 3 decision entries, asks for about 116 TiB and fails at once.
+    """
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["horizon"] = 1_000_000
+    code = cli.main(["assess", "--scenario", str(_write_scenario(tmp_path, doc)), "--strategy", "fdi"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
 
 
 def test_unstable_nominal_loop_exit_code(tmp_path, capsys, monkeypatch):

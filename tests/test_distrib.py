@@ -300,6 +300,9 @@ def test_summary_at_another_epsilon(system):
         assert moved.impact_bounded == fresh.impact_bounded
     singular = dataclasses.replace(summary, residual_cov_pd=False, eps_prime=-np.inf)
     assert singular.at_epsilon(5.0).eps_prime == -np.inf
+    assert distrib.kl_budget(N, 3, 1e306) == (N + 1) * (2e306 + 3)
+    with pytest.raises(distrib.BudgetOverflow):  # (N+1)(2 eps + n_y) is inf
+        distrib.kl_budget(N, 3, 1e308)
 
 
 MAP_FIELDS = ("p_x", "p_f", "p_r", "p_a", "r_x", "r_f", "r_r", "r_a")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from stealthimpact import attacks, distrib, numcore, solver
+from stealthimpact import attacks, cli, distrib, numcore, solver
 import oracles
 from oracles import qclp_dual_bound, scipy_reference_qclp
 
@@ -291,6 +291,69 @@ def test_solver_boundedness_matches_audit(scenario):
     assert verdicts == {False, True}
 
 
+@pytest.mark.parametrize("kind", ["fdi", "bias_injection"])
+def test_boundedness_does_not_depend_on_epsilon(scenario, kind):
+    """vulnerability_2's injections stay bounded at every budget, and the mean bound grows with it.
+
+    The rank cut reads the quadratic map unscaled, so a large radius does not
+    push its singular values under the cut, and impact_bounded, the
+    geometry's verdict at unit radius, is the verdict of every report.
+    """
+    epsilons = [1e8, 1e10, 3e10, 1e12, 1e17, 3e17, 1e30]
+    entries = cli._assess_pair(scenario, "vulnerability_2", kind, epsilons)
+    for entry in entries:
+        assert not entry.report.unbounded, entry.epsilon
+        summary = cli._candidate_law(scenario, entry.candidate, entry.epsilon)
+        assert summary.impact_bounded == (not entry.report.unbounded)
+    means = [entry.report.mean_lower for entry in entries]
+    assert all(later > earlier for earlier, later in zip(means, means[1:])), means
+
+
+def _objective_bounded(a, b, as_box):
+    """The geometry's verdict on the rows of b, with the rows of a as the box or the quadratic map."""
+    empty = np.zeros((0, a.shape[1]))
+    q, m = (a, empty) if as_box else (empty, a)
+    return bool(solver._Geometry(q, m, np.eye(a.shape[1]), 1.0).objective(b)[1].all())
+
+
+def test_null_space_containment():
+    """A row is bounded iff null(A) lies in its null space, A the constraint maps."""
+    A = np.array([[1.0, 0.0, 0.0]])
+    B_inside = np.array([[2.0, 0.0, 0.0]])
+    B_outside = np.array([[0.0, 1.0, 0.0]])
+    for as_box in (False, True):
+        assert _objective_bounded(A, B_inside, as_box)
+        assert not _objective_bounded(A, B_outside, as_box)
+        # B with no rows is always contained; A full rank likewise
+        assert _objective_bounded(A, np.zeros((0, 3)), as_box)
+        assert _objective_bounded(np.eye(3), B_outside, as_box)
+
+
+def test_null_space_containment_scale_invariant():
+    # huge scale on B must not mask or fake a leak
+    A = np.array([[1.0, 1.0]])
+    B = 1e12 * np.array([[1.0, 1.0]])
+    B_leak = 1e12 * np.array([[1.0, 0.0]])
+    for as_box in (False, True):
+        assert _objective_bounded(A, B, as_box)
+        assert not _objective_bounded(A, B_leak, as_box)
+
+
+def test_rank_cut_reads_no_radius():
+    """The quadratic map keeps the same directions at every radius; only its singular values scale.
+
+    Next to a unit box row, the map's singular values 1 and 1e-3 fall below
+    RANK_RTOL times the box norm once divided by sqrt(1e30): a cut on the
+    scaled map would call the first two rows unbounded there.
+    """
+    q = np.array([[0.0, 0.0, 1.0]])
+    m = np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+    for radius in (1e-6, 1.0, 1e10, 1e30):
+        batch = solver._solve_batch(solver._Geometry(q, m, np.eye(3), radius), np.eye(3))
+        assert batch is not None, radius
+        np.testing.assert_allclose(batch.mu, [math.sqrt(radius), 1e3 * math.sqrt(radius), 1.0], rtol=1e-12)
+
+
 def test_compute_impact_infeasible_path(system):
     import dataclasses
 
@@ -347,7 +410,7 @@ def test_solve_matches_row_space_reference():
     """
     solved = 0
     for c, q, m, f, radius in _oracle_cases():
-        geom = solver._Geometry(q, m, numcore.null_basis(f), radius)
+        geom = solver._Geometry(q, m, linalg.null_space(f), radius)
         solved += _assert_matches_reference(geom, c, oracles.reference_solve_rows(c, q, m, f, radius))
     assert solved >= 30
 

@@ -17,13 +17,7 @@ from .attacks import (
     KINDS,
     ResourceSet,
     StrategySpec,
-    build_bias,
-    build_dos,
-    build_fdi,
-    build_fdi_plus_dos,
-    build_replay,
-    build_rerouting,
-    build_sign_alternation,
+    build_attack,
     candidates,
     decision_layout,
 )
@@ -32,7 +26,6 @@ from .distrib import (
     GaussianSummary,
     StackedMaps,
     gaussian_summary,
-    kl_divergence_gaussian,
     normalize_critical_map,
     stack_dynamics,
     stationary_law,
@@ -121,14 +114,8 @@ __all__ = [
     "UnstableMatrix",
     "assemble_extended",
     "assess",
-    "build_bias",
-    "build_dos",
+    "build_attack",
     "build_estimator",
-    "build_fdi",
-    "build_fdi_plus_dos",
-    "build_replay",
-    "build_rerouting",
-    "build_sign_alternation",
     "bundled_scenario_path",
     "candidates",
     "compute_impact",
@@ -136,7 +123,6 @@ __all__ = [
     "gaussian_exceed",
     "gaussian_summary",
     "kalman_gain",
-    "kl_divergence_gaussian",
     "kl_verdict",
     "load_scenario",
     "main",

@@ -1,4 +1,4 @@
-"""Attack-strategy constructors.
+"""Attack strategies as one table of channel actions.
 
 Every strategy is reduced to one tuple of matrices:
 
@@ -9,15 +9,18 @@ Every strategy is reduced to one tuple of matrices:
                          PINNED to 0
 
 plus the start step of the simulation window (negative when a recording phase
-precedes the attack). Replay fits the same tuple: its recorded signal is one
-more sensor injection through gamma_y, which the distribution engine derives
-from the recording window. Strategies without injection channels carry
-zero-width blocks so that downstream code has a single path.
+precedes the attack). ACTIONS says per kind what happens to the compromised
+sensors and to the compromised actuators, and build_attack turns that row into
+the tuple. Replay fits the same tuple: its recorded signal is one more sensor
+injection through gamma_y, which the distribution engine derives from the
+recording window. Strategies without injection channels carry zero-width
+blocks so that downstream code has a single path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -32,16 +35,39 @@ FREE = "free"  # any value at every step
 HELD = "held"  # its step-0 value at every step
 PINNED = "pinned"  # 0 at every step
 
-KINDS = (
-    "dos",
-    "rerouting",
-    "sign_alternation",
-    "fdi",
-    "bias_injection",
-    "fdi_plus_dos",
-    "replay_bias",
-    "replay_dos",
-)
+# What an attack does to the compromised channels of one type; FREE and HELD
+# inject through gamma with that mode and leave the routing alone
+DENY = "deny"  # routing 0
+FLIP = "flip"  # routing -1
+PERMUTE = "permute"  # routing permutes the compromised channels
+REPLAY = "replay"  # routing 0, and the recording of [-N-1, -1] is injected, PINNED
+
+# kind -> (sensor action, actuator action)
+ACTIONS = {
+    "dos": (DENY, DENY),
+    "rerouting": (PERMUTE, PERMUTE),
+    "sign_alternation": (FLIP, FLIP),
+    "fdi": (FREE, FREE),
+    "bias_injection": (HELD, HELD),
+    "fdi_plus_dos": (FREE, DENY),
+    "replay_bias": (REPLAY, HELD),
+    "replay_dos": (REPLAY, DENY),
+}
+KINDS = tuple(ACTIONS)
+
+# action -> (routing on the compromised channels, injection mode or None)
+_EFFECTS = {
+    DENY: (0.0, None),
+    FLIP: (-1.0, None),
+    REPLAY: (0.0, PINNED),
+    FREE: (1.0, FREE),
+    HELD: (1.0, HELD),
+}
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ACTIONS:
+        raise ValueError(f"unknown strategy kind {kind!r}; expected one of {KINDS}")
 
 
 class InvalidPermutation(ValueError):
@@ -81,21 +107,13 @@ class ResourceSet:
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """One strategy template: the kind plus any kind-specific parameters.
-
-    pi_y / pi_u map destination channel -> source channel over the compromised
-    set (rerouting). When pi maps are omitted for rerouting, the worst case
-    over all admissible permutation pairs is searched.
-    """
+    """One strategy template: the kind and the channels it may compromise."""
 
     kind: str
     resources: ResourceSet
-    pi_y: Optional[dict[int, int]] = None
-    pi_u: Optional[dict[int, int]] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}; expected one of {KINDS}")
+        _check_kind(self.kind)
 
 
 @dataclass
@@ -149,10 +167,6 @@ class DecisionLayout:
         return d[:n_blk].reshape(self.horizon + 1, self.n_a), d[n_blk:]
 
 
-def _no_injection(n: int) -> np.ndarray:
-    return np.zeros((n, 0))
-
-
 def _selector(n: int, idx: Iterable[int]) -> np.ndarray:
     idx = tuple(idx)
     G = np.zeros((n, len(idx)))
@@ -166,26 +180,8 @@ def identity_routing(n_y: int, n_u: int) -> AttackMatrices:
     return AttackMatrices(
         lambda_y=np.eye(n_y),
         lambda_u=np.eye(n_u),
-        gamma_y=_no_injection(n_y),
-        gamma_u=_no_injection(n_u),
-        start_step=0,
-    )
-
-
-def build_dos(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
-    """Denial of service: zero the compromised diagonal entries of the routing."""
-    res.validate(dims)
-    lam_y = np.eye(dims.n_y)
-    lam_u = np.eye(dims.n_u)
-    for i in res.sensors:
-        lam_y[i, i] = 0.0
-    for i in res.actuators:
-        lam_u[i, i] = 0.0
-    return AttackMatrices(
-        lambda_y=lam_y,
-        lambda_u=lam_u,
-        gamma_y=_no_injection(dims.n_y),
-        gamma_u=_no_injection(dims.n_u),
+        gamma_y=_selector(n_y, ()),
+        gamma_u=_selector(n_u, ()),
         start_step=0,
     )
 
@@ -206,102 +202,46 @@ def _permutation_matrix(n: int, compromised: tuple[int, ...], pi: Optional[dict[
     return M
 
 
-def build_rerouting(spec: StrategySpec, dims: SystemDims) -> AttackMatrices:
-    """Permute compromised channels; non-compromised channels must stay fixed."""
-    spec.resources.validate(dims)
-    lam_y = _permutation_matrix(dims.n_y, spec.resources.sensors, spec.pi_y)
-    lam_u = _permutation_matrix(dims.n_u, spec.resources.actuators, spec.pi_u)
-    out = build_dos(ResourceSet(), dims)
-    out.lambda_y, out.lambda_u = lam_y, lam_u
-    return out
+def _channel(action: str, n: int, idx: tuple[int, ...], pi: Optional[dict[int, int]]):
+    """(routing, injection selector, injection mode) of one channel type under action."""
+    if action == PERMUTE:
+        return _permutation_matrix(n, idx, pi), _selector(n, ()), FREE
+    routing, mode = _EFFECTS[action]
+    lam = np.eye(n)
+    lam[list(idx), list(idx)] = routing
+    return lam, _selector(n, idx if mode else ()), mode or FREE
 
 
-def build_sign_alternation(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
-    """Flip the sign of compromised channels."""
-    res.validate(dims)
-    out = build_dos(ResourceSet(), dims)
-    for i in res.sensors:
-        out.lambda_y[i, i] = -1.0
-    for i in res.actuators:
-        out.lambda_u[i, i] = -1.0
-    return out
-
-
-def build_fdi(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
-    """Unconstrained injection on the compromised channels."""
-    res.validate(dims)
-    if not res.sensors and not res.actuators:
-        raise EmptyResources("injection requires at least one compromised channel")
-    gam_y = _selector(dims.n_y, res.sensors)
-    gam_u = _selector(dims.n_u, res.actuators)
-    return AttackMatrices(
-        lambda_y=np.eye(dims.n_y),
-        lambda_u=np.eye(dims.n_u),
-        gamma_y=gam_y,
-        gamma_u=gam_u,
-        start_step=0,
-    )
-
-
-def build_bias(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
-    """Constant injection: like FDI but with a(k) = a(0) over the window."""
-    out = build_fdi(res, dims)
-    out.au_mode = out.ay_mode = HELD
-    return out
-
-
-def build_fdi_plus_dos(res: ResourceSet, dims: SystemDims) -> AttackMatrices:
-    """Injection on the compromised sensors, denial of the compromised actuators.
-
-    Without compromised sensors the attack is denial only.
-    """
-    res.validate(dims)
-    if res.sensors:
-        out = build_fdi(ResourceSet(sensors=res.sensors), dims)
-    else:
-        out = build_dos(ResourceSet(), dims)
-    for i in res.actuators:
-        out.lambda_u[i, i] = 0.0
-    return out
-
-
-def build_replay(
-    res: ResourceSet, dims: SystemDims, N: int, actuator_mode: str = "dos"
+def build_attack(
+    kind: str,
+    resources: ResourceSet,
+    dims: SystemDims,
+    N: int,
+    pi_y: Optional[dict[int, int]] = None,
+    pi_u: Optional[dict[int, int]] = None,
 ) -> AttackMatrices:
-    """Record-then-replay on the compromised sensors.
+    """The attack matrices of ACTIONS[kind] on the compromised channels.
 
-    The attacker records the compromised channels of y over the window
-    [-N-1, -1] while the loop runs nominally, then substitutes the recording
-    for the live channels on [0, N]. Compromised actuators are either denied
-    (actuator_mode="dos") or driven by one held injected value
-    (actuator_mode="bias").
-
-    lambda_y cuts the live compromised channels, and the recording, y(k-N-1)
-    on those channels at attack step k, enters through gamma_y as a sensor
-    injection whose deterministic part is pinned to zero. The distribution
-    engine and the simulator derive it from the nominal loop.
+    pi_y / pi_u map destination channel -> source channel over the compromised
+    set of a permute action; omitted, they leave the channels in place. A
+    replay window starts N + 1 steps before the attack, while the recording is
+    taken.
     """
-    if actuator_mode not in ("dos", "bias"):
-        raise ValueError(f"actuator_mode must be 'dos' or 'bias', got {actuator_mode!r}")
-    res.validate(dims)
-    lam_y = np.eye(dims.n_y)
-    for i in res.sensors:
-        lam_y[i, i] = 0.0
-    lam_u = np.eye(dims.n_u)
-    if actuator_mode == "dos":
-        for i in res.actuators:
-            lam_u[i, i] = 0.0
-        gam_u = _no_injection(dims.n_u)
-    else:
-        gam_u = _selector(dims.n_u, res.actuators)
+    _check_kind(kind)
+    resources.validate(dims)
+    actions = ACTIONS[kind]
+    if not resources.sensors and not resources.actuators and set(actions) <= {FREE, HELD}:
+        raise EmptyResources("injection requires at least one compromised channel")
+    lam_y, gam_y, ay_mode = _channel(actions[0], dims.n_y, resources.sensors, pi_y)
+    lam_u, gam_u, au_mode = _channel(actions[1], dims.n_u, resources.actuators, pi_u)
     return AttackMatrices(
         lambda_y=lam_y,
         lambda_u=lam_u,
-        gamma_y=_selector(dims.n_y, res.sensors),
+        gamma_y=gam_y,
         gamma_u=gam_u,
-        start_step=-N - 1,
-        au_mode=HELD,
-        ay_mode=PINNED,
+        start_step=-N - 1 if REPLAY in actions else 0,
+        au_mode=au_mode,
+        ay_mode=ay_mode,
     )
 
 
@@ -346,82 +286,47 @@ class Candidate:
     attack: AttackMatrices
 
 
-def _subset_pairs(res: ResourceSet) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (sensor subset, actuator subset) pairs, non-empty union, sorted."""
-    sy = [
-        tuple(c)
-        for r in range(len(res.sensors) + 1)
-        for c in itertools.combinations(res.sensors, r)
-    ]
-    su = [
-        tuple(c)
-        for r in range(len(res.actuators) + 1)
-        for c in itertools.combinations(res.actuators, r)
-    ]
-    pairs = [(a, b) for a in sy for b in su if a or b]
-    pairs.sort()
-    return pairs
+def _subsets(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return sorted(c for r in range(len(idx) + 1) for c in itertools.combinations(idx, r))
 
 
-def _permutation_pairs(res: ResourceSet):
-    """All permutation pairs over the compromised sets except identity/identity."""
-    def perms(idx: tuple[int, ...]):
-        return [dict(zip(idx, p)) for p in itertools.permutations(idx)]
-
-    out = []
-    for py in perms(res.sensors):
-        for pu in perms(res.actuators):
-            if all(k == v for k, v in py.items()) and all(k == v for k, v in pu.items()):
-                continue
-            out.append((py, pu))
-    return out
+def _permutations(idx: tuple[int, ...]) -> list[dict[int, int]]:
+    return [dict(zip(idx, p)) for p in itertools.permutations(idx)]
 
 
 def candidates(spec: StrategySpec, dims: SystemDims, N: int) -> list[Candidate]:
     """Concrete attack configurations to evaluate for one strategy.
 
-    Denial and sign flips search all non-empty sub-subsets of the granted
-    resources (the attacker may leave channels untouched); rerouting searches
-    all permutation pairs other than identity/identity unless the spec pins
-    them. Injection-style strategies have a single configuration.
+    A kind that only denies or flips searches all non-empty sub-subsets of
+    the granted resources (the attacker may leave channels untouched), sorted;
+    one that permutes searches all permutation pairs other than
+    identity/identity. Every other kind has a single configuration. Each
+    count is checked against SUBSET_CAP before anything is enumerated.
     """
     res = spec.resources
     res.validate(dims)
     kind = spec.kind
-    if kind in ("dos", "sign_alternation"):
-        pairs = _subset_pairs(res)
-        if len(pairs) > SUBSET_CAP:
-            raise EnumerationCapExceeded(
-                f"{len(pairs)} subset combinations exceed the cap {SUBSET_CAP}"
-            )
-        build = build_dos if kind == "dos" else build_sign_alternation
+    actions = set(ACTIONS[kind])
+    if actions <= {DENY, FLIP}:
+        count = 2 ** len(res.sensors) * 2 ** len(res.actuators) - 1
+        if count > SUBSET_CAP:
+            raise EnumerationCapExceeded(f"{count} subset combinations exceed the cap {SUBSET_CAP}")
         return [
-            Candidate({"sensors": sy, "actuators": su}, build(ResourceSet(sy, su), dims))
-            for sy, su in pairs
+            Candidate({"sensors": sy, "actuators": su}, build_attack(kind, ResourceSet(sy, su), dims, N))
+            for sy in _subsets(res.sensors)
+            for su in _subsets(res.actuators)
+            if sy or su
         ]
-    if kind == "rerouting":
-        if spec.pi_y is not None or spec.pi_u is not None:
-            pairs = [(dict(spec.pi_y or {}), dict(spec.pi_u or {}))]
-        else:
-            pairs = _permutation_pairs(res)
-            if not pairs:
-                raise EmptyResources("rerouting needs two or more sensors or two or more actuators")
-        if len(pairs) > SUBSET_CAP:
-            raise EnumerationCapExceeded(
-                f"{len(pairs)} permutation pairs exceed the cap {SUBSET_CAP}"
-            )
-        out = []
-        for py, pu in pairs:
-            sub = StrategySpec(kind="rerouting", resources=res, pi_y=py, pi_u=pu)
-            out.append(Candidate({"pi_y": py, "pi_u": pu}, build_rerouting(sub, dims)))
-        return out
-    if kind == "fdi":
-        return [Candidate(None, build_fdi(res, dims))]
-    if kind == "bias_injection":
-        return [Candidate(None, build_bias(res, dims))]
-    if kind == "fdi_plus_dos":
-        return [Candidate(None, build_fdi_plus_dos(res, dims))]
-    if kind in ("replay_dos", "replay_bias"):
-        mode = "dos" if kind == "replay_dos" else "bias"
-        return [Candidate(None, build_replay(res, dims, N, actuator_mode=mode))]
-    raise ValueError(f"unhandled strategy kind {kind!r}")
+    if PERMUTE in actions:
+        count = math.factorial(len(res.sensors)) * math.factorial(len(res.actuators)) - 1
+        if not count:
+            raise EmptyResources("rerouting needs two or more sensors or two or more actuators")
+        if count > SUBSET_CAP:
+            raise EnumerationCapExceeded(f"{count} permutation pairs exceed the cap {SUBSET_CAP}")
+        # itertools.permutations yields the identity first, so identity/identity leads
+        pairs = [(py, pu) for py in _permutations(res.sensors) for pu in _permutations(res.actuators)][1:]
+        return [
+            Candidate({"pi_y": py, "pi_u": pu}, build_attack(kind, res, dims, N, pi_y=py, pi_u=pu))
+            for py, pu in pairs
+        ]
+    return [Candidate(None, build_attack(kind, res, dims, N))]

@@ -3,8 +3,8 @@
 Loads a scenario, enumerates the concrete attack configurations of each
 requested (vulnerability, strategy) pair, solves the per-index programs for
 every configuration, keeps the worst one by exceedance probability, and emits
-a JSON or CSV report. Reports are byte-deterministic for a fixed scenario and
-seed unless wall-clock timings are requested.
+a JSON or CSV report. Reports are byte-deterministic for a fixed scenario,
+seed and BLAS thread count unless wall-clock timings are requested.
 """
 
 from __future__ import annotations

@@ -315,28 +315,6 @@ def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> fl
     return radius
 
 
-def kl_divergence_gaussian(mu1, sigma1, mu2, sigma2) -> float:
-    """Closed-form KL divergence between two Gaussians (first relative to second).
-
-    numcore.spd_factor decides each covariance's definiteness, and its
-    Cholesky factor gives the log determinant.
-    """
-    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    mu2 = np.atleast_1d(np.asarray(mu2, dtype=float))
-    sigma1 = np.atleast_2d(np.asarray(sigma1, dtype=float))
-    sigma2 = np.atleast_2d(np.asarray(sigma2, dtype=float))
-    logdet = []
-    for name, S in (("first covariance", sigma1), ("second covariance", sigma2)):
-        factor = numcore.spd_factor(0.5 * (S + S.T))
-        if factor is None:
-            raise numcore.NotPositiveDefinite(f"{name} not positive definite")
-        logdet.append(2.0 * float(np.sum(np.log(np.diag(factor)))))
-    trace_term = float(np.trace(np.linalg.solve(sigma2, sigma1)))
-    diff = mu2 - mu1
-    quad = float(diff @ np.linalg.solve(sigma2, diff))
-    return 0.5 * (trace_term + quad - mu1.shape[0] + logdet[1] - logdet[0])
-
-
 def _laws(
     maps: StackedMaps, system: SystemModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -15,8 +15,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import numcore
 from .attacks import AttackMatrices, decision_layout
-from .distrib import kl_divergence_gaussian, normalize_critical_map
+from .distrib import _residual_audit, normalize_critical_map
 from .sysmodel import SystemModel
 
 
@@ -256,17 +257,20 @@ def kl_verdict(
 
     The analytic side evaluates the quadratic form |t_r d|^2 against the
     stealthiness radius of the configuration's Gaussian summary. The empirical
-    side plugs the sample residual mean and covariance of sim into the
-    closed-form Gaussian divergence from the nominal N(0, I), per step of the
-    window [0, N]. Within the Monte Carlo slack band around epsilon, the
-    empirical verdict defers to the analytic one.
+    side plugs the sample residual mean m and covariance S of sim into the
+    closed-form divergence from the nominal N(0, I),
+    (tr S + m'm - n - ln det S) / 2, per step of the window [0, N], with tr S
+    and ln det S from the same audit that gives the radius. Within the Monte
+    Carlo slack band around epsilon, the empirical verdict defers to the
+    analytic one.
     """
     quad = float(np.square(t_r @ np.asarray(d, dtype=float)).sum())
     analytic_ok = quad <= radius + 1e-9 * max(1.0, abs(radius))
     dim_r = sim.r_mean.shape[0]
-    rate = kl_divergence_gaussian(
-        sim.r_mean, sim.r_cov, np.zeros(dim_r), np.eye(dim_r)
-    ) / (N + 1)
+    pd, trace, logdet = _residual_audit(sim.r_cov)
+    if not pd:
+        raise numcore.NotPositiveDefinite("sample residual covariance not positive definite")
+    rate = 0.5 * (trace + float(sim.r_mean @ sim.r_mean) - dim_r - logdet) / (N + 1)
     slack = 4.0 * math.sqrt(2.0 * dim_r / sim.samples) * (1.0 + quad) / (N + 1)
     if rate > epsilon + slack:
         empirical_ok = False

@@ -109,29 +109,27 @@ def solve_dare(
     C: np.ndarray,
     sigma_v: np.ndarray,
     sigma_w: np.ndarray,
-    tol: float = _DARE_TOL,
-    max_iter: int = _DARE_MAX_ITER,
 ) -> np.ndarray:
     """Steady-state estimation-error covariance by fixed-point iteration.
 
     Iterates P <- A P A' + sigma_v - A P C' (C P C' + sigma_w)^-1 C P A'
-    from P = sigma_v until the relative Frobenius update drops below `tol`.
+    from P = sigma_v until the relative Frobenius update drops below _DARE_TOL.
     The result is verified against the defining equation before returning.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     P = np.asarray(sigma_v, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(_DARE_MAX_ITER):
         S = C @ P @ C.T + sigma_w
         APCt = A @ P @ C.T
         P_next = A @ P @ A.T + sigma_v - APCt @ np.linalg.solve(S, APCt.T)
         P_next = 0.5 * (P_next + P_next.T)
-        if np.linalg.norm(P_next - P, "fro") <= tol * max(1.0, np.linalg.norm(P_next, "fro")):
+        if np.linalg.norm(P_next - P, "fro") <= _DARE_TOL * max(1.0, np.linalg.norm(P_next, "fro")):
             P = P_next
             break
         P = P_next
     else:
-        raise NonConvergence(f"Riccati fixed point not converged in {max_iter} iterations")
+        raise NonConvergence(f"Riccati fixed point not converged in {_DARE_MAX_ITER} iterations")
     if dare_residual(A, C, sigma_v, sigma_w, P) > 1e-9:
         raise NonConvergence("Riccati residual above 1e-9 after convergence")
     return P

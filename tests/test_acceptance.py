@@ -9,6 +9,7 @@ stated inline next to the checks they guard.
 import dataclasses
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from oracles import explicit_rollout, grid_search_exceed
 from stealthimpact import attacks, cli, distrib, numcore, solver
 from stealthimpact.attacks import ResourceSet, decision_layout
 from stealthimpact.distrib import gaussian_summary
-from stealthimpact.mcvalidate import SimulationConfig, simulate
+from stealthimpact.mcvalidate import SimulationConfig, kl_verdict, simulate
 from stealthimpact.scenario import bundled_scenario_path
 from stealthimpact.sysmodel import ControllerModel, SystemModel, assemble_extended
 
@@ -101,7 +102,7 @@ def _fdi_instance(rng):
     for _ in range(50):
         system = _study_system(rng)
         N = 2
-        atk = attacks.build_fdi(ResourceSet(sensors=(int(rng.integers(0, 2)),)), system.dims)
+        atk = attacks.build_attack("fdi", ResourceSet(sensors=(int(rng.integers(0, 2)),)), system.dims, N)
         layout = decision_layout(atk, N, system.controller.Q_yr)
         q_z = _unit_row(rng, 2)
         summ0 = gaussian_summary(system, atk, layout, q_z, N, 0.1)
@@ -124,7 +125,7 @@ def _bias_instance(rng):
     for _ in range(50):
         system = _study_system(rng)
         N = 2
-        atk = attacks.build_bias(ResourceSet(actuators=(0,)), system.dims)
+        atk = attacks.build_attack("bias_injection", ResourceSet(actuators=(0,)), system.dims, N)
         layout = decision_layout(atk, N, system.controller.Q_yr)
         q_z = _unit_row(rng, 2)
         summ0 = gaussian_summary(system, atk, layout, q_z, N, 0.1)
@@ -152,8 +153,7 @@ def _denial_instance(rng, kind):
             res = ResourceSet(sensors=(int(rng.integers(0, 2)),))
         else:
             res = ResourceSet(actuators=(0,))
-        build = attacks.build_dos if kind == "dos" else attacks.build_sign_alternation
-        atk = build(res, system.dims)
+        atk = attacks.build_attack("dos" if kind == "dos" else "sign_alternation", res, system.dims, N)
         layout = decision_layout(atk, N, system.controller.Q_yr)
         q_z = _unit_row(rng, 2)
         summ0 = gaussian_summary(system, atk, layout, q_z, N, 0.0)
@@ -285,9 +285,6 @@ def test_criterion_4_divergence_equivalence(scenario, grid):
     t_r, sigma_r = summary.t_r, summary.sigma_r
     radius = summary.eps_prime
     N, eps = scenario.horizon, scenario.epsilon
-    dim_r = t_r.shape[0]
-    zero = np.zeros(dim_r)
-    eye = np.eye(dim_r)
     atol = 1e-9 * max(1.0, abs(radius))
 
     rng = np.random.default_rng(4)
@@ -301,7 +298,9 @@ def test_criterion_4_divergence_equivalence(scenario, grid):
         d = v * np.sqrt(radius * u / quad_v)
         quad = float(np.square(t_r @ d).sum())
         budget_ok = quad <= radius + atol
-        kl = distrib.kl_divergence_gaussian(t_r @ d, sigma_r, zero, eye)
+        # divergence of N(t_r d, Sigma_R) from N(0, I), through the Monte Carlo check's routine
+        law = SimpleNamespace(r_mean=t_r @ d, r_cov=sigma_r, samples=10**6)
+        kl = kl_verdict(law, t_r, d, radius, eps, N).empirical_rate * (N + 1)
         kl_ok = kl <= (N + 1) * eps + atol / 2.0
         if budget_ok != kl_ok:
             disagree.append((u, quad - radius, kl - (N + 1) * eps))
@@ -408,16 +407,8 @@ def test_criterion_7_numerical_residuals(scenario, system):
     worst = 0.0
     for kind, sensors, actuators, mode in configs:
         res = ResourceSet(sensors=sensors, actuators=actuators)
-        if kind == "dos":
-            atk = attacks.build_dos(res, system.dims)
-        elif kind == "sign":
-            atk = attacks.build_sign_alternation(res, system.dims)
-        elif kind == "fdi":
-            atk = attacks.build_fdi(res, system.dims)
-        elif kind == "bias":
-            atk = attacks.build_bias(res, system.dims)
-        else:
-            atk = attacks.build_replay(res, system.dims, N, mode)
+        kind = {"sign": "sign_alternation", "bias": "bias_injection", "replay": f"replay_{mode}"}.get(kind, kind)
+        atk = attacks.build_attack(kind, res, system.dims, N)
         ext = assemble_extended(system.plant, system.controller, system.estimator, atk)
         maps = distrib.stack_dynamics(ext, atk, system, scenario.q_z, N)
         W = N - atk.start_step + 1

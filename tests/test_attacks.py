@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -29,7 +31,7 @@ def test_resource_set_sorts_and_validates():
 
 def test_dos_zeroes_diagonal():
     res = attacks.ResourceSet(sensors=(1,), actuators=(0, 2))
-    atk = attacks.build_dos(res, DIMS)
+    atk = attacks.build_attack("dos", res, DIMS, 4)
     assert np.allclose(atk.lambda_y, np.diag([1.0, 0.0, 1.0]))
     assert np.allclose(atk.lambda_u, np.diag([0.0, 1.0, 0.0, 1.0]))
     assert atk.n_a == 0
@@ -39,49 +41,36 @@ def test_dos_zeroes_diagonal():
 
 def test_sign_alternation_flips():
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
-    atk = attacks.build_sign_alternation(res, DIMS)
+    atk = attacks.build_attack("sign_alternation", res, DIMS, 2)
     assert atk.lambda_y[0, 0] == -1.0
     assert atk.lambda_u[1, 1] == -1.0
     assert np.allclose(np.abs(atk.lambda_y), np.eye(3))
 
 
 def test_rerouting_permutation():
-    spec = attacks.StrategySpec(
-        kind="rerouting",
-        resources=attacks.ResourceSet(sensors=(0, 1)),
-        pi_y={0: 1, 1: 0},
-        pi_u=None,
-    )
-    atk = attacks.build_rerouting(spec, DIMS)
+    res = attacks.ResourceSet(sensors=(0, 1))
+    atk = attacks.build_attack("rerouting", res, DIMS, 2, pi_y={0: 1, 1: 0}, pi_u=None)
     expected = np.eye(3)[[1, 0, 2]]
     assert np.allclose(atk.lambda_y, expected)
     assert np.allclose(atk.lambda_u, np.eye(4))
 
 
 def test_rerouting_rejects_escaping_permutation():
-    spec = attacks.StrategySpec(
-        kind="rerouting",
-        resources=attacks.ResourceSet(sensors=(0, 1)),
-        pi_y={0: 2, 2: 0},
-    )
+    res = attacks.ResourceSet(sensors=(0, 1))
     with pytest.raises(attacks.InvalidPermutation):
-        attacks.build_rerouting(spec, DIMS)
+        attacks.build_attack("rerouting", res, DIMS, 2, pi_y={0: 2, 2: 0})
 
 
 def test_rerouting_rejects_non_bijection():
-    spec = attacks.StrategySpec(
-        kind="rerouting",
-        resources=attacks.ResourceSet(sensors=(0, 1)),
-        pi_y={0: 1, 1: 1},
-    )
+    res = attacks.ResourceSet(sensors=(0, 1))
     with pytest.raises(attacks.InvalidPermutation):
-        attacks.build_rerouting(spec, DIMS)
+        attacks.build_attack("rerouting", res, DIMS, 2, pi_y={0: 1, 1: 1})
 
 
 def test_fdi_channels():
     res = attacks.ResourceSet(sensors=(0, 2), actuators=(1,))
     N = 3
-    atk = attacks.build_fdi(res, DIMS)
+    atk = attacks.build_attack("fdi", res, DIMS, N)
     assert (atk.n_au, atk.n_ay, atk.n_a) == (1, 2, 3)
     assert np.allclose(atk.lambda_y, np.eye(3))
     assert atk.gamma_y.shape == (3, 2)
@@ -92,14 +81,15 @@ def test_fdi_channels():
 
 
 def test_fdi_requires_resources():
-    with pytest.raises(attacks.EmptyResources):
-        attacks.build_fdi(attacks.ResourceSet(), DIMS)
+    for kind in ("fdi", "bias_injection"):
+        with pytest.raises(attacks.EmptyResources, match="injection requires at least one compromised channel"):
+            attacks.build_attack(kind, attacks.ResourceSet(), DIMS, 2)
 
 
 def test_bias_constancy_rows():
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
     N = 3
-    atk = attacks.build_bias(res, DIMS)
+    atk = attacks.build_attack("bias_injection", res, DIMS, N)
     n_a = atk.n_a
     F = _equality_map(atk, N)
     assert F.shape == (N * n_a, (N + 1) * n_a + 3)
@@ -115,7 +105,7 @@ def test_bias_constancy_rows():
 def test_fdi_plus_dos_combines():
     """Injection on the compromised sensors, denial of the compromised actuators."""
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
-    atk = attacks.build_fdi_plus_dos(res, DIMS)
+    atk = attacks.build_attack("fdi_plus_dos", res, DIMS, 2)
     assert np.array_equal(atk.lambda_y, np.eye(3))
     assert atk.gamma_y[0, 0] == 1.0
     assert atk.n_ay == 1 and atk.n_au == 0
@@ -125,8 +115,8 @@ def test_fdi_plus_dos_combines():
 
 def test_fdi_plus_dos_without_sensors_is_denial():
     res = attacks.ResourceSet(actuators=(0, 2))
-    atk = attacks.build_fdi_plus_dos(res, DIMS)
-    dos = attacks.build_dos(res, DIMS)
+    atk = attacks.build_attack("fdi_plus_dos", res, DIMS, 2)
+    dos = attacks.build_attack("dos", res, DIMS, 2)
     for field, value in vars(dos).items():
         assert np.array_equal(getattr(atk, field), value), field
 
@@ -135,7 +125,7 @@ def test_replay_recording_maps(system):
     """The recording window's maps reproduce an explicit nominal-loop unroll."""
     N = 4
     res = attacks.ResourceSet(sensors=(0, 1), actuators=())
-    atk = attacks.build_replay(res, system.dims, N, actuator_mode="dos")
+    atk = attacks.build_attack("replay_dos", res, system.dims, N)
     assert atk.start_step == -N - 1
     assert atk.has_recording
     (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r) = distrib._recording_window(system, atk)
@@ -158,7 +148,7 @@ def test_replay_recording_maps(system):
     assert np.allclose(predicted, np.concatenate(rows), atol=1e-10)
     assert np.allclose(x0_x @ x_e0 + x0_f @ f_pre + x0_r @ y_r, x_e, atol=1e-10)
     # strategies without a recording phase have an empty window
-    fdi = attacks.build_fdi(res, system.dims)
+    fdi = attacks.build_attack("fdi", res, system.dims, N)
     (x0_x, x0_f, _), (rec_x, _, _) = distrib._recording_window(system, fdi)
     assert np.array_equal(x0_x, np.eye(2 * n_x))
     assert x0_f.shape[1] == 0 and rec_x.shape[0] == 0
@@ -168,7 +158,7 @@ def test_replay_dos_pins_injection():
     sys_model = random_system(np.random.default_rng(9))
     N = 3
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
-    atk = attacks.build_replay(res, sys_model.dims, N, actuator_mode="dos")
+    atk = attacks.build_attack("replay_dos", res, sys_model.dims, N)
     # replayed sensors are cut from the live path but carried by gamma_y
     assert atk.lambda_y[0, 0] == 0.0
     assert atk.gamma_y[0, 0] == 1.0
@@ -187,7 +177,7 @@ def test_replay_bias_constraints():
     sys_model = random_system(np.random.default_rng(10))
     N = 2
     res = attacks.ResourceSet(sensors=(0,), actuators=(0, 1))
-    atk = attacks.build_replay(res, sys_model.dims, N, actuator_mode="bias")
+    atk = attacks.build_attack("replay_bias", res, sys_model.dims, N)
     assert (atk.n_au, atk.n_ay) == (2, 1)
     n_a = atk.n_a
     F = _equality_map(atk, N)
@@ -205,7 +195,7 @@ def test_replay_bias_constraints():
 def test_decision_layout_shapes():
     res = attacks.ResourceSet(sensors=(0,), actuators=(1,))
     N = 3
-    atk = attacks.build_bias(res, DIMS)
+    atk = attacks.build_attack("bias_injection", res, DIMS, N)
     layout = attacks.decision_layout(atk, N, 0.4 * np.eye(3))
     assert layout.dim_d == (N + 1) * 2 + 3
     assert layout.Q.shape == (3, layout.dim_d)
@@ -314,3 +304,47 @@ def test_replay_candidates_from_dims():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown strategy kind"):
         attacks.StrategySpec(kind="quantum", resources=attacks.ResourceSet())
+
+
+def test_unknown_kind_rejected_by_builder():
+    with pytest.raises(ValueError, match="unknown strategy kind"):
+        attacks.build_attack("quantum", attacks.ResourceSet(sensors=(0,)), DIMS, 2)
+
+
+class _CountingItertools:
+    """Stands in for itertools inside attacks and counts every item enumerated."""
+
+    def __init__(self):
+        self.items = 0
+
+    def _count(self, it):
+        for item in it:
+            self.items += 1
+            yield item
+
+    def permutations(self, idx):
+        return self._count(itertools.permutations(idx))
+
+    def combinations(self, idx, r):
+        return self._count(itertools.combinations(idx, r))
+
+
+@pytest.mark.parametrize(
+    "kind,n_y,n_u,message",
+    [
+        ("rerouting", 6, 5, "86399 permutation pairs exceed the cap 4096"),
+        ("rerouting", 7, 6, "3628799 permutation pairs exceed the cap 4096"),
+        ("dos", 7, 6, "8191 subset combinations exceed the cap 4096"),
+        ("sign_alternation", 0, 13, "8191 subset combinations exceed the cap 4096"),
+    ],
+    ids=["rerouting-6x5", "rerouting-7x6", "dos-7x6", "sign_alternation-0x13"],
+)
+def test_candidate_cap_checked_before_enumerating(monkeypatch, kind, n_y, n_u, message):
+    """The cap compares a computed count, a!b! - 1 or 2^a 2^b - 1, before any pair is built."""
+    counting = _CountingItertools()
+    monkeypatch.setattr(attacks, "itertools", counting)
+    res = attacks.ResourceSet(sensors=tuple(range(n_y)), actuators=tuple(range(n_u)))
+    big = SystemDims(n_x=3, n_y=max(n_y, 1), n_u=max(n_u, 1), n_yr=3)
+    with pytest.raises(attacks.EnumerationCapExceeded, match=message):
+        attacks.candidates(attacks.StrategySpec(kind, res), big, N=2)
+    assert counting.items <= attacks.SUBSET_CAP

@@ -379,11 +379,11 @@ def test_fdi_plus_dos_injects_on_sensors_and_denies_actuators(scenario):
     dims, N = scenario.system.dims, scenario.horizon
     for name, res in scenario.vulnerabilities.items():
         entry = cli.assess(scenario, name, "fdi_plus_dos")
-        expected = attacks.build_fdi(attacks.ResourceSet(sensors=res.sensors), dims)
-        expected.lambda_u = attacks.build_dos(attacks.ResourceSet(actuators=res.actuators), dims).lambda_u
+        expected = attacks.build_attack("fdi", attacks.ResourceSet(sensors=res.sensors), dims, N)
+        expected.lambda_u = attacks.build_attack("dos", attacks.ResourceSet(actuators=res.actuators), dims, N).lambda_u
         for field, value in vars(expected).items():
             assert np.array_equal(getattr(entry.candidate.attack, field), value), field
-        free = attacks.Candidate(None, attacks.build_dos(attacks.ResourceSet(), dims))
+        free = attacks.Candidate(None, attacks.build_attack("dos", attacks.ResourceSet(), dims, N))
         free_report = solver.compute_impact(cli._candidate_law(scenario, free, scenario.epsilon))
         assert free_report.exceed_prob > 0.05
         assert entry.report.eps_prime != free_report.eps_prime

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthimpact import attacks, distrib, numcore, solver
+from stealthimpact import attacks, distrib, mcvalidate, numcore, solver
 from stealthimpact.sysmodel import assemble_extended
 from conftest import random_system
 from oracles import (
@@ -17,21 +17,11 @@ from oracles import (
 )
 
 
-def _build(system, kind, N, sensors=(), actuators=(), actuator_mode="dos"):
-    dims = system.dims
+def _build(system, kind, N, sensors=(), actuators=(), replay_mode="dos"):
+    """Attack and extended system of a short kind name; replay takes replay_mode."""
+    kind = {"sign": "sign_alternation", "bias": "bias_injection", "replay": f"replay_{replay_mode}"}.get(kind, kind)
     res = attacks.ResourceSet(sensors=sensors, actuators=actuators)
-    if kind == "dos":
-        atk = attacks.build_dos(res, dims)
-    elif kind == "sign":
-        atk = attacks.build_sign_alternation(res, dims)
-    elif kind == "fdi":
-        atk = attacks.build_fdi(res, dims)
-    elif kind == "bias":
-        atk = attacks.build_bias(res, dims)
-    elif kind == "replay":
-        atk = attacks.build_replay(res, dims, N, actuator_mode)
-    else:
-        raise ValueError(kind)
+    atk = attacks.build_attack(kind, res, system.dims, N)
     ext = assemble_extended(system.plant, system.controller, system.estimator, atk)
     return atk, ext
 
@@ -171,25 +161,28 @@ def test_epsilon_prime_linear_in_budget(eps1, eps2, N):
     assert v2 - v1 == pytest.approx(2.0 * (N + 1) * (eps2 - eps1), abs=1e-9)
 
 
+def _kl_from_standard(mean, cov):
+    """mcvalidate.kl_verdict's empirical divergence of N(mean, cov) from N(0, I), one-step window."""
+    sim = SimpleNamespace(r_mean=np.asarray(mean, dtype=float), r_cov=np.asarray(cov, dtype=float), samples=10**6)
+    return mcvalidate.kl_verdict(sim, np.zeros((1, 1)), np.zeros(1), 1.0, 0.0, 0).empirical_rate
+
+
 def test_kl_gaussian_basics():
-    assert distrib.kl_divergence_gaussian([0.0], np.eye(1), [0.0], np.eye(1)) == pytest.approx(0.0, abs=1e-14)
+    assert _kl_from_standard([0.0], np.eye(1)) == pytest.approx(0.0, abs=1e-14)
     # unit mean shift against a standard normal costs exactly one half
-    assert distrib.kl_divergence_gaussian([1.0], np.eye(1), [0.0], np.eye(1)) == pytest.approx(0.5, abs=1e-14)
-    assert distrib.kl_divergence_gaussian([0.0, 0.0], 2.0 * np.eye(2), [0.0, 0.0], 2.0 * np.eye(2)) == pytest.approx(0.0, abs=1e-14)
+    assert _kl_from_standard([1.0], np.eye(1)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_kl_gaussian_matches_quadrature():
     mu1 = np.array([0.4, -1.0])
     var1 = np.array([0.8, 1.7])
-    mu2 = np.array([0.0, 0.3])
-    var2 = np.array([1.2, 0.9])
-    closed = distrib.kl_divergence_gaussian(mu1, np.diag(var1), mu2, np.diag(var2))
-    assert closed == pytest.approx(kl_quadrature_diag(mu1, var1, mu2, var2), abs=1e-8)
+    closed = _kl_from_standard(mu1, np.diag(var1))
+    assert closed == pytest.approx(kl_quadrature_diag(mu1, var1, np.zeros(2), np.ones(2)), abs=1e-8)
 
 
 def test_kl_gaussian_rejects_singular():
     with pytest.raises(numcore.NotPositiveDefinite):
-        distrib.kl_divergence_gaussian([0.0], np.zeros((1, 1)), [0.0], np.eye(1))
+        _kl_from_standard([0.0], np.zeros((1, 1)))
 
 
 def test_fdi_residual_stays_white(system):

@@ -12,7 +12,7 @@ from oracles import nominal_long_run, reference_simulate
 
 def _fdi_setup(system, N=4, sensors=(0,), actuators=(0, 1)):
     res = attacks.ResourceSet(sensors=sensors, actuators=actuators)
-    atk = attacks.build_fdi(res, system.dims)
+    atk = attacks.build_attack("fdi", res, system.dims, N)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     return atk, layout
 
@@ -51,10 +51,7 @@ def test_simulate_reproducible(system, scenario):
 
 def _attack(system, kind, N):
     res = attacks.ResourceSet(sensors=(0, 1), actuators=(2,))
-    if kind == "replay":
-        return attacks.build_replay(res, system.dims, N, actuator_mode="dos")
-    build = {"fdi": attacks.build_fdi, "dos": attacks.build_dos, "bias_injection": attacks.build_bias}[kind]
-    return build(res, system.dims)
+    return attacks.build_attack("replay_dos" if kind == "replay" else kind, res, system.dims, N)
 
 
 @pytest.mark.parametrize("critical", ["none", "plant", "extended"])
@@ -100,7 +97,7 @@ def test_simulate_matches_analytic_fdi(system, scenario):
 def test_simulate_matches_analytic_replay(system, scenario):
     N = 3
     res = attacks.ResourceSet(sensors=(0, 1), actuators=(2,))
-    atk = attacks.build_replay(res, system.dims, N, actuator_mode="dos")
+    atk = attacks.build_attack("replay_dos", res, system.dims, N)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     summary = distrib.gaussian_summary(system, atk, layout, scenario.q_z, N, scenario.epsilon)
     d = np.zeros(layout.dim_d)
@@ -116,7 +113,7 @@ def test_simulate_matches_analytic_replay(system, scenario):
 def test_nominal_residuals_white(system, scenario):
     """Identity routing leaves the whitened residuals standard normal."""
     N = 3
-    atk = attacks.build_dos(attacks.ResourceSet(), system.dims)
+    atk = attacks.build_attack("dos", attacks.ResourceSet(), system.dims, N)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     d = np.array([0.5, 0.5, 0.5])  # reference only
     cfg = mcvalidate.SimulationConfig(samples=30_000, seed=11, horizon=N)

@@ -206,7 +206,7 @@ def _equality_map(layout):
 
 def _bias_report(system, N=6, epsilon=0.3):
     res = attacks.ResourceSet(sensors=(0,), actuators=(0, 1))
-    atk = attacks.build_bias(res, system.dims)
+    atk = attacks.build_attack("bias_injection", res, system.dims, N)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, epsilon)
@@ -251,7 +251,7 @@ def test_compute_impact_aggregation(system):
 def test_compute_impact_unbounded_path(system):
     N = 4
     res = attacks.ResourceSet(sensors=(1, 2), actuators=(2, 3))
-    atk = attacks.build_fdi(res, system.dims)
+    atk = attacks.build_attack("fdi", res, system.dims, N)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)

@@ -75,6 +75,7 @@ _NUMERICAL_ERRORS = (
     numcore.NotPositiveDefinite,
     numcore.DegenerateVariance,
     np.linalg.LinAlgError,
+    FloatingPointError,  # an overflow in the laws or the solve
 )
 
 

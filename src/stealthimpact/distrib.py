@@ -8,18 +8,20 @@ vector d = [a_{0:N}; y_r]. The stealthiness budget on the residual KL rate
 reduces to the quadratic constraint d' T_R' T_R d <= eps_prime.
 
 The maps are built in lifted form. With A = A_cl of the attacked loop and
-"out" the critical map or C_r, the row block of step k is
+out = [critical map; C_r], the row block of step k is
 
     out A^k x_e(0) + sum_{j<k} out A^(k-1-j) [B_f G_a E_r] (f, a, y_r)(j)
-                   + [D_f H_a 0] (f, a, y_r)(k)     (residual rows only)
+                   + [D_f H_a 0] (f, a, y_r)(k)     (zero on the critical rows)
 
 so the rows are the observability blocks out A^k and the input columns one
 block-Toeplitz gather of the Markov blocks over the lag k-1-j; the y_r
-columns sum over the lags. Replay first runs the nominal loop over its
-recording window in one pass, which maps (x_e(start), f(start..-1), y_r) to
-x_e(0) and to the recorded stack gamma_y' y(start..-1). The recording is a
-sensor injection, so it is folded in through the sensor columns of the
-attack maps.
+columns sum over the lags. One such gather (_lifted_rows) serves both output
+families, with powers of A from numcore.matrix_powers. Replay's recording
+window [-N-1, -1] is the same gather on the nominal loop, with output
+gamma_y' [C 0] and direct term gamma_y' on w, and x_e(0) follows in closed
+form from the same powers. Both are affine in (x_e(start), f(start..-1),
+y_r), and the recorded stack is the sensor injection a_y(0..N), so one product
+[m_x | sensor columns of m_a] R substitutes the window into every row.
 The covariances are formed from whitened factors, Sigma = F F' with
 F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))], and Sigma_R is factored
 once per configuration, so the radius eps' at another epsilon costs O(1).
@@ -81,7 +83,6 @@ class GaussianSummary:
     layout: DecisionLayout
     epsilon: float
     horizon: int
-    n_z: int
     n_y: int
 
     @property
@@ -151,45 +152,42 @@ def stack_dynamics(
 ) -> StackedMaps:
     """Stacked affine maps of the window [start, N] in lifted form.
 
-    The nominal recording phase before step 0 (replay) is unrolled once into
-    the maps of x_e(0) and of the recorded stack in (x_e(start), f(start..-1),
-    y_r). From step 0 on, each output row at step k is its observability block
-    out A^k applied to x_e(0) plus the block-Toeplitz sum over inputs j < k of
-    the Markov blocks out A^(k-1-j) [B_f G_a E_r], with the direct terms
-    [D_f H_a 0] at j = k on the residual rows. Critical rows cover steps 1..N,
-    residual rows steps 0..N. The recorded stack is the sensor injection, so
-    it is folded in through the sensor columns of the attack maps.
+    One lifted gather over the stacked outputs [critical map; C_r] gives the
+    rows of steps 0..N in (x_e(0), f(0..N), a(0..N), y_r): the observability
+    block out A^k on x_e(0), the block-Toeplitz sum over inputs j < k of the
+    Markov blocks out A^(k-1-j) [B_f G_a E_r], and the direct terms
+    [D_f H_a 0] at j = k, zero on the critical rows. Replay then substitutes
+    its recording window: x_e(0) and the recorded stack, which enters as the
+    sensor injection a_y(0..N), are both affine in (x_e(start), f(start..-1),
+    y_r), so one product with _recording_window's matrix folds the window into
+    every row. Critical rows are kept for steps 1..N, residual rows for 0..N.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
-    n_x, n_y, n_f = ext.n_x, ext.n_y, ext.n_f
-    q_ze = normalize_critical_map(q_z, n_x)
+    n_y, n_f, n_a, n_e = ext.n_y, ext.n_f, attack.n_a, ext.A_cl.shape[0]
+    q_ze = normalize_critical_map(q_z, ext.n_x)
     n_z = q_ze.shape[0]
-    powers = _powers(ext.A_cl, N)
+    obs = np.vstack([q_ze, ext.C_r]) @ numcore.matrix_powers(ext.A_cl, N)
     inputs = np.hstack([ext.B_f, ext.G_a, ext.E_r])
-    direct = np.hstack([ext.D_f, ext.H_a, np.zeros((n_y, ext.n_yr))])
-    widths = (n_f, attack.n_a)
-    obs_z, obs_r = q_ze @ powers, ext.C_r @ powers
-    p_x, p_f, p_a, p_r = _lifted_rows(
-        obs_z[1:], obs_z[:N] @ inputs, np.zeros((n_z, direct.shape[1])), 1, widths
-    )
-    r_x, r_f, r_a, r_r = _lifted_rows(obs_r, obs_r[:N] @ inputs, direct, 0, widths)
+    direct = np.zeros((n_z + n_y, inputs.shape[1]))
+    direct[n_z:, : n_f + n_a] = np.hstack([ext.D_f, ext.H_a])
+    m_x, m_f, m_a, m_r = _lifted_rows(obs, obs[:N] @ inputs, direct, (n_f, n_a))
     if attack.has_recording:
-        (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r) = _recording_window(system, attack)
-        # the recording phase acts through x_e(0)
-        p_f, r_f = np.hstack([p_x @ x0_f, p_f]), np.hstack([r_x @ x0_f, r_f])
-        p_r, r_r = p_r + p_x @ x0_r, r_r + r_x @ x0_r
-        p_x, r_x = p_x @ x0_x, r_x @ x0_x
-        # and the recorded stack through the sensor columns of the attack maps
-        pre = rec_f.shape[1]
-        p_s, r_s = _sensor_columns(p_a, attack, N), _sensor_columns(r_a, attack, N)
-        p_x = p_x + p_s @ rec_x
-        p_r = p_r + p_s @ rec_r
-        p_f[:, :pre] += p_s @ rec_f
-        r_x = r_x + r_s @ rec_x
-        r_r = r_r + r_s @ rec_r
-        r_f[:, :pre] += r_s @ rec_f
+        rows = m_a.shape[0]
+        m_s = m_a.reshape(rows, N + 1, n_a)[..., attack.n_au :].reshape(rows, -1)
+        folded = np.hstack([m_x, m_s]) @ _recording_window(system, attack)
+        n_pre = folded.shape[1] - ext.n_yr
+        m_x, m_r = folded[:, :n_e], m_r + folded[:, n_pre:]
+        m_f = np.hstack([folded[:, n_e:n_pre], m_f])
 
+    def split(m):
+        by_step = m.reshape(N + 1, n_z + n_y, m.shape[1])
+        return (
+            by_step[1:, :n_z].reshape(N * n_z, m.shape[1]),
+            by_step[:, n_z:].reshape((N + 1) * n_y, m.shape[1]),
+        )
+
+    (p_x, r_x), (p_f, r_f), (p_a, r_a), (p_r, r_r) = map(split, (m_x, m_f, m_a, m_r))
     return StackedMaps(
         p_x=p_x,
         p_f=p_f,
@@ -206,77 +204,55 @@ def stack_dynamics(
     )
 
 
-def _recording_window(system: SystemModel, attack: AttackMatrices) -> tuple:
-    """One nominal pass over the recording window [start, -1], start < 0.
+def _recording_window(system: SystemModel, attack: AttackMatrices) -> np.ndarray:
+    """Matrix R from (x_e(start), f(start..-1), y_r) to (x_e(0); gamma_y' y(start..-1)).
 
-    Returns the maps of x_e(0) and of the recorded stack gamma_y' y(start..-1),
-    each as its (x_e(start), f(start..-1), y_r) column blocks.
+    The window [start, -1], start = -N-1, runs the nominal loop. Its recorded
+    stack is the lifted gather of that loop with output gamma_y' [C 0] and
+    direct term gamma_y' on w; x_e(0), one step past the window, is
+    A^(N+1) x_e(start) + sum_j A^(N-j) [B_f E_r] (f(j), y_r) from the same
+    powers.
     """
     nominal, plant = system.nominal, system.plant
-    n_x, n_f, n_ay = plant.n_x, plant.n_x + plant.n_y, attack.n_ay
-    steps = -attack.start_step
-    tap = attack.gamma_y.T @ np.hstack([plant.C, np.zeros_like(plant.C)])
-    x0_x = np.eye(2 * n_x)
-    x0_f = np.zeros((2 * n_x, steps * n_f))
-    x0_r = np.zeros((2 * n_x, nominal.E_r.shape[1]))
-    rec_x = np.zeros((steps * n_ay, 2 * n_x))
-    rec_f = np.zeros((steps * n_ay, steps * n_f))
-    rec_r = np.zeros((steps * n_ay, nominal.E_r.shape[1]))
-    for j in range(steps):
-        # y(start + j) = C x + w(start + j), tapped on the recorded channels
-        rows = slice(j * n_ay, (j + 1) * n_ay)
-        rec_x[rows] = tap @ x0_x
-        rec_r[rows] = tap @ x0_r
-        rec_f[rows] = tap @ x0_f
-        rec_f[rows, j * n_f + n_x : (j + 1) * n_f] += attack.gamma_y.T
-        x0_x = nominal.A_cl @ x0_x
-        x0_f = nominal.A_cl @ x0_f
-        x0_f[:, j * n_f : (j + 1) * n_f] += nominal.B_f
-        x0_r = nominal.A_cl @ x0_r + nominal.E_r
-    return (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r)
-
-
-def _sensor_columns(m: np.ndarray, attack: AttackMatrices, N: int) -> np.ndarray:
-    """The a_y(0..N) columns of a map over the stacked a(0..N)."""
-    blocks = m.reshape(m.shape[0], N + 1, attack.n_a)
-    return blocks[:, :, attack.n_au :].reshape(m.shape[0], -1)
-
-
-def _powers(A: np.ndarray, N: int) -> np.ndarray:
-    """A^0..A^N stacked along the first axis, by doubling."""
-    powers = np.eye(A.shape[0])[None]
-    while powers.shape[0] <= N:
-        powers = np.concatenate([powers, (powers[-1] @ A) @ powers])
-    return powers[: N + 1]
+    N, n_f, n_ay = -attack.start_step - 1, nominal.n_f, attack.n_ay
+    powers = numcore.matrix_powers(nominal.A_cl, N + 1)
+    inputs = np.hstack([nominal.B_f, nominal.E_r])
+    obs = attack.gamma_y.T @ np.hstack([plant.C, np.zeros_like(plant.C)]) @ powers[: N + 1]
+    direct = np.zeros((n_ay, inputs.shape[1]))
+    direct[:, plant.n_x : n_f] = attack.gamma_y.T
+    recorded = _lifted_rows(obs, obs[:N] @ inputs, direct, (n_f,))
+    drive = powers[N::-1] @ inputs  # [j]: A^(N-j) [B_f E_r]
+    x0_f = drive[..., :n_f].transpose(1, 0, 2).reshape(powers.shape[1], -1)
+    x0 = [powers[N + 1], x0_f, drive[..., n_f:].sum(axis=0)]
+    return np.vstack([np.hstack(x0), np.hstack(recorded)])
 
 
 def _lifted_rows(
-    obs: np.ndarray, markov: np.ndarray, direct: np.ndarray, first: int, widths: tuple
+    obs: np.ndarray, markov: np.ndarray, direct: np.ndarray, widths: tuple
 ) -> list[np.ndarray]:
-    """Maps of the output rows at steps first..N over the attack window.
+    """Maps of the output rows at steps 0..N over the window.
 
-    obs[i] is the observability block of step first + i, markov[l] the Markov
-    block at lag l = k-1-j over the stacked input columns, and direct the
-    feedthrough at lag -1 (j = k). Returns the row map of x_e(0), one stacked
-    map per input group of the given widths over steps 0..N, and the sum over
+    obs[k] is the observability block of step k, markov[l] the Markov block at
+    lag l = k-1-j over the stacked input columns, and direct the feedthrough at
+    lag -1 (j = k). Returns the row map of the initial state, one stacked map
+    per input group of the given widths over steps 0..N, and the sum over
     lags of the remaining (reference) columns, a prefix sum of their Markov
-    blocks.
+    blocks. Every reshape names its sizes, so an output with no rows works.
     """
     N = markov.shape[0]
-    n_in = sum(widths)
-    lag = np.arange(first, N + 1)[:, None] - 1 - np.arange(N + 1)
+    n_in, n_rows = sum(widths), (N + 1) * direct.shape[0]
+    lag = np.arange(N + 1)[:, None] - 1 - np.arange(N + 1)
     blocks = np.concatenate([markov, np.zeros_like(direct)[None], direct[None]])[..., :n_in]
     toeplitz = blocks[np.where(lag >= -1, lag, N)]  # (steps, N+1, rows, input columns)
-    steps, _, rows, _ = toeplitz.shape
-    out = [obs.reshape(steps * rows, -1)]
+    out = [obs.reshape(n_rows, obs.shape[-1])]
     col = 0
     for w in widths:
         group = toeplitz[..., col : col + w].transpose(0, 2, 1, 3)
-        out.append(group.reshape(steps * rows, (N + 1) * w))
+        out.append(group.reshape(n_rows, (N + 1) * w))
         col += w
-    ref = markov[..., n_in:]
-    lags_below = np.cumsum(np.concatenate([np.zeros_like(ref[:1]), ref]), axis=0)  # [k]: lags < k
-    out.append((lags_below[first:] + direct[:, n_in:]).reshape(steps * rows, -1))
+    ref = np.concatenate([np.zeros_like(direct[None, :, n_in:]), markov[..., n_in:]])
+    lags_below = np.cumsum(ref, axis=0)  # [k]: lags < k
+    out.append((lags_below + direct[:, n_in:]).reshape(n_rows, ref.shape[-1]))
     return out
 
 
@@ -372,11 +348,11 @@ def summarize(
         layout=layout,
         epsilon=epsilon,
         horizon=N,
-        n_z=maps.n_z,
         n_y=maps.n_y,
     )
 
 
+@np.errstate(over="raise")
 def gaussian_summary(
     system: SystemModel,
     attack: AttackMatrices,
@@ -385,7 +361,10 @@ def gaussian_summary(
     N: int,
     epsilon: float,
 ) -> GaussianSummary:
-    """End-to-end pipeline from a system and one attack configuration."""
+    """End-to-end pipeline from a system and one attack configuration.
+
+    A floating-point overflow in the maps or laws raises FloatingPointError.
+    """
     from .sysmodel import assemble_extended
 
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)

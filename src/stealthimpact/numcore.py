@@ -1,8 +1,8 @@
 """Numerical primitives for closed-loop attack analysis.
 
-Steady-state Riccati and Lyapunov solvers, definiteness and rank tests, and the
-Gaussian exceedance probability used by the impact metrics. Everything here is
-a pure function of its arguments.
+Steady-state Riccati and Lyapunov solvers, matrix powers, definiteness and rank
+tests, and the Gaussian exceedance probability used by the impact metrics.
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -186,10 +186,12 @@ def solve_lyapunov(A_e: np.ndarray, Q: np.ndarray) -> np.ndarray:
     raise NonConvergence("Lyapunov doubling iteration did not converge")
 
 
-def lyapunov_residual(A_e, Q, S) -> float:
-    return float(
-        np.linalg.norm(S - A_e @ S @ A_e.T - Q, "fro") / max(1.0, np.linalg.norm(S, "fro"))
-    )
+def matrix_powers(A: np.ndarray, N: int) -> np.ndarray:
+    """A^0..A^N stacked along the first axis, by doubling."""
+    powers = np.eye(A.shape[0])[None]
+    while powers.shape[0] <= N:
+        powers = np.concatenate([powers, (powers[-1] @ A) @ powers])
+    return powers[: N + 1]
 
 
 def sym_sqrt(M: np.ndarray) -> np.ndarray:

@@ -431,6 +431,7 @@ def _empty_report(feasible: bool, unbounded: bool, n_rows: int, dim_d: int, eps_
     )
 
 
+@np.errstate(over="raise")
 def compute_impact(summary: GaussianSummary) -> ImpactReport:
     """Solve the program of every critical row in one batch and aggregate.
 
@@ -440,7 +441,8 @@ def compute_impact(summary: GaussianSummary) -> ImpactReport:
     with a component outside the constraint row space (the solver's
     boundedness test as it reduces the objectives) means the impact grows
     without bound: the probability metric saturates at 1 and the mean metric
-    is reported as infinity.
+    is reported as infinity. A floating-point overflow anywhere in the solve
+    raises FloatingPointError rather than returning a wrong number.
     """
     layout = summary.layout
     n_rows = summary.t_z.shape[0]

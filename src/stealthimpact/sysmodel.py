@@ -73,7 +73,8 @@ class PlantModel:
                     f"{name} not positive definite (min eigenvalue {chk.min_eigenvalue:.3e})"
                 )
         with np.errstate(over="ignore", invalid="ignore"):
-            obs, ctrb = self._observability(), self._controllability()
+            powers = numcore.matrix_powers(self.A, n_x - 1)
+            obs, ctrb = np.vstack(self.C @ powers), np.hstack(powers @ self.B)
         if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(ctrb))):
             raise ValueError("observability or controllability matrix overflows")
         if numcore.matrix_rank(obs) < n_x:
@@ -92,20 +93,6 @@ class PlantModel:
     @property
     def n_y(self) -> int:
         return self.C.shape[0]
-
-    def _observability(self) -> np.ndarray:
-        blocks, M = [], self.C.copy()
-        for _ in range(self.n_x):
-            blocks.append(M)
-            M = M @ self.A
-        return np.vstack(blocks)
-
-    def _controllability(self) -> np.ndarray:
-        blocks, M = [], self.B.copy()
-        for _ in range(self.n_x):
-            blocks.append(M)
-            M = self.A @ M
-        return np.hstack(blocks)
 
 
 @dataclass
@@ -178,10 +165,6 @@ class ExtendedSystem:
     @property
     def n_yr(self) -> int:
         return self.E_r.shape[1]
-
-    @property
-    def n_a(self) -> int:
-        return self.G_a.shape[1]
 
 
 @dataclass

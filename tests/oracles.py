@@ -28,6 +28,13 @@ def lyapunov_series(A: np.ndarray, Q: np.ndarray, tol: float = 1e-14) -> np.ndar
     raise RuntimeError("series did not converge")
 
 
+def lyapunov_residual(A_e, Q, S) -> float:
+    """Relative Frobenius residual of S = A_e S A_e' + Q."""
+    return float(
+        np.linalg.norm(S - A_e @ S @ A_e.T - Q, "fro") / max(1.0, np.linalg.norm(S, "fro"))
+    )
+
+
 def exceed_quadrature(mu: float, sigma: float) -> float:
     """P(|X| > 1) for X ~ N(mu, sigma^2) by adaptive quadrature of the density."""
     def dens(x):

@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 from conftest import random_system
-from oracles import explicit_rollout, grid_search_exceed
+from oracles import explicit_rollout, grid_search_exceed, lyapunov_residual
 from stealthimpact import attacks, cli, distrib, numcore, solver
 from stealthimpact.attacks import ResourceSet, decision_layout
 from stealthimpact.distrib import gaussian_summary
@@ -388,7 +388,7 @@ def test_criterion_7_numerical_residuals(scenario, system):
             plant.A, plant.C, plant.sigma_v, plant.sigma_w, est.sigma_e
         )
         _, sigma_0 = distrib.stationary_law(nom, model.sigma_f)
-        r_lyap = numcore.lyapunov_residual(
+        r_lyap = lyapunov_residual(
             nom.A_cl, nom.B_f @ model.sigma_f @ nom.B_f.T, sigma_0
         )
         if r_dare > 1e-9 or r_lyap > 1e-9:

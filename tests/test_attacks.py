@@ -122,36 +122,38 @@ def test_fdi_plus_dos_without_sensors_is_denial():
 
 
 def test_replay_recording_maps(system):
-    """The recording window's maps reproduce an explicit nominal-loop unroll."""
+    """The recording window's matrix reproduces an explicit nominal-loop unroll.
+
+    Also with no recorded sensor: R then has only the x_e(0) rows.
+    """
     N = 4
-    res = attacks.ResourceSet(sensors=(0, 1), actuators=())
-    atk = attacks.build_attack("replay_dos", res, system.dims, N)
-    assert atk.start_step == -N - 1
-    assert atk.has_recording
-    (x0_x, x0_f, x0_r), (rec_x, rec_f, rec_r) = distrib._recording_window(system, atk)
     n_x, n_y = system.plant.n_x, system.plant.n_y
     n_f = n_x + n_y
     rng = np.random.default_rng(8)
-    x_e0 = rng.normal(size=2 * n_x)
-    y_r = rng.normal(size=3)
-    f_pre = rng.normal(size=(N + 1) * n_f)
-    predicted = rec_x @ x_e0 + rec_r @ y_r + rec_f @ f_pre
-    # explicit unroll of the nominal loop over [-N-1, -1]
-    nom = system.nominal
-    x_e = x_e0.copy()
-    rows = []
-    for j in range(N + 1):
-        f_k = f_pre[j * n_f : (j + 1) * n_f]
-        y = system.plant.C @ x_e[:n_x] + f_k[n_x:]
-        rows.append(atk.gamma_y.T @ y)
-        x_e = nom.A_cl @ x_e + nom.B_f @ f_k + nom.E_r @ y_r
-    assert np.allclose(predicted, np.concatenate(rows), atol=1e-10)
-    assert np.allclose(x0_x @ x_e0 + x0_f @ f_pre + x0_r @ y_r, x_e, atol=1e-10)
-    # strategies without a recording phase have an empty window
-    fdi = attacks.build_attack("fdi", res, system.dims, N)
-    (x0_x, x0_f, _), (rec_x, _, _) = distrib._recording_window(system, fdi)
-    assert np.array_equal(x0_x, np.eye(2 * n_x))
-    assert x0_f.shape[1] == 0 and rec_x.shape[0] == 0
+    for kind, res in (
+        ("replay_dos", attacks.ResourceSet(sensors=(0, 1), actuators=())),
+        ("replay_bias", attacks.ResourceSet(sensors=(), actuators=(2,))),
+    ):
+        atk = attacks.build_attack(kind, res, system.dims, N)
+        assert atk.start_step == -N - 1
+        assert atk.has_recording
+        R = distrib._recording_window(system, atk)
+        assert R.shape == (2 * n_x + (N + 1) * atk.n_ay, 2 * n_x + (N + 1) * n_f + 3)
+        x_e0 = rng.normal(size=2 * n_x)
+        y_r = rng.normal(size=3)
+        f_pre = rng.normal(size=(N + 1) * n_f)
+        predicted = R @ np.concatenate([x_e0, f_pre, y_r])
+        # explicit unroll of the nominal loop over [-N-1, -1]
+        nom = system.nominal
+        x_e = x_e0.copy()
+        rows = []
+        for j in range(N + 1):
+            f_k = f_pre[j * n_f : (j + 1) * n_f]
+            y = system.plant.C @ x_e[:n_x] + f_k[n_x:]
+            rows.append(atk.gamma_y.T @ y)
+            x_e = nom.A_cl @ x_e + nom.B_f @ f_k + nom.E_r @ y_r
+        assert np.allclose(predicted[: 2 * n_x], x_e, atol=1e-10)
+        assert np.allclose(predicted[2 * n_x :], np.concatenate(rows), atol=1e-10)
 
 
 def test_replay_dos_pins_injection():

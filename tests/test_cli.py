@@ -483,6 +483,40 @@ def test_overflowing_plant_rejected_without_hanging(tmp_path):
     assert done.stderr == "error: observability or controllability matrix overflows\n"
 
 
+def _scaled_critical_map(tmp_path, scale):
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["critical_map"] = [[0.0, 0.0, scale]]
+    return str(_write_scenario(tmp_path, doc))
+
+
+@pytest.mark.parametrize("strategy, bound", [("fdi", 3.33151618107e150), ("dos", 2.70170621928e150)])
+def test_large_critical_map_scales_the_bound(tmp_path, capsys, strategy, bound):
+    """A critical map of 1e150 is still in range: the bound scales linearly with it."""
+    path = _scaled_critical_map(tmp_path, 1e150)
+    code, out = _run(tmp_path, "--scenario", path, "--vulnerability", "vulnerability_2", "--strategy", strategy)
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    (entry,) = json.loads(out.read_text())["entries"]
+    assert entry["exceedance_probability"] == 1.0
+    assert entry["mean_impact_lower_bound"] == bound
+
+
+@pytest.mark.parametrize(
+    "scale, strategy", [(1e154, "fdi"), (1e154, "dos"), (1e155, "fdi")], ids=["solve-fdi", "solve-dos", "sigma-z"]
+)
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, scale, strategy):
+    """An overflow exits 3 with one line, not 0 with a wrong bound and RuntimeWarnings.
+
+    At 1e154 the solver's row norms overflow; at 1e155 Sigma_Z itself does.
+    """
+    path = _scaled_critical_map(tmp_path, scale)
+    code = cli.main(["assess", "--scenario", path, "--vulnerability", "vulnerability_2", "--strategy", strategy])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("numerical failure: overflow encountered in ") and err.count("\n") == 1
+
+
 def test_out_of_memory_exit_code(tmp_path, capsys):
     """A horizon whose decision layout cannot be allocated ends with exit 3 and one line.
 

@@ -96,6 +96,7 @@ def test_normalize_critical_map():
         ("bias", (2,), (0,), "dos"),
         ("replay", (0, 1), (2,), "dos"),
         ("replay", (1,), (0, 3), "bias"),
+        ("replay", (), (0, 3), "bias"),
     ],
 )
 def test_stacked_maps_match_explicit_rollout(system, kind, sensors, actuators, mode):

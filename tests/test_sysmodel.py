@@ -95,7 +95,6 @@ def test_extended_blocks_identity_routing():
     # residual reads the whitened estimation error
     assert np.allclose(ext.C_r, est.sigma_r_invsqrt @ np.hstack([plant.C, -plant.C]))
     # identity routing carries no injection channels
-    assert ext.n_a == 0
     assert ext.G_a.shape == (2 * n_x, 0)
 
 

@@ -24,7 +24,6 @@ from .attacks import (
 from .cli import AssessmentEntry, assess, main
 from .distrib import (
     GaussianSummary,
-    StackedMaps,
     gaussian_summary,
     normalize_critical_map,
     stack_dynamics,
@@ -107,7 +106,6 @@ __all__ = [
     "Scenario",
     "SchemaError",
     "SimulationConfig",
-    "StackedMaps",
     "StrategySpec",
     "SystemModel",
     "UnstableClosedLoop",

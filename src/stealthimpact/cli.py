@@ -171,21 +171,24 @@ def assess(scenario: Scenario, vulnerability: str, strategy: str) -> AssessmentE
 def _mc_block(
     scenario: Scenario, entry: AssessmentEntry, summary: GaussianSummary, seed: int
 ) -> Optional[dict]:
-    """Simulation cross-check at the entry's worst decision vector and law."""
+    """Simulation cross-check at the entry's worst decision vector and law.
+
+    The mean bound is checked on the simulated row i: at d = d_star[i],
+    E||z||_inf >= |mu_i(d)| = report.mu[i]. mean_lower may be another row's
+    optimum, reached at another decision vector.
+    """
     report = entry.report
     if not report.feasible or report.unbounded:
         return None
-    d = report.d_star[report.argmax_exceed]
-    cfg = SimulationConfig(
-        samples=scenario.mc_samples, seed=seed, horizon=entry.horizon
-    )
+    i = report.argmax_exceed
+    d = report.d_star[i]
+    cfg = SimulationConfig(samples=scenario.mc_samples, seed=seed, horizon=entry.horizon)
     sim = simulate(scenario.system, entry.candidate.attack, d, cfg, q_z=scenario.q_z)
 
     analytic_mean = summary.t_z @ d
     dev_se = np.max(
         np.abs(analytic_mean - sim.z_mean) / np.maximum(sim.z_mean_se, 1e-300)
     )
-    i = report.argmax_exceed
     p_analytic = report.p_exceed[i]
     p_emp = sim.exceed_freq[i]
     band = max(3.0 * sim.exceed_se[i], 5.0 / sim.samples)
@@ -199,7 +202,7 @@ def _mc_block(
         "e_inf_norm": _round12(sim.e_inf_norm),
         "e_inf_norm_se": _round12(sim.e_inf_norm_se),
         "mean_bound_respected": bool(
-            sim.e_inf_norm >= report.mean_lower - 3.0 * sim.e_inf_norm_se
+            sim.e_inf_norm >= report.mu[i] - 3.0 * sim.e_inf_norm_se
         ),
         "kl_rate_empirical": _round12(kl.empirical_rate),
         "kl_consistent": kl.consistent,
@@ -227,7 +230,7 @@ def _entry_dict(entry: AssessmentEntry, timings: bool) -> dict:
         # -inf when Sigma_R is singular; JSON has no infinity
         "stealthiness_radius": _round12(report.eps_prime) if np.isfinite(report.eps_prime) else None,
     }
-    n_z = report.mu.shape[0] // entry.horizon if entry.horizon else 1
+    n_z = report.mu.shape[0] // entry.horizon
     if feasible and not unbounded and report.argmax_exceed is not None:
         i = report.argmax_exceed
         j = report.argmax_mean

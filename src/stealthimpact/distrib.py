@@ -1,11 +1,16 @@
 """Gaussian propagation engine.
 
-Stacks the closed-loop recursion over the attack window into affine maps from
-(initial state, noise window, reference, injected attack) to the critical
-trajectory z_{1:N} and the whitened residual trajectory r_{0:N}, then summarizes
-both as Gaussian laws (T_Z d, Sigma_Z) and (T_R d, Sigma_R) in the decision
-vector d = [a_{0:N}; y_r]. The stealthiness budget on the residual KL rate
-reduces to the quadratic constraint d' T_R' T_R d <= eps_prime.
+Under an affine attack the critical trajectory z_{1:N} and the whitened
+residual trajectory r_{0:N} are jointly Gaussian, with a mean affine in the
+decision vector d = [a_{0:N}; y_r] and a covariance that does not depend on
+it. stack_dynamics builds that law directly, as
+
+    z = T_Z d + F_Z e,    r = T_R d + F_R e,    e ~ N(0, I),
+
+where e whitens the initial state x_e(start) ~ N(t_0 y_r, Sigma_0) and the
+noise window f(start..N), white with per-step covariance Sigma_f. summarize
+forms Sigma = F F' and reduces the stealthiness budget on the residual KL rate
+to the quadratic constraint d' T_R' T_R d <= eps_prime.
 
 The maps are built in lifted form. With A = A_cl of the attacked loop and
 out = [critical map; C_r], the row block of step k is
@@ -22,9 +27,8 @@ gamma_y' [C 0] and direct term gamma_y' on w, and x_e(0) follows in closed
 form from the same powers. Both are affine in (x_e(start), f(start..-1),
 y_r), and the recorded stack is the sensor injection a_y(0..N), so one product
 [m_x | sensor columns of m_a] R substitutes the window into every row.
-The covariances are formed from whitened factors, Sigma = F F' with
-F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))], and Sigma_R is factored
-once per configuration, so the radius eps' at another epsilon costs O(1).
+Sigma_R is factored once per configuration, so the radius eps' at another
+epsilon costs O(1).
 """
 
 from __future__ import annotations
@@ -36,36 +40,11 @@ import numpy as np
 
 from . import numcore
 from .attacks import AttackMatrices, DecisionLayout
-from .sysmodel import DimensionMismatch, ExtendedSystem, SystemModel
+from .sysmodel import DimensionMismatch, ExtendedSystem, SystemModel, assemble_extended
 
 # eps' sums terms of size (N+1)(2 eps + n_y); a result within this fraction of
 # their magnitudes is rounding noise around 0, as for Sigma_R = I at eps = 0.
 _RADIUS_RTOL = 1e-12
-
-
-@dataclass
-class StackedMaps:
-    """Affine maps over one attack window.
-
-    z_{1:N} = p_x x_e(start) + p_f f_window + p_r y_r + p_a a_{0:N}
-    r_{0:N} = r_x x_e(start) + r_f f_window + r_r y_r + r_a a_{0:N}
-
-    The recorded-signal substitution (replay) is already folded into the x, f,
-    and reference maps. f_window stacks f(start..N); start <= 0.
-    """
-
-    p_x: np.ndarray
-    p_f: np.ndarray
-    p_r: np.ndarray
-    p_a: np.ndarray
-    r_x: np.ndarray
-    r_f: np.ndarray
-    r_r: np.ndarray
-    r_a: np.ndarray
-    start_step: int
-    horizon: int
-    n_z: int
-    n_y: int
 
 
 @dataclass
@@ -82,8 +61,6 @@ class GaussianSummary:
     sigma_r_logdet: float
     layout: DecisionLayout
     epsilon: float
-    horizon: int
-    n_y: int
 
     @property
     def impact_bounded(self) -> bool:
@@ -104,7 +81,9 @@ class GaussianSummary:
             return self
         eps_p = self.eps_prime  # -inf when Sigma_R is not positive definite
         if self.residual_cov_pd:
-            eps_p = _radius(self.horizon, self.n_y, epsilon, self.sigma_r_trace, self.sigma_r_logdet)
+            N = self.layout.horizon
+            n_y = len(self.t_r) // (N + 1)
+            eps_p = _radius(N, n_y, epsilon, self.sigma_r_trace, self.sigma_r_logdet)
         return replace(self, epsilon=epsilon, eps_prime=eps_p)
 
 
@@ -149,18 +128,20 @@ def stack_dynamics(
     system: SystemModel,
     q_z: np.ndarray,
     N: int,
-) -> StackedMaps:
-    """Stacked affine maps of the window [start, N] in lifted form.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The window's law in (d, e): (T_Z, T_R, F_Z, F_R), z = T_Z d + F_Z e, r = T_R d + F_R e.
 
     One lifted gather over the stacked outputs [critical map; C_r] gives the
-    rows of steps 0..N in (x_e(0), f(0..N), a(0..N), y_r): the observability
-    block out A^k on x_e(0), the block-Toeplitz sum over inputs j < k of the
-    Markov blocks out A^(k-1-j) [B_f G_a E_r], and the direct terms
-    [D_f H_a 0] at j = k, zero on the critical rows. Replay then substitutes
-    its recording window: x_e(0) and the recorded stack, which enters as the
-    sensor injection a_y(0..N), are both affine in (x_e(start), f(start..-1),
-    y_r), so one product with _recording_window's matrix folds the window into
-    every row. Critical rows are kept for steps 1..N, residual rows for 0..N.
+    maps of steps 0..N in (x_e(0), f(0..N), a(0..N), y_r), as the module
+    docstring sets out. Replay then substitutes its recording window: x_e(0)
+    and the recorded stack, which enters as the sensor injection a_y(0..N),
+    are both affine in (x_e(start), f(start..-1), y_r), so one product with
+    _recording_window's matrix folds the window into every row. The system's
+    stationary law then whitens all rows at once, T = [m_a | m_x t_0 + m_r]
+    and F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))], the Kronecker
+    product acting block by block through a reshape, and one copy per output
+    joins the column blocks and splits the rows: critical rows of steps 1..N,
+    residual rows of steps 0..N.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
@@ -179,29 +160,20 @@ def stack_dynamics(
         n_pre = folded.shape[1] - ext.n_yr
         m_x, m_r = folded[:, :n_e], m_r + folded[:, n_pre:]
         m_f = np.hstack([folded[:, n_e:n_pre], m_f])
+    # Rebinding m_f frees the unwhitened map before the outputs are joined;
+    # holding both lets the allocator trim and refault the heap on every call.
+    m_f = (m_f.reshape(-1, n_f) @ system.sqrt_sigma_f).reshape(m_f.shape)
+    mean = (m_a, m_x @ system.t_0 + m_r)
+    factor = (m_x @ system.sqrt_sigma_0, m_f)
 
-    def split(m):
-        by_step = m.reshape(N + 1, n_z + n_y, m.shape[1])
-        return (
-            by_step[1:, :n_z].reshape(N * n_z, m.shape[1]),
-            by_step[:, n_z:].reshape((N + 1) * n_y, m.shape[1]),
-        )
+    def split(blocks):  # joined column blocks of critical rows 1..N and residual rows 0..N
+        by_step = [b.reshape(N + 1, n_z + n_y, b.shape[1]) for b in blocks]
+        z = np.concatenate([b[1:, :n_z] for b in by_step], axis=2)
+        r = np.concatenate([b[:, n_z:] for b in by_step], axis=2)
+        return z.reshape(N * n_z, z.shape[2]), r.reshape((N + 1) * n_y, r.shape[2])
 
-    (p_x, r_x), (p_f, r_f), (p_a, r_a), (p_r, r_r) = map(split, (m_x, m_f, m_a, m_r))
-    return StackedMaps(
-        p_x=p_x,
-        p_f=p_f,
-        p_r=p_r,
-        p_a=p_a,
-        r_x=r_x,
-        r_f=r_f,
-        r_r=r_r,
-        r_a=r_a,
-        start_step=attack.start_step,
-        horizon=N,
-        n_z=n_z,
-        n_y=n_y,
-    )
+    (t_z, t_r), (f_z, f_r) = split(mean), split(factor)
+    return t_z, t_r, f_z, f_r
 
 
 def _recording_window(system: SystemModel, attack: AttackMatrices) -> np.ndarray:
@@ -291,50 +263,30 @@ def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> fl
     return radius
 
 
-def _laws(
-    maps: StackedMaps, system: SystemModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(T_Z, Sigma_Z, T_R, Sigma_R) of the maps from the system's stationary law.
-
-    Each covariance is F F' with the whitened factor
-    F = [m_x sqrt(Sigma_0) | m_f (I_W kron sqrt(Sigma_f))]; the Kronecker
-    product acts block by block through a reshape and is never formed.
-    """
-    t_0, root_0, root_f = system.t_0, system.sqrt_sigma_0, system.sqrt_sigma_f
-
-    def law(m_a, m_x, m_r, m_f):
-        noise = (m_f.reshape(-1, root_f.shape[0]) @ root_f).reshape(m_f.shape)
-        factor = np.hstack([m_x @ root_0, noise])
-        sigma = factor @ factor.T
-        return np.hstack([m_a, m_x @ t_0 + m_r]), 0.5 * (sigma + sigma.T)
-
-    return (
-        *law(maps.p_a, maps.p_x, maps.p_r, maps.p_f),
-        *law(maps.r_a, maps.r_x, maps.r_r, maps.r_f),
-    )
-
-
 def summarize(
-    maps: StackedMaps, system: SystemModel, layout: DecisionLayout, epsilon: float
+    law: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    layout: DecisionLayout,
+    epsilon: float,
 ) -> GaussianSummary:
-    """Gaussian laws in the decision vector, with the one audit the solver reads.
+    """Gaussian summary of stack_dynamics' law, with the one audit the solver reads.
 
-    The initial state is the system's stationary law N(t_0 y_r, sigma_0) and
-    the noise window is white with per-step covariance sigma_f, so the means
-    are affine in d and the covariances are constants of the strategy. The
-    audit is whether Sigma_R is positive definite (else no attack is stealthy
-    and the radius is -inf), decided Cholesky first (see _residual_audit).
-    Whether the critical rows are bounded on the feasible set is left to the
-    solver, which tests it per row as it reduces each objective. Sigma_Z enters the metrics only through its diagonal, the
-    marginal variances, so it is not audited as a whole.
+    Each covariance is F F', symmetrized. The audit is whether Sigma_R is
+    positive definite (else no attack is stealthy and the radius is -inf),
+    decided Cholesky first (see _residual_audit). Whether the critical rows
+    are bounded on the feasible set is left to the solver, which tests it per
+    row as it reduces each objective. Sigma_Z enters the metrics only through
+    its diagonal, the marginal variances, so it is not audited as a whole.
     """
-    N = maps.horizon
-    t_z, sigma_z, t_r, sigma_r = _laws(maps, system)
+    t_z, t_r, f_z, f_r = law
     if t_z.shape[1] != layout.dim_d or t_r.shape[1] != layout.dim_d:
         raise DimensionMismatch("maps and decision layout disagree on dim_d")
+    sigma_z, sigma_r = (f @ f.T for f in (f_z, f_r))
+    sigma_z, sigma_r = 0.5 * (sigma_z + sigma_z.T), 0.5 * (sigma_r + sigma_r.T)
 
     residual_cov_pd, trace, logdet = _residual_audit(sigma_r)
-    eps_p = _radius(N, maps.n_y, epsilon, trace, logdet) if residual_cov_pd else -np.inf
+    N = layout.horizon
+    n_y = len(t_r) // (N + 1)
+    eps_p = _radius(N, n_y, epsilon, trace, logdet) if residual_cov_pd else -np.inf
 
     return GaussianSummary(
         t_z=t_z,
@@ -347,8 +299,6 @@ def summarize(
         sigma_r_logdet=logdet,
         layout=layout,
         epsilon=epsilon,
-        horizon=N,
-        n_y=maps.n_y,
     )
 
 
@@ -363,10 +313,7 @@ def gaussian_summary(
 ) -> GaussianSummary:
     """End-to-end pipeline from a system and one attack configuration.
 
-    A floating-point overflow in the maps or laws raises FloatingPointError.
+    A floating-point overflow in the law raises FloatingPointError.
     """
-    from .sysmodel import assemble_extended
-
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
-    maps = stack_dynamics(ext, attack, system, q_z, N)
-    return summarize(maps, system, layout, epsilon)
+    return summarize(stack_dynamics(ext, attack, system, q_z, N), layout, epsilon)

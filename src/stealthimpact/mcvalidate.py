@@ -23,9 +23,9 @@ from .sysmodel import SystemModel
 
 @dataclass
 class SimulationConfig:
-    samples: int = 100_000
-    seed: int = 0
-    horizon: Optional[int] = None
+    samples: int
+    seed: int
+    horizon: int
 
     def __post_init__(self) -> None:
         if self.samples < 2:  # the sample statistics use ddof=1
@@ -61,9 +61,6 @@ class KlCheckResult:
     slack: float
     empirical_ok: bool
     consistent: bool
-
-    def __bool__(self) -> bool:
-        return self.consistent
 
 
 def min_samples(system: SystemModel, horizon: int) -> int:
@@ -102,8 +99,6 @@ def simulate(
     value, is the same as with in-line draws, and the loop writes into arrays
     allocated once, with the same operands in the same order.
     """
-    if cfg.horizon is None:
-        raise ValueError("cfg.horizon must be set for simulation")
     return _summarize_samples(*_trajectories(system, attack, d, cfg, q_z))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stealthimpact import (
     ControllerModel,
@@ -9,6 +10,10 @@ from stealthimpact import (
     load_scenario,
 )
 
+
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 ACCEPTANCE_LINES: list = []
 

@@ -9,6 +9,7 @@ solver kept as a regression reference.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, linalg, optimize, stats
@@ -280,6 +281,19 @@ def explicit_rollout(system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack):
     return np.concatenate(z_rows), np.concatenate(r_rows)
 
 
+def whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack):
+    """explicit_rollout from a whitened draw e = (e_0, e_f) of the initial state and noise.
+
+    x_e(start) = t_0 y_r + sqrt(Sigma_0) e_0 and f = (I kron sqrt(Sigma_f)) e_f,
+    so the rows equal T d + F e of distrib.stack_dynamics at d = [a; y_r].
+    """
+    n_e = 2 * system.plant.n_x
+    x_e0 = system.t_0 @ y_r + system.sqrt_sigma_0 @ e[:n_e]
+    root_f = system.sqrt_sigma_f
+    f_stack = (e[n_e:].reshape(-1, root_f.shape[0]) @ root_f.T).ravel()
+    return explicit_rollout(system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack)
+
+
 def reference_simulate(system, attack, d, cfg, q_z=None):
     """Sample-major Monte Carlo loop that mcvalidate.simulate must reproduce.
 
@@ -410,8 +424,31 @@ def reference_recording(system, attack, N):
     return t_sx, t_sr, t_sf
 
 
+@dataclass
+class ReferenceMaps:
+    """Affine maps over one attack window, one per input group.
+
+    z_{1:N} = p_x x_e(start) + p_f f_window + p_r y_r + p_a a_{0:N}
+    r_{0:N} = r_x x_e(start) + r_f f_window + r_r y_r + r_a a_{0:N}
+
+    The recorded-signal substitution (replay) is already folded into the x, f,
+    and reference maps. f_window stacks f(start..N); start <= 0.
+    """
+
+    p_x: np.ndarray
+    p_f: np.ndarray
+    p_r: np.ndarray
+    p_a: np.ndarray
+    r_x: np.ndarray
+    r_f: np.ndarray
+    r_r: np.ndarray
+    r_a: np.ndarray
+    start_step: int
+    horizon: int
+
+
 def reference_stack_dynamics(ext, attack, system, q_z, N):
-    """Step-by-step unrolling that distrib.stack_dynamics must reproduce.
+    """Step-by-step unrolling whose law distrib.stack_dynamics must reproduce.
 
     Running maps of x_e(k) in (x_e(start), f_window, y_r, a, a_s) are advanced
     one step at a time, nominally before step 0 (replay recording phase) and
@@ -510,7 +547,7 @@ def reference_stack_dynamics(ext, attack, system, q_z, N):
         r_r = r_r + r_s @ t_sr
         r_f = r_f + r_s @ t_sf_full
 
-    return distrib.StackedMaps(
+    return ReferenceMaps(
         p_x=p_x,
         p_f=p_f,
         p_r=p_r,
@@ -521,8 +558,6 @@ def reference_stack_dynamics(ext, attack, system, q_z, N):
         r_a=r_a,
         start_step=start,
         horizon=N,
-        n_z=n_z,
-        n_y=n_y,
     )
 
 
@@ -530,7 +565,7 @@ def reference_laws(maps, t_0, sigma_0, sigma_f):
     """(T_Z, Sigma_Z, T_R, Sigma_R) with the noise window's covariance formed densely.
 
     Sigma = m_x Sigma_0 m_x' + m_f (I_W kron Sigma_f) m_f', the textbook
-    triple products that distrib._laws replaces with a whitened factor.
+    triple products that distrib.stack_dynamics replaces with a whitened factor.
     """
     W = maps.horizon - maps.start_step + 1
     big_f = np.kron(np.eye(W), np.asarray(sigma_f, dtype=float))

@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 from conftest import random_system
-from oracles import explicit_rollout, grid_search_exceed, lyapunov_residual
+from oracles import grid_search_exceed, lyapunov_residual, whitened_rollout
 from stealthimpact import attacks, cli, distrib, numcore, solver
 from stealthimpact.attacks import ResourceSet, decision_layout
 from stealthimpact.distrib import gaussian_summary
@@ -410,20 +410,15 @@ def test_criterion_7_numerical_residuals(scenario, system):
         kind = {"sign": "sign_alternation", "bias": "bias_injection", "replay": f"replay_{mode}"}.get(kind, kind)
         atk = attacks.build_attack(kind, res, system.dims, N)
         ext = assemble_extended(system.plant, system.controller, system.estimator, atk)
-        maps = distrib.stack_dynamics(ext, atk, system, scenario.q_z, N)
+        t_z, t_r, f_z, f_r = distrib.stack_dynamics(ext, atk, system, scenario.q_z, N)
         W = N - atk.start_step + 1
         for _ in range(20):
-            x_e0 = rng.normal(size=2 * system.plant.n_x)
-            f_stack = rng.normal(size=W * n_f)
+            e = rng.normal(size=2 * system.plant.n_x + W * n_f)
             y_r = rng.normal(size=system.dims.n_yr)
             a_stack = rng.normal(size=(N + 1) * atk.n_a)
-            z_map = (maps.p_x @ x_e0 + maps.p_f @ f_stack
-                     + maps.p_r @ y_r + maps.p_a @ a_stack)
-            r_map = (maps.r_x @ x_e0 + maps.r_f @ f_stack
-                     + maps.r_r @ y_r + maps.r_a @ a_stack)
-            z_ref, r_ref = explicit_rollout(
-                system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack
-            )
+            d = np.concatenate([a_stack, y_r])
+            z_map, r_map = t_z @ d + f_z @ e, t_r @ d + f_r @ e
+            z_ref, r_ref = whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack)
             scale = max(1.0, np.max(np.abs(z_ref)), np.max(np.abs(r_ref)))
             dev = max(np.max(np.abs(z_map - z_ref)), np.max(np.abs(r_map - r_ref)))
             worst = max(worst, dev / scale)

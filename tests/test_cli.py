@@ -312,6 +312,26 @@ def test_mc_validate_block(tmp_path):
     assert mc["z_mean_max_dev_se"] < 4.0
 
 
+def test_mc_mean_bound_reads_the_simulated_row(tmp_path):
+    """The mean bound is checked on the row whose maximizer is simulated.
+
+    With the critical map [[0, 0, 1]] the probability picks one row and the
+    mean another. At the simulated decision vector E||z||_inf lies below
+    mean_lower, the other row's optimum at another vector, but not below the
+    simulated row's own optimum.
+    """
+    path = _scaled_critical_map(tmp_path, 1.0)
+    code, out = _run(
+        tmp_path, "--scenario", path, "--vulnerability", "vulnerability_2", "--strategy", "fdi", "--mc-validate"
+    )
+    assert code == cli.EXIT_OK
+    (entry,) = json.loads(out.read_text())["entries"]
+    assert entry["argmax_step"] != entry["mean_argmax_step"]
+    mc = entry["mc"]
+    assert mc["e_inf_norm"] + 3.0 * mc["e_inf_norm_se"] < entry["mean_impact_lower_bound"]
+    assert mc["mean_bound_respected"] is True
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("solved before rejecting the input")
 

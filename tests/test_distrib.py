@@ -9,11 +9,11 @@ from stealthimpact import attacks, distrib, mcvalidate, numcore, solver
 from stealthimpact.sysmodel import assemble_extended
 from conftest import random_system
 from oracles import (
-    explicit_rollout,
     kl_quadrature_diag,
     lyapunov_series,
     reference_laws,
     reference_stack_dynamics,
+    whitened_rollout,
 )
 
 
@@ -100,22 +100,22 @@ def test_normalize_critical_map():
     ],
 )
 def test_stacked_maps_match_explicit_rollout(system, kind, sensors, actuators, mode):
+    """z = T_Z d + F_Z e and r = T_R d + F_R e for whitened draws e, run through the loop."""
     N = 4
     atk, ext = _build(system, kind, N, sensors, actuators, mode)
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
     q_ze = distrib.normalize_critical_map(q_z, system.plant.n_x)
-    maps = distrib.stack_dynamics(ext, atk, system, q_z, N)
+    t_z, t_r, f_z, f_r = distrib.stack_dynamics(ext, atk, system, q_z, N)
     n_f = system.plant.n_x + system.plant.n_y
     W = N - atk.start_step + 1
     rng = np.random.default_rng(hash((kind, sensors, actuators, mode)) % 2**32)
     for _ in range(20):
-        x_e0 = rng.normal(size=2 * system.plant.n_x)
-        f_stack = rng.normal(size=W * n_f)
+        e = rng.normal(size=2 * system.plant.n_x + W * n_f)
         y_r = rng.normal(size=system.dims.n_yr)
         a_stack = rng.normal(size=(N + 1) * atk.n_a)
-        z_map = maps.p_x @ x_e0 + maps.p_f @ f_stack + maps.p_r @ y_r + maps.p_a @ a_stack
-        r_map = maps.r_x @ x_e0 + maps.r_f @ f_stack + maps.r_r @ y_r + maps.r_a @ a_stack
-        z_ref, r_ref = explicit_rollout(system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack)
+        d = np.concatenate([a_stack, y_r])
+        z_map, r_map = t_z @ d + f_z @ e, t_r @ d + f_r @ e
+        z_ref, r_ref = whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack)
         scale = max(1.0, np.max(np.abs(z_ref)), np.max(np.abs(r_ref)))
         assert np.max(np.abs(z_map - z_ref)) <= 1e-10 * scale
         assert np.max(np.abs(r_map - r_ref)) <= 1e-10 * scale
@@ -299,13 +299,10 @@ def test_summary_at_another_epsilon(system):
         distrib.kl_budget(N, 3, 1e308)
 
 
-MAP_FIELDS = ("p_x", "p_f", "p_r", "p_a", "r_x", "r_f", "r_r", "r_a")
-
-
 @pytest.mark.parametrize("N", [1, 2, 10, 50])
 @pytest.mark.parametrize("kind", attacks.KINDS)
 def test_lifted_maps_match_reference_loop(scenario, kind, N):
-    """Lifted maps and whitened laws equal the per-step loop and the kron-form laws.
+    """The lifted, whitened law equals the per-step loop's maps under the kron-form laws.
 
     Every configuration of every strategy on vulnerability_1 (which includes
     replay's recording window and the unstable rerouting loops), with the
@@ -327,13 +324,11 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
     for q_z in (scenario.q_z[:, : system.plant.n_x], scenario.q_z):
         for cand in cands:
             ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
-            maps = distrib.stack_dynamics(ext, cand.attack, system, q_z, N)
+            layout = attacks.decision_layout(cand.attack, N, system.controller.Q_yr)
+            law = distrib.stack_dynamics(ext, cand.attack, system, q_z, N)
+            summary = distrib.summarize(law, layout, 0.3)
+            laws = (summary.t_z, summary.sigma_z, summary.t_r, summary.sigma_r)
             ref = reference_stack_dynamics(ext, cand.attack, system, q_z, N)
-            for name in MAP_FIELDS:
-                close(getattr(maps, name), getattr(ref, name), name)
-            for name in ("start_step", "horizon", "n_z", "n_y"):
-                assert getattr(maps, name) == getattr(ref, name), name
-            laws = distrib._laws(maps, system)
             ref_laws = reference_laws(ref, system.t_0, system.sigma_0, sigma_f)
             for name, got, want in zip(("T_Z", "Sigma_Z", "T_R", "Sigma_R"), laws, ref_laws):
                 close(got, want, name)
@@ -388,8 +383,9 @@ def test_cholesky_first_verdict_matches_eigenvalues(scenario, N):
         for kind in attacks.KINDS:
             for cand in attacks.candidates(attacks.StrategySpec(kind, resources), system.dims, N):
                 ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
-                maps = distrib.stack_dynamics(ext, cand.attack, system, scenario.q_z, N)
-                sigma_r = distrib._laws(maps, system)[3]
+                layout = attacks.decision_layout(cand.attack, N, system.controller.Q_yr)
+                law = distrib.stack_dynamics(ext, cand.attack, system, scenario.q_z, N)
+                sigma_r = distrib.summarize(law, layout, 0.3).sigma_r
                 pd = numcore.spd_check(sigma_r).is_positive_definite
                 factor = numcore.spd_factor(sigma_r)
                 assert (factor is not None) == pd, (kind, cand.attack.start_step)

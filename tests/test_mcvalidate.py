@@ -20,15 +20,12 @@ def _fdi_setup(system, N=4, sensors=(0,), actuators=(0, 1)):
 def test_config_validation():
     for samples in (0, 1):  # the statistics use ddof=1
         with pytest.raises(ValueError, match="at least 2"):
-            mcvalidate.SimulationConfig(samples=samples)
-    cfg = mcvalidate.SimulationConfig(samples=10)
-    with pytest.raises(ValueError, match="horizon"):
-        mcvalidate.simulate(None, None, None, cfg)
+            mcvalidate.SimulationConfig(samples=samples, seed=0, horizon=4)
 
 
 def test_split_decision_length_check(system):
     atk, layout = _fdi_setup(system)
-    cfg = mcvalidate.SimulationConfig(samples=10, horizon=4)
+    cfg = mcvalidate.SimulationConfig(samples=10, seed=0, horizon=4)
     with pytest.raises(DimensionMismatch):
         mcvalidate.simulate(system, atk, np.zeros(layout.dim_d + 1), cfg)
 

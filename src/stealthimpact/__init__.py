@@ -25,7 +25,6 @@ from .cli import AssessmentEntry, assess, main
 from .distrib import (
     GaussianSummary,
     gaussian_summary,
-    normalize_critical_map,
     stack_dynamics,
     stationary_law,
     summarize,
@@ -124,7 +123,6 @@ __all__ = [
     "kl_verdict",
     "load_scenario",
     "main",
-    "normalize_critical_map",
     "simulate",
     "solve_dare",
     "solve_lyapunov",

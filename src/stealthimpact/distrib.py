@@ -9,7 +9,8 @@ it. stack_dynamics builds that law directly, as
 
 where e whitens the initial state x_e(start) ~ N(t_0 y_r, Sigma_0) and the
 noise window f(start..N), white with per-step covariance Sigma_f. summarize
-forms Sigma = F F' and reduces the stealthiness budget on the residual KL rate
+audits Sigma_R = F_R F_R', keeps the row norms of F_Z, the marginal standard
+deviations of z, and reduces the stealthiness budget on the residual KL rate
 to the quadratic constraint d' T_R' T_R d <= eps_prime.
 
 The maps are built in lifted form. With A = A_cl of the attacked loop and
@@ -49,12 +50,11 @@ _RADIUS_RTOL = 1e-12
 
 @dataclass
 class GaussianSummary:
-    """Gaussian laws of the critical and residual trajectories plus the Sigma_R audit."""
+    """Mean maps, critical standard deviations and Sigma_R audit of a window's law."""
 
     t_z: np.ndarray
-    sigma_z: np.ndarray
+    sigma: np.ndarray  # sqrt(diag Sigma_Z), the marginal standard deviations
     t_r: np.ndarray
-    sigma_r: np.ndarray
     eps_prime: float
     residual_cov_pd: bool
     sigma_r_trace: float  # tr and ln det of Sigma_R; nan when it is not positive definite
@@ -66,9 +66,10 @@ class GaussianSummary:
     def impact_bounded(self) -> bool:
         """Whether every critical row is bounded on the feasible set: the solver's own verdict.
 
-        Read off the solver's geometry at unit radius; its rank cut reads no
-        radius, so compute_impact gives this verdict at every feasible epsilon.
-        No report reads this property; each read builds that geometry.
+        Read off the solver's geometry at unit radius; only its scales s read
+        the radius, so this is exactly compute_impact's verdict at every
+        feasible epsilon, zero included. No report reads it; each read builds
+        that geometry.
         """
         from .solver import _Geometry  # the solver imports this module
 
@@ -104,24 +105,6 @@ def stationary_law(nominal: ExtendedSystem, sigma_f: np.ndarray) -> tuple[np.nda
     return t_0, sigma_0
 
 
-def normalize_critical_map(q_z: np.ndarray, n_x: int) -> np.ndarray:
-    """Accept a critical map on the plant state or the extended state.
-
-    A map with n_x columns is padded with zeros over the estimator state; a map
-    with 2 n_x columns is used as-is.
-    """
-    q_z = np.asarray(q_z, dtype=float)
-    if q_z.ndim != 2:
-        raise DimensionMismatch("critical map must be a matrix")
-    if q_z.shape[1] == n_x:
-        return np.hstack([q_z, np.zeros((q_z.shape[0], n_x))])
-    if q_z.shape[1] == 2 * n_x:
-        return q_z
-    raise DimensionMismatch(
-        f"critical map must have {n_x} or {2 * n_x} columns, got {q_z.shape[1]}"
-    )
-
-
 def stack_dynamics(
     ext: ExtendedSystem,
     attack: AttackMatrices,
@@ -131,6 +114,7 @@ def stack_dynamics(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The window's law in (d, e): (T_Z, T_R, F_Z, F_R), z = T_Z d + F_Z e, r = T_R d + F_R e.
 
+    q_z is the critical map on the extended state (x, x_hat), 2 n_x columns.
     One lifted gather over the stacked outputs [critical map; C_r] gives the
     maps of steps 0..N in (x_e(0), f(0..N), a(0..N), y_r), as the module
     docstring sets out. Replay then substitutes its recording window: x_e(0)
@@ -146,9 +130,8 @@ def stack_dynamics(
     if N < 1:
         raise ValueError("horizon must be at least 1")
     n_y, n_f, n_a, n_e = ext.n_y, ext.n_f, attack.n_a, ext.A_cl.shape[0]
-    q_ze = normalize_critical_map(q_z, ext.n_x)
-    n_z = q_ze.shape[0]
-    obs = np.vstack([q_ze, ext.C_r]) @ numcore.matrix_powers(ext.A_cl, N)
+    n_z = q_z.shape[0]
+    obs = np.vstack([q_z, ext.C_r]) @ numcore.matrix_powers(ext.A_cl, N)
     inputs = np.hstack([ext.B_f, ext.G_a, ext.E_r])
     direct = np.zeros((n_z + n_y, inputs.shape[1]))
     direct[n_z:, : n_f + n_a] = np.hstack([ext.D_f, ext.H_a])
@@ -215,11 +198,14 @@ def _lifted_rows(
     n_in, n_rows = sum(widths), (N + 1) * direct.shape[0]
     lag = np.arange(N + 1)[:, None] - 1 - np.arange(N + 1)
     blocks = np.concatenate([markov, np.zeros_like(direct)[None], direct[None]])[..., :n_in]
-    toeplitz = blocks[np.where(lag >= -1, lag, N)]  # (steps, N+1, rows, input columns)
+    # Gathered group by group: one gather of every input column adds 0.75 MB at
+    # N = 50, which pushed a call's transient heap past glibc's trim threshold,
+    # so that its pages were returned and refaulted on every call.
+    toeplitz = np.where(lag >= -1, lag, N)  # [k, j]: the block of step k, input step j
     out = [obs.reshape(n_rows, obs.shape[-1])]
     col = 0
     for w in widths:
-        group = toeplitz[..., col : col + w].transpose(0, 2, 1, 3)
+        group = blocks[..., col : col + w][toeplitz].transpose(0, 2, 1, 3)
         out.append(group.reshape(n_rows, (N + 1) * w))
         col += w
     ref = np.concatenate([np.zeros_like(direct[None, :, n_in:]), markov[..., n_in:]])
@@ -270,29 +256,26 @@ def summarize(
 ) -> GaussianSummary:
     """Gaussian summary of stack_dynamics' law, with the one audit the solver reads.
 
-    Each covariance is F F', symmetrized. The audit is whether Sigma_R is
-    positive definite (else no attack is stealthy and the radius is -inf),
-    decided Cholesky first (see _residual_audit). Whether the critical rows
-    are bounded on the feasible set is left to the solver, which tests it per
-    row as it reduces each objective. Sigma_Z enters the metrics only through
-    its diagonal, the marginal variances, so it is not audited as a whole.
+    The audit is whether Sigma_R = F_R F_R', symmetrized, is positive definite
+    (else no attack is stealthy and the radius is -inf), decided Cholesky
+    first (see _residual_audit). Whether the critical rows are bounded on the
+    feasible set is left to the solver, which tests it per row as it reduces
+    each objective. Sigma_Z enters the metrics only through its diagonal, so
+    it is never formed, and Sigma_R is not kept: sigma is F_Z's row norms.
     """
     t_z, t_r, f_z, f_r = law
     if t_z.shape[1] != layout.dim_d or t_r.shape[1] != layout.dim_d:
         raise DimensionMismatch("maps and decision layout disagree on dim_d")
-    sigma_z, sigma_r = (f @ f.T for f in (f_z, f_r))
-    sigma_z, sigma_r = 0.5 * (sigma_z + sigma_z.T), 0.5 * (sigma_r + sigma_r.T)
-
-    residual_cov_pd, trace, logdet = _residual_audit(sigma_r)
+    sigma_r = f_r @ f_r.T
+    residual_cov_pd, trace, logdet = _residual_audit(0.5 * (sigma_r + sigma_r.T))
     N = layout.horizon
     n_y = len(t_r) // (N + 1)
     eps_p = _radius(N, n_y, epsilon, trace, logdet) if residual_cov_pd else -np.inf
 
     return GaussianSummary(
         t_z=t_z,
-        sigma_z=sigma_z,
+        sigma=np.sqrt(np.sum(f_z * f_z, axis=1)),
         t_r=t_r,
-        sigma_r=sigma_r,
         eps_prime=eps_p,
         residual_cov_pd=residual_cov_pd,
         sigma_r_trace=trace,

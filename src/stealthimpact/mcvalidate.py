@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numcore
 from .attacks import AttackMatrices, decision_layout
-from .distrib import _residual_audit, normalize_critical_map
+from .distrib import _residual_audit
 from .sysmodel import SystemModel
 
 
@@ -77,7 +77,7 @@ def simulate(
     attack: AttackMatrices,
     d: np.ndarray,
     cfg: SimulationConfig,
-    q_z: Optional[np.ndarray] = None,
+    q_z: np.ndarray,
 ) -> EmpiricalSummary:
     """Run cfg.samples independent closed-loop trajectories under the attack.
 
@@ -85,8 +85,8 @@ def simulate(
     For recording strategies the loop runs nominally over the recording window
     first, stores the tapped sensor values, and substitutes them during the
     attack window. Critical rows cover steps 1..N, residual rows steps 0..N,
-    matching the stacked-map row order. The critical map defaults to the
-    identity on the plant states.
+    matching the stacked-map row order. The critical map q_z acts on the
+    extended state (x, x_hat), 2 n_x columns, as in stack_dynamics.
 
     Every signal is stored feature-major, shape (dim, cfg.samples). The Philox
     draws are part of the contract: one (samples, 2 n_x) block for the initial
@@ -107,7 +107,7 @@ def _trajectories(
     attack: AttackMatrices,
     d: np.ndarray,
     cfg: SimulationConfig,
-    q_z: Optional[np.ndarray],
+    q_z: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Critical rows z and residual rows r of simulate's trajectories.
 
@@ -122,8 +122,7 @@ def _trajectories(
 
     chol_v = np.linalg.cholesky(plant.sigma_v)
     chol_w = np.linalg.cholesky(plant.sigma_w)
-    q_ze = normalize_critical_map(np.eye(n_x) if q_z is None else q_z, n_x)
-    n_z = q_ze.shape[0]
+    n_z = q_z.shape[0]
     n_s = cfg.samples
     lam_y, gam_y = attack.lambda_y, attack.gamma_y
     lam_u, gam_u = attack.lambda_u, attack.gamma_u
@@ -176,7 +175,7 @@ def _trajectories(
             x_hat_new += np.matmul(est.K, innov, out=tmp_x)
             x_e, x_next = x_next, x_e
             if k >= 0:
-                np.matmul(q_ze, x_e, out=z[k * n_z : (k + 1) * n_z])
+                np.matmul(q_z, x_e, out=z[k * n_z : (k + 1) * n_z])
     return z, r
 
 

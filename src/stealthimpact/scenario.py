@@ -148,6 +148,8 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     zero_rows = np.flatnonzero(~q_z.any(axis=1))
     if zero_rows.size:
         raise SchemaError(f"critical_map row {zero_rows[0] + 1} is all zeros")
+    if q_z.shape[1] == plant.n_x:  # a map on the plant state reads none of the estimate
+        q_z = np.hstack([q_z, np.zeros_like(q_z)])
 
     horizon = _require(doc, "horizon", "")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:

@@ -22,7 +22,8 @@ solves
 
 with s = s_R / sqrt(radius), A = [B C] the box over (x, w), G = diag(s^2, 0)
 and ker A & ker G = {0}, so the feasible set is compact. The box acts only on
-the reference, so A has k = n_yr rows.
+the reference, so A has k = n_yr rows. A radius at or below _RADIUS_FLOOR, a
+zero budget, sets s = inf, which pins x = 0 in the same program.
 
 One rank decision: singular values of T_R Z below RANK_RTOL times the larger
 of its largest one and the box norm are rounding noise, and their directions
@@ -36,15 +37,16 @@ as signal what the cut's dropped directions leave behind, of relative size
 RANK_RTOL.
 
 The solve runs in the scaled coordinates u = s * x, where the quadratic is the
-unit ball. The box sees u only through the row space of B diag(1/s), which has
-an orthonormal basis q_u of at most k columns. For one row, split the part of
-u outside range(q_u) into tau e_c, e_c the unit direction of the row's
-objective there, and a remainder that neither the box nor the objective sees:
-dropping the remainder keeps a point feasible and keeps its value. So each row
-solves the same kind of program over zeta = (v, tau, w), u = q_u v + tau e_c,
-of dimension at most 2k + 1, with the box R = [B diag(1/s) q_u, 0, C] and
-G = diag(I, 0); everything below works in it, and no pattern factors an
-n-sized matrix.
+unit ball (with s = inf, x = u / s and the x block of G^+ are 0, and the box
+and the objective see no u). The box sees u only through the row space of
+B diag(1/s), which has an orthonormal basis q_u of at most k columns. For one
+row, split the part of u outside range(q_u) into tau e_c, e_c the unit
+direction of the row's objective there, and a remainder that neither the box
+nor the objective sees: dropping the remainder keeps a point feasible and
+keeps its value. So each row solves the same kind of program over
+zeta = (v, tau, w), u = q_u v + tau e_c, of dimension at most 2k + 1, with the
+box R = [B diag(1/s) q_u, 0, C] and G = diag(I, 0); everything below works in
+it, and no pattern factors an n-sized matrix.
 
 A sign pattern (S, s_S) fixes the box rows S at A_S zeta = s_S, where
 A_S = [R_S 0 C_S] over (v, tau, w). G_N, G on null(A_S), is nonsingular iff
@@ -163,14 +165,14 @@ def first_near_max(values) -> int:
 class _Geometry:
     """Shared factorization of the feasible set, reused across objective rows.
 
-    Coordinates: d = z_eq @ axes @ eta, eta = (x; w). z_eq is the orthonormal
-    admissible basis, narrowed to null(m_quad) when the radius collapses. The
-    columns of axes are V_r, the right singular vectors of the reduced
-    quadratic map kept by the rank decision, then U_perp, an orthonormal basis
-    of the part of the box rows outside span(V_r). The quadratic constraint
-    reads |s * x|^2 <= 1 with s the kept singular values over sqrt(radius),
-    so M in these coordinates is [diag(s) 0], and the box rows are
-    a_rows = [B C] over (x, w).
+    Coordinates: d = basis @ axes @ eta, eta = (x; w), with basis the
+    orthonormal admissible basis. The columns of axes are V_r, the right
+    singular vectors of the reduced quadratic map kept by the rank decision,
+    then U_perp, an orthonormal basis of the part of the box rows outside
+    span(V_r). The quadratic constraint reads |s * x|^2 <= 1 with s the kept
+    singular values over sqrt(radius), so M in these coordinates is
+    [diag(s) 0], and the box rows are a_rows = [B C] over (x, w). Only s reads
+    the radius: s = inf at or below _RADIUS_FLOOR pins x = 0.
     """
 
     def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, radius: float) -> None:
@@ -194,21 +196,12 @@ class _Geometry:
         scale = max(np.max(s, initial=0.0), np.linalg.norm(a_red))
         rank = int(np.count_nonzero(s > numcore.RANK_RTOL * scale))
         v_r = vt[:rank].T
-        z_eq = basis
-        if radius <= _RADIUS_FLOOR:
-            # budget numerically zero: the quadratic cap collapses to the
-            # equality m_quad d = 0 and joins the eliminated block
-            z_eq = basis @ vt[rank:].T
-            a_red = q_box @ z_eq
-            rank = 0
-            v_r = np.zeros((z_eq.shape[1], 0))
         _, sv, wt = np.linalg.svd(a_red - (a_red @ v_r) @ v_r.T, full_matrices=False)
         box_only = int(np.count_nonzero(sv > numcore.RANK_RTOL * scale))
         self.q_box, self.m_quad, self.basis, self.radius = q_box, m_quad, basis, radius
-        self.z_eq = z_eq
         self.axes = np.hstack([v_r, wt[:box_only].T])
         self.a_rows = a_red @ self.axes
-        self.s = s[:rank] / math.sqrt(radius)  # empty when the radius collapses
+        self.s = s[:rank] / math.sqrt(radius) if radius > _RADIUS_FLOOR else np.full(rank, np.inf)
         self.dim_d = dim_d
 
     def objective(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +212,7 @@ class _Geometry:
         unbounded exactly when that component is nonzero. A reduced objective
         at rounding level of its row is set to zero: that row's optimum is 0.
         """
-        c_xi = c @ self.z_eq
+        c_xi = c @ self.basis
         c_eta = c_xi @ self.axes
         resid = c_xi - c_eta @ self.axes.T
         bounded = np.linalg.norm(resid, axis=1) <= numcore.RANK_RTOL * np.maximum(
@@ -230,7 +223,7 @@ class _Geometry:
 
     def decision(self, eta: np.ndarray) -> np.ndarray:
         """Decision vectors d of the rows of eta."""
-        return (eta @ self.axes.T) @ self.z_eq.T
+        return (eta @ self.axes.T) @ self.basis.T
 
     def residual(self, d: np.ndarray) -> np.ndarray:
         """Largest constraint violation of each row of d.
@@ -447,7 +440,7 @@ def compute_impact(summary: GaussianSummary) -> ImpactReport:
     layout = summary.layout
     n_rows = summary.t_z.shape[0]
     dim_d = layout.dim_d
-    sigma = np.sqrt(np.diag(summary.sigma_z))
+    sigma = summary.sigma
     if not summary.residual_cov_pd or summary.eps_prime < 0:
         return _empty_report(False, False, n_rows, dim_d, summary.eps_prime, sigma)
 

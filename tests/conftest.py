@@ -1,6 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from stealthimpact import (
     ControllerModel,
@@ -16,6 +19,14 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 ACCEPTANCE_LINES: list = []
+
+
+def pytest_configure(config):
+    """Hypothesis stores what it still keeps (a cache of the tested modules'
+    literals) in a directory removed after the run, not in .hypothesis/."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+    config.add_cleanup(home.cleanup)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's own numerics: series sums,
 quadrature, brute-force grids, and an off-the-shelf nonlinear programming
-solver provide the second opinions. The one exception is
+solver provide the second opinions. The exceptions are
 ``reference_solve_rows``, an earlier formulation of the package's own exact
-solver kept as a regression reference.
+solver kept as a regression reference, and ``stacked_covariances``, which
+forms the full covariances of the package's own law for the tests that
+compare them against a reference or a simulation.
 """
 
 import itertools
@@ -294,7 +296,7 @@ def whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack):
     return explicit_rollout(system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack)
 
 
-def reference_simulate(system, attack, d, cfg, q_z=None):
+def reference_simulate(system, attack, d, cfg, q_z):
     """Sample-major Monte Carlo loop that mcvalidate.simulate must reproduce.
 
     Same Philox stream (draw shapes and order) and the same literal loop as the
@@ -303,7 +305,7 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
     package's stationary law and symmetric square root, so it checks the loop,
     the layout and the statistics, not the law.
     """
-    from stealthimpact.distrib import normalize_critical_map, stationary_law
+    from stealthimpact.distrib import stationary_law
     from stealthimpact.mcvalidate import EmpiricalSummary
 
     N = int(cfg.horizon)
@@ -317,7 +319,6 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
     sqrt_0 = numcore.sym_sqrt(sigma_0)
     chol_v = np.linalg.cholesky(plant.sigma_v)
     chol_w = np.linalg.cholesky(plant.sigma_w)
-    q_ze = normalize_critical_map(np.eye(n_x) if q_z is None else q_z, n_x)
     n_s = cfg.samples
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -350,7 +351,7 @@ def reference_simulate(system, attack, d, cfg, q_z=None):
         x_hat_next = x_hat @ plant.A.T + u @ plant.B.T + innov @ est.K.T
         x_e = np.hstack([x_next, x_hat_next])
         if k >= 0:
-            z_rows.append(x_e @ q_ze.T)
+            z_rows.append(x_e @ q_z.T)
 
     z = np.hstack(z_rows) if z_rows else np.zeros((n_s, 0))
     r = np.hstack(r_rows)
@@ -457,16 +458,13 @@ def reference_stack_dynamics(ext, attack, system, q_z, N):
     recording_inputs, and its maps from reference_recording are folded into
     the state, noise, and reference maps at the end.
     """
-    from stealthimpact import distrib
-
     nominal = system.nominal
     J_s, K_s = recording_inputs(system, attack)
     if N < 1:
         raise ValueError("horizon must be at least 1")
     n_x, n_y, n_f = ext.n_x, ext.n_y, ext.n_f
     n_a, n_ay, n_yr = attack.n_a, attack.n_ay, ext.n_yr
-    q_ze = distrib.normalize_critical_map(q_z, n_x)
-    n_z = q_ze.shape[0]
+    n_z = q_z.shape[0]
     start = attack.start_step
     W = N - start + 1  # noise blocks f(start..N)
     two_nx = 2 * n_x
@@ -493,11 +491,11 @@ def reference_stack_dynamics(ext, attack, system, q_z, N):
         j = k - start
         if 1 <= k:
             r = (k - 1) * n_z
-            p_x[r : r + n_z] = q_ze @ Xx
-            p_f[r : r + n_z] = q_ze @ Xf
-            p_r[r : r + n_z] = q_ze @ Xr
-            p_a[r : r + n_z] = q_ze @ Xa
-            p_s[r : r + n_z] = q_ze @ Xs
+            p_x[r : r + n_z] = q_z @ Xx
+            p_f[r : r + n_z] = q_z @ Xf
+            p_r[r : r + n_z] = q_z @ Xr
+            p_a[r : r + n_z] = q_z @ Xa
+            p_s[r : r + n_z] = q_z @ Xs
         if 0 <= k:
             r = k * n_y
             r_x[r : r + n_y] = ext.C_r @ Xx
@@ -578,6 +576,20 @@ def reference_laws(maps, t_0, sigma_0, sigma_f):
         *law(maps.p_a, maps.p_x, maps.p_r, maps.p_f),
         *law(maps.r_a, maps.r_x, maps.r_r, maps.r_f),
     )
+
+
+def stacked_covariances(system, attack, q_z, N):
+    """(Sigma_Z, Sigma_R) = F F' of distrib.stack_dynamics' law, symmetrized.
+
+    The full covariances the Gaussian summary does not keep: it stores only
+    sqrt(diag Sigma_Z) and the audit of Sigma_R formed this same way.
+    """
+    from stealthimpact import distrib
+    from stealthimpact.sysmodel import assemble_extended
+
+    ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
+    _, _, f_z, f_r = distrib.stack_dynamics(ext, attack, system, q_z, N)
+    return tuple(0.5 * (s + s.T) for s in (f_z @ f_z.T, f_r @ f_r.T))
 
 
 def nominal_long_run(system, y_r, steps=1_000_000, burn_in=10_000, seed=0, batches=100):

@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 from conftest import random_system
-from oracles import grid_search_exceed, lyapunov_residual, whitened_rollout
+from oracles import grid_search_exceed, lyapunov_residual, stacked_covariances, whitened_rollout
 from stealthimpact import attacks, cli, distrib, numcore, solver
 from stealthimpact.attacks import ResourceSet, decision_layout
 from stealthimpact.distrib import gaussian_summary
@@ -91,8 +91,9 @@ def _study_system(rng):
 
 
 def _unit_row(rng, n):
+    """A unit critical row on the plant state of an n-state loop, over the extended state."""
     q = rng.normal(size=(1, n))
-    return q / np.linalg.norm(q)
+    return np.hstack([q / np.linalg.norm(q), np.zeros((1, n))])
 
 
 def _fdi_instance(rng):
@@ -181,7 +182,7 @@ def _grid_agreement(summary, layout, ranges, lift):
     """
     report = solver.compute_impact(summary)
     assert report.feasible and not report.unbounded
-    sig = np.sqrt(np.diag(summary.sigma_z))
+    sig = summary.sigma
     delta = GRID_STEP / 2.0 * np.sqrt(len(ranges))
     L = np.eye(layout.dim_d) if lift is None else lift
     t_l = summary.t_z @ L
@@ -253,7 +254,7 @@ def test_criterion_3_simulation_moments(scenario, grid):
         if mean_dev.max() > 4.0:
             bad.append((strat, "mean", float(mean_dev.max())))
 
-        cov = summary.sigma_z
+        cov, _ = stacked_covariances(scenario.system, entry.candidate.attack, scenario.q_z, scenario.horizon)
         dia = np.diag(cov)
         cov_se = np.sqrt((np.outer(dia, dia) + cov**2) / n)
         cov_dev = np.abs(cov - sim.z_cov) / cov_se
@@ -282,9 +283,9 @@ def test_criterion_4_divergence_equivalence(scenario, grid):
     entries, _ = grid
     entry = entries["vulnerability_2", "fdi"]
     _, summary = _rebuild_summary(scenario, entry)
-    t_r, sigma_r = summary.t_r, summary.sigma_r
-    radius = summary.eps_prime
+    t_r, radius = summary.t_r, summary.eps_prime
     N, eps = scenario.horizon, scenario.epsilon
+    _, sigma_r = stacked_covariances(scenario.system, entry.candidate.attack, scenario.q_z, N)
     atol = 1e-9 * max(1.0, abs(radius))
 
     rng = np.random.default_rng(4)
@@ -403,7 +404,6 @@ def test_criterion_7_numerical_residuals(scenario, system):
     ]
     N = 4
     n_f = system.plant.n_x + system.plant.n_y
-    q_ze = distrib.normalize_critical_map(scenario.q_z, system.plant.n_x)
     worst = 0.0
     for kind, sensors, actuators, mode in configs:
         res = ResourceSet(sensors=sensors, actuators=actuators)
@@ -418,7 +418,7 @@ def test_criterion_7_numerical_residuals(scenario, system):
             a_stack = rng.normal(size=(N + 1) * atk.n_a)
             d = np.concatenate([a_stack, y_r])
             z_map, r_map = t_z @ d + f_z @ e, t_r @ d + f_r @ e
-            z_ref, r_ref = whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack)
+            z_ref, r_ref = whitened_rollout(system, ext, atk, scenario.q_z, N, e, y_r, a_stack)
             scale = max(1.0, np.max(np.abs(z_ref)), np.max(np.abs(r_ref)))
             dev = max(np.max(np.abs(z_map - z_ref)), np.max(np.abs(r_map - r_ref)))
             worst = max(worst, dev / scale)

@@ -527,7 +527,8 @@ def test_large_critical_map_scales_the_bound(tmp_path, capsys, strategy, bound):
 def test_overflow_is_a_numerical_failure(tmp_path, capsys, scale, strategy):
     """An overflow exits 3 with one line, not 0 with a wrong bound and RuntimeWarnings.
 
-    At 1e154 the solver's row norms overflow; at 1e155 Sigma_Z itself does.
+    At 1e154 the solver's row norms overflow; at 1e155 the squares of F_Z,
+    which the marginal standard deviations sum, already do (the sigma-z case).
     """
     path = _scaled_critical_map(tmp_path, scale)
     code = cli.main(["assess", "--scenario", path, "--vulnerability", "vulnerability_2", "--strategy", strategy])

@@ -13,8 +13,13 @@ from oracles import (
     lyapunov_series,
     reference_laws,
     reference_stack_dynamics,
+    stacked_covariances,
     whitened_rollout,
 )
+
+
+# the bundled critical row, on the extended state (x, x_hat)
+Q_Z = np.array([[0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]])
 
 
 def _build(system, kind, N, sensors=(), actuators=(), replay_mode="dos"):
@@ -74,19 +79,6 @@ def test_stationary_law_matches_series(system):
     )
 
 
-def test_normalize_critical_map():
-    q = np.array([[1.0, 2.0, 3.0]])
-    out = distrib.normalize_critical_map(q, 3)
-    assert out.shape == (1, 6)
-    assert np.allclose(out[:, 3:], 0.0)
-    q6 = np.ones((2, 6))
-    assert distrib.normalize_critical_map(q6, 3) is q6 or np.allclose(
-        distrib.normalize_critical_map(q6, 3), q6
-    )
-    with pytest.raises(Exception):
-        distrib.normalize_critical_map(np.ones((1, 4)), 3)
-
-
 @pytest.mark.parametrize(
     "kind,sensors,actuators,mode",
     [
@@ -103,8 +95,7 @@ def test_stacked_maps_match_explicit_rollout(system, kind, sensors, actuators, m
     """z = T_Z d + F_Z e and r = T_R d + F_R e for whitened draws e, run through the loop."""
     N = 4
     atk, ext = _build(system, kind, N, sensors, actuators, mode)
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
-    q_ze = distrib.normalize_critical_map(q_z, system.plant.n_x)
+    q_z = Q_Z
     t_z, t_r, f_z, f_r = distrib.stack_dynamics(ext, atk, system, q_z, N)
     n_f = system.plant.n_x + system.plant.n_y
     W = N - atk.start_step + 1
@@ -115,7 +106,7 @@ def test_stacked_maps_match_explicit_rollout(system, kind, sensors, actuators, m
         a_stack = rng.normal(size=(N + 1) * atk.n_a)
         d = np.concatenate([a_stack, y_r])
         z_map, r_map = t_z @ d + f_z @ e, t_r @ d + f_r @ e
-        z_ref, r_ref = whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack)
+        z_ref, r_ref = whitened_rollout(system, ext, atk, q_z, N, e, y_r, a_stack)
         scale = max(1.0, np.max(np.abs(z_ref)), np.max(np.abs(r_ref)))
         assert np.max(np.abs(z_map - z_ref)) <= 1e-10 * scale
         assert np.max(np.abs(r_map - r_ref)) <= 1e-10 * scale
@@ -192,10 +183,11 @@ def test_fdi_residual_stays_white(system):
     atk, ext = _build(system, "fdi", N, sensors=(0,), actuators=(0, 1))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     summary = distrib.gaussian_summary(
-        system, atk, layout, np.array([[0.0, 0.0, 1.0 / 3.0]]), N, 0.3
+        system, atk, layout, Q_Z, N, 0.3
     )
     assert summary.residual_cov_pd
-    assert np.allclose(summary.sigma_r, np.eye((N + 1) * system.plant.n_y), atol=1e-8)
+    _, sigma_r = stacked_covariances(system, atk, Q_Z, N)
+    assert np.allclose(sigma_r, np.eye((N + 1) * system.plant.n_y), atol=1e-8)
     assert summary.eps_prime == pytest.approx(2.0 * 0.3 * (N + 1), abs=1e-7)
 
 
@@ -204,9 +196,10 @@ def test_dos_residual_not_white(system):
     atk, ext = _build(system, "dos", N, sensors=(0,))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     summary = distrib.gaussian_summary(
-        system, atk, layout, np.array([[0.0, 0.0, 1.0 / 3.0]]), N, 0.3
+        system, atk, layout, Q_Z, N, 0.3
     )
-    dev = np.max(np.abs(summary.sigma_r - np.eye((N + 1) * system.plant.n_y)))
+    _, sigma_r = stacked_covariances(system, atk, Q_Z, N)
+    dev = np.max(np.abs(sigma_r - np.eye((N + 1) * system.plant.n_y)))
     assert dev > 1e-3
 
 
@@ -215,24 +208,23 @@ def test_nominal_mean_is_stationary(system):
     N = 5
     atk, ext = _build(system, "dos", N)  # empty resources: identity routing
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = Q_Z
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
     t_0, sigma_0 = distrib.stationary_law(system.nominal, system.sigma_f)
-    q_ze = distrib.normalize_critical_map(q_z, system.plant.n_x)
-    expected_row = (q_ze @ t_0).ravel()
+    sigma_z, _ = stacked_covariances(system, atk, q_z, N)
+    expected_row = (q_z @ t_0).ravel()
     for k in range(N):
         assert np.allclose(summary.t_z[k], expected_row, atol=1e-9)
         # stationary covariance on the diagonal blocks as well
-        assert summary.sigma_z[k, k] == pytest.approx(
-            float(q_ze[0] @ sigma_0 @ q_ze[0]), abs=1e-9
-        )
+        assert sigma_z[k, k] == pytest.approx(float(q_z[0] @ sigma_0 @ q_z[0]), abs=1e-9)
+        assert summary.sigma[k] == pytest.approx(np.sqrt(sigma_z[k, k]), rel=1e-12)
     # residual mean map vanishes: nominal residuals are zero-mean for any y_r
     assert np.max(np.abs(summary.t_r)) < 1e-9
 
 
 def test_summary_audit_flags(system):
     N = 4
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = Q_Z
     # injection on everything overwhelms the residual constraint: unbounded
     atk, _ = _build(system, "fdi", N, sensors=(1, 2), actuators=(2, 3))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
@@ -249,7 +241,7 @@ def test_summary_audit_flags(system):
 def test_summary_takes_no_svd(system, monkeypatch):
     """Building a law factors no stacked map: boundedness is left to the solver."""
     N = 4
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = Q_Z
     built = []
     for kind, sensors, actuators in (("fdi", (1, 2), (2, 3)), ("bias", (0,), (0, 1))):
         atk, _ = _build(system, kind, N, sensors=sensors, actuators=actuators)
@@ -269,7 +261,7 @@ def test_zero_critical_map_rejected(system):
     """A zero critical row has zero variance: its exceedance probability is undefined."""
     N = 3
     atk, ext = _build(system, "fdi", N, sensors=(0,))
-    q_z = np.zeros((1, 3))
+    q_z = np.zeros((1, 6))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
     assert summary.residual_cov_pd and summary.eps_prime >= 0
@@ -280,7 +272,7 @@ def test_zero_critical_map_rejected(system):
 def test_summary_at_another_epsilon(system):
     """Only the radius depends on epsilon; it matches a fresh summary exactly."""
     N = 5
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = Q_Z
     atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
@@ -290,7 +282,7 @@ def test_summary_at_another_epsilon(system):
         fresh = distrib.gaussian_summary(system, atk, layout, q_z, N, eps)
         assert moved.epsilon == eps
         assert moved.eps_prime == fresh.eps_prime
-        assert moved.t_z is summary.t_z and moved.sigma_r is summary.sigma_r
+        assert moved.t_z is summary.t_z and moved.sigma is summary.sigma
         assert moved.impact_bounded == fresh.impact_bounded
     singular = dataclasses.replace(summary, residual_cov_pd=False, eps_prime=-np.inf)
     assert singular.at_epsilon(5.0).eps_prime == -np.inf
@@ -306,7 +298,8 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
 
     Every configuration of every strategy on vulnerability_1 (which includes
     replay's recording window and the unstable rerouting loops), with the
-    critical map on the plant state and on the extended state. The absolute
+    bundled critical map, which reads the plant state only, and with one that
+    reads the estimate too. The absolute
     tolerance scales with each array's largest entry: on the unstable loops
     at N = 50 entries reach 1e3 to 1e4, and an entry left small by
     cancellation carries rounding of that size in either summation order.
@@ -321,37 +314,41 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
     res = scenario.vulnerabilities["vulnerability_1"]
     cands = attacks.candidates(attacks.StrategySpec(kind, res), system.dims, N)
     sigma_f = system.sigma_f
-    for q_z in (scenario.q_z[:, : system.plant.n_x], scenario.q_z):
+    plant_rows = scenario.q_z[:, : system.plant.n_x]
+    for q_z in (scenario.q_z, np.hstack([plant_rows, -plant_rows])):
         for cand in cands:
             ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
             layout = attacks.decision_layout(cand.attack, N, system.controller.Q_yr)
             law = distrib.stack_dynamics(ext, cand.attack, system, q_z, N)
             summary = distrib.summarize(law, layout, 0.3)
-            laws = (summary.t_z, summary.sigma_z, summary.t_r, summary.sigma_r)
+            sigma_z, sigma_r = stacked_covariances(system, cand.attack, q_z, N)
+            laws = (summary.t_z, sigma_z, summary.t_r, sigma_r)
             ref = reference_stack_dynamics(ext, cand.attack, system, q_z, N)
             ref_laws = reference_laws(ref, system.t_0, system.sigma_0, sigma_f)
             for name, got, want in zip(("T_Z", "Sigma_Z", "T_R", "Sigma_R"), laws, ref_laws):
                 close(got, want, name)
+            close(summary.sigma, np.sqrt(np.diag(ref_laws[1])), "sigma")
 
 
 def test_epsilon_prime_reused_across_epsilon(system):
     """at_epsilon reuses one factorization and gives a fresh audit's radius bit for bit."""
     N = 10
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = Q_Z
     for kind, sensors, actuators in (("bias", (0,), (0, 1)), ("replay", (0, 1), (2,))):
         atk, _ = _build(system, kind, N, sensors, actuators)
         layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
         summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
         assert summary.residual_cov_pd
+        _, sigma_r = stacked_covariances(system, atk, q_z, N)
         for eps in np.linspace(0.05, 0.95, 10):  # criterion 6's values
-            direct = _eps_prime(summary.sigma_r, N, system.plant.n_y, eps)
+            direct = _eps_prime(sigma_r, N, system.plant.n_y, eps)
             assert summary.at_epsilon(eps).eps_prime == direct
 
 
 def test_non_pd_residual_keeps_minus_inf(system):
     """Denying sensor 0 leaves Sigma_R singular: no budget makes any attack stealthy."""
     N = 5
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = Q_Z
     atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
@@ -382,10 +379,7 @@ def test_cholesky_first_verdict_matches_eigenvalues(scenario, N):
     for resources in scenario.vulnerabilities.values():
         for kind in attacks.KINDS:
             for cand in attacks.candidates(attacks.StrategySpec(kind, resources), system.dims, N):
-                ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
-                layout = attacks.decision_layout(cand.attack, N, system.controller.Q_yr)
-                law = distrib.stack_dynamics(ext, cand.attack, system, scenario.q_z, N)
-                sigma_r = distrib.summarize(law, layout, 0.3).sigma_r
+                _, sigma_r = stacked_covariances(system, cand.attack, scenario.q_z, N)
                 pd = numcore.spd_check(sigma_r).is_positive_definite
                 factor = numcore.spd_factor(sigma_r)
                 assert (factor is not None) == pd, (kind, cand.attack.start_step)
@@ -400,7 +394,7 @@ def test_cholesky_first_verdict_matches_eigenvalues(scenario, N):
 def test_summary_skips_eigenvalues_when_factorization_fails(system, monkeypatch):
     """Denying sensor 0 makes Sigma_R singular: the failed Cholesky factor decides alone."""
     N = 50
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = Q_Z
     atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     calls = []

@@ -7,7 +7,12 @@ import pytest
 
 from stealthimpact import attacks, distrib, mcvalidate, numcore
 from stealthimpact.sysmodel import DimensionMismatch
-from oracles import nominal_long_run, reference_simulate
+from oracles import nominal_long_run, reference_simulate, stacked_covariances
+
+
+def _plant_state(system):
+    """The identity on the plant state, as a critical map on the extended state."""
+    return np.eye(system.plant.n_x, 2 * system.plant.n_x)
 
 
 def _fdi_setup(system, N=4, sensors=(0,), actuators=(0, 1)):
@@ -27,7 +32,7 @@ def test_split_decision_length_check(system):
     atk, layout = _fdi_setup(system)
     cfg = mcvalidate.SimulationConfig(samples=10, seed=0, horizon=4)
     with pytest.raises(DimensionMismatch):
-        mcvalidate.simulate(system, atk, np.zeros(layout.dim_d + 1), cfg)
+        mcvalidate.simulate(system, atk, np.zeros(layout.dim_d + 1), cfg, _plant_state(system))
 
 
 def test_simulate_reproducible(system, scenario):
@@ -61,7 +66,9 @@ def test_simulate_matches_sample_major_reference(system, scenario, kind, critica
         assert atk.start_step < 0 and atk.has_recording
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     d = 0.2 * np.random.default_rng(1).normal(size=layout.dim_d)
-    q_z = {"none": None, "plant": np.array([[0.0, 0.0, 1.0], [1.0, -0.5, 0.0]]), "extended": scenario.q_z}[critical]
+    # "none" is the identity on the plant state; "plant" reads the plant state only
+    plant_rows = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [1.0, -0.5, 0.0, 0.0, 0.0, 0.0]])
+    q_z = {"none": _plant_state(system), "plant": plant_rows, "extended": scenario.q_z}[critical]
     cfg = mcvalidate.SimulationConfig(samples=2_000, seed=17, horizon=N)
     got = mcvalidate.simulate(system, atk, d, cfg, q_z=q_z)
     want = reference_simulate(system, atk, d, cfg, q_z=q_z)
@@ -84,9 +91,10 @@ def test_simulate_matches_analytic_fdi(system, scenario):
     mu_r = summary.t_r @ d
     assert np.all(np.abs(sim.z_mean - mu_z) <= 4.0 * sim.z_mean_se)
     assert np.all(np.abs(sim.r_mean - mu_r) <= 4.0 * sim.r_mean_se)
-    assert np.max(np.abs(sim.z_cov - summary.sigma_z)) < 0.02
+    sigma_z, _ = stacked_covariances(system, atk, scenario.q_z, N)
+    assert np.max(np.abs(sim.z_cov - sigma_z)) < 0.02
     # exceedance frequencies against the Gaussian law, binomial error bars
-    p = numcore.gaussian_exceed(mu_z, np.sqrt(np.diag(summary.sigma_z)))
+    p = numcore.gaussian_exceed(mu_z, summary.sigma)
     band = 3.0 * np.maximum(sim.exceed_se, 1e-4)
     assert np.all(np.abs(sim.exceed_freq - p) <= band)
 
@@ -104,7 +112,8 @@ def test_simulate_matches_analytic_replay(system, scenario):
     assert sim.z_mean.shape[0] == summary.t_z.shape[0]
     assert np.all(np.abs(sim.z_mean - summary.t_z @ d) <= 4.0 * sim.z_mean_se)
     assert np.all(np.abs(sim.r_mean - summary.t_r @ d) <= 4.0 * sim.r_mean_se)
-    assert np.max(np.abs(sim.z_cov - summary.sigma_z)) < 0.02
+    sigma_z, _ = stacked_covariances(system, atk, scenario.q_z, N)
+    assert np.max(np.abs(sim.z_cov - sigma_z)) < 0.02
 
 
 def test_nominal_residuals_white(system, scenario):
@@ -121,7 +130,7 @@ def test_nominal_residuals_white(system, scenario):
 
 def _kl_check(system, atk, d, summary, cfg):
     """Simulate at d and take kl_verdict against the summary's residual map and radius."""
-    sim = mcvalidate.simulate(system, atk, d, cfg)
+    sim = mcvalidate.simulate(system, atk, d, cfg, _plant_state(system))
     return mcvalidate.kl_verdict(sim, summary.t_r, d, summary.eps_prime, summary.epsilon, cfg.horizon)
 
 
@@ -129,7 +138,7 @@ def test_kl_check_feasible_point(system):
     N = 4
     atk, layout = _fdi_setup(system, N)
     cfg = mcvalidate.SimulationConfig(samples=20_000, seed=2, horizon=N)
-    summary = distrib.gaussian_summary(system, atk, layout, np.eye(system.plant.n_x), N, 0.3)
+    summary = distrib.gaussian_summary(system, atk, layout, _plant_state(system), N, 0.3)
     check = _kl_check(system, atk, np.zeros(layout.dim_d), summary, cfg)
     assert check.analytic_ok
     assert check.empirical_ok
@@ -141,7 +150,7 @@ def test_kl_check_feasible_point(system):
 def _scaled_injection(system, atk, layout, N, target_quad):
     """Injection-only decision vector with a prescribed quadratic value, and the summary at 0.3."""
     ext_summary = distrib.gaussian_summary(
-        system, atk, layout, np.eye(system.plant.n_x), N, 0.3
+        system, atk, layout, _plant_state(system), N, 0.3
     )
     rng = np.random.default_rng(9)
     d = np.zeros(layout.dim_d)
@@ -273,7 +282,7 @@ def test_simulate_joins_its_one_helper_thread(system, monkeypatch):
     before = threading.active_count()
     seen = _patch_noise(monkeypatch)
     _run_bounded(lambda: mcvalidate.simulate(
-        system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 4)
+        system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 4), _plant_state(system)
     ))
     assert threading.active_count() == before
     assert set(seen["threads_inside"]) == {before + 2}  # the bounded runner and the helper
@@ -301,7 +310,7 @@ def test_simulate_joins_the_helper_when_the_loop_raises(system, monkeypatch):
     seen = _patch_noise(monkeypatch)
     with pytest.raises(FloatingPointError, match="step failed"):
         _run_bounded(lambda: mcvalidate.simulate(
-            system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6)
+            system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6), _plant_state(system)
         ))
     assert threading.active_count() == before
     assert seen["threads_inside"] == [before + 2] * 4
@@ -315,7 +324,7 @@ def test_simulate_raises_the_helpers_exception(system, monkeypatch, fail_at):
     seen = _patch_noise(monkeypatch, fail_at=fail_at)
     with pytest.raises(RuntimeError, match="draw failed"):
         _run_bounded(lambda: mcvalidate.simulate(
-            system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6)
+            system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6), _plant_state(system)
         ))
     assert threading.active_count() == before
     assert seen["rng"].calls == fail_at

@@ -168,3 +168,17 @@ def test_extended_critical_map_accepted(tmp_path, doc):
     loaded = scen.load_scenario(_dump(tmp_path, doc))
     assert loaded.q_z.shape == (1, 6)
     assert np.allclose(loaded.q_z[0, :5], 0.0)
+
+
+def test_critical_map_padded_at_load(tmp_path, doc):
+    """A plant-state map is padded with zeros over the estimate; an extended one
+    passes through; any other width is rejected."""
+    doc["critical_map"] = [[1.0, 2.0, 3.0]]
+    loaded = scen.load_scenario(_dump(tmp_path, doc))
+    assert np.array_equal(loaded.q_z, [[1.0, 2.0, 3.0, 0.0, 0.0, 0.0]])
+    extended = [[1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0, -1.0, 0.0]]
+    doc["critical_map"] = extended
+    assert np.array_equal(scen.load_scenario(_dump(tmp_path, doc, "ext.json")).q_z, extended)
+    doc["critical_map"] = [[1.0, 1.0, 1.0, 1.0]]
+    with pytest.raises(scen.DimensionError, match="critical_map must have 3 or 6 columns, got 4"):
+        scen.load_scenario(_dump(tmp_path, doc, "wide.json"))

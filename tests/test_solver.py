@@ -58,7 +58,7 @@ def test_negative_radius_infeasible():
 
 
 def test_zero_radius_collapses_quadratic():
-    # radius 0 turns m_quad d <= 0 into an equality; remaining freedom hits the box
+    # radius 0 pins m_quad d at 0; the remaining freedom hits the box
     res = _solve([0.0, 1.0], q_box=np.eye(2), m_quad=np.array([[1.0, 0.0]]), radius=0.0)
     assert res.mu[0] == pytest.approx(1.0, abs=1e-6)
     assert abs(res.d_star[0, 0]) < 1e-9
@@ -208,7 +208,7 @@ def _bias_report(system, N=6, epsilon=0.3):
     res = attacks.ResourceSet(sensors=(0,), actuators=(0, 1))
     atk = attacks.build_attack("bias_injection", res, system.dims, N)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = np.array([[0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]])
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, epsilon)
     return solver.compute_impact(summary), summary, layout
 
@@ -253,7 +253,7 @@ def test_compute_impact_unbounded_path(system):
     res = attacks.ResourceSet(sensors=(1, 2), actuators=(2, 3))
     atk = attacks.build_attack("fdi", res, system.dims, N)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
-    q_z = np.array([[0.0, 0.0, 1.0 / 3.0]])
+    q_z = np.array([[0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]])
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
     report = solver.compute_impact(summary)
     assert report.unbounded and report.feasible
@@ -296,11 +296,14 @@ def test_boundedness_does_not_depend_on_epsilon(scenario, kind):
     """vulnerability_2's injections stay bounded at every budget, and the mean bound grows with it.
 
     The rank cut reads the quadratic map unscaled, so a large radius does not
-    push its singular values under the cut, and impact_bounded, the
-    geometry's verdict at unit radius, is the verdict of every report.
+    push its singular values under the cut, and a zero one (epsilon = 0 gives
+    radius 0 here) pins the quadratic block without narrowing the basis:
+    impact_bounded, the geometry's verdict at unit radius, is the verdict of
+    every report.
     """
-    epsilons = [1e8, 1e10, 3e10, 1e12, 1e17, 3e17, 1e30]
+    epsilons = [0.0, 1e8, 1e10, 3e10, 1e12, 1e17, 3e17, 1e30]
     entries = cli._assess_pair(scenario, "vulnerability_2", kind, epsilons)
+    assert entries[0].report.eps_prime == 0.0
     for entry in entries:
         assert not entry.report.unbounded, entry.epsilon
         summary = cli._candidate_law(scenario, entry.candidate, entry.epsilon)
@@ -352,6 +355,46 @@ def test_rank_cut_reads_no_radius():
         batch = solver._solve_batch(solver._Geometry(q, m, np.eye(3), radius), np.eye(3))
         assert batch is not None, radius
         np.testing.assert_allclose(batch.mu, [math.sqrt(radius), 1e3 * math.sqrt(radius), 1.0], rtol=1e-12)
+
+
+def test_geometry_reads_the_radius_only_through_s(scenario):
+    """At r = 0, 1e-13, 1 and 1e30 the axes, box rows and objective verdicts are identical.
+
+    Only the scales differ: s = inf at and below the floor, which pins x, and
+    s_R / sqrt(r) above it. Random programs with unbounded rows, and the
+    bundled vulnerability_2 injections at epsilon = 0, whose radius is 0.
+    """
+    radii = (0.0, 1e-13, 1.0, 1e30)
+    rng = np.random.default_rng(19)
+    n, cases = 5, []
+    for trial in range(6):
+        m = rng.normal(size=(2 + trial % 2, n))
+        if trial % 3 == 0:
+            m = np.vstack([m, 1e-17 * rng.normal(size=(1, n))])  # a direction seen at rounding level
+        q = rng.normal(size=(trial % 3 + 1, n))
+        basis = linalg.null_space(rng.normal(size=(1, n))) if trial % 2 else np.eye(n)
+        cases.append((q, m, basis, rng.normal(size=(4, n))))
+    for kind in ("fdi", "bias_injection"):
+        spec = attacks.StrategySpec(kind, scenario.vulnerabilities["vulnerability_2"])
+        (cand,) = attacks.candidates(spec, scenario.system.dims, scenario.horizon)
+        summary = cli._candidate_law(scenario, cand, 0.0)
+        assert summary.eps_prime == 0.0
+        cases.append((summary.layout.Q, summary.t_r, summary.layout.Z, summary.t_z))
+    verdicts = set()
+    for q, m, basis, c in cases:
+        geoms = [solver._Geometry(q, m, basis, radius) for radius in radii]
+        base = geoms[2]
+        c_eta, bounded = base.objective(c)
+        verdicts.update(bounded)
+        for radius, geom in zip(radii, geoms):
+            assert np.array_equal(geom.axes, base.axes) and np.array_equal(geom.a_rows, base.a_rows)
+            got_eta, got_bounded = geom.objective(c)
+            assert np.array_equal(got_eta, c_eta) and np.array_equal(got_bounded, bounded)
+            if radius <= solver._RADIUS_FLOOR:
+                assert geom.s.shape == base.s.shape and np.all(geom.s == np.inf)
+            else:
+                np.testing.assert_allclose(geom.s, base.s / math.sqrt(radius), rtol=1e-15)
+    assert verdicts == {False, True}
 
 
 def test_compute_impact_infeasible_path(system):

@@ -56,6 +56,7 @@ from .scenario import (
     load_scenario,
 )
 from .solver import (
+    ImpactCurve,
     ImpactReport,
     Infeasible,
     NumericalFailure,
@@ -90,6 +91,7 @@ __all__ = [
     "EstimatorModel",
     "ExtendedSystem",
     "GaussianSummary",
+    "ImpactCurve",
     "ImpactReport",
     "Infeasible",
     "InvalidPermutation",

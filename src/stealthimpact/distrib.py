@@ -66,14 +66,13 @@ class GaussianSummary:
     def impact_bounded(self) -> bool:
         """Whether every critical row is bounded on the feasible set: the solver's own verdict.
 
-        Read off the solver's geometry at unit radius; only its scales s read
-        the radius, so this is exactly compute_impact's verdict at every
-        feasible epsilon, zero included. No report reads it; each read builds
-        that geometry.
+        Read off the solver's geometry, which reads no radius, so this is
+        exactly compute_impact's verdict at every feasible epsilon, zero
+        included. No report reads it; each read builds that geometry.
         """
         from .solver import _Geometry  # the solver imports this module
 
-        geom = _Geometry(self.layout.Q, self.t_r, self.layout.Z, 1.0)
+        geom = _Geometry(self.layout.Q, self.t_r, self.layout.Z)
         return bool(geom.objective(self.t_z)[1].all())
 
     def at_epsilon(self, epsilon: float) -> "GaussianSummary":

@@ -8,22 +8,24 @@ outside [-1, 1] is even and increasing in |mu|, maximizing the mean maximizes
 the probability, so the worst exceedance probability is max_i P_i and the
 worst expected infinity norm is lower-bounded by max_i mu_i.
 
-Method. compute_impact is the one entry: it solves every critical row of a
-Gaussian summary in one batch. The solve works in the coordinates xi, over the
-basis Z that the decision layout writes down in closed form from the
-strategy's injection modes. One SVD of the reduced quadratic map T_R Z gives
-its kept right singular vectors V_r and singular values s_R; the part of the
-box rows outside span(V_r) gives the box-only directions U_perp. Directions
-outside [V_r U_perp] either leave the objective flat or certify
+Method. compute_impact is the one entry: it evaluates, at the summary's
+radius r, the ImpactCurve of the configuration, which holds the optimum of
+every critical row as a function of r. The curve works in the coordinates
+xi, over the basis Z that the decision layout writes down in closed form
+from the strategy's injection modes. One SVD of the reduced quadratic map
+T_R Z gives its kept right singular vectors V_r and singular values s_R; the
+part of the box rows outside span(V_r) gives the box-only directions U_perp.
+Directions outside [V_r U_perp] either leave the objective flat or certify
 unboundedness. In the coordinates eta = (x; w) over [V_r U_perp] every row
 solves
 
-    maximize c'eta  subject to  |A eta|_inf <= 1,  |s * x|^2 <= 1,
+    maximize c'eta  subject to  |A eta|_inf <= 1,  |s_R * x|^2 <= r,
 
-with s = s_R / sqrt(radius), A = [B C] the box over (x, w), G = diag(s^2, 0)
-and ker A & ker G = {0}, so the feasible set is compact. The box acts only on
-the reference, so A has k = n_yr rows. A radius at or below _RADIUS_FLOOR, a
-zero budget, sets s = inf, which pins x = 0 in the same program.
+with A = [B C] the box over (x, w), G = diag(s_R^2, 0) and
+ker A & ker G = {0}, so the feasible set is compact. The box acts only on
+the reference, so A has k = n_yr rows. Only the right-hand side r reads the
+radius. A radius at or below _RADIUS_FLOOR, a zero budget, counts as r = 0,
+which pins x = 0.
 
 One rank decision: singular values of T_R Z below RANK_RTOL times the larger
 of its largest one and the box norm are rounding noise, and their directions
@@ -36,17 +38,17 @@ part of g outside range(G) in the dual bound: a tighter tolerance would read
 as signal what the cut's dropped directions leave behind, of relative size
 RANK_RTOL.
 
-The solve runs in the scaled coordinates u = s * x, where the quadratic is the
-unit ball (with s = inf, x = u / s and the x block of G^+ are 0, and the box
-and the objective see no u). The box sees u only through the row space of
-B diag(1/s), which has an orthonormal basis q_u of at most k columns. For one
-row, split the part of u outside range(q_u) into tau e_c, e_c the unit
-direction of the row's objective there, and a remainder that neither the box
-nor the objective sees: dropping the remainder keeps a point feasible and
-keeps its value. So each row solves the same kind of program over
-zeta = (v, tau, w), u = q_u v + tau e_c, of dimension at most 2k + 1, with the
-box R = [B diag(1/s) q_u, 0, C] and G = diag(I, 0); everything below works in
-it, and no pattern factors an n-sized matrix.
+The curve works in u = s_R * x, where the quadratic is the ball |u|^2 <= r.
+The box sees u only through the row space of B diag(1/s_R), which has an
+orthonormal basis q_u of at most k columns. For one row, split the part of
+u outside range(q_u) into tau e_c, e_c the unit direction of the row's
+objective there, and a remainder that neither the box nor the objective
+sees: dropping the remainder keeps a point feasible and keeps its value. So
+each row solves the same kind of program over zeta = (v, tau, w),
+u = q_u v + tau e_c, of dimension at most 2k + 1, with the box
+R = [B diag(1/s_R) q_u, 0, C] and the ball zeta' G zeta = |v|^2 + tau^2 <= r,
+G = diag(I, 0); everything below works in it, and no pattern factors an
+n-sized matrix.
 
 A sign pattern (S, s_S) fixes the box rows S at A_S zeta = s_S, where
 A_S = [R_S 0 C_S] over (v, tau, w). G_N, G on null(A_S), is nonsingular iff
@@ -55,17 +57,33 @@ w with C_S w = 0. Then w = C_S^+ (s_S - R_S v) and, with Q_C a basis of the
 left null space of C_S, the slice is {H v = Q_C' s_S} with H = Q_C' R_S, which
 has full row rank iff A_S does. The slice meets the ball in a ball centred at
 v0 = H^+ Q_C' s_S, tau = 0 (its point of least |u|), of squared radius
-rho = 1 - |v0|^2. Once w is eliminated, the objective on it is
-e = t - R_S' C_S^+' c_w in v (t = q_u' c_u) and |c_perp| in tau, so with P the
-projector onto null(H) the maximizer is
-(v0, 0) + sqrt(rho) (P e, |c_perp|) / |(P e, |c_perp|)|, or the centre when
-that gradient is zero; this is xi_c + sqrt(rho) G_N^-1 c_N / ||c_N||_{G_N^-1}
-in coordinates where G_N is the identity. Patterns with C_S or H
-rank-deficient or rho < 0 (beyond CERT_TOL) are skipped, and sizes below p or
-above p + dim v, which leave G_N singular or H too tall, are never formed.
-There are at most 3^k patterns, and all rows of T_Z are handled by a few
-k-sized products per pattern. Each row keeps its best candidate that
-satisfies every constraint to CERT_TOL.
+t^2 = r - kappa, kappa = |v0|^2. Once w is eliminated, the objective on it is
+e = t_c - R_S' C_S^+' c_w in v (t_c = q_u' c_u) and |c_perp| in tau, so with P
+the projector onto null(H) the maximizer is (v0, 0) + t n with the unit
+n = (P e, |c_perp|) / b, b = |(P e, |c_perp|)|, or the centre when b = 0. No
+part of the pattern but t reads r: its candidate is a piece affine in
+t = sqrt(r - kappa), of value a + b t, box rows alpha + beta t and maximizer
+zeta_0 + t zeta_1, and it is valid where r >= kappa and every box row holds,
+each to CERT_TOL. Patterns with C_S or H rank-deficient are skipped, and
+sizes below p or above p + dim v, which leave G_N singular or H too tall,
+are never formed. There are at most 3^k patterns, and all rows of T_Z are
+handled by a few k-sized products per pattern.
+
+Two tests inside the enumeration decide on the pattern alone, at no radius.
+H counts as rank-deficient when its smallest singular value is at most
+RANK_RTOL |R_S|_F: H is R_S projected by the orthonormal Q_C, so its rounding
+is relative to R_S, and C_S's scale enters only through Q_C. The slice
+gradient b is zeroed when it is at most RANK_RTOL times the norm of the terms
+it is formed from, (t_c, |c_perp|, R_S' C_S^+' c_w), since rounding in a
+difference is relative to its terms. In the coordinates u / sqrt(r), where
+the ball has unit radius, every one of these quantities scales by sqrt(r),
+so either verdict holds at every radius. A per-radius solve that compared H with the
+rows of [R_S C_S], and b with the whole row (t_c, |c_perp|, c_w), mixed such
+terms with unscaled ones and gave these verdicts only as r grows.
+
+The curve enumerates the patterns once, on its first use. compute_impact at
+a radius only evaluates the pieces: per row it keeps the best valid
+candidate, then checks the certificate below at that radius.
 
 Exactness. Every candidate is feasible, so the best one is at most the optimum
 mu. Conversely, the optimal set is compact and convex; take an optimal zeta*
@@ -79,7 +97,7 @@ with signs s_S, and N = null(A_S).
     of the same pattern has the quadratic active.
   * With the quadratic active, a direction h in N with G h = 0 would slide
     zeta* along an optimal segment until another box row turns active, so G_N
-    is positive definite. zeta* lies in the slice (rho >= 0) and maximizes c
+    is positive definite. zeta* lies in the slice (r >= kappa) and maximizes c
     over it, because the slice and the feasible set agree near zeta*. When
     c_N != 0 that maximizer is unique, and it is the candidate. When c_N = 0
     the whole slice is optimal and the candidate is its centre: were an
@@ -88,15 +106,18 @@ with signs s_S, and N = null(A_S).
 So some pattern's candidate attains mu, and the best candidate equals mu.
 
 Certificate. For any box multipliers y, weak duality bounds the optimum by
-||y||_1 + sqrt(g' G^+ g) with g = c - A'y, or +inf when g leaves range(G)
-(Boyd & Vandenberghe, Convex Optimization, 5.2); in eta, G^+ = diag(s^-2, 0)
-is read off the singular values. A pattern's multipliers are in closed form:
-2 lambda = |(P e, |c_perp|)| / sqrt(rho), and y_S solves the stationarity
-condition c = A_S'y + 2 lambda G zeta, its w block C_S'y = c_w exactly and its
-v block R_S'y = t - 2 lambda v in least squares:
-y_S = C_S^+' c_w + Q_C H^+' (e - 2 lambda v). The pattern's bound is
-||y||_1 + 2 lambda. Each row takes the pattern with the smallest such bound
-(the winning pattern, at a nondegenerate optimum), evaluates the bound
+||y||_1 + sqrt(r g' G^+ g) with g = c - A'y, or +inf when g leaves range(G)
+(Boyd & Vandenberghe, Convex Optimization, 5.2); in eta, G^+ = diag(s_R^-2, 0)
+is read off the singular values. A pattern's multipliers are in closed form
+in t. The quadratic's share of the bound is 2 lambda = r b / t, lambda the
+multiplier of |s_R * x|^2 / r <= 1, which is 0 when b = 0 or r = 0 and
+infinite when t = 0 < r b. y_S solves the stationarity condition
+c = A_S'y + (b / t) (v, tau, 0), its w block C_S'y = c_w exactly and its v
+block R_S'y = t_c - (b / t) v in least squares:
+y_S = Y_0 - (b / t) Q_C H^+' v0 with Y_0 = C_S^+' c_w + Q_C H^+' (e - P e),
+the b / t term taken as 0 at t = 0. The pattern's bound is
+||y||_1 + 2 lambda. Each row takes the valid pattern with the smallest such
+bound (the winning pattern, at a nondegenerate optimum), evaluates the bound
 directly from its y in eta, and reports the relative gap to the attained value
 together with the constraint residuals of d*, its distance from span(Z)
 among them. Either one above CERT_TOL raises NumericalFailure.
@@ -107,6 +128,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -117,6 +139,7 @@ from .distrib import GaussianSummary
 CERT_TOL = 1e-9
 PATTERN_CAP = 8  # box rows; 3^8 sign patterns
 _RADIUS_FLOOR = 1e-12
+_BLOCK = 2**PATTERN_CAP  # sign patterns evaluated together, as many as one subset at the cap has
 
 
 class Infeasible(RuntimeError):
@@ -169,15 +192,12 @@ class _Geometry:
     orthonormal admissible basis. The columns of axes are V_r, the right
     singular vectors of the reduced quadratic map kept by the rank decision,
     then U_perp, an orthonormal basis of the part of the box rows outside
-    span(V_r). The quadratic constraint reads |s * x|^2 <= 1 with s the kept
-    singular values over sqrt(radius), so M in these coordinates is
-    [diag(s) 0], and the box rows are a_rows = [B C] over (x, w). Only s reads
-    the radius: s = inf at or below _RADIUS_FLOOR pins x = 0.
+    span(V_r). The quadratic constraint reads |s * x|^2 <= r with s the kept
+    singular values, so M in these coordinates is [diag(s) 0], and the box
+    rows are a_rows = [B C] over (x, w). Nothing here reads the radius.
     """
 
-    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, radius: float) -> None:
-        if radius < 0:
-            raise Infeasible(f"negative stealthiness radius {radius:.6e}")
+    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray) -> None:
         basis = np.asarray(basis, dtype=float)
         dim_d = basis.shape[0]
         q_box = np.asarray(q_box, dtype=float).reshape(-1, dim_d)
@@ -198,11 +218,15 @@ class _Geometry:
         v_r = vt[:rank].T
         _, sv, wt = np.linalg.svd(a_red - (a_red @ v_r) @ v_r.T, full_matrices=False)
         box_only = int(np.count_nonzero(sv > numcore.RANK_RTOL * scale))
-        self.q_box, self.m_quad, self.basis, self.radius = q_box, m_quad, basis, radius
+        self.q_box, self.m_quad, self.basis = q_box, m_quad, basis
         self.axes = np.hstack([v_r, wt[:box_only].T])
         self.a_rows = a_red @ self.axes
-        self.s = s[:rank] / math.sqrt(radius) if radius > _RADIUS_FLOOR else np.full(rank, np.inf)
+        self.s = s[:rank]
         self.dim_d = dim_d
+
+    def scales(self, radius: float) -> np.ndarray:
+        """The scales s / sqrt(radius) of x at a radius; inf at or below _RADIUS_FLOOR pins x = 0."""
+        return self.s / math.sqrt(radius) if radius > _RADIUS_FLOOR else np.full(self.s.size, np.inf)
 
     def objective(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Reduced objectives of the rows of c and whether each is bounded.
@@ -225,17 +249,15 @@ class _Geometry:
         """Decision vectors d of the rows of eta."""
         return (eta @ self.axes.T) @ self.basis.T
 
-    def residual(self, d: np.ndarray) -> np.ndarray:
-        """Largest constraint violation of each row of d.
+    def residual(self, d: np.ndarray, radius: float) -> np.ndarray:
+        """Largest constraint violation of each row of d at a radius.
 
         The box excess is absolute, the quadratic one relative to the radius
         and the equality one, the distance from the admissible span, relative
         to max(1, |d|_inf).
         """
         box = np.max(np.abs(d @ self.q_box.T), axis=1, initial=0.0) - 1.0
-        quad = (np.sum(np.square(d @ self.m_quad.T), axis=1) - self.radius) / max(
-            self.radius, _RADIUS_FLOOR
-        )
+        quad = (np.sum(np.square(d @ self.m_quad.T), axis=1) - radius) / max(radius, _RADIUS_FLOOR)
         off_span = d - (d @ self.basis) @ self.basis.T
         eq = np.max(np.abs(off_span), axis=1, initial=0.0) / np.maximum(
             1.0, np.max(np.abs(d), axis=1, initial=0.0)
@@ -243,129 +265,215 @@ class _Geometry:
         return np.maximum.reduce([box, quad, eq, np.zeros(d.shape[0])])
 
 
-def _solve_rows(geom: _Geometry, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact maximizers of the rows of c over the reduced feasible set.
+@dataclass
+class _Pieces:
+    """Every sign pattern's piece, from one enumeration at unit radius.
 
-    Returns (eta, y): one maximizer per row and the box multipliers of the
-    pattern whose closed-form dual bound is smallest for that row. The work
-    is in the scaled coordinates u = s * x, projected onto the row space of
-    the box (v = q_u' u, at most k of them) plus the one direction tau of
-    each row's objective outside it; w keeps the box-only coordinates.
+    Per pattern, in enumeration order: kappa, the index g of its subset, and
+    the parts at t = 0: a (per row), alpha, centre and w0, and d_map, the
+    part of y that scales as b / t. Per subset and row: the slope b, 1/b (0
+    where b = 0), beta, dirs, w1 and Y_0, kept once per subset because none
+    of them reads the sign. k-wide arrays are zero outside the subset. Also
+    the reduced rows c_eta, v's basis q_u and each row's tau direction
+    c_perp, whose length is tau's objective.
     """
-    a, s = geom.a_rows, geom.s
-    k = a.shape[0]
-    r = s.size
+
+    geom: _Geometry
+    c_eta: np.ndarray
+    q_u: np.ndarray
+    c_perp: np.ndarray
+    kappa: np.ndarray  # (P,)
+    g: np.ndarray  # (P,)
+    a: np.ndarray  # (P, rows)
+    alpha: np.ndarray  # (P, k)
+    centre: np.ndarray  # (P, kv)
+    w0: np.ndarray  # (P, p)
+    d_map: np.ndarray  # (P, k)
+    b: np.ndarray  # (G, rows)
+    inv_b: np.ndarray  # (G, rows)
+    beta: np.ndarray  # (G, rows, k)
+    dirs: np.ndarray  # (G, rows, kv)
+    w1: np.ndarray  # (G, rows, p)
+    y0: np.ndarray  # (G, rows, k)
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    return m.swapaxes(-1, -2)
+
+
+@lru_cache(maxsize=None)  # at most (PATTERN_CAP + 1)^2 entries
+def _subsets(k: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subsets of size of k box rows, as indices and as one-hot maps onto
+    the k rows (subset, size, k), and the sign columns of a subset; read-only,
+    since every caller shares them."""
+    combos = list(itertools.combinations(range(k), size))
+    sub = np.array(combos, dtype=int).reshape(len(combos), size)
+    pick = np.zeros((len(combos), size, k))
+    pick[np.arange(len(combos))[:, None], np.arange(size), sub] = 1.0
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=size))).T.reshape(size, 2**size)
+    for table in (sub, pick, signs):
+        table.flags.writeable = False
+    return sub, pick, signs
+
+
+def _keep(mask: np.ndarray, *arrays: np.ndarray) -> tuple:
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+
+
+def _enumerate(geom: _Geometry, c: np.ndarray) -> _Pieces:
+    """Every sign pattern's piece for the reduced rows c, at unit radius.
+
+    The work is in u = s * x, projected onto the row space of the box
+    (v = q_u' u, at most k of them) plus the one direction tau of each row's
+    objective outside it; w keeps the box-only coordinates. The subsets of
+    one size are factored together, as stacks of k-sized matrices.
+    """
+    a_rows, s = geom.a_rows, geom.s
+    k, r = a_rows.shape[0], s.size
     n_rows = c.shape[0]
-    rows = np.arange(n_rows)
-    q_u, r_u = np.linalg.qr((a[:, :r] / s).T)
-    box_v, box_w = r_u.T, a[:, r:]  # the box over (v, w)
+    q_u, r_u = np.linalg.qr((a_rows[:, :r] / s).T)
+    box_v, box_w = r_u.T, a_rows[:, r:]  # the box over (v, w)
     kv, p = box_v.shape[1], box_w.shape[1]
-    box_norm = np.linalg.norm(np.hstack([box_v, box_w]), axis=1)
     c_u, c_w = c[:, :r] / s, c[:, r:]
-    t = c_u @ q_u
-    c_perp = c_u - t @ q_u.T  # tau's direction; its length is tau's objective
+    t_c = c_u @ q_u
+    c_perp = c_u - t_c @ q_u.T
     perp_sq = np.sum(np.square(c_perp), axis=1)
-    c_norm = np.sqrt(np.sum(np.square(t), axis=1) + perp_sq + np.sum(np.square(c_w), axis=1))
-    best = np.full(n_rows, -np.inf)
-    v_best = np.zeros((n_rows, kv))
-    w_best = np.zeros((n_rows, p))
-    tau_best = np.zeros(n_rows)  # tau / |c_perp|
-    best_bound = np.full(n_rows, np.inf)
-    y_best = np.zeros((n_rows, k))
+    u_sq = np.sum(np.square(t_c), axis=1) + perp_sq
+    parts, n_seen = [], 0
 
     # A_S = [box_v[S] C_S] has full row rank and G_N is nonsingular iff C_S has
     # full column rank p and H = Q_C' box_v[S] full row rank q = size - p
     for size in range(p, min(k, p + kv) + 1):
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=size))).T
-        for subset in itertools.combinations(range(k), size):
-            sub = list(subset)
-            if p:
-                uc, sc, vct = np.linalg.svd(box_w[sub])
-                if sc[-1] <= numcore.RANK_RTOL * sc[0]:
-                    continue  # G_N singular
-                c_pinv = (vct.T / sc) @ uc[:, :p].T
-                q_c = uc[:, p:]
-            else:
-                c_pinv, q_c = np.zeros((0, size)), np.eye(size)
-            b_s = box_v[sub]
-            h_mat = q_c.T @ b_s
-            if size > p:
-                uh, sh, vht = np.linalg.svd(h_mat, full_matrices=False)
-                if sh[-1] <= numcore.RANK_RTOL * np.linalg.norm(box_norm[sub]):
-                    continue  # A_S rank-deficient
-                h_pinv = vht.T @ (uh.T / sh[:, None])
-            else:
-                vht, h_pinv = np.zeros((0, kv)), np.zeros((kv, 0))
-            # the slice: w = c_pinv (sign - b_s v), H v = Q_C' sign, |v|^2 + tau^2 <= 1;
-            # its centre v0 minimizes |v| and rho is what is left of the unit budget
-            centre = h_pinv @ (q_c.T @ signs)
-            rho = 1.0 - np.sum(np.square(centre), axis=0)
-            valid = rho >= -CERT_TOL
-            if not valid.any():
-                continue
-            w_signs, w_v, c_ws = c_pinv @ signs, c_pinv @ b_s, c_w @ c_pinv
-            e_v = t - c_ws @ b_s  # the objective on v once w is eliminated
-            pe_v = e_v - (e_v @ vht.T) @ vht
-            norm = np.sqrt(np.sum(np.square(pe_v), axis=1) + perp_sq)  # |c_N| in the slice
-            norm[norm <= numcore.RANK_RTOL * c_norm] = 0.0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                inv = np.where(norm > 0.0, 1.0 / norm, 0.0)
-            dirs = pe_v * inv[:, None]
-            root = np.sqrt(np.maximum(rho, 0.0))
-            value = c_ws @ signs + e_v @ centre + norm[:, None] * root[None, :]
-            slide = box_v - box_w @ w_v  # box rows along v with w eliminated
-            box = (slide @ centre + box_w @ w_signs)[:, None, :] + (
-                dirs @ slide.T
-            ).T[:, :, None] * root[None, None, :]
-            ok = valid[None, :] & np.all(np.abs(box) <= 1.0 + CERT_TOL, axis=0)
-            value = np.where(ok, value, -np.inf)
-            j = np.argmax(value, axis=1)
-            better = value[rows, j] > best
-            if better.any():
-                jb = j[better]
-                best[better] = value[better, jb]
-                v_best[better] = centre[:, jb].T + root[jb][:, None] * dirs[better]
-                w_best[better] = w_signs[:, jb].T - v_best[better] @ w_v.T
-                tau_best[better] = root[jb] * inv[better]
+        sub, pick, signs = _subsets(k, size)
+        if p:
+            uc, sc, vct = np.linalg.svd(box_w[sub])
+            sub, pick, uc, sc, vct = _keep(sc[:, -1] > numcore.RANK_RTOL * sc[:, 0], sub, pick, uc, sc, vct)
+            c_pinv = (_t(vct) / sc[:, None, :]) @ _t(uc[:, :, :p])
+            q_c = uc[:, :, p:]
+        else:
+            c_pinv = np.zeros((len(sub), 0, size))
+            q_c = np.broadcast_to(np.eye(size), (len(sub), size, size))
+        b_s = box_v[sub]
+        if size > p:
+            uh, sh, vht = np.linalg.svd(_t(q_c) @ b_s, full_matrices=False)
+            full_rank = sh[:, -1] > numcore.RANK_RTOL * np.linalg.norm(b_s, axis=(1, 2))
+            sub, pick, c_pinv, q_c, b_s, uh, sh, vht = _keep(full_rank, sub, pick, c_pinv, q_c, b_s, uh, sh, vht)
+            h_pinv = _t(vht) @ (_t(uh) / sh[:, :, None])
+        else:
+            vht, h_pinv = np.zeros((len(sub), 0, kv)), np.zeros((len(sub), kv, 0))
+        n_sub, n_signs = len(sub), signs.shape[1]
+        n_pat = n_sub * n_signs
+        if not n_sub:
+            continue
+        # the slice: w = c_pinv (sign - b_s v), H v = Q_C' sign, |v|^2 + tau^2 <= r;
+        # its centre minimizes |v|, and t^2 = r - kappa is what is left of the budget
+        y_map = h_pinv @ _t(q_c)
+        centre = y_map @ signs
+        w_signs, w_v, c_ws = c_pinv @ signs, c_pinv @ b_s, c_w @ c_pinv
+        through_w = c_ws @ b_s
+        e_v = t_c - through_w  # the objective on v once w is eliminated
+        pe_v = e_v - (e_v @ _t(vht)) @ vht
+        norm = np.sqrt(np.sum(np.square(pe_v), axis=2) + perp_sq)  # b, |c_N| in the slice
+        norm[norm <= numcore.RANK_RTOL * np.sqrt(u_sq + np.sum(np.square(through_w), axis=2))] = 0.0
+        inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+        dirs = pe_v * inv[:, :, None]
+        slide = box_v - box_w @ w_v  # box rows along v with w eliminated
+        # Y_0 solves C_S'y = c_w and b_s'y = t_c - P e; one refinement step on
+        # the second brings its residual to rounding level, which the
+        # certificate weighs by sqrt(r)
+        y0 = c_ws + (e_v - pe_v) @ y_map
+        y0 = (y0 + ((t_c - pe_v) - y0 @ b_s) @ y_map) @ pick
+        parts.append((
+            np.sum(np.square(centre), axis=1).reshape(n_pat),
+            n_seen + np.repeat(np.arange(n_sub), n_signs),
+            _t(c_ws @ signs + e_v @ centre).reshape(n_pat, n_rows),
+            _t(slide @ centre + box_w @ w_signs).reshape(n_pat, k),
+            _t(centre).reshape(n_pat, kv),
+            _t(w_signs - w_v @ centre).reshape(n_pat, p),
+            (_t(centre) @ y_map @ pick).reshape(n_pat, k),
+            norm,
+            inv,
+            dirs @ _t(slide),
+            dirs,
+            -dirs @ _t(w_v),
+            y0,
+        ))
+        n_seen += n_sub
+    return _Pieces(geom, c, q_u, c_perp, *(np.concatenate(part) for part in zip(*parts)))
 
-            # closed-form multipliers: C_S'y = c_w exactly and b_s'y = t - 2 lambda v
-            # in least squares, through H
-            with np.errstate(divide="ignore", invalid="ignore"):
-                two_lam = np.where(norm[:, None] > 0.0, norm[:, None] / root[None, :], 0.0)
-            lam = np.where(np.isfinite(two_lam), two_lam, 0.0)
-            y_map = h_pinv @ q_c.T
-            base = c_ws + e_v @ y_map
-            y = base[:, None, :] - lam[:, :, None] * (
-                (centre.T @ y_map)[None, :, :] + root[None, :, None] * (dirs @ y_map)[:, None, :]
-            )
-            bound = np.abs(y).sum(axis=2) + two_lam
-            bound = np.where(valid[None, :], bound, np.inf)
-            jb = np.argmin(bound, axis=1)
-            tighter = bound[rows, jb] < best_bound
-            if tighter.any():
-                best_bound[tighter] = bound[tighter, jb[tighter]]
-                y_best[tighter] = 0.0
-                if size:
-                    y_best[np.ix_(tighter, subset)] = y[tighter, jb[tighter]]
 
-    flat = c_norm == 0.0
+def _evaluate(pieces: _Pieces, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximizers and multipliers of the curve's rows at a radius, from the pieces.
+
+    Returns (eta, y): one maximizer per row, its best valid candidate, and
+    the box multipliers of the valid pattern whose closed-form dual bound is
+    smallest for that row. A radius at or below _RADIUS_FLOOR counts as 0.
+    The patterns are taken _BLOCK at a time, which bounds the (patterns,
+    rows, k) arrays.
+    """
+    r = radius if radius > _RADIUS_FLOOR else 0.0
+    c, q_u, c_perp = pieces.c_eta, pieces.q_u, pieces.c_perp
+    n_rows, k = c.shape[0], pieces.alpha.shape[1]
+    rank = c_perp.shape[1]
+    rows = np.arange(n_rows)
+    best = np.full(n_rows, -np.inf)
+    v_best = np.zeros((n_rows, q_u.shape[1]))
+    w_best = np.zeros((n_rows, c.shape[1] - rank))
+    tau_best = np.zeros(n_rows)  # tau / |c_perp|
+    best_bound = np.full(n_rows, np.inf)
+    y_best = np.zeros((n_rows, k))
+    for lo in range(0, pieces.kappa.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        kappa, g = pieces.kappa[block], pieces.g[block]
+        t = np.sqrt(np.maximum(r - kappa, 0.0))
+        valid = kappa <= r * (1.0 + CERT_TOL)
+        if not valid.any():
+            continue
+        b = pieces.b[g]
+        box = pieces.alpha[block, None, :] + pieces.beta[g] * t[:, None, None]
+        ok = valid[:, None] & np.all(np.abs(box) <= 1.0 + CERT_TOL, axis=2)
+        value = np.where(ok, pieces.a[block] + b * t[:, None], -np.inf)
+        j = np.argmax(value, axis=0)
+        better = value[j, rows] > best
+        if better.any():
+            jb, rb = j[better], rows[better]
+            gb, tb = g[jb], t[jb][:, None]
+            best[better] = value[jb, rb]
+            v_best[better] = pieces.centre[lo + jb] + tb * pieces.dirs[gb, rb]
+            w_best[better] = pieces.w0[lo + jb] + tb * pieces.w1[gb, rb]
+            tau_best[better] = tb[:, 0] * pieces.inv_b[gb, rb]
+
+        # closed-form multipliers: y = Y_0 - (b / t) d_map, 2 lambda = r b / t
+        inv_t = np.divide(1.0, t, out=np.zeros_like(t), where=t > 0.0)[:, None]
+        slope = b * inv_t
+        two_lam = np.where(inv_t > 0.0, r * slope, np.where(r * b > 0.0, np.inf, 0.0))
+        y = pieces.y0[g] - slope[:, :, None] * pieces.d_map[block, None, :]
+        bound = np.where(valid[:, None], np.abs(y).sum(axis=2) + two_lam, np.inf)
+        jb = np.argmin(bound, axis=0)
+        tighter = bound[jb, rows] < best_bound
+        if tighter.any():
+            best_bound[tighter] = bound[jb[tighter], rows[tighter]]
+            y_best[tighter] = y[jb[tighter], rows[tighter]]
+
+    flat = ~c[:, rank:].any(axis=1) & ((r == 0.0) | ~c[:, :rank].any(axis=1))
     if not np.all(np.isfinite(best[~flat])):
         raise NumericalFailure("no sign pattern produced a feasible candidate")
     u = v_best @ q_u.T + tau_best[:, None] * c_perp
-    eta = np.hstack([u / s, w_best])
+    eta = np.hstack([u / pieces.geom.s, w_best])
     eta[flat] = 0.0
     y_best[flat] = 0.0
     return eta, y_best
 
 
-def _dual_bound(geom: _Geometry, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weak-duality bound ||y||_1 + sqrt(g' G^+ g), g = c - A'y, per row.
+def _dual_bound(geom: _Geometry, c: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
+    """Weak-duality bound ||y||_1 + sqrt(g' G^+ g), g = c - A'y, per row, at a radius.
 
-    G = diag(s^2, 0), so G^+ reads off s and range(G) is the x block.
+    G = diag(s^2, 0) with the scales s at that radius, so G^+ reads off s
+    and range(G) is the x block.
     """
     g = c - y @ geom.a_rows
     r = geom.s.size
-    inner = np.sum(np.square(g[:, :r] / geom.s), axis=1)
+    inner = np.sum(np.square(g[:, :r] / geom.scales(radius)), axis=1)
     outside = np.linalg.norm(g[:, r:], axis=1)
     tol = numcore.RANK_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
     return np.where(outside <= tol, np.abs(y).sum(axis=1) + np.sqrt(inner), np.inf)
@@ -379,30 +487,57 @@ class _Batch:
     feasibility_residual: float
 
 
-def _solve_batch(geom: _Geometry, c: np.ndarray) -> Optional[_Batch]:
-    """Exact optimum of every row of c, or None when some row is unbounded.
+class ImpactCurve:
+    """The optimum of every row of c as a function of the stealthiness radius.
 
-    Raises NumericalFailure when the duality gap or a constraint residual of
-    any row exceeds CERT_TOL.
+    The program's maps read no radius, so one geometry and one pattern
+    enumeration serve every radius; both run on the curve's first use, and
+    solve only evaluates the pieces and checks the certificate. A sweep
+    keeps one curve per configuration across its epsilons.
     """
-    c = np.asarray(c, dtype=float).reshape(-1, geom.dim_d)
-    c_eta, bounded = geom.objective(c)
-    if not bounded.all():
-        return None
-    eta, y = _solve_rows(geom, c_eta)
-    d_star = geom.decision(eta)
-    mu = np.sum(c * d_star, axis=1)
-    bound = _dual_bound(geom, c_eta, y)
-    gap = np.abs(bound - mu) / np.maximum(np.abs(mu), np.finfo(float).tiny)
-    residual = geom.residual(d_star)
-    worst_gap = float(np.max(gap, initial=0.0))
-    worst_res = float(np.max(residual, initial=0.0))
-    if not worst_gap <= CERT_TOL or not worst_res <= CERT_TOL:
-        raise NumericalFailure(
-            f"optimality certificate not met: duality gap {worst_gap:.3e}, "
-            f"feasibility residual {worst_res:.3e} (tolerance {CERT_TOL:.0e})"
-        )
-    return _Batch(d_star, mu, worst_gap, worst_res)
+
+    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
+        self._maps = (q_box, m_quad, basis)
+        self.c = np.asarray(c, dtype=float).reshape(-1, np.shape(basis)[0])
+
+    @classmethod
+    def of(cls, summary: GaussianSummary) -> "ImpactCurve":
+        """The curve of a summary's critical rows over its feasible set."""
+        return cls(summary.layout.Q, summary.t_r, summary.layout.Z, summary.t_z)
+
+    @cached_property
+    def _pieces(self) -> Optional[_Pieces]:
+        """The enumeration, or None when some row is unbounded."""
+        geom = _Geometry(*self._maps)
+        c_eta, bounded = geom.objective(self.c)
+        return _enumerate(geom, c_eta) if bounded.all() else None
+
+    def solve(self, radius: float) -> Optional[_Batch]:
+        """Exact optimum of every row at a radius, or None when some row is unbounded.
+
+        Raises Infeasible at a negative radius, and NumericalFailure when the
+        duality gap or a constraint residual of any row exceeds CERT_TOL.
+        """
+        if radius < 0:
+            raise Infeasible(f"negative stealthiness radius {radius:.6e}")
+        pieces = self._pieces
+        if pieces is None:
+            return None
+        eta, y = _evaluate(pieces, radius)
+        geom = pieces.geom
+        d_star = geom.decision(eta)
+        mu = np.sum(self.c * d_star, axis=1)
+        bound = _dual_bound(geom, pieces.c_eta, y, radius)
+        gap = np.abs(bound - mu) / np.maximum(np.abs(mu), np.finfo(float).tiny)
+        residual = geom.residual(d_star, radius)
+        worst_gap = float(np.max(gap, initial=0.0))
+        worst_res = float(np.max(residual, initial=0.0))
+        if not worst_gap <= CERT_TOL or not worst_res <= CERT_TOL:
+            raise NumericalFailure(
+                f"optimality certificate not met: duality gap {worst_gap:.3e}, "
+                f"feasibility residual {worst_res:.3e} (tolerance {CERT_TOL:.0e})"
+            )
+        return _Batch(d_star, mu, worst_gap, worst_res)
 
 
 def _empty_report(feasible: bool, unbounded: bool, n_rows: int, dim_d: int, eps_prime: float, sigma: np.ndarray) -> ImpactReport:
@@ -425,17 +560,20 @@ def _empty_report(feasible: bool, unbounded: bool, n_rows: int, dim_d: int, eps_
 
 
 @np.errstate(over="raise")
-def compute_impact(summary: GaussianSummary) -> ImpactReport:
+def compute_impact(summary: GaussianSummary, curve: Optional[ImpactCurve] = None) -> ImpactReport:
     """Solve the program of every critical row in one batch and aggregate.
 
-    Shortcut paths: a residual covariance that is not positive definite, or a
-    negative stealthiness radius, means no attack satisfies the budget and the
-    impact is zero by convention. With a nonnegative radius, a critical row
-    with a component outside the constraint row space (the solver's
-    boundedness test as it reduces the objectives) means the impact grows
-    without bound: the probability metric saturates at 1 and the mean metric
-    is reported as infinity. A floating-point overflow anywhere in the solve
-    raises FloatingPointError rather than returning a wrong number.
+    curve is the configuration's ImpactCurve, which a caller keeps across
+    the epsilons of a sweep; one is built here when none is given. Shortcut
+    paths: a residual covariance that is not positive definite, or a
+    negative stealthiness radius, means no attack satisfies the budget and
+    the impact is zero by convention, and no curve is evaluated. With a
+    nonnegative radius, a critical row with a component outside the
+    constraint row space (the solver's boundedness test as it reduces the
+    objectives) means the impact grows without bound: the probability
+    metric saturates at 1 and the mean metric is reported as infinity. A
+    floating-point overflow anywhere in the solve raises FloatingPointError
+    rather than returning a wrong number.
     """
     layout = summary.layout
     n_rows = summary.t_z.shape[0]
@@ -444,8 +582,9 @@ def compute_impact(summary: GaussianSummary) -> ImpactReport:
     if not summary.residual_cov_pd or summary.eps_prime < 0:
         return _empty_report(False, False, n_rows, dim_d, summary.eps_prime, sigma)
 
-    geom = _Geometry(layout.Q, summary.t_r, layout.Z, summary.eps_prime)
-    batch = _solve_batch(geom, summary.t_z)
+    if curve is None:
+        curve = ImpactCurve.of(summary)
+    batch = curve.solve(summary.eps_prime)
     if batch is None:
         return _empty_report(True, True, n_rows, dim_d, summary.eps_prime, sigma)
 
@@ -468,4 +607,3 @@ def compute_impact(summary: GaussianSummary) -> ImpactReport:
         duality_gap=batch.duality_gap,
         feasibility_residual=batch.feasibility_residual,
     )
-

@@ -9,21 +9,25 @@ import oracles
 from oracles import qclp_dual_bound, scipy_reference_qclp
 
 
-def _solve(c, q_box=None, m_quad=None, f_eq=None, radius=1.0):
-    """One program through the solver's path: the geometry over null(f_eq), then one batch.
-
-    Returns the batch (rows of d_star and mu), or None when the program is unbounded.
-    """
+def _curve(c, q_box=None, m_quad=None, f_eq=None):
+    """The curve of the rows of c over null(f_eq), the solver's path for one program at any radius."""
     c = np.asarray(c, dtype=float)
     n = c.shape[-1]
     f_eq = np.zeros((0, n)) if f_eq is None else np.asarray(f_eq, dtype=float)
-    geom = solver._Geometry(
+    return solver.ImpactCurve(
         np.zeros((0, n)) if q_box is None else q_box,
         np.zeros((0, n)) if m_quad is None else m_quad,
         linalg.null_space(f_eq) if f_eq.size else np.eye(n),
-        radius,
+        c,
     )
-    return solver._solve_batch(geom, c)
+
+
+def _solve(c, q_box=None, m_quad=None, f_eq=None, radius=1.0):
+    """One program through the solver's path: its curve, evaluated at the radius.
+
+    Returns the batch (rows of d_star and mu), or None when the program is unbounded.
+    """
+    return _curve(c, q_box, m_quad, f_eq).solve(radius)
 
 
 def test_quadratic_binds_before_box():
@@ -316,7 +320,7 @@ def _objective_bounded(a, b, as_box):
     """The geometry's verdict on the rows of b, with the rows of a as the box or the quadratic map."""
     empty = np.zeros((0, a.shape[1]))
     q, m = (a, empty) if as_box else (empty, a)
-    return bool(solver._Geometry(q, m, np.eye(a.shape[1]), 1.0).objective(b)[1].all())
+    return bool(solver._Geometry(q, m, np.eye(a.shape[1])).objective(b)[1].all())
 
 
 def test_null_space_containment():
@@ -351,18 +355,21 @@ def test_rank_cut_reads_no_radius():
     """
     q = np.array([[0.0, 0.0, 1.0]])
     m = np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+    curve = _curve(np.eye(3), q_box=q, m_quad=m)
     for radius in (1e-6, 1.0, 1e10, 1e30):
-        batch = solver._solve_batch(solver._Geometry(q, m, np.eye(3), radius), np.eye(3))
+        batch = curve.solve(radius)
         assert batch is not None, radius
         np.testing.assert_allclose(batch.mu, [math.sqrt(radius), 1e3 * math.sqrt(radius), 1.0], rtol=1e-12)
 
 
 def test_geometry_reads_the_radius_only_through_s(scenario):
-    """At r = 0, 1e-13, 1 and 1e30 the axes, box rows and objective verdicts are identical.
+    """The geometry and the pieces read no radius: one curve serves r = 0, 1e-13, 1 and 1e30.
 
-    Only the scales differ: s = inf at and below the floor, which pins x, and
-    s_R / sqrt(r) above it. Random programs with unbounded rows, and the
-    bundled vulnerability_2 injections at epsilon = 0, whose radius is 0.
+    Only the scales read it: s = inf at and below the floor, which pins x,
+    and s_R / sqrt(r) above it. A curve evaluated at one radius after others
+    gives, bit for bit, what a fresh curve gives there, so a sweep's entries
+    equal single runs. Random programs with unbounded rows, and the bundled
+    vulnerability_2 injections at epsilon = 0, whose radius is 0.
     """
     radii = (0.0, 1e-13, 1.0, 1e30)
     rng = np.random.default_rng(19)
@@ -382,19 +389,34 @@ def test_geometry_reads_the_radius_only_through_s(scenario):
         cases.append((summary.layout.Q, summary.t_r, summary.layout.Z, summary.t_z))
     verdicts = set()
     for q, m, basis, c in cases:
-        geoms = [solver._Geometry(q, m, basis, radius) for radius in radii]
-        base = geoms[2]
-        c_eta, bounded = base.objective(c)
+        geom = solver._Geometry(q, m, basis)
+        bounded = geom.objective(c)[1]
         verdicts.update(bounded)
-        for radius, geom in zip(radii, geoms):
-            assert np.array_equal(geom.axes, base.axes) and np.array_equal(geom.a_rows, base.a_rows)
-            got_eta, got_bounded = geom.objective(c)
-            assert np.array_equal(got_eta, c_eta) and np.array_equal(got_bounded, bounded)
+        shared = solver.ImpactCurve(q, m, basis, c)
+        for radius in radii:
             if radius <= solver._RADIUS_FLOOR:
-                assert geom.s.shape == base.s.shape and np.all(geom.s == np.inf)
+                assert geom.scales(radius).shape == geom.s.shape and np.all(geom.scales(radius) == np.inf)
             else:
-                np.testing.assert_allclose(geom.s, base.s / math.sqrt(radius), rtol=1e-15)
+                np.testing.assert_allclose(geom.scales(radius), geom.s / math.sqrt(radius), rtol=1e-15)
+            got = _outcome(shared, radius)
+            assert got == _outcome(solver.ImpactCurve(q, m, basis, c), radius), radius
+            assert (got is None) == (not bounded.all())
     assert verdicts == {False, True}
+
+
+def _outcome(curve, radius):
+    """A solve's result as plain values, or the message it failed with.
+
+    At r = 1e30 the rounding of a box-limited optimum exceeds CERT_TOL on
+    some of these programs (ROADMAP item 6).
+    """
+    try:
+        batch = curve.solve(radius)
+    except solver.NumericalFailure as exc:
+        return str(exc)
+    if batch is None:
+        return None
+    return batch.d_star.tobytes(), batch.mu.tobytes(), batch.duality_gap, batch.feasibility_residual
 
 
 def test_compute_impact_infeasible_path(system):
@@ -433,34 +455,64 @@ def _oracle_cases():
         yield rng.normal(size=(3, n)), q, m, f, radius
 
 
-def _assert_matches_reference(geom, c, ref):
-    batch = solver._solve_batch(geom, c)  # raises unless certified to CERT_TOL
+# One curve per case serves every radius; these include the floor, a radius
+# below it and radii where the box, the ball or both bind.
+RADII = (0.0, 1e-13, 0.05, 0.3, 1.0, 4.0, 1e6)
+
+
+def _assert_matches_reference(curve, radius, ref):
+    batch = curve.solve(radius)  # raises unless certified to CERT_TOL
     if ref is None:
-        assert batch is None
+        assert batch is None, radius
         return 0
-    assert batch is not None
+    assert batch is not None, radius
     _, mu_ref, _, _ = ref
-    np.testing.assert_allclose(batch.mu, mu_ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(mu_ref), initial=1.0))
-    assert batch.duality_gap <= solver.CERT_TOL and batch.feasibility_residual <= solver.CERT_TOL
+    np.testing.assert_allclose(
+        batch.mu, mu_ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(mu_ref), initial=1.0), err_msg=f"radius {radius}"
+    )
+    assert batch.duality_gap <= solver.CERT_TOL and batch.feasibility_residual <= solver.CERT_TOL, radius
     return 1
 
 
 def test_solve_matches_row_space_reference():
-    """The solve in singular coordinates reproduces the row-space pattern solver.
+    """The curve in singular coordinates reproduces the row-space pattern solver at every radius.
 
     The reference keeps the earlier formulation: a row-space basis of the
-    stacked constraint maps and per-pattern SVDs of n-sized matrices.
+    stacked constraint maps and per-pattern SVDs of n-sized matrices, solved
+    afresh at each radius. Each case's curve is built once and evaluated at
+    the case's own radius and at RADII.
     """
     solved = 0
     for c, q, m, f, radius in _oracle_cases():
-        geom = solver._Geometry(q, m, linalg.null_space(f), radius)
-        solved += _assert_matches_reference(geom, c, oracles.reference_solve_rows(c, q, m, f, radius))
-    assert solved >= 30
+        curve = solver.ImpactCurve(q, m, linalg.null_space(f), c)
+        for r in (radius, *RADII):
+            solved += _assert_matches_reference(curve, r, oracles.reference_solve_rows(c, q, m, f, r))
+    assert solved >= 30 * (1 + len(RADII))
+
+
+def test_pattern_blocks_match_row_space_reference():
+    """Six box rows give 3^6 = 729 sign patterns, evaluated in blocks of solver._BLOCK.
+
+    The best candidate and the tightest bound of each row are kept across
+    blocks, as within one.
+    """
+    rng = np.random.default_rng(61)
+    n = 7
+    q, m, c = rng.normal(size=(6, n)), rng.normal(size=(n - 2, n)), rng.normal(size=(4, n))
+    f = rng.normal(size=(1, n))
+    curve = solver.ImpactCurve(q, m, linalg.null_space(f), c)
+    assert curve._pieces.kappa.size > 2 * solver._BLOCK
+    for r in RADII:
+        assert _assert_matches_reference(curve, r, oracles.reference_solve_rows(c, q, m, f, r))
 
 
 @pytest.mark.parametrize("N", [10, 50])
 def test_bundled_solves_match_row_space_reference(scenario, N):
-    """Every feasible configuration of the bundled pairs, against the row-space reference."""
+    """Every feasible configuration of the bundled pairs, against the row-space reference.
+
+    One curve per configuration, evaluated at its radius at the scenario's
+    epsilon and at RADII.
+    """
     solved = 0
     for resources in scenario.vulnerabilities.values():
         for kind in scenario.strategies:
@@ -472,12 +524,11 @@ def test_bundled_solves_match_row_space_reference(scenario, N):
                 )
                 if not summary.residual_cov_pd or summary.eps_prime < 0:
                     continue
-                geom = solver._Geometry(layout.Q, summary.t_r, layout.Z, summary.eps_prime)
-                ref = oracles.reference_solve_rows(
-                    summary.t_z, layout.Q, summary.t_r, _equality_map(layout), summary.eps_prime
-                )
-                solved += _assert_matches_reference(geom, summary.t_z, ref)
-    assert solved >= 6
+                curve = solver.ImpactCurve.of(summary)
+                for r in (summary.eps_prime, *RADII):
+                    ref = oracles.reference_solve_rows(summary.t_z, layout.Q, summary.t_r, _equality_map(layout), r)
+                    solved += _assert_matches_reference(curve, r, ref)
+    assert solved >= 6 * (1 + len(RADII))
 
 
 def test_solve_factors_no_large_matrix_but_the_quadratic_map(scenario, monkeypatch):

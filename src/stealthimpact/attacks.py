@@ -26,6 +26,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import numcore
 from .sysmodel import DimensionMismatch, SystemDims
 
 SUBSET_CAP = 2**12
@@ -260,8 +261,10 @@ def decision_layout(attack: AttackMatrices, N: int, Q_yr: np.ndarray) -> Decisio
     modes = [attack.au_mode] * attack.n_au + [attack.ay_mode] * attack.n_ay
     if not set(modes) <= {FREE, HELD, PINNED}:
         raise ValueError(f"unknown injection mode in {sorted(set(modes))}")
+    dim_d = n_blk + n_yr
+    numcore.require_addressable((dim_d, dim_d), f"decision dimension {dim_d}")
     # channel j of a(k) is entry k * n_a + j; free columns keep that order
-    eye = np.eye(n_blk + n_yr)
+    eye = np.eye(dim_d)
     held = [
         eye[:, j:n_blk:n_a].sum(axis=1, keepdims=True) / np.sqrt(N + 1)
         for j, mode in enumerate(modes)
@@ -270,7 +273,7 @@ def decision_layout(attack: AttackMatrices, N: int, Q_yr: np.ndarray) -> Decisio
     free = eye[:, :n_blk][:, [mode == FREE for mode in modes] * (N + 1)]
     Z = np.hstack(held + [free, eye[:, n_blk:]])
     Q = np.hstack([np.zeros((n_yr, n_blk)), Q_yr])
-    return DecisionLayout(dim_d=n_blk + n_yr, n_a=n_a, n_yr=n_yr, horizon=N, Q=Q, Z=Z)
+    return DecisionLayout(dim_d=dim_d, n_a=n_a, n_yr=n_yr, horizon=N, Q=Q, Z=Z)
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,10 @@ from .scenario import (
 )
 from .solver import (
     CERT_TOL,
-    ImpactCurve,
     ImpactReport,
     NumericalFailure,
     PatternCapExceeded,
+    check_pattern_cap,
     compute_impact,
     first_near_max,
 )
@@ -133,10 +133,10 @@ def _assess_pair(
     Configurations are enumerated in a fixed lexicographic order and ranked by
     exceedance probability; the first one within the solver's certified
     accuracy of the maximum wins. fdi_plus_dos injects on the vulnerability's
-    sensors and denies its actuators. Only the radius
-    depends on epsilon, so each configuration's law is built once, and its
-    ImpactCurve enumerates the sign patterns once, at the first epsilon where
-    its radius is nonnegative; every later value only evaluates the curve.
+    sensors and denies its actuators. Only the radius depends on epsilon, so
+    each configuration's law is built once, and the ImpactCurve its summary
+    carries enumerates the sign patterns once, at the first epsilon where its
+    radius is nonnegative; every later value only evaluates that curve.
     An entry's timing covers the work first done for it: the first entry
     carries the laws, and the entry at a configuration's first feasible
     epsilon its enumeration. With mc_seed every entry is cross-checked by
@@ -146,10 +146,9 @@ def _assess_pair(
     resources = scenario.vulnerabilities[vulnerability]
     cands = candidates(StrategySpec(strategy, resources), scenario.system.dims, scenario.horizon)
     laws = [_candidate_law(scenario, c, epsilons[0]) for c in cands]
-    curves = [ImpactCurve.of(summary) for summary in laws]
     entries = []
     for eps in epsilons:
-        reports = [compute_impact(law.at_epsilon(eps), curve) for law, curve in zip(laws, curves)]
+        reports = [compute_impact(law.at_epsilon(eps)) for law in laws]
         best = first_near_max([r.exceed_prob for r in reports])
         entry = AssessmentEntry(
             vulnerability=vulnerability,
@@ -448,6 +447,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             }
         for eps in epsilons:  # at the largest horizon, before any solve
             kl_budget(max(horizons), scenario.system.plant.n_y, eps)
+        check_pattern_cap(scenario.system.controller.Q_yr.shape[0])  # before any law
         if args.mc_validate:
             needed = min_samples(scenario.system, max(horizons))
             if scenario.mc_samples < needed:

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import numcore
 from .attacks import AttackMatrices, DecisionLayout
+from .solver import ImpactCurve
 from .sysmodel import DimensionMismatch, ExtendedSystem, SystemModel, assemble_extended
 
 # eps' sums terms of size (N+1)(2 eps + n_y); a result within this fraction of
@@ -61,19 +62,17 @@ class GaussianSummary:
     sigma_r_logdet: float
     layout: DecisionLayout
     epsilon: float
+    curve: ImpactCurve  # of the critical rows; built by summarize, shared by every at_epsilon view
 
     @property
     def impact_bounded(self) -> bool:
-        """Whether every critical row is bounded on the feasible set: the solver's own verdict.
+        """Whether every critical row is bounded on the feasible set: the curve's verdict.
 
-        Read off the solver's geometry, which reads no radius, so this is
-        exactly compute_impact's verdict at every feasible epsilon, zero
-        included. No report reads it; each read builds that geometry.
+        It reads no radius, so it is compute_impact's at every feasible
+        epsilon, zero included; the curve caches it, so a read after a solve
+        costs nothing.
         """
-        from .solver import _Geometry  # the solver imports this module
-
-        geom = _Geometry(self.layout.Q, self.t_r, self.layout.Z)
-        return bool(geom.objective(self.t_z)[1].all())
+        return self.curve.bounded
 
     def at_epsilon(self, epsilon: float) -> "GaussianSummary":
         """The same laws and audits under another budget: only the radius moves."""
@@ -257,10 +256,10 @@ def summarize(
 
     The audit is whether Sigma_R = F_R F_R', symmetrized, is positive definite
     (else no attack is stealthy and the radius is -inf), decided Cholesky
-    first (see _residual_audit). Whether the critical rows are bounded on the
-    feasible set is left to the solver, which tests it per row as it reduces
-    each objective. Sigma_Z enters the metrics only through its diagonal, so
-    it is never formed, and Sigma_R is not kept: sigma is F_Z's row norms.
+    first (see _residual_audit). Boundedness is left to the summary's
+    ImpactCurve, which factors nothing until it is first read. Sigma_Z enters
+    the metrics only through its diagonal, so it is never formed, and
+    Sigma_R is not kept: sigma is F_Z's row norms.
     """
     t_z, t_r, f_z, f_r = law
     if t_z.shape[1] != layout.dim_d or t_r.shape[1] != layout.dim_d:
@@ -281,6 +280,7 @@ def summarize(
         sigma_r_logdet=logdet,
         layout=layout,
         epsilon=epsilon,
+        curve=ImpactCurve(layout.Q, t_r, layout.Z, t_z),
     )
 
 

@@ -128,6 +128,7 @@ def _trajectories(
     lam_u, gam_u = attack.lambda_u, attack.gamma_u
     u_ref = (ctrl.L_yr @ y_r)[:, None]
 
+    numcore.require_addressable((n_s, 2 * n_x), f"{n_s} samples")
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     x_e = (system.t_0 @ y_r)[:, None] + system.sqrt_sigma_0 @ rng.standard_normal((n_s, 2 * n_x)).T
     x_next = np.empty_like(x_e)

@@ -43,6 +43,12 @@ class NotPositiveDefinite(ValueError):
     """A matrix required to be positive definite is not."""
 
 
+def require_addressable(shape: tuple[int, ...], what: str) -> None:
+    """Raise MemoryError, as a failed allocation does, for a float64 shape numpy refuses as too big."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{what}: a float64 array of shape {shape} is beyond the address range")
+
+
 @dataclass(frozen=True)
 class SpdCheck:
     is_positive_definite: bool

@@ -9,7 +9,7 @@ the probability, so the worst exceedance probability is max_i P_i and the
 worst expected infinity norm is lower-bounded by max_i mu_i.
 
 Method. compute_impact is the one entry: it evaluates, at the summary's
-radius r, the ImpactCurve of the configuration, which holds the optimum of
+radius r, the ImpactCurve the summary carries, which holds the optimum of
 every critical row as a function of r. The curve works in the coordinates
 xi, over the basis Z that the decision layout writes down in closed form
 from the strategy's injection modes. One SVD of the reduced quadratic map
@@ -81,9 +81,10 @@ so either verdict holds at every radius. A per-radius solve that compared H with
 rows of [R_S C_S], and b with the whole row (t_c, |c_perp|, c_w), mixed such
 terms with unscaled ones and gave these verdicts only as r grows.
 
-The curve enumerates the patterns once, on its first use. compute_impact at
-a radius only evaluates the pieces: per row it keeps the best valid
-candidate, then checks the certificate below at that radius.
+The curve reduces the rows (and so gives the boundedness verdict) once, on
+its first read, and enumerates the patterns once, on its first solve.
+compute_impact at a radius only evaluates the pieces: per row it keeps the
+best valid candidate, then checks the certificate below at that radius.
 
 Exactness. Every candidate is feasible, so the best one is at most the optimum
 mu. Conversely, the optimal set is compact and convex; take an optimal zeta*
@@ -129,12 +130,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import numcore
-from .distrib import GaussianSummary
+
+if TYPE_CHECKING:  # distrib builds each summary's curve from this module
+    from .distrib import GaussianSummary
 
 CERT_TOL = 1e-9
 PATTERN_CAP = 8  # box rows; 3^8 sign patterns
@@ -152,6 +155,12 @@ class NumericalFailure(RuntimeError):
 
 class PatternCapExceeded(ValueError):
     """The reference box has more rows than the active-set enumeration allows."""
+
+
+def check_pattern_cap(box_rows: int) -> None:
+    """Raise PatternCapExceeded when a reference box of box_rows rows is over PATTERN_CAP."""
+    if box_rows > PATTERN_CAP:
+        raise PatternCapExceeded(f"{box_rows} reference-box rows exceed the cap {PATTERN_CAP}")
 
 
 @dataclass
@@ -199,13 +208,9 @@ class _Geometry:
 
     def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray) -> None:
         basis = np.asarray(basis, dtype=float)
-        dim_d = basis.shape[0]
-        q_box = np.asarray(q_box, dtype=float).reshape(-1, dim_d)
-        m_quad = np.asarray(m_quad, dtype=float).reshape(-1, dim_d)
-        if q_box.shape[0] > PATTERN_CAP:
-            raise PatternCapExceeded(
-                f"{q_box.shape[0]} reference-box rows exceed the cap {PATTERN_CAP}"
-            )
+        q_box = np.asarray(q_box, dtype=float).reshape(-1, basis.shape[0])
+        m_quad = np.asarray(m_quad, dtype=float).reshape(-1, basis.shape[0])
+        check_pattern_cap(q_box.shape[0])
 
         m_red = m_quad @ basis
         # keep only the directions the quadratic map sees above rounding level
@@ -222,7 +227,6 @@ class _Geometry:
         self.axes = np.hstack([v_r, wt[:box_only].T])
         self.a_rows = a_red @ self.axes
         self.s = s[:rank]
-        self.dim_d = dim_d
 
     def scales(self, radius: float) -> np.ndarray:
         """The scales s / sqrt(radius) of x at a radius; inf at or below _RADIUS_FLOOR pins x = 0."""
@@ -491,26 +495,32 @@ class ImpactCurve:
     """The optimum of every row of c as a function of the stealthiness radius.
 
     The program's maps read no radius, so one geometry and one pattern
-    enumeration serve every radius; both run on the curve's first use, and
-    solve only evaluates the pieces and checks the certificate. A sweep
-    keeps one curve per configuration across its epsilons.
+    enumeration serve every radius. Building a curve factors nothing, so a
+    configuration over budget at every epsilon never factors; summarize
+    attaches one curve to each GaussianSummary.
     """
 
     def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
         self._maps = (q_box, m_quad, basis)
         self.c = np.asarray(c, dtype=float).reshape(-1, np.shape(basis)[0])
 
-    @classmethod
-    def of(cls, summary: GaussianSummary) -> "ImpactCurve":
-        """The curve of a summary's critical rows over its feasible set."""
-        return cls(summary.layout.Q, summary.t_r, summary.layout.Z, summary.t_z)
+    @cached_property
+    def _reduced(self) -> tuple[_Geometry, np.ndarray, bool]:
+        """The geometry, the reduced rows and whether every row is bounded."""
+        geom = _Geometry(*self._maps)
+        c_eta, bounded = geom.objective(self.c)
+        return geom, c_eta, bool(bounded.all())
+
+    @property
+    def bounded(self) -> bool:
+        """Whether every row is bounded on the feasible set; the same at every radius."""
+        return self._reduced[2]
 
     @cached_property
     def _pieces(self) -> Optional[_Pieces]:
         """The enumeration, or None when some row is unbounded."""
-        geom = _Geometry(*self._maps)
-        c_eta, bounded = geom.objective(self.c)
-        return _enumerate(geom, c_eta) if bounded.all() else None
+        geom, c_eta, bounded = self._reduced
+        return _enumerate(geom, c_eta) if bounded else None
 
     def solve(self, radius: float) -> Optional[_Batch]:
         """Exact optimum of every row at a radius, or None when some row is unbounded.
@@ -540,70 +550,47 @@ class ImpactCurve:
         return _Batch(d_star, mu, worst_gap, worst_res)
 
 
-def _empty_report(feasible: bool, unbounded: bool, n_rows: int, dim_d: int, eps_prime: float, sigma: np.ndarray) -> ImpactReport:
-    fill = math.nan if unbounded else 0.0
-    return ImpactReport(
-        mu=np.full(n_rows, fill),
-        sigma=sigma,
-        p_exceed=np.full(n_rows, fill),
-        d_star=np.zeros((n_rows, dim_d)),
-        exceed_prob=1.0 if unbounded else 0.0,
-        mean_lower=math.inf if unbounded else 0.0,
-        argmax_exceed=None,
-        argmax_mean=None,
-        feasible=feasible,
-        unbounded=unbounded,
-        eps_prime=eps_prime,
-        duality_gap=0.0,
-        feasibility_residual=0.0,
-    )
-
-
 @np.errstate(over="raise")
-def compute_impact(summary: GaussianSummary, curve: Optional[ImpactCurve] = None) -> ImpactReport:
+def compute_impact(summary: GaussianSummary) -> ImpactReport:
     """Solve the program of every critical row in one batch and aggregate.
 
-    curve is the configuration's ImpactCurve, which a caller keeps across
-    the epsilons of a sweep; one is built here when none is given. Shortcut
-    paths: a residual covariance that is not positive definite, or a
-    negative stealthiness radius, means no attack satisfies the budget and
-    the impact is zero by convention, and no curve is evaluated. With a
+    The solve evaluates summary.curve at the summary's radius. A residual
+    covariance that is not positive definite, or a negative radius, means no
+    attack satisfies the budget: the impact is zero by convention and the
+    curve is not read. With a
     nonnegative radius, a critical row with a component outside the
-    constraint row space (the solver's boundedness test as it reduces the
-    objectives) means the impact grows without bound: the probability
-    metric saturates at 1 and the mean metric is reported as infinity. A
-    floating-point overflow anywhere in the solve raises FloatingPointError
-    rather than returning a wrong number.
+    constraint row space (the curve's boundedness verdict) means the impact
+    grows without bound: the probability metric saturates at 1 and the mean
+    metric is reported as infinity. A floating-point overflow anywhere in
+    the solve raises FloatingPointError rather than returning a wrong number.
     """
-    layout = summary.layout
-    n_rows = summary.t_z.shape[0]
-    dim_d = layout.dim_d
-    sigma = summary.sigma
-    if not summary.residual_cov_pd or summary.eps_prime < 0:
-        return _empty_report(False, False, n_rows, dim_d, summary.eps_prime, sigma)
-
-    if curve is None:
-        curve = ImpactCurve.of(summary)
-    batch = curve.solve(summary.eps_prime)
-    if batch is None:
-        return _empty_report(True, True, n_rows, dim_d, summary.eps_prime, sigma)
-
-    mu = batch.mu
-    p = np.asarray(numcore.gaussian_exceed(mu, sigma))
-    argmax_p = first_near_max(p)
-    argmax_mu = first_near_max(mu)
+    n_rows, sigma = summary.t_z.shape[0], summary.sigma
+    feasible = bool(summary.residual_cov_pd and summary.eps_prime >= 0)
+    batch = summary.curve.solve(summary.eps_prime) if feasible else None
+    unbounded = feasible and batch is None
+    if batch is None:  # no row is solved: the impact is zero or unbounded
+        fill = math.nan if unbounded else 0.0
+        mu, p, d_star = np.full(n_rows, fill), np.full(n_rows, fill), np.zeros((n_rows, summary.layout.dim_d))
+        argmax_p = argmax_mu = None
+        exceed_prob, mean_lower = (1.0, math.inf) if unbounded else (0.0, 0.0)
+        gap = residual = 0.0
+    else:
+        mu, d_star, gap, residual = batch.mu, batch.d_star, batch.duality_gap, batch.feasibility_residual
+        p = np.asarray(numcore.gaussian_exceed(mu, sigma))
+        argmax_p, argmax_mu = first_near_max(p), first_near_max(mu)
+        exceed_prob, mean_lower = float(p[argmax_p]), float(mu[argmax_mu])
     return ImpactReport(
         mu=mu,
         sigma=sigma,
         p_exceed=p,
-        d_star=batch.d_star,
-        exceed_prob=float(p[argmax_p]),
-        mean_lower=float(mu[argmax_mu]),
+        d_star=d_star,
+        exceed_prob=exceed_prob,
+        mean_lower=mean_lower,
         argmax_exceed=argmax_p,
         argmax_mean=argmax_mu,
-        feasible=True,
-        unbounded=False,
+        feasible=feasible,
+        unbounded=unbounded,
         eps_prime=summary.eps_prime,
-        duality_gap=batch.duality_gap,
-        feasibility_residual=batch.feasibility_residual,
+        duality_gap=gap,
+        feasibility_residual=residual,
     )

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -210,6 +211,21 @@ def test_eps_sweep_enumerates_each_configuration_once(tmp_path, monkeypatch):
     single = svd_count("--sweep", "eps", "--values", repr(CRITERION_6_EPSILONS[-1]))
     assert single > 0
     assert svd_count("--sweep", "eps", "--values", values) == single
+
+
+def test_over_budget_configurations_take_no_svd(scenario, monkeypatch):
+    """A configuration whose radius is negative builds its curve without factoring anything.
+
+    Every rerouting configuration of vulnerability_1 is over budget at N = 50.
+    """
+    long = dataclasses.replace(scenario, horizon=50)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an over-budget configuration took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    entry = cli.assess(long, "vulnerability_1", "rerouting")
+    assert not entry.report.feasible and entry.candidates_evaluated == 3
 
 
 def test_large_budgets_certified(tmp_path):
@@ -485,15 +501,29 @@ def _write_scenario(tmp_path, doc):
     return path
 
 
-def test_pattern_cap_exit_code(tmp_path, capsys):
+def _no_law(*args, **kwargs):
+    raise AssertionError("built a law before rejecting the input")
+
+
+def test_pattern_cap_exit_code(tmp_path, capsys, monkeypatch):
+    """A reference box over the solver's cap exits 2 before any law is built, for every pair.
+
+    The cap is a property of the scenario: the pairs whose configurations are
+    all over budget never reach the solver, and are refused all the same.
+    """
     doc = json.loads(bundled_scenario_path().read_text())
     n_yr = 9
     doc["controller"]["L_yr"] = [row + [0.0] * (n_yr - len(row)) for row in doc["controller"]["L_yr"]]
     doc["controller"]["Q_yr"] = (0.4 * np.eye(n_yr)).tolist()
     path = _write_scenario(tmp_path, doc)
-    code, _ = _run(tmp_path, "--scenario", str(path), "--vulnerability", "vulnerability_2", "--strategy", "fdi")
-    assert code == cli.EXIT_VALIDATION
-    assert "reference-box rows" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "gaussian_summary", _no_law)
+    for vulnerability in doc["vulnerabilities"]:
+        for strategy in doc["strategies"]:
+            code = cli.main(["assess", "--scenario", str(path), "--vulnerability", vulnerability, "--strategy", strategy])
+            out, err = capsys.readouterr()
+            assert code == cli.EXIT_VALIDATION, (vulnerability, strategy)
+            assert out == ""
+            assert err == "error: 9 reference-box rows exceed the cap 8\n"
 
 
 def test_loader_rejections_exit_code(tmp_path, capsys):
@@ -607,15 +637,41 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys, scale, strategy):
     assert err.startswith("numerical failure: overflow encountered in ") and err.count("\n") == 1
 
 
-def test_out_of_memory_exit_code(tmp_path, capsys):
-    """A horizon whose decision layout cannot be allocated ends with exit 3 and one line.
+_OVERSIZED_STRATEGIES = ("fdi", "bias_injection", "replay_dos")
+
+
+@pytest.mark.parametrize(
+    "changes, extra",
+    [
+        pytest.param({"horizon": 1_000_000}, ["--strategy", "fdi"], id="horizon-1e6-fdi"),
+        *(
+            pytest.param({"horizon": n}, ["--strategy", s], id=f"horizon-{label}-{s}")
+            for n, label in ((10**12, "1e12"), (2**62, "2^62"))
+            for s in _OVERSIZED_STRATEGIES
+        ),
+        *(
+            pytest.param({}, ["--strategy", "fdi", "--sweep", "N", "--values", v], id=f"sweep-N-{label}")
+            for v, label in (("1000000000000", "1e12"), ("99999999999999999999999", "1e23"))
+        ),
+        pytest.param(
+            {"mc": {"samples": 10**30, "seed": 0}},
+            ["--mc-validate", "--vulnerability", "vulnerability_2", "--strategy", "fdi"],
+            id="mc-samples-1e30",
+        ),
+    ],
+)
+def test_out_of_memory_exit_code(tmp_path, capsys, changes, extra):
+    """An array too large to allocate ends with exit 3 and one line.
 
     At N = 10^6 the first large request, the identity basis of fdi's
-    (N+1)*4 + 3 decision entries, asks for about 116 TiB and fails at once.
+    (N+1)*4 + 3 decision entries, asks for about 116 TiB and numpy's
+    MemoryError ends the run. Longer horizons, and 10^30 Monte Carlo samples,
+    ask for shapes beyond the address range, which numpy refuses with a
+    ValueError: the decision layout and the sampler check those sizes first.
     """
     doc = json.loads(bundled_scenario_path().read_text())
-    doc["horizon"] = 1_000_000
-    code = cli.main(["assess", "--scenario", str(_write_scenario(tmp_path, doc)), "--strategy", "fdi"])
+    doc.update(changes)
+    code = cli.main(["assess", "--scenario", str(_write_scenario(tmp_path, doc)), *extra])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_NUMERICAL
     assert out == ""

@@ -283,6 +283,7 @@ def test_summary_at_another_epsilon(system):
         assert moved.epsilon == eps
         assert moved.eps_prime == fresh.eps_prime
         assert moved.t_z is summary.t_z and moved.sigma is summary.sigma
+        assert moved.curve is summary.curve
         assert moved.impact_bounded == fresh.impact_bounded
     singular = dataclasses.replace(summary, residual_cov_pd=False, eps_prime=-np.inf)
     assert singular.at_epsilon(5.0).eps_prime == -np.inf

@@ -50,6 +50,23 @@ def test_corner_solution():
     assert np.allclose(res.d_star[0], [1.0, 1.0], atol=1e-4)
 
 
+@pytest.mark.parametrize("c", [[0.1, 1.0], [0.3, 1.0]])
+@pytest.mark.parametrize("radius", [2.0 * (1.0 - 1e-12), 2.0, 2.0 * (1.0 + 1e-12)])
+def test_certificate_at_a_degenerate_optimum(c, radius):
+    """The vertex (1, 1) of the box lies on the ball |d|^2 = 2, where three sign patterns tie.
+
+    Both box rows, and either box row with the ball, attain c'(1, 1). At
+    r = 2 the multipliers of the first box row with the ball bound the
+    optimum by 2 + |c_1 - 1| instead, so the certificate holds only when each
+    row takes the valid pattern with the smallest dual bound, not the first
+    best value.
+    """
+    res = _solve(c, q_box=np.eye(2), m_quad=np.eye(2), radius=radius)
+    assert res.mu[0] == pytest.approx(sum(c), abs=1e-9)
+    assert np.allclose(res.d_star[0], [1.0, 1.0], atol=1e-9)
+    assert res.duality_gap <= solver.CERT_TOL
+
+
 def test_full_rank_equalities_pin_origin():
     res = _solve([1.0, 1.0], q_box=np.eye(2), m_quad=np.eye(2), f_eq=np.eye(2))
     assert res is not None
@@ -295,6 +312,38 @@ def test_solver_boundedness_matches_audit(scenario):
     assert verdicts == {False, True}
 
 
+def test_boundedness_read_after_a_solve_takes_no_svd(scenario, monkeypatch):
+    """impact_bounded is the curve's cached verdict: after compute_impact a read factors nothing.
+
+    Every feasible configuration of the bundled pairs at the scenario's
+    horizon and epsilon, the read that the bench tracer makes after each solve.
+    """
+    N = scenario.horizon
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    feasible = 0
+    for resources in scenario.vulnerabilities.values():
+        for kind in scenario.strategies:
+            spec = attacks.StrategySpec(kind, resources)
+            for cand in attacks.candidates(spec, scenario.system.dims, N):
+                summary = cli._candidate_law(scenario, cand, scenario.epsilon)
+                if not summary.residual_cov_pd or summary.eps_prime < 0:
+                    continue
+                report = solver.compute_impact(summary)
+                calls.clear()
+                monkeypatch.setattr(np.linalg, "svd", counted)
+                bounded = summary.impact_bounded
+                monkeypatch.undo()
+                assert calls == [], kind
+                assert bounded == (not report.unbounded), kind
+                feasible += 1
+    assert feasible == 7
+
+
 @pytest.mark.parametrize("kind", ["fdi", "bias_injection"])
 def test_boundedness_does_not_depend_on_epsilon(scenario, kind):
     """vulnerability_2's injections stay bounded at every budget, and the mean bound grows with it.
@@ -524,7 +573,7 @@ def test_bundled_solves_match_row_space_reference(scenario, N):
                 )
                 if not summary.residual_cov_pd or summary.eps_prime < 0:
                     continue
-                curve = solver.ImpactCurve.of(summary)
+                curve = summary.curve
                 for r in (summary.eps_prime, *RADII):
                     ref = oracles.reference_solve_rows(summary.t_z, layout.Q, summary.t_r, _equality_map(layout), r)
                     solved += _assert_matches_reference(curve, r, ref)

@@ -31,7 +31,7 @@ from .attacks import (
     candidates,
     decision_layout,
 )
-from .distrib import BudgetOverflow, GaussianSummary, gaussian_summary, kl_budget
+from .distrib import BudgetOverflow, GaussianSummary, gaussian_summaries, kl_budget
 from .mcvalidate import SimulationConfig, kl_verdict, min_samples, simulate
 from .scenario import (
     DimensionError,
@@ -114,13 +114,6 @@ def _variant_label(cand: Candidate, resources) -> str:
     return f"sensors={_fmt_idx(v['sensors'])};actuators={_fmt_idx(v['actuators'])}"
 
 
-def _candidate_law(scenario: Scenario, cand: Candidate, epsilon: float) -> GaussianSummary:
-    """Gaussian summary at epsilon of one configuration, carrying its decision layout."""
-    N = scenario.horizon
-    layout = decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
-    return gaussian_summary(scenario.system, cand.attack, layout, scenario.q_z, N, epsilon)
-
-
 def _assess_pair(
     scenario: Scenario,
     vulnerability: str,
@@ -134,18 +127,19 @@ def _assess_pair(
     exceedance probability; the first one within the solver's certified
     accuracy of the maximum wins. fdi_plus_dos injects on the vulnerability's
     sensors and denies its actuators. Only the radius depends on epsilon, so
-    each configuration's law is built once, and the ImpactCurve its summary
-    carries enumerates the sign patterns once, at the first epsilon where its
-    radius is nonnegative; every later value only evaluates that curve.
-    An entry's timing covers the work first done for it: the first entry
-    carries the laws, and the entry at a configuration's first feasible
-    epsilon its enumeration. With mc_seed every entry is cross-checked by
-    simulation.
+    the pair's configurations are audited once, in one batch, and each
+    summary stacks its maps and enumerates the sign patterns of its
+    ImpactCurve once, at the first epsilon where its radius is nonnegative;
+    every later value only evaluates that curve. An entry's timing covers
+    the work first done for it: the first entry carries the audit, and the
+    entry at a configuration's first feasible epsilon its maps and
+    enumeration. With mc_seed every entry is cross-checked by simulation.
     """
     t0 = time.perf_counter()
-    resources = scenario.vulnerabilities[vulnerability]
-    cands = candidates(StrategySpec(strategy, resources), scenario.system.dims, scenario.horizon)
-    laws = [_candidate_law(scenario, c, epsilons[0]) for c in cands]
+    N, system, resources = scenario.horizon, scenario.system, scenario.vulnerabilities[vulnerability]
+    cands = candidates(StrategySpec(strategy, resources), system.dims, N)
+    layouts = [decision_layout(c.attack, N, system.controller.Q_yr) for c in cands]
+    laws = gaussian_summaries(system, [c.attack for c in cands], layouts, scenario.q_z, N, epsilons[0])
     entries = []
     for eps in epsilons:
         reports = [compute_impact(law.at_epsilon(eps)) for law in laws]

@@ -8,10 +8,18 @@ it. stack_dynamics builds that law directly, as
     z = T_Z d + F_Z e,    r = T_R d + F_R e,    e ~ N(0, I),
 
 where e whitens the initial state x_e(start) ~ N(t_0 y_r, Sigma_0) and the
-noise window f(start..N), white with per-step covariance Sigma_f. summarize
-audits Sigma_R = F_R F_R', keeps the row norms of F_Z, the marginal standard
-deviations of z, and reduces the stealthiness budget on the residual KL rate
-to the quadratic constraint d' T_R' T_R d <= eps_prime.
+noise window f(start..N), white with per-step covariance Sigma_f. A summary
+keeps sigma, the marginal standard deviations of z, and an audit of
+Sigma_R = F_R F_R' (its definiteness, trace and ln det), which reduces the
+stealthiness budget on the residual KL rate to the quadratic constraint
+d' T_R' T_R d <= eps_prime; the radius eps' at another epsilon costs O(1).
+
+The audit comes first. Outside replay it and sigma come from one
+square-root innovation recursion over a batch of configurations
+(_innovation_audit), and the mean maps T_Z and T_R are stacked only when a
+solve first reads them, so a configuration over budget at every epsilon of a
+run is never stacked. Replay's x_e(0) is correlated with its recording, so
+summarize audits its stacked Sigma_R (_residual_audit).
 
 The maps are built in lifted form. With A = A_cl of the attacked loop and
 out = [critical map; C_r], the row block of step k is
@@ -28,14 +36,14 @@ gamma_y' [C 0] and direct term gamma_y' on w, and x_e(0) follows in closed
 form from the same powers. Both are affine in (x_e(start), f(start..-1),
 y_r), and the recorded stack is the sensor injection a_y(0..N), so one product
 [m_x | sensor columns of m_a] R substitutes the window into every row.
-Sigma_R is factored once per configuration, so the radius eps' at another
-epsilon costs O(1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -49,20 +57,59 @@ from .sysmodel import DimensionMismatch, ExtendedSystem, SystemModel, assemble_e
 _RADIUS_RTOL = 1e-12
 
 
+class _Maps:
+    """A configuration's mean maps (T_Z, T_R) and the ImpactCurve of its critical rows.
+
+    Built on first read and shared by every at_epsilon view of its summary,
+    so a configuration that no solve reads is never stacked.
+    """
+
+    def __init__(self, build: Callable[[], tuple], layout: DecisionLayout) -> None:
+        self._build, self._layout = build, layout  # build() starts with (T_Z, T_R)
+
+    @cached_property
+    def means(self) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(over="raise"):
+            t_z, t_r, *_ = self._build()
+        self._build = None
+        return t_z, t_r
+
+    @cached_property
+    def curve(self) -> ImpactCurve:
+        t_z, t_r = self.means
+        return ImpactCurve(self._layout.Q, t_r, self._layout.Z, t_z)
+
+
 @dataclass
 class GaussianSummary:
-    """Mean maps, critical standard deviations and Sigma_R audit of a window's law."""
+    """Critical standard deviations and Sigma_R audit of a window's law, with its maps on demand.
 
-    t_z: np.ndarray
+    The fields decide whether the configuration is within budget; t_z, t_r
+    and curve read its _Maps, which compute_impact reads only to solve.
+    """
+
     sigma: np.ndarray  # sqrt(diag Sigma_Z), the marginal standard deviations
-    t_r: np.ndarray
     eps_prime: float
     residual_cov_pd: bool
     sigma_r_trace: float  # tr and ln det of Sigma_R; nan when it is not positive definite
     sigma_r_logdet: float
+    n_y: int  # residual components per step
     layout: DecisionLayout
     epsilon: float
-    curve: ImpactCurve  # of the critical rows; built by summarize, shared by every at_epsilon view
+    maps: _Maps  # shared by every at_epsilon view
+
+    @property
+    def t_z(self) -> np.ndarray:
+        return self.maps.means[0]
+
+    @property
+    def t_r(self) -> np.ndarray:
+        return self.maps.means[1]
+
+    @property
+    def curve(self) -> ImpactCurve:
+        """The ImpactCurve of the critical rows; building it stacks the maps, factoring nothing."""
+        return self.maps.curve
 
     @property
     def impact_bounded(self) -> bool:
@@ -81,8 +128,7 @@ class GaussianSummary:
         eps_p = self.eps_prime  # -inf when Sigma_R is not positive definite
         if self.residual_cov_pd:
             N = self.layout.horizon
-            n_y = len(self.t_r) // (N + 1)
-            eps_p = _radius(N, n_y, epsilon, self.sigma_r_trace, self.sigma_r_logdet)
+            eps_p = _radius(N, self.n_y, epsilon, self.sigma_r_trace, self.sigma_r_logdet)
         return replace(self, epsilon=epsilon, eps_prime=eps_p)
 
 
@@ -213,11 +259,13 @@ def _lifted_rows(
 
 
 def _residual_audit(sigma_r: np.ndarray) -> tuple[bool, float, float]:
-    """Whether Sigma_R is positive definite, with its trace and ln det (nan when not).
+    """Whether a stacked Sigma_R is positive definite, with its trace and ln det (nan when not).
 
-    numcore.spd_factor factors Sigma_R first: a failed factorization settles
-    the verdict without an eigenvalue solve, and on success the same factor
-    gives ln det, summed from its diagonal so that it cannot overflow.
+    Replay's audit; every other configuration is audited by
+    _innovation_audit. numcore.spd_factor factors Sigma_R first: a failed
+    factorization settles the verdict without an eigenvalue solve, and on
+    success the same factor gives ln det, summed from its diagonal so that
+    it cannot overflow.
     """
     factor = numcore.spd_factor(sigma_r)
     if factor is None:
@@ -252,14 +300,13 @@ def summarize(
     layout: DecisionLayout,
     epsilon: float,
 ) -> GaussianSummary:
-    """Gaussian summary of stack_dynamics' law, with the one audit the solver reads.
+    """Gaussian summary of a stacked law from stack_dynamics, audited on Sigma_R itself.
 
-    The audit is whether Sigma_R = F_R F_R', symmetrized, is positive definite
-    (else no attack is stealthy and the radius is -inf), decided Cholesky
-    first (see _residual_audit). Boundedness is left to the summary's
-    ImpactCurve, which factors nothing until it is first read. Sigma_Z enters
-    the metrics only through its diagonal, so it is never formed, and
-    Sigma_R is not kept: sigma is F_Z's row norms.
+    Replay's route, whose x_e(0) is correlated with the recording: the audit
+    is whether Sigma_R = F_R F_R', symmetrized, is positive definite (else no
+    attack is stealthy and the radius is -inf), decided Cholesky first (see
+    _residual_audit). Sigma_Z enters the metrics only through its diagonal,
+    so it is never formed, and Sigma_R is not kept: sigma is F_Z's row norms.
     """
     t_z, t_r, f_z, f_r = law
     if t_z.shape[1] != layout.dim_d or t_r.shape[1] != layout.dim_d:
@@ -269,22 +316,121 @@ def summarize(
     N = layout.horizon
     n_y = len(t_r) // (N + 1)
     eps_p = _radius(N, n_y, epsilon, trace, logdet) if residual_cov_pd else -np.inf
-
     return GaussianSummary(
-        t_z=t_z,
         sigma=np.sqrt(np.sum(f_z * f_z, axis=1)),
-        t_r=t_r,
         eps_prime=eps_p,
         residual_cov_pd=residual_cov_pd,
         sigma_r_trace=trace,
         sigma_r_logdet=logdet,
+        n_y=n_y,
         layout=layout,
         epsilon=epsilon,
-        curve=ImpactCurve(layout.Q, t_r, layout.Z, t_z),
+        maps=_Maps(lambda: (t_z, t_r), layout),
     )
 
 
+def _innovation_audit(
+    exts: list[ExtendedSystem], system: SystemModel, q_z: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sigma_R's PD verdict, trace and ln det, and sigma, for a batch of loops without a recording.
+
+    The residual r(0..N) is the output of the loop (A_cl, B_f, C_r, D_f) from
+    x_e(0) ~ N(., Sigma_0), driven by white f ~ N(0, Sigma_f), so
+    Sigma_R = L diag(S_k) L' with S_k the innovation covariances of a Kalman
+    filter for that model (Schweppe's prediction-error decomposition), and
+    ln det Sigma_R = sum_k ln det S_k. Each step factors the pre-array
+    [D_f Sigma_f^1/2, C_r Pi^1/2; B_f Sigma_f^1/2, A_cl Pi^1/2] of every loop
+    at once, by one QR of its transpose: the leading n_y pivots are the
+    diagonal of a triangular S_k^1/2, the trailing block Pi^1/2 of the next
+    step.
+    Sigma_R counts as positive definite when its smallest pivot squared is
+    above PD_RTOL max(1, tr Sigma_R); ln det is nan otherwise, and no zero
+    pivot reaches a log. The marginal variances come from the row norms of
+    [critical map; C_r] A_cl^k (Sigma_0^1/2 | B_f Sigma_f^1/2), the noise
+    term summed over lags below k, so tr Sigma_R and sigma need no stacked
+    matrix. Returns (pd, trace, logdet, sigma), one row per loop.
+    """
+    B, n_y, n_e, n_z = len(exts), system.plant.n_y, 2 * system.plant.n_x, q_z.shape[0]
+    n_f = exts[0].n_f
+    A = np.stack([e.A_cl for e in exts])
+    noise = np.stack([np.vstack([e.D_f, e.B_f]) for e in exts]) @ system.sqrt_sigma_f
+    out = np.concatenate([np.broadcast_to(q_z, (B, n_z, n_e)), np.stack([e.C_r for e in exts])], axis=1)
+    drive = np.concatenate([np.broadcast_to(system.sqrt_sigma_0, (B, n_e, n_e)), noise[:, n_y:]], axis=2)
+    sq = np.square(out[:, None] @ numcore.matrix_powers(A, N) @ drive[:, None])  # [loop, k, row]
+    var = sq[..., :n_e].sum(axis=-1)  # from x_e(0), then from f(j) at the lags k - 1 - j >= 0
+    var[:, 1:] += np.cumsum(sq[:, :-1, :, n_e:].sum(axis=-1), axis=1)
+    sigma = np.sqrt(var[:, 1:, :n_z]).reshape(B, N * n_z)
+    direct = np.square(noise[:, :n_y]).reshape(B, -1).sum(axis=1)
+    trace = var[:, :, n_z:].reshape(B, -1).sum(axis=1) + (N + 1) * direct
+
+    # The transposed pre-array: fixed rows Sigma_f^1/2 [D_f' B_f'] over rows
+    # Pi^1/2' [C_r' A_cl'] that each step rewrites; Pi_0^1/2 = Sigma_0^1/2.
+    pre = np.empty((B, n_f + n_e, n_y + n_e))
+    pre[:, :n_f] = noise.transpose(0, 2, 1)
+    gain = np.ascontiguousarray(np.concatenate([out[:, n_z:], A], axis=1).transpose(0, 2, 1))
+    root = np.array(np.broadcast_to(system.sqrt_sigma_0, (B, n_e, n_e)))
+    upper = np.triu(np.ones((n_e, n_e)))
+    heads = np.empty((B, N + 1, n_y, n_y))
+    for k in range(N + 1):
+        np.matmul(root, gain, out=pre[:, n_f:])
+        r = np.linalg.qr(pre, mode="raw")[0].transpose(0, 2, 1)  # R on and above the diagonal
+        heads[:, k] = r[:, :n_y, :n_y]
+        np.multiply(r[:, n_y : n_y + n_e, n_y:], upper, out=root)  # Pi^1/2' of step k + 1
+    pivots = np.diagonal(heads, axis1=2, axis2=3)
+    squares = np.square(pivots).reshape(B, -1)
+    pd = squares.min(axis=1) > numcore.PD_RTOL * np.maximum(1.0, trace)
+    logdet = np.full(B, np.nan)
+    logdet[pd] = np.log(squares[pd]).sum(axis=1)
+    trace = np.where(pd, trace, np.nan)
+    return pd, trace, logdet, sigma
+
+
 @np.errstate(over="raise")
+def gaussian_summaries(
+    system: SystemModel,
+    attacks: list[AttackMatrices],
+    layouts: list[DecisionLayout],
+    q_z: np.ndarray,
+    N: int,
+    epsilon: float,
+) -> list[GaussianSummary]:
+    """Gaussian summaries at epsilon of configurations of one system, audited together.
+
+    Replay configurations are stacked and summarized one by one. All others
+    are audited by one _innovation_audit, and each one's mean maps are
+    stacked on first read. A floating-point overflow raises
+    FloatingPointError: in the audit at once, in the mean maps when they are
+    first read.
+    """
+    if N < 1:
+        raise ValueError("horizon must be at least 1")
+    exts = [assemble_extended(system.plant, system.controller, system.estimator, a) for a in attacks]
+    summaries: list = [None] * len(attacks)
+    batch = []
+    for i, (ext, attack, layout) in enumerate(zip(exts, attacks, layouts)):
+        if attack.has_recording:
+            summaries[i] = summarize(stack_dynamics(ext, attack, system, q_z, N), layout, epsilon)
+        elif layout.dim_d != (N + 1) * attack.n_a + ext.n_yr:
+            raise DimensionMismatch("maps and decision layout disagree on dim_d")
+        else:
+            batch.append(i)
+    if batch:
+        audit = _innovation_audit([exts[i] for i in batch], system, q_z, N)
+        for i, pd, trace, logdet, sigma in zip(batch, *audit):
+            summaries[i] = GaussianSummary(
+                sigma=sigma,
+                eps_prime=_radius(N, system.plant.n_y, epsilon, trace, logdet) if pd else -np.inf,
+                residual_cov_pd=bool(pd),
+                sigma_r_trace=float(trace),
+                sigma_r_logdet=float(logdet),
+                n_y=system.plant.n_y,
+                layout=layouts[i],
+                epsilon=epsilon,
+                maps=_Maps(partial(stack_dynamics, exts[i], attacks[i], system, q_z, N), layouts[i]),
+            )
+    return summaries
+
+
 def gaussian_summary(
     system: SystemModel,
     attack: AttackMatrices,
@@ -293,9 +439,10 @@ def gaussian_summary(
     N: int,
     epsilon: float,
 ) -> GaussianSummary:
-    """End-to-end pipeline from a system and one attack configuration.
+    """Gaussian summary of one attack configuration: gaussian_summaries on a batch of one.
 
-    A floating-point overflow in the law raises FloatingPointError.
+    Its audit, sigma and radius equal, bit for bit, those the configuration
+    gets in any batch. A floating-point overflow raises FloatingPointError:
+    in the audit at once, in the mean maps when they are first read.
     """
-    ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
-    return summarize(stack_dynamics(ext, attack, system, q_z, N), layout, epsilon)
+    return gaussian_summaries(system, [attack], [layout], q_z, N, epsilon)[0]

@@ -193,11 +193,16 @@ def solve_lyapunov(A_e: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def matrix_powers(A: np.ndarray, N: int) -> np.ndarray:
-    """A^0..A^N stacked along the first axis, by doubling."""
-    powers = np.eye(A.shape[0])[None]
-    while powers.shape[0] <= N:
-        powers = np.concatenate([powers, (powers[-1] @ A) @ powers])
-    return powers[: N + 1]
+    """A^0..A^N stacked along the axis before the matrix axes, by doubling.
+
+    A may carry leading stack axes: A of shape (..., n, n) gives powers of
+    shape (..., N+1, n, n), a 2-D A the (N+1, n, n) stack.
+    """
+    powers = np.broadcast_to(np.eye(A.shape[-1]), A.shape)[..., None, :, :]
+    while powers.shape[-3] <= N:
+        step = (powers[..., -1, :, :] @ A)[..., None, :, :]
+        powers = np.concatenate([powers, step @ powers], axis=-3)
+    return powers[..., : N + 1, :, :]
 
 
 def sym_sqrt(M: np.ndarray) -> np.ndarray:

@@ -495,9 +495,9 @@ class ImpactCurve:
     """The optimum of every row of c as a function of the stealthiness radius.
 
     The program's maps read no radius, so one geometry and one pattern
-    enumeration serve every radius. Building a curve factors nothing, so a
-    configuration over budget at every epsilon never factors; summarize
-    attaches one curve to each GaussianSummary.
+    enumeration serve every radius. Building a curve factors nothing, and a
+    GaussianSummary builds its curve only on first read, so a configuration
+    over budget at every epsilon never factors.
     """
 
     def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
@@ -556,15 +556,15 @@ def compute_impact(summary: GaussianSummary) -> ImpactReport:
 
     The solve evaluates summary.curve at the summary's radius. A residual
     covariance that is not positive definite, or a negative radius, means no
-    attack satisfies the budget: the impact is zero by convention and the
-    curve is not read. With a
+    attack satisfies the budget: the impact is zero by convention, and
+    neither the curve nor the mean maps it is built from are read. With a
     nonnegative radius, a critical row with a component outside the
     constraint row space (the curve's boundedness verdict) means the impact
     grows without bound: the probability metric saturates at 1 and the mean
     metric is reported as infinity. A floating-point overflow anywhere in
     the solve raises FloatingPointError rather than returning a wrong number.
     """
-    n_rows, sigma = summary.t_z.shape[0], summary.sigma
+    n_rows, sigma = len(summary.sigma), summary.sigma
     feasible = bool(summary.residual_cov_pd and summary.eps_prime >= 0)
     batch = summary.curve.solve(summary.eps_prime) if feasible else None
     unbounded = feasible and batch is None

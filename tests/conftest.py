@@ -9,7 +9,9 @@ from stealthimpact import (
     ControllerModel,
     PlantModel,
     SystemModel,
+    attacks,
     bundled_scenario_path,
+    distrib,
     load_scenario,
 )
 
@@ -70,3 +72,10 @@ def random_system(rng: np.random.Generator, n_x: int = 3, n_u: int = 2, n_yr: in
         except Exception:
             continue
     raise RuntimeError("failed to draw a stable random system")
+
+
+def candidate_summary(scenario, cand, epsilon: float):
+    """Gaussian summary at epsilon of one configuration of the scenario, at its horizon."""
+    N = scenario.horizon
+    layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
+    return distrib.gaussian_summary(scenario.system, cand.attack, layout, scenario.q_z, N, epsilon)

@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's own numerics: series sums,
 quadrature, brute-force grids, and an off-the-shelf nonlinear programming
 solver provide the second opinions. The exceptions are
 ``reference_solve_rows``, an earlier formulation of the package's own exact
-solver kept as a regression reference, and ``stacked_covariances``, which
-forms the full covariances of the package's own law for the tests that
-compare them against a reference or a simulation.
+solver kept as a regression reference, and ``stacked_factors`` and
+``stacked_covariances``, which form the noise factors and full covariances
+of the package's own stacked law for the tests that compare them against a
+reference, a simulation or the package's innovation audit.
 """
 
 import itertools
@@ -578,18 +579,36 @@ def reference_laws(maps, t_0, sigma_0, sigma_f):
     )
 
 
-def stacked_covariances(system, attack, q_z, N):
-    """(Sigma_Z, Sigma_R) = F F' of distrib.stack_dynamics' law, symmetrized.
-
-    The full covariances the Gaussian summary does not keep: it stores only
-    sqrt(diag Sigma_Z) and the audit of Sigma_R formed this same way.
-    """
+def stacked_factors(system, attack, q_z, N):
+    """(F_Z, F_R) of distrib.stack_dynamics' law: z and r are T d + F e, e ~ N(0, I)."""
     from stealthimpact import distrib
     from stealthimpact.sysmodel import assemble_extended
 
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
     _, _, f_z, f_r = distrib.stack_dynamics(ext, attack, system, q_z, N)
+    return f_z, f_r
+
+
+def stacked_covariances(system, attack, q_z, N):
+    """(Sigma_Z, Sigma_R) = F F' of distrib.stack_dynamics' law, symmetrized.
+
+    The full covariances the Gaussian summary does not keep: it stores only
+    sqrt(diag Sigma_Z), and audits Sigma_R by an innovation recursion (or,
+    for replay, formed this same way).
+    """
+    f_z, f_r = stacked_factors(system, attack, q_z, N)
     return tuple(0.5 * (s + s.T) for s in (f_z @ f_z.T, f_r @ f_r.T))
+
+
+def factor_logdet(f: np.ndarray) -> float:
+    """ln det(F F') from the R factor of F', which never forms F F'.
+
+    Forming Sigma = F F' squares F's condition number, so a factorization of
+    Sigma loses ln det to rounding where F is near rank-deficient; the
+    Householder R of F' is backward stable on F itself.
+    """
+    r = np.linalg.qr(f.T, mode="r")
+    return 2.0 * float(np.sum(np.log(np.abs(np.diag(r)))))
 
 
 def nominal_long_run(system, y_r, steps=1_000_000, burn_in=10_000, seed=0, batches=100):

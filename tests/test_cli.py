@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stealthimpact
-from stealthimpact import attacks, cli, solver
+from stealthimpact import attacks, cli, distrib, solver
 from stealthimpact.scenario import bundled_scenario_path, load_scenario
+from conftest import candidate_summary
 
 
 def _run(tmp_path, *extra, name="out.json"):
@@ -228,6 +229,27 @@ def test_over_budget_configurations_take_no_svd(scenario, monkeypatch):
     assert not entry.report.feasible and entry.candidates_evaluated == 3
 
 
+def test_over_budget_configurations_are_never_stacked(tmp_path, capsys, monkeypatch):
+    """The audit alone settles every vulnerability_1/dos configuration at N = 50.
+
+    All 15 have a negative radius or a singular Sigma_R, so none of their mean
+    maps is ever stacked, and the run reports zero.
+    """
+
+    def no_stack(ext, attack, *args):
+        if not attack.has_recording:
+            raise AssertionError("stacked a configuration outside replay")
+        return stack(ext, attack, *args)
+
+    stack = distrib.stack_dynamics
+    monkeypatch.setattr(distrib, "stack_dynamics", no_stack)
+    code, out = _run(tmp_path, "--vulnerability", "vulnerability_1", "--strategy", "dos",
+                     "--sweep", "N", "--values", "50")
+    assert code == cli.EXIT_ALL_ZERO, capsys.readouterr().err
+    (entry,) = json.loads(out.read_text(), parse_constant=_reject_constant)["entries"]
+    assert entry["candidates_evaluated"] == 15 and entry["feasible"] is False
+
+
 def test_large_budgets_certified(tmp_path):
     """Every bundled pair certifies its optimum up to epsilon = 1e11."""
     code, out = _run(tmp_path, "--sweep", "eps", "--values", "1e9,1e10,1e11")
@@ -290,8 +312,9 @@ def test_horizon_sweep_past_unstable_attacked_loops(capsys):
     """Rerouting loops that diverge over a long window report over budget, not exit 3.
 
     From N = 30 every rerouting configuration of the bundled scenario has a
-    negative radius or a singular Sigma_R, so its worst case is p = 0 and
-    infeasible; the report stays strict JSON when the radius is -inf.
+    negative radius, so its worst case is p = 0 and infeasible; the radius is
+    finite and far below zero, since the innovation audit finds Sigma_R
+    positive definite on those loops.
     """
     values = ",".join(str(n) for n in range(1, 51))
     code = cli.main(["assess", "--sweep", "N", "--values", values])
@@ -301,18 +324,44 @@ def test_horizon_sweep_past_unstable_attacked_loops(capsys):
     assert len(late) == 2 * 21
     for e in late:
         assert e["feasible"] is False and e["exceedance_probability"] == 0.0
-    assert None in [e["stealthiness_radius"] for e in late]
+        assert e["stealthiness_radius"] < 0
 
 
-def test_singular_residual_radius_is_empty(tmp_path):
-    """A -inf radius is an empty CSV cell, as in the JSON report's null."""
+def _sensor_denial_scenario(tmp_path):
+    """The bundled scenario with one more vulnerability: sensor 1 alone, no actuator."""
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["vulnerabilities"]["sensor_1"] = {"sensors": [1], "actuators": []}
+    return _write_scenario(tmp_path, doc)
+
+
+def test_singular_residual_radius_is_empty(tmp_path, capsys):
+    """A -inf radius is a null in the strict-JSON report and an empty CSV cell.
+
+    Denying sensor 1 alone leaves Sigma_R singular from N = 3 on, under the
+    innovation audit and the stacked one alike. The diverging rerouting loop
+    of vulnerability_1 at N = 50 prints its finite negative radius.
+    """
+    path = _sensor_denial_scenario(tmp_path)
+    argv = ["assess", "--scenario", str(path), "--vulnerability", "sensor_1", "--strategy", "dos",
+            "--sweep", "N", "--values", "3,50"]
+    assert cli.main(argv) == cli.EXIT_ALL_ZERO
+    entries = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["entries"]
+    assert [(e["stealthiness_radius"], e["feasible"]) for e in entries] == [(None, False)] * 2
     out = tmp_path / "singular.csv"
+    assert cli.main(argv + ["--format", "csv", "--out", str(out)]) == cli.EXIT_ALL_ZERO
+    with open(out, newline="") as fh:
+        head, *rows = list(csv.reader(fh))
+    for row in rows:
+        assert row[head.index("stealthiness_radius")] == ""
+        assert row[head.index("feasible")] == "false"
+
+    out = tmp_path / "rerouting.csv"
     argv = ["assess", "--vulnerability", "vulnerability_1", "--strategy", "rerouting",
             "--sweep", "N", "--values", "50", "--format", "csv", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_ALL_ZERO
     with open(out, newline="") as fh:
         head, row = list(csv.reader(fh))
-    assert row[head.index("stealthiness_radius")] == ""
+    assert float(row[head.index("stealthiness_radius")]) < -1e9
     assert row[head.index("feasible")] == "false"
 
 
@@ -489,7 +538,7 @@ def test_fdi_plus_dos_injects_on_sensors_and_denies_actuators(scenario):
         for field, value in vars(expected).items():
             assert np.array_equal(getattr(entry.candidate.attack, field), value), field
         free = attacks.Candidate(None, attacks.build_attack("dos", attacks.ResourceSet(), dims, N))
-        free_report = solver.compute_impact(cli._candidate_law(scenario, free, scenario.epsilon))
+        free_report = solver.compute_impact(candidate_summary(scenario, free, scenario.epsilon))
         assert free_report.exceed_prob > 0.05
         assert entry.report.eps_prime != free_report.eps_prime
         assert entry.report.exceed_prob != free_report.exceed_prob
@@ -516,7 +565,7 @@ def test_pattern_cap_exit_code(tmp_path, capsys, monkeypatch):
     doc["controller"]["L_yr"] = [row + [0.0] * (n_yr - len(row)) for row in doc["controller"]["L_yr"]]
     doc["controller"]["Q_yr"] = (0.4 * np.eye(n_yr)).tolist()
     path = _write_scenario(tmp_path, doc)
-    monkeypatch.setattr(cli, "gaussian_summary", _no_law)
+    monkeypatch.setattr(cli, "gaussian_summaries", _no_law)
     for vulnerability in doc["vulnerabilities"]:
         for strategy in doc["strategies"]:
             code = cli.main(["assess", "--scenario", str(path), "--vulnerability", vulnerability, "--strategy", strategy])

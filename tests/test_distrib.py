@@ -1,21 +1,26 @@
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthimpact import attacks, distrib, mcvalidate, numcore, solver
+from stealthimpact import attacks, cli, distrib, mcvalidate, numcore, solver
+from stealthimpact.scenario import load_scenario
 from stealthimpact.sysmodel import assemble_extended
 from conftest import random_system
 from oracles import (
+    factor_logdet,
     kl_quadrature_diag,
     lyapunov_series,
     reference_laws,
     reference_stack_dynamics,
     stacked_covariances,
+    stacked_factors,
     whitened_rollout,
 )
+from scenario_family import scenario_doc
 
 
 # the bundled critical row, on the extended state (x, x_hat)
@@ -332,7 +337,12 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
 
 
 def test_epsilon_prime_reused_across_epsilon(system):
-    """at_epsilon reuses one factorization and gives a fresh audit's radius bit for bit."""
+    """at_epsilon reuses one audit and gives a fresh audit's radius bit for bit.
+
+    bias_injection is audited by the innovation recursion, replay on its
+    stacked Sigma_R; test_innovation_audit_matches_stacked_oracle compares
+    the two routes.
+    """
     N = 10
     q_z = Q_Z
     for kind, sensors, actuators in (("bias", (0,), (0, 1)), ("replay", (0, 1), (2,))):
@@ -340,9 +350,8 @@ def test_epsilon_prime_reused_across_epsilon(system):
         layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
         summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
         assert summary.residual_cov_pd
-        _, sigma_r = stacked_covariances(system, atk, q_z, N)
         for eps in np.linspace(0.05, 0.95, 10):  # criterion 6's values
-            direct = _eps_prime(sigma_r, N, system.plant.n_y, eps)
+            direct = distrib.gaussian_summary(system, atk, layout, q_z, N, eps).eps_prime
             assert summary.at_epsilon(eps).eps_prime == direct
 
 
@@ -393,7 +402,7 @@ def test_cholesky_first_verdict_matches_eigenvalues(scenario, N):
 
 
 def test_summary_skips_eigenvalues_when_factorization_fails(system, monkeypatch):
-    """Denying sensor 0 makes Sigma_R singular: the failed Cholesky factor decides alone."""
+    """Denying sensor 0 makes Sigma_R singular: the innovation audit decides with no eigenvalue solve."""
     N = 50
     q_z = Q_Z
     atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
@@ -410,3 +419,134 @@ def test_summary_skips_eigenvalues_when_factorization_fails(system, monkeypatch)
     monkeypatch.undo()
     assert not summary.residual_cov_pd and summary.eps_prime == -np.inf
     assert calls == []
+
+
+AUDIT_HORIZONS = (1, 2, 3, 5, 10, 30, 50)
+
+# Configurations whose Sigma_R the innovation audit calls positive definite
+# and the stacked eigenvalue test does not, as (scenario, N, vulnerability,
+# strategy, candidate index): bundled loops that diverge, with rho(A_cl)
+# between 1.20 and 1.39 and a radius near -1e9 at epsilon = 0.3. No verdict
+# moves the other way, and none moves on the family.
+MOVED_TO_PD = {
+    ("bundled", 30, "vulnerability_1", "rerouting", 2),
+    ("bundled", 50, "vulnerability_1", "rerouting", 0),
+    ("bundled", 50, "vulnerability_1", "sign_alternation", 0),
+    ("bundled", 50, "vulnerability_1", "sign_alternation", 2),
+    ("bundled", 50, "vulnerability_1", "sign_alternation", 5),
+    ("bundled", 50, "vulnerability_1", "sign_alternation", 8),
+    ("bundled", 50, "vulnerability_1", "sign_alternation", 11),
+}
+
+
+def _audit_scenario(scenario, tmp_path, source):
+    if source == "bundled":
+        return scenario
+    path = tmp_path / f"family_{source}.json"
+    path.write_text(json.dumps(scenario_doc(source)))
+    return load_scenario(path)
+
+
+def _pair_summaries(sc, resources, kind, N, epsilon=0.3):
+    """The non-replay configurations of a pair, with their summaries from one batch."""
+    spec = attacks.StrategySpec(kind, resources)
+    cands = [c for c in attacks.candidates(spec, sc.system.dims, N) if not c.attack.has_recording]
+    layouts = [attacks.decision_layout(c.attack, N, sc.system.controller.Q_yr) for c in cands]
+    summaries = distrib.gaussian_summaries(sc.system, [c.attack for c in cands], layouts, sc.q_z, N, epsilon)
+    return cands, layouts, summaries
+
+
+@pytest.mark.parametrize("source", ["bundled", 0, 1, 2])
+def test_innovation_audit_matches_stacked_oracle(scenario, tmp_path, source):
+    """The batched innovation audit agrees with the stacked law on every non-replay configuration.
+
+    Every strategy on every vulnerability of the bundled scenario or of a
+    family seed, at each horizon of AUDIT_HORIZONS. sigma matches F_Z's row
+    norms to 1e-12 relative, and the PD verdict matches _residual_audit's on
+    the stacked Sigma_R except on MOVED_TO_PD. Where both call Sigma_R
+    positive definite, the radius at epsilon = 0.3 matches the one from
+    _residual_audit's trace and the ln det of F_R's QR factor to 1e-12 of
+    its terms. The ln det comes from F_R, not from the Cholesky factor of
+    Sigma_R: on sensor-denying dos loops at small N, F_R's singular values
+    span 1e-5 and that factor is off by up to 1.2e-7, against 3e-13 here.
+    """
+    sc = _audit_scenario(scenario, tmp_path, source)
+    system, moved = sc.system, set()
+    n_y = system.plant.n_y
+    for N in AUDIT_HORIZONS:
+        for vulnerability, resources in sc.vulnerabilities.items():
+            for kind in attacks.KINDS:
+                cands, _, summaries = _pair_summaries(sc, resources, kind, N)
+                for i, (cand, summary) in enumerate(zip(cands, summaries)):
+                    f_z, f_r = stacked_factors(system, cand.attack, sc.q_z, N)
+                    sigma = np.sqrt(np.sum(f_z * f_z, axis=1))
+                    np.testing.assert_allclose(summary.sigma, sigma, rtol=1e-12, atol=0)
+                    sigma_r = f_r @ f_r.T
+                    pd, trace, _ = distrib._residual_audit(0.5 * (sigma_r + sigma_r.T))
+                    if pd != summary.residual_cov_pd:
+                        assert summary.residual_cov_pd
+                        moved.add((source, N, vulnerability, kind, i))
+                    elif pd:
+                        logdet = factor_logdet(f_r)
+                        want = distrib._radius(N, n_y, 0.3, trace, logdet)
+                        scale = distrib.kl_budget(N, n_y, 0.3) + abs(trace) + abs(logdet)
+                        assert abs(summary.eps_prime - want) <= 1e-12 * scale, (N, vulnerability, kind, i)
+    assert moved == {m for m in MOVED_TO_PD if m[0] == source}
+
+
+@pytest.mark.parametrize("N", [10, 50])
+def test_pair_batch_equals_batch_of_one(scenario, N):
+    """A configuration's summary from its pair's batch is its gaussian_summary, bit for bit.
+
+    So the CLI, which audits a pair at once, and the library agree.
+    """
+    system = scenario.system
+    for resources in scenario.vulnerabilities.values():
+        for kind in attacks.KINDS:
+            cands, layouts, summaries = _pair_summaries(scenario, resources, kind, N)
+            for cand, layout, summary in zip(cands, layouts, summaries):
+                one = distrib.gaussian_summary(system, cand.attack, layout, scenario.q_z, N, 0.3)
+                assert one.residual_cov_pd == summary.residual_cov_pd
+                assert one.eps_prime == summary.eps_prime
+                assert np.array_equal(one.sigma, summary.sigma)
+
+
+def test_pair_audit_takes_one_qr_per_step(scenario, monkeypatch):
+    """vulnerability_1/dos has 15 configurations; its audit at N = 10 runs N + 1 batched QRs."""
+    N = 10
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    entry = cli.assess(dataclasses.replace(scenario, horizon=N), "vulnerability_1", "dos")
+    monkeypatch.undo()
+    assert entry.candidates_evaluated == 15
+    assert len(calls) == N + 1
+    assert {shape[0] for shape in calls} == {15}
+
+
+def test_sweep_stacks_a_configuration_once(scenario, monkeypatch):
+    """A configuration is stacked at the first epsilon where its radius is nonnegative, and only then.
+
+    At N = 10 no vulnerability_1/dos configuration is within budget at 0.3;
+    three are by 1.0, two of them already at 0.5, and the twelve with a
+    singular Sigma_R never are.
+    """
+    scenario = dataclasses.replace(scenario, horizon=10)
+    stacked = []
+    stack = distrib.stack_dynamics
+
+    def counted(ext, attack, *args):
+        stacked.append(id(attack))
+        return stack(ext, attack, *args)
+
+    monkeypatch.setattr(distrib, "stack_dynamics", counted)
+    cli._assess_pair(scenario, "vulnerability_1", "dos", [0.3])
+    assert stacked == []
+    entries = cli._assess_pair(scenario, "vulnerability_1", "dos", [0.3, 0.5, 1.0])
+    assert [e.report.feasible for e in entries] == [False, True, True]
+    assert len(stacked) == len(set(stacked)) == 3

@@ -6,6 +6,7 @@ from scipy import linalg
 
 from stealthimpact import attacks, cli, distrib, numcore, solver
 import oracles
+from conftest import candidate_summary
 from oracles import qclp_dual_bound, scipy_reference_qclp
 
 
@@ -330,7 +331,7 @@ def test_boundedness_read_after_a_solve_takes_no_svd(scenario, monkeypatch):
         for kind in scenario.strategies:
             spec = attacks.StrategySpec(kind, resources)
             for cand in attacks.candidates(spec, scenario.system.dims, N):
-                summary = cli._candidate_law(scenario, cand, scenario.epsilon)
+                summary = candidate_summary(scenario, cand, scenario.epsilon)
                 if not summary.residual_cov_pd or summary.eps_prime < 0:
                     continue
                 report = solver.compute_impact(summary)
@@ -359,7 +360,7 @@ def test_boundedness_does_not_depend_on_epsilon(scenario, kind):
     assert entries[0].report.eps_prime == 0.0
     for entry in entries:
         assert not entry.report.unbounded, entry.epsilon
-        summary = cli._candidate_law(scenario, entry.candidate, entry.epsilon)
+        summary = candidate_summary(scenario, entry.candidate, entry.epsilon)
         assert summary.impact_bounded == (not entry.report.unbounded)
     means = [entry.report.mean_lower for entry in entries]
     assert all(later > earlier for earlier, later in zip(means, means[1:])), means
@@ -433,7 +434,7 @@ def test_geometry_reads_the_radius_only_through_s(scenario):
     for kind in ("fdi", "bias_injection"):
         spec = attacks.StrategySpec(kind, scenario.vulnerabilities["vulnerability_2"])
         (cand,) = attacks.candidates(spec, scenario.system.dims, scenario.horizon)
-        summary = cli._candidate_law(scenario, cand, 0.0)
+        summary = candidate_summary(scenario, cand, 0.0)
         assert summary.eps_prime == 0.0
         cases.append((summary.layout.Q, summary.t_r, summary.layout.Z, summary.t_z))
     verdicts = set()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -328,7 +329,9 @@ def _run_assessments(
     return [pair[i] for i in range(len(epsilons)) for pair in per_pair]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="stealthimpact",
         description="Worst-case impact assessment of stealthy attacks on a "
@@ -402,8 +405,7 @@ def _parse_sweep_values(raw: str, parameter: str) -> list:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         scenario_path = args.scenario or bundled_scenario_path()
         scenario = load_scenario(scenario_path)

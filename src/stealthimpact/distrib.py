@@ -3,7 +3,7 @@
 Under an affine attack the critical trajectory z_{1:N} and the whitened
 residual trajectory r_{0:N} are jointly Gaussian, with a mean affine in the
 decision vector d = [a_{0:N}; y_r] and a covariance that does not depend on
-it. stack_dynamics builds that law directly, as
+it:
 
     z = T_Z d + F_Z e,    r = T_R d + F_R e,    e ~ N(0, I),
 
@@ -14,12 +14,17 @@ Sigma_R = F_R F_R' (its definiteness, trace and ln det), which reduces the
 stealthiness budget on the residual KL rate to the quadratic constraint
 d' T_R' T_R d <= eps_prime; the radius eps' at another epsilon costs O(1).
 
-The audit comes first. Outside replay it and sigma come from one
-square-root innovation recursion over a batch of configurations
-(_innovation_audit), and the mean maps T_Z and T_R are stacked only when a
-solve first reads them, so a configuration over budget at every epsilon of a
-run is never stacked. Replay's x_e(0) is correlated with its recording, so
-summarize audits its stacked Sigma_R (_residual_audit).
+The audit comes first, and gives one row (pd, trace, logdet, sigma) per
+configuration, from which summarize builds every summary. Outside replay
+the row comes from one square-root innovation recursion over a batch of
+configurations (_innovation_audit). Replay's x_e(0) is correlated with its
+recording, so _replay_audit forms its noise factor, the only one the package
+builds, and factors Sigma_R. Both apply numcore.pd_rule, the package's one
+definiteness rule, to their pivots: QR pivots in the recursion, Cholesky
+pivots for replay, where a failed factorization counts as singular.
+stack_dynamics builds the mean maps T_Z and T_R, replay's included, only
+when a solve first reads them, so a configuration over budget at every
+epsilon of a run is never stacked.
 
 The maps are built in lifted form. With A = A_cl of the attacked loop and
 out = [critical map; C_r], the row block of step k is
@@ -30,12 +35,14 @@ out = [critical map; C_r], the row block of step k is
 so the rows are the observability blocks out A^k and the input columns one
 block-Toeplitz gather of the Markov blocks over the lag k-1-j; the y_r
 columns sum over the lags. One such gather (_lifted_rows) serves both output
-families, with powers of A from numcore.matrix_powers. Replay's recording
+families, with powers of A from numcore.matrix_powers: the mean maps gather
+the (a, y_r) columns, replay's audit the noise columns. Replay's recording
 window [-N-1, -1] is the same gather on the nominal loop, with output
 gamma_y' [C 0] and direct term gamma_y' on w, and x_e(0) follows in closed
-form from the same powers. Both are affine in (x_e(start), f(start..-1),
-y_r), and the recorded stack is the sensor injection a_y(0..N), so one product
-[m_x | sensor columns of m_a] R substitutes the window into every row.
+form from the same powers; their noise parts are linear in
+(x_e(start), f(start..-1)), and the recorded stack is the sensor injection
+a_y(0..N), so one product [m_x | sensor columns of m_a] R substitutes the
+window into every noise row.
 """
 
 from __future__ import annotations
@@ -65,14 +72,14 @@ class _Maps:
     """
 
     def __init__(self, build: Callable[[], tuple], layout: DecisionLayout) -> None:
-        self._build, self._layout = build, layout  # build() starts with (T_Z, T_R)
+        self._build, self._layout = build, layout  # build() returns (T_Z, T_R)
 
     @cached_property
     def means(self) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="raise"):
-            t_z, t_r, *_ = self._build()
+            means = self._build()
         self._build = None
-        return t_z, t_r
+        return means
 
     @cached_property
     def curve(self) -> ImpactCurve:
@@ -155,75 +162,93 @@ def stack_dynamics(
     system: SystemModel,
     q_z: np.ndarray,
     N: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The window's law in (d, e): (T_Z, T_R, F_Z, F_R), z = T_Z d + F_Z e, r = T_R d + F_R e.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The window's mean maps (T_Z, T_R): z and r have means T_Z d and T_R d.
 
     q_z is the critical map on the extended state (x, x_hat), 2 n_x columns.
     One lifted gather over the stacked outputs [critical map; C_r] gives the
-    maps of steps 0..N in (x_e(0), f(0..N), a(0..N), y_r), as the module
-    docstring sets out. Replay then substitutes its recording window: x_e(0)
-    and the recorded stack, which enters as the sensor injection a_y(0..N),
-    are both affine in (x_e(start), f(start..-1), y_r), so one product with
-    _recording_window's matrix folds the window into every row. The system's
-    stationary law then whitens all rows at once, T = [m_a | m_x t_0 + m_r]
-    and F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))], the Kronecker
-    product acting block by block through a reshape, and one copy per output
-    joins the column blocks and splits the rows: critical rows of steps 1..N,
-    residual rows of steps 0..N.
+    maps of steps 0..N in (x_e(0), a(0..N), y_r), as the module docstring sets
+    out, and x_e(0) has mean t_0 y_r, so T = [m_a | m_x t_0 + m_r]. Replay's
+    recording runs the nominal loop in its stationary law, so every recorded
+    value has mean gamma_y' [C 0] t_0 y_r; the recorded stack enters as the
+    sensor injection a_y(0..N), and adds its columns of m_a, summed over the
+    steps, times that mean to the y_r columns.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
-    n_y, n_f, n_a, n_e = ext.n_y, ext.n_f, attack.n_a, ext.A_cl.shape[0]
-    n_z = q_z.shape[0]
+    n_y, n_a, n_z = ext.n_y, attack.n_a, q_z.shape[0]
     obs = np.vstack([q_z, ext.C_r]) @ numcore.matrix_powers(ext.A_cl, N)
-    inputs = np.hstack([ext.B_f, ext.G_a, ext.E_r])
+    inputs = np.hstack([ext.G_a, ext.E_r])
     direct = np.zeros((n_z + n_y, inputs.shape[1]))
-    direct[n_z:, : n_f + n_a] = np.hstack([ext.D_f, ext.H_a])
-    m_x, m_f, m_a, m_r = _lifted_rows(obs, obs[:N] @ inputs, direct, (n_f, n_a))
+    direct[n_z:, :n_a] = ext.H_a
+    m_x, m_a, m_r = _lifted_rows(obs, obs[:N] @ inputs, direct, (n_a,))
+    m_r += m_x @ system.t_0
     if attack.has_recording:
-        rows = m_a.shape[0]
-        m_s = m_a.reshape(rows, N + 1, n_a)[..., attack.n_au :].reshape(rows, -1)
-        folded = np.hstack([m_x, m_s]) @ _recording_window(system, attack)
-        n_pre = folded.shape[1] - ext.n_yr
-        m_x, m_r = folded[:, :n_e], m_r + folded[:, n_pre:]
-        m_f = np.hstack([folded[:, n_e:n_pre], m_f])
-    # Rebinding m_f frees the unwhitened map before the outputs are joined;
+        recorded = attack.gamma_y.T @ system.plant.C @ system.t_0[: system.plant.n_x]
+        m_s = m_a.reshape(len(m_a), N + 1, n_a)[..., attack.n_au :].sum(axis=1)
+        m_r += m_s @ recorded
+    return _split(np.hstack([m_a, m_r]), n_z, N)
+
+
+def _split(rows: np.ndarray, n_z: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The critical rows of steps 1..N and the residual rows of steps 0..N of a lifted map."""
+    cols = rows.shape[1]
+    by_step = rows.reshape(N + 1, -1, cols)
+    return by_step[1:, :n_z].reshape(N * n_z, cols), by_step[:, n_z:].reshape(-1, cols)
+
+
+def _replay_audit(
+    ext: ExtendedSystem, attack: AttackMatrices, system: SystemModel, q_z: np.ndarray, N: int
+) -> tuple[bool, float, float, np.ndarray]:
+    """Sigma_R's PD verdict, trace and ln det, and sigma, for a replay configuration.
+
+    Replay's x_e(0) is correlated with its recording, so its audit forms the
+    noise factor. One noise-only lifted gather gives the rows in (x_e(0),
+    f(0..N), a_y(0..N)); x_e(0) and the recorded stack, which enters as the
+    sensor injection a_y(0..N), are both linear in (x_e(start), f(start..-1)),
+    so one product with _recording_window's matrix substitutes the window into
+    every row. The stationary law then whitens the rows,
+    F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))], the Kronecker
+    product acting block by block through a reshape. Sigma_R = F_R F_R' is
+    audited by numcore.cholesky_audit, and sigma is F_Z's row norms. Returns
+    the row _innovation_audit returns for a loop without a recording.
+    """
+    n_y, n_f, n_e, n_z = ext.n_y, ext.n_f, ext.A_cl.shape[0], q_z.shape[0]
+    obs = np.vstack([q_z, ext.C_r]) @ numcore.matrix_powers(ext.A_cl, N)
+    inputs = np.hstack([ext.B_f, ext.G_a[:, attack.n_au :]])
+    direct = np.zeros((n_z + n_y, inputs.shape[1]))
+    direct[n_z:] = np.hstack([ext.D_f, ext.H_a[:, attack.n_au :]])
+    m_x, m_f, m_s, _ = _lifted_rows(obs, obs[:N] @ inputs, direct, (n_f, attack.n_ay))
+    folded = np.hstack([m_x, m_s]) @ _recording_window(system, attack)
+    # Rebinding m_f frees the unwhitened map before the factor is joined;
     # holding both lets the allocator trim and refault the heap on every call.
+    m_f = np.hstack([folded[:, n_e:], m_f])
     m_f = (m_f.reshape(-1, n_f) @ system.sqrt_sigma_f).reshape(m_f.shape)
-    mean = (m_a, m_x @ system.t_0 + m_r)
-    factor = (m_x @ system.sqrt_sigma_0, m_f)
-
-    def split(blocks):  # joined column blocks of critical rows 1..N and residual rows 0..N
-        by_step = [b.reshape(N + 1, n_z + n_y, b.shape[1]) for b in blocks]
-        z = np.concatenate([b[1:, :n_z] for b in by_step], axis=2)
-        r = np.concatenate([b[:, n_z:] for b in by_step], axis=2)
-        return z.reshape(N * n_z, z.shape[2]), r.reshape((N + 1) * n_y, r.shape[2])
-
-    (t_z, t_r), (f_z, f_r) = split(mean), split(factor)
-    return t_z, t_r, f_z, f_r
+    f_z, f_r = _split(np.hstack([folded[:, :n_e] @ system.sqrt_sigma_0, m_f]), n_z, N)
+    sigma_r = f_r @ f_r.T
+    pd, trace, logdet = numcore.cholesky_audit(0.5 * (sigma_r + sigma_r.T))
+    return pd, trace, logdet, np.sqrt(np.sum(f_z * f_z, axis=1))
 
 
 def _recording_window(system: SystemModel, attack: AttackMatrices) -> np.ndarray:
-    """Matrix R from (x_e(start), f(start..-1), y_r) to (x_e(0); gamma_y' y(start..-1)).
+    """Matrix R from (x_e(start), f(start..-1)) to the noise in (x_e(0); gamma_y' y(start..-1)).
 
     The window [start, -1], start = -N-1, runs the nominal loop. Its recorded
     stack is the lifted gather of that loop with output gamma_y' [C 0] and
     direct term gamma_y' on w; x_e(0), one step past the window, is
-    A^(N+1) x_e(start) + sum_j A^(N-j) [B_f E_r] (f(j), y_r) from the same
-    powers.
+    A^(N+1) x_e(start) + sum_j A^(N-j) B_f f(j) from the same powers, plus a
+    term in y_r that the mean maps carry.
     """
     nominal, plant = system.nominal, system.plant
     N, n_f, n_ay = -attack.start_step - 1, nominal.n_f, attack.n_ay
     powers = numcore.matrix_powers(nominal.A_cl, N + 1)
-    inputs = np.hstack([nominal.B_f, nominal.E_r])
     obs = attack.gamma_y.T @ np.hstack([plant.C, np.zeros_like(plant.C)]) @ powers[: N + 1]
-    direct = np.zeros((n_ay, inputs.shape[1]))
-    direct[:, plant.n_x : n_f] = attack.gamma_y.T
-    recorded = _lifted_rows(obs, obs[:N] @ inputs, direct, (n_f,))
-    drive = powers[N::-1] @ inputs  # [j]: A^(N-j) [B_f E_r]
-    x0_f = drive[..., :n_f].transpose(1, 0, 2).reshape(powers.shape[1], -1)
-    x0 = [powers[N + 1], x0_f, drive[..., n_f:].sum(axis=0)]
-    return np.vstack([np.hstack(x0), np.hstack(recorded)])
+    direct = np.zeros((n_ay, n_f))
+    direct[:, plant.n_x :] = attack.gamma_y.T
+    recorded_x, recorded_f, _ = _lifted_rows(obs, obs[:N] @ nominal.B_f, direct, (n_f,))
+    drive = powers[N::-1] @ nominal.B_f  # [j]: A^(N-j) B_f
+    x0_f = drive.transpose(1, 0, 2).reshape(powers.shape[1], -1)
+    return np.vstack([np.hstack([powers[N + 1], x0_f]), np.hstack([recorded_x, recorded_f])])
 
 
 def _lifted_rows(
@@ -258,21 +283,6 @@ def _lifted_rows(
     return out
 
 
-def _residual_audit(sigma_r: np.ndarray) -> tuple[bool, float, float]:
-    """Whether a stacked Sigma_R is positive definite, with its trace and ln det (nan when not).
-
-    Replay's audit; every other configuration is audited by
-    _innovation_audit. numcore.spd_factor factors Sigma_R first: a failed
-    factorization settles the verdict without an eigenvalue solve, and on
-    success the same factor gives ln det, summed from its diagonal so that
-    it cannot overflow.
-    """
-    factor = numcore.spd_factor(sigma_r)
-    if factor is None:
-        return False, np.nan, np.nan
-    return True, float(np.trace(sigma_r)), 2.0 * float(np.sum(np.log(np.diag(factor))))
-
-
 class BudgetOverflow(ValueError):
     """The KL budget of an epsilon overflows double precision."""
 
@@ -296,36 +306,25 @@ def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> fl
 
 
 def summarize(
-    law: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    layout: DecisionLayout,
-    epsilon: float,
+    audit: tuple, layout: DecisionLayout, n_y: int, epsilon: float, maps: _Maps
 ) -> GaussianSummary:
-    """Gaussian summary of a stacked law from stack_dynamics, audited on Sigma_R itself.
+    """Gaussian summary at epsilon of a configuration's audit row and its maps.
 
-    Replay's route, whose x_e(0) is correlated with the recording: the audit
-    is whether Sigma_R = F_R F_R', symmetrized, is positive definite (else no
-    attack is stealthy and the radius is -inf), decided Cholesky first (see
-    _residual_audit). Sigma_Z enters the metrics only through its diagonal,
-    so it is never formed, and Sigma_R is not kept: sigma is F_Z's row norms.
+    The row is (pd, trace, logdet, sigma) from _innovation_audit or
+    _replay_audit. Unless Sigma_R is positive definite no attack is stealthy
+    and the radius is -inf.
     """
-    t_z, t_r, f_z, f_r = law
-    if t_z.shape[1] != layout.dim_d or t_r.shape[1] != layout.dim_d:
-        raise DimensionMismatch("maps and decision layout disagree on dim_d")
-    sigma_r = f_r @ f_r.T
-    residual_cov_pd, trace, logdet = _residual_audit(0.5 * (sigma_r + sigma_r.T))
-    N = layout.horizon
-    n_y = len(t_r) // (N + 1)
-    eps_p = _radius(N, n_y, epsilon, trace, logdet) if residual_cov_pd else -np.inf
+    pd, trace, logdet, sigma = audit
     return GaussianSummary(
-        sigma=np.sqrt(np.sum(f_z * f_z, axis=1)),
-        eps_prime=eps_p,
-        residual_cov_pd=residual_cov_pd,
-        sigma_r_trace=trace,
-        sigma_r_logdet=logdet,
+        sigma=sigma,
+        eps_prime=_radius(layout.horizon, n_y, epsilon, trace, logdet) if pd else -np.inf,
+        residual_cov_pd=bool(pd),
+        sigma_r_trace=float(trace),
+        sigma_r_logdet=float(logdet),
         n_y=n_y,
         layout=layout,
         epsilon=epsilon,
-        maps=_Maps(lambda: (t_z, t_r), layout),
+        maps=maps,
     )
 
 
@@ -378,7 +377,7 @@ def _innovation_audit(
         np.multiply(r[:, n_y : n_y + n_e, n_y:], upper, out=root)  # Pi^1/2' of step k + 1
     pivots = np.diagonal(heads, axis1=2, axis2=3)
     squares = np.square(pivots).reshape(B, -1)
-    pd = squares.min(axis=1) > numcore.PD_RTOL * np.maximum(1.0, trace)
+    pd = numcore.pd_rule(squares.min(axis=1), trace)
     logdet = np.full(B, np.nan)
     logdet[pd] = np.log(squares[pd]).sum(axis=1)
     trace = np.where(pd, trace, np.nan)
@@ -396,38 +395,30 @@ def gaussian_summaries(
 ) -> list[GaussianSummary]:
     """Gaussian summaries at epsilon of configurations of one system, audited together.
 
-    Replay configurations are stacked and summarized one by one. All others
-    are audited by one _innovation_audit, and each one's mean maps are
-    stacked on first read. A floating-point overflow raises
+    All configurations without a recording are audited by one
+    _innovation_audit, replay's one by one by _replay_audit, and each one's
+    mean maps are stacked on first read. A floating-point overflow raises
     FloatingPointError: in the audit at once, in the mean maps when they are
     first read.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
     exts = [assemble_extended(system.plant, system.controller, system.estimator, a) for a in attacks]
-    summaries: list = [None] * len(attacks)
-    batch = []
-    for i, (ext, attack, layout) in enumerate(zip(exts, attacks, layouts)):
-        if attack.has_recording:
-            summaries[i] = summarize(stack_dynamics(ext, attack, system, q_z, N), layout, epsilon)
-        elif layout.dim_d != (N + 1) * attack.n_a + ext.n_yr:
+    for ext, attack, layout in zip(exts, attacks, layouts):
+        if layout.dim_d != (N + 1) * attack.n_a + ext.n_yr:
             raise DimensionMismatch("maps and decision layout disagree on dim_d")
-        else:
-            batch.append(i)
+    audits: list = [None] * len(attacks)
+    batch = [i for i, attack in enumerate(attacks) if not attack.has_recording]
     if batch:
-        audit = _innovation_audit([exts[i] for i in batch], system, q_z, N)
-        for i, pd, trace, logdet, sigma in zip(batch, *audit):
-            summaries[i] = GaussianSummary(
-                sigma=sigma,
-                eps_prime=_radius(N, system.plant.n_y, epsilon, trace, logdet) if pd else -np.inf,
-                residual_cov_pd=bool(pd),
-                sigma_r_trace=float(trace),
-                sigma_r_logdet=float(logdet),
-                n_y=system.plant.n_y,
-                layout=layouts[i],
-                epsilon=epsilon,
-                maps=_Maps(partial(stack_dynamics, exts[i], attacks[i], system, q_z, N), layouts[i]),
-            )
+        for i, *row in zip(batch, *_innovation_audit([exts[i] for i in batch], system, q_z, N)):
+            audits[i] = row
+    for i, attack in enumerate(attacks):
+        if attack.has_recording:
+            audits[i] = _replay_audit(exts[i], attack, system, q_z, N)
+    summaries = []
+    for audit, ext, attack, layout in zip(audits, exts, attacks, layouts):
+        maps = _Maps(partial(stack_dynamics, ext, attack, system, q_z, N), layout)
+        summaries.append(summarize(audit, layout, system.plant.n_y, epsilon, maps))
     return summaries
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import numcore
 from .attacks import AttackMatrices, decision_layout
-from .distrib import _residual_audit
 from .sysmodel import SystemModel
 
 
@@ -255,14 +254,15 @@ def kl_verdict(
     side plugs the sample residual mean m and covariance S of sim into the
     closed-form divergence from the nominal N(0, I),
     (tr S + m'm - n - ln det S) / 2, per step of the window [0, N], with tr S
-    and ln det S from the same audit that gives the radius. Within the Monte
-    Carlo slack band around epsilon, the empirical verdict defers to the
-    analytic one.
+    and ln det S from numcore.cholesky_audit, which applies to S's Cholesky
+    pivots the definiteness rule every audit uses; an S that fails it raises
+    NotPositiveDefinite. Within the Monte Carlo slack band around epsilon,
+    the empirical verdict defers to the analytic one.
     """
     quad = float(np.square(t_r @ np.asarray(d, dtype=float)).sum())
     analytic_ok = quad <= radius + 1e-9 * max(1.0, abs(radius))
     dim_r = sim.r_mean.shape[0]
-    pd, trace, logdet = _residual_audit(sim.r_cov)
+    pd, trace, logdet = numcore.cholesky_audit(sim.r_cov)
     if not pd:
         raise numcore.NotPositiveDefinite("sample residual covariance not positive definite")
     rate = 0.5 * (trace + float(sim.r_mean @ sim.r_mean) - dim_r - logdet) / (N + 1)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,6 +48,16 @@ def require_addressable(shape: tuple[int, ...], what: str) -> None:
         raise MemoryError(f"{what}: a float64 array of shape {shape} is beyond the address range")
 
 
+def pd_rule(smallest, scale):
+    """The package's one definiteness rule: smallest > PD_RTOL max(1, scale), elementwise.
+
+    For a triangular factor of a covariance, smallest is its least squared
+    pivot and scale the covariance's trace; for a spectrum, its least and
+    largest eigenvalue.
+    """
+    return smallest > PD_RTOL * np.maximum(1.0, scale)
+
+
 @dataclass(frozen=True)
 class SpdCheck:
     is_positive_definite: bool
@@ -56,51 +65,31 @@ class SpdCheck:
 
 
 def spd_check(M: np.ndarray) -> SpdCheck:
-    """Symmetric positive-definiteness test with a relative eigenvalue guard.
-
-    A matrix passes when its minimum eigenvalue exceeds
-    PD_RTOL * max(1, max eigenvalue).
-    """
+    """Symmetric positive-definiteness test of a spectrum under pd_rule."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return SpdCheck(True, np.inf)
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     lo, hi = float(w[0]), float(w[-1])
-    return SpdCheck(lo > PD_RTOL * max(1.0, hi), lo)
+    return SpdCheck(bool(pd_rule(lo, hi)), lo)
 
 
-def _failed_cholesky_decides(n: int) -> bool:
-    """Whether a failed Cholesky factorization of an n x n matrix proves it fails spd_check.
+def cholesky_audit(M: np.ndarray) -> tuple[bool, float, float]:
+    """Whether a symmetric M passes pd_rule on its Cholesky pivots, with its trace and ln det.
 
-    By Demmel's theorem (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Thm 10.7) the factorization of a symmetric positive
-    definite M succeeds in floating point when lambda_min(H) > n g / (1 - n g),
-    g = (n+1)u / (1 - (n+1)u), with H = D^-1 M D^-1 of unit diagonal, and
-    lambda_min(H) >= lambda_min(M) / lambda_max(M). So a failure means
-    lambda_min(M) <= n g / (1 - n g) lambda_max(M); this holds for n up to
-    about 950, where that factor is below PD_RTOL.
-    """
-    u = np.finfo(float).eps / 2.0
-    g = (n + 1) * u / (1.0 - (n + 1) * u)
-    return n * g < 1.0 and n * g / (1.0 - n * g) <= PD_RTOL
-
-
-def spd_factor(M: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of a symmetric M that passes spd_check, else None.
-
-    The factorization runs first, and where its failure proves that M fails
-    spd_check (see _failed_cholesky_decides) no eigenvalue is computed.
-    Otherwise spd_check decides as before; a matrix that passes it but cannot
-    be factored raises LinAlgError.
+    A failed factorization counts as singular, and no eigenvalue is
+    computed. Trace and ln det are nan when M is not positive definite; ln det
+    is summed from the factor's diagonal, so that it cannot overflow.
     """
     M = np.asarray(M, dtype=float)
     try:
-        factor = np.linalg.cholesky(M)
+        pivots = np.diag(np.linalg.cholesky(M))
     except np.linalg.LinAlgError:
-        if _failed_cholesky_decides(M.shape[0]) or not spd_check(M).is_positive_definite:
-            return None
-        raise
-    return factor if spd_check(M).is_positive_definite else None
+        return False, np.nan, np.nan
+    trace = float(np.trace(M))
+    if not pd_rule(np.square(pivots).min(initial=np.inf), trace):
+        return False, np.nan, np.nan
+    return True, trace, 2.0 * float(np.sum(np.log(pivots)))
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -217,7 +206,7 @@ def sym_inv_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root; requires positive definiteness."""
     M = np.asarray(M, dtype=float)
     w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w[0] <= PD_RTOL * max(1.0, float(w[-1])):
+    if not pd_rule(w[0], w[-1]):
         raise NotPositiveDefinite(f"minimum eigenvalue {w[0]:.3e}")
     return V @ np.diag(w**-0.5) @ V.T
 

@@ -1,13 +1,13 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the package's own numerics: series sums,
-quadrature, brute-force grids, and an off-the-shelf nonlinear programming
-solver provide the second opinions. The exceptions are
+quadrature, brute-force grids, step-by-step unrolling, and an off-the-shelf
+nonlinear programming solver provide the second opinions. The exception is
 ``reference_solve_rows``, an earlier formulation of the package's own exact
-solver kept as a regression reference, and ``stacked_factors`` and
-``stacked_covariances``, which form the noise factors and full covariances
-of the package's own stacked law for the tests that compare them against a
-reference, a simulation or the package's innovation audit.
+solver kept as a regression reference. ``stacked_factors`` and
+``stacked_covariances`` form the noise factors and full covariances of a
+window's law from ``reference_stack_dynamics``, for the tests that compare
+them against a rollout, a simulation or the package's audits.
 """
 
 import itertools
@@ -18,6 +18,7 @@ import numpy as np
 from scipy import integrate, linalg, optimize, stats
 
 from stealthimpact import numcore, solver
+from stealthimpact.sysmodel import assemble_extended
 
 
 def lyapunov_series(A: np.ndarray, Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -580,21 +581,29 @@ def reference_laws(maps, t_0, sigma_0, sigma_f):
 
 
 def stacked_factors(system, attack, q_z, N):
-    """(F_Z, F_R) of distrib.stack_dynamics' law: z and r are T d + F e, e ~ N(0, I)."""
-    from stealthimpact import distrib
-    from stealthimpact.sysmodel import assemble_extended
+    """(F_Z, F_R) of the window's law: z and r are T d + F e, e ~ N(0, I), as in whitened_rollout.
 
+    Formed from reference_stack_dynamics' maps of x_e(start) and the noise
+    window f(start..N): F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))],
+    the Kronecker product applied block by block.
+    """
     ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
-    _, _, f_z, f_r = distrib.stack_dynamics(ext, attack, system, q_z, N)
-    return f_z, f_r
+    maps = reference_stack_dynamics(ext, attack, system, q_z, N)
+    root_f = system.sqrt_sigma_f
+
+    def whiten(m_x, m_f):
+        m_f = m_f.reshape(len(m_f), -1, len(root_f)) @ root_f
+        return np.hstack([m_x @ system.sqrt_sigma_0, m_f.reshape(len(m_x), -1)])
+
+    return whiten(maps.p_x, maps.p_f), whiten(maps.r_x, maps.r_f)
 
 
 def stacked_covariances(system, attack, q_z, N):
-    """(Sigma_Z, Sigma_R) = F F' of distrib.stack_dynamics' law, symmetrized.
+    """(Sigma_Z, Sigma_R) = F F' of stacked_factors, symmetrized.
 
     The full covariances the Gaussian summary does not keep: it stores only
     sqrt(diag Sigma_Z), and audits Sigma_R by an innovation recursion (or,
-    for replay, formed this same way).
+    for replay, by a Cholesky factorization of F_R F_R').
     """
     f_z, f_r = stacked_factors(system, attack, q_z, N)
     return tuple(0.5 * (s + s.T) for s in (f_z @ f_z.T, f_r @ f_r.T))

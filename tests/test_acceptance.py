@@ -16,7 +16,13 @@ import pytest
 
 import conftest
 from conftest import random_system
-from oracles import grid_search_exceed, lyapunov_residual, stacked_covariances, whitened_rollout
+from oracles import (
+    grid_search_exceed,
+    lyapunov_residual,
+    stacked_covariances,
+    stacked_factors,
+    whitened_rollout,
+)
 from stealthimpact import attacks, cli, distrib, numcore, solver
 from stealthimpact.attacks import ResourceSet, decision_layout
 from stealthimpact.distrib import gaussian_summary
@@ -410,7 +416,8 @@ def test_criterion_7_numerical_residuals(scenario, system):
         kind = {"sign": "sign_alternation", "bias": "bias_injection", "replay": f"replay_{mode}"}.get(kind, kind)
         atk = attacks.build_attack(kind, res, system.dims, N)
         ext = assemble_extended(system.plant, system.controller, system.estimator, atk)
-        t_z, t_r, f_z, f_r = distrib.stack_dynamics(ext, atk, system, scenario.q_z, N)
+        t_z, t_r = distrib.stack_dynamics(ext, atk, system, scenario.q_z, N)
+        f_z, f_r = stacked_factors(system, atk, scenario.q_z, N)
         W = N - atk.start_step + 1
         for _ in range(20):
             e = rng.normal(size=2 * system.plant.n_x + W * n_f)

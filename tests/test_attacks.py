@@ -122,9 +122,11 @@ def test_fdi_plus_dos_without_sensors_is_denial():
 
 
 def test_replay_recording_maps(system):
-    """The recording window's matrix reproduces an explicit nominal-loop unroll.
+    """The recording window's matrix reproduces an explicit nominal-loop unroll of the noise.
 
-    Also with no recorded sensor: R then has only the x_e(0) rows.
+    R maps (x_e(start), f(start..-1)); the reference y_r enters the means
+    only, so the unroll runs with y_r = 0. Also with no recorded sensor: R
+    then has only the x_e(0) rows.
     """
     N = 4
     n_x, n_y = system.plant.n_x, system.plant.n_y
@@ -138,11 +140,10 @@ def test_replay_recording_maps(system):
         assert atk.start_step == -N - 1
         assert atk.has_recording
         R = distrib._recording_window(system, atk)
-        assert R.shape == (2 * n_x + (N + 1) * atk.n_ay, 2 * n_x + (N + 1) * n_f + 3)
+        assert R.shape == (2 * n_x + (N + 1) * atk.n_ay, 2 * n_x + (N + 1) * n_f)
         x_e0 = rng.normal(size=2 * n_x)
-        y_r = rng.normal(size=3)
         f_pre = rng.normal(size=(N + 1) * n_f)
-        predicted = R @ np.concatenate([x_e0, f_pre, y_r])
+        predicted = R @ np.concatenate([x_e0, f_pre])
         # explicit unroll of the nominal loop over [-N-1, -1]
         nom = system.nominal
         x_e = x_e0.copy()
@@ -151,7 +152,7 @@ def test_replay_recording_maps(system):
             f_k = f_pre[j * n_f : (j + 1) * n_f]
             y = system.plant.C @ x_e[:n_x] + f_k[n_x:]
             rows.append(atk.gamma_y.T @ y)
-            x_e = nom.A_cl @ x_e + nom.B_f @ f_k + nom.E_r @ y_r
+            x_e = nom.A_cl @ x_e + nom.B_f @ f_k
         assert np.allclose(predicted[: 2 * n_x], x_e, atol=1e-10)
         assert np.allclose(predicted[2 * n_x :], np.concatenate(rows), atol=1e-10)
 

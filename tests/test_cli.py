@@ -25,6 +25,23 @@ def _run(tmp_path, *extra, name="out.json"):
     return code, out
 
 
+def test_successive_runs_keep_their_own_filters(tmp_path):
+    """The parser is built once per process: a second run's filters do not pile onto the first's."""
+    runs = [
+        (("vulnerability_2",), ("bias_injection", "fdi")),
+        (("vulnerability_1",), ("dos",)),
+        (("vulnerability_1", "vulnerability_2"), ("rerouting",)),
+    ]
+    for i, (vulns, strategies) in enumerate(runs):
+        flags = [f for v in vulns for f in ("--vulnerability", v)]
+        flags += [f for s in strategies for f in ("--strategy", s)]
+        code, out = _run(tmp_path, *flags, name=f"run{i}.json")
+        assert code in (cli.EXIT_OK, cli.EXIT_ALL_ZERO)
+        pairs = [(e["vulnerability"], e["strategy"]) for e in json.loads(out.read_text())["entries"]]
+        assert pairs == [(v, s) for v in vulns for s in strategies]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_single_entry_json_shape(tmp_path):
     code, out = _run(
         tmp_path, "--vulnerability", "vulnerability_2", "--strategy", "bias_injection"

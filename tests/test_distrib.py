@@ -97,11 +97,15 @@ def test_stationary_law_matches_series(system):
     ],
 )
 def test_stacked_maps_match_explicit_rollout(system, kind, sensors, actuators, mode):
-    """z = T_Z d + F_Z e and r = T_R d + F_R e for whitened draws e, run through the loop."""
+    """z = T_Z d + F_Z e and r = T_R d + F_R e for whitened draws e, run through the loop.
+
+    T comes from stack_dynamics, F from the reference unrolling.
+    """
     N = 4
     atk, ext = _build(system, kind, N, sensors, actuators, mode)
     q_z = Q_Z
-    t_z, t_r, f_z, f_r = distrib.stack_dynamics(ext, atk, system, q_z, N)
+    t_z, t_r = distrib.stack_dynamics(ext, atk, system, q_z, N)
+    f_z, f_r = stacked_factors(system, atk, q_z, N)
     n_f = system.plant.n_x + system.plant.n_y
     W = N - atk.start_step + 1
     rng = np.random.default_rng(hash((kind, sensors, actuators, mode)) % 2**32)
@@ -118,8 +122,8 @@ def test_stacked_maps_match_explicit_rollout(system, kind, sensors, actuators, m
 
 
 def _eps_prime(sigma_r, N, n_y, epsilon):
-    """The radius summarize sets for a residual covariance: -inf unless it is positive definite."""
-    pd, trace, logdet = distrib._residual_audit(np.asarray(sigma_r, dtype=float))
+    """The radius of a residual covariance audited on its Cholesky pivots: -inf unless positive definite."""
+    pd, trace, logdet = numcore.cholesky_audit(np.asarray(sigma_r, dtype=float))
     return distrib._radius(N, n_y, epsilon, trace, logdet) if pd else -np.inf
 
 
@@ -300,7 +304,7 @@ def test_summary_at_another_epsilon(system):
 @pytest.mark.parametrize("N", [1, 2, 10, 50])
 @pytest.mark.parametrize("kind", attacks.KINDS)
 def test_lifted_maps_match_reference_loop(scenario, kind, N):
-    """The lifted, whitened law equals the per-step loop's maps under the kron-form laws.
+    """The lifted mean maps and the audits' sigma equal the per-step loop's under the kron-form laws.
 
     Every configuration of every strategy on vulnerability_1 (which includes
     replay's recording window and the unstable rerouting loops), with the
@@ -319,21 +323,17 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
     system = scenario.system
     res = scenario.vulnerabilities["vulnerability_1"]
     cands = attacks.candidates(attacks.StrategySpec(kind, res), system.dims, N)
-    sigma_f = system.sigma_f
+    layouts = [attacks.decision_layout(c.attack, N, system.controller.Q_yr) for c in cands]
     plant_rows = scenario.q_z[:, : system.plant.n_x]
     for q_z in (scenario.q_z, np.hstack([plant_rows, -plant_rows])):
-        for cand in cands:
+        summaries = distrib.gaussian_summaries(system, [c.attack for c in cands], layouts, q_z, N, 0.3)
+        for cand, summary in zip(cands, summaries):
             ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
-            layout = attacks.decision_layout(cand.attack, N, system.controller.Q_yr)
-            law = distrib.stack_dynamics(ext, cand.attack, system, q_z, N)
-            summary = distrib.summarize(law, layout, 0.3)
-            sigma_z, sigma_r = stacked_covariances(system, cand.attack, q_z, N)
-            laws = (summary.t_z, sigma_z, summary.t_r, sigma_r)
             ref = reference_stack_dynamics(ext, cand.attack, system, q_z, N)
-            ref_laws = reference_laws(ref, system.t_0, system.sigma_0, sigma_f)
-            for name, got, want in zip(("T_Z", "Sigma_Z", "T_R", "Sigma_R"), laws, ref_laws):
-                close(got, want, name)
-            close(summary.sigma, np.sqrt(np.diag(ref_laws[1])), "sigma")
+            t_z, sigma_z, t_r, _ = reference_laws(ref, system.t_0, system.sigma_0, system.sigma_f)
+            close(summary.t_z, t_z, "T_Z")
+            close(summary.t_r, t_r, "T_R")
+            close(summary.sigma, np.sqrt(np.diag(sigma_z)), "sigma")
 
 
 def test_epsilon_prime_reused_across_epsilon(system):
@@ -376,31 +376,6 @@ def _factors(m):
     return True
 
 
-@pytest.mark.parametrize("N", [10, 29, 30, 50])
-def test_cholesky_first_verdict_matches_eigenvalues(scenario, N):
-    """spd_factor's verdict on Sigma_R equals spd_check's on every bundled configuration.
-
-    All eight strategies on both vulnerabilities. At N = 50 the set includes
-    Sigma_R with lambda_min / lambda_max between 1e-17 and 1e-10, which
-    factor but fail spd_check, and rerouting's at 9.8e-9, which passes.
-    """
-    system = scenario.system
-    verdicts, factored_but_not_pd = set(), 0
-    for resources in scenario.vulnerabilities.values():
-        for kind in attacks.KINDS:
-            for cand in attacks.candidates(attacks.StrategySpec(kind, resources), system.dims, N):
-                _, sigma_r = stacked_covariances(system, cand.attack, scenario.q_z, N)
-                pd = numcore.spd_check(sigma_r).is_positive_definite
-                factor = numcore.spd_factor(sigma_r)
-                assert (factor is not None) == pd, (kind, cand.attack.start_step)
-                verdicts.add(pd)
-                if not pd and _factors(sigma_r):
-                    factored_but_not_pd += 1
-    assert verdicts == {False, True}
-    if N == 50:
-        assert factored_but_not_pd >= 10
-
-
 def test_summary_skips_eigenvalues_when_factorization_fails(system, monkeypatch):
     """Denying sensor 0 makes Sigma_R singular: the innovation audit decides with no eigenvalue solve."""
     N = 50
@@ -423,11 +398,12 @@ def test_summary_skips_eigenvalues_when_factorization_fails(system, monkeypatch)
 
 AUDIT_HORIZONS = (1, 2, 3, 5, 10, 30, 50)
 
-# Configurations whose Sigma_R the innovation audit calls positive definite
-# and the stacked eigenvalue test does not, as (scenario, N, vulnerability,
-# strategy, candidate index): bundled loops that diverge, with rho(A_cl)
-# between 1.20 and 1.39 and a radius near -1e9 at epsilon = 0.3. No verdict
-# moves the other way, and none moves on the family.
+# Configurations whose Sigma_R the audit calls positive definite and
+# spd_check's eigenvalues of the reference Sigma_R do not, as (scenario, N,
+# vulnerability, strategy, candidate index): bundled loops that diverge, with
+# rho(A_cl) between 1.20 and 1.39 and a radius near -1e9 at epsilon = 0.3. No
+# verdict moves the other way, none moves on the family, and no replay
+# verdict moves.
 MOVED_TO_PD = {
     ("bundled", 30, "vulnerability_1", "rerouting", 2),
     ("bundled", 50, "vulnerability_1", "rerouting", 0),
@@ -448,9 +424,8 @@ def _audit_scenario(scenario, tmp_path, source):
 
 
 def _pair_summaries(sc, resources, kind, N, epsilon=0.3):
-    """The non-replay configurations of a pair, with their summaries from one batch."""
-    spec = attacks.StrategySpec(kind, resources)
-    cands = [c for c in attacks.candidates(spec, sc.system.dims, N) if not c.attack.has_recording]
+    """The configurations of a pair, with their summaries from one batch."""
+    cands = attacks.candidates(attacks.StrategySpec(kind, resources), sc.system.dims, N)
     layouts = [attacks.decision_layout(c.attack, N, sc.system.controller.Q_yr) for c in cands]
     summaries = distrib.gaussian_summaries(sc.system, [c.attack for c in cands], layouts, sc.q_z, N, epsilon)
     return cands, layouts, summaries
@@ -458,17 +433,19 @@ def _pair_summaries(sc, resources, kind, N, epsilon=0.3):
 
 @pytest.mark.parametrize("source", ["bundled", 0, 1, 2])
 def test_innovation_audit_matches_stacked_oracle(scenario, tmp_path, source):
-    """The batched innovation audit agrees with the stacked law on every non-replay configuration.
+    """Both audits agree with the reference law on every configuration.
 
     Every strategy on every vulnerability of the bundled scenario or of a
-    family seed, at each horizon of AUDIT_HORIZONS. sigma matches F_Z's row
-    norms to 1e-12 relative, and the PD verdict matches _residual_audit's on
-    the stacked Sigma_R except on MOVED_TO_PD. Where both call Sigma_R
-    positive definite, the radius at epsilon = 0.3 matches the one from
-    _residual_audit's trace and the ln det of F_R's QR factor to 1e-12 of
-    its terms. The ln det comes from F_R, not from the Cholesky factor of
-    Sigma_R: on sensor-denying dos loops at small N, F_R's singular values
-    span 1e-5 and that factor is off by up to 1.2e-7, against 3e-13 here.
+    family seed, at each horizon of AUDIT_HORIZONS: the innovation recursion
+    outside replay, and replay's Cholesky factorization of its Sigma_R. Their
+    sigma matches the reference F_Z's row norms to 1e-12 relative, and their
+    PD verdict matches spd_check's on the reference Sigma_R except on
+    MOVED_TO_PD. Where both call Sigma_R positive definite, the radius at
+    epsilon = 0.3 matches the one from the reference Sigma_R's trace and the
+    ln det of the reference F_R's QR factor to 1e-12 of its terms. The ln
+    det comes from F_R, not from a Cholesky factor of Sigma_R: on
+    sensor-denying dos loops at small N, F_R's singular values span 1e-5 and
+    that factor is off by up to 1.2e-7, against 3e-13 here.
     """
     sc = _audit_scenario(scenario, tmp_path, source)
     system, moved = sc.system, set()
@@ -482,16 +459,44 @@ def test_innovation_audit_matches_stacked_oracle(scenario, tmp_path, source):
                     sigma = np.sqrt(np.sum(f_z * f_z, axis=1))
                     np.testing.assert_allclose(summary.sigma, sigma, rtol=1e-12, atol=0)
                     sigma_r = f_r @ f_r.T
-                    pd, trace, _ = distrib._residual_audit(0.5 * (sigma_r + sigma_r.T))
+                    pd = numcore.spd_check(sigma_r).is_positive_definite
                     if pd != summary.residual_cov_pd:
-                        assert summary.residual_cov_pd
+                        assert summary.residual_cov_pd, (source, N, vulnerability, kind, i)
                         moved.add((source, N, vulnerability, kind, i))
                     elif pd:
-                        logdet = factor_logdet(f_r)
+                        trace, logdet = float(np.trace(sigma_r)), factor_logdet(f_r)
                         want = distrib._radius(N, n_y, 0.3, trace, logdet)
                         scale = distrib.kl_budget(N, n_y, 0.3) + abs(trace) + abs(logdet)
                         assert abs(summary.eps_prime - want) <= 1e-12 * scale, (N, vulnerability, kind, i)
     assert moved == {m for m in MOVED_TO_PD if m[0] == source}
+
+
+@pytest.mark.parametrize("N", [10, 29, 30, 50])
+def test_cholesky_first_verdict_matches_eigenvalues(scenario, N):
+    """The one rule on Sigma_R's Cholesky pivots gives the audit's verdict, and spd_check's but on MOVED_TO_PD.
+
+    All eight strategies on both vulnerabilities, on the reference Sigma_R:
+    numcore.cholesky_audit applies to Cholesky pivots the rule that the
+    innovation recursion applies to its QR pivots, and the two agree. At
+    N = 50 the set includes Sigma_R that factor but fail the rule.
+    """
+    system = scenario.system
+    verdicts, factored_but_not_pd = set(), 0
+    for vulnerability, resources in scenario.vulnerabilities.items():
+        for kind in attacks.KINDS:
+            cands, _, summaries = _pair_summaries(scenario, resources, kind, N)
+            for i, (cand, summary) in enumerate(zip(cands, summaries)):
+                _, sigma_r = stacked_covariances(system, cand.attack, scenario.q_z, N)
+                pd = numcore.cholesky_audit(sigma_r)[0]
+                assert pd == summary.residual_cov_pd, (kind, i)
+                moved = ("bundled", N, vulnerability, kind, i) in MOVED_TO_PD
+                assert (pd != numcore.spd_check(sigma_r).is_positive_definite) == moved, (kind, i)
+                verdicts.add(pd)
+                if not pd and _factors(sigma_r):
+                    factored_but_not_pd += 1
+    assert verdicts == {False, True}
+    if N == 50:
+        assert factored_but_not_pd >= 10
 
 
 @pytest.mark.parametrize("N", [10, 50])

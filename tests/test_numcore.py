@@ -23,39 +23,57 @@ def test_spd_check_relative_guard():
     assert numcore.spd_check(np.diag([1e12, 1e4])).is_positive_definite
 
 
-def test_spd_factor_either_side_of_the_threshold():
-    """Matrices that factor on both sides of PD_RTOL: spd_check's verdict stands."""
-    Q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(40, 40)))
-    for top in (1.0, 1e-3, 1e3):
-        floor = numcore.PD_RTOL * max(1.0, top)
-        for low, passes in ((2.0 * floor, True), (0.5 * floor, False)):
-            M = (Q * np.geomspace(low, top, 40)) @ Q.T
-            M = 0.5 * (M + M.T)
-            np.linalg.cholesky(M)  # factors in either case
-            factor = numcore.spd_factor(M)
-            assert (factor is not None) == passes == numcore.spd_check(M).is_positive_definite
-            if passes:
-                assert np.allclose(factor @ factor.T, M, rtol=0.0, atol=1e-12 * top)
+def test_pd_rule_is_elementwise():
+    """The one rule: smallest > PD_RTOL max(1, scale), for a batch of pivot sets at once."""
+    floor = numcore.PD_RTOL
+    smallest = np.array([2.0 * floor, 0.5 * floor, 2e3 * floor, 0.5e3 * floor, 0.0, -1.0])
+    scale = np.array([0.5, 0.5, 1e3, 1e3, 0.0, 1.0])
+    assert numcore.pd_rule(smallest, scale).tolist() == [True, False, True, False, False, False]
 
 
-def test_spd_factor_failure_decides_without_eigenvalues(monkeypatch):
-    assert numcore._failed_cholesky_decides(948) and not numcore._failed_cholesky_decides(950)
-    singular = np.diag([1.0, 1.0, 0.0])
+def test_cholesky_audit_either_side_of_the_threshold(monkeypatch):
+    """Matrices that factor on both sides of the rule: the smallest squared pivot against PD_RTOL max(1, tr).
+
+    L is lower triangular with its smallest pivot last, so the Cholesky
+    pivots of L L' are L's diagonal; the trace is below 1 and above it. No
+    eigenvalue is computed.
+    """
+    rng = np.random.default_rng(8)
+    n = 40
     monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any eigenvalue solve would raise
-    assert numcore.spd_factor(singular) is None
-    assert numcore.spd_factor(-np.eye(2)) is None
-    monkeypatch.undo()
-    # above the size where a failure proves it, spd_check decides; a matrix
-    # that passes it but does not factor is a numerical failure
-    monkeypatch.setattr(numcore, "_failed_cholesky_decides", lambda n: False)
-    assert numcore.spd_factor(singular) is None
+    for top in (1e-3, 1.0, 1e3):
+        L = np.tril(rng.normal(size=(n, n)), -1) * 0.1 * np.sqrt(top / n)
+        L[np.diag_indices(n)] = np.sqrt(np.geomspace(top, 0.1 * top, n))
+        L[-1, :-1] *= 1e-3  # the last row's norm stays near its pivot
+        trace = float(np.sum(L[:-1] ** 2) + np.sum(L[-1, :-1] ** 2))  # tr L L' without the last pivot
+        for c, passes in ((2.0, True), (0.5, False)):
+            # solve pivot^2 = c PD_RTOL max(1, trace + pivot^2) for the last pivot
+            rtol = c * numcore.PD_RTOL
+            square = rtol if trace + rtol <= 1.0 else rtol * trace / (1.0 - rtol)
+            L[-1, -1] = np.sqrt(square)
+            M = L @ L.T
+            pd, got_trace, logdet = numcore.cholesky_audit(M)
+            assert pd == passes, (top, c)
+            if passes:
+                assert got_trace == float(np.trace(M))
+                want = float(np.sum(np.log(np.diag(L) ** 2)))
+                assert logdet == pytest.approx(want, abs=1e-5)
+            else:
+                assert np.isnan(got_trace) and np.isnan(logdet)
+
+
+def test_cholesky_audit_failure_is_singular(monkeypatch):
+    """A failed factorization counts as singular at any size, with no eigenvalue solve."""
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any eigenvalue solve would raise
+    for M in (np.diag([1.0, 1.0, 0.0]), -np.eye(2), np.diag(np.r_[np.ones(999), 0.0])):
+        pd, trace, logdet = numcore.cholesky_audit(M)
+        assert not pd and np.isnan(trace) and np.isnan(logdet)
 
     def unfactorable(m):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", unfactorable)
-    with pytest.raises(np.linalg.LinAlgError):
-        numcore.spd_factor(np.eye(2))
+    assert not numcore.cholesky_audit(np.eye(2))[0]
 
 
 def test_dare_scalar_closed_form():

@@ -129,21 +129,28 @@ def _assess_pair(
     accuracy of the maximum wins. fdi_plus_dos injects on the vulnerability's
     sensors and denies its actuators. Only the radius depends on epsilon, so
     the pair's configurations are audited once, in one batch, and each
-    summary stacks its maps and enumerates the sign patterns of its
-    ImpactCurve once, at the first epsilon where its radius is nonnegative;
-    every later value only evaluates that curve. An entry's timing covers
-    the work first done for it: the first entry carries the audit, and the
-    entry at a configuration's first feasible epsilon its maps and
-    enumeration. With mc_seed every entry is cross-checked by simulation.
+    configuration is told the radii of every value before any solve. At the
+    first epsilon where its radius is nonnegative it stacks its maps,
+    enumerates the sign patterns of its ImpactCurve and evaluates the curve
+    at all of those radii in one batch; every later value reads its stored
+    result. Reports are still made one per configuration and epsilon,
+    epsilon-major, so the first failure read is the one raised. An entry's
+    timing covers the work first done for it: the first entry carries the
+    audit, and the entry at a configuration's first feasible epsilon its
+    maps, enumeration and batch. With mc_seed every entry is cross-checked
+    by simulation.
     """
     t0 = time.perf_counter()
     N, system, resources = scenario.horizon, scenario.system, scenario.vulnerabilities[vulnerability]
     cands = candidates(StrategySpec(strategy, resources), system.dims, N)
     layouts = [decision_layout(c.attack, N, system.controller.Q_yr) for c in cands]
     laws = gaussian_summaries(system, [c.attack for c in cands], layouts, scenario.q_z, N, epsilons[0])
+    views = [[law.at_epsilon(eps) for law in laws] for eps in epsilons]
+    for law, column in zip(laws, zip(*views)):
+        law.maps.expect([view.eps_prime for view in column])
     entries = []
-    for eps in epsilons:
-        reports = [compute_impact(law.at_epsilon(eps)) for law in laws]
+    for eps, row in zip(epsilons, views):
+        reports = [compute_impact(view) for view in row]
         best = first_near_max([r.exceed_prob for r in reports])
         entry = AssessmentEntry(
             vulnerability=vulnerability,
@@ -156,7 +163,7 @@ def _assess_pair(
             candidates_evaluated=len(cands),
         )
         if mc_seed is not None:
-            entry.mc_block = _mc_block(scenario, entry, laws[best].at_epsilon(eps), mc_seed)
+            entry.mc_block = _mc_block(scenario, entry, row[best], mc_seed)
         t1 = time.perf_counter()
         entry.timing_s, t0 = t1 - t0, t1
         entries.append(entry)
@@ -396,8 +403,10 @@ def _parse_sweep_values(raw: str, parameter: str) -> list:
             raise SchemaError(f"sweep value '{tok}' is not {kind}") from None
         if parameter == "N" and val < 1:
             raise SchemaError("horizon sweep values must be >= 1")
-        if parameter == "eps" and (val < 0 or not np.isfinite(val)):
-            raise SchemaError("epsilon sweep values must be finite and >= 0")
+        if parameter == "eps":
+            if val < 0 or not np.isfinite(val):
+                raise SchemaError("epsilon sweep values must be finite and >= 0")
+            val = abs(val)  # -0 passes the test above and is reported as 0
         values.append(val)
     if not values:
         raise SchemaError("--values must name at least one value")

@@ -68,11 +68,20 @@ class _Maps:
     """A configuration's mean maps (T_Z, T_R) and the ImpactCurve of its critical rows.
 
     Built on first read and shared by every at_epsilon view of its summary,
-    so a configuration that no solve reads is never stacked.
+    so a configuration that no solve reads is never stacked. Radii announced
+    with expect before the curve exists are handed to it when it is built.
     """
 
     def __init__(self, build: Callable[[], tuple], layout: DecisionLayout) -> None:
         self._build, self._layout = build, layout  # build() returns (T_Z, T_R)
+        self._radii: list[float] = []
+
+    def expect(self, radii: list[float]) -> None:
+        """Announce one solve at each radius: ImpactCurve.expect, held until the curve is built."""
+        if "curve" in vars(self):
+            self.curve.expect(radii)
+        else:
+            self._radii += radii
 
     @cached_property
     def means(self) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +93,10 @@ class _Maps:
     @cached_property
     def curve(self) -> ImpactCurve:
         t_z, t_r = self.means
-        return ImpactCurve(self._layout.Q, t_r, self._layout.Z, t_z)
+        curve = ImpactCurve(self._layout.Q, t_r, self._layout.Z, t_z)
+        curve.expect(self._radii)
+        self._radii = []
+        return curve
 
 
 @dataclass

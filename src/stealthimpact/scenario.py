@@ -201,7 +201,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         system=system,
         q_z=q_z,
         horizon=horizon,
-        epsilon=float(epsilon),
+        epsilon=abs(float(epsilon)),  # -0.0 passes the test above and is read as 0
         vulnerabilities=vulnerabilities,
         strategies=strategies,
         mc_samples=mc_samples,

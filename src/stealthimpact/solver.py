@@ -85,6 +85,14 @@ The curve reduces the rows (and so gives the boundedness verdict) once, on
 its first read, and enumerates the patterns once, on its first solve.
 compute_impact at a radius only evaluates the pieces: per row it keeps the
 best valid candidate, then checks the certificate below at that radius.
+The evaluation carries a leading radius axis through the pieces, the dual
+bound and the residual, and a single radius is a batch of one: a run that
+announces its radii (ImpactCurve.expect) has them evaluated together, a
+chunk of bounded size at a time, when the first radius of a chunk is
+solved, and every other solve in the chunk reads its stored result. Each
+radius reads only its own slice, so its result, and the failure it may
+raise, are the same in any batch, and a failure is raised only when its
+radius is read.
 
 Exactness. Every candidate is feasible, so the best one is at most the optimum
 mu. Conversely, the optimal set is compact and convex; take an optimal zeta*
@@ -142,7 +150,9 @@ if TYPE_CHECKING:  # distrib builds each summary's curve from this module
 CERT_TOL = 1e-9
 PATTERN_CAP = 8  # box rows; 3^8 sign patterns
 _RADIUS_FLOOR = 1e-12
-_BLOCK = 2**PATTERN_CAP  # sign patterns evaluated together, as many as one subset at the cap has
+_BLOCK = 2**PATTERN_CAP * PATTERN_CAP  # (radius, pattern, box row) entries evaluated together per row,
+# as many as one subset at the cap has at one radius
+_CHUNK = 2**16  # (radius, row, column) entries of one batch of radii
 
 
 class Infeasible(RuntimeError):
@@ -228,9 +238,14 @@ class _Geometry:
         self.a_rows = a_red @ self.axes
         self.s = s[:rank]
 
-    def scales(self, radius: float) -> np.ndarray:
-        """The scales s / sqrt(radius) of x at a radius; inf at or below _RADIUS_FLOOR pins x = 0."""
-        return self.s / math.sqrt(radius) if radius > _RADIUS_FLOOR else np.full(self.s.size, np.inf)
+    def scales(self, radii) -> np.ndarray:
+        """The scales s / sqrt(r) of x at each radius r, along a new last axis.
+
+        At or below _RADIUS_FLOOR the scales are inf, which pins x = 0.
+        """
+        r = np.asarray(radii, dtype=float)[..., None]
+        out = np.full(r.shape[:-1] + self.s.shape, np.inf)
+        return np.divide(self.s, np.sqrt(r), out=out, where=r > _RADIUS_FLOOR)
 
     def objective(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Reduced objectives of the rows of c and whether each is bounded.
@@ -253,20 +268,21 @@ class _Geometry:
         """Decision vectors d of the rows of eta."""
         return (eta @ self.axes.T) @ self.basis.T
 
-    def residual(self, d: np.ndarray, radius: float) -> np.ndarray:
-        """Largest constraint violation of each row of d at a radius.
+    def residual(self, d: np.ndarray, radii) -> np.ndarray:
+        """Largest constraint violation of each row of d, its leading axis the radius's.
 
         The box excess is absolute, the quadratic one relative to the radius
         and the equality one, the distance from the admissible span, relative
         to max(1, |d|_inf).
         """
-        box = np.max(np.abs(d @ self.q_box.T), axis=1, initial=0.0) - 1.0
-        quad = (np.sum(np.square(d @ self.m_quad.T), axis=1) - radius) / max(radius, _RADIUS_FLOOR)
+        r = np.asarray(radii, dtype=float)[..., None]
+        box = np.max(np.abs(d @ self.q_box.T), axis=-1, initial=0.0) - 1.0
+        quad = (np.sum(np.square(d @ self.m_quad.T), axis=-1) - r) / np.maximum(r, _RADIUS_FLOOR)
         off_span = d - (d @ self.basis) @ self.basis.T
-        eq = np.max(np.abs(off_span), axis=1, initial=0.0) / np.maximum(
-            1.0, np.max(np.abs(d), axis=1, initial=0.0)
+        eq = np.max(np.abs(off_span), axis=-1, initial=0.0) / np.maximum(
+            1.0, np.max(np.abs(d), axis=-1, initial=0.0)
         )
-        return np.maximum.reduce([box, quad, eq, np.zeros(d.shape[0])])
+        return np.maximum.reduce([box, quad, eq, np.zeros(d.shape[:-1])])
 
 
 @dataclass
@@ -406,81 +422,92 @@ def _enumerate(geom: _Geometry, c: np.ndarray) -> _Pieces:
     return _Pieces(geom, c, q_u, c_perp, *(np.concatenate(part) for part in zip(*parts)))
 
 
-def _evaluate(pieces: _Pieces, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Maximizers and multipliers of the curve's rows at a radius, from the pieces.
+def _evaluate(pieces: _Pieces, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximizers and multipliers of the curve's rows at each radius, from the pieces.
 
-    Returns (eta, y): one maximizer per row, its best valid candidate, and
-    the box multipliers of the valid pattern whose closed-form dual bound is
-    smallest for that row. A radius at or below _RADIUS_FLOOR counts as 0.
-    The patterns are taken _BLOCK at a time, which bounds the (patterns,
-    rows, k) arrays.
+    Returns (eta, y, found), with the radius on the leading axis: per radius
+    and row one maximizer, its best valid candidate, and the box multipliers
+    of the valid pattern whose closed-form dual bound is smallest for that
+    row; found says, per radius, whether every row that is not flat has a
+    valid candidate. A radius at or below _RADIUS_FLOOR counts as 0. The
+    patterns are taken in blocks of at most _BLOCK (radius, pattern, box
+    row) entries per row, which bounds the (radii, patterns, rows, k)
+    arrays; each radius reads only its own slice of them, so its result
+    does not depend on the others in the batch.
     """
-    r = radius if radius > _RADIUS_FLOOR else 0.0
+    r = np.where(radii > _RADIUS_FLOOR, radii, 0.0)
     c, q_u, c_perp = pieces.c_eta, pieces.q_u, pieces.c_perp
     n_rows, k = c.shape[0], pieces.alpha.shape[1]
     rank = c_perp.shape[1]
-    rows = np.arange(n_rows)
-    best = np.full(n_rows, -np.inf)
-    v_best = np.zeros((n_rows, q_u.shape[1]))
-    w_best = np.zeros((n_rows, c.shape[1] - rank))
-    tau_best = np.zeros(n_rows)  # tau / |c_perp|
-    best_bound = np.full(n_rows, np.inf)
-    y_best = np.zeros((n_rows, k))
-    for lo in range(0, pieces.kappa.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
+    shape = (r.size, n_rows)
+    best = np.full(shape, -np.inf)
+    v_best = np.zeros((*shape, q_u.shape[1]))
+    w_best = np.zeros((*shape, c.shape[1] - rank))
+    tau_best = np.zeros(shape)  # tau / |c_perp|
+    best_bound = np.full(shape, np.inf)
+    y_best = np.zeros((*shape, k))
+    r_col = r[:, None]
+    each = (np.arange(r.size)[:, None], np.arange(n_rows))  # with a (radii, rows) index: one entry per pair
+    step = max(1, _BLOCK // max(r.size * k, 1))
+    for lo in range(0, pieces.kappa.size, step):
+        block = slice(lo, lo + step)
         kappa, g = pieces.kappa[block], pieces.g[block]
-        t = np.sqrt(np.maximum(r - kappa, 0.0))
-        valid = kappa <= r * (1.0 + CERT_TOL)
+        t = np.sqrt(np.maximum(r_col - kappa, 0.0))  # (radii, patterns)
+        valid = kappa <= r_col * (1.0 + CERT_TOL)
         if not valid.any():
             continue
         b = pieces.b[g]
-        box = pieces.alpha[block, None, :] + pieces.beta[g] * t[:, None, None]
-        ok = valid[:, None] & np.all(np.abs(box) <= 1.0 + CERT_TOL, axis=2)
-        value = np.where(ok, pieces.a[block] + b * t[:, None], -np.inf)
-        j = np.argmax(value, axis=0)
-        better = value[j, rows] > best
+        box = pieces.alpha[block, None, :] + pieces.beta[g] * t[:, :, None, None]
+        ok = valid[:, :, None] & np.all(np.abs(box) <= 1.0 + CERT_TOL, axis=3)
+        value = np.where(ok, pieces.a[block] + b * t[:, :, None], -np.inf)
+        j = np.argmax(value, axis=1)
+        top = value[each[0], j, each[1]]
+        better = top > best
         if better.any():
-            jb, rb = j[better], rows[better]
-            gb, tb = g[jb], t[jb][:, None]
-            best[better] = value[jb, rb]
-            v_best[better] = pieces.centre[lo + jb] + tb * pieces.dirs[gb, rb]
-            w_best[better] = pieces.w0[lo + jb] + tb * pieces.w1[gb, rb]
-            tau_best[better] = tb[:, 0] * pieces.inv_b[gb, rb]
+            ib, rb = np.nonzero(better)
+            jb = j[ib, rb]
+            gb, tb = g[jb], t[ib, jb][:, None]
+            best[ib, rb] = top[ib, rb]
+            v_best[ib, rb] = pieces.centre[lo + jb] + tb * pieces.dirs[gb, rb]
+            w_best[ib, rb] = pieces.w0[lo + jb] + tb * pieces.w1[gb, rb]
+            tau_best[ib, rb] = tb[:, 0] * pieces.inv_b[gb, rb]
 
         # closed-form multipliers: y = Y_0 - (b / t) d_map, 2 lambda = r b / t
-        inv_t = np.divide(1.0, t, out=np.zeros_like(t), where=t > 0.0)[:, None]
+        inv_t = np.divide(1.0, t, out=np.zeros_like(t), where=t > 0.0)[:, :, None]
         slope = b * inv_t
-        two_lam = np.where(inv_t > 0.0, r * slope, np.where(r * b > 0.0, np.inf, 0.0))
-        y = pieces.y0[g] - slope[:, :, None] * pieces.d_map[block, None, :]
-        bound = np.where(valid[:, None], np.abs(y).sum(axis=2) + two_lam, np.inf)
-        jb = np.argmin(bound, axis=0)
-        tighter = bound[jb, rows] < best_bound
+        r_3 = r[:, None, None]
+        two_lam = np.where(inv_t > 0.0, r_3 * slope, np.where(r_3 * b > 0.0, np.inf, 0.0))
+        y = pieces.y0[g] - slope[..., None] * pieces.d_map[block, None, :]
+        bound = np.where(valid[:, :, None], np.abs(y).sum(axis=3) + two_lam, np.inf)
+        jb = np.argmin(bound, axis=1)
+        low = bound[each[0], jb, each[1]]
+        tighter = low < best_bound
         if tighter.any():
-            best_bound[tighter] = bound[jb[tighter], rows[tighter]]
-            y_best[tighter] = y[jb[tighter], rows[tighter]]
+            ib, rb = np.nonzero(tighter)
+            best_bound[ib, rb] = low[ib, rb]
+            y_best[ib, rb] = y[ib, jb[ib, rb], rb]
 
-    flat = ~c[:, rank:].any(axis=1) & ((r == 0.0) | ~c[:, :rank].any(axis=1))
-    if not np.all(np.isfinite(best[~flat])):
-        raise NumericalFailure("no sign pattern produced a feasible candidate")
-    u = v_best @ q_u.T + tau_best[:, None] * c_perp
-    eta = np.hstack([u / pieces.geom.s, w_best])
+    flat = ~c[:, rank:].any(axis=1) & ((r_col == 0.0) | ~c[:, :rank].any(axis=1))
+    found = np.all(np.isfinite(best) | flat, axis=1)
+    u = v_best @ q_u.T + tau_best[..., None] * c_perp
+    eta = np.concatenate([u / pieces.geom.s, w_best], axis=-1)
     eta[flat] = 0.0
     y_best[flat] = 0.0
-    return eta, y_best
+    return eta, y_best, found
 
 
-def _dual_bound(geom: _Geometry, c: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
-    """Weak-duality bound ||y||_1 + sqrt(g' G^+ g), g = c - A'y, per row, at a radius.
+def _dual_bound(geom: _Geometry, c: np.ndarray, y: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Weak-duality bound ||y||_1 + sqrt(g' G^+ g), g = c - A'y, per radius (y's leading axis) and row.
 
-    G = diag(s^2, 0) with the scales s at that radius, so G^+ reads off s
+    G = diag(s^2, 0) with the scales s at each radius, so G^+ reads off s
     and range(G) is the x block.
     """
     g = c - y @ geom.a_rows
     r = geom.s.size
-    inner = np.sum(np.square(g[:, :r] / geom.scales(radius)), axis=1)
-    outside = np.linalg.norm(g[:, r:], axis=1)
-    tol = numcore.RANK_RTOL * np.maximum(np.linalg.norm(c, axis=1), np.linalg.norm(g, axis=1))
-    return np.where(outside <= tol, np.abs(y).sum(axis=1) + np.sqrt(inner), np.inf)
+    inner = np.sum(np.square(g[..., :r] / geom.scales(radii)[:, None, :]), axis=-1)
+    outside = np.linalg.norm(g[..., r:], axis=-1)
+    tol = numcore.RANK_RTOL * np.maximum(np.linalg.norm(c, axis=-1), np.linalg.norm(g, axis=-1))
+    return np.where(outside <= tol, np.abs(y).sum(axis=-1) + np.sqrt(inner), np.inf)
 
 
 @dataclass
@@ -491,6 +518,37 @@ class _Batch:
     feasibility_residual: float
 
 
+def _solve(pieces: _Pieces, c: np.ndarray, radii: np.ndarray) -> list:
+    """The outcome at each radius: a certified _Batch, or the NumericalFailure its solve raises.
+
+    One pass of _evaluate, the dual bound and the residual serves every
+    radius, and each radius's certificate is checked at that radius.
+    """
+    eta, y, found = _evaluate(pieces, radii)
+    if not found.all():  # those radii have no maximizer to certify
+        radii, eta, y = radii[found], eta[found], y[found]
+    geom = pieces.geom
+    d_star = geom.decision(eta)
+    mu = np.sum(c * d_star, axis=-1)
+    bound = _dual_bound(geom, pieces.c_eta, y, radii)
+    gap = np.abs(bound - mu) / np.maximum(np.abs(mu), np.finfo(float).tiny)
+    residual = geom.residual(d_star, radii)
+    worst_gap = np.max(gap, axis=-1, initial=0.0)
+    worst_res = np.max(residual, axis=-1, initial=0.0)
+    missing = "no sign pattern produced a feasible candidate"
+    outcomes: list = [None if ok else NumericalFailure(missing) for ok in found]
+    for i, slot in enumerate(np.flatnonzero(found)):
+        gap_i, res_i = float(worst_gap[i]), float(worst_res[i])
+        if not gap_i <= CERT_TOL or not res_i <= CERT_TOL:
+            outcomes[slot] = NumericalFailure(
+                f"optimality certificate not met: duality gap {gap_i:.3e}, "
+                f"feasibility residual {res_i:.3e} (tolerance {CERT_TOL:.0e})"
+            )
+        else:  # copies, so that a kept result does not hold the whole chunk
+            outcomes[slot] = _Batch(d_star[i].copy(), mu[i].copy(), gap_i, res_i)
+    return outcomes
+
+
 class ImpactCurve:
     """The optimum of every row of c as a function of the stealthiness radius.
 
@@ -498,11 +556,21 @@ class ImpactCurve:
     enumeration serve every radius. Building a curve factors nothing, and a
     GaussianSummary builds its curve only on first read, so a configuration
     over budget at every epsilon never factors.
+
+    A run announces the radii it will read with expect. The first solve at
+    an announced radius evaluates it together with the radii announced after
+    it, in one pass of at most _CHUNK (radius, row, column) entries, and
+    keeps each one's outcome only until its last announced read; a failure
+    that belongs to one radius is raised only when that radius is read. A
+    radius nobody announced is evaluated alone. Each radius's result is the
+    same, bit for bit, in any batch.
     """
 
     def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
         self._maps = (q_box, m_quad, basis)
         self.c = np.asarray(c, dtype=float).reshape(-1, np.shape(basis)[0])
+        self._reads: dict[float, int] = {}  # announced reads left per radius, in announced order
+        self._ready: dict[float, object] = {}  # evaluated outcomes, until their last read
 
     @cached_property
     def _reduced(self) -> tuple[_Geometry, np.ndarray, bool]:
@@ -522,32 +590,62 @@ class ImpactCurve:
         geom, c_eta, bounded = self._reduced
         return _enumerate(geom, c_eta) if bounded else None
 
+    def expect(self, radii) -> None:
+        """Announce one read of solve at each radius; negative ones solve nothing and are skipped."""
+        for radius in radii:
+            if radius >= 0:
+                self._reads[radius] = self._reads.get(radius, 0) + 1
+
     def solve(self, radius: float) -> Optional[_Batch]:
         """Exact optimum of every row at a radius, or None when some row is unbounded.
 
-        Raises Infeasible at a negative radius, and NumericalFailure when the
-        duality gap or a constraint residual of any row exceeds CERT_TOL.
+        An announced radius reads the outcome of its batch. Raises Infeasible
+        at a negative radius, and NumericalFailure when the duality gap or a
+        constraint residual of any row exceeds CERT_TOL.
         """
         if radius < 0:
             raise Infeasible(f"negative stealthiness radius {radius:.6e}")
         pieces = self._pieces
         if pieces is None:
             return None
-        eta, y = _evaluate(pieces, radius)
-        geom = pieces.geom
-        d_star = geom.decision(eta)
-        mu = np.sum(self.c * d_star, axis=1)
-        bound = _dual_bound(geom, pieces.c_eta, y, radius)
-        gap = np.abs(bound - mu) / np.maximum(np.abs(mu), np.finfo(float).tiny)
-        residual = geom.residual(d_star, radius)
-        worst_gap = float(np.max(gap, initial=0.0))
-        worst_res = float(np.max(residual, initial=0.0))
-        if not worst_gap <= CERT_TOL or not worst_res <= CERT_TOL:
-            raise NumericalFailure(
-                f"optimality certificate not met: duality gap {worst_gap:.3e}, "
-                f"feasibility residual {worst_res:.3e} (tolerance {CERT_TOL:.0e})"
-            )
-        return _Batch(d_star, mu, worst_gap, worst_res)
+        if radius in self._ready:
+            outcome = self._ready.pop(radius)
+        else:
+            chunk = self._take_chunk(radius, pieces)
+            outcomes = self._outcomes(pieces, chunk)
+            self._ready.update(zip(chunk[1:], outcomes[1:]))
+            outcome = outcomes[0]
+        reads = self._reads.pop(radius, 1) - 1
+        if reads > 0:
+            self._reads[radius] = reads
+            self._ready[radius] = outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _take_chunk(self, radius: float, pieces: _Pieces) -> list[float]:
+        """The radius and the announced radii after it, not yet evaluated, that fit in one chunk."""
+        if radius not in self._reads:
+            return [radius]
+        width = max(self.c.shape[1], pieces.geom.m_quad.shape[0])
+        pending = (r for r in self._reads if r not in self._ready)
+        chunk = itertools.dropwhile(lambda r: r != radius, pending)
+        return list(itertools.islice(chunk, max(1, _CHUNK // max(self.c.shape[0] * width, 1))))
+
+    def _outcomes(self, pieces: _Pieces, radii: list[float]) -> list:
+        """_solve's outcomes at the radii; an overflow is found again radius by radius.
+
+        Under np.errstate(over="raise") an overflow in a batch raises for all
+        of it, so the batch is solved again one radius at a time, and the
+        FloatingPointError becomes the outcome of the radius whose own solve
+        raises it.
+        """
+        try:
+            return _solve(pieces, self.c, np.array(radii, dtype=float))
+        except FloatingPointError as exc:
+            if len(radii) == 1:
+                return [exc]
+            return [self._outcomes(pieces, [radius])[0] for radius in radii]
 
 
 @np.errstate(over="raise")

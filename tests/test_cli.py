@@ -231,6 +231,81 @@ def test_eps_sweep_enumerates_each_configuration_once(tmp_path, monkeypatch):
     assert svd_count("--sweep", "eps", "--values", values) == single
 
 
+def test_eps_sweep_evaluates_each_configuration_once(tmp_path, scenario, monkeypatch):
+    """Criterion 6's ten epsilons take one _evaluate call per configuration that some value solves.
+
+    The pair announces every value's radius before the first solve, so each
+    curve evaluates all of them in one batch, as many calls as a run at the
+    largest value alone; a configuration feasible at some value is feasible
+    at the largest, and is solved there unless a row is unbounded.
+    """
+    calls = []
+    evaluate = solver._evaluate
+
+    def counted(pieces, radii):
+        calls.append(len(radii))
+        return evaluate(pieces, radii)
+
+    def evaluations(*extra):
+        calls.clear()
+        monkeypatch.setattr(solver, "_evaluate", counted)
+        try:
+            assert _run(tmp_path, *extra)[0] == cli.EXIT_OK
+        finally:
+            monkeypatch.undo()
+        return list(calls)
+
+    solved = 0
+    for resources in scenario.vulnerabilities.values():
+        for kind in scenario.strategies:
+            spec = attacks.StrategySpec(kind, resources)
+            for cand in attacks.candidates(spec, scenario.system.dims, scenario.horizon):
+                summary = candidate_summary(scenario, cand, CRITERION_6_EPSILONS[-1])
+                solved += summary.residual_cov_pd and summary.eps_prime >= 0 and summary.impact_bounded
+    values = ",".join(repr(e) for e in CRITERION_6_EPSILONS)
+    sweep = evaluations("--sweep", "eps", "--values", values)
+    single = evaluations("--sweep", "eps", "--values", repr(CRITERION_6_EPSILONS[-1]))
+    assert len(sweep) == len(single) == solved > 0
+    assert max(sweep) == len(CRITERION_6_EPSILONS)
+
+
+def test_sweep_failure_is_the_first_in_epsilon_major_order(tmp_path, capsys):
+    """Two configurations that fail at different epsilons: the sweep reports the first failure it reads.
+
+    Of vulnerability_1/dos, configuration 1 misses its certificate from
+    epsilon = 1e14 on and configuration 0 from 1e17 (ROADMAP item 6). The
+    sweep 1e14,1e17 reads configuration 0 at 1e14 first, which evaluates its
+    batch, failure at 1e17 included; that failure waits for its own read, so
+    the run exits 3 with configuration 1's message at 1e14, as a run at 1e14
+    alone does, and not with the one a run at 1e17 alone prints.
+    """
+
+    def stderr(values):
+        code = cli.main(["assess", "--vulnerability", "vulnerability_1", "--strategy", "dos",
+                         "--sweep", "eps", "--values", values, "--out", str(tmp_path / "out.json")])
+        assert code == cli.EXIT_NUMERICAL
+        return capsys.readouterr().err
+
+    first = stderr("1e14")
+    assert first.startswith("numerical failure: optimality certificate not met")
+    assert stderr("1e14,1e17") == first != stderr("1e17")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_negative_zero_epsilon_reads_as_zero(tmp_path, capsys, fmt):
+    """-0 as a sweep value or as the scenario's epsilon gives the bytes of epsilon = 0."""
+
+    def report(*extra):
+        assert cli.main(["assess", "--format", fmt, *extra]) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    assert report("--sweep", "eps", "--values=-0,0.3") == report("--sweep", "eps", "--values=0,0.3")
+    doc = json.loads(bundled_scenario_path().read_text())
+    assert report("--scenario", str(_write_scenario(tmp_path, dict(doc, epsilon=-0.0)))) == report(
+        "--scenario", str(_write_scenario(tmp_path, dict(doc, epsilon=0.0)))
+    )
+
+
 def test_over_budget_configurations_take_no_svd(scenario, monkeypatch):
     """A configuration whose radius is negative builds its curve without factoring anything.
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from stealthimpact import attacks, cli, distrib, numcore, solver
 import oracles
 from conftest import candidate_summary
 from oracles import qclp_dual_bound, scipy_reference_qclp
+
+CRITERION_6 = [float(e) for e in np.linspace(0.05, 0.95, 10)]
 
 
 def _curve(c, q_box=None, m_quad=None, f_eq=None):
@@ -422,15 +425,7 @@ def test_geometry_reads_the_radius_only_through_s(scenario):
     vulnerability_2 injections at epsilon = 0, whose radius is 0.
     """
     radii = (0.0, 1e-13, 1.0, 1e30)
-    rng = np.random.default_rng(19)
-    n, cases = 5, []
-    for trial in range(6):
-        m = rng.normal(size=(2 + trial % 2, n))
-        if trial % 3 == 0:
-            m = np.vstack([m, 1e-17 * rng.normal(size=(1, n))])  # a direction seen at rounding level
-        q = rng.normal(size=(trial % 3 + 1, n))
-        basis = linalg.null_space(rng.normal(size=(1, n))) if trial % 2 else np.eye(n)
-        cases.append((q, m, basis, rng.normal(size=(4, n))))
+    cases = _random_programs()
     for kind in ("fdi", "bias_injection"):
         spec = attacks.StrategySpec(kind, scenario.vulnerabilities["vulnerability_2"])
         (cand,) = attacks.candidates(spec, scenario.system.dims, scenario.horizon)
@@ -454,15 +449,165 @@ def test_geometry_reads_the_radius_only_through_s(scenario):
     assert verdicts == {False, True}
 
 
+def _random_programs():
+    """Six random programs (q_box, m_quad, basis, c).
+
+    Some have unbounded rows or a quadratic-map direction at rounding level.
+    """
+    rng = np.random.default_rng(19)
+    n, cases = 5, []
+    for trial in range(6):
+        m = rng.normal(size=(2 + trial % 2, n))
+        if trial % 3 == 0:
+            m = np.vstack([m, 1e-17 * rng.normal(size=(1, n))])  # a direction seen at rounding level
+        q = rng.normal(size=(trial % 3 + 1, n))
+        basis = linalg.null_space(rng.normal(size=(1, n))) if trial % 2 else np.eye(n)
+        cases.append((q, m, basis, rng.normal(size=(4, n))))
+    return cases
+
+
+def _counting_evaluate(monkeypatch):
+    """Patch solver._evaluate to record the radii of each call; returns the list of calls."""
+    calls, evaluate = [], solver._evaluate
+
+    def counted(pieces, radii):
+        calls.append(tuple(radii))
+        return evaluate(pieces, radii)
+
+    monkeypatch.setattr(solver, "_evaluate", counted)
+    return calls
+
+
+def _batch_and_single(q, m, basis, c, radii, monkeypatch):
+    """Outcomes at the radii from one curve told of them all, and from one asked a radius at a time.
+
+    Returns both lists and the _evaluate calls the batch took.
+    """
+    calls = _counting_evaluate(monkeypatch)
+    batched = solver.ImpactCurve(q, m, basis, c)
+    batched.expect(radii)
+    got = [_outcome(batched, r) for r in radii]
+    batch_calls = list(calls)
+    single = solver.ImpactCurve(q, m, basis, c)
+    want = [_outcome(single, r) for r in radii]
+    monkeypatch.undo()
+    return got, want, batch_calls
+
+
+@pytest.mark.parametrize("N", [10, 50])
+def test_batch_equals_batch_of_one(scenario, N, monkeypatch):
+    """Each radius's d*, mu, gap and residual are the same bits in one batch as alone.
+
+    Every bundled configuration that is feasible and bounded, at the radii of
+    criterion 6's epsilons and of 0, 1e-9, 10 and 1e8, solved from one curve
+    that was told of them all (one _evaluate call per chunk) and one radius
+    at a time; and the random programs of
+    test_geometry_reads_the_radius_only_through_s, unbounded rows and
+    uncertified radii included.
+    """
+    epsilons = [*CRITERION_6, 0.0, 1e-9, 10.0, 1e8]
+    compared = 0
+    for resources in scenario.vulnerabilities.values():
+        for kind in scenario.strategies:
+            spec = attacks.StrategySpec(kind, resources)
+            for cand in attacks.candidates(spec, scenario.system.dims, N):
+                layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
+                summary = distrib.gaussian_summary(
+                    scenario.system, cand.attack, layout, scenario.q_z, N, scenario.epsilon
+                )
+                radii = [summary.at_epsilon(e).eps_prime for e in epsilons]
+                radii = [r for r in radii if r >= 0]
+                if not radii or not summary.impact_bounded:
+                    continue
+                maps = (layout.Q, summary.t_r, layout.Z, summary.t_z)
+                got, want, calls = _batch_and_single(*maps, radii, monkeypatch)
+                assert got == want, (kind, cand.variant)
+                # in order, a chunk at a time: one chunk holds them all at N = 10
+                assert sum(calls, ()) == tuple(radii) and (N > 10 or len(calls) == 1), (kind, cand.variant)
+                compared += len(radii)
+    assert compared >= 6 * len(epsilons)
+    radii = [0.0, 1e-13, 1e-9, 0.05, 1.0, 4.0, 1e8, 1e30]
+    for q, m, basis, c in _random_programs():
+        got, want, _ = _batch_and_single(q, m, basis, c, radii, monkeypatch)
+        assert got == want
+
+
+def _bundled_curve(scenario, vulnerability, kind, N=None):
+    N = N or scenario.horizon
+    spec = attacks.StrategySpec(kind, scenario.vulnerabilities[vulnerability])
+    (cand,) = attacks.candidates(spec, scenario.system.dims, N)
+    layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
+    summary = distrib.gaussian_summary(
+        scenario.system, cand.attack, layout, scenario.q_z, N, scenario.epsilon
+    )
+    return layout.Q, summary.t_r, layout.Z, summary.t_z
+
+
+@pytest.mark.parametrize(
+    "vulnerability, kind, failing",
+    [
+        # past the certified range (ROADMAP item 6): a certificate miss at
+        # 1e200 and an overflow at 1e308
+        ("vulnerability_2", "replay_dos", {1e200: "optimality certificate not met",
+                                           1e308: "overflow encountered"}),
+        ("vulnerability_2", "fdi", {1e200: "no sign pattern produced a feasible candidate"}),
+    ],
+)
+def test_failures_keep_their_place(scenario, vulnerability, kind, failing, monkeypatch):
+    """A radius's failure is raised when that radius is read, and only then.
+
+    The batch is solved on the first read, at 1.0; the failing radii after it
+    raise what they raise alone, and the radius after them still returns
+    its own result, bit for bit. An overflow (under over="raise") in the
+    batch sends it back radius by radius.
+    """
+    maps = _bundled_curve(scenario, vulnerability, kind)
+    radii = [1.0, *failing, 4.0]
+    with np.errstate(over="raise"):
+        got, want, calls = _batch_and_single(*maps, radii, monkeypatch)
+    assert got == want
+    assert isinstance(got[0], tuple) and isinstance(got[-1], tuple)
+    for outcome, fragment in zip(got[1:-1], failing.values()):
+        assert isinstance(outcome, str) and fragment in outcome
+    overflow = any("overflow" in f for f in failing.values())
+    assert calls == [tuple(radii)] + ([(r,) for r in radii] if overflow else [])
+
+
+def test_batch_memory_does_not_grow_with_the_sweep(scenario):
+    """Solving 2,000 announced radii of vulnerability_2/fdi at N = 50 peaks at the memory of one chunk.
+
+    Each radius's result is dropped when it is read, so the peak of the
+    solve is the same for 200 and for 2,000 radii, and stays within a few
+    chunks of _CHUNK float entries.
+    """
+    maps = _bundled_curve(scenario, "vulnerability_2", "fdi", N=50)
+    peaks = []
+    for count in (200, 2000):
+        curve = solver.ImpactCurve(*maps)
+        curve.solve(1.0)  # the enumeration, which every count shares
+        radii = [float(r) for r in np.linspace(0.0, 10.0, count)]
+        curve.expect(radii)
+        tracemalloc.start()
+        try:
+            for r in radii:
+                curve.solve(r)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not curve._ready and not curve._reads
+    assert peaks[1] <= 1.02 * peaks[0]
+    assert peaks[1] <= 8 * solver._CHUNK * 8  # eight chunk-sized float64 arrays
+
+
 def _outcome(curve, radius):
-    """A solve's result as plain values, or the message it failed with.
+    """A solve's result as plain values, or the message it failed (or overflowed) with.
 
     At r = 1e30 the rounding of a box-limited optimum exceeds CERT_TOL on
     some of these programs (ROADMAP item 6).
     """
     try:
         batch = curve.solve(radius)
-    except solver.NumericalFailure as exc:
+    except (solver.NumericalFailure, FloatingPointError) as exc:
         return str(exc)
     if batch is None:
         return None
@@ -541,19 +686,24 @@ def test_solve_matches_row_space_reference():
 
 
 def test_pattern_blocks_match_row_space_reference():
-    """Six box rows give 3^6 = 729 sign patterns, evaluated in blocks of solver._BLOCK.
+    """Six box rows give 3^6 = 729 sign patterns, evaluated in blocks of solver._BLOCK entries.
 
-    The best candidate and the tightest bound of each row are kept across
-    blocks, as within one.
+    A block holds at most _BLOCK (radius, pattern, box row) entries, so one
+    radius takes three blocks here and the batch of every radius in RADII
+    many more. The best candidate and the tightest bound of each row are
+    kept across blocks, as within one.
     """
     rng = np.random.default_rng(61)
     n = 7
     q, m, c = rng.normal(size=(6, n)), rng.normal(size=(n - 2, n)), rng.normal(size=(4, n))
     f = rng.normal(size=(1, n))
-    curve = solver.ImpactCurve(q, m, linalg.null_space(f), c)
-    assert curve._pieces.kappa.size > 2 * solver._BLOCK
-    for r in RADII:
-        assert _assert_matches_reference(curve, r, oracles.reference_solve_rows(c, q, m, f, r))
+    for batch in (False, True):
+        curve = solver.ImpactCurve(q, m, linalg.null_space(f), c)
+        assert curve._pieces.kappa.size * q.shape[0] > 2 * solver._BLOCK
+        if batch:
+            curve.expect(RADII)
+        for r in RADII:
+            assert _assert_matches_reference(curve, r, oracles.reference_solve_rows(c, q, m, f, r))
 
 
 @pytest.mark.parametrize("N", [10, 50])

@@ -273,6 +273,7 @@ def decision_layout(attack: AttackMatrices, N: int, Q_yr: np.ndarray) -> Decisio
     free = eye[:, :n_blk][:, [mode == FREE for mode in modes] * (N + 1)]
     Z = np.hstack(held + [free, eye[:, n_blk:]])
     Q = np.hstack([np.zeros((n_yr, n_blk)), Q_yr])
+    Q.flags.writeable = Z.flags.writeable = False  # one layout serves every configuration of a pair
     return DecisionLayout(dim_d=dim_d, n_a=n_a, n_yr=n_yr, horizon=N, Q=Q, Z=Z)
 
 

@@ -127,9 +127,11 @@ def _assess_pair(
     Configurations are enumerated in a fixed lexicographic order and ranked by
     exceedance probability; the first one within the solver's certified
     accuracy of the maximum wins. fdi_plus_dos injects on the vulnerability's
-    sensors and denies its actuators. Only the radius depends on epsilon, so
-    the pair's configurations are audited once, in one batch, and each
-    configuration is told the radii of every value before any solve. At the
+    sensors and denies its actuators. The pair's configurations are one kind
+    on one resource set, so they share one read-only DecisionLayout, and
+    gaussian_summaries assembles their loops in one batch. Only the radius
+    depends on epsilon, so the configurations are audited once, in one
+    batch, and each is told the radii of every value before any solve. At the
     first epsilon where its radius is nonnegative it stacks its maps,
     enumerates the sign patterns of its ImpactCurve and evaluates the curve
     at all of those radii in one batch; every later value reads its stored
@@ -143,7 +145,7 @@ def _assess_pair(
     t0 = time.perf_counter()
     N, system, resources = scenario.horizon, scenario.system, scenario.vulnerabilities[vulnerability]
     cands = candidates(StrategySpec(strategy, resources), system.dims, N)
-    layouts = [decision_layout(c.attack, N, system.controller.Q_yr) for c in cands]
+    layouts = [decision_layout(cands[0].attack, N, system.controller.Q_yr)] * len(cands)
     laws = gaussian_summaries(system, [c.attack for c in cands], layouts, scenario.q_z, N, epsilons[0])
     views = [[law.at_epsilon(eps) for law in laws] for eps in epsilons]
     for law, column in zip(laws, zip(*views)):
@@ -281,7 +283,61 @@ def _emit_json(
     if sweep is not None:
         doc["sweep"] = sweep
     doc["entries"] = [_entry_dict(e, timings) for e in entries]
-    return json.dumps(doc, indent=2) + "\n"
+    return _indented(doc) + "\n"
+
+
+# CPython's C encoder runs only without indent. No encoded scalar holds a raw
+# newline, so with a newline item separator the encoding of a flat list
+# splits into its items exactly.
+_LEAVES = json.JSONEncoder(separators=("\n", ": "))
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, with every scalar and key encoded in one C call.
+
+    _lay_out walks the containers and records the literal layout text before
+    each leaf; the leaves are encoded together and interleaved with it.
+    """
+    texts: list[str] = []
+    leaves: list = []
+    tail = _lay_out(doc, "", "", texts, leaves)
+    pieces = texts + texts  # texts and encoded leaves, interleaved
+    pieces[::2] = texts
+    pieces[1::2] = _LEAVES.encode(leaves)[1:-1].split("\n") if leaves else []
+    return "".join(pieces) + tail
+
+
+def _lay_out(obj, pad: str, before: str, texts: list, leaves: list) -> str:
+    """Record obj's layout at indent pad after the literal before; return the literal after its last leaf."""
+    if not isinstance(obj, _CONTAINERS):
+        texts.append(before)
+        leaves.append(obj)
+        return ""
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        return before + brackets
+    inner = pad + "  "
+    sep = brackets[0] + "\n" + inner
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if isinstance(key, str):
+                texts.append(before + sep)
+                leaves.append(key)
+                before = ": "
+            else:  # json's own key conversion: 1 -> "1", None -> "null"
+                before += sep + _LEAVES.encode({key: None})[1 : -len(": null}")] + ": "
+            before = _lay_out(value, inner, before, texts, leaves)
+            sep = ",\n" + inner
+    elif any(isinstance(value, _CONTAINERS) for value in obj):
+        for value in obj:
+            before = _lay_out(value, inner, before + sep, texts, leaves)
+            sep = ",\n" + inner
+    else:  # a flat list, such as a decision vector: all its leaves at once
+        texts += [before + sep] + [",\n" + inner] * (len(obj) - 1)
+        leaves += obj
+        before = ""
+    return before + "\n" + pad + brackets[1]
 
 
 _CSV_COLUMNS = [

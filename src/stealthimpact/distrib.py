@@ -341,9 +341,12 @@ def summarize(
 
 
 def _innovation_audit(
-    exts: list[ExtendedSystem], system: SystemModel, q_z: np.ndarray, N: int
+    ext: ExtendedSystem, system: SystemModel, q_z: np.ndarray, N: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sigma_R's PD verdict, trace and ln det, and sigma, for a batch of loops without a recording.
+
+    ext is the batch's stacked loops, as assemble_extended returns them: the
+    recursion reads A_cl, [D_f; B_f] and C_r with their configuration axis.
 
     The residual r(0..N) is the output of the loop (A_cl, B_f, C_r, D_f) from
     x_e(0) ~ N(., Sigma_0), driven by white f ~ N(0, Sigma_f), so
@@ -361,11 +364,10 @@ def _innovation_audit(
     term summed over lags below k, so tr Sigma_R and sigma need no stacked
     matrix. Returns (pd, trace, logdet, sigma), one row per loop.
     """
-    B, n_y, n_e, n_z = len(exts), system.plant.n_y, 2 * system.plant.n_x, q_z.shape[0]
-    n_f = exts[0].n_f
-    A = np.stack([e.A_cl for e in exts])
-    noise = np.stack([np.vstack([e.D_f, e.B_f]) for e in exts]) @ system.sqrt_sigma_f
-    out = np.concatenate([np.broadcast_to(q_z, (B, n_z, n_e)), np.stack([e.C_r for e in exts])], axis=1)
+    A, n_f = ext.A_cl, ext.n_f
+    B, n_y, n_e, n_z = len(A), system.plant.n_y, 2 * system.plant.n_x, q_z.shape[0]
+    noise = np.concatenate([ext.D_f, ext.B_f], axis=1) @ system.sqrt_sigma_f
+    out = np.concatenate([np.broadcast_to(q_z, (B, n_z, n_e)), ext.C_r], axis=1)
     drive = np.concatenate([np.broadcast_to(system.sqrt_sigma_0, (B, n_e, n_e)), noise[:, n_y:]], axis=2)
     sq = np.square(out[:, None] @ numcore.matrix_powers(A, N) @ drive[:, None])  # [loop, k, row]
     var = sq[..., :n_e].sum(axis=-1)  # from x_e(0), then from f(j) at the lags k - 1 - j >= 0
@@ -407,29 +409,32 @@ def gaussian_summaries(
 ) -> list[GaussianSummary]:
     """Gaussian summaries at epsilon of configurations of one system, audited together.
 
+    One assemble_extended call builds every configuration's loop, stacked.
     All configurations without a recording are audited by one
-    _innovation_audit, replay's one by one by _replay_audit, and each one's
-    mean maps are stacked on first read. A floating-point overflow raises
-    FloatingPointError: in the audit at once, in the mean maps when they are
-    first read.
+    _innovation_audit on those stacked loops, replay's one by one by
+    _replay_audit on its own slice, and each one's mean maps are stacked
+    from its slice on first read. The configurations must share their
+    injection widths, as a pair's do (DimensionMismatch otherwise). A
+    floating-point overflow raises FloatingPointError: in the audit at once,
+    in the mean maps when they are first read.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
-    exts = [assemble_extended(system.plant, system.controller, system.estimator, a) for a in attacks]
-    for ext, attack, layout in zip(exts, attacks, layouts):
+    ext = assemble_extended(system.plant, system.controller, system.estimator, attacks)
+    for attack, layout in zip(attacks, layouts):
         if layout.dim_d != (N + 1) * attack.n_a + ext.n_yr:
             raise DimensionMismatch("maps and decision layout disagree on dim_d")
     audits: list = [None] * len(attacks)
     batch = [i for i, attack in enumerate(attacks) if not attack.has_recording]
     if batch:
-        for i, *row in zip(batch, *_innovation_audit([exts[i] for i in batch], system, q_z, N)):
+        for i, *row in zip(batch, *_innovation_audit(ext[batch], system, q_z, N)):
             audits[i] = row
     for i, attack in enumerate(attacks):
         if attack.has_recording:
-            audits[i] = _replay_audit(exts[i], attack, system, q_z, N)
+            audits[i] = _replay_audit(ext[i], attack, system, q_z, N)
     summaries = []
-    for audit, ext, attack, layout in zip(audits, exts, attacks, layouts):
-        maps = _Maps(partial(stack_dynamics, ext, attack, system, q_z, N), layout)
+    for i, (audit, attack, layout) in enumerate(zip(audits, attacks, layouts)):
+        maps = _Maps(partial(stack_dynamics, ext[i], attack, system, q_z, N), layout)
         summaries.append(summarize(audit, layout, system.plant.n_y, epsilon, maps))
     return summaries
 

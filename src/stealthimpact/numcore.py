@@ -116,10 +116,11 @@ def solve_dare(
     P = np.asarray(sigma_v, dtype=float).copy()
     for _ in range(_DARE_MAX_ITER):
         S = C @ P @ C.T + sigma_w
-        APCt = A @ P @ C.T
-        P_next = A @ P @ A.T + sigma_v - APCt @ np.linalg.solve(S, APCt.T)
+        AP = A @ P
+        APCt = AP @ C.T
+        P_next = AP @ A.T + sigma_v - APCt @ np.linalg.solve(S, APCt.T)
         P_next = 0.5 * (P_next + P_next.T)
-        if np.linalg.norm(P_next - P, "fro") <= _DARE_TOL * max(1.0, np.linalg.norm(P_next, "fro")):
+        if _fro(P_next - P) <= _DARE_TOL * max(1.0, _fro(P_next)):
             P = P_next
             break
         P = P_next
@@ -135,9 +136,13 @@ def dare_residual(A, C, sigma_v, sigma_w, sigma_e) -> float:
     S = C @ sigma_e @ C.T + sigma_w
     APCt = A @ sigma_e @ C.T
     rhs = A @ sigma_e @ A.T + sigma_v - APCt @ np.linalg.solve(S, APCt.T)
-    return float(
-        np.linalg.norm(sigma_e - rhs, "fro") / max(1.0, np.linalg.norm(sigma_e, "fro"))
-    )
+    return _fro(sigma_e - rhs) / max(1.0, _fro(sigma_e))
+
+
+def _fro(M: np.ndarray) -> float:
+    """Frobenius norm of a real 2-D array, as np.linalg.norm(M, "fro") computes it, without its dispatch."""
+    flat = M.ravel(order="K")
+    return math.sqrt(flat @ flat)
 
 
 def kalman_gain(
@@ -175,7 +180,7 @@ def solve_lyapunov(A_e: np.ndarray, Q: np.ndarray) -> np.ndarray:
     for _ in range(200):
         inc = M @ S @ M.T
         S = S + inc
-        if np.linalg.norm(inc, "fro") <= 1e-16 * max(1.0, np.linalg.norm(S, "fro")):
+        if _fro(inc) <= 1e-16 * max(1.0, _fro(S)):
             return 0.5 * (S + S.T)
         M = M @ M
     raise NonConvergence("Lyapunov doubling iteration did not converge")

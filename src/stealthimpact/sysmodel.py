@@ -11,6 +11,11 @@ where r is the whitened residual. A replayed recording a_s is a sensor
 injection too: it enters through the sensor columns of G_a and H_a. With
 identity routing and no injection channels this reduces to the nominal loop,
 which SystemModel keeps as its `nominal` ExtendedSystem.
+
+assemble_extended builds the loops of a batch of configurations at once,
+every block stacked along a leading configuration axis: the configurations
+of a (vulnerability, strategy) pair are one batch, and the nominal loop is
+the batch of one, through the same function.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import numpy as np
 from . import numcore
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .attacks import AttackMatrices
 
 
@@ -140,7 +147,11 @@ class EstimatorModel:
 
 @dataclass
 class ExtendedSystem:
-    """Block matrices of the attacked closed loop (see module docstring)."""
+    """Block matrices of the attacked closed loop (see module docstring).
+
+    assemble_extended gives every block a leading configuration axis;
+    indexing by a configuration gives that loop's 2-D blocks, as views.
+    """
 
     A_cl: np.ndarray
     B_f: np.ndarray
@@ -150,21 +161,26 @@ class ExtendedSystem:
     G_a: np.ndarray
     H_a: np.ndarray
 
+    def __getitem__(self, i) -> "ExtendedSystem":
+        return ExtendedSystem(
+            self.A_cl[i], self.B_f[i], self.C_r[i], self.D_f[i], self.E_r[i], self.G_a[i], self.H_a[i]
+        )
+
     @property
     def n_x(self) -> int:
-        return self.A_cl.shape[0] // 2
+        return self.A_cl.shape[-1] // 2
 
     @property
     def n_y(self) -> int:
-        return self.C_r.shape[0]
+        return self.C_r.shape[-2]
 
     @property
     def n_f(self) -> int:
-        return self.B_f.shape[1]
+        return self.B_f.shape[-1]
 
     @property
     def n_yr(self) -> int:
-        return self.E_r.shape[1]
+        return self.E_r.shape[-1]
 
 
 @dataclass
@@ -191,46 +207,62 @@ def assemble_extended(
     plant: PlantModel,
     controller: ControllerModel,
     estimator: EstimatorModel,
-    attack: "AttackMatrices",
+    attacks: "Sequence[AttackMatrices]",
 ) -> ExtendedSystem:
-    """Assemble the attacked closed loop for one attack configuration."""
+    """Assemble the attacked closed loops of a batch of configurations in one pass.
+
+    The configurations' routing and selector matrices are stacked along a
+    leading configuration axis, and every block of the module docstring is
+    written into a preallocated array with that axis, each product batched
+    over it (as numcore.matrix_powers takes a stacked A). Indexing the result
+    gives one configuration's loop; a single configuration is a batch of one.
+    The selectors of a batch must share their widths, which a
+    (vulnerability, strategy) pair's configurations do: it is one kind on
+    one resource set. Otherwise DimensionMismatch.
+    """
     A, B, C = plant.A, plant.B, plant.C
     K, W = estimator.K, estimator.sigma_r_invsqrt
     n_x, n_y, n_u = plant.n_x, plant.n_y, plant.n_u
-    lam_y, lam_u = attack.lambda_y, attack.lambda_u
-    gam_y, gam_u = attack.gamma_y, attack.gamma_u
-    if lam_y.shape != (n_y, n_y) or lam_u.shape != (n_u, n_u):
-        raise DimensionMismatch("routing matrices must be n_y x n_y and n_u x n_u")
-    if gam_y.shape[0] != n_y or gam_u.shape[0] != n_u:
-        raise DimensionMismatch("selector matrices must have n_y / n_u rows")
     if controller.n_u != n_u:
         raise DimensionMismatch("controller row count must match plant inputs")
-    n_ay, n_au = gam_y.shape[1], gam_u.shape[1]
+    n_ay, n_au = attacks[0].gamma_y.shape[1], attacks[0].gamma_u.shape[1]
+    for attack in attacks:
+        if attack.lambda_y.shape != (n_y, n_y) or attack.lambda_u.shape != (n_u, n_u):
+            raise DimensionMismatch("routing matrices must be n_y x n_y and n_u x n_u")
+        if attack.gamma_y.shape[0] != n_y or attack.gamma_u.shape[0] != n_u:
+            raise DimensionMismatch("selector matrices must have n_y / n_u rows")
+        if attack.gamma_y.shape[1] != n_ay or attack.gamma_u.shape[1] != n_au:
+            raise DimensionMismatch("configurations of one batch must share their injection widths")
+    lam_y = np.stack([a.lambda_y for a in attacks])
+    lam_u = np.stack([a.lambda_u for a in attacks])
+    gam_y = np.stack([a.gamma_y for a in attacks])
+    gam_u = np.stack([a.gamma_u for a in attacks])
     L_x, L_r = controller.L_xhat, controller.L_yr
+    shape = (len(attacks),)
 
-    A_cl = np.block(
-        [
-            [A, -B @ lam_u @ L_x],
-            [K @ lam_y @ C, A - K @ C - B @ L_x],
-        ]
-    )
-    B_f = np.block(
-        [
-            [np.eye(n_x), np.zeros((n_x, n_y))],
-            [np.zeros((n_x, n_x)), K @ lam_y],
-        ]
-    )
-    C_r = W @ np.hstack([lam_y @ C, -C])
-    D_f = np.hstack([np.zeros((n_y, n_x)), W @ lam_y])
-    E_r = np.vstack([B @ lam_u @ L_r, B @ L_r])
-    G_a = np.block(
-        [
-            [B @ gam_u, np.zeros((n_x, n_ay))],
-            [np.zeros((n_x, n_au)), K @ gam_y],
-        ]
-    )
-    H_a = np.hstack([np.zeros((n_y, n_au)), W @ gam_y])
-    return ExtendedSystem(A_cl=A_cl, B_f=B_f, C_r=C_r, D_f=D_f, E_r=E_r, G_a=G_a, H_a=H_a)
+    A_cl = np.empty(shape + (2 * n_x, 2 * n_x))
+    A_cl[:, :n_x, :n_x] = A
+    A_cl[:, :n_x, n_x:] = -B @ lam_u @ L_x
+    K_y = K @ lam_y
+    A_cl[:, n_x:, :n_x] = K_y @ C
+    A_cl[:, n_x:, n_x:] = A - K @ C - B @ L_x
+    B_f = np.zeros(shape + (2 * n_x, n_x + n_y))
+    B_f[:, :n_x, :n_x] = np.eye(n_x)
+    B_f[:, n_x:, n_x:] = K_y
+    outputs = np.empty(shape + (n_y, 2 * n_x))
+    outputs[:, :, :n_x] = lam_y @ C
+    outputs[:, :, n_x:] = -C
+    D_f = np.zeros(shape + (n_y, n_x + n_y))
+    D_f[:, :, n_x:] = W @ lam_y
+    E_r = np.empty(shape + (2 * n_x, L_r.shape[1]))
+    E_r[:, :n_x] = B @ lam_u @ L_r
+    E_r[:, n_x:] = B @ L_r
+    G_a = np.zeros(shape + (2 * n_x, n_au + n_ay))
+    G_a[:, :n_x, :n_au] = B @ gam_u
+    G_a[:, n_x:, n_au:] = K @ gam_y
+    H_a = np.zeros(shape + (n_y, n_au + n_ay))
+    H_a[:, :, n_au:] = W @ gam_y
+    return ExtendedSystem(A_cl=A_cl, B_f=B_f, C_r=W @ outputs, D_f=D_f, E_r=E_r, G_a=G_a, H_a=H_a)
 
 
 @dataclass
@@ -267,10 +299,11 @@ class SystemModel:
         plant = self.plant
         self.estimator = build_estimator(plant)
         self.nominal = assemble_extended(
-            plant, self.controller, self.estimator, identity_routing(plant.n_y, plant.n_u)
-        )
-        gap = np.zeros((plant.n_x, plant.n_y))
-        self.sigma_f = np.block([[plant.sigma_v, gap], [gap.T, plant.sigma_w]])
+            plant, self.controller, self.estimator, [identity_routing(plant.n_y, plant.n_u)]
+        )[0]
+        self.sigma_f = np.zeros((plant.n_x + plant.n_y,) * 2)
+        self.sigma_f[: plant.n_x, : plant.n_x] = plant.sigma_v
+        self.sigma_f[plant.n_x :, plant.n_x :] = plant.sigma_w
         self.t_0, self.sigma_0 = stationary_law(self.nominal, self.sigma_f)
         self.sqrt_sigma_0 = numcore.sym_sqrt(self.sigma_0)
         self.sqrt_sigma_f = numcore.sym_sqrt(self.sigma_f)

@@ -587,7 +587,7 @@ def stacked_factors(system, attack, q_z, N):
     window f(start..N): F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))],
     the Kronecker product applied block by block.
     """
-    ext = assemble_extended(system.plant, system.controller, system.estimator, attack)
+    ext = assemble_extended(system.plant, system.controller, system.estimator, [attack])[0]
     maps = reference_stack_dynamics(ext, attack, system, q_z, N)
     root_f = system.sqrt_sigma_f
 

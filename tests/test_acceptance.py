@@ -415,7 +415,7 @@ def test_criterion_7_numerical_residuals(scenario, system):
         res = ResourceSet(sensors=sensors, actuators=actuators)
         kind = {"sign": "sign_alternation", "bias": "bias_injection", "replay": f"replay_{mode}"}.get(kind, kind)
         atk = attacks.build_attack(kind, res, system.dims, N)
-        ext = assemble_extended(system.plant, system.controller, system.estimator, atk)
+        ext = assemble_extended(system.plant, system.controller, system.estimator, [atk])[0]
         t_z, t_r = distrib.stack_dynamics(ext, atk, system, scenario.q_z, N)
         f_z, f_r = stacked_factors(system, atk, scenario.q_z, N)
         W = N - atk.start_step + 1

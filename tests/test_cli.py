@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stealthimpact
-from stealthimpact import attacks, cli, distrib, solver
+from stealthimpact import attacks, cli, distrib, solver, sysmodel
 from stealthimpact.scenario import bundled_scenario_path, load_scenario
 from conftest import candidate_summary
 
@@ -267,6 +268,115 @@ def test_eps_sweep_evaluates_each_configuration_once(tmp_path, scenario, monkeyp
     single = evaluations("--sweep", "eps", "--values", repr(CRITERION_6_EPSILONS[-1]))
     assert len(sweep) == len(single) == solved > 0
     assert max(sweep) == len(CRITERION_6_EPSILONS)
+
+
+def test_an_op_assembles_the_nominal_loop_and_its_pair_once(tmp_path, scenario, monkeypatch):
+    """One op makes two assemble_extended calls: the nominal loop, then the pair's configurations.
+
+    Run pair by pair, one op each as the grid benchmark does, the 10 bundled
+    pairs make 20 calls and still assemble each of their 32 configurations
+    and each op's nominal loop once.
+    """
+    batches = []
+    assemble = sysmodel.assemble_extended
+
+    def counted(plant, controller, estimator, configurations):
+        batches.append(len(configurations))
+        return assemble(plant, controller, estimator, configurations)
+
+    monkeypatch.setattr(sysmodel, "assemble_extended", counted)
+    monkeypatch.setattr(distrib, "assemble_extended", counted)
+    for vulnerability in scenario.vulnerabilities:
+        for strategy in scenario.strategies:
+            before = len(batches)
+            code, _ = _run(tmp_path, "--vulnerability", vulnerability, "--strategy", strategy)
+            assert code in (cli.EXIT_OK, cli.EXIT_ALL_ZERO)
+            assert len(batches) - before == 2 and batches[before] == 1, (vulnerability, strategy)
+    assert len(batches) == 20
+    assert sum(batches) == 10 + 32
+
+
+def test_pair_shares_one_read_only_layout(scenario, monkeypatch):
+    """vulnerability_1/dos's 15 configurations get one DecisionLayout, equal to each one's own, frozen."""
+    passed = []
+    summaries = cli.gaussian_summaries
+
+    def recorded(system, configurations, layouts, *args):
+        passed.append(layouts)
+        return summaries(system, configurations, layouts, *args)
+
+    monkeypatch.setattr(cli, "gaussian_summaries", recorded)
+    cli._assess_pair(scenario, "vulnerability_1", "dos", [scenario.epsilon])
+    (layouts,) = passed
+    layout, N, Q_yr = layouts[0], scenario.horizon, scenario.system.controller.Q_yr
+    cands = attacks.candidates(attacks.StrategySpec("dos", scenario.vulnerabilities["vulnerability_1"]), scenario.system.dims, N)
+    assert len(layouts) == len(cands) == 15
+    assert all(other is layout for other in layouts)
+    for cand in cands:
+        own = attacks.decision_layout(cand.attack, N, Q_yr)
+        assert (own.dim_d, own.n_a, own.n_yr, own.horizon) == (layout.dim_d, layout.n_a, layout.n_yr, layout.horizon)
+        assert np.array_equal(own.Q, layout.Q) and np.array_equal(own.Z, layout.Z)
+    for name in ("Q", "Z"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(layout, name)[0, -1] = 2.0
+
+
+def _reindented(text):
+    """The report as json.dumps(..., indent=2) lays it out; floats round-trip through their repr."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_json_report_is_json_dumps_with_indent_2(tmp_path):
+    """Reports keep json.dumps(doc, indent=2)'s bytes though every scalar goes through the C encoder.
+
+    The runs cover a sweep block, an mc block, timings, null fields, a
+    207-entry decision vector and floats written with an exponent; an empty
+    decision vector is laid out on a report's own document.
+    """
+    n50 = _write_scenario(tmp_path, dict(json.loads(bundled_scenario_path().read_text()), horizon=50))
+    runs = [
+        ("--sweep", "eps", "--values", "0,0.3,10"),
+        ("--vulnerability", "vulnerability_2", "--strategy", "fdi", "--mc-validate"),
+        ("--timings",),
+        ("--scenario", str(n50), "--vulnerability", "vulnerability_1", "--strategy", "bias_injection"),
+    ]
+    texts = []
+    for i, extra in enumerate(runs):
+        code, out = _run(tmp_path, *extra, name=f"run{i}.json")
+        assert code == cli.EXIT_OK
+        texts.append(out.read_text())
+        assert texts[-1] == _reindented(texts[-1])
+    docs = [json.loads(text) for text in texts]
+    entries = [e for doc in docs for e in doc["entries"]]
+    assert "sweep" in docs[0] and "mc" in docs[1]["entries"][0]
+    assert all("timing_s" in e for e in docs[2]["entries"])
+    assert any(e["decision_vector"] is None for e in entries)
+    assert len(docs[3]["entries"][0]["decision_vector"]) == 207
+    assert re.search(r"[0-9]e-[0-9]", "".join(texts))
+    docs[1]["entries"][0]["decision_vector"] = []
+    assert cli._indented(docs[1]) == json.dumps(docs[1], indent=2)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6)
+)
+_JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.none(), st.booleans(), st.floats(-1, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.tuples(inner, inner),
+            st.dictionaries(_JSON_KEYS, inner, max_size=4),
+        ),
+        max_leaves=15,
+    )
+)
+def test_indented_layout_is_json_dumps_indent_2(doc):
+    assert cli._indented(doc) == json.dumps(doc, indent=2)
 
 
 def test_sweep_failure_is_the_first_in_epsilon_major_order(tmp_path, capsys):

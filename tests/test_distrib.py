@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stealthimpact import attacks, cli, distrib, mcvalidate, numcore, solver
 from stealthimpact.scenario import load_scenario
-from stealthimpact.sysmodel import assemble_extended
+from stealthimpact.sysmodel import DimensionMismatch, assemble_extended
 from conftest import random_system
 from oracles import (
     factor_logdet,
@@ -32,7 +32,7 @@ def _build(system, kind, N, sensors=(), actuators=(), replay_mode="dos"):
     kind = {"sign": "sign_alternation", "bias": "bias_injection", "replay": f"replay_{replay_mode}"}.get(kind, kind)
     res = attacks.ResourceSet(sensors=sensors, actuators=actuators)
     atk = attacks.build_attack(kind, res, system.dims, N)
-    ext = assemble_extended(system.plant, system.controller, system.estimator, atk)
+    ext = assemble_extended(system.plant, system.controller, system.estimator, [atk])[0]
     return atk, ext
 
 
@@ -328,7 +328,7 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
     for q_z in (scenario.q_z, np.hstack([plant_rows, -plant_rows])):
         summaries = distrib.gaussian_summaries(system, [c.attack for c in cands], layouts, q_z, N, 0.3)
         for cand, summary in zip(cands, summaries):
-            ext = assemble_extended(system.plant, system.controller, system.estimator, cand.attack)
+            ext = assemble_extended(system.plant, system.controller, system.estimator, [cand.attack])[0]
             ref = reference_stack_dynamics(ext, cand.attack, system, q_z, N)
             t_z, sigma_z, t_r, _ = reference_laws(ref, system.t_0, system.sigma_0, system.sigma_f)
             close(summary.t_z, t_z, "T_Z")
@@ -514,6 +514,85 @@ def test_pair_batch_equals_batch_of_one(scenario, N):
                 assert one.residual_cov_pd == summary.residual_cov_pd
                 assert one.eps_prime == summary.eps_prime
                 assert np.array_equal(one.sigma, summary.sigma)
+
+
+_LOOP_FIELDS = ("A_cl", "B_f", "C_r", "D_f", "E_r", "G_a", "H_a")
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def _block_loop(system, attack):
+    """One configuration's loop by np.block, as the sysmodel docstring writes its blocks."""
+    plant, ctrl, est = system.plant, system.controller, system.estimator
+    A, B, C, K, W = plant.A, plant.B, plant.C, est.K, est.sigma_r_invsqrt
+    n_x, n_y = plant.n_x, plant.n_y
+    lam_y, lam_u, gam_y, gam_u = attack.lambda_y, attack.lambda_u, attack.gamma_y, attack.gamma_u
+    L_x, L_r = ctrl.L_xhat, ctrl.L_yr
+    return {
+        "A_cl": np.block([[A, -B @ lam_u @ L_x], [K @ lam_y @ C, A - K @ C - B @ L_x]]),
+        "B_f": np.block([[np.eye(n_x), np.zeros((n_x, n_y))], [np.zeros((n_x, n_x)), K @ lam_y]]),
+        "C_r": W @ np.hstack([lam_y @ C, -C]),
+        "D_f": np.hstack([np.zeros((n_y, n_x)), W @ lam_y]),
+        "E_r": np.vstack([B @ lam_u @ L_r, B @ L_r]),
+        "G_a": np.block(
+            [[B @ gam_u, np.zeros((n_x, attack.n_ay))], [np.zeros((n_x, attack.n_au)), K @ gam_y]]
+        ),
+        "H_a": np.hstack([np.zeros((n_y, attack.n_au)), W @ gam_y]),
+    }
+
+
+def _means(summary):
+    """A summary's mean maps, or the overflow that stacking them raises."""
+    try:
+        return tuple(_bits(m) for m in summary.maps.means)
+    except FloatingPointError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("N", [1, 10, 50])
+@pytest.mark.parametrize("source", ["bundled", 0, 1, 2])
+def test_pair_assembly_slices_equal_assembly_of_one(scenario, tmp_path, source, N):
+    """Each slice of a pair's stacked loops is its configuration's loop alone, bit for bit.
+
+    Every configuration of every kind on every vulnerability: the slice of
+    the pair's one assemble_extended call equals the batch of one and the
+    np.block formula of the sysmodel docstring, and the pair's audit rows
+    and mean maps equal those of the configuration's own gaussian_summary.
+    """
+    sc = _audit_scenario(scenario, tmp_path, source)
+    system = sc.system
+    plant, ctrl, est = system.plant, system.controller, system.estimator
+    for resources in sc.vulnerabilities.values():
+        for kind in attacks.KINDS:
+            cands, layouts, summaries = _pair_summaries(sc, resources, kind, N)
+            pair = assemble_extended(plant, ctrl, est, [c.attack for c in cands])
+            assert pair.A_cl.shape[0] == len(cands)
+            for i, (cand, layout, summary) in enumerate(zip(cands, layouts, summaries)):
+                one, block = assemble_extended(plant, ctrl, est, [cand.attack])[0], _block_loop(system, cand.attack)
+                for name in _LOOP_FIELDS:
+                    got = _bits(getattr(pair[i], name))
+                    assert got == _bits(getattr(one, name)) == _bits(block[name]), (kind, i, name)
+                alone = distrib.gaussian_summary(system, cand.attack, layout, sc.q_z, N, 0.3)
+                for field in ("residual_cov_pd", "eps_prime", "sigma_r_trace", "sigma_r_logdet", "sigma"):
+                    assert _bits(getattr(summary, field)) == _bits(getattr(alone, field)), (kind, i, field)
+                assert _means(summary) == _means(alone), (kind, i)
+
+
+def test_mixed_injection_widths_rejected(system):
+    """A batch whose configurations inject on different widths is no pair, and is refused."""
+    N = 4
+    dims, Q_yr = system.dims, system.controller.Q_yr
+    fdi = attacks.build_attack("fdi", attacks.ResourceSet((0,), (0,)), dims, N)
+    dos = attacks.build_attack("dos", attacks.ResourceSet((0,), (0,)), dims, N)
+    plant, ctrl, est = system.plant, system.controller, system.estimator
+    with pytest.raises(DimensionMismatch, match="injection widths"):
+        assemble_extended(plant, ctrl, est, [fdi, dos])
+    layouts = [attacks.decision_layout(a, N, Q_yr) for a in (dos, fdi)]
+    with pytest.raises(DimensionMismatch, match="injection widths"):
+        distrib.gaussian_summaries(system, [dos, fdi], layouts, Q_Z, N, 0.3)
 
 
 def test_pair_audit_takes_one_qr_per_step(scenario, monkeypatch):

@@ -2,10 +2,14 @@
 
 A private name stays behind its module: numcore's definiteness rule, say, is
 reached through numcore's public functions, not through another module's
-helper. This parses every module with ast, so it needs no import.
+helper. This parses every module with ast, so it needs no import. Importing
+the CLI also stays light: it loads no module that only some paths use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stealthimpact
@@ -30,3 +34,21 @@ def test_no_module_imports_another_modules_private_names():
     assert len(modules) > 5
     bad = {m.name: names for m in modules if (names := _private_imports(m.read_text()))}
     assert bad == {}
+
+
+def test_cli_import_loads_no_heavy_module():
+    """Importing the CLI, in a fresh interpreter, loads none of scipy, concurrent.futures or logging.
+
+    Set-up time is an end-to-end cost: one module-level concurrent.futures
+    import once added 8% to it, and scipy.special alone takes about 0.2 s.
+    """
+    code = (
+        "import sys\n"
+        "import stealthimpact.cli\n"
+        "print(sorted(m for m in ('scipy', 'concurrent.futures', 'logging') if m in sys.modules))\n"
+    )
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

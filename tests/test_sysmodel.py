@@ -82,8 +82,8 @@ def test_extended_blocks_identity_routing():
     sys = random_system(np.random.default_rng(0))
     plant, ctrl, est = sys.plant, sys.controller, sys.estimator
     ext = sysmodel.assemble_extended(
-        plant, ctrl, est, attacks.identity_routing(plant.n_y, plant.n_u)
-    )
+        plant, ctrl, est, [attacks.identity_routing(plant.n_y, plant.n_u)]
+    )[0]
     n_x = plant.n_x
     # top-left block is the open-loop A, estimator block uses A - KC - B L_xhat
     assert np.allclose(ext.A_cl[:n_x, :n_x], plant.A)
@@ -111,8 +111,8 @@ def test_extended_nominal_residual_is_white():
     n = nom.A_cl.shape[0]
     S = numcore.solve_lyapunov(nom.A_cl, nom.B_f @ sys.sigma_f @ nom.B_f.T)
     ext = sysmodel.assemble_extended(
-        sys.plant, sys.controller, sys.estimator, attacks.identity_routing(sys.plant.n_y, sys.plant.n_u)
-    )
+        sys.plant, sys.controller, sys.estimator, [attacks.identity_routing(sys.plant.n_y, sys.plant.n_u)]
+    )[0]
     # residual at step k uses noise f(k), which is independent of x_e(k)
     cov_r = ext.C_r @ S @ ext.C_r.T + ext.D_f @ sys.sigma_f @ ext.D_f.T
     assert np.allclose(cov_r, np.eye(sys.plant.n_y), atol=1e-8)

@@ -146,10 +146,13 @@ class AttackMatrices:
 
 @dataclass(frozen=True)
 class DecisionLayout:
-    """Shape of the decision vector d = [a(0); ...; a(N); y_r].
+    """Shape of the decision vector d = [a(0); ...; a(N); y_r] and its admissible set.
 
-    Q is the reference box map; the columns of Z are an orthonormal basis of
-    the decision vectors the injection modes admit.
+    Q is the reference box map. The admissible decision vectors are d = Z xi
+    for an orthonormal Z that is kept as indices, never formed. Its leading
+    columns are one per held channel, the weight 1/sqrt(N+1) on each of
+    that channel's N+1 entries; the others are unit columns on the entries
+    of free, in order. A pinned channel's entries are in neither.
     """
 
     dim_d: int
@@ -157,15 +160,41 @@ class DecisionLayout:
     n_yr: int
     horizon: int
     Q: np.ndarray
-    Z: np.ndarray
+    free: np.ndarray  # entries of d with a unit column each, ascending
+    held: np.ndarray  # held channels, ascending
 
     def split(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (a_seq of shape (N+1, n_a), y_r)."""
         d = np.asarray(d, dtype=float)
         if d.shape != (self.dim_d,):
             raise DimensionMismatch(f"decision vector must have length {self.dim_d}")
-        n_blk = (self.horizon + 1) * self.n_a
-        return d[:n_blk].reshape(self.horizon + 1, self.n_a), d[n_blk:]
+        return self._steps(d), d[self.dim_d - self.n_yr :]
+
+    @property
+    def weight(self) -> float:
+        """Z's entry on a held channel's entries, 1/sqrt(N+1)."""
+        return 1.0 / np.sqrt(self.horizon + 1)
+
+    def _steps(self, v: np.ndarray) -> np.ndarray:
+        """The a(0..N) part of v's last axis as (N+1, n_a); splitting that axis gives a view."""
+        return v[..., : self.dim_d - self.n_yr].reshape(v.shape[:-1] + (self.horizon + 1, self.n_a))
+
+    def reduce(self, m: np.ndarray) -> np.ndarray:
+        """m Z along m's last axis: each held channel's sum over the steps, weighted, then the free entries."""
+        free = np.take(m, self.free, axis=-1)  # C order, as m Z has; m[..., free] is F-ordered
+        if not self.held.size:
+            return free
+        held = self._steps(m)[..., self.held].sum(axis=-2) * self.weight
+        return np.concatenate([held, free], axis=-1)
+
+    def lift(self, xi: np.ndarray) -> np.ndarray:
+        """Z xi along xi's last axis: each held coordinate times the weight at every step."""
+        n_held = self.held.size
+        d = np.zeros(xi.shape[:-1] + (self.dim_d,))
+        if n_held:
+            self._steps(d)[..., self.held] = xi[..., None, :n_held] * self.weight
+        d[..., self.free] = xi[..., n_held:]
+        return d
 
 
 def _selector(n: int, idx: Iterable[int]) -> np.ndarray:
@@ -247,12 +276,11 @@ def build_attack(
 
 
 def decision_layout(attack: AttackMatrices, N: int, Q_yr: np.ndarray) -> DecisionLayout:
-    """Box map and admissible basis over d = [a(0); ...; a(N); y_r].
+    """Box map and admissible set over d = [a(0); ...; a(N); y_r].
 
-    Z has one column of 1/sqrt(N+1) over all steps per held channel, one
-    unit column per free channel and step, none for a pinned channel, and the
-    identity on y_r. The columns have disjoint supports, so Z is orthonormal,
-    and it is the identity when every channel is free.
+    Channel j of a(k) is entry k * n_a + j. The entries of free channels and
+    of y_r are free, so Z is the identity when every channel is free. The
+    layout holds O(dim_d) numbers.
     """
     Q_yr = np.asarray(Q_yr, dtype=float)
     n_yr = Q_yr.shape[0]
@@ -262,19 +290,15 @@ def decision_layout(attack: AttackMatrices, N: int, Q_yr: np.ndarray) -> Decisio
     if not set(modes) <= {FREE, HELD, PINNED}:
         raise ValueError(f"unknown injection mode in {sorted(set(modes))}")
     dim_d = n_blk + n_yr
-    numcore.require_addressable((dim_d, dim_d), f"decision dimension {dim_d}")
-    # channel j of a(k) is entry k * n_a + j; free columns keep that order
-    eye = np.eye(dim_d)
-    held = [
-        eye[:, j:n_blk:n_a].sum(axis=1, keepdims=True) / np.sqrt(N + 1)
-        for j, mode in enumerate(modes)
-        if mode == HELD
-    ]
-    free = eye[:, :n_blk][:, [mode == FREE for mode in modes] * (N + 1)]
-    Z = np.hstack(held + [free, eye[:, n_blk:]])
-    Q = np.hstack([np.zeros((n_yr, n_blk)), Q_yr])
-    Q.flags.writeable = Z.flags.writeable = False  # one layout serves every configuration of a pair
-    return DecisionLayout(dim_d=dim_d, n_a=n_a, n_yr=n_yr, horizon=N, Q=Q, Z=Z)
+    numcore.require_addressable((dim_d,), f"decision dimension {dim_d}")
+    free_channels = np.array([mode == FREE for mode in modes], dtype=bool)
+    free = np.flatnonzero(np.concatenate([np.tile(free_channels, N + 1), np.ones(n_yr, dtype=bool)]))
+    held = np.flatnonzero([mode == HELD for mode in modes])
+    Q = np.zeros((n_yr, dim_d))
+    Q[:, n_blk:] = Q_yr
+    for table in (Q, free, held):  # one layout serves every configuration of a pair
+        table.flags.writeable = False
+    return DecisionLayout(dim_d=dim_d, n_a=n_a, n_yr=n_yr, horizon=N, Q=Q, free=free, held=held)
 
 
 # ---------------------------------------------------------------------------

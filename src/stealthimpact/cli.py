@@ -145,8 +145,8 @@ def _assess_pair(
     t0 = time.perf_counter()
     N, system, resources = scenario.horizon, scenario.system, scenario.vulnerabilities[vulnerability]
     cands = candidates(StrategySpec(strategy, resources), system.dims, N)
-    layouts = [decision_layout(cands[0].attack, N, system.controller.Q_yr)] * len(cands)
-    laws = gaussian_summaries(system, [c.attack for c in cands], layouts, scenario.q_z, N, epsilons[0])
+    layout = decision_layout(cands[0].attack, N, system.controller.Q_yr)
+    laws = gaussian_summaries(system, [c.attack for c in cands], layout, scenario.q_z, N, epsilons[0])
     views = [[law.at_epsilon(eps) for law in laws] for eps in epsilons]
     for law, column in zip(laws, zip(*views)):
         law.maps.expect([view.eps_prime for view in column])

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -93,7 +93,7 @@ class _Maps:
     @cached_property
     def curve(self) -> ImpactCurve:
         t_z, t_r = self.means
-        curve = ImpactCurve(self._layout.Q, t_r, self._layout.Z, t_z)
+        curve = ImpactCurve(self._layout.Q, t_r, self._layout, t_z)
         curve.expect(self._radii)
         self._radii = []
         return curve
@@ -263,6 +263,19 @@ def _recording_window(system: SystemModel, attack: AttackMatrices) -> np.ndarray
     return np.vstack([np.hstack([powers[N + 1], x0_f]), np.hstack([recorded_x, recorded_f])])
 
 
+@lru_cache(maxsize=1)  # every gather of a pair reads one horizon's index
+def _lags(N: int) -> np.ndarray:
+    """Read-only [k, j]: the Markov block of output step k and input step j in _lifted_rows.
+
+    That is the lag k-1-j where j <= k, and N, the zero block, where j > k.
+    """
+    numcore.require_addressable((N + 1, N + 1), f"lag index of horizon {N}")
+    lag = np.arange(N + 1)[:, None] - 1 - np.arange(N + 1)
+    toeplitz = np.where(lag >= -1, lag, N)
+    toeplitz.flags.writeable = False
+    return toeplitz
+
+
 def _lifted_rows(
     obs: np.ndarray, markov: np.ndarray, direct: np.ndarray, widths: tuple
 ) -> list[np.ndarray]:
@@ -277,12 +290,11 @@ def _lifted_rows(
     """
     N = markov.shape[0]
     n_in, n_rows = sum(widths), (N + 1) * direct.shape[0]
-    lag = np.arange(N + 1)[:, None] - 1 - np.arange(N + 1)
     blocks = np.concatenate([markov, np.zeros_like(direct)[None], direct[None]])[..., :n_in]
     # Gathered group by group: one gather of every input column adds 0.75 MB at
     # N = 50, which pushed a call's transient heap past glibc's trim threshold,
     # so that its pages were returned and refaulted on every call.
-    toeplitz = np.where(lag >= -1, lag, N)  # [k, j]: the block of step k, input step j
+    toeplitz = _lags(N)
     out = [obs.reshape(n_rows, obs.shape[-1])]
     col = 0
     for w in widths:
@@ -402,28 +414,31 @@ def _innovation_audit(
 def gaussian_summaries(
     system: SystemModel,
     attacks: list[AttackMatrices],
-    layouts: list[DecisionLayout],
+    layout: DecisionLayout,
     q_z: np.ndarray,
     N: int,
     epsilon: float,
 ) -> list[GaussianSummary]:
     """Gaussian summaries at epsilon of configurations of one system, audited together.
 
-    One assemble_extended call builds every configuration's loop, stacked.
-    All configurations without a recording are audited by one
-    _innovation_audit on those stacked loops, replay's one by one by
-    _replay_audit on its own slice, and each one's mean maps are stacked
-    from its slice on first read. The configurations must share their
-    injection widths, as a pair's do (DimensionMismatch otherwise). A
-    floating-point overflow raises FloatingPointError: in the audit at once,
-    in the mean maps when they are first read.
+    The configurations must share their injection widths and modes, as a
+    pair's do, so that one layout serves them all; differing widths raise
+    DimensionMismatch. The horizon's lag index, the largest array every
+    configuration's gathers share, is requested first, so a horizon too long
+    to gather fails before any audit. One assemble_extended call builds every
+    configuration's loop, stacked. All configurations without a recording
+    are audited by one _innovation_audit on those stacked loops, replay's one
+    by one by _replay_audit on its own slice, and each one's mean maps are
+    stacked from its slice on first read. A floating-point overflow raises
+    FloatingPointError: in the audit at once, in the mean maps when they are
+    first read.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
+    _lags(N)  # the largest array the gathers share, so a horizon too long fails here, before the audit
     ext = assemble_extended(system.plant, system.controller, system.estimator, attacks)
-    for attack, layout in zip(attacks, layouts):
-        if layout.dim_d != (N + 1) * attack.n_a + ext.n_yr:
-            raise DimensionMismatch("maps and decision layout disagree on dim_d")
+    if layout.dim_d != (N + 1) * attacks[0].n_a + ext.n_yr:
+        raise DimensionMismatch("maps and decision layout disagree on dim_d")
     audits: list = [None] * len(attacks)
     batch = [i for i, attack in enumerate(attacks) if not attack.has_recording]
     if batch:
@@ -433,7 +448,7 @@ def gaussian_summaries(
         if attack.has_recording:
             audits[i] = _replay_audit(ext[i], attack, system, q_z, N)
     summaries = []
-    for i, (audit, attack, layout) in enumerate(zip(audits, attacks, layouts)):
+    for i, (audit, attack) in enumerate(zip(audits, attacks)):
         maps = _Maps(partial(stack_dynamics, ext[i], attack, system, q_z, N), layout)
         summaries.append(summarize(audit, layout, system.plant.n_y, epsilon, maps))
     return summaries
@@ -453,4 +468,4 @@ def gaussian_summary(
     gets in any batch. A floating-point overflow raises FloatingPointError:
     in the audit at once, in the mean maps when they are first read.
     """
-    return gaussian_summaries(system, [attack], [layout], q_z, N, epsilon)[0]
+    return gaussian_summaries(system, [attack], layout, q_z, N, epsilon)[0]

@@ -11,10 +11,13 @@ worst expected infinity norm is lower-bounded by max_i mu_i.
 Method. compute_impact is the one entry: it evaluates, at the summary's
 radius r, the ImpactCurve the summary carries, which holds the optimum of
 every critical row as a function of r. The curve works in the coordinates
-xi, over the basis Z that the decision layout writes down in closed form
-from the strategy's injection modes. One SVD of the reduced quadratic map
-T_R Z gives its kept right singular vectors V_r and singular values s_R; the
-part of the box rows outside span(V_r) gives the box-only directions U_perp.
+xi, over the basis Z that the decision layout keeps as indices from the
+strategy's injection modes: its reduce forms T_R Z, Q Z and c Z by a gather
+plus one sum over the steps per held channel, and its lift maps xi to
+d = Z xi by a scatter, so Z is never formed. One SVD of the reduced
+quadratic map T_R Z gives its kept right singular vectors V_r and singular
+values s_R; the part of the box rows outside span(V_r) gives the box-only
+directions U_perp.
 Directions outside [V_r U_perp] either leave the objective flat or certify
 unboundedness. In the coordinates eta = (x; w) over [V_r U_perp] every row
 solves
@@ -128,8 +131,9 @@ the b / t term taken as 0 at t = 0. The pattern's bound is
 ||y||_1 + 2 lambda. Each row takes the valid pattern with the smallest such
 bound (the winning pattern, at a nondegenerate optimum), evaluates the bound
 directly from its y in eta, and reports the relative gap to the attained value
-together with the constraint residuals of d*, its distance from span(Z)
-among them. Either one above CERT_TOL raises NumericalFailure.
+together with the constraint residuals of d*, its distance d* - Z Z'd* from
+span(Z) among them, taken as d* - lift(reduce(d*)). Either one above
+CERT_TOL raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -145,6 +149,7 @@ import numpy as np
 from . import numcore
 
 if TYPE_CHECKING:  # distrib builds each summary's curve from this module
+    from .attacks import DecisionLayout
     from .distrib import GaussianSummary
 
 CERT_TOL = 1e-9
@@ -207,33 +212,33 @@ def first_near_max(values) -> int:
 class _Geometry:
     """Shared factorization of the feasible set, reused across objective rows.
 
-    Coordinates: d = basis @ axes @ eta, eta = (x; w), with basis the
-    orthonormal admissible basis. The columns of axes are V_r, the right
-    singular vectors of the reduced quadratic map kept by the rank decision,
-    then U_perp, an orthonormal basis of the part of the box rows outside
-    span(V_r). The quadratic constraint reads |s * x|^2 <= r with s the kept
-    singular values, so M in these coordinates is [diag(s) 0], and the box
-    rows are a_rows = [B C] over (x, w). Nothing here reads the radius.
+    Coordinates: d = Z xi and xi = axes @ eta, eta = (x; w), with Z the
+    orthonormal admissible basis that the layout applies by reduce (m Z) and
+    lift (Z xi). The columns of axes are V_r, the right singular vectors of
+    the reduced quadratic map kept by the rank decision, then U_perp, an
+    orthonormal basis of the part of the box rows outside span(V_r). The
+    quadratic constraint reads |s * x|^2 <= r with s the kept singular
+    values, so M in these coordinates is [diag(s) 0], and the box rows are
+    a_rows = [B C] over (x, w). Nothing here reads the radius.
     """
 
-    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray) -> None:
-        basis = np.asarray(basis, dtype=float)
-        q_box = np.asarray(q_box, dtype=float).reshape(-1, basis.shape[0])
-        m_quad = np.asarray(m_quad, dtype=float).reshape(-1, basis.shape[0])
+    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, layout: DecisionLayout) -> None:
+        q_box = np.asarray(q_box, dtype=float).reshape(-1, layout.dim_d)
+        m_quad = np.asarray(m_quad, dtype=float).reshape(-1, layout.dim_d)
         check_pattern_cap(q_box.shape[0])
 
-        m_red = m_quad @ basis
+        m_red = layout.reduce(m_quad)
         # keep only the directions the quadratic map sees above rounding level
         # next to the box and itself, at any radius; the box-only directions
         # get the same cut
         _, s, vt = np.linalg.svd(m_red)
-        a_red = q_box @ basis
+        a_red = layout.reduce(q_box)
         scale = max(np.max(s, initial=0.0), np.linalg.norm(a_red))
         rank = int(np.count_nonzero(s > numcore.RANK_RTOL * scale))
         v_r = vt[:rank].T
         _, sv, wt = np.linalg.svd(a_red - (a_red @ v_r) @ v_r.T, full_matrices=False)
         box_only = int(np.count_nonzero(sv > numcore.RANK_RTOL * scale))
-        self.q_box, self.m_quad, self.basis = q_box, m_quad, basis
+        self.q_box, self.m_quad, self.layout = q_box, m_quad, layout
         self.axes = np.hstack([v_r, wt[:box_only].T])
         self.a_rows = a_red @ self.axes
         self.s = s[:rank]
@@ -255,7 +260,7 @@ class _Geometry:
         unbounded exactly when that component is nonzero. A reduced objective
         at rounding level of its row is set to zero: that row's optimum is 0.
         """
-        c_xi = c @ self.basis
+        c_xi = self.layout.reduce(c)
         c_eta = c_xi @ self.axes
         resid = c_xi - c_eta @ self.axes.T
         bounded = np.linalg.norm(resid, axis=1) <= numcore.RANK_RTOL * np.maximum(
@@ -266,7 +271,7 @@ class _Geometry:
 
     def decision(self, eta: np.ndarray) -> np.ndarray:
         """Decision vectors d of the rows of eta."""
-        return (eta @ self.axes.T) @ self.basis.T
+        return self.layout.lift(eta @ self.axes.T)
 
     def residual(self, d: np.ndarray, radii) -> np.ndarray:
         """Largest constraint violation of each row of d, its leading axis the radius's.
@@ -278,7 +283,7 @@ class _Geometry:
         r = np.asarray(radii, dtype=float)[..., None]
         box = np.max(np.abs(d @ self.q_box.T), axis=-1, initial=0.0) - 1.0
         quad = (np.sum(np.square(d @ self.m_quad.T), axis=-1) - r) / np.maximum(r, _RADIUS_FLOOR)
-        off_span = d - (d @ self.basis) @ self.basis.T
+        off_span = d - self.layout.lift(self.layout.reduce(d))
         eq = np.max(np.abs(off_span), axis=-1, initial=0.0) / np.maximum(
             1.0, np.max(np.abs(d), axis=-1, initial=0.0)
         )
@@ -566,9 +571,9 @@ class ImpactCurve:
     same, bit for bit, in any batch.
     """
 
-    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
-        self._maps = (q_box, m_quad, basis)
-        self.c = np.asarray(c, dtype=float).reshape(-1, np.shape(basis)[0])
+    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, layout: DecisionLayout, c: np.ndarray) -> None:
+        self._maps = (q_box, m_quad, layout)
+        self.c = np.asarray(c, dtype=float).reshape(-1, layout.dim_d)
         self._reads: dict[float, int] = {}  # announced reads left per radius, in announced order
         self._ready: dict[float, object] = {}  # evaluated outcomes, until their last read
 

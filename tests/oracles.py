@@ -8,6 +8,9 @@ solver kept as a regression reference. ``stacked_factors`` and
 ``stacked_covariances`` form the noise factors and full covariances of a
 window's law from ``reference_stack_dynamics``, for the tests that compare
 them against a rollout, a simulation or the package's audits.
+``dense_admissible_basis`` writes the admissible basis Z out as the dense
+matrix the package's index layout stands for, and ``DenseBasis`` gives any
+dense orthonormal basis the layout's reduce/lift interface.
 """
 
 import itertools
@@ -18,7 +21,48 @@ import numpy as np
 from scipy import integrate, linalg, optimize, stats
 
 from stealthimpact import numcore, solver
+from stealthimpact.attacks import FREE, HELD
 from stealthimpact.sysmodel import assemble_extended
+
+
+def dense_admissible_basis(attack, N: int, n_yr: int) -> np.ndarray:
+    """Z over d = [a(0); ...; a(N); y_r], formed column by column from the identity.
+
+    One column of 1/sqrt(N+1) over all steps per held channel, one unit
+    column per free channel and step, none for a pinned channel, and the
+    identity on y_r. The columns have disjoint supports, so Z is orthonormal.
+    """
+    n_a = attack.n_a
+    n_blk = (N + 1) * n_a
+    modes = [attack.au_mode] * attack.n_au + [attack.ay_mode] * attack.n_ay
+    eye = np.eye(n_blk + n_yr)
+    held = [
+        eye[:, j:n_blk:n_a].sum(axis=1, keepdims=True) / np.sqrt(N + 1)
+        for j, mode in enumerate(modes)
+        if mode == HELD
+    ]
+    free = eye[:, :n_blk][:, [mode == FREE for mode in modes] * (N + 1)]
+    return np.hstack(held + [free, eye[:, n_blk:]])
+
+
+class DenseBasis:
+    """A dense orthonormal basis Z with the layout's interface: reduce(m) = m Z, lift(xi) = Z xi."""
+
+    def __init__(self, Z: np.ndarray) -> None:
+        self.Z = np.asarray(Z, dtype=float)
+        self.dim_d = self.Z.shape[0]
+
+    @classmethod
+    def of(cls, f_eq: np.ndarray, n: int) -> "DenseBasis":
+        """The basis of null(f_eq) in R^n, the identity when f_eq has no rows."""
+        f_eq = np.asarray(f_eq, dtype=float)
+        return cls(linalg.null_space(f_eq) if f_eq.size else np.eye(n))
+
+    def reduce(self, m: np.ndarray) -> np.ndarray:
+        return m @ self.Z
+
+    def lift(self, xi: np.ndarray) -> np.ndarray:
+        return xi @ self.Z.T
 
 
 def lyapunov_series(A: np.ndarray, Q: np.ndarray, tol: float = 1e-14) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,20 @@ from stealthimpact import attacks, distrib
 from stealthimpact.attacks import FREE, HELD, PINNED
 from stealthimpact.sysmodel import SystemDims
 from conftest import random_system
+from oracles import dense_admissible_basis
 
 DIMS = SystemDims(n_x=3, n_y=3, n_u=4, n_yr=3)
+
+
+def _basis(layout):
+    """The layout's admissible basis Z, column by column: the lift of each unit coordinate."""
+    return layout.lift(np.eye(layout.held.size + layout.free.size)).T
 
 
 def _equality_map(atk, N, n_yr=3):
     """Equality rows on d = [a(0..N); y_r] built from the admissible basis:
     F d = 0 iff d lies in span(Z)."""
-    return linalg.null_space(attacks.decision_layout(atk, N, np.eye(n_yr)).Z.T).T
+    return linalg.null_space(_basis(attacks.decision_layout(atk, N, np.eye(n_yr))).T).T
 
 
 def test_resource_set_sorts_and_validates():
@@ -35,7 +42,8 @@ def test_dos_zeroes_diagonal():
     assert np.allclose(atk.lambda_y, np.diag([1.0, 0.0, 1.0]))
     assert np.allclose(atk.lambda_u, np.diag([0.0, 1.0, 0.0, 1.0]))
     assert atk.n_a == 0
-    assert np.array_equal(attacks.decision_layout(atk, 4, np.eye(3)).Z, np.eye(3))
+    layout = attacks.decision_layout(atk, 4, np.eye(3))
+    assert np.array_equal(layout.free, np.arange(3)) and layout.held.size == 0
     assert not atk.has_recording
 
 
@@ -77,7 +85,8 @@ def test_fdi_channels():
     assert atk.gamma_y[0, 0] == 1.0 and atk.gamma_y[2, 1] == 1.0
     assert atk.gamma_u[1, 0] == 1.0
     # every channel is free: the admissible basis is the identity
-    assert np.array_equal(attacks.decision_layout(atk, N, np.eye(3)).Z, np.eye((N + 1) * 3 + 3))
+    layout = attacks.decision_layout(atk, N, np.eye(3))
+    assert np.array_equal(layout.free, np.arange((N + 1) * 3 + 3)) and layout.held.size == 0
 
 
 def test_fdi_requires_resources():
@@ -236,7 +245,7 @@ def test_admissible_basis(kind, N):
         atk = cand.attack
         modes = _MODES[kind]
         assert (atk.n_au == 0) == (modes[0] is None) and (atk.n_ay == 0) == (modes[1] is None)
-        Z = attacks.decision_layout(atk, N, np.eye(3)).Z
+        Z = _basis(attacks.decision_layout(atk, N, np.eye(3)))
         assert np.max(np.abs(Z.T @ Z - np.eye(Z.shape[1]))) <= 1e-15
         a_cols = Z[: (N + 1) * atk.n_a].T.reshape(Z.shape[1], N + 1, atk.n_a)  # column, step, channel
         channel_modes = [modes[0]] * atk.n_au + [modes[1]] * atk.n_ay
@@ -247,6 +256,59 @@ def test_admissible_basis(kind, N):
                 assert not a_cols[:, :, j].any()
         free_dim = 3 + sum({FREE: N + 1, HELD: 1, PINNED: 0}[m] for m in channel_modes)
         assert Z.shape == ((N + 1) * atk.n_a + 3, free_dim)
+
+
+@pytest.mark.parametrize("N", [1, 2, 10, 50])
+@pytest.mark.parametrize("kind", attacks.KINDS)
+def test_layout_applies_the_dense_basis(kind, N):
+    """lift is Z xi and reduce is m Z, with Z the dense oracle formed column by column.
+
+    lift and the free columns of reduce move single entries, so they agree
+    bit for bit. A held column sums N+1 entries in another order than the
+    matrix product, so it agrees to 4 ulp of the sum of the magnitudes it
+    adds, the scale of either order's rounding. reduce returns C order, as
+    the product does: the SVDs and products that read it round by its
+    layout.
+    """
+    res = attacks.ResourceSet(sensors=(0, 2), actuators=(1, 3))
+    rng = np.random.default_rng(N)
+    eps = np.finfo(float).eps
+    for cand in attacks.candidates(attacks.StrategySpec(kind, res), DIMS, N):
+        layout = attacks.decision_layout(cand.attack, N, np.eye(3))
+        Z = dense_admissible_basis(cand.attack, N, 3)
+        n_held = layout.held.size
+        assert Z.shape == (layout.dim_d, n_held + layout.free.size)
+        xi = rng.normal(size=(2, 3, Z.shape[1]))
+        assert np.array_equal(layout.lift(xi), xi @ Z.T)
+        assert np.array_equal(layout.lift(xi[0, 0]), Z @ xi[0, 0])
+        m = rng.normal(size=(2, 5, layout.dim_d))
+        got, want = layout.reduce(m), m @ Z
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert layout.reduce(m[0]).flags.c_contiguous
+        assert np.array_equal(got[..., n_held:], want[..., n_held:])
+        scale = (np.abs(m) @ np.abs(Z))[..., :n_held]
+        assert np.all(np.abs(got[..., :n_held] - want[..., :n_held]) <= 4 * eps * scale)
+
+
+@pytest.mark.parametrize("kind", ["fdi", "bias_injection"])
+def test_layout_memory_is_linear_in_the_horizon(kind):
+    """At N = 10^6 a layout holds n_yr + 1 numbers per decision entry, where Z would take 116 TiB.
+
+    Its box map takes n_yr float64 per entry, and its indices at most one
+    int64 more; building it takes no more than that either.
+    """
+    N = 10**6
+    atk = attacks.build_attack(kind, attacks.ResourceSet(sensors=(0, 2), actuators=(1, 3)), DIMS, N)
+    tracemalloc.start()
+    try:
+        layout = attacks.decision_layout(atk, N, np.eye(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_entry = 8 * (layout.n_yr + 1)
+    assert layout.dim_d == (N + 1) * 4 + 3
+    assert layout.Q.nbytes + layout.free.nbytes + layout.held.nbytes <= per_entry * layout.dim_d
+    assert peak <= per_entry * layout.dim_d + 2**20
 
 
 def test_candidate_enumeration_dos():

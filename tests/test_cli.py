@@ -301,24 +301,24 @@ def test_pair_shares_one_read_only_layout(scenario, monkeypatch):
     passed = []
     summaries = cli.gaussian_summaries
 
-    def recorded(system, configurations, layouts, *args):
-        passed.append(layouts)
-        return summaries(system, configurations, layouts, *args)
+    def recorded(system, configurations, layout, *args):
+        passed.append((len(configurations), layout))
+        return summaries(system, configurations, layout, *args)
 
     monkeypatch.setattr(cli, "gaussian_summaries", recorded)
     cli._assess_pair(scenario, "vulnerability_1", "dos", [scenario.epsilon])
-    (layouts,) = passed
-    layout, N, Q_yr = layouts[0], scenario.horizon, scenario.system.controller.Q_yr
+    ((count, layout),) = passed
+    N, Q_yr = scenario.horizon, scenario.system.controller.Q_yr
     cands = attacks.candidates(attacks.StrategySpec("dos", scenario.vulnerabilities["vulnerability_1"]), scenario.system.dims, N)
-    assert len(layouts) == len(cands) == 15
-    assert all(other is layout for other in layouts)
+    assert count == len(cands) == 15
     for cand in cands:
         own = attacks.decision_layout(cand.attack, N, Q_yr)
         assert (own.dim_d, own.n_a, own.n_yr, own.horizon) == (layout.dim_d, layout.n_a, layout.n_yr, layout.horizon)
-        assert np.array_equal(own.Q, layout.Q) and np.array_equal(own.Z, layout.Z)
-    for name in ("Q", "Z"):
+        for name in ("Q", "free", "held"):
+            assert np.array_equal(getattr(own, name), getattr(layout, name)), name
+    for name in ("Q", "free", "held"):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(layout, name)[0, -1] = 2.0
+            getattr(layout, name)[...] = 0
 
 
 def _reindented(text):
@@ -888,13 +888,16 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys, scale, strategy):
     assert err.startswith("numerical failure: overflow encountered in ") and err.count("\n") == 1
 
 
-_OVERSIZED_STRATEGIES = ("fdi", "bias_injection", "replay_dos")
+_OVERSIZED_STRATEGIES = ("dos", "fdi", "bias_injection", "replay_dos")
 
 
 @pytest.mark.parametrize(
     "changes, extra",
     [
-        pytest.param({"horizon": 1_000_000}, ["--strategy", "fdi"], id="horizon-1e6-fdi"),
+        *(
+            pytest.param({"horizon": 1_000_000}, ["--strategy", s], id=f"horizon-1e6-{s}")
+            for s in ("fdi", "dos")
+        ),
         *(
             pytest.param({"horizon": n}, ["--strategy", s], id=f"horizon-{label}-{s}")
             for n, label in ((10**12, "1e12"), (2**62, "2^62"))
@@ -911,22 +914,35 @@ _OVERSIZED_STRATEGIES = ("fdi", "bias_injection", "replay_dos")
         ),
     ],
 )
-def test_out_of_memory_exit_code(tmp_path, capsys, changes, extra):
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, changes, extra):
     """An array too large to allocate ends with exit 3 and one line.
 
-    At N = 10^6 the first large request, the identity basis of fdi's
-    (N+1)*4 + 3 decision entries, asks for about 116 TiB and numpy's
-    MemoryError ends the run. Longer horizons, and 10^30 Monte Carlo samples,
-    ask for shapes beyond the address range, which numpy refuses with a
-    ValueError: the decision layout and the sampler check those sizes first.
+    At N = 10^6 fdi's decision layout holds O(N) indices, and the first
+    large request is the horizon's lag index of (N+1)^2 entries, about
+    7.3 TiB, which gaussian_summaries asks for before any audit, for every
+    strategy: numpy's MemoryError ends the run before the audit's first QR.
+    Longer horizons, and 10^30 Monte Carlo samples, ask for shapes beyond
+    the address range, which numpy refuses with a ValueError: the decision
+    layout, the lag index and the sampler check those sizes first. Only the
+    Monte Carlo case gets as far as an audit, since its samples are drawn
+    after the solve.
     """
     doc = json.loads(bundled_scenario_path().read_text())
     doc.update(changes)
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
     code = cli.main(["assess", "--scenario", str(_write_scenario(tmp_path, doc)), *extra])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert bool(qr_calls) == ("mc" in changes)
 
 
 def test_unstable_nominal_loop_exit_code(tmp_path, capsys, monkeypatch):

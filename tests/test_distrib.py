@@ -323,10 +323,10 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
     system = scenario.system
     res = scenario.vulnerabilities["vulnerability_1"]
     cands = attacks.candidates(attacks.StrategySpec(kind, res), system.dims, N)
-    layouts = [attacks.decision_layout(c.attack, N, system.controller.Q_yr) for c in cands]
+    layout = attacks.decision_layout(cands[0].attack, N, system.controller.Q_yr)
     plant_rows = scenario.q_z[:, : system.plant.n_x]
     for q_z in (scenario.q_z, np.hstack([plant_rows, -plant_rows])):
-        summaries = distrib.gaussian_summaries(system, [c.attack for c in cands], layouts, q_z, N, 0.3)
+        summaries = distrib.gaussian_summaries(system, [c.attack for c in cands], layout, q_z, N, 0.3)
         for cand, summary in zip(cands, summaries):
             ext = assemble_extended(system.plant, system.controller, system.estimator, [cand.attack])[0]
             ref = reference_stack_dynamics(ext, cand.attack, system, q_z, N)
@@ -424,11 +424,11 @@ def _audit_scenario(scenario, tmp_path, source):
 
 
 def _pair_summaries(sc, resources, kind, N, epsilon=0.3):
-    """The configurations of a pair, with their summaries from one batch."""
+    """The configurations of a pair, their one layout, and their summaries from one batch."""
     cands = attacks.candidates(attacks.StrategySpec(kind, resources), sc.system.dims, N)
-    layouts = [attacks.decision_layout(c.attack, N, sc.system.controller.Q_yr) for c in cands]
-    summaries = distrib.gaussian_summaries(sc.system, [c.attack for c in cands], layouts, sc.q_z, N, epsilon)
-    return cands, layouts, summaries
+    layout = attacks.decision_layout(cands[0].attack, N, sc.system.controller.Q_yr)
+    summaries = distrib.gaussian_summaries(sc.system, [c.attack for c in cands], layout, sc.q_z, N, epsilon)
+    return cands, layout, summaries
 
 
 @pytest.mark.parametrize("source", ["bundled", 0, 1, 2])
@@ -508,8 +508,8 @@ def test_pair_batch_equals_batch_of_one(scenario, N):
     system = scenario.system
     for resources in scenario.vulnerabilities.values():
         for kind in attacks.KINDS:
-            cands, layouts, summaries = _pair_summaries(scenario, resources, kind, N)
-            for cand, layout, summary in zip(cands, layouts, summaries):
+            cands, layout, summaries = _pair_summaries(scenario, resources, kind, N)
+            for cand, summary in zip(cands, summaries):
                 one = distrib.gaussian_summary(system, cand.attack, layout, scenario.q_z, N, 0.3)
                 assert one.residual_cov_pd == summary.residual_cov_pd
                 assert one.eps_prime == summary.eps_prime
@@ -567,10 +567,10 @@ def test_pair_assembly_slices_equal_assembly_of_one(scenario, tmp_path, source, 
     plant, ctrl, est = system.plant, system.controller, system.estimator
     for resources in sc.vulnerabilities.values():
         for kind in attacks.KINDS:
-            cands, layouts, summaries = _pair_summaries(sc, resources, kind, N)
+            cands, layout, summaries = _pair_summaries(sc, resources, kind, N)
             pair = assemble_extended(plant, ctrl, est, [c.attack for c in cands])
             assert pair.A_cl.shape[0] == len(cands)
-            for i, (cand, layout, summary) in enumerate(zip(cands, layouts, summaries)):
+            for i, (cand, summary) in enumerate(zip(cands, summaries)):
                 one, block = assemble_extended(plant, ctrl, est, [cand.attack])[0], _block_loop(system, cand.attack)
                 for name in _LOOP_FIELDS:
                     got = _bits(getattr(pair[i], name))
@@ -590,9 +590,8 @@ def test_mixed_injection_widths_rejected(system):
     plant, ctrl, est = system.plant, system.controller, system.estimator
     with pytest.raises(DimensionMismatch, match="injection widths"):
         assemble_extended(plant, ctrl, est, [fdi, dos])
-    layouts = [attacks.decision_layout(a, N, Q_yr) for a in (dos, fdi)]
     with pytest.raises(DimensionMismatch, match="injection widths"):
-        distrib.gaussian_summaries(system, [dos, fdi], layouts, Q_Z, N, 0.3)
+        distrib.gaussian_summaries(system, [dos, fdi], attacks.decision_layout(dos, N, Q_yr), Q_Z, N, 0.3)
 
 
 def test_pair_audit_takes_one_qr_per_step(scenario, monkeypatch):

@@ -8,7 +8,7 @@ from scipy import linalg
 from stealthimpact import attacks, cli, distrib, numcore, solver
 import oracles
 from conftest import candidate_summary
-from oracles import qclp_dual_bound, scipy_reference_qclp
+from oracles import DenseBasis, qclp_dual_bound, scipy_reference_qclp
 
 CRITERION_6 = [float(e) for e in np.linspace(0.05, 0.95, 10)]
 
@@ -17,11 +17,10 @@ def _curve(c, q_box=None, m_quad=None, f_eq=None):
     """The curve of the rows of c over null(f_eq), the solver's path for one program at any radius."""
     c = np.asarray(c, dtype=float)
     n = c.shape[-1]
-    f_eq = np.zeros((0, n)) if f_eq is None else np.asarray(f_eq, dtype=float)
     return solver.ImpactCurve(
         np.zeros((0, n)) if q_box is None else q_box,
         np.zeros((0, n)) if m_quad is None else m_quad,
-        linalg.null_space(f_eq) if f_eq.size else np.eye(n),
+        DenseBasis.of(np.zeros((0, n)) if f_eq is None else f_eq, n),
         c,
     )
 
@@ -224,23 +223,26 @@ def test_pattern_cap():
         _solve(np.ones(n), q_box=np.eye(n), m_quad=np.eye(n))
 
 
-def _equality_map(layout):
-    """Orthonormal rows spanning the complement of the admissible span: F d = 0 iff d = Z xi."""
-    return linalg.null_space(layout.Z.T).T
+def _equality_map(attack, layout):
+    """Orthonormal rows spanning the complement of the admissible span: F d = 0 iff d = Z xi.
+
+    Z is the dense oracle's, formed apart from the layout's indices.
+    """
+    return linalg.null_space(oracles.dense_admissible_basis(attack, layout.horizon, layout.n_yr).T).T
 
 
 def _bias_report(system, N=6, epsilon=0.3):
+    """The report, summary, layout and equality map of one bias injection."""
     res = attacks.ResourceSet(sensors=(0,), actuators=(0, 1))
     atk = attacks.build_attack("bias_injection", res, system.dims, N)
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     q_z = np.array([[0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]])
     summary = distrib.gaussian_summary(system, atk, layout, q_z, N, epsilon)
-    return solver.compute_impact(summary), summary, layout
+    return solver.compute_impact(summary), summary, layout, _equality_map(atk, layout)
 
 
 def test_compute_impact_constraints_hold(system):
-    report, summary, layout = _bias_report(system)
-    F = _equality_map(layout)
+    report, summary, layout, F = _bias_report(system)
     assert report.feasible and not report.unbounded
     assert report.duality_gap <= 1e-9
     assert report.feasibility_residual <= 1e-9
@@ -254,8 +256,7 @@ def test_compute_impact_constraints_hold(system):
 
 
 def test_compute_impact_matches_single_row_solves(system):
-    report, summary, layout = _bias_report(system)
-    F = _equality_map(layout)
+    report, summary, layout, F = _bias_report(system)
     for i in range(summary.t_z.shape[0]):
         res = _solve(summary.t_z[i], layout.Q, summary.t_r, F, summary.eps_prime)
         assert res.mu[0] == pytest.approx(report.mu[i], rel=1e-12)
@@ -263,7 +264,7 @@ def test_compute_impact_matches_single_row_solves(system):
 
 
 def test_compute_impact_aggregation(system):
-    report, _, _ = _bias_report(system)
+    report, _, _, _ = _bias_report(system)
     assert report.exceed_prob == pytest.approx(float(np.max(report.p_exceed)), abs=1e-15)
     assert report.mean_lower == pytest.approx(float(np.max(report.mu)), abs=1e-15)
     # the smallest index within the certified accuracy of the max wins
@@ -373,7 +374,7 @@ def _objective_bounded(a, b, as_box):
     """The geometry's verdict on the rows of b, with the rows of a as the box or the quadratic map."""
     empty = np.zeros((0, a.shape[1]))
     q, m = (a, empty) if as_box else (empty, a)
-    return bool(solver._Geometry(q, m, np.eye(a.shape[1])).objective(b)[1].all())
+    return bool(solver._Geometry(q, m, DenseBasis(np.eye(a.shape[1]))).objective(b)[1].all())
 
 
 def test_null_space_containment():
@@ -431,7 +432,7 @@ def test_geometry_reads_the_radius_only_through_s(scenario):
         (cand,) = attacks.candidates(spec, scenario.system.dims, scenario.horizon)
         summary = candidate_summary(scenario, cand, 0.0)
         assert summary.eps_prime == 0.0
-        cases.append((summary.layout.Q, summary.t_r, summary.layout.Z, summary.t_z))
+        cases.append((summary.layout.Q, summary.t_r, summary.layout, summary.t_z))
     verdicts = set()
     for q, m, basis, c in cases:
         geom = solver._Geometry(q, m, basis)
@@ -450,7 +451,7 @@ def test_geometry_reads_the_radius_only_through_s(scenario):
 
 
 def _random_programs():
-    """Six random programs (q_box, m_quad, basis, c).
+    """Six random programs (q_box, m_quad, basis, c), each basis a DenseBasis.
 
     Some have unbounded rows or a quadratic-map direction at rounding level.
     """
@@ -461,7 +462,7 @@ def _random_programs():
         if trial % 3 == 0:
             m = np.vstack([m, 1e-17 * rng.normal(size=(1, n))])  # a direction seen at rounding level
         q = rng.normal(size=(trial % 3 + 1, n))
-        basis = linalg.null_space(rng.normal(size=(1, n))) if trial % 2 else np.eye(n)
+        basis = DenseBasis(linalg.null_space(rng.normal(size=(1, n))) if trial % 2 else np.eye(n))
         cases.append((q, m, basis, rng.normal(size=(4, n))))
     return cases
 
@@ -519,7 +520,7 @@ def test_batch_equals_batch_of_one(scenario, N, monkeypatch):
                 radii = [r for r in radii if r >= 0]
                 if not radii or not summary.impact_bounded:
                     continue
-                maps = (layout.Q, summary.t_r, layout.Z, summary.t_z)
+                maps = (layout.Q, summary.t_r, layout, summary.t_z)
                 got, want, calls = _batch_and_single(*maps, radii, monkeypatch)
                 assert got == want, (kind, cand.variant)
                 # in order, a chunk at a time: one chunk holds them all at N = 10
@@ -540,7 +541,7 @@ def _bundled_curve(scenario, vulnerability, kind, N=None):
     summary = distrib.gaussian_summary(
         scenario.system, cand.attack, layout, scenario.q_z, N, scenario.epsilon
     )
-    return layout.Q, summary.t_r, layout.Z, summary.t_z
+    return layout.Q, summary.t_r, layout, summary.t_z
 
 
 @pytest.mark.parametrize(
@@ -617,7 +618,7 @@ def _outcome(curve, radius):
 def test_compute_impact_infeasible_path(system):
     import dataclasses
 
-    report, summary, layout = _bias_report(system)
+    report, summary, _, _ = _bias_report(system)
     starved = dataclasses.replace(summary, eps_prime=-1.0)
     out = solver.compute_impact(starved)
     assert not out.feasible
@@ -679,7 +680,7 @@ def test_solve_matches_row_space_reference():
     """
     solved = 0
     for c, q, m, f, radius in _oracle_cases():
-        curve = solver.ImpactCurve(q, m, linalg.null_space(f), c)
+        curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c)
         for r in (radius, *RADII):
             solved += _assert_matches_reference(curve, r, oracles.reference_solve_rows(c, q, m, f, r))
     assert solved >= 30 * (1 + len(RADII))
@@ -698,7 +699,7 @@ def test_pattern_blocks_match_row_space_reference():
     q, m, c = rng.normal(size=(6, n)), rng.normal(size=(n - 2, n)), rng.normal(size=(4, n))
     f = rng.normal(size=(1, n))
     for batch in (False, True):
-        curve = solver.ImpactCurve(q, m, linalg.null_space(f), c)
+        curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c)
         assert curve._pieces.kappa.size * q.shape[0] > 2 * solver._BLOCK
         if batch:
             curve.expect(RADII)
@@ -726,7 +727,9 @@ def test_bundled_solves_match_row_space_reference(scenario, N):
                     continue
                 curve = summary.curve
                 for r in (summary.eps_prime, *RADII):
-                    ref = oracles.reference_solve_rows(summary.t_z, layout.Q, summary.t_r, _equality_map(layout), r)
+                    ref = oracles.reference_solve_rows(
+                        summary.t_z, layout.Q, summary.t_r, _equality_map(cand.attack, layout), r
+                    )
                     solved += _assert_matches_reference(curve, r, ref)
     assert solved >= 6 * (1 + len(RADII))
 
@@ -763,5 +766,6 @@ def test_solve_factors_no_large_matrix_but_the_quadratic_map(scenario, monkeypat
         report = solver.compute_impact(summary)
         monkeypatch.undo()
         assert report.feasible and not report.unbounded, kind
-        assert [s for s in shapes if s[0] > k] == [(summary.t_r.shape[0], layout.Z.shape[1])], kind
+        columns = layout.held.size + layout.free.size  # the admissible dimension
+        assert [s for s in shapes if s[0] > k] == [(summary.t_r.shape[0], columns)], kind
         assert len(shapes) > 1, kind

@@ -17,7 +17,9 @@ d' T_R' T_R d <= eps_prime; the radius eps' at another epsilon costs O(1).
 The audit comes first, and gives one row (pd, trace, logdet, sigma) per
 configuration, from which summarize builds every summary. Outside replay
 the row comes from one square-root innovation recursion over a batch of
-configurations (_innovation_audit). Replay's x_e(0) is correlated with its
+configurations (_innovation_audit), _BLOCK_STEPS steps per batched QR; a
+configuration whose pivots fail the rule leaves the batch, as it stays
+singular at every longer horizon. Replay's x_e(0) is correlated with its
 recording, so _replay_audit forms its noise factor, the only one the package
 builds, and factors Sigma_R. Both apply numcore.pd_rule, the package's one
 definiteness rule, to their pivots: QR pivots in the recursion, Cholesky
@@ -62,6 +64,11 @@ from .sysmodel import DimensionMismatch, ExtendedSystem, SystemModel, assemble_e
 # eps' sums terms of size (N+1)(2 eps + n_y); a result within this fraction of
 # their magnitudes is rounding noise around 0, as for Sigma_R = I at eps = 0.
 _RADIUS_RTOL = 1e-12
+
+# Steps of the innovation audit per batched QR. Fewer leave its call overhead
+# per step; more grow each QR's work with the block's square. On the bundled
+# pairs, at N = 10 and 50 alike, 6 was fastest of 4 to 17.
+_BLOCK_STEPS = 6
 
 
 class _Maps:
@@ -364,48 +371,93 @@ def _innovation_audit(
     x_e(0) ~ N(., Sigma_0), driven by white f ~ N(0, Sigma_f), so
     Sigma_R = L diag(S_k) L' with S_k the innovation covariances of a Kalman
     filter for that model (Schweppe's prediction-error decomposition), and
-    ln det Sigma_R = sum_k ln det S_k. Each step factors the pre-array
-    [D_f Sigma_f^1/2, C_r Pi^1/2; B_f Sigma_f^1/2, A_cl Pi^1/2] of every loop
-    at once, by one QR of its transpose: the leading n_y pivots are the
-    diagonal of a triangular S_k^1/2, the trailing block Pi^1/2 of the next
-    step.
+    ln det Sigma_R = sum_k ln det S_k. The recursion advances b =
+    min(_BLOCK_STEPS, N + 1) steps per batched QR, an array algorithm over a
+    block of steps (Kailath, Sayed & Hassibi, Linear Estimation, 2000). From
+    step k, the outputs r(k..k+b-1) and the state x_e(k+b) are the map
+    [O | T] of (prediction error, f(k..k+b-1)), with O = [C_r; C_r A_cl; ..;
+    C_r A_cl^(b-1); A_cl^b] and T block-Toeplitz: D_f on the diagonal,
+    C_r A_cl^l B_f at lag l + 1 below it, and the reach A_cl^(b-1-j) B_f of
+    f(k+j) into x_e(k+b). One QR of the transposed pre-array
+    [Pi^1/2' O'; (I kron Sigma_f^1/2') T'] factors every loop's block at
+    once: the diagonal of its leading b n_y columns holds the pivots of the
+    triangular S^1/2 of the b steps, the trailing n_e x n_e block Pi^1/2 of
+    step k + b. Only the Pi^1/2 rows change from block to block; the fixed
+    rows are one lag gather of Markov blocks formed from A_cl^0..A_cl^b, the
+    first powers of the one matrix_powers call the variances below take.
+    The last block, which may be partial, is factored on its leading columns
+    only.
     Sigma_R counts as positive definite when its smallest pivot squared is
     above PD_RTOL max(1, tr Sigma_R); ln det is nan otherwise, and no zero
-    pivot reaches a log. The marginal variances come from the row norms of
-    [critical map; C_r] A_cl^k (Sigma_0^1/2 | B_f Sigma_f^1/2), the noise
-    term summed over lags below k, so tr Sigma_R and sigma need no stacked
-    matrix. Returns (pd, trace, logdet, sigma), one row per loop.
+    pivot reaches a log. A squared pivot at or below PD_RTOL max(1, tr of
+    the steps up to its own) fails that rule at every longer horizon too, so
+    after each block such a loop leaves the batch with its verdict settled;
+    the others are factored as they would be alone. The marginal variances
+    come from the row norms of [critical map; C_r] A_cl^k (Sigma_0^1/2 |
+    B_f Sigma_f^1/2), the noise term summed over lags below k, so
+    tr Sigma_R, its partial sums and sigma need no stacked matrix. Returns
+    (pd, trace, logdet, sigma), one row per loop.
     """
     A, n_f = ext.A_cl, ext.n_f
     B, n_y, n_e, n_z = len(A), system.plant.n_y, 2 * system.plant.n_x, q_z.shape[0]
     noise = np.concatenate([ext.D_f, ext.B_f], axis=1) @ system.sqrt_sigma_f
     out = np.concatenate([np.broadcast_to(q_z, (B, n_z, n_e)), ext.C_r], axis=1)
     drive = np.concatenate([np.broadcast_to(system.sqrt_sigma_0, (B, n_e, n_e)), noise[:, n_y:]], axis=2)
-    sq = np.square(out[:, None] @ numcore.matrix_powers(A, N) @ drive[:, None])  # [loop, k, row]
+    powers = numcore.matrix_powers(A, N)
+    sq = np.square(out[:, None] @ powers @ drive[:, None])  # [loop, k, row]
     var = sq[..., :n_e].sum(axis=-1)  # from x_e(0), then from f(j) at the lags k - 1 - j >= 0
     var[:, 1:] += np.cumsum(sq[:, :-1, :, n_e:].sum(axis=-1), axis=1)
     sigma = np.sqrt(var[:, 1:, :n_z]).reshape(B, N * n_z)
     direct = np.square(noise[:, :n_y]).reshape(B, -1).sum(axis=1)
     trace = var[:, :, n_z:].reshape(B, -1).sum(axis=1) + (N + 1) * direct
+    partial = np.cumsum(var[:, :, n_z:].sum(axis=-1) + direct[:, None], axis=1)  # tr of steps <= k
+    trace_to = np.repeat(partial, n_y, axis=1)  # [loop, pivot]: the scale that decides a loop's exit
 
-    # The transposed pre-array: fixed rows Sigma_f^1/2 [D_f' B_f'] over rows
-    # Pi^1/2' [C_r' A_cl'] that each step rewrites; Pi_0^1/2 = Sigma_0^1/2.
-    pre = np.empty((B, n_f + n_e, n_y + n_e))
-    pre[:, :n_f] = noise.transpose(0, 2, 1)
-    gain = np.ascontiguousarray(np.concatenate([out[:, n_z:], A], axis=1).transpose(0, 2, 1))
-    root = np.array(np.broadcast_to(system.sqrt_sigma_0, (B, n_e, n_e)))
-    upper = np.triu(np.ones((n_e, n_e)))
-    heads = np.empty((B, N + 1, n_y, n_y))
-    for k in range(N + 1):
-        np.matmul(root, gain, out=pre[:, n_f:])
-        r = np.linalg.qr(pre, mode="raw")[0].transpose(0, 2, 1)  # R on and above the diagonal
-        heads[:, k] = r[:, :n_y, :n_y]
-        np.multiply(r[:, n_y : n_y + n_e, n_y:], upper, out=root)  # Pi^1/2' of step k + 1
-    pivots = np.diagonal(heads, axis1=2, axis2=3)
-    squares = np.square(pivots).reshape(B, -1)
-    pd = numcore.pd_rule(squares.min(axis=1), trace)
+    # The transposed pre-array of a block: n_e rows Pi^1/2' O' that each block
+    # rewrites, over the fixed rows of f(j), j < b, whose columns are the
+    # outputs r(i), i < b, then x_e(b). All of it comes from A^0..A^b: the
+    # Markov blocks C_r A^l B_f Sigma_f^1/2 are gathered by the lag index,
+    # with the zero block at b - 1 and the direct term last.
+    b, d_f = min(_BLOCK_STEPS, N + 1), noise[:, None, :n_y]
+    reach = powers[:, :b] @ noise[:, None, n_y:]  # [loop, l]: A^l B_f Sigma_f^1/2
+    head = ext.C_r[:, None] @ powers[:, :b]  # [loop, i]: C_r A^i
+    blocks = np.concatenate([head[:, : b - 1] @ noise[:, None, n_y:], np.zeros_like(d_f), d_f], axis=1)
+    pre = np.empty((B, n_e + b * n_f, b * n_y + n_e))
+    fixed = pre[:, n_e:].reshape(B, b, n_f, b * n_y + n_e)  # [loop, j, f, column]
+    lags = np.minimum(_lags(N)[:b, :b], b - 1)
+    fixed[..., : b * n_y].reshape(B, b, n_f, b, n_y)[...] = blocks[:, lags].transpose(0, 2, 4, 1, 3)
+    fixed[..., b * n_y :] = reach[:, ::-1].transpose(0, 1, 3, 2)
+    gain = np.zeros((B, n_e, b * n_y + n_e))  # O', whose A^b column a single block never reads
+    gain[..., : b * n_y].reshape(B, n_e, b, n_y)[...] = head.transpose(0, 3, 1, 2)
+    if b <= N:
+        gain[..., b * n_y :] = powers[:, b].transpose(0, 2, 1)
+    # Freed before the loop allocates its pre-array copies: holding them too
+    # lets the allocator trim and refault the heap on every call.
+    del sq, powers
+    root, upper = system.sqrt_sigma_0, np.triu(np.ones((n_e, n_e)))  # Pi_0^1/2 = Sigma_0^1/2
+    live, squares = np.arange(B), np.empty((B, (N + 1) * n_y))  # the batch, and its pivots squared
+    for k in range(0, N + 1, b):
+        steps = min(b, N + 1 - k)
+        cols = b * n_y + n_e if k + b <= N else steps * n_y  # the last block needs no next root
+        np.matmul(root, gain[..., :cols], out=pre[:, :n_e, :cols])
+        # R on and above the diagonal; rows past n_e + steps n_f are zero in the leading columns
+        r = np.linalg.qr(pre[:, : n_e + steps * n_f, :cols], mode="raw")[0].transpose(0, 2, 1)
+        fresh = np.square(r[:, : steps * n_y, : steps * n_y].diagonal(0, 1, 2))
+        squares[:, k * n_y : (k + steps) * n_y] = fresh
+        if k + b > N:
+            break
+        root = np.multiply(r[:, b * n_y : b * n_y + n_e, b * n_y :], upper)  # Pi^1/2' of step k + b
+        ok = numcore.pd_rule(fresh, trace_to[:, k * n_y : (k + b) * n_y])
+        if not ok.all():
+            keep = ok.all(axis=1)
+            batch = (live, pre, gain, root, trace_to, squares)
+            live, pre, gain, root, trace_to, squares = (a[keep] for a in batch)
+            if not live.size:
+                break
+    pd = np.zeros(B, dtype=bool)
+    pd[live] = numcore.pd_rule(squares.min(axis=1), trace[live])
     logdet = np.full(B, np.nan)
-    logdet[pd] = np.log(squares[pd]).sum(axis=1)
+    logdet[pd] = np.log(squares[pd[live]]).sum(axis=1)
     trace = np.where(pd, trace, np.nan)
     return pd, trace, logdet, sigma
 

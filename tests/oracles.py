@@ -11,6 +11,8 @@ them against a rollout, a simulation or the package's audits.
 ``dense_admissible_basis`` writes the admissible basis Z out as the dense
 matrix the package's index layout stands for, and ``DenseBasis`` gives any
 dense orthonormal basis the layout's reduce/lift interface.
+``innovation_recursion`` is the innovation audit's earlier one-step-per-QR
+recursion, kept as the reference for its blocked form.
 """
 
 import itertools
@@ -662,6 +664,39 @@ def factor_logdet(f: np.ndarray) -> float:
     """
     r = np.linalg.qr(f.T, mode="r")
     return 2.0 * float(np.sum(np.log(np.abs(np.diag(r)))))
+
+
+def innovation_recursion(ext, system, N):
+    """Squared innovation pivots and accumulated tr Sigma_R of a batch of loops, one step at a time.
+
+    The square-root innovation recursion with one batched QR per step: step
+    k factors the transposed pre-array [D_f Sigma_f^1/2, C_r Pi^1/2; B_f
+    Sigma_f^1/2, A_cl Pi^1/2] of every loop in ext, whose leading n_y
+    pivots are those of S_k^1/2 and whose trailing block is Pi^1/2 of step
+    k + 1, from Pi_0^1/2 = Sigma_0^1/2. The traces come from the state
+    covariance P(k+1) = A_cl P(k) A_cl' + B_f Sigma_f B_f', P(0) = Sigma_0,
+    as sums over steps <= k of tr(C_r P(k) C_r' + D_f Sigma_f D_f').
+    Returns (squares [loop, k, i], traces [loop, k]).
+    """
+    A, C, n_y, n_f = ext.A_cl, ext.C_r, ext.n_y, ext.n_f
+    B, n_e = A.shape[:2]
+    noise = np.concatenate([ext.D_f, ext.B_f], axis=1) @ system.sqrt_sigma_f
+    pre = np.empty((B, n_f + n_e, n_y + n_e))
+    pre[:, :n_f] = noise.transpose(0, 2, 1)
+    gain = np.concatenate([C, A], axis=1).transpose(0, 2, 1)
+    root = np.broadcast_to(system.sqrt_sigma_0, (B, n_e, n_e))
+    cov = np.broadcast_to(system.sqrt_sigma_0 @ system.sqrt_sigma_0, (B, n_e, n_e))
+    drive, direct = noise[:, n_y:], noise[:, :n_y]
+    squares, step_traces = np.empty((B, N + 1, n_y)), np.empty((B, N + 1))
+    for k in range(N + 1):
+        pre[:, n_f:] = root @ gain
+        r = np.linalg.qr(pre, mode="r")
+        squares[:, k] = np.square(np.diagonal(r[:, :n_y, :n_y], axis1=1, axis2=2))
+        root = r[:, n_y:, n_y:]
+        var = C @ cov @ C.transpose(0, 2, 1) + direct @ direct.transpose(0, 2, 1)
+        step_traces[:, k] = np.trace(var, axis1=1, axis2=2)
+        cov = A @ cov @ A.transpose(0, 2, 1) + drive @ drive.transpose(0, 2, 1)
+    return squares, np.cumsum(step_traces, axis=1)
 
 
 def nominal_long_run(system, y_r, steps=1_000_000, burn_in=10_000, seed=0, batches=100):

@@ -12,6 +12,7 @@ from stealthimpact.sysmodel import DimensionMismatch, assemble_extended
 from conftest import random_system
 from oracles import (
     factor_logdet,
+    innovation_recursion,
     kl_quadrature_diag,
     lyapunov_series,
     reference_laws,
@@ -396,7 +397,9 @@ def test_summary_skips_eigenvalues_when_factorization_fails(system, monkeypatch)
     assert calls == []
 
 
-AUDIT_HORIZONS = (1, 2, 3, 5, 10, 30, 50)
+# With N + 1 just below, on and just past one and two blocks of the audit's QRs.
+_M = distrib._BLOCK_STEPS
+AUDIT_HORIZONS = tuple(sorted({1, 2, 3, 5, 10, 30, 50, _M - 2, _M - 1, _M, 2 * _M - 1, 2 * _M}))
 
 # Configurations whose Sigma_R the audit calls positive definite and
 # spd_check's eigenvalues of the reference Sigma_R do not, as (scenario, N,
@@ -469,6 +472,63 @@ def test_innovation_audit_matches_stacked_oracle(scenario, tmp_path, source):
                         scale = distrib.kl_budget(N, n_y, 0.3) + abs(trace) + abs(logdet)
                         assert abs(summary.eps_prime - want) <= 1e-12 * scale, (N, vulnerability, kind, i)
     assert moved == {m for m in MOVED_TO_PD if m[0] == source}
+
+
+@pytest.mark.parametrize("source", ["bundled", 0, 1, 2])
+def test_blocked_audit_matches_per_step_recursion(scenario, tmp_path, source, monkeypatch):
+    """The audit, m steps per QR, agrees with the one-step-per-QR recursion of oracles.innovation_recursion.
+
+    Every configuration without a recording, of every strategy on every
+    vulnerability of the bundled scenario or of a family seed, at each
+    horizon of AUDIT_HORIZONS: the PD verdicts are identical, and where
+    Sigma_R is positive definite its trace agrees to 1e-12 relative and its
+    ln det to 1e-12 of |ln det| + tr Sigma_R. A configuration leaves the
+    batch after a block, not the last, in which a squared pivot fails
+    numcore.pd_rule against the trace up to its step; so each block's QR
+    runs over exactly the configurations the recursion keeps, and every
+    configuration that left reads singular.
+    """
+    sc = _audit_scenario(scenario, tmp_path, source)
+    system, m = sc.system, distrib._BLOCK_STEPS
+    plant, ctrl, est = system.plant, system.controller, system.estimator
+    sizes = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return qr(a, *args, **kwargs)
+
+    for N in AUDIT_HORIZONS:
+        for vulnerability, resources in sc.vulnerabilities.items():
+            for kind in attacks.KINDS:
+                cands = attacks.candidates(attacks.StrategySpec(kind, resources), system.dims, N)
+                loops = [c.attack for c in cands if not c.attack.has_recording]
+                if not loops:
+                    continue
+                ext = assemble_extended(plant, ctrl, est, loops)
+                squares, traces = innovation_recursion(ext, system, N)
+                sizes.clear()
+                monkeypatch.setattr(np.linalg, "qr", counted)
+                with np.errstate(over="raise"):
+                    pd, trace, logdet, _ = distrib._innovation_audit(ext, system, sc.q_z, N)
+                monkeypatch.undo()
+                where = (source, N, vulnerability, kind)
+                want = numcore.pd_rule(squares.reshape(len(loops), -1).min(axis=1), traces[:, -1])
+                assert np.array_equal(pd, want), where
+                np.testing.assert_allclose(trace[pd], traces[pd, -1], rtol=1e-12, atol=0, err_msg=str(where))
+                # ln det is relative to the KL terms it enters with: a white Sigma_R's is 0 up to rounding
+                logdets = np.log(squares[pd]).sum(axis=(1, 2))
+                assert np.all(abs(logdet[pd] - logdets) <= 1e-12 * (abs(logdets) + trace[pd])), where
+                failed = ~numcore.pd_rule(squares.min(axis=2), traces)  # [loop, k]
+                live, batches = np.ones(len(loops), dtype=bool), []
+                for k in range(0, N + 1, m):
+                    if not live.any():
+                        break
+                    batches.append(int(live.sum()))
+                    if k + m <= N:
+                        live &= ~failed[:, k : k + m].any(axis=1)
+                assert sizes == batches, where
+                assert not pd[~live].any(), where
 
 
 @pytest.mark.parametrize("N", [10, 29, 30, 50])
@@ -594,9 +654,14 @@ def test_mixed_injection_widths_rejected(system):
         distrib.gaussian_summaries(system, [dos, fdi], attacks.decision_layout(dos, N, Q_yr), Q_Z, N, 0.3)
 
 
-def test_pair_audit_takes_one_qr_per_step(scenario, monkeypatch):
-    """vulnerability_1/dos has 15 configurations; its audit at N = 10 runs N + 1 batched QRs."""
-    N = 10
+@pytest.mark.parametrize("N", [10, 50])
+def test_pair_audit_takes_one_qr_per_block(scenario, monkeypatch, N):
+    """vulnerability_1/dos has 15 configurations; its audit runs ceil((N + 1) / m) batched QRs.
+
+    m is distrib._BLOCK_STEPS. The first QR is over all 15 configurations;
+    12 of them fail the rule within that block, so every later QR is over
+    the 3 that pass it.
+    """
     calls = []
     qr = np.linalg.qr
 
@@ -608,8 +673,8 @@ def test_pair_audit_takes_one_qr_per_step(scenario, monkeypatch):
     entry = cli.assess(dataclasses.replace(scenario, horizon=N), "vulnerability_1", "dos")
     monkeypatch.undo()
     assert entry.candidates_evaluated == 15
-    assert len(calls) == N + 1
-    assert {shape[0] for shape in calls} == {15}
+    blocks = -(-(N + 1) // distrib._BLOCK_STEPS)
+    assert [shape[0] for shape in calls] == [15] + [3] * (blocks - 1)
 
 
 def test_sweep_stacks_a_configuration_once(scenario, monkeypatch):

@@ -131,10 +131,10 @@ def _assess_pair(
     on one resource set, so they share one read-only DecisionLayout, and
     gaussian_summaries assembles their loops in one batch. Only the radius
     depends on epsilon, so the configurations are audited once, in one
-    batch, and each is told the radii of every value before any solve. At the
-    first epsilon where its radius is nonnegative it stacks its maps,
+    batch, and each one's curve is built with its radii at every value. At
+    the first epsilon where its radius is nonnegative it stacks its maps,
     enumerates the sign patterns of its ImpactCurve and evaluates the curve
-    at all of those radii in one batch; every later value reads its stored
+    at all of those radii in one batch; every later value reads its held
     result. Reports are still made one per configuration and epsilon,
     epsilon-major, so the first failure read is the one raised. An entry's
     timing covers the work first done for it: the first entry carries the
@@ -146,13 +146,10 @@ def _assess_pair(
     N, system, resources = scenario.horizon, scenario.system, scenario.vulnerabilities[vulnerability]
     cands = candidates(StrategySpec(strategy, resources), system.dims, N)
     layout = decision_layout(cands[0].attack, N, system.controller.Q_yr)
-    laws = gaussian_summaries(system, [c.attack for c in cands], layout, scenario.q_z, N, epsilons[0])
-    views = [[law.at_epsilon(eps) for law in laws] for eps in epsilons]
-    for law, column in zip(laws, zip(*views)):
-        law.maps.expect([view.eps_prime for view in column])
+    laws = gaussian_summaries(system, [c.attack for c in cands], layout, scenario.q_z, N, epsilons)
     entries = []
-    for eps, row in zip(epsilons, views):
-        reports = [compute_impact(view) for view in row]
+    for eps, row in zip(epsilons, laws):
+        reports = [compute_impact(law) for law in row]
         best = first_near_max([r.exceed_prob for r in reports])
         entry = AssessmentEntry(
             vulnerability=vulnerability,
@@ -361,13 +358,14 @@ _CSV_COLUMNS = [
 
 
 def _emit_csv(scenario_name: str, entries: list[AssessmentEntry], timings: bool) -> str:
+    columns = _CSV_COLUMNS + (["timing_s"] if timings else [])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(columns)
     for entry in entries:
         d = _entry_dict(entry, timings)
         row: list[str] = [scenario_name]
-        for col in _CSV_COLUMNS[1:]:
+        for col in columns[1:]:
             if col in d["solver"]:
                 val = d["solver"][col]
             else:

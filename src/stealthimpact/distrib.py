@@ -50,7 +50,7 @@ window into every noise row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable
 
@@ -74,21 +74,14 @@ _BLOCK_STEPS = 6
 class _Maps:
     """A configuration's mean maps (T_Z, T_R) and the ImpactCurve of its critical rows.
 
-    Built on first read and shared by every at_epsilon view of its summary,
-    so a configuration that no solve reads is never stacked. Radii announced
-    with expect before the curve exists are handed to it when it is built.
+    Built on first read and shared by the configuration's summaries at every
+    epsilon of a run, so a configuration that no solve reads is never
+    stacked. radii are its nonnegative radii at those epsilons, in the order
+    the run reads them; its curve is built with them.
     """
 
-    def __init__(self, build: Callable[[], tuple], layout: DecisionLayout) -> None:
-        self._build, self._layout = build, layout  # build() returns (T_Z, T_R)
-        self._radii: list[float] = []
-
-    def expect(self, radii: list[float]) -> None:
-        """Announce one solve at each radius: ImpactCurve.expect, held until the curve is built."""
-        if "curve" in vars(self):
-            self.curve.expect(radii)
-        else:
-            self._radii += radii
+    def __init__(self, build: Callable[[], tuple], layout: DecisionLayout, radii: list[float]) -> None:
+        self._build, self._layout, self.radii = build, layout, radii  # build() returns (T_Z, T_R)
 
     @cached_property
     def means(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +93,7 @@ class _Maps:
     @cached_property
     def curve(self) -> ImpactCurve:
         t_z, t_r = self.means
-        curve = ImpactCurve(self._layout.Q, t_r, self._layout, t_z)
-        curve.expect(self._radii)
-        self._radii = []
-        return curve
+        return ImpactCurve(self._layout.Q, t_r, self._layout, t_z, self.radii)
 
 
 @dataclass
@@ -119,10 +109,9 @@ class GaussianSummary:
     residual_cov_pd: bool
     sigma_r_trace: float  # tr and ln det of Sigma_R; nan when it is not positive definite
     sigma_r_logdet: float
-    n_y: int  # residual components per step
     layout: DecisionLayout
     epsilon: float
-    maps: _Maps  # shared by every at_epsilon view
+    maps: _Maps  # shared by the configuration's summaries at every epsilon of the run
 
     @property
     def t_z(self) -> np.ndarray:
@@ -146,16 +135,6 @@ class GaussianSummary:
         costs nothing.
         """
         return self.curve.bounded
-
-    def at_epsilon(self, epsilon: float) -> "GaussianSummary":
-        """The same laws and audits under another budget: only the radius moves."""
-        if epsilon == self.epsilon:
-            return self
-        eps_p = self.eps_prime  # -inf when Sigma_R is not positive definite
-        if self.residual_cov_pd:
-            N = self.layout.horizon
-            eps_p = _radius(N, self.n_y, epsilon, self.sigma_r_trace, self.sigma_r_logdet)
-        return replace(self, epsilon=epsilon, eps_prime=eps_p)
 
 
 def stationary_law(nominal: ExtendedSystem, sigma_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +331,6 @@ def summarize(
         residual_cov_pd=bool(pd),
         sigma_r_trace=float(trace),
         sigma_r_logdet=float(logdet),
-        n_y=n_y,
         layout=layout,
         epsilon=epsilon,
         maps=maps,
@@ -469,21 +447,23 @@ def gaussian_summaries(
     layout: DecisionLayout,
     q_z: np.ndarray,
     N: int,
-    epsilon: float,
-) -> list[GaussianSummary]:
-    """Gaussian summaries at epsilon of configurations of one system, audited together.
+    epsilons: list[float],
+) -> list[list[GaussianSummary]]:
+    """Gaussian summaries at each of epsilons of configurations of one system, audited together.
 
-    The configurations must share their injection widths and modes, as a
+    Returns one row per epsilon, with one summary per configuration. The
+    configurations must share their injection widths and modes, as a
     pair's do, so that one layout serves them all; differing widths raise
     DimensionMismatch. The horizon's lag index, the largest array every
     configuration's gathers share, is requested first, so a horizon too long
     to gather fails before any audit. One assemble_extended call builds every
     configuration's loop, stacked. All configurations without a recording
     are audited by one _innovation_audit on those stacked loops, replay's one
-    by one by _replay_audit on its own slice, and each one's mean maps are
-    stacked from its slice on first read. A floating-point overflow raises
-    FloatingPointError: in the audit at once, in the mean maps when they are
-    first read.
+    by one by _replay_audit on its own slice. A configuration's summaries
+    share one _Maps, built with its nonnegative radii in epsilon order, none
+    when Sigma_R is singular; its mean maps are stacked from its slice on
+    first read. A floating-point overflow raises FloatingPointError: in the
+    audit at once, in the mean maps when they are first read.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
@@ -499,11 +479,15 @@ def gaussian_summaries(
     for i, attack in enumerate(attacks):
         if attack.has_recording:
             audits[i] = _replay_audit(ext[i], attack, system, q_z, N)
-    summaries = []
+    n_y, rows = system.plant.n_y, [[] for _ in epsilons]
     for i, (audit, attack) in enumerate(zip(audits, attacks)):
-        maps = _Maps(partial(stack_dynamics, ext[i], attack, system, q_z, N), layout)
-        summaries.append(summarize(audit, layout, system.plant.n_y, epsilon, maps))
-    return summaries
+        pd, trace, logdet, _ = audit
+        radii = [_radius(N, n_y, eps, trace, logdet) for eps in epsilons] if pd else []
+        build = partial(stack_dynamics, ext[i], attack, system, q_z, N)
+        maps = _Maps(build, layout, [r for r in radii if r >= 0])
+        for row, eps in zip(rows, epsilons):
+            row.append(summarize(audit, layout, n_y, eps, maps))
+    return rows
 
 
 def gaussian_summary(
@@ -514,10 +498,10 @@ def gaussian_summary(
     N: int,
     epsilon: float,
 ) -> GaussianSummary:
-    """Gaussian summary of one attack configuration: gaussian_summaries on a batch of one.
+    """Gaussian summary of one attack configuration: gaussian_summaries on a batch of one at epsilon.
 
     Its audit, sigma and radius equal, bit for bit, those the configuration
-    gets in any batch. A floating-point overflow raises FloatingPointError:
-    in the audit at once, in the mean maps when they are first read.
+    gets in any batch, at any epsilons. A floating-point overflow raises
+    FloatingPointError: in the audit at once, in the mean maps on first read.
     """
-    return gaussian_summaries(system, [attack], layout, q_z, N, epsilon)[0]
+    return gaussian_summaries(system, [attack], layout, q_z, N, [epsilon])[0][0]

@@ -89,10 +89,10 @@ its first read, and enumerates the patterns once, on its first solve.
 compute_impact at a radius only evaluates the pieces: per row it keeps the
 best valid candidate, then checks the certificate below at that radius.
 The evaluation carries a leading radius axis through the pieces, the dual
-bound and the residual, and a single radius is a batch of one: a run that
-announces its radii (ImpactCurve.expect) has them evaluated together, a
-chunk of bounded size at a time, when the first radius of a chunk is
-solved, and every other solve in the chunk reads its stored result. Each
+bound and the residual, and a single radius is a batch of one: a curve
+built with the radii its run will read, in order, evaluates them together,
+a chunk of bounded size at a time, when the first radius of a chunk is
+solved, and every other solve in the chunk reads its held result. Each
 radius reads only its own slice, so its result, and the failure it may
 raise, are the same in any batch, and a failure is raised only when its
 radius is read.
@@ -562,20 +562,21 @@ class ImpactCurve:
     GaussianSummary builds its curve only on first read, so a configuration
     over budget at every epsilon never factors.
 
-    A run announces the radii it will read with expect. The first solve at
-    an announced radius evaluates it together with the radii announced after
-    it, in one pass of at most _CHUNK (radius, row, column) entries, and
-    keeps each one's outcome only until its last announced read; a failure
-    that belongs to one radius is raised only when that radius is read. A
-    radius nobody announced is evaluated alone. Each radius's result is the
-    same, bit for bit, in any batch.
+    radii are the radii the run will read, in order. A solve at the next of
+    them evaluates it together with the ones that follow, in one pass of at
+    most _CHUNK (radius, row, column) entries, and holds each one's outcome
+    until it is read; a failure that belongs to one radius is raised only
+    when that radius is read. Any other radius is evaluated alone. Each
+    radius's result is the same, bit for bit, in any batch.
     """
 
-    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, layout: DecisionLayout, c: np.ndarray) -> None:
+    def __init__(
+        self, q_box: np.ndarray, m_quad: np.ndarray, layout: DecisionLayout, c: np.ndarray, radii=()
+    ) -> None:
         self._maps = (q_box, m_quad, layout)
         self.c = np.asarray(c, dtype=float).reshape(-1, layout.dim_d)
-        self._reads: dict[float, int] = {}  # announced reads left per radius, in announced order
-        self._ready: dict[float, object] = {}  # evaluated outcomes, until their last read
+        self._pending = list(radii)  # radii not yet evaluated, in the order they will be read
+        self._held: dict[float, object] = {}  # evaluated outcomes, until they are read
 
     @cached_property
     def _reduced(self) -> tuple[_Geometry, np.ndarray, bool]:
@@ -595,17 +596,11 @@ class ImpactCurve:
         geom, c_eta, bounded = self._reduced
         return _enumerate(geom, c_eta) if bounded else None
 
-    def expect(self, radii) -> None:
-        """Announce one read of solve at each radius; negative ones solve nothing and are skipped."""
-        for radius in radii:
-            if radius >= 0:
-                self._reads[radius] = self._reads.get(radius, 0) + 1
-
     def solve(self, radius: float) -> Optional[_Batch]:
         """Exact optimum of every row at a radius, or None when some row is unbounded.
 
-        An announced radius reads the outcome of its batch. Raises Infeasible
-        at a negative radius, and NumericalFailure when the duality gap or a
+        A held radius reads the outcome of its chunk. Raises Infeasible at a
+        negative radius, and NumericalFailure when the duality gap or a
         constraint residual of any row exceeds CERT_TOL.
         """
         if radius < 0:
@@ -613,29 +608,20 @@ class ImpactCurve:
         pieces = self._pieces
         if pieces is None:
             return None
-        if radius in self._ready:
-            outcome = self._ready.pop(radius)
+        if radius in self._held:
+            outcome = self._held.pop(radius)
         else:
-            chunk = self._take_chunk(radius, pieces)
+            chunk = [radius]
+            if self._pending and self._pending[0] == radius:
+                width = max(self.c.shape[1], pieces.geom.m_quad.shape[0])
+                size = max(1, _CHUNK // max(self.c.shape[0] * width, 1))
+                chunk, self._pending = self._pending[:size], self._pending[size:]
             outcomes = self._outcomes(pieces, chunk)
-            self._ready.update(zip(chunk[1:], outcomes[1:]))
+            self._held.update(zip(chunk[1:], outcomes[1:]))
             outcome = outcomes[0]
-        reads = self._reads.pop(radius, 1) - 1
-        if reads > 0:
-            self._reads[radius] = reads
-            self._ready[radius] = outcome
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
-
-    def _take_chunk(self, radius: float, pieces: _Pieces) -> list[float]:
-        """The radius and the announced radii after it, not yet evaluated, that fit in one chunk."""
-        if radius not in self._reads:
-            return [radius]
-        width = max(self.c.shape[1], pieces.geom.m_quad.shape[0])
-        pending = (r for r in self._reads if r not in self._ready)
-        chunk = itertools.dropwhile(lambda r: r != radius, pending)
-        return list(itertools.islice(chunk, max(1, _CHUNK // max(self.c.shape[0] * width, 1))))
 
     def _outcomes(self, pieces: _Pieces, radii: list[float]) -> list:
         """_solve's outcomes at the radii; an overflow is found again radius by radius.

@@ -301,13 +301,14 @@ def test_pair_shares_one_read_only_layout(scenario, monkeypatch):
     passed = []
     summaries = cli.gaussian_summaries
 
-    def recorded(system, configurations, layout, *args):
-        passed.append((len(configurations), layout))
-        return summaries(system, configurations, layout, *args)
+    def recorded(system, configurations, layout, q_z, N, epsilons):
+        passed.append((len(configurations), layout, epsilons))
+        return summaries(system, configurations, layout, q_z, N, epsilons)
 
     monkeypatch.setattr(cli, "gaussian_summaries", recorded)
     cli._assess_pair(scenario, "vulnerability_1", "dos", [scenario.epsilon])
-    ((count, layout),) = passed
+    ((count, layout, epsilons),) = passed
+    assert epsilons == [scenario.epsilon]
     N, Q_yr = scenario.horizon, scenario.system.controller.Q_yr
     cands = attacks.candidates(attacks.StrategySpec("dos", scenario.vulnerabilities["vulnerability_1"]), scenario.system.dims, N)
     assert count == len(cands) == 15
@@ -720,6 +721,15 @@ def test_timings_flag(tmp_path):
     assert code == cli.EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["entries"][0]["timing_s"] >= 0.0
+    flags = ("--vulnerability", "vulnerability_2", "--strategy", "bias_injection", "--format", "csv")
+    code, out = _run(tmp_path, *flags, "--timings", name="out.csv")
+    assert code == cli.EXIT_OK
+    header, row = list(csv.reader(out.read_text().splitlines()))
+    assert header == cli._CSV_COLUMNS + ["timing_s"]
+    assert float(row[-1]) >= 0.0
+    code, out = _run(tmp_path, *flags, name="plain.csv")
+    assert code == cli.EXIT_OK
+    assert out.read_text().splitlines()[0] == ",".join(cli._CSV_COLUMNS)
 
 
 def test_stdout_default(capsys):
@@ -1003,7 +1013,6 @@ def test_eps_sweep_matches_single_epsilon_runs(tmp_path, mc_validate):
     # epsilon; every entry must equal a fresh run at that epsilon alone.
     base = json.loads(bundled_scenario_path().read_text())
     base["mc"]["samples"] = 500
-    eps_grid = [float(e) for e in np.linspace(0.05, 0.95, 10)]
     extra = ["--mc-validate"] if mc_validate else []
 
     def run(doc, fmt, *args):
@@ -1014,17 +1023,20 @@ def test_eps_sweep_matches_single_epsilon_runs(tmp_path, mc_validate):
         assert code == cli.EXIT_OK
         return out.read_text()
 
-    values = ",".join(repr(e) for e in eps_grid)
-    sweep_json = json.loads(run(base, "json", "--sweep", "eps", "--values", values))["entries"]
-    sweep_csv = run(base, "csv", "--sweep", "eps", "--values", values).splitlines()[1:]
-    per_value = len(sweep_json) // len(eps_grid)
-    assert per_value == len(base["vulnerabilities"]) * len(base["strategies"])
-    for i, eps in enumerate(eps_grid):
-        doc = dict(base, epsilon=eps)
-        rows = slice(i * per_value, (i + 1) * per_value)
-        assert sweep_json[rows] == json.loads(run(doc, "json"))["entries"]
-        assert sweep_csv[rows] == run(doc, "csv").splitlines()[1:]
-    assert any("mc" in e for e in sweep_json) == mc_validate
+    # sorted; then unsorted with a repeat, which reads a radius again both
+    # inside its chunk and after its chunk's results are gone
+    for eps_grid in ([float(e) for e in np.linspace(0.05, 0.95, 10)], [0.95, 0.05, 0.5, 0.05]):
+        values = ",".join(repr(e) for e in eps_grid)
+        sweep_json = json.loads(run(base, "json", "--sweep", "eps", "--values", values))["entries"]
+        sweep_csv = run(base, "csv", "--sweep", "eps", "--values", values).splitlines()[1:]
+        per_value = len(sweep_json) // len(eps_grid)
+        assert per_value == len(base["vulnerabilities"]) * len(base["strategies"])
+        for i, eps in enumerate(eps_grid):
+            doc = dict(base, epsilon=eps)
+            rows = slice(i * per_value, (i + 1) * per_value)
+            assert sweep_json[rows] == json.loads(run(doc, "json"))["entries"]
+            assert sweep_csv[rows] == run(doc, "csv").splitlines()[1:]
+        assert any("mc" in e for e in sweep_json) == mc_validate
 
 
 def _src_env():

@@ -285,18 +285,17 @@ def test_summary_at_another_epsilon(system):
     q_z = Q_Z
     atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
-    summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
-    assert summary.at_epsilon(0.3) is summary
-    for eps in (0.0, 1e-4, 0.7, 10.0):
-        moved = summary.at_epsilon(eps)
+    epsilons = [0.3, 0.0, 1e-4, 0.7, 10.0]
+    rows = distrib.gaussian_summaries(system, [atk], layout, q_z, N, epsilons)
+    summary = rows[0][0]
+    for eps, (moved,) in zip(epsilons, rows):
         fresh = distrib.gaussian_summary(system, atk, layout, q_z, N, eps)
         assert moved.epsilon == eps
         assert moved.eps_prime == fresh.eps_prime
-        assert moved.t_z is summary.t_z and moved.sigma is summary.sigma
+        assert moved.maps is summary.maps and moved.sigma is summary.sigma
+        assert moved.t_z is summary.t_z
         assert moved.curve is summary.curve
         assert moved.impact_bounded == fresh.impact_bounded
-    singular = dataclasses.replace(summary, residual_cov_pd=False, eps_prime=-np.inf)
-    assert singular.at_epsilon(5.0).eps_prime == -np.inf
     assert distrib.kl_budget(N, 3, 1e306) == (N + 1) * (2e306 + 3)
     with pytest.raises(distrib.BudgetOverflow):  # (N+1)(2 eps + n_y) is inf
         distrib.kl_budget(N, 3, 1e308)
@@ -327,7 +326,7 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
     layout = attacks.decision_layout(cands[0].attack, N, system.controller.Q_yr)
     plant_rows = scenario.q_z[:, : system.plant.n_x]
     for q_z in (scenario.q_z, np.hstack([plant_rows, -plant_rows])):
-        summaries = distrib.gaussian_summaries(system, [c.attack for c in cands], layout, q_z, N, 0.3)
+        (summaries,) = distrib.gaussian_summaries(system, [c.attack for c in cands], layout, q_z, N, [0.3])
         for cand, summary in zip(cands, summaries):
             ext = assemble_extended(system.plant, system.controller, system.estimator, [cand.attack])[0]
             ref = reference_stack_dynamics(ext, cand.attack, system, q_z, N)
@@ -338,7 +337,7 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
 
 
 def test_epsilon_prime_reused_across_epsilon(system):
-    """at_epsilon reuses one audit and gives a fresh audit's radius bit for bit.
+    """One audit at every epsilon gives a fresh one-epsilon audit's radius bit for bit.
 
     bias_injection is audited by the innovation recursion, replay on its
     stacked Sigma_R; test_innovation_audit_matches_stacked_oracle compares
@@ -349,11 +348,16 @@ def test_epsilon_prime_reused_across_epsilon(system):
     for kind, sensors, actuators in (("bias", (0,), (0, 1)), ("replay", (0, 1), (2,))):
         atk, _ = _build(system, kind, N, sensors, actuators)
         layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
-        summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+        epsilons = [0.3, *np.linspace(0.05, 0.95, 10)]  # criterion 6's values after 0.3
+        rows = distrib.gaussian_summaries(system, [atk], layout, q_z, N, epsilons)
+        summary = rows[0][0]
         assert summary.residual_cov_pd
-        for eps in np.linspace(0.05, 0.95, 10):  # criterion 6's values
+        for eps, (moved,) in zip(epsilons, rows):
             direct = distrib.gaussian_summary(system, atk, layout, q_z, N, eps).eps_prime
-            assert summary.at_epsilon(eps).eps_prime == direct
+            assert moved.eps_prime == direct
+            assert moved.maps is summary.maps
+        assert summary.maps.radii == [moved.eps_prime for (moved,) in rows if moved.eps_prime >= 0]
+        assert all(moved.curve is summary.curve for (moved,) in rows)
 
 
 def test_non_pd_residual_keeps_minus_inf(system):
@@ -362,11 +366,13 @@ def test_non_pd_residual_keeps_minus_inf(system):
     q_z = Q_Z
     atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
-    summary = distrib.gaussian_summary(system, atk, layout, q_z, N, 0.3)
+    rows = distrib.gaussian_summaries(system, [atk], layout, q_z, N, [0.3, 0.0, 0.5, 10.0])
+    summary = rows[0][0]
     assert not summary.residual_cov_pd
     assert summary.eps_prime == -np.inf
-    for eps in (0.0, 0.5, 10.0):
-        assert summary.at_epsilon(eps).eps_prime == -np.inf
+    for (moved,) in rows:
+        assert moved.eps_prime == -np.inf and moved.maps is summary.maps
+    assert summary.maps.radii == []
 
 
 def _factors(m):
@@ -430,7 +436,7 @@ def _pair_summaries(sc, resources, kind, N, epsilon=0.3):
     """The configurations of a pair, their one layout, and their summaries from one batch."""
     cands = attacks.candidates(attacks.StrategySpec(kind, resources), sc.system.dims, N)
     layout = attacks.decision_layout(cands[0].attack, N, sc.system.controller.Q_yr)
-    summaries = distrib.gaussian_summaries(sc.system, [c.attack for c in cands], layout, sc.q_z, N, epsilon)
+    (summaries,) = distrib.gaussian_summaries(sc.system, [c.attack for c in cands], layout, sc.q_z, N, [epsilon])
     return cands, layout, summaries
 
 
@@ -651,7 +657,7 @@ def test_mixed_injection_widths_rejected(system):
     with pytest.raises(DimensionMismatch, match="injection widths"):
         assemble_extended(plant, ctrl, est, [fdi, dos])
     with pytest.raises(DimensionMismatch, match="injection widths"):
-        distrib.gaussian_summaries(system, [dos, fdi], attacks.decision_layout(dos, N, Q_yr), Q_Z, N, 0.3)
+        distrib.gaussian_summaries(system, [dos, fdi], attacks.decision_layout(dos, N, Q_yr), Q_Z, N, [0.3])
 
 
 @pytest.mark.parametrize("N", [10, 50])

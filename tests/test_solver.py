@@ -301,12 +301,13 @@ def test_solver_boundedness_matches_audit(scenario):
                 spec = attacks.StrategySpec(kind, resources)
                 for cand in attacks.candidates(spec, scenario.system.dims, N):
                     layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
-                    summary = distrib.gaussian_summary(
-                        scenario.system, cand.attack, layout, scenario.q_z, N, 0.0
+                    epsilons = [0.0, 0.05, 0.3, 0.95]
+                    rows = distrib.gaussian_summaries(
+                        scenario.system, [cand.attack], layout, scenario.q_z, N, epsilons
                     )
+                    summary = rows[0][0]
                     audit = None
-                    for eps in (0.0, 0.05, 0.3, 0.95):
-                        moved = summary.at_epsilon(eps)
+                    for eps, (moved,) in zip(epsilons, rows):
                         if not moved.residual_cov_pd or moved.eps_prime < 0:
                             continue
                         if audit is None:
@@ -480,13 +481,12 @@ def _counting_evaluate(monkeypatch):
 
 
 def _batch_and_single(q, m, basis, c, radii, monkeypatch):
-    """Outcomes at the radii from one curve told of them all, and from one asked a radius at a time.
+    """Outcomes at the radii from one curve built with them all, and from one asked a radius at a time.
 
     Returns both lists and the _evaluate calls the batch took.
     """
     calls = _counting_evaluate(monkeypatch)
-    batched = solver.ImpactCurve(q, m, basis, c)
-    batched.expect(radii)
+    batched = solver.ImpactCurve(q, m, basis, c, radii)
     got = [_outcome(batched, r) for r in radii]
     batch_calls = list(calls)
     single = solver.ImpactCurve(q, m, basis, c)
@@ -501,7 +501,7 @@ def test_batch_equals_batch_of_one(scenario, N, monkeypatch):
 
     Every bundled configuration that is feasible and bounded, at the radii of
     criterion 6's epsilons and of 0, 1e-9, 10 and 1e8, solved from one curve
-    that was told of them all (one _evaluate call per chunk) and one radius
+    that was built with them all (one _evaluate call per chunk) and one radius
     at a time; and the random programs of
     test_geometry_reads_the_radius_only_through_s, unbounded rows and
     uncertified radii included.
@@ -513,11 +513,11 @@ def test_batch_equals_batch_of_one(scenario, N, monkeypatch):
             spec = attacks.StrategySpec(kind, resources)
             for cand in attacks.candidates(spec, scenario.system.dims, N):
                 layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
-                summary = distrib.gaussian_summary(
-                    scenario.system, cand.attack, layout, scenario.q_z, N, scenario.epsilon
+                rows = distrib.gaussian_summaries(
+                    scenario.system, [cand.attack], layout, scenario.q_z, N, epsilons
                 )
-                radii = [summary.at_epsilon(e).eps_prime for e in epsilons]
-                radii = [r for r in radii if r >= 0]
+                summary = rows[0][0]
+                radii = [r for r in (law.eps_prime for (law,) in rows) if r >= 0]
                 if not radii or not summary.impact_bounded:
                     continue
                 maps = (layout.Q, summary.t_r, layout, summary.t_z)
@@ -575,7 +575,7 @@ def test_failures_keep_their_place(scenario, vulnerability, kind, failing, monke
 
 
 def test_batch_memory_does_not_grow_with_the_sweep(scenario):
-    """Solving 2,000 announced radii of vulnerability_2/fdi at N = 50 peaks at the memory of one chunk.
+    """Solving a curve's 2,000 radii of vulnerability_2/fdi at N = 50 peaks at the memory of one chunk.
 
     Each radius's result is dropped when it is read, so the peak of the
     solve is the same for 200 and for 2,000 radii, and stays within a few
@@ -584,10 +584,9 @@ def test_batch_memory_does_not_grow_with_the_sweep(scenario):
     maps = _bundled_curve(scenario, "vulnerability_2", "fdi", N=50)
     peaks = []
     for count in (200, 2000):
-        curve = solver.ImpactCurve(*maps)
-        curve.solve(1.0)  # the enumeration, which every count shares
         radii = [float(r) for r in np.linspace(0.0, 10.0, count)]
-        curve.expect(radii)
+        curve = solver.ImpactCurve(*maps, radii)
+        curve.solve(1.0)  # the enumeration, which every count shares
         tracemalloc.start()
         try:
             for r in radii:
@@ -595,7 +594,7 @@ def test_batch_memory_does_not_grow_with_the_sweep(scenario):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert not curve._ready and not curve._reads
+        assert not curve._held and not curve._pending
     assert peaks[1] <= 1.02 * peaks[0]
     assert peaks[1] <= 8 * solver._CHUNK * 8  # eight chunk-sized float64 arrays
 
@@ -699,10 +698,8 @@ def test_pattern_blocks_match_row_space_reference():
     q, m, c = rng.normal(size=(6, n)), rng.normal(size=(n - 2, n)), rng.normal(size=(4, n))
     f = rng.normal(size=(1, n))
     for batch in (False, True):
-        curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c)
+        curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c, RADII if batch else ())
         assert curve._pieces.kappa.size * q.shape[0] > 2 * solver._BLOCK
-        if batch:
-            curve.expect(RADII)
         for r in RADII:
             assert _assert_matches_reference(curve, r, oracles.reference_solve_rows(c, q, m, f, r))
 

@@ -3,15 +3,17 @@
 Simulates the literal closed loop (plant, estimator, feedback, attack
 channels, and for replay the record-then-substitute protocol) with fresh
 Gaussian noise, so empirical means, covariances, exceedance frequencies, and
-KL budgets can be compared against the stacked-map predictions.
+KL budgets can be compared against the stacked-map predictions. The samples
+run in blocks, each on its own Philox substream, on the calling thread and
+one helper; a seed fixes every value, whichever thread ran a block.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import closing
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -71,6 +73,16 @@ def min_samples(system: SystemModel, horizon: int) -> int:
     return (horizon + 1) * system.plant.n_y + 1
 
 
+# Samples per block: part of the draw contract, so a constant, not a setting.
+# Of 4,096, 8,192 and 16,384, 8,192 ran the bundled --mc-validate grid fastest.
+_BLOCK = 8192
+
+
+def _block_rng(seed: int, j: int) -> np.random.Generator:
+    """The generator of sample block j: Philox(seed) jumped j times."""
+    return np.random.Generator(np.random.Philox(seed).jumped(j))
+
+
 def simulate(
     system: SystemModel,
     attack: AttackMatrices,
@@ -88,31 +100,20 @@ def simulate(
     extended state (x, x_hat), 2 n_x columns, as in stack_dynamics.
 
     Every signal is stored feature-major, shape (dim, cfg.samples). The Philox
-    draws are part of the contract: one (samples, 2 n_x) block for the initial
-    state, then per step a (samples, n_y) block for the sensor noise w and,
-    except at step N, a (samples, n_x) block for the process noise v, so a seed
-    gives the same trajectories, up to rounding, whatever the storage layout.
-    One helper thread draws the per-step blocks one step ahead of the loop
-    (see _prefetched_noise) and is joined before simulate returns or raises;
-    an exception on that thread reaches the caller. The stream, and so every
-    value, is the same as with in-line draws, and the loop writes into arrays
-    allocated once, with the same operands in the same order.
+    draws are part of the contract: the samples are cut into blocks of _BLOCK
+    (the last may be shorter), and block j of m samples draws from
+    Philox(seed).jumped(j) an (m, 2 n_x) initial state, then per step an
+    (m, n_y) sensor noise w and, except at step N, an (m, n_x) process noise v.
+    So a seed gives the same trajectories, up to rounding, whatever the
+    storage layout, and jumped(0) is Philox(seed)'s own stream. The caller and
+    one helper thread take blocks from a shared counter; which thread ran a
+    block changes no value. The helper is joined before simulate returns or
+    raises. An exception in a block on either thread reaches the caller, and
+    the other thread then takes no new block.
     """
-    return _summarize_samples(*_trajectories(system, attack, d, cfg, q_z))
+    # imported here: concurrent.futures pulls in logging, which no other path needs
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _trajectories(
-    system: SystemModel,
-    attack: AttackMatrices,
-    d: np.ndarray,
-    cfg: SimulationConfig,
-    q_z: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Critical rows z and residual rows r of simulate's trajectories.
-
-    A function of its own so that the loop's work arrays, the recording
-    among them, are freed before the statistics are taken.
-    """
     N = int(cfg.horizon)
     plant, ctrl, est = system.plant, system.controller, system.estimator
     n_x, n_y, n_u = plant.n_x, plant.n_y, plant.n_u
@@ -127,99 +128,89 @@ def _trajectories(
     lam_u, gam_u = attack.lambda_u, attack.gamma_u
     u_ref = (ctrl.L_yr @ y_r)[:, None]
 
-    numcore.require_addressable((n_s, 2 * n_x), f"{n_s} samples")
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    x_e = (system.t_0 @ y_r)[:, None] + system.sqrt_sigma_0 @ rng.standard_normal((n_s, 2 * n_x)).T
-    x_next = np.empty_like(x_e)
-    z = np.empty((N * n_z, n_s))
-    r = np.empty(((N + 1) * n_y, n_s))
-    # recorded[k] holds the tap of recording step k < 0, read back at step k + N + 1
-    recorded = np.empty((-attack.start_step, attack.n_ay, n_s))
-    # innov is scratch until the step's innovation is formed; y is dead from
-    # then on, so its rows double as the scratch of the state update
-    work = np.empty((max(n_x, n_y), n_s))
-    y, tmp_x = work[:n_y], work[:n_x]
-    innov, u, u_tilde = np.empty((n_y, n_s)), np.empty((n_u, n_s)), np.empty((n_u, n_s))
+    # z and r are both n_s wide, so the taller one bounds both
+    numcore.require_addressable((max(N * n_z, (N + 1) * n_y), n_s), f"{n_s} samples")
+    z, r = np.empty((N * n_z, n_s)), np.empty(((N + 1) * n_y, n_s))
+    pending = list(range(-(-n_s // _BLOCK)))[::-1]
+    lock = threading.Lock()
 
-    steps = range(attack.start_step, N + 1)
-    with closing(_prefetched_noise(rng, n_s, n_y, n_x, len(steps))) as noise:
-        for k, (w, v) in zip(steps, noise):
-            x, x_hat = x_e[:n_x], x_e[n_x:]
-            np.matmul(plant.C, x, out=y)
-            y += np.matmul(chol_w, w.T, out=innov)
-            np.matmul(ctrl.L_xhat, x_hat, out=u)
-            np.subtract(u_ref, u, out=u)
-            if k < 0:  # recording window: the loop runs nominally
-                np.matmul(gam_y.T, y, out=recorded[k])
-                np.copyto(innov, y)
-                u_att = u
-            else:  # innov holds the attacked measurement until C x_hat is subtracted
-                np.matmul(lam_y, y, out=innov)
-                innov += (gam_y @ a_seq[k, n_au:])[:, None]
-                if attack.has_recording:
-                    innov += np.matmul(gam_y, recorded[k - (N + 1)], out=y)
-                u_att = u_tilde
-                np.matmul(lam_u, u, out=u_att)
-                u_att += (gam_u @ a_seq[k, :n_au])[:, None]
-            innov -= np.matmul(plant.C, x_hat, out=y)
-            if k >= 0:
-                np.matmul(est.sigma_r_invsqrt, innov, out=r[k * n_y : (k + 1) * n_y])
-            if k == N:
-                break
-            x_new, x_hat_new = x_next[:n_x], x_next[n_x:]
-            np.matmul(plant.A, x, out=x_new)
-            x_new += np.matmul(plant.B, u_att, out=tmp_x)
-            x_new += np.matmul(chol_v, v.T, out=tmp_x)
-            np.matmul(plant.A, x_hat, out=x_hat_new)
-            x_hat_new += np.matmul(plant.B, u, out=tmp_x)
-            x_hat_new += np.matmul(est.K, innov, out=tmp_x)
-            x_e, x_next = x_next, x_e
-            if k >= 0:
-                np.matmul(q_z, x_e, out=z[k * n_z : (k + 1) * n_z])
-    return z, r
+    def take() -> Optional[int]:
+        with lock:
+            return pending.pop() if pending else None
 
+    # a block's x_e, x_next, y (its rows double as the state update's scratch), innov
+    # (scratch until the step's innovation is formed), u, u_tilde, recording (recorded[k]
+    # holds the tap of recording step k < 0, read back at step k + N + 1) and draws
+    def shapes(m: int) -> tuple[tuple[int, ...], ...]:
+        return ((2 * n_x, m), (2 * n_x, m), (max(n_x, n_y), m), (n_y, m), (n_u, m), (n_u, m),
+                (-attack.start_step, attack.n_ay, m), (m, 2 * n_x), (m, n_y), (m, n_x))
 
-def _prefetched_noise(
-    rng: np.random.Generator, n_s: int, n_y: int, n_x: int, steps: int
-) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Per-step noise blocks (w, v), drawn one step ahead on a helper thread.
-
-    Yields `steps` pairs in the simulator's draw order: w of shape (n_s, n_y),
-    then v of shape (n_s, n_x), which is None at the last step. The blocks
-    live in a ring of two preallocated slots, so a pair is valid only until
-    the next one is taken. numpy releases the interpreter lock while it fills
-    an array, so the draws for step k + 1 overlap the loop's arithmetic at
-    step k. The thread allocates no array. It is joined when the generator
-    finishes or is closed, and an exception it raises reaches the consumer
-    when that block is taken.
-    """
-    # imported here: concurrent.futures pulls in logging, which no other path needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    ring = [(np.empty((n_s, n_y)), np.empty((n_s, n_x))) for _ in range(2)]
-
-    def draw(i: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        w, v = ring[i % 2]
-        rng.standard_normal(out=w)
-        if i == steps - 1:
-            return w, None
-        rng.standard_normal(out=v)
-        return w, v
+    def run_blocks() -> None:
+        bufs = [np.empty(math.prod(s)) for s in shapes(min(n_s, _BLOCK))]
+        try:
+            for j in iter(take, None):
+                cols = slice(j * _BLOCK, min(n_s, (j + 1) * _BLOCK))
+                m = cols.stop - cols.start
+                x_e, x_next, work, innov, u, u_tilde, recorded, x_0, w, v = (
+                    b[: math.prod(s)].reshape(s) for b, s in zip(bufs, shapes(m))
+                )
+                y, tmp_x = work[:n_y], work[:n_x]
+                rng = _block_rng(cfg.seed, j)
+                rng.standard_normal(out=x_0)
+                np.matmul(system.sqrt_sigma_0, x_0.T, out=x_e)
+                x_e += (system.t_0 @ y_r)[:, None]
+                for k in range(attack.start_step, N + 1):
+                    x, x_hat = x_e[:n_x], x_e[n_x:]
+                    rng.standard_normal(out=w)
+                    np.matmul(plant.C, x, out=y)
+                    y += np.matmul(chol_w, w.T, out=innov)
+                    np.matmul(ctrl.L_xhat, x_hat, out=u)
+                    np.subtract(u_ref, u, out=u)
+                    if k < 0:  # recording window: the loop runs nominally
+                        np.matmul(gam_y.T, y, out=recorded[k])
+                        np.copyto(innov, y)
+                        u_att = u
+                    else:  # innov holds the attacked measurement until C x_hat is subtracted
+                        np.matmul(lam_y, y, out=innov)
+                        innov += (gam_y @ a_seq[k, n_au:])[:, None]
+                        if attack.has_recording:
+                            innov += np.matmul(gam_y, recorded[k - (N + 1)], out=y)
+                        u_att = u_tilde
+                        np.matmul(lam_u, u, out=u_att)
+                        u_att += (gam_u @ a_seq[k, :n_au])[:, None]
+                    innov -= np.matmul(plant.C, x_hat, out=y)
+                    if k >= 0:
+                        np.matmul(est.sigma_r_invsqrt, innov, out=r[k * n_y : (k + 1) * n_y, cols])
+                    if k == N:
+                        break
+                    rng.standard_normal(out=v)
+                    x_new, x_hat_new = x_next[:n_x], x_next[n_x:]
+                    np.matmul(plant.A, x, out=x_new)
+                    x_new += np.matmul(plant.B, u_att, out=tmp_x)
+                    x_new += np.matmul(chol_v, v.T, out=tmp_x)
+                    np.matmul(plant.A, x_hat, out=x_hat_new)
+                    x_hat_new += np.matmul(plant.B, u, out=tmp_x)
+                    x_hat_new += np.matmul(est.K, innov, out=tmp_x)
+                    x_e, x_next = x_next, x_e
+                    if k >= 0:
+                        np.matmul(q_z, x_e, out=z[k * n_z : (k + 1) * n_z, cols])
+        finally:  # after a failure the other thread takes no new block; after success none is left
+            with lock:
+                pending.clear()
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, 0)
-        for i in range(1, steps + 1):
-            block = pending.result()
-            if i < steps:  # the slot it fills held block i - 2, which the loop is done with
-                pending = pool.submit(draw, i)
-            yield block
+        helper = pool.submit(run_blocks)
+        run_blocks()
+    helper.result()
+    return _summarize_samples(z, r)
 
 
 def _summarize_samples(z: np.ndarray, r: np.ndarray) -> EmpiricalSummary:
     """Statistics of feature-major samples; centres z and r in place."""
     n_s = r.shape[1]
-    exceed = np.count_nonzero(np.abs(z) > 1.0, axis=1) / n_s
-    inf_norms = np.abs(z).max(axis=0, initial=0.0)  # zeros when z has no rows
+    abs_z = np.abs(z)
+    exceed = np.count_nonzero(abs_z > 1.0, axis=1) / n_s
+    inf_norms = abs_z.max(axis=0, initial=0.0)  # zeros when z has no rows
     z_mean, z_cov = _centred_moments(z)
     r_mean, r_cov = _centred_moments(r)
     return EmpiricalSummary(

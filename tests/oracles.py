@@ -347,12 +347,15 @@ def whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack):
 def reference_simulate(system, attack, d, cfg, q_z):
     """Sample-major Monte Carlo loop that mcvalidate.simulate must reproduce.
 
-    Same Philox stream (draw shapes and order) and the same literal loop as the
-    package's simulator, but every signal is stored one row per sample and the
-    statistics come from np.cov and separate std passes. It borrows the
-    package's stationary law and symmetric square root, so it checks the loop,
-    the layout and the statistics, not the law.
+    Same Philox streams (one per block of mcvalidate._BLOCK samples, as read
+    at call time, with the same draw shapes and order) and the same literal
+    loop as the package's simulator, but all samples step together, every
+    signal is stored one row per sample, and the statistics come from np.cov
+    and separate std passes. It borrows the package's stationary law and
+    symmetric square root, so it checks the loop, the layout and the
+    statistics, not the law.
     """
+    from stealthimpact import mcvalidate
     from stealthimpact.distrib import stationary_law
     from stealthimpact.mcvalidate import EmpiricalSummary
 
@@ -369,15 +372,21 @@ def reference_simulate(system, attack, d, cfg, q_z):
     chol_w = np.linalg.cholesky(plant.sigma_w)
     n_s = cfg.samples
 
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    x_e = t_0 @ y_r + rng.standard_normal((n_s, 2 * n_x)) @ sqrt_0.T
+    # block j draws its rows of each step's noise from Philox(seed).jumped(j), in step order
+    widths = np.diff(np.append(np.arange(0, n_s, mcvalidate._BLOCK), n_s))
+    rngs = [np.random.Generator(np.random.Philox(cfg.seed).jumped(j)) for j in range(len(widths))]
+
+    def normals(cols):
+        return np.vstack([rng.standard_normal((m, cols)) for rng, m in zip(rngs, widths)])
+
+    x_e = t_0 @ y_r + normals(2 * n_x) @ sqrt_0.T
     z_rows, r_rows, recorded = [], [], {}
     lam_y, gam_y = attack.lambda_y, attack.gamma_y
     lam_u, gam_u = attack.lambda_u, attack.gamma_u
     for k in range(attack.start_step, N + 1):
         x = x_e[:, :n_x]
         x_hat = x_e[:, n_x:]
-        w = rng.standard_normal((n_s, n_y)) @ chol_w.T
+        w = normals(n_y) @ chol_w.T
         y = x @ plant.C.T + w
         u = -x_hat @ ctrl.L_xhat.T + (ctrl.L_yr @ y_r)
         if k < 0:
@@ -394,7 +403,7 @@ def reference_simulate(system, attack, d, cfg, q_z):
             r_rows.append(innov @ est.sigma_r_invsqrt.T)
         if k == N:
             break
-        v = rng.standard_normal((n_s, n_x)) @ chol_v.T
+        v = normals(n_x) @ chol_v.T
         x_next = x @ plant.A.T + u_tilde @ plant.B.T + v
         x_hat_next = x_hat @ plant.A.T + u @ plant.B.T + innov @ est.K.T
         x_e = np.hstack([x_next, x_hat_next])

@@ -23,7 +23,7 @@ from oracles import (
     stacked_factors,
     whitened_rollout,
 )
-from stealthimpact import attacks, cli, distrib, numcore, solver
+from stealthimpact import attacks, cli, distrib, mcvalidate, numcore, solver
 from stealthimpact.attacks import ResourceSet, decision_layout
 from stealthimpact.distrib import gaussian_summary
 from stealthimpact.mcvalidate import SimulationConfig, kl_verdict, simulate
@@ -445,9 +445,9 @@ def test_criterion_8_report_determinism(tmp_path):
         "--strategy", "fdi",
         "--strategy", "bias_injection",
     ]
-    # the simulator too: its noise is drawn on a helper thread
+    # the simulator too: its sample blocks run on two threads, so take three, the last one short
     doc = json.loads(bundled_scenario_path().read_text())
-    doc["mc"]["samples"] = 5_000
+    doc["mc"]["samples"] = 2 * mcvalidate._BLOCK + 1_000
     mc_scenario = tmp_path / "mc_scenario.json"
     mc_scenario.write_text(json.dumps(doc))
     mc = [

@@ -1,6 +1,7 @@
+import concurrent.futures
 import dataclasses
+import sys
 import threading
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -56,10 +57,7 @@ def _attack(system, kind, N):
     return attacks.build_attack("replay_dos" if kind == "replay" else kind, res, system.dims, N)
 
 
-@pytest.mark.parametrize("critical", ["none", "plant", "extended"])
-@pytest.mark.parametrize("kind", ["fdi", "dos", "bias_injection", "replay"])
-def test_simulate_matches_sample_major_reference(system, scenario, kind, critical):
-    """The feature-major loop keeps the Philox stream and the statistics."""
+def _check_against_reference(system, scenario, kind, critical):
     N = 4
     atk = _attack(system, kind, N)
     if kind == "replay":
@@ -77,6 +75,20 @@ def test_simulate_matches_sample_major_reference(system, scenario, kind, critica
         a, b = getattr(got, field.name), getattr(want, field.name)
         assert np.shape(a) == np.shape(b), field.name
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=field.name)
+
+
+@pytest.mark.parametrize("critical", ["none", "plant", "extended"])
+@pytest.mark.parametrize("kind", ["fdi", "dos", "bias_injection", "replay"])
+def test_simulate_matches_sample_major_reference(system, scenario, kind, critical):
+    """The feature-major loop keeps the Philox stream and the statistics."""
+    _check_against_reference(system, scenario, kind, critical)
+
+
+@pytest.mark.parametrize("kind", ["fdi", "dos", "bias_injection", "replay"])
+def test_simulate_matches_sample_major_reference_across_blocks(system, scenario, monkeypatch, kind):
+    """Blocks of 700 samples, the last of 600, each on its own stream, keep the statistics."""
+    monkeypatch.setattr(mcvalidate, "_BLOCK", 700)
+    _check_against_reference(system, scenario, kind, "extended")
 
 
 def test_simulate_matches_analytic_fdi(system, scenario):
@@ -198,36 +210,61 @@ def test_nominal_long_run_guards(system):
         nominal_long_run(system, np.zeros(3), steps=150, burn_in=100, batches=100)
 
 
+_CALLER = "simulate-caller"  # the thread _run_bounded runs simulate on
+
+
 class _WatchedRng:
-    """Generator stand-in that notes which threads draw and can fail on one call."""
+    """Generator stand-in that keeps a copy of each draw and can fail at one call."""
 
-    def __init__(self, rng, fail_at=None):
-        self.rng, self.fail_at, self.calls, self.threads = rng, fail_at, 0, set()
+    def __init__(self, rng, watch, fail_at=None, wait=False):
+        self.rng, self.watch, self.fail_at, self.wait, self.draws = rng, watch, fail_at, wait, []
 
-    def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        self.threads.add(threading.get_ident())
-        if self.calls == self.fail_at:
+    def standard_normal(self, *, out):
+        if self.wait:  # hold this block until the other thread's block has failed
+            assert self.watch.failed.wait(30), "the other thread's block did not fail"
+            self.wait = False
+        if len(self.draws) + 1 == self.fail_at:
+            self.watch.failed.set()
             raise RuntimeError("draw failed")
-        return self.rng.standard_normal(*args, **kwargs)
+        self.rng.standard_normal(out=out)
+        self.draws.append(out.copy())
 
 
-def _patch_noise(monkeypatch, fail_at=None, consume=None):
-    """Route simulate's noise through a _WatchedRng and each taken block through consume."""
-    real = mcvalidate._prefetched_noise
-    seen = {"rng": None, "threads_inside": []}
+class _BlockWatch:
+    """Stand-in for mcvalidate._block_rng that notes which thread takes which block.
 
-    def patched(rng, *shape):
-        seen["rng"] = _WatchedRng(rng, fail_at)
-        with closing(real(seen["rng"], *shape)) as blocks:
-            for i, (w, v) in enumerate(blocks):
-                seen["threads_inside"].append(threading.active_count())
-                if consume is not None:
-                    consume(i, w, v)
-                yield w, v
+    The caller and the helper meet at their first block, so each runs at least
+    one. With fail_on set to "caller" or "helper", that thread's first block
+    raises at its fail_at-th draw, and the other thread's first block waits
+    for the failure before it draws.
+    """
 
-    monkeypatch.setattr(mcvalidate, "_prefetched_noise", patched)
-    return seen
+    def __init__(self, fail_on=None, fail_at=None):
+        self.real, self.fail_on, self.fail_at = mcvalidate._block_rng, fail_on, fail_at
+        self.taken, self.rngs = [], {}  # (thread, block, active threads) per block taken
+        self.met, self.failed = threading.Barrier(2, timeout=30), threading.Event()
+
+    def __call__(self, seed, j):
+        who = "caller" if threading.current_thread().name == _CALLER else "helper"
+        first = who not in {t for t, _, _ in self.taken}
+        self.taken.append((who, j, threading.active_count()))
+        if first:
+            self.met.wait()
+        fail_at = self.fail_at if first and who == self.fail_on else None
+        wait = first and self.fail_on not in (None, who)
+        self.rngs[j] = _WatchedRng(self.real(seed, j), self, fail_at, wait)
+        return self.rngs[j]
+
+    def threads(self):
+        return sorted(t for t, _, _ in self.taken)
+
+
+def _watch_blocks(monkeypatch, block, **fail):
+    """Cut the samples into blocks of `block` and route each block's generator through a _BlockWatch."""
+    monkeypatch.setattr(mcvalidate, "_BLOCK", block)
+    watch = _BlockWatch(**fail)
+    monkeypatch.setattr(mcvalidate, "_block_rng", watch)
+    return watch
 
 
 def _run_bounded(fn, timeout=60.0):
@@ -240,7 +277,7 @@ def _run_bounded(fn, timeout=60.0):
         except BaseException as exc:  # handed to the test thread below
             outcome["error"] = exc
 
-    t = threading.Thread(target=target)
+    t = threading.Thread(target=target, name=_CALLER)
     t.start()
     t.join(timeout)
     assert not t.is_alive(), "simulate did not return"
@@ -251,28 +288,27 @@ def _run_bounded(fn, timeout=60.0):
 
 @pytest.mark.parametrize("kind", ["fdi", "replay"])
 def test_simulate_consumes_the_documented_draw_order(system, scenario, monkeypatch, kind):
-    """The prefetched blocks are the sequential Philox draws, block for block."""
+    """Block j's draws are Philox(seed).jumped(j)'s sequential draws, in the documented shapes."""
     N, n_s, seed = 3, 257, 5
     atk = _attack(system, kind, N)
     assert (atk.start_step < 0) == (kind == "replay")
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     d = 0.2 * np.random.default_rng(2).normal(size=layout.dim_d)
-    taken = []
-    _patch_noise(monkeypatch, consume=lambda i, w, v: taken.append((w.copy(), None if v is None else v.copy())))
-    got = mcvalidate.simulate(system, atk, d, mcvalidate.SimulationConfig(n_s, seed, N), q_z=scenario.q_z)
+    cfg = mcvalidate.SimulationConfig(n_s, seed, N)
+    watch = _watch_blocks(monkeypatch, 100)  # blocks of 100, 100 and 57 samples
+    got = _run_bounded(lambda: mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z))
 
     n_x, n_y = system.plant.n_x, system.plant.n_y
-    rng = np.random.Generator(np.random.Philox(seed))
-    rng.standard_normal((n_s, 2 * n_x))
     steps = N + 1 - atk.start_step
-    assert len(taken) == steps
-    for i, (w, v) in enumerate(taken):
-        assert np.array_equal(w, rng.standard_normal((n_s, n_y))), i
-        if i == steps - 1:
-            assert v is None
-        else:
-            assert np.array_equal(v, rng.standard_normal((n_s, n_x))), i
-    want = reference_simulate(system, atk, d, mcvalidate.SimulationConfig(n_s, seed, N), q_z=scenario.q_z)
+    assert sorted(watch.rngs) == [0, 1, 2]
+    for j, m in enumerate([100, 100, 57]):
+        rng = np.random.Generator(np.random.Philox(seed).jumped(j))
+        shapes = [(m, 2 * n_x)] + [(m, n_y), (m, n_x)] * (steps - 1) + [(m, n_y)]
+        draws = watch.rngs[j].draws
+        assert [a.shape for a in draws] == shapes, j
+        for i, (a, shape) in enumerate(zip(draws, shapes)):
+            assert np.array_equal(a, rng.standard_normal(shape)), (j, i)
+    want = reference_simulate(system, atk, d, cfg, q_z=scenario.q_z)
     np.testing.assert_allclose(got.r_cov, want.r_cov, rtol=1e-9, atol=1e-12)
 
 
@@ -280,51 +316,80 @@ def test_simulate_joins_its_one_helper_thread(system, monkeypatch):
     atk = _attack(system, "replay", 4)
     layout = attacks.decision_layout(atk, 4, system.controller.Q_yr)
     before = threading.active_count()
-    seen = _patch_noise(monkeypatch)
+    watch = _watch_blocks(monkeypatch, 16)  # 7 blocks, the last of 4 samples
     _run_bounded(lambda: mcvalidate.simulate(
         system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 4), _plant_state(system)
     ))
     assert threading.active_count() == before
-    assert set(seen["threads_inside"]) == {before + 2}  # the bounded runner and the helper
-    assert len(seen["rng"].threads) == 1
-    assert threading.get_ident() not in seen["rng"].threads
-
-
-class _StepFailingAttack(attacks.AttackMatrices):
-    """Attack whose step loop raises at its fourth step: the loop reads has_recording once a step."""
-
-    steps = 0
-
-    @property
-    def has_recording(self):
-        self.steps += 1
-        if self.steps == 4:
-            raise FloatingPointError("step failed")
-        return False
+    assert {n for _, _, n in watch.taken} == {before + 2}  # the bounded runner and the helper
+    assert set(watch.threads()) == {"caller", "helper"}
+    assert sorted(j for _, j, _ in watch.taken) == list(range(7))
 
 
 def test_simulate_joins_the_helper_when_the_loop_raises(system, monkeypatch):
+    """A block that fails on the caller: the helper finishes its block, takes no other, and is joined."""
     atk, layout = _fdi_setup(system, N=6)
-    atk = _StepFailingAttack(**vars(atk))
     before = threading.active_count()
-    seen = _patch_noise(monkeypatch)
-    with pytest.raises(FloatingPointError, match="step failed"):
-        _run_bounded(lambda: mcvalidate.simulate(
-            system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6), _plant_state(system)
-        ))
-    assert threading.active_count() == before
-    assert seen["threads_inside"] == [before + 2] * 4
-
-
-@pytest.mark.parametrize("fail_at", [1, 2, 13])
-def test_simulate_raises_the_helpers_exception(system, monkeypatch, fail_at):
-    """A failed draw on the helper thread reaches the caller, from the first to the last."""
-    atk, layout = _fdi_setup(system, N=6)  # the helper draws 7 w and 6 v blocks
-    before = threading.active_count()
-    seen = _patch_noise(monkeypatch, fail_at=fail_at)
+    watch = _watch_blocks(monkeypatch, 16, fail_on="caller", fail_at=4)
     with pytest.raises(RuntimeError, match="draw failed"):
         _run_bounded(lambda: mcvalidate.simulate(
             system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6), _plant_state(system)
         ))
     assert threading.active_count() == before
-    assert seen["rng"].calls == fail_at
+    assert watch.threads() == ["caller", "helper"]  # one block each of 7
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 13])
+def test_simulate_raises_the_helpers_exception(system, monkeypatch, fail_at):
+    """A block that fails on the helper, at its initial, first and last process-noise draw, reaches the caller."""
+    atk, layout = _fdi_setup(system, N=6)  # a block draws its initial state, 7 w and 6 v blocks
+    before = threading.active_count()
+    watch = _watch_blocks(monkeypatch, 16, fail_on="helper", fail_at=fail_at)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        _run_bounded(lambda: mcvalidate.simulate(
+            system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6), _plant_state(system)
+        ))
+    assert threading.active_count() == before
+    assert watch.threads() == ["caller", "helper"]  # the caller took no block after the failure
+    (helper_block,) = [j for t, j, _ in watch.taken if t == "helper"]
+    assert len(watch.rngs[helper_block].draws) == fail_at - 1
+
+
+class _IdleExecutor:
+    """ThreadPoolExecutor stand-in whose worker never runs: every block falls to the caller."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        done = concurrent.futures.Future()
+        done.set_result(None)
+        return done
+
+
+def test_simulate_is_bit_identical_with_every_block_on_the_caller(system, scenario, monkeypatch):
+    """Which thread ran a block changes no bit, with the threads switching as often as they can."""
+    atk = _attack(system, "replay", 4)
+    layout = attacks.decision_layout(atk, 4, system.controller.Q_yr)
+    d = 0.2 * np.random.default_rng(3).normal(size=layout.dim_d)
+    cfg = mcvalidate.SimulationConfig(1_003, 8, 4)
+    watch = _watch_blocks(monkeypatch, 8)  # 126 blocks, the last of 3 samples
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = _run_bounded(lambda: mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z))
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(watch.threads()) == {"caller", "helper"}
+    assert sorted(j for _, j, _ in watch.taken) == list(range(126))  # each block once
+    monkeypatch.setattr(mcvalidate, "_block_rng", watch.real)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _IdleExecutor)
+    alone = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
+    for field in dataclasses.fields(mcvalidate.EmpiricalSummary):
+        assert np.array_equal(getattr(shared, field.name), getattr(alone, field.name)), field.name

@@ -4,8 +4,10 @@ Simulates the literal closed loop (plant, estimator, feedback, attack
 channels, and for replay the record-then-substitute protocol) with fresh
 Gaussian noise, so empirical means, covariances, exceedance frequencies, and
 KL budgets can be compared against the stacked-map predictions. The samples
-run in blocks, each on its own Philox substream, on the calling thread and
-one helper; a seed fixes every value, whichever thread ran a block.
+run in blocks, each on its own SFC64 stream, on the calling thread and one
+helper. Each block is reduced to its statistics on the thread that ran it,
+and the blocks' statistics are merged in block order, so a seed fixes every
+value, whichever thread ran a block.
 """
 
 from __future__ import annotations
@@ -79,8 +81,76 @@ _BLOCK = 8192
 
 
 def _block_rng(seed: int, j: int) -> np.random.Generator:
-    """The generator of sample block j: Philox(seed) jumped j times."""
-    return np.random.Generator(np.random.Philox(seed).jumped(j))
+    """The generator of sample block j: SFC64 on child j of SeedSequence(seed)."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(j,))))
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Count, row means and centred cross-product of feature-major samples."""
+
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def of(cls, s: np.ndarray) -> "_Moments":
+        """The moments of s, shape (dim, n), which is centred in place."""
+        mean = s.mean(axis=1)
+        s -= mean[:, None]
+        return cls(s.shape[1], mean, s @ s.T)
+
+    def merge(self, other: "_Moments") -> "_Moments":
+        """The moments of both sample sets, by the pairwise update of Chan, Golub and LeVeque (1983)."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return _Moments(
+            n,
+            self.mean + delta * (other.n / n),
+            self.m2 + other.m2 + np.outer(delta, delta) * (self.n * other.n / n),
+        )
+
+
+@dataclass(frozen=True)
+class _BlockStats:
+    """Exceedance counts per critical row, and the moments of z, r and the per-sample ‖z‖∞."""
+
+    exceed: np.ndarray
+    z: _Moments
+    r: _Moments
+    inf_norm: _Moments
+
+    @classmethod
+    def of(cls, z: np.ndarray, r: np.ndarray, abs_z: np.ndarray) -> "_BlockStats":
+        """Statistics of one block's feature-major z and r, which are centred in place; abs_z is scratch."""
+        np.abs(z, out=abs_z)
+        inf_norm = abs_z.max(axis=0, initial=0.0)  # zeros when z has no rows
+        return cls(np.count_nonzero(abs_z > 1.0, axis=1), _Moments.of(z), _Moments.of(r),
+                   _Moments.of(inf_norm[None]))
+
+    def merge(self, other: "_BlockStats") -> "_BlockStats":
+        """The statistics of both sample sets."""
+        return _BlockStats(self.exceed + other.exceed, self.z.merge(other.z), self.r.merge(other.r),
+                           self.inf_norm.merge(other.inf_norm))
+
+    def summary(self) -> EmpiricalSummary:
+        """The sample means, covariances (ddof=1), frequencies and standard errors."""
+        n = self.z.n
+        exceed = self.exceed / n
+        z_cov, r_cov = self.z.m2 / (n - 1), self.r.m2 / (n - 1)
+        return EmpiricalSummary(
+            z_mean=self.z.mean,
+            z_cov=z_cov,
+            z_mean_se=np.sqrt(np.diag(z_cov) / n),
+            exceed_freq=exceed,
+            exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n),
+            r_mean=self.r.mean,
+            r_cov=r_cov,
+            r_mean_se=np.sqrt(np.diag(r_cov) / n),
+            e_inf_norm=float(self.inf_norm.mean[0]),
+            e_inf_norm_se=math.sqrt(float(self.inf_norm.m2[0, 0]) / (n - 1)) / math.sqrt(n),
+            samples=n,
+        )
 
 
 def simulate(
@@ -99,17 +169,20 @@ def simulate(
     matching the stacked-map row order. The critical map q_z acts on the
     extended state (x, x_hat), 2 n_x columns, as in stack_dynamics.
 
-    Every signal is stored feature-major, shape (dim, cfg.samples). The Philox
-    draws are part of the contract: the samples are cut into blocks of _BLOCK
-    (the last may be shorter), and block j of m samples draws from
-    Philox(seed).jumped(j) an (m, 2 n_x) initial state, then per step an
-    (m, n_y) sensor noise w and, except at step N, an (m, n_x) process noise v.
-    So a seed gives the same trajectories, up to rounding, whatever the
-    storage layout, and jumped(0) is Philox(seed)'s own stream. The caller and
-    one helper thread take blocks from a shared counter; which thread ran a
-    block changes no value. The helper is joined before simulate returns or
-    raises. An exception in a block on either thread reaches the caller, and
-    the other thread then takes no new block.
+    The draws are part of the contract: the samples are cut into blocks of
+    _BLOCK (the last may be shorter), and block j of m samples draws from
+    SFC64 seeded by child j of SeedSequence(seed), that is
+    SeedSequence(seed, spawn_key=(j,)), an (m, 2 n_x) initial state, then per
+    step an (m, n_y) sensor noise w and, except at step N, an (m, n_x)
+    process noise v. So a seed gives the same trajectories, up to
+    rounding, whatever the storage layout. The caller and one helper thread
+    take blocks from a shared queue. Each thread stores a block's signals
+    feature-major, shape (dim, m), in its own buffers and reduces them to the
+    block's statistics, which are merged in block order; so which thread ran
+    a block changes no value, and no array grows with cfg.samples but the
+    queue. The helper is joined before simulate returns or raises. An
+    exception in a block on either thread reaches the caller, and the other
+    thread then takes no new block.
     """
     # imported here: concurrent.futures pulls in logging, which no other path needs
     from concurrent.futures import ThreadPoolExecutor
@@ -128,30 +201,40 @@ def simulate(
     lam_u, gam_u = attack.lambda_u, attack.gamma_u
     u_ref = (ctrl.L_yr @ y_r)[:, None]
 
-    # z and r are both n_s wide, so the taller one bounds both
-    numcore.require_addressable((max(N * n_z, (N + 1) * n_y), n_s), f"{n_s} samples")
-    z, r = np.empty((N * n_z, n_s)), np.empty(((N + 1) * n_y, n_s))
-    pending = list(range(-(-n_s // _BLOCK)))[::-1]
+    n_blocks = -(-n_s // _BLOCK)
+    numcore.require_addressable((n_blocks,), f"{n_s} samples")
+    pending = list(range(n_blocks))[::-1]
     lock = threading.Lock()
+    done: dict[int, _BlockStats] = {}  # blocks finished ahead of one still running
+    merged, total = 0, None  # blocks 0..merged-1 are merged into total
 
     def take() -> Optional[int]:
         with lock:
             return pending.pop() if pending else None
 
+    def finish(j: int, stats: _BlockStats) -> None:
+        nonlocal merged, total
+        with lock:
+            done[j] = stats
+            while merged in done:
+                stats = done.pop(merged)
+                total = stats if total is None else total.merge(stats)
+                merged += 1
+
     # a block's x_e, x_next, y (its rows double as the state update's scratch), innov
     # (scratch until the step's innovation is formed), u, u_tilde, recording (recorded[k]
-    # holds the tap of recording step k < 0, read back at step k + N + 1) and draws
+    # holds the tap of recording step k < 0, read back at step k + N + 1), draws, z, |z| and r
     def shapes(m: int) -> tuple[tuple[int, ...], ...]:
         return ((2 * n_x, m), (2 * n_x, m), (max(n_x, n_y), m), (n_y, m), (n_u, m), (n_u, m),
-                (-attack.start_step, attack.n_ay, m), (m, 2 * n_x), (m, n_y), (m, n_x))
+                (-attack.start_step, attack.n_ay, m), (m, 2 * n_x), (m, n_y), (m, n_x),
+                (N * n_z, m), (N * n_z, m), ((N + 1) * n_y, m))
 
     def run_blocks() -> None:
         bufs = [np.empty(math.prod(s)) for s in shapes(min(n_s, _BLOCK))]
         try:
             for j in iter(take, None):
-                cols = slice(j * _BLOCK, min(n_s, (j + 1) * _BLOCK))
-                m = cols.stop - cols.start
-                x_e, x_next, work, innov, u, u_tilde, recorded, x_0, w, v = (
+                m = min(n_s, (j + 1) * _BLOCK) - j * _BLOCK
+                x_e, x_next, work, innov, u, u_tilde, recorded, x_0, w, v, z, abs_z, r = (
                     b[: math.prod(s)].reshape(s) for b, s in zip(bufs, shapes(m))
                 )
                 y, tmp_x = work[:n_y], work[:n_x]
@@ -180,7 +263,7 @@ def simulate(
                         u_att += (gam_u @ a_seq[k, :n_au])[:, None]
                     innov -= np.matmul(plant.C, x_hat, out=y)
                     if k >= 0:
-                        np.matmul(est.sigma_r_invsqrt, innov, out=r[k * n_y : (k + 1) * n_y, cols])
+                        np.matmul(est.sigma_r_invsqrt, innov, out=r[k * n_y : (k + 1) * n_y])
                     if k == N:
                         break
                     rng.standard_normal(out=v)
@@ -193,7 +276,8 @@ def simulate(
                     x_hat_new += np.matmul(est.K, innov, out=tmp_x)
                     x_e, x_next = x_next, x_e
                     if k >= 0:
-                        np.matmul(q_z, x_e, out=z[k * n_z : (k + 1) * n_z, cols])
+                        np.matmul(q_z, x_e, out=z[k * n_z : (k + 1) * n_z])
+                finish(j, _BlockStats.of(z, r, abs_z))
         finally:  # after a failure the other thread takes no new block; after success none is left
             with lock:
                 pending.clear()
@@ -202,37 +286,7 @@ def simulate(
         helper = pool.submit(run_blocks)
         run_blocks()
     helper.result()
-    return _summarize_samples(z, r)
-
-
-def _summarize_samples(z: np.ndarray, r: np.ndarray) -> EmpiricalSummary:
-    """Statistics of feature-major samples; centres z and r in place."""
-    n_s = r.shape[1]
-    abs_z = np.abs(z)
-    exceed = np.count_nonzero(abs_z > 1.0, axis=1) / n_s
-    inf_norms = abs_z.max(axis=0, initial=0.0)  # zeros when z has no rows
-    z_mean, z_cov = _centred_moments(z)
-    r_mean, r_cov = _centred_moments(r)
-    return EmpiricalSummary(
-        z_mean=z_mean,
-        z_cov=z_cov,
-        z_mean_se=np.sqrt(np.diag(z_cov) / n_s),
-        exceed_freq=exceed,
-        exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n_s),
-        r_mean=r_mean,
-        r_cov=r_cov,
-        r_mean_se=np.sqrt(np.diag(r_cov) / n_s),
-        e_inf_norm=float(inf_norms.mean()),
-        e_inf_norm_se=float(inf_norms.std(ddof=1) / math.sqrt(n_s)),
-        samples=n_s,
-    )
-
-
-def _centred_moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means and sample covariance (ddof=1) of s, which is centred in place."""
-    mean = s.mean(axis=1)
-    s -= mean[:, None]
-    return mean, s @ s.T / (s.shape[1] - 1)
+    return total.summary()
 
 
 def kl_verdict(

@@ -347,13 +347,14 @@ def whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack):
 def reference_simulate(system, attack, d, cfg, q_z):
     """Sample-major Monte Carlo loop that mcvalidate.simulate must reproduce.
 
-    Same Philox streams (one per block of mcvalidate._BLOCK samples, as read
+    Same SFC64 streams (one per block of mcvalidate._BLOCK samples, as read
     at call time, with the same draw shapes and order) and the same literal
     loop as the package's simulator, but all samples step together, every
     signal is stored one row per sample, and the statistics come from np.cov
-    and separate std passes. It borrows the package's stationary law and
-    symmetric square root, so it checks the loop, the layout and the
-    statistics, not the law.
+    and separate std passes over all samples at once, so it is also the
+    oracle of the simulator's block-by-block merge. It borrows the package's
+    stationary law and symmetric square root, so it checks the loop, the
+    layout and the statistics, not the law.
     """
     from stealthimpact import mcvalidate
     from stealthimpact.distrib import stationary_law
@@ -372,9 +373,10 @@ def reference_simulate(system, attack, d, cfg, q_z):
     chol_w = np.linalg.cholesky(plant.sigma_w)
     n_s = cfg.samples
 
-    # block j draws its rows of each step's noise from Philox(seed).jumped(j), in step order
+    # block j draws its rows of each step's noise from SFC64 on child j of SeedSequence(seed), in step order
     widths = np.diff(np.append(np.arange(0, n_s, mcvalidate._BLOCK), n_s))
-    rngs = [np.random.Generator(np.random.Philox(cfg.seed).jumped(j)) for j in range(len(widths))]
+    children = np.random.SeedSequence(cfg.seed).spawn(len(widths))
+    rngs = [np.random.Generator(np.random.SFC64(child)) for child in children]
 
     def normals(cols):
         return np.vstack([rng.standard_normal((m, cols)) for rng, m in zip(rngs, widths)])

@@ -931,11 +931,12 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, changes, extra):
     large request is the horizon's lag index of (N+1)^2 entries, about
     7.3 TiB, which gaussian_summaries asks for before any audit, for every
     strategy: numpy's MemoryError ends the run before the audit's first QR.
-    Longer horizons, and 10^30 Monte Carlo samples, ask for shapes beyond
-    the address range, which numpy refuses with a ValueError: the decision
-    layout, the lag index and the sampler check those sizes first. Only the
-    Monte Carlo case gets as far as an audit, since its samples are drawn
-    after the solve.
+    Longer horizons ask for shapes beyond the address range, which numpy
+    refuses with a ValueError: the decision layout and the lag index check
+    those sizes first. 10^30 Monte Carlo samples need a queue of more blocks
+    than the address range holds, which the sampler checks before it builds
+    the queue. Only the Monte Carlo case gets as far as an audit, since its
+    samples are drawn after the solve.
     """
     doc = json.loads(bundled_scenario_path().read_text())
     doc.update(changes)

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def _attack(system, kind, N):
     return attacks.build_attack("replay_dos" if kind == "replay" else kind, res, system.dims, N)
 
 
-def _check_against_reference(system, scenario, kind, critical):
+def _check_against_reference(system, scenario, kind, critical, samples=2_000):
     N = 4
     atk = _attack(system, kind, N)
     if kind == "replay":
@@ -67,7 +68,7 @@ def _check_against_reference(system, scenario, kind, critical):
     # "none" is the identity on the plant state; "plant" reads the plant state only
     plant_rows = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [1.0, -0.5, 0.0, 0.0, 0.0, 0.0]])
     q_z = {"none": _plant_state(system), "plant": plant_rows, "extended": scenario.q_z}[critical]
-    cfg = mcvalidate.SimulationConfig(samples=2_000, seed=17, horizon=N)
+    cfg = mcvalidate.SimulationConfig(samples=samples, seed=17, horizon=N)
     got = mcvalidate.simulate(system, atk, d, cfg, q_z=q_z)
     want = reference_simulate(system, atk, d, cfg, q_z=q_z)
     assert np.array_equal(got.exceed_freq, want.exceed_freq)
@@ -80,7 +81,7 @@ def _check_against_reference(system, scenario, kind, critical):
 @pytest.mark.parametrize("critical", ["none", "plant", "extended"])
 @pytest.mark.parametrize("kind", ["fdi", "dos", "bias_injection", "replay"])
 def test_simulate_matches_sample_major_reference(system, scenario, kind, critical):
-    """The feature-major loop keeps the Philox stream and the statistics."""
+    """The feature-major loop keeps the block streams and the statistics."""
     _check_against_reference(system, scenario, kind, critical)
 
 
@@ -89,6 +90,39 @@ def test_simulate_matches_sample_major_reference_across_blocks(system, scenario,
     """Blocks of 700 samples, the last of 600, each on its own stream, keep the statistics."""
     monkeypatch.setattr(mcvalidate, "_BLOCK", 700)
     _check_against_reference(system, scenario, kind, "extended")
+
+
+@pytest.mark.parametrize("samples", [14, 15])
+@pytest.mark.parametrize("kind", ["fdi", "replay"])
+def test_simulate_merges_blocks_like_one_pass(system, scenario, monkeypatch, kind, samples):
+    """Blocks of 7: two full blocks, or a last block of one sample, whose cross-product is zero."""
+    monkeypatch.setattr(mcvalidate, "_BLOCK", 7)
+    _check_against_reference(system, scenario, kind, "extended", samples)
+
+
+def test_simulate_memory_does_not_grow_with_samples(system, scenario, monkeypatch):
+    """Each block is reduced to its statistics on its thread, so 16 blocks peak where 4 do.
+
+    The peaks differ by less than one block's z, |z| and r buffers; a
+    simulator that kept z and r for every sample would differ by 12 blocks'
+    z and r.
+    """
+    N = 4
+    atk, layout = _fdi_setup(system, N)
+    d = 0.1 * np.random.default_rng(4).normal(size=layout.dim_d)
+    monkeypatch.setattr(mcvalidate, "_BLOCK", 1_024)
+    mcvalidate.simulate(system, atk, d, mcvalidate.SimulationConfig(2, 0, N), scenario.q_z)  # first-call imports
+    peaks = []
+    for blocks in (4, 16):
+        cfg = mcvalidate.SimulationConfig(blocks * mcvalidate._BLOCK, 0, N)
+        tracemalloc.start()
+        try:
+            mcvalidate.simulate(system, atk, d, cfg, scenario.q_z)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rows = 2 * N * scenario.q_z.shape[0] + (N + 1) * system.plant.n_y
+    assert abs(peaks[1] - peaks[0]) < 8 * rows * mcvalidate._BLOCK
 
 
 def test_simulate_matches_analytic_fdi(system, scenario):
@@ -288,7 +322,7 @@ def _run_bounded(fn, timeout=60.0):
 
 @pytest.mark.parametrize("kind", ["fdi", "replay"])
 def test_simulate_consumes_the_documented_draw_order(system, scenario, monkeypatch, kind):
-    """Block j's draws are Philox(seed).jumped(j)'s sequential draws, in the documented shapes."""
+    """Block j's draws are the sequential draws of SFC64 on child j of SeedSequence(seed), in the documented shapes."""
     N, n_s, seed = 3, 257, 5
     atk = _attack(system, kind, N)
     assert (atk.start_step < 0) == (kind == "replay")
@@ -301,8 +335,9 @@ def test_simulate_consumes_the_documented_draw_order(system, scenario, monkeypat
     n_x, n_y = system.plant.n_x, system.plant.n_y
     steps = N + 1 - atk.start_step
     assert sorted(watch.rngs) == [0, 1, 2]
+    children = np.random.SeedSequence(seed).spawn(3)
     for j, m in enumerate([100, 100, 57]):
-        rng = np.random.Generator(np.random.Philox(seed).jumped(j))
+        rng = np.random.Generator(np.random.SFC64(children[j]))
         shapes = [(m, 2 * n_x)] + [(m, n_y), (m, n_x)] * (steps - 1) + [(m, n_y)]
         draws = watch.rngs[j].draws
         assert [a.shape for a in draws] == shapes, j

@@ -20,10 +20,12 @@ the row comes from one square-root innovation recursion over a batch of
 configurations (_innovation_audit), _BLOCK_STEPS steps per batched QR; a
 configuration whose pivots fail the rule leaves the batch, as it stays
 singular at every longer horizon. Replay's x_e(0) is correlated with its
-recording, so _replay_audit forms its noise factor, the only one the package
-builds, and factors Sigma_R. Both apply numcore.pd_rule, the package's one
-definiteness rule, to their pivots: QR pivots in the recursion, Cholesky
-pivots for replay, where a failed factorization counts as singular.
+recording, so _replay_audit runs the recording and the attacked loop as one
+Markov chain in aligned time, forms Sigma_R from that chain's state
+covariances, and factors it; no noise factor is formed. Both apply
+numcore.pd_rule, the package's one definiteness rule, to their pivots: QR
+pivots in the recursion, Cholesky pivots for replay, where a failed
+factorization counts as singular.
 stack_dynamics builds the mean maps T_Z and T_R, replay's included, only
 when a solve first reads them, so a configuration over budget at every
 epsilon of a run is never stacked.
@@ -37,14 +39,8 @@ out = [critical map; C_r], the row block of step k is
 so the rows are the observability blocks out A^k and the input columns one
 block-Toeplitz gather of the Markov blocks over the lag k-1-j; the y_r
 columns sum over the lags. One such gather (_lifted_rows) serves both output
-families, with powers of A from numcore.matrix_powers: the mean maps gather
-the (a, y_r) columns, replay's audit the noise columns. Replay's recording
-window [-N-1, -1] is the same gather on the nominal loop, with output
-gamma_y' [C 0] and direct term gamma_y' on w, and x_e(0) follows in closed
-form from the same powers; their noise parts are linear in
-(x_e(start), f(start..-1)), and the recorded stack is the sensor injection
-a_y(0..N), so one product [m_x | sensor columns of m_a] R substitutes the
-window into every noise row.
+families, with powers of A from numcore.matrix_powers, over the (a, y_r)
+columns.
 """
 
 from __future__ import annotations
@@ -179,7 +175,7 @@ def stack_dynamics(
     inputs = np.hstack([ext.G_a, ext.E_r])
     direct = np.zeros((n_z + n_y, inputs.shape[1]))
     direct[n_z:, :n_a] = ext.H_a
-    m_x, m_a, m_r = _lifted_rows(obs, obs[:N] @ inputs, direct, (n_a,))
+    m_x, m_a, m_r = _lifted_rows(obs, obs[:N] @ inputs, direct, n_a)
     m_r += m_x @ system.t_0
     if attack.has_recording:
         recorded = attack.gamma_y.T @ system.plant.C @ system.t_0[: system.plant.n_x]
@@ -200,60 +196,89 @@ def _replay_audit(
 ) -> tuple[bool, float, float, np.ndarray]:
     """Sigma_R's PD verdict, trace and ln det, and sigma, for a replay configuration.
 
-    Replay's x_e(0) is correlated with its recording, so its audit forms the
-    noise factor. One noise-only lifted gather gives the rows in (x_e(0),
-    f(0..N), a_y(0..N)); x_e(0) and the recorded stack, which enters as the
-    sensor injection a_y(0..N), are both linear in (x_e(start), f(start..-1)),
-    so one product with _recording_window's matrix substitutes the window into
-    every row. The stationary law then whitens the rows,
-    F = [m_x sqrt(Sigma_0) | m_f (I kron sqrt(Sigma_f))], the Kronecker
-    product acting block by block through a reshape. Sigma_R = F_R F_R' is
-    audited by numcore.cholesky_audit, and sigma is F_Z's row norms. Returns
-    the row _innovation_audit returns for a loop without a recording.
+    Replay's x_e(0) is correlated with its recording, so the window's noise
+    is not a loop started from its stationary law. The audit runs two chains
+    in aligned time j = 0..N instead, over the joint state s_j = (rho_j,
+    alpha_j):
+      - rho_j = x_e(j-N-1) is the recording chain, the nominal loop (A_0, B_0)
+        started from Sigma_0; its tap P rho_j + Q f_R(j), with P =
+        gamma_y' [C 0] and Q gamma_y' on w, is the recorded stack a_y(j);
+      - alpha is the attacked loop started from an independent stationary
+        x~_0 and driven by that tap through the sensor columns G_s, H_s of
+        G_a and H_a.
+    s is Markov, s_(j+1) = Phi s_j + Gamma g_j with g_j = (f_R(j), f(j)) white,
+    Phi = [[A_0, 0], [G_s P, A_cl]] and Gamma = [[B_0, 0], [G_s Q, B_f]], and
+    its residual is r~_j = M s_j + D g_j, with M = [H_s P, C_r] and
+    D = [H_s Q, D_f]. From one matrix_powers(Phi, N) call:
+      - P_j = Cov(s_j) = Phi^j P_0 Phi^j' + sum_(l<j) Phi^l Gamma Sigma_g
+        Gamma' Phi^l', a prefix sum, with P_0 = diag(Sigma_0, Sigma_0);
+      - Sigma~ = Cov(r~) has the diagonal blocks M P_j M' + D Sigma_g D' and,
+        below them, M Phi^(i-j-1) K_j with K_j = Phi P_j M' + Gamma Sigma_g D',
+        one GEMM over the lags gathered by the lag index.
+    The true x_e(0) is rho_(N+1), so r = r~ + T_1 (rho_(N+1) - x~_0) with
+    T_1 = [C_r A_cl^j], and Cov(r~, x~_0) = T_1 Sigma_0; the Sigma_0 terms
+    cancel, leaving Sigma_R = Sigma~ + T_1 C' + C T_1' with C = Cov(r~,
+    rho_(N+1)), whose row block j is (E Phi^(N-j) K_j)', E = [I 0]. The
+    critical rows q_z alpha_i, which have no direct term, follow the same way
+    row by row for sigma. Sigma_R is formed as H + H', with H its blocks
+    below the diagonal, half of those on it, and T_1 C', and audited by
+    numcore.cholesky_audit. Returns the row _innovation_audit returns for a
+    loop without a recording.
     """
-    n_y, n_f, n_e, n_z = ext.n_y, ext.n_f, ext.A_cl.shape[0], q_z.shape[0]
-    obs = np.vstack([q_z, ext.C_r]) @ numcore.matrix_powers(ext.A_cl, N)
-    inputs = np.hstack([ext.B_f, ext.G_a[:, attack.n_au :]])
-    direct = np.zeros((n_z + n_y, inputs.shape[1]))
-    direct[n_z:] = np.hstack([ext.D_f, ext.H_a[:, attack.n_au :]])
-    m_x, m_f, m_s, _ = _lifted_rows(obs, obs[:N] @ inputs, direct, (n_f, attack.n_ay))
-    folded = np.hstack([m_x, m_s]) @ _recording_window(system, attack)
-    # Rebinding m_f frees the unwhitened map before the factor is joined;
-    # holding both lets the allocator trim and refault the heap on every call.
-    m_f = np.hstack([folded[:, n_e:], m_f])
-    m_f = (m_f.reshape(-1, n_f) @ system.sqrt_sigma_f).reshape(m_f.shape)
-    f_z, f_r = _split(np.hstack([folded[:, :n_e] @ system.sqrt_sigma_0, m_f]), n_z, N)
-    sigma_r = f_r @ f_r.T
-    pd, trace, logdet = numcore.cholesky_audit(0.5 * (sigma_r + sigma_r.T))
-    return pd, trace, logdet, np.sqrt(np.sum(f_z * f_z, axis=1))
+    plant, nominal = system.plant, system.nominal
+    n_x, n_y, n_f, n_z = plant.n_x, plant.n_y, ext.n_f, q_z.shape[0]
+    n_e, n_s, n = 2 * n_x, 4 * n_x, (N + 1) * n_y
+    tap = attack.gamma_y.T @ np.hstack([plant.C, np.zeros((n_y, n_e)), np.eye(n_y)])  # [P | Q]
+    # [[Phi, Gamma], [M, D]] over the columns (rho, alpha, f_R, f), Gamma and D whitened
+    model = np.zeros((n_s + n_y, n_s + 2 * n_f))
+    model[:n_e, :n_e], model[:n_e, n_s : n_s + n_f] = nominal.A_cl, nominal.B_f
+    sensed = np.vstack([ext.G_a, ext.H_a])[:, attack.n_au :] @ tap
+    model[n_e:, :n_e], model[n_e:, n_s : n_s + n_f] = sensed[:, :n_e], sensed[:, n_e:]
+    model[n_e:, n_e:n_s] = np.vstack([ext.A_cl, ext.C_r])
+    model[n_e:, n_s + n_f :] = np.vstack([ext.B_f, ext.D_f])
+    model[:, n_s:] = (model[:, n_s:].reshape(-1, n_f) @ system.sqrt_sigma_f).reshape(-1, 2 * n_f)
+    phi, drive, direct = model[:n_s, :n_s], model[:n_s, n_s:], model[n_s:, n_s:]
+    out = np.zeros((n_y + n_z, n_s))  # [M; the critical map on alpha]
+    out[:n_y], out[n_y:, n_e:] = model[n_s:, :n_s], q_z
+    root = np.zeros((n_s, n_s))  # P_0^1/2
+    root[:n_e, :n_e] = root[n_e:, n_e:] = system.sqrt_sigma_0
 
+    powers = numcore.matrix_powers(phi, N)
+    start = powers @ root
+    cov = start @ start.transpose(0, 2, 1)  # [j]: P_j
+    reach = powers[:N] @ drive
+    cov[1:] += np.cumsum(reach @ reach.transpose(0, 2, 1), axis=0)
+    gain = phi @ cov @ out.T  # [j]: K_j, and Phi P_j on the critical rows
+    gain[..., :n_y] += drive @ direct.T
+    obs = out @ powers  # [j]: M Phi^j, whose alpha columns are T_1's C_r A_cl^j
+    cross = powers[::-1, :n_e] @ gain  # [j]: E Phi^(N-j) K_j = Cov(rho_(N+1), output j)
+    spread = out @ cov
+    var = np.sum(spread[1:, n_y:] * out[n_y:], axis=-1)
+    var += 2.0 * np.sum(obs[1:, n_y:, n_e:] * cross[1:, :, n_y:].transpose(0, 2, 1), axis=-1)
 
-def _recording_window(system: SystemModel, attack: AttackMatrices) -> np.ndarray:
-    """Matrix R from (x_e(start), f(start..-1)) to the noise in (x_e(0); gamma_y' y(start..-1)).
-
-    The window [start, -1], start = -N-1, runs the nominal loop. Its recorded
-    stack is the lifted gather of that loop with output gamma_y' [C 0] and
-    direct term gamma_y' on w; x_e(0), one step past the window, is
-    A^(N+1) x_e(start) + sum_j A^(N-j) B_f f(j) from the same powers, plus a
-    term in y_r that the mean maps carry.
-    """
-    nominal, plant = system.nominal, system.plant
-    N, n_f, n_ay = -attack.start_step - 1, nominal.n_f, attack.n_ay
-    powers = numcore.matrix_powers(nominal.A_cl, N + 1)
-    obs = attack.gamma_y.T @ np.hstack([plant.C, np.zeros_like(plant.C)]) @ powers[: N + 1]
-    direct = np.zeros((n_ay, n_f))
-    direct[:, plant.n_x :] = attack.gamma_y.T
-    recorded_x, recorded_f, _ = _lifted_rows(obs, obs[:N] @ nominal.B_f, direct, (n_f,))
-    drive = powers[N::-1] @ nominal.B_f  # [j]: A^(N-j) B_f
-    x0_f = drive.transpose(1, 0, 2).reshape(powers.shape[1], -1)
-    return np.vstack([np.hstack([powers[N + 1], x0_f]), np.hstack([recorded_x, recorded_f])])
+    # [l, :, j]: M Phi^l K_j at l < N, a zero block at l = N for j > i, and
+    # half the diagonal block at l = -1, gathered by the lag index i - 1 - j.
+    lagged = np.empty((N + 2, n_y, N + 1, n_y))
+    gains = gain[..., :n_y].transpose(1, 0, 2).reshape(n_s, n)
+    np.matmul(obs[:N, :n_y].reshape(N * n_y, n_s), gains, out=lagged[:N].reshape(N * n_y, n))
+    lagged[N] = 0.0
+    diagonal = spread[:, :n_y] @ out[:n_y].T + direct @ direct.T
+    lagged[N + 1] = 0.5 * diagonal.transpose(1, 0, 2)
+    half = lagged[_lags(N), :, np.arange(N + 1)].transpose(0, 2, 1, 3).reshape(n, n)
+    del lagged  # each n x n array held into the factorization adds to its peak
+    half += obs[:, :n_y, n_e:].reshape(n, n_e) @ cross[..., :n_y].transpose(1, 0, 2).reshape(n_e, n)
+    sigma_r = half + half.T
+    del half
+    pd, trace, logdet = numcore.cholesky_audit(sigma_r)
+    return pd, trace, logdet, np.sqrt(var).reshape(N * n_z)
 
 
 @lru_cache(maxsize=1)  # every gather of a pair reads one horizon's index
 def _lags(N: int) -> np.ndarray:
-    """Read-only [k, j]: the Markov block of output step k and input step j in _lifted_rows.
+    """Read-only [k, j]: the lag of output step k and input step j in a block-Toeplitz gather.
 
-    That is the lag k-1-j where j <= k, and N, the zero block, where j > k.
+    That is the lag k-1-j where j <= k, -1 for the direct term at j = k, and
+    N, where the gathers keep a zero block, where j > k.
     """
     numcore.require_addressable((N + 1, N + 1), f"lag index of horizon {N}")
     lag = np.arange(N + 1)[:, None] - 1 - np.arange(N + 1)
@@ -263,34 +288,24 @@ def _lags(N: int) -> np.ndarray:
 
 
 def _lifted_rows(
-    obs: np.ndarray, markov: np.ndarray, direct: np.ndarray, widths: tuple
-) -> list[np.ndarray]:
+    obs: np.ndarray, markov: np.ndarray, direct: np.ndarray, n_in: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maps of the output rows at steps 0..N over the window.
 
     obs[k] is the observability block of step k, markov[l] the Markov block at
     lag l = k-1-j over the stacked input columns, and direct the feedthrough at
-    lag -1 (j = k). Returns the row map of the initial state, one stacked map
-    per input group of the given widths over steps 0..N, and the sum over
-    lags of the remaining (reference) columns, a prefix sum of their Markov
-    blocks. Every reshape names its sizes, so an output with no rows works.
+    lag -1 (j = k). Returns the row map of the initial state, the stacked map
+    of the first n_in input columns over steps 0..N, and the sum over lags of
+    the remaining (reference) columns, a prefix sum of their Markov blocks.
+    Every reshape names its sizes, so an output with no rows works.
     """
     N = markov.shape[0]
-    n_in, n_rows = sum(widths), (N + 1) * direct.shape[0]
+    n_rows = (N + 1) * direct.shape[0]
     blocks = np.concatenate([markov, np.zeros_like(direct)[None], direct[None]])[..., :n_in]
-    # Gathered group by group: one gather of every input column adds 0.75 MB at
-    # N = 50, which pushed a call's transient heap past glibc's trim threshold,
-    # so that its pages were returned and refaulted on every call.
-    toeplitz = _lags(N)
-    out = [obs.reshape(n_rows, obs.shape[-1])]
-    col = 0
-    for w in widths:
-        group = blocks[..., col : col + w][toeplitz].transpose(0, 2, 1, 3)
-        out.append(group.reshape(n_rows, (N + 1) * w))
-        col += w
+    gathered = blocks[_lags(N)].transpose(0, 2, 1, 3).reshape(n_rows, (N + 1) * n_in)
     ref = np.concatenate([np.zeros_like(direct[None, :, n_in:]), markov[..., n_in:]])
-    lags_below = np.cumsum(ref, axis=0)  # [k]: lags < k
-    out.append((lags_below + direct[:, n_in:]).reshape(n_rows, ref.shape[-1]))
-    return out
+    summed = (np.cumsum(ref, axis=0) + direct[:, n_in:]).reshape(n_rows, ref.shape[-1])  # [k]: lags < k, and -1
+    return obs.reshape(n_rows, obs.shape[-1]), gathered, summed
 
 
 class BudgetOverflow(ValueError):

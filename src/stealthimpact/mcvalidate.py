@@ -176,11 +176,11 @@ def simulate(
     step an (m, n_y) sensor noise w and, except at step N, an (m, n_x)
     process noise v. So a seed gives the same trajectories, up to
     rounding, whatever the storage layout. The caller and one helper thread
-    take blocks from a shared queue. Each thread stores a block's signals
-    feature-major, shape (dim, m), in its own buffers and reduces them to the
-    block's statistics, which are merged in block order; so which thread ran
-    a block changes no value, and no array grows with cfg.samples but the
-    queue. The helper is joined before simulate returns or raises. An
+    take blocks from a shared range iterator. Each thread stores a block's
+    signals feature-major, shape (dim, m), in its own buffers and reduces
+    them to the block's statistics, which are merged in block order; so
+    which thread ran a block changes no value, and no array grows with
+    cfg.samples. The helper is joined before simulate returns or raises. An
     exception in a block on either thread reaches the caller, and the other
     thread then takes no new block.
     """
@@ -203,14 +203,14 @@ def simulate(
 
     n_blocks = -(-n_s // _BLOCK)
     numcore.require_addressable((n_blocks,), f"{n_s} samples")
-    pending = list(range(n_blocks))[::-1]
+    pending = iter(range(n_blocks))  # one int of state, whatever n_blocks
     lock = threading.Lock()
     done: dict[int, _BlockStats] = {}  # blocks finished ahead of one still running
     merged, total = 0, None  # blocks 0..merged-1 are merged into total
 
     def take() -> Optional[int]:
         with lock:
-            return pending.pop() if pending else None
+            return next(pending, None)
 
     def finish(j: int, stats: _BlockStats) -> None:
         nonlocal merged, total
@@ -230,6 +230,7 @@ def simulate(
                 (N * n_z, m), (N * n_z, m), ((N + 1) * n_y, m))
 
     def run_blocks() -> None:
+        nonlocal pending
         bufs = [np.empty(math.prod(s)) for s in shapes(min(n_s, _BLOCK))]
         try:
             for j in iter(take, None):
@@ -280,7 +281,7 @@ def simulate(
                 finish(j, _BlockStats.of(z, r, abs_z))
         finally:  # after a failure the other thread takes no new block; after success none is left
             with lock:
-                pending.clear()
+                pending = iter(())
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         helper = pool.submit(run_blocks)

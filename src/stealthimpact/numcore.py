@@ -8,7 +8,6 @@ Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,20 +57,14 @@ def pd_rule(smallest, scale):
     return smallest > PD_RTOL * np.maximum(1.0, scale)
 
 
-@dataclass(frozen=True)
-class SpdCheck:
-    is_positive_definite: bool
-    min_eigenvalue: float
-
-
-def spd_check(M: np.ndarray) -> SpdCheck:
-    """Symmetric positive-definiteness test of a spectrum under pd_rule."""
+def spd_check(M: np.ndarray) -> tuple[bool, float]:
+    """(is_pd, min_eigenvalue): symmetric positive-definiteness of a spectrum under pd_rule."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
-        return SpdCheck(True, np.inf)
+        return True, np.inf
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     lo, hi = float(w[0]), float(w[-1])
-    return SpdCheck(bool(pd_rule(lo, hi)), lo)
+    return bool(pd_rule(lo, hi)), lo
 
 
 def cholesky_audit(M: np.ndarray) -> tuple[bool, float, float]:

@@ -74,11 +74,9 @@ class PlantModel:
         if self.sigma_w.shape != (n_y, n_y):
             raise DimensionMismatch("sigma_w must be n_y x n_y")
         for name, M in (("sigma_v", self.sigma_v), ("sigma_w", self.sigma_w)):
-            chk = numcore.spd_check(M)
-            if not chk.is_positive_definite:
-                raise numcore.NotPositiveDefinite(
-                    f"{name} not positive definite (min eigenvalue {chk.min_eigenvalue:.3e})"
-                )
+            is_pd, lowest = numcore.spd_check(M)
+            if not is_pd:
+                raise numcore.NotPositiveDefinite(f"{name} not positive definite (min eigenvalue {lowest:.3e})")
         with np.errstate(over="ignore", invalid="ignore"):
             powers = numcore.matrix_powers(self.A, n_x - 1)
             obs, ctrb = np.vstack(self.C @ powers), np.hstack(powers @ self.B)

@@ -12,7 +12,8 @@ them against a rollout, a simulation or the package's audits.
 matrix the package's index layout stands for, and ``DenseBasis`` gives any
 dense orthonormal basis the layout's reduce/lift interface.
 ``innovation_recursion`` is the innovation audit's earlier one-step-per-QR
-recursion, kept as the reference for its blocked form.
+recursion, kept as the reference for its blocked form. ``recording_window``
+writes replay's recording window out as one matrix, block by block.
 """
 
 import itertools
@@ -482,6 +483,37 @@ def reference_recording(system, attack, N):
         psi_r = nominal.A_cl @ psi_r + nominal.E_r
         phi = nominal.A_cl @ phi
     return t_sx, t_sr, t_sf
+
+
+def recording_window(system, attack):
+    """Matrix R from (x_e(start), f(start..-1)) to the noise in (x_e(0); gamma_y' y(start..-1)).
+
+    The window [start, -1], start = -N-1, runs the nominal loop. Its recorded
+    stack is the block lower-triangular map with output gamma_y' [C 0] and
+    direct term gamma_y' on w; x_e(0), one step past the window, is
+    A^(N+1) x_e(start) + sum_j A^(N-j) B_f f(j). Written out block by block
+    from powers of A formed by repeated products; the y_r terms, which enter
+    the means only, are left out.
+    """
+    nominal, plant = system.nominal, system.plant
+    N, n_f, n_ay, n_e = -attack.start_step - 1, nominal.n_f, attack.n_ay, 2 * plant.n_x
+    out = attack.gamma_y.T @ np.hstack([plant.C, np.zeros_like(plant.C)])
+    direct = np.zeros((n_ay, n_f))
+    direct[:, plant.n_x :] = attack.gamma_y.T
+    powers = [np.eye(n_e)]
+    for _ in range(N + 1):
+        powers.append(nominal.A_cl @ powers[-1])
+    R = np.zeros((n_e + (N + 1) * n_ay, n_e + (N + 1) * n_f))
+    R[:n_e, :n_e] = powers[N + 1]
+    for j in range(N + 1):
+        cols = slice(n_e + j * n_f, n_e + (j + 1) * n_f)
+        R[:n_e, cols] = powers[N - j] @ nominal.B_f
+        for k in range(j, N + 1):
+            rows = slice(n_e + k * n_ay, n_e + (k + 1) * n_ay)
+            R[rows, cols] = direct if k == j else out @ powers[k - 1 - j] @ nominal.B_f
+    for k in range(N + 1):
+        R[n_e + k * n_ay : n_e + (k + 1) * n_ay, :n_e] = out @ powers[k]
+    return R
 
 
 @dataclass

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from stealthimpact import attacks, distrib
+from stealthimpact import attacks
 from stealthimpact.attacks import FREE, HELD, PINNED
 from stealthimpact.sysmodel import SystemDims
 from conftest import random_system
-from oracles import dense_admissible_basis
+from oracles import dense_admissible_basis, recording_window
 
 DIMS = SystemDims(n_x=3, n_y=3, n_u=4, n_yr=3)
 
@@ -148,7 +148,7 @@ def test_replay_recording_maps(system):
         atk = attacks.build_attack(kind, res, system.dims, N)
         assert atk.start_step == -N - 1
         assert atk.has_recording
-        R = distrib._recording_window(system, atk)
+        R = recording_window(system, atk)
         assert R.shape == (2 * n_x + (N + 1) * atk.n_ay, 2 * n_x + (N + 1) * n_f)
         x_e0 = rng.normal(size=2 * n_x)
         f_pre = rng.normal(size=(N + 1) * n_f)

@@ -1,14 +1,16 @@
 import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg
 
 from stealthimpact import attacks, cli, distrib, mcvalidate, numcore, solver
 from stealthimpact.scenario import load_scenario
-from stealthimpact.sysmodel import DimensionMismatch, assemble_extended
+from stealthimpact.sysmodel import ControllerModel, DimensionMismatch, PlantModel, SystemModel, assemble_extended
 from conftest import random_system
 from oracles import (
     factor_logdet,
@@ -468,7 +470,7 @@ def test_innovation_audit_matches_stacked_oracle(scenario, tmp_path, source):
                     sigma = np.sqrt(np.sum(f_z * f_z, axis=1))
                     np.testing.assert_allclose(summary.sigma, sigma, rtol=1e-12, atol=0)
                     sigma_r = f_r @ f_r.T
-                    pd = numcore.spd_check(sigma_r).is_positive_definite
+                    pd = numcore.spd_check(sigma_r)[0]
                     if pd != summary.residual_cov_pd:
                         assert summary.residual_cov_pd, (source, N, vulnerability, kind, i)
                         moved.add((source, N, vulnerability, kind, i))
@@ -556,13 +558,111 @@ def test_cholesky_first_verdict_matches_eigenvalues(scenario, N):
                 pd = numcore.cholesky_audit(sigma_r)[0]
                 assert pd == summary.residual_cov_pd, (kind, i)
                 moved = ("bundled", N, vulnerability, kind, i) in MOVED_TO_PD
-                assert (pd != numcore.spd_check(sigma_r).is_positive_definite) == moved, (kind, i)
+                assert (pd != numcore.spd_check(sigma_r)[0]) == moved, (kind, i)
                 verdicts.add(pd)
                 if not pd and _factors(sigma_r):
                     factored_but_not_pd += 1
     assert verdicts == {False, True}
     if N == 50:
         assert factored_but_not_pd >= 10
+
+
+def _replay_audit_matches(system, q_z, attack, N, qr_logdet=True):
+    """Replay's audit against stacked_factors: sigma to 1e-12 relative, the verdict, tr and ln det to 1e-12.
+
+    The reference verdict and trace are numcore.cholesky_audit's on
+    F_R F_R', and tr and ln det, where both call Sigma_R positive definite,
+    are compared to 1e-12 of |tr| + |ln det|. The reference ln det is that
+    of F_R's QR factor, or with qr_logdet False the Cholesky factor's.
+    """
+    ext = assemble_extended(system.plant, system.controller, system.estimator, [attack])[0]
+    with np.errstate(over="raise"):
+        pd, trace, logdet, sigma = distrib._replay_audit(ext, attack, system, q_z, N)
+    f_z, f_r = stacked_factors(system, attack, q_z, N)
+    np.testing.assert_allclose(sigma, np.sqrt(np.sum(f_z * f_z, axis=1)), rtol=1e-12, atol=0)
+    sigma_r = f_r @ f_r.T
+    want_pd, want_trace, want_logdet = numcore.cholesky_audit(sigma_r)
+    assert pd == want_pd
+    if pd:
+        want_logdet = factor_logdet(f_r) if qr_logdet else want_logdet
+        assert abs(trace - want_trace) + abs(logdet - want_logdet) <= 1e-12 * (abs(want_trace) + abs(want_logdet))
+    return ext
+
+
+@pytest.mark.parametrize("vulnerability", ["vulnerability_1", "vulnerability_2"])
+def test_replay_audit_matches_stacked_oracle_at_n200(scenario, vulnerability):
+    """Replay's covariance recursion matches the stacked oracle on both bundled replay pairs at N = 200."""
+    N = 200
+    spec = attacks.StrategySpec("replay_dos", scenario.vulnerabilities[vulnerability])
+    (cand,) = attacks.candidates(spec, scenario.system.dims, N)
+    _replay_audit_matches(scenario.system, scenario.q_z, cand.attack, N)
+
+
+def test_replay_audit_matches_stacked_oracle_at_n500(scenario):
+    """vulnerability_2/replay_dos at N = 500, whose stacked oracle and its F_R F_R' take about 1.5 s.
+
+    The reference ln det is the Cholesky factor's of F_R F_R': the QR of
+    F_R, 6,018 x 1,503, takes about 2 s more, and on this loop the two
+    agree to 1e-16 of the terms.
+    """
+    N = 500
+    (cand,) = attacks.candidates(
+        attacks.StrategySpec("replay_dos", scenario.vulnerabilities["vulnerability_2"]), scenario.system.dims, N
+    )
+    _replay_audit_matches(scenario.system, scenario.q_z, cand.attack, N, qr_logdet=False)
+
+
+@pytest.mark.parametrize("scale", [1.1, 1.3])
+def test_replay_audit_matches_stacked_oracle_on_diverging_loops(scenario, scale):
+    """Replay loops that diverge: the bundled plant with A scaled, its state feedback from the DARE.
+
+    L_xhat is the LQR gain of the scaled plant (Q = I, R = I), so the
+    nominal loop is stable while every replay loop, which cuts the replayed
+    sensors from the live path, has rho(A_cl) above 1 (1.06-1.07 at 1.1,
+    1.25-1.26 at 1.3). Every replay configuration of both vulnerabilities
+    matches the stacked oracle at N = 1, 5, 10, 30 and 50.
+    """
+    plant, ctrl = scenario.system.plant, scenario.system.controller
+    A = scale * plant.A
+    riccati = linalg.solve_discrete_are(A, plant.B, np.eye(plant.n_x), np.eye(plant.n_u))
+    gain = np.linalg.solve(np.eye(plant.n_u) + plant.B.T @ riccati @ plant.B, plant.B.T @ riccati @ A)
+    system = SystemModel(
+        PlantModel(A, plant.B, plant.C, plant.sigma_v, plant.sigma_w), ControllerModel(gain, ctrl.L_yr, ctrl.Q_yr)
+    )
+    for N in (1, 5, 10, 30, 50):
+        for resources in scenario.vulnerabilities.values():
+            for kind in ("replay_dos", "replay_bias"):
+                for cand in attacks.candidates(attacks.StrategySpec(kind, resources), system.dims, N):
+                    ext = _replay_audit_matches(system, scenario.q_z, cand.attack, N)
+                    assert numcore.spectral_radius(ext.A_cl) > 1.05
+
+
+def test_replay_audit_memory_is_a_fraction_of_the_stacked_oracle(scenario):
+    """At N = 200 replay's audit peaks below a third of what stacked_factors allocates.
+
+    The audit forms (N + 1) n_y square matrices and arrays linear in N, and
+    no noise factor, whose (N + 1) n_y x 2 (N + 1) n_f rows the oracle
+    builds. Traced by tracemalloc, after a warm-up call of each.
+    """
+    N = 200
+    system, q_z = scenario.system, scenario.q_z
+    (cand,) = attacks.candidates(
+        attacks.StrategySpec("replay_dos", scenario.vulnerabilities["vulnerability_1"]), system.dims, N
+    )
+    ext = assemble_extended(system.plant, system.controller, system.estimator, [cand.attack])[0]
+
+    def peak(run):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    audit = peak(lambda: distrib._replay_audit(ext, cand.attack, system, q_z, N))
+    oracle = peak(lambda: stacked_factors(system, cand.attack, q_z, N))
+    assert audit < oracle / 3, (audit, oracle)
 
 
 @pytest.mark.parametrize("N", [10, 50])

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from stealthimpact import (
-    ControllerModel,
-    PlantModel,
-    SystemModel,
-    attacks,
-    bundled_scenario_path,
-    distrib,
-    load_scenario,
-)
+from stealthimpact import attacks, bundled_scenario_path, distrib, load_scenario
+from stealthimpact.sysmodel import ControllerModel, PlantModel, SystemModel
 
 
 # Property tests draw the same examples on every run and keep no example database.

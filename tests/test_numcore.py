@@ -100,6 +100,27 @@ def test_dare_residual_fixture_and_random():
         assert res <= 1e-9
 
 
+@pytest.mark.xfail(strict=True, raises=numcore.NonConvergence,
+                   reason="the fixed-point iteration contracts at rho(A - KC) per step")
+def test_dare_slow_filter(system):
+    """A stable, observable, controllable plant whose Kalman filter forgets at 1e-5 per step.
+
+    The bundled plant with A[1][1] = 0.99999, a tiny process noise and a large
+    sensor noise: the filter barely trusts its measurements, so rho(A - KC) is
+    about 0.99999, and the iteration in solve_dare needs more than its cap of
+    100,000 steps to settle. A doubling solve would take about 20.
+    """
+    A = system.plant.A.copy()
+    A[1, 1] = 0.99999
+    C = system.plant.C
+    sigma_v, sigma_w = 1e-8 * np.eye(3), 1e4 * np.eye(3)
+    expected = linalg.solve_discrete_are(A.T, C.T, sigma_v, sigma_w)
+    K = A @ expected @ C.T @ np.linalg.inv(C @ expected @ C.T + sigma_w)
+    assert 0.9999 < numcore.spectral_radius(A - K @ C) < 1.0
+    P = numcore.solve_dare(A, C, sigma_v, sigma_w)
+    assert np.linalg.norm(P - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
 def test_kalman_gain_matches_definition():
     rng = np.random.default_rng(3)
     sys = random_system(rng)

@@ -136,7 +136,10 @@ def _assess_pair(
     enumerates the sign patterns of its ImpactCurve and evaluates the curve
     at all of those radii in one batch; every later value reads its held
     result. Reports are still made one per configuration and epsilon,
-    epsilon-major, so the first failure read is the one raised. An entry's
+    epsilon-major, so the first failure read is the one raised; a
+    configuration whose Sigma_R is singular has the same zero report at
+    every epsilon, so its report from the first one is shared by every
+    later one, and nothing mutates a report. An entry's
     timing covers the work first done for it: the first entry carries the
     audit, and the entry at a configuration's first feasible epsilon its
     maps, enumeration and batch. With mc_seed every entry is cross-checked
@@ -147,9 +150,14 @@ def _assess_pair(
     cands = candidates(StrategySpec(strategy, resources), system.dims, N)
     layout = decision_layout(cands[0].attack, N, system.controller.Q_yr)
     laws = gaussian_summaries(system, [c.attack for c in cands], layout, scenario.q_z, N, epsilons)
-    entries = []
+    entries, held = [], {}  # held: the zero report of each singular configuration, by index
     for eps, row in zip(epsilons, laws):
-        reports = [compute_impact(law) for law in row]
+        reports = []
+        for k, law in enumerate(row):
+            report = held[k] if k in held else compute_impact(law)
+            if not law.residual_cov_pd:
+                held[k] = report
+            reports.append(report)
         best = first_near_max([r.exceed_prob for r in reports])
         entry = AssessmentEntry(
             vulnerability=vulnerability,
@@ -245,8 +253,8 @@ def _entry_dict(entry: AssessmentEntry, timings: bool) -> dict:
         out["mean_argmax_step"] = j // n_z + 1
         out["mean_argmax_component"] = j % n_z + 1
         d = report.d_star[i]
-        noise = CERT_TOL * np.max(np.abs(d), initial=0.0)  # below the certified accuracy
-        out["decision_vector"] = [_round12(v) if abs(v) > noise else 0.0 for v in d]
+        noise = float(CERT_TOL * np.max(np.abs(d), initial=0.0))  # below the certified accuracy
+        out["decision_vector"] = [_round12(v) if abs(v) > noise else 0.0 for v in d.tolist()]
     else:
         out["argmax_step"] = None
         out["argmax_component"] = None

@@ -639,7 +639,6 @@ class ImpactCurve:
             return [self._outcomes(pieces, [radius])[0] for radius in radii]
 
 
-@np.errstate(over="raise")
 def compute_impact(summary: GaussianSummary) -> ImpactReport:
     """Solve the program of every critical row in one batch and aggregate.
 
@@ -655,7 +654,12 @@ def compute_impact(summary: GaussianSummary) -> ImpactReport:
     """
     n_rows, sigma = len(summary.sigma), summary.sigma
     feasible = bool(summary.residual_cov_pd and summary.eps_prime >= 0)
-    batch = summary.curve.solve(summary.eps_prime) if feasible else None
+    batch = None
+    if feasible:
+        with np.errstate(over="raise"):
+            batch = summary.curve.solve(summary.eps_prime)
+            if batch is not None:
+                p = np.asarray(numcore.gaussian_exceed(batch.mu, sigma))
     unbounded = feasible and batch is None
     if batch is None:  # no row is solved: the impact is zero or unbounded
         fill = math.nan if unbounded else 0.0
@@ -665,7 +669,6 @@ def compute_impact(summary: GaussianSummary) -> ImpactReport:
         gap = residual = 0.0
     else:
         mu, d_star, gap, residual = batch.mu, batch.d_star, batch.duality_gap, batch.feasibility_residual
-        p = np.asarray(numcore.gaussian_exceed(mu, sigma))
         argmax_p, argmax_mu = first_near_max(p), first_near_max(mu)
         exceed_prob, mean_lower = float(p[argmax_p]), float(mu[argmax_mu])
     return ImpactReport(

@@ -1040,6 +1040,26 @@ def test_eps_sweep_matches_single_epsilon_runs(tmp_path, mc_validate):
         assert any("mc" in e for e in sweep_json) == mc_validate
 
 
+@pytest.mark.parametrize("vulnerability, calls", [("vulnerability_1", 42), ("vulnerability_2", 34)])
+def test_eps_sweep_solves_a_singular_configuration_once(capsys, monkeypatch, vulnerability, calls):
+    # Sigma_R is singular for 12 of dos's 15 configurations on vulnerability_1
+    # and 4 of 7 on vulnerability_2; each of those has one zero report for
+    # the whole sweep, and the others one report per epsilon.
+    solved = []
+    solve = cli.compute_impact
+
+    def counted(summary):
+        solved.append(summary)
+        return solve(summary)
+
+    monkeypatch.setattr(cli, "compute_impact", counted)
+    values = ",".join(repr(float(e)) for e in np.linspace(0.05, 0.95, 10))
+    args = ["assess", "--vulnerability", vulnerability, "--strategy", "dos", "--sweep", "eps", "--values", values]
+    assert cli.main(args) in (cli.EXIT_OK, cli.EXIT_ALL_ZERO)
+    assert len(json.loads(capsys.readouterr().out)["entries"]) == 10
+    assert len(solved) == calls
+
+
 def _src_env():
     src = str(Path(stealthimpact.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +215,38 @@ def test_gaussian_exceed_vectorized():
 def test_gaussian_exceed_rejects_zero_sigma():
     with pytest.raises(numcore.DegenerateVariance):
         numcore.gaussian_exceed(0.0, 0.0)
+    with pytest.raises(numcore.DegenerateVariance):
+        numcore.gaussian_exceed(np.zeros(3), np.array([1.0, -1.0, 1.0]))
+
+
+def _vectorized_exceed(mu, sigma):
+    """The exceedance through np.vectorize(math.erfc): the same libm call on the same doubles."""
+    erfc = np.vectorize(math.erfc, otypes=[float])
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    root2 = np.sqrt(2.0)
+    return 0.5 * erfc((1.0 - mu) / (sigma * root2)) + 0.5 * erfc((1.0 + mu) / (sigma * root2))
+
+
+@pytest.mark.parametrize(
+    "mu, sigma",
+    [
+        (0.3, 0.7),
+        (np.linspace(-3.0, 3.0, 10), np.linspace(0.1, 2.0, 10)),
+        (np.linspace(-2.0, 2.0, 4), np.array([[0.5], [1.0], [3.0]])),
+        (np.random.default_rng(0).normal(size=500) * 3.0, np.random.default_rng(1).uniform(1e-3, 5.0, size=500)),
+        (np.array([10.0, -10.0, 1.0, -1.0, 0.0]), 1e-6),
+    ],
+    ids=["0d", "1d", "broadcast-2d", "500-rows", "sigma-1e-6"],
+)
+def test_gaussian_exceed_is_bit_identical_to_vectorized_erfc(mu, sigma):
+    p = numcore.gaussian_exceed(mu, sigma)
+    expected = _vectorized_exceed(mu, sigma)
+    if expected.ndim == 0:
+        assert type(p) is float
+        assert p == float(expected)
+    else:
+        assert p.shape == expected.shape
+        assert p.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -189,11 +189,11 @@ class DecisionLayout:
 
     def lift(self, xi: np.ndarray) -> np.ndarray:
         """Z xi along xi's last axis: each held coordinate times the weight at every step."""
-        n_held = self.held.size
+        k = self.held.size
         d = np.zeros(xi.shape[:-1] + (self.dim_d,))
-        if n_held:
-            self._steps(d)[..., self.held] = xi[..., None, :n_held] * self.weight
-        d[..., self.free] = xi[..., n_held:]
+        if k:
+            self._steps(d)[..., self.held] = xi[..., None, :k] * self.weight
+        d[..., self.free] = xi[..., k:]
         return d
 
 

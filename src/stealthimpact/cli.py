@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .attacks import (
     candidates,
     decision_layout,
 )
-from .distrib import BudgetOverflow, GaussianSummary, gaussian_summaries, kl_budget
+from .distrib import BudgetOverflow, GaussianLaw, GaussianSummary, gaussian_summaries, kl_budget, summarize
 from .mcvalidate import SimulationConfig, kl_verdict, min_samples, simulate
 from .scenario import (
     DimensionError,
@@ -129,35 +129,24 @@ def _assess_pair(
     accuracy of the maximum wins. fdi_plus_dos injects on the vulnerability's
     sensors and denies its actuators. The pair's configurations are one kind
     on one resource set, so they share one read-only DecisionLayout, and
-    gaussian_summaries assembles their loops in one batch. Only the radius
-    depends on epsilon, so the configurations are audited once, in one
-    batch, and each one's curve is built with its radii at every value. At
-    the first epsilon where its radius is nonnegative it stacks its maps,
-    enumerates the sign patterns of its ImpactCurve and evaluates the curve
-    at all of those radii in one batch; every later value reads its held
-    result. Reports are still made one per configuration and epsilon,
-    epsilon-major, so the first failure read is the one raised; a
-    configuration whose Sigma_R is singular has the same zero report at
-    every epsilon, so its report from the first one is shared by every
-    later one, and nothing mutates a report. An entry's
-    timing covers the work first done for it: the first entry carries the
-    audit, and the entry at a configuration's first feasible epsilon its
-    maps, enumeration and batch. With mc_seed every entry is cross-checked
-    by simulation.
+    gaussian_summaries audits them in one batch, once for the whole run,
+    into one GaussianLaw each. Each law's reports come from one stream
+    (_reports), and the streams are read epsilon-major, so the first failure
+    read is the one raised, as in separate runs. An entry's timing covers
+    the work first done for it: the first entry carries the audit, and the
+    entry at a configuration's first feasible epsilon its maps, enumeration
+    and the first chunk of its radii. With mc_seed every entry is
+    cross-checked by simulation.
     """
     t0 = time.perf_counter()
     N, system, resources = scenario.horizon, scenario.system, scenario.vulnerabilities[vulnerability]
     cands = candidates(StrategySpec(strategy, resources), system.dims, N)
     layout = decision_layout(cands[0].attack, N, system.controller.Q_yr)
-    laws = gaussian_summaries(system, [c.attack for c in cands], layout, scenario.q_z, N, epsilons)
-    entries, held = [], {}  # held: the zero report of each singular configuration, by index
-    for eps, row in zip(epsilons, laws):
-        reports = []
-        for k, law in enumerate(row):
-            report = held[k] if k in held else compute_impact(law)
-            if not law.residual_cov_pd:
-                held[k] = report
-            reports.append(report)
+    laws = gaussian_summaries(system, [c.attack for c in cands], layout, scenario.q_z, N)
+    streams = [_reports(law, epsilons) for law in laws]
+    entries = []
+    for eps in epsilons:
+        summaries, reports = zip(*[next(stream) for stream in streams])
         best = first_near_max([r.exceed_prob for r in reports])
         entry = AssessmentEntry(
             vulnerability=vulnerability,
@@ -170,11 +159,28 @@ def _assess_pair(
             candidates_evaluated=len(cands),
         )
         if mc_seed is not None:
-            entry.mc_block = _mc_block(scenario, entry, row[best], mc_seed)
+            entry.mc_block = _mc_block(scenario, entry, summaries[best], mc_seed)
         t1 = time.perf_counter()
         entry.timing_s, t0 = t1 - t0, t1
         entries.append(entry)
     return entries
+
+
+def _reports(law: GaussianLaw, epsilons: list[float]) -> Iterator[tuple[GaussianSummary, ImpactReport]]:
+    """A law's summary and report at each epsilon, in order, one per read.
+
+    The summaries read one stream of the law's curve over the nonnegative
+    radii, so the curve is built, and a chunk of radii evaluated, when the
+    first of them is read, and a failure is raised when its own epsilon is.
+    A law whose Sigma_R is singular has one zero report, for every epsilon.
+    """
+    outcomes = law.solve_each([r for r in map(law.radius, epsilons) if r >= 0])
+    report = None
+    for eps in epsilons:
+        summary = summarize(law, eps, outcomes)
+        if report is None or law.pd:
+            report = compute_impact(summary)
+        yield summary, report
 
 
 def assess(scenario: Scenario, vulnerability: str, strategy: str) -> AssessmentEntry:

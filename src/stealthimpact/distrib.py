@@ -8,14 +8,15 @@ it:
     z = T_Z d + F_Z e,    r = T_R d + F_R e,    e ~ N(0, I),
 
 where e whitens the initial state x_e(start) ~ N(t_0 y_r, Sigma_0) and the
-noise window f(start..N), white with per-step covariance Sigma_f. A summary
-keeps sigma, the marginal standard deviations of z, and an audit of
-Sigma_R = F_R F_R' (its definiteness, trace and ln det), which reduces the
-stealthiness budget on the residual KL rate to the quadratic constraint
-d' T_R' T_R d <= eps_prime; the radius eps' at another epsilon costs O(1).
+noise window f(start..N), white with per-step covariance Sigma_f. A
+configuration's GaussianLaw keeps sigma, the marginal standard deviations of
+z, and an audit of Sigma_R = F_R F_R' (its definiteness, trace and ln det),
+which reduces the stealthiness budget on the residual KL rate to the
+quadratic constraint d' T_R' T_R d <= eps_prime; epsilon enters only there,
+through the law's radius(epsilon), which costs O(1).
 
 The audit comes first, and gives one row (pd, trace, logdet, sigma) per
-configuration, from which summarize builds every summary. Outside replay
+configuration, the row its law is built from. Outside replay
 the row comes from one square-root innovation recursion over a batch of
 configurations (_innovation_audit), _BLOCK_STEPS steps per batched QR; a
 configuration whose pivots fail the rule leaves the batch, as it stays
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,17 +68,26 @@ _RADIUS_RTOL = 1e-12
 _BLOCK_STEPS = 6
 
 
-class _Maps:
-    """A configuration's mean maps (T_Z, T_R) and the ImpactCurve of its critical rows.
+class GaussianLaw:
+    """A configuration's window law at every epsilon: its Sigma_R audit, sigma, and its maps on demand.
 
-    Built on first read and shared by the configuration's summaries at every
-    epsilon of a run, so a configuration that no solve reads is never
-    stacked. radii are its nonnegative radii at those epsilons, in the order
-    the run reads them; its curve is built with them.
+    pd, trace and logdet audit Sigma_R (trace and logdet are nan unless it
+    is positive definite), and sigma holds the marginal standard deviations
+    of z. Epsilon enters only through radius. The mean maps (T_Z, T_R) and
+    the ImpactCurve of the critical rows are built on first read, so a
+    configuration that no solve reads is never stacked.
     """
 
-    def __init__(self, build: Callable[[], tuple], layout: DecisionLayout, radii: list[float]) -> None:
-        self._build, self._layout, self.radii = build, layout, radii  # build() returns (T_Z, T_R)
+    def __init__(self, audit: tuple, layout: DecisionLayout, n_y: int, build: Callable[[], tuple]) -> None:
+        pd, trace, logdet, self.sigma = audit
+        self.pd, self.trace, self.logdet = bool(pd), float(trace), float(logdet)
+        self.layout, self._n_y, self._build = layout, n_y, build  # build() returns (T_Z, T_R)
+
+    def radius(self, epsilon: float) -> float:
+        """eps' = (N+1)(2 eps + n_y) - tr Sigma_R + ln det Sigma_R, or -inf unless Sigma_R is PD."""
+        if not self.pd:
+            return -math.inf
+        return _radius(self.layout.horizon, self._n_y, epsilon, self.trace, self.logdet)
 
     @cached_property
     def means(self) -> tuple[np.ndarray, np.ndarray]:
@@ -88,49 +98,46 @@ class _Maps:
 
     @cached_property
     def curve(self) -> ImpactCurve:
+        """The ImpactCurve of the critical rows; building it stacks the maps, factoring nothing."""
         t_z, t_r = self.means
-        return ImpactCurve(self._layout.Q, t_r, self._layout, t_z, self.radii)
+        return ImpactCurve(self.layout.Q, t_r, self.layout, t_z)
+
+    def solve_each(self, radii: Sequence[float]) -> Iterator:
+        """The curve's stream over the radii (ImpactCurve.solve_each); its first read builds the curve."""
+        yield from self.curve.solve_each(radii)
 
 
 @dataclass
 class GaussianSummary:
-    """Critical standard deviations and Sigma_R audit of a window's law, with its maps on demand.
+    """A law at one epsilon, as compute_impact reads it: the radius, and the stream in which it comes next.
 
-    The fields decide whether the configuration is within budget; t_z, t_r
-    and curve read its _Maps, which compute_impact reads only to solve.
+    compute_impact takes the stream's next outcome, so it reads a summary once.
     """
 
-    sigma: np.ndarray  # sqrt(diag Sigma_Z), the marginal standard deviations
+    law: GaussianLaw
     eps_prime: float
-    residual_cov_pd: bool
-    sigma_r_trace: float  # tr and ln det of Sigma_R; nan when it is not positive definite
-    sigma_r_logdet: float
-    layout: DecisionLayout
-    epsilon: float
-    maps: _Maps  # shared by the configuration's summaries at every epsilon of the run
+    outcomes: Iterator  # read only at a nonnegative radius
+
+    @property
+    def residual_cov_pd(self) -> bool:
+        return self.law.pd
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.law.sigma
 
     @property
     def t_z(self) -> np.ndarray:
-        return self.maps.means[0]
+        return self.law.means[0]
 
     @property
     def t_r(self) -> np.ndarray:
-        return self.maps.means[1]
-
-    @property
-    def curve(self) -> ImpactCurve:
-        """The ImpactCurve of the critical rows; building it stacks the maps, factoring nothing."""
-        return self.maps.curve
+        return self.law.means[1]
 
     @property
     def impact_bounded(self) -> bool:
-        """Whether every critical row is bounded on the feasible set: the curve's verdict.
-
-        It reads no radius, so it is compute_impact's at every feasible
-        epsilon, zero included; the curve caches it, so a read after a solve
-        costs nothing.
-        """
-        return self.curve.bounded
+        """Whether every critical row is bounded on the feasible set: the curve's cached verdict."""
+        return self.law.curve.bounded
 
 
 def stationary_law(nominal: ExtendedSystem, sigma_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,26 +337,13 @@ def _radius(N: int, n_y: int, epsilon: float, trace: float, logdet: float) -> fl
     return radius
 
 
-def summarize(
-    audit: tuple, layout: DecisionLayout, n_y: int, epsilon: float, maps: _Maps
-) -> GaussianSummary:
-    """Gaussian summary at epsilon of a configuration's audit row and its maps.
+def summarize(law: GaussianLaw, epsilon: float, outcomes: Optional[Iterator] = None) -> GaussianSummary:
+    """The law at epsilon. outcomes is a stream of the law's curve in which its radius comes next.
 
-    The row is (pd, trace, logdet, sigma) from _innovation_audit or
-    _replay_audit. Unless Sigma_R is positive definite no attack is stealthy
-    and the radius is -inf.
+    By default the summary gets a stream of its own, over its one radius.
     """
-    pd, trace, logdet, sigma = audit
-    return GaussianSummary(
-        sigma=sigma,
-        eps_prime=_radius(layout.horizon, n_y, epsilon, trace, logdet) if pd else -np.inf,
-        residual_cov_pd=bool(pd),
-        sigma_r_trace=float(trace),
-        sigma_r_logdet=float(logdet),
-        layout=layout,
-        epsilon=epsilon,
-        maps=maps,
-    )
+    eps_prime = law.radius(epsilon)
+    return GaussianSummary(law, eps_prime, law.solve_each([eps_prime]) if outcomes is None else outcomes)
 
 
 def _innovation_audit(
@@ -462,23 +456,20 @@ def gaussian_summaries(
     layout: DecisionLayout,
     q_z: np.ndarray,
     N: int,
-    epsilons: list[float],
-) -> list[list[GaussianSummary]]:
-    """Gaussian summaries at each of epsilons of configurations of one system, audited together.
+) -> list[GaussianLaw]:
+    """The Gaussian laws of configurations of one system, audited together, one per configuration.
 
-    Returns one row per epsilon, with one summary per configuration. The
-    configurations must share their injection widths and modes, as a
+    The configurations must share their injection widths and modes, as a
     pair's do, so that one layout serves them all; differing widths raise
     DimensionMismatch. The horizon's lag index, the largest array every
     configuration's gathers share, is requested first, so a horizon too long
     to gather fails before any audit. One assemble_extended call builds every
     configuration's loop, stacked. All configurations without a recording
     are audited by one _innovation_audit on those stacked loops, replay's one
-    by one by _replay_audit on its own slice. A configuration's summaries
-    share one _Maps, built with its nonnegative radii in epsilon order, none
-    when Sigma_R is singular; its mean maps are stacked from its slice on
-    first read. A floating-point overflow raises FloatingPointError: in the
-    audit at once, in the mean maps when they are first read.
+    by one by _replay_audit on its own slice. A law's mean maps are stacked
+    from its slice on first read. A floating-point overflow raises
+    FloatingPointError: in the audit at once, in the mean maps when they are
+    first read.
     """
     if N < 1:
         raise ValueError("horizon must be at least 1")
@@ -494,15 +485,10 @@ def gaussian_summaries(
     for i, attack in enumerate(attacks):
         if attack.has_recording:
             audits[i] = _replay_audit(ext[i], attack, system, q_z, N)
-    n_y, rows = system.plant.n_y, [[] for _ in epsilons]
-    for i, (audit, attack) in enumerate(zip(audits, attacks)):
-        pd, trace, logdet, _ = audit
-        radii = [_radius(N, n_y, eps, trace, logdet) for eps in epsilons] if pd else []
-        build = partial(stack_dynamics, ext[i], attack, system, q_z, N)
-        maps = _Maps(build, layout, [r for r in radii if r >= 0])
-        for row, eps in zip(rows, epsilons):
-            row.append(summarize(audit, layout, n_y, eps, maps))
-    return rows
+    return [
+        GaussianLaw(audit, layout, system.plant.n_y, partial(stack_dynamics, ext[i], attack, system, q_z, N))
+        for i, (audit, attack) in enumerate(zip(audits, attacks))
+    ]
 
 
 def gaussian_summary(
@@ -513,10 +499,10 @@ def gaussian_summary(
     N: int,
     epsilon: float,
 ) -> GaussianSummary:
-    """Gaussian summary of one attack configuration: gaussian_summaries on a batch of one at epsilon.
+    """Gaussian summary at epsilon of one configuration: its law from a batch of one, summarized.
 
     Its audit, sigma and radius equal, bit for bit, those the configuration
-    gets in any batch, at any epsilons. A floating-point overflow raises
+    gets in any batch, at any epsilon. A floating-point overflow raises
     FloatingPointError: in the audit at once, in the mean maps on first read.
     """
-    return gaussian_summaries(system, [attack], layout, q_z, N, [epsilon])[0][0]
+    return summarize(gaussian_summaries(system, [attack], layout, q_z, N)[0], epsilon)

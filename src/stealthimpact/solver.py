@@ -9,7 +9,7 @@ the probability, so the worst exceedance probability is max_i P_i and the
 worst expected infinity norm is lower-bounded by max_i mu_i.
 
 Method. compute_impact is the one entry: it evaluates, at the summary's
-radius r, the ImpactCurve the summary carries, which holds the optimum of
+radius r, the ImpactCurve of the summary's law, which holds the optimum of
 every critical row as a function of r. The curve works in the coordinates
 xi, over the basis Z that the decision layout keeps as indices from the
 strategy's injection modes: its reduce forms T_R Z, Q Z and c Z by a gather
@@ -89,13 +89,12 @@ its first read, and enumerates the patterns once, on its first solve.
 compute_impact at a radius only evaluates the pieces: per row it keeps the
 best valid candidate, then checks the certificate below at that radius.
 The evaluation carries a leading radius axis through the pieces, the dual
-bound and the residual, and a single radius is a batch of one: a curve
-built with the radii its run will read, in order, evaluates them together,
-a chunk of bounded size at a time, when the first radius of a chunk is
-solved, and every other solve in the chunk reads its held result. Each
-radius reads only its own slice, so its result, and the failure it may
-raise, are the same in any batch, and a failure is raised only when its
-radius is read.
+bound and the residual. A run reads each configuration's curve as one
+stream over its radii, in order (ImpactCurve.solve_each): a chunk of
+bounded size is evaluated when its first radius is read, and each outcome,
+a failure included, is a value until its radius is read. A single radius is
+a stream of one. Each radius reads only its own slice, so its result, and
+the failure it may raise, are the same in any batch.
 
 Exactness. Every candidate is feasible, so the best one is at most the optimum
 mu. Conversely, the optimal set is compact and convex; take an optimal zeta*
@@ -142,13 +141,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import numcore
 
-if TYPE_CHECKING:  # distrib builds each summary's curve from this module
+if TYPE_CHECKING:  # distrib builds each law's curve from this module
     from .attacks import DecisionLayout
     from .distrib import GaussianSummary
 
@@ -559,24 +558,14 @@ class ImpactCurve:
 
     The program's maps read no radius, so one geometry and one pattern
     enumeration serve every radius. Building a curve factors nothing, and a
-    GaussianSummary builds its curve only on first read, so a configuration
-    over budget at every epsilon never factors.
-
-    radii are the radii the run will read, in order. A solve at the next of
-    them evaluates it together with the ones that follow, in one pass of at
-    most _CHUNK (radius, row, column) entries, and holds each one's outcome
-    until it is read; a failure that belongs to one radius is raised only
-    when that radius is read. Any other radius is evaluated alone. Each
-    radius's result is the same, bit for bit, in any batch.
+    GaussianLaw builds its curve only on first read, so a configuration
+    over budget at every epsilon never factors. Each radius's result is the
+    same, bit for bit, in any batch.
     """
 
-    def __init__(
-        self, q_box: np.ndarray, m_quad: np.ndarray, layout: DecisionLayout, c: np.ndarray, radii=()
-    ) -> None:
+    def __init__(self, q_box: np.ndarray, m_quad: np.ndarray, layout: DecisionLayout, c: np.ndarray) -> None:
         self._maps = (q_box, m_quad, layout)
         self.c = np.asarray(c, dtype=float).reshape(-1, layout.dim_d)
-        self._pending = list(radii)  # radii not yet evaluated, in the order they will be read
-        self._held: dict[float, object] = {}  # evaluated outcomes, until they are read
 
     @cached_property
     def _reduced(self) -> tuple[_Geometry, np.ndarray, bool]:
@@ -599,31 +588,33 @@ class ImpactCurve:
     def solve(self, radius: float) -> Optional[_Batch]:
         """Exact optimum of every row at a radius, or None when some row is unbounded.
 
-        A held radius reads the outcome of its chunk. Raises Infeasible at a
-        negative radius, and NumericalFailure when the duality gap or a
-        constraint residual of any row exceeds CERT_TOL.
+        solve_each's stream of one. Raises Infeasible at a negative radius,
+        and NumericalFailure when the duality gap or a constraint residual
+        of any row exceeds CERT_TOL.
         """
         if radius < 0:
             raise Infeasible(f"negative stealthiness radius {radius:.6e}")
+        return _value(next(self.solve_each([radius])))
+
+    def solve_each(self, radii: Sequence[float]) -> Iterator:
+        """The outcome at each of the nonnegative radii, in order, one per read.
+
+        An outcome is a certified _Batch, None when some row is unbounded, or
+        the exception its solve raises, as a value. The first read
+        enumerates the patterns. A chunk of radii, at most _CHUNK (radius,
+        row, column) entries, is evaluated when its first radius is read,
+        and its outcomes are held until its last one is.
+        """
         pieces = self._pieces
         if pieces is None:
-            return None
-        if radius in self._held:
-            outcome = self._held.pop(radius)
-        else:
-            chunk = [radius]
-            if self._pending and self._pending[0] == radius:
-                width = max(self.c.shape[1], pieces.geom.m_quad.shape[0])
-                size = max(1, _CHUNK // max(self.c.shape[0] * width, 1))
-                chunk, self._pending = self._pending[:size], self._pending[size:]
-            outcomes = self._outcomes(pieces, chunk)
-            self._held.update(zip(chunk[1:], outcomes[1:]))
-            outcome = outcomes[0]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+            yield from itertools.repeat(None, len(radii))
+            return
+        width = max(self.c.shape[1], pieces.geom.m_quad.shape[0])
+        size = max(1, _CHUNK // max(self.c.shape[0] * width, 1))
+        for lo in range(0, len(radii), size):
+            yield from self._outcomes(pieces, radii[lo : lo + size])
 
-    def _outcomes(self, pieces: _Pieces, radii: list[float]) -> list:
+    def _outcomes(self, pieces: _Pieces, radii: Sequence[float]) -> list:
         """_solve's outcomes at the radii; an overflow is found again radius by radius.
 
         Under np.errstate(over="raise") an overflow in a batch raises for all
@@ -639,10 +630,18 @@ class ImpactCurve:
             return [self._outcomes(pieces, [radius])[0] for radius in radii]
 
 
+def _value(outcome):
+    """A solve_each outcome as solve returns it: a failure is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def compute_impact(summary: GaussianSummary) -> ImpactReport:
     """Solve the program of every critical row in one batch and aggregate.
 
-    The solve evaluates summary.curve at the summary's radius. A residual
+    The solve is the next outcome of summary.outcomes, the stream of the
+    law's curve in which the summary's radius comes next. A residual
     covariance that is not positive definite, or a negative radius, means no
     attack satisfies the budget: the impact is zero by convention, and
     neither the curve nor the mean maps it is built from are read. With a
@@ -657,13 +656,14 @@ def compute_impact(summary: GaussianSummary) -> ImpactReport:
     batch = None
     if feasible:
         with np.errstate(over="raise"):
-            batch = summary.curve.solve(summary.eps_prime)
+            batch = _value(next(summary.outcomes))
             if batch is not None:
                 p = np.asarray(numcore.gaussian_exceed(batch.mu, sigma))
     unbounded = feasible and batch is None
     if batch is None:  # no row is solved: the impact is zero or unbounded
         fill = math.nan if unbounded else 0.0
-        mu, p, d_star = np.full(n_rows, fill), np.full(n_rows, fill), np.zeros((n_rows, summary.layout.dim_d))
+        mu, p = np.full(n_rows, fill), np.full(n_rows, fill)
+        d_star = np.zeros((n_rows, summary.law.layout.dim_d))
         argmax_p = argmax_mu = None
         exceed_prob, mean_lower = (1.0, math.inf) if unbounded else (0.0, 0.0)
         gap = residual = 0.0

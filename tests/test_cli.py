@@ -235,8 +235,8 @@ def test_eps_sweep_enumerates_each_configuration_once(tmp_path, monkeypatch):
 def test_eps_sweep_evaluates_each_configuration_once(tmp_path, scenario, monkeypatch):
     """Criterion 6's ten epsilons take one _evaluate call per configuration that some value solves.
 
-    The pair announces every value's radius before the first solve, so each
-    curve evaluates all of them in one batch, as many calls as a run at the
+    Each configuration's stream covers every value's radius, so its first
+    read evaluates all of them in one batch, as many calls as a run at the
     largest value alone; a configuration feasible at some value is feasible
     at the largest, and is solved there unless a row is unbounded.
     """
@@ -301,14 +301,13 @@ def test_pair_shares_one_read_only_layout(scenario, monkeypatch):
     passed = []
     summaries = cli.gaussian_summaries
 
-    def recorded(system, configurations, layout, q_z, N, epsilons):
-        passed.append((len(configurations), layout, epsilons))
-        return summaries(system, configurations, layout, q_z, N, epsilons)
+    def recorded(system, configurations, layout, q_z, N):
+        passed.append((len(configurations), layout))
+        return summaries(system, configurations, layout, q_z, N)
 
     monkeypatch.setattr(cli, "gaussian_summaries", recorded)
-    cli._assess_pair(scenario, "vulnerability_1", "dos", [scenario.epsilon])
-    ((count, layout, epsilons),) = passed
-    assert epsilons == [scenario.epsilon]
+    cli._assess_pair(scenario, "vulnerability_1", "dos", [scenario.epsilon, 0.5])
+    ((count, layout),) = passed
     N, Q_yr = scenario.horizon, scenario.system.controller.Q_yr
     cands = attacks.candidates(attacks.StrategySpec("dos", scenario.vulnerabilities["vulnerability_1"]), scenario.system.dims, N)
     assert count == len(cands) == 15
@@ -400,6 +399,43 @@ def test_sweep_failure_is_the_first_in_epsilon_major_order(tmp_path, capsys):
     first = stderr("1e14")
     assert first.startswith("numerical failure: optimality certificate not met")
     assert stderr("1e14,1e17") == first != stderr("1e17")
+
+
+def test_sweep_build_failure_is_raised_at_its_first_feasible_epsilon(tmp_path, capsys, monkeypatch, scenario):
+    """A configuration whose mean maps overflow stops the sweep where the sweep first solves it.
+
+    Of vulnerability_1/dos at the bundled horizon, configurations 0 and 2 are
+    first within budget at epsilon = 0.5, configuration 1 at 1.0, and the
+    twelve whose Sigma_R is singular never. With configuration 2's stacking
+    made to overflow, the sweep 0.3,0.5,1.0 reports all fifteen at 0.3 and
+    configurations 0 and 1 at 0.5, in that order, then exits 3 with the
+    overflow when it reaches configuration 2 at 0.5, and writes no report.
+    """
+    spec = attacks.StrategySpec("dos", scenario.vulnerabilities["vulnerability_1"])
+    cands = attacks.candidates(spec, scenario.system.dims, scenario.horizon)
+    broken, stack, solve = cands[2].attack, distrib.stack_dynamics, cli.compute_impact
+    radii = []
+
+    def overflowing(ext, attack, *args):
+        if all(np.array_equal(getattr(attack, f), getattr(broken, f)) for f in ("lambda_y", "lambda_u")):
+            raise FloatingPointError("overflow encountered in the maps of configuration 2")
+        return stack(ext, attack, *args)
+
+    def recorded(summary):
+        radii.append(summary.eps_prime)
+        return solve(summary)
+
+    monkeypatch.setattr(distrib, "stack_dynamics", overflowing)
+    monkeypatch.setattr(cli, "compute_impact", recorded)
+    code, out = _run(tmp_path, "--vulnerability", "vulnerability_1", "--strategy", "dos",
+                     "--sweep", "eps", "--values", "0.3,0.5,1.0")
+    monkeypatch.undo()
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: overflow encountered in the maps of configuration 2\n"
+    assert not out.exists()
+    read = [(0.3, cand) for cand in cands] + [(0.5, cand) for cand in cands[:3]]
+    assert radii == [candidate_summary(scenario, cand, eps).eps_prime for eps, cand in read]
+    assert radii[15] > 0 > radii[16] and radii[17] > 0
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -288,15 +288,13 @@ def test_summary_at_another_epsilon(system):
     atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     epsilons = [0.3, 0.0, 1e-4, 0.7, 10.0]
-    rows = distrib.gaussian_summaries(system, [atk], layout, q_z, N, epsilons)
-    summary = rows[0][0]
-    for eps, (moved,) in zip(epsilons, rows):
+    (law,) = distrib.gaussian_summaries(system, [atk], layout, q_z, N)
+    for eps in epsilons:
+        moved = distrib.summarize(law, eps)
         fresh = distrib.gaussian_summary(system, atk, layout, q_z, N, eps)
-        assert moved.epsilon == eps
-        assert moved.eps_prime == fresh.eps_prime
-        assert moved.maps is summary.maps and moved.sigma is summary.sigma
-        assert moved.t_z is summary.t_z
-        assert moved.curve is summary.curve
+        assert moved.eps_prime == fresh.eps_prime == law.radius(eps)
+        assert moved.law is law and moved.sigma is law.sigma
+        assert moved.t_z is law.means[0] and moved.t_r is law.means[1]
         assert moved.impact_bounded == fresh.impact_bounded
     assert distrib.kl_budget(N, 3, 1e306) == (N + 1) * (2e306 + 3)
     with pytest.raises(distrib.BudgetOverflow):  # (N+1)(2 eps + n_y) is inf
@@ -328,14 +326,14 @@ def test_lifted_maps_match_reference_loop(scenario, kind, N):
     layout = attacks.decision_layout(cands[0].attack, N, system.controller.Q_yr)
     plant_rows = scenario.q_z[:, : system.plant.n_x]
     for q_z in (scenario.q_z, np.hstack([plant_rows, -plant_rows])):
-        (summaries,) = distrib.gaussian_summaries(system, [c.attack for c in cands], layout, q_z, N, [0.3])
-        for cand, summary in zip(cands, summaries):
+        laws = distrib.gaussian_summaries(system, [c.attack for c in cands], layout, q_z, N)
+        for cand, law in zip(cands, laws):
             ext = assemble_extended(system.plant, system.controller, system.estimator, [cand.attack])[0]
             ref = reference_stack_dynamics(ext, cand.attack, system, q_z, N)
             t_z, sigma_z, t_r, _ = reference_laws(ref, system.t_0, system.sigma_0, system.sigma_f)
-            close(summary.t_z, t_z, "T_Z")
-            close(summary.t_r, t_r, "T_R")
-            close(summary.sigma, np.sqrt(np.diag(sigma_z)), "sigma")
+            close(law.means[0], t_z, "T_Z")
+            close(law.means[1], t_r, "T_R")
+            close(law.sigma, np.sqrt(np.diag(sigma_z)), "sigma")
 
 
 def test_epsilon_prime_reused_across_epsilon(system):
@@ -351,15 +349,11 @@ def test_epsilon_prime_reused_across_epsilon(system):
         atk, _ = _build(system, kind, N, sensors, actuators)
         layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
         epsilons = [0.3, *np.linspace(0.05, 0.95, 10)]  # criterion 6's values after 0.3
-        rows = distrib.gaussian_summaries(system, [atk], layout, q_z, N, epsilons)
-        summary = rows[0][0]
-        assert summary.residual_cov_pd
-        for eps, (moved,) in zip(epsilons, rows):
+        (law,) = distrib.gaussian_summaries(system, [atk], layout, q_z, N)
+        assert law.pd
+        for eps in epsilons:
             direct = distrib.gaussian_summary(system, atk, layout, q_z, N, eps).eps_prime
-            assert moved.eps_prime == direct
-            assert moved.maps is summary.maps
-        assert summary.maps.radii == [moved.eps_prime for (moved,) in rows if moved.eps_prime >= 0]
-        assert all(moved.curve is summary.curve for (moved,) in rows)
+            assert law.radius(eps) == distrib.summarize(law, eps).eps_prime == direct
 
 
 def test_non_pd_residual_keeps_minus_inf(system):
@@ -368,13 +362,12 @@ def test_non_pd_residual_keeps_minus_inf(system):
     q_z = Q_Z
     atk, _ = _build(system, "dos", N, sensors=(0,), actuators=(1,))
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
-    rows = distrib.gaussian_summaries(system, [atk], layout, q_z, N, [0.3, 0.0, 0.5, 10.0])
-    summary = rows[0][0]
-    assert not summary.residual_cov_pd
-    assert summary.eps_prime == -np.inf
-    for (moved,) in rows:
-        assert moved.eps_prime == -np.inf and moved.maps is summary.maps
-    assert summary.maps.radii == []
+    (law,) = distrib.gaussian_summaries(system, [atk], layout, q_z, N)
+    assert not law.pd and np.isnan(law.trace) and np.isnan(law.logdet)
+    for eps in (0.3, 0.0, 0.5, 10.0):
+        summary = distrib.summarize(law, eps)
+        assert not summary.residual_cov_pd
+        assert law.radius(eps) == summary.eps_prime == -np.inf
 
 
 def _factors(m):
@@ -438,8 +431,8 @@ def _pair_summaries(sc, resources, kind, N, epsilon=0.3):
     """The configurations of a pair, their one layout, and their summaries from one batch."""
     cands = attacks.candidates(attacks.StrategySpec(kind, resources), sc.system.dims, N)
     layout = attacks.decision_layout(cands[0].attack, N, sc.system.controller.Q_yr)
-    (summaries,) = distrib.gaussian_summaries(sc.system, [c.attack for c in cands], layout, sc.q_z, N, [epsilon])
-    return cands, layout, summaries
+    laws = distrib.gaussian_summaries(sc.system, [c.attack for c in cands], layout, sc.q_z, N)
+    return cands, layout, [distrib.summarize(law, epsilon) for law in laws]
 
 
 @pytest.mark.parametrize("source", ["bundled", 0, 1, 2])
@@ -713,7 +706,7 @@ def _block_loop(system, attack):
 def _means(summary):
     """A summary's mean maps, or the overflow that stacking them raises."""
     try:
-        return tuple(_bits(m) for m in summary.maps.means)
+        return tuple(_bits(m) for m in summary.law.means)
     except FloatingPointError as exc:
         return str(exc)
 
@@ -742,8 +735,10 @@ def test_pair_assembly_slices_equal_assembly_of_one(scenario, tmp_path, source, 
                     got = _bits(getattr(pair[i], name))
                     assert got == _bits(getattr(one, name)) == _bits(block[name]), (kind, i, name)
                 alone = distrib.gaussian_summary(system, cand.attack, layout, sc.q_z, N, 0.3)
-                for field in ("residual_cov_pd", "eps_prime", "sigma_r_trace", "sigma_r_logdet", "sigma"):
+                for field in ("residual_cov_pd", "eps_prime", "sigma"):
                     assert _bits(getattr(summary, field)) == _bits(getattr(alone, field)), (kind, i, field)
+                for field in ("trace", "logdet"):
+                    assert _bits(getattr(summary.law, field)) == _bits(getattr(alone.law, field)), (kind, i, field)
                 assert _means(summary) == _means(alone), (kind, i)
 
 
@@ -757,7 +752,7 @@ def test_mixed_injection_widths_rejected(system):
     with pytest.raises(DimensionMismatch, match="injection widths"):
         assemble_extended(plant, ctrl, est, [fdi, dos])
     with pytest.raises(DimensionMismatch, match="injection widths"):
-        distrib.gaussian_summaries(system, [dos, fdi], attacks.decision_layout(dos, N, Q_yr), Q_Z, N, [0.3])
+        distrib.gaussian_summaries(system, [dos, fdi], attacks.decision_layout(dos, N, Q_yr), Q_Z, N)
 
 
 @pytest.mark.parametrize("N", [10, 50])

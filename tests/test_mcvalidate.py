@@ -174,10 +174,10 @@ def test_nominal_residuals_white(system, scenario):
     assert np.max(np.abs(sim.r_cov - np.eye(sim.r_mean.shape[0]))) < 0.05
 
 
-def _kl_check(system, atk, d, summary, cfg):
-    """Simulate at d and take kl_verdict against the summary's residual map and radius."""
+def _kl_check(system, atk, d, summary, cfg, epsilon=0.3):
+    """Simulate at d and take kl_verdict against the residual map and radius of the summary at epsilon."""
     sim = mcvalidate.simulate(system, atk, d, cfg, _plant_state(system))
-    return mcvalidate.kl_verdict(sim, summary.t_r, d, summary.eps_prime, summary.epsilon, cfg.horizon)
+    return mcvalidate.kl_verdict(sim, summary.t_r, d, summary.eps_prime, epsilon, cfg.horizon)
 
 
 def test_kl_check_feasible_point(system):

@@ -301,17 +301,14 @@ def test_solver_boundedness_matches_audit(scenario):
                 spec = attacks.StrategySpec(kind, resources)
                 for cand in attacks.candidates(spec, scenario.system.dims, N):
                     layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
-                    epsilons = [0.0, 0.05, 0.3, 0.95]
-                    rows = distrib.gaussian_summaries(
-                        scenario.system, [cand.attack], layout, scenario.q_z, N, epsilons
-                    )
-                    summary = rows[0][0]
+                    (law,) = distrib.gaussian_summaries(scenario.system, [cand.attack], layout, scenario.q_z, N)
                     audit = None
-                    for eps, (moved,) in zip(epsilons, rows):
+                    for eps in (0.0, 0.05, 0.3, 0.95):
+                        moved = distrib.summarize(law, eps)
                         if not moved.residual_cov_pd or moved.eps_prime < 0:
                             continue
                         if audit is None:
-                            audit = summary.impact_bounded
+                            audit = moved.impact_bounded
                         report = solver.compute_impact(moved)
                         assert report.unbounded == (not audit), (vulnerability, kind, N, eps)
                         verdicts.add(report.unbounded)
@@ -433,7 +430,7 @@ def test_geometry_reads_the_radius_only_through_s(scenario):
         (cand,) = attacks.candidates(spec, scenario.system.dims, scenario.horizon)
         summary = candidate_summary(scenario, cand, 0.0)
         assert summary.eps_prime == 0.0
-        cases.append((summary.layout.Q, summary.t_r, summary.layout, summary.t_z))
+        cases.append((summary.law.layout.Q, summary.t_r, summary.law.layout, summary.t_z))
     verdicts = set()
     for q, m, basis, c in cases:
         geom = solver._Geometry(q, m, basis)
@@ -481,13 +478,15 @@ def _counting_evaluate(monkeypatch):
 
 
 def _batch_and_single(q, m, basis, c, radii, monkeypatch):
-    """Outcomes at the radii from one curve built with them all, and from one asked a radius at a time.
+    """Outcomes at the radii from one curve's stream over them all, and from one solved a radius at a time.
 
-    Returns both lists and the _evaluate calls the batch took.
+    Returns both lists and the _evaluate calls the stream took, none of them
+    before its first read.
     """
     calls = _counting_evaluate(monkeypatch)
-    batched = solver.ImpactCurve(q, m, basis, c, radii)
-    got = [_outcome(batched, r) for r in radii]
+    stream = solver.ImpactCurve(q, m, basis, c).solve_each(radii)
+    assert calls == []
+    got = [_plain(outcome) for outcome in stream]
     batch_calls = list(calls)
     single = solver.ImpactCurve(q, m, basis, c)
     want = [_outcome(single, r) for r in radii]
@@ -500,9 +499,9 @@ def test_batch_equals_batch_of_one(scenario, N, monkeypatch):
     """Each radius's d*, mu, gap and residual are the same bits in one batch as alone.
 
     Every bundled configuration that is feasible and bounded, at the radii of
-    criterion 6's epsilons and of 0, 1e-9, 10 and 1e8, solved from one curve
-    that was built with them all (one _evaluate call per chunk) and one radius
-    at a time; and the random programs of
+    criterion 6's epsilons and of 0, 1e-9, 10 and 1e8, read from one stream
+    over them all (one _evaluate call per chunk, in order) and solved one
+    radius at a time; and the random programs of
     test_geometry_reads_the_radius_only_through_s, unbounded rows and
     uncertified radii included.
     """
@@ -513,14 +512,12 @@ def test_batch_equals_batch_of_one(scenario, N, monkeypatch):
             spec = attacks.StrategySpec(kind, resources)
             for cand in attacks.candidates(spec, scenario.system.dims, N):
                 layout = attacks.decision_layout(cand.attack, N, scenario.system.controller.Q_yr)
-                rows = distrib.gaussian_summaries(
-                    scenario.system, [cand.attack], layout, scenario.q_z, N, epsilons
-                )
-                summary = rows[0][0]
-                radii = [r for r in (law.eps_prime for (law,) in rows) if r >= 0]
-                if not radii or not summary.impact_bounded:
+                (law,) = distrib.gaussian_summaries(scenario.system, [cand.attack], layout, scenario.q_z, N)
+                radii = [r for r in map(law.radius, epsilons) if r >= 0]
+                if not radii or not law.curve.bounded:
                     continue
-                maps = (layout.Q, summary.t_r, layout, summary.t_z)
+                t_z, t_r = law.means
+                maps = (layout.Q, t_r, layout, t_z)
                 got, want, calls = _batch_and_single(*maps, radii, monkeypatch)
                 assert got == want, (kind, cand.variant)
                 # in order, a chunk at a time: one chunk holds them all at N = 10
@@ -555,12 +552,12 @@ def _bundled_curve(scenario, vulnerability, kind, N=None):
     ],
 )
 def test_failures_keep_their_place(scenario, vulnerability, kind, failing, monkeypatch):
-    """A radius's failure is raised when that radius is read, and only then.
+    """A radius's failure is a value in the stream, at that radius's place, until it is read.
 
-    The batch is solved on the first read, at 1.0; the failing radii after it
-    raise what they raise alone, and the radius after them still returns
-    its own result, bit for bit. An overflow (under over="raise") in the
-    batch sends it back radius by radius.
+    The chunk is evaluated on the first read, at 1.0; the failing radii after
+    it hold the failures they raise alone, and the radius after them still
+    reads its own result, bit for bit. An overflow (under over="raise") in
+    the chunk sends it back radius by radius.
     """
     maps = _bundled_curve(scenario, vulnerability, kind)
     radii = [1.0, *failing, 4.0]
@@ -575,26 +572,25 @@ def test_failures_keep_their_place(scenario, vulnerability, kind, failing, monke
 
 
 def test_batch_memory_does_not_grow_with_the_sweep(scenario):
-    """Solving a curve's 2,000 radii of vulnerability_2/fdi at N = 50 peaks at the memory of one chunk.
+    """Reading a stream over 2,000 radii of vulnerability_2/fdi at N = 50 peaks at the memory of one chunk.
 
-    Each radius's result is dropped when it is read, so the peak of the
-    solve is the same for 200 and for 2,000 radii, and stays within a few
-    chunks of _CHUNK float entries.
+    The stream holds one chunk's results at a time, so the peak of the read
+    is the same for 200 and for 2,000 radii, and stays within a few chunks
+    of _CHUNK float entries.
     """
     maps = _bundled_curve(scenario, "vulnerability_2", "fdi", N=50)
     peaks = []
     for count in (200, 2000):
         radii = [float(r) for r in np.linspace(0.0, 10.0, count)]
-        curve = solver.ImpactCurve(*maps, radii)
+        curve = solver.ImpactCurve(*maps)
         curve.solve(1.0)  # the enumeration, which every count shares
         tracemalloc.start()
         try:
-            for r in radii:
-                curve.solve(r)
+            solved = sum(isinstance(outcome, solver._Batch) for outcome in curve.solve_each(radii))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert not curve._held and not curve._pending
+        assert solved == count
     assert peaks[1] <= 1.02 * peaks[0]
     assert peaks[1] <= 8 * solver._CHUNK * 8  # eight chunk-sized float64 arrays
 
@@ -606,12 +602,18 @@ def _outcome(curve, radius):
     some of these programs (ROADMAP item 6).
     """
     try:
-        batch = curve.solve(radius)
+        return _plain(curve.solve(radius))
     except (solver.NumericalFailure, FloatingPointError) as exc:
         return str(exc)
-    if batch is None:
+
+
+def _plain(outcome):
+    """An outcome of ImpactCurve.solve_each as plain values, or the message of its failure."""
+    if isinstance(outcome, (solver.NumericalFailure, FloatingPointError)):
+        return str(outcome)
+    if outcome is None:
         return None
-    return batch.d_star.tobytes(), batch.mu.tobytes(), batch.duality_gap, batch.feasibility_residual
+    return outcome.d_star.tobytes(), outcome.mu.tobytes(), outcome.duality_gap, outcome.feasibility_residual
 
 
 def test_compute_impact_infeasible_path(system):
@@ -655,8 +657,9 @@ def _oracle_cases():
 RADII = (0.0, 1e-13, 0.05, 0.3, 1.0, 4.0, 1e6)
 
 
-def _assert_matches_reference(curve, radius, ref):
-    batch = curve.solve(radius)  # raises unless certified to CERT_TOL
+def _assert_matches_reference(batch, radius, ref):
+    """A curve's outcome at the radius against the reference; a solve raises unless certified to CERT_TOL."""
+    assert not isinstance(batch, Exception), (radius, batch)
     if ref is None:
         assert batch is None, radius
         return 0
@@ -681,7 +684,7 @@ def test_solve_matches_row_space_reference():
     for c, q, m, f, radius in _oracle_cases():
         curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c)
         for r in (radius, *RADII):
-            solved += _assert_matches_reference(curve, r, oracles.reference_solve_rows(c, q, m, f, r))
+            solved += _assert_matches_reference(curve.solve(r), r, oracles.reference_solve_rows(c, q, m, f, r))
     assert solved >= 30 * (1 + len(RADII))
 
 
@@ -698,10 +701,11 @@ def test_pattern_blocks_match_row_space_reference():
     q, m, c = rng.normal(size=(6, n)), rng.normal(size=(n - 2, n)), rng.normal(size=(4, n))
     f = rng.normal(size=(1, n))
     for batch in (False, True):
-        curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c, RADII if batch else ())
+        curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c)
         assert curve._pieces.kappa.size * q.shape[0] > 2 * solver._BLOCK
-        for r in RADII:
-            assert _assert_matches_reference(curve, r, oracles.reference_solve_rows(c, q, m, f, r))
+        solved = curve.solve_each(RADII) if batch else map(curve.solve, RADII)
+        for r, outcome in zip(RADII, solved, strict=True):
+            assert _assert_matches_reference(outcome, r, oracles.reference_solve_rows(c, q, m, f, r))
 
 
 @pytest.mark.parametrize("N", [10, 50])
@@ -722,12 +726,12 @@ def test_bundled_solves_match_row_space_reference(scenario, N):
                 )
                 if not summary.residual_cov_pd or summary.eps_prime < 0:
                     continue
-                curve = summary.curve
+                curve = summary.law.curve
                 for r in (summary.eps_prime, *RADII):
                     ref = oracles.reference_solve_rows(
                         summary.t_z, layout.Q, summary.t_r, _equality_map(cand.attack, layout), r
                     )
-                    solved += _assert_matches_reference(curve, r, ref)
+                    solved += _assert_matches_reference(curve.solve(r), r, ref)
     assert solved >= 6 * (1 + len(RADII))
 
 

@@ -1,13 +1,14 @@
 """Monte Carlo oracle for the analytic machinery.
 
-Simulates the literal closed loop (plant, estimator, feedback, attack
+Samples the literal closed loop (plant, estimator, feedback, attack
 channels, and for replay the record-then-substitute protocol) with fresh
 Gaussian noise, so empirical means, covariances, exceedance frequencies, and
-KL budgets can be compared against the stacked-map predictions. The samples
-run in blocks, each on its own SFC64 stream, on the calling thread and one
-helper. Each block is reduced to its statistics on the thread that ran it,
-and the blocks' statistics are merged in block order, so a seed fixes every
-value, whichever thread ran a block.
+KL budgets can be compared against the stacked-map predictions. The loop,
+run once per call on the basis of its whitened noise, gives the affine map
+of its rows; the samples are drawn through the thin-QR square root of that
+map's covariance, in blocks on the calling thread and one helper, each block
+from its own SFC64 stream. The blocks' statistics are merged in block order,
+so a seed fixes every value, whichever thread ran a block.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def min_samples(system: SystemModel, horizon: int) -> int:
 
 
 # Samples per block: part of the draw contract, so a constant, not a setting.
-# Of 4,096, 8,192 and 16,384, 8,192 ran the bundled --mc-validate grid fastest.
+# Of 4,096, 8,192 and 16,384, 8,192 sampled the bundled --mc-validate run's six calls fastest.
 _BLOCK = 8192
 
 
@@ -87,7 +88,7 @@ def _block_rng(seed: int, j: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class _Moments:
-    """Count, row means and centred cross-product of feature-major samples."""
+    """Count, column means and centred cross-product of sample-major samples."""
 
     n: int
     mean: np.ndarray
@@ -95,10 +96,10 @@ class _Moments:
 
     @classmethod
     def of(cls, s: np.ndarray) -> "_Moments":
-        """The moments of s, shape (dim, n), which is centred in place."""
-        mean = s.mean(axis=1)
-        s -= mean[:, None]
-        return cls(s.shape[1], mean, s @ s.T)
+        """The moments of s, shape (n, dim), which is centred in place."""
+        mean = s.mean(axis=0)
+        s -= mean
+        return cls(s.shape[0], mean, s.T @ s)
 
     def merge(self, other: "_Moments") -> "_Moments":
         """The moments of both sample sets, by the pairwise update of Chan, Golub and LeVeque (1983)."""
@@ -113,44 +114,91 @@ class _Moments:
 
 @dataclass(frozen=True)
 class _BlockStats:
-    """Exceedance counts per critical row, and the moments of z, r and the per-sample ‖z‖∞."""
+    """Exceedance counts per critical row, and the moments of the draws eta and of the per-sample ‖z‖∞."""
 
     exceed: np.ndarray
-    z: _Moments
-    r: _Moments
+    eta: _Moments
     inf_norm: _Moments
 
     @classmethod
-    def of(cls, z: np.ndarray, r: np.ndarray, abs_z: np.ndarray) -> "_BlockStats":
-        """Statistics of one block's feature-major z and r, which are centred in place; abs_z is scratch."""
-        np.abs(z, out=abs_z)
-        inf_norm = abs_z.max(axis=0, initial=0.0)  # zeros when z has no rows
-        return cls(np.count_nonzero(abs_z > 1.0, axis=1), _Moments.of(z), _Moments.of(r),
-                   _Moments.of(inf_norm[None]))
+    def of(cls, eta: np.ndarray, z: np.ndarray) -> "_BlockStats":
+        """One block's statistics, from its draws eta, centred in place, and its z, shape (n_z, m), made |z|."""
+        np.abs(z, out=z)
+        inf_norm = z.max(axis=0, initial=0.0)  # zeros when z has no rows
+        return cls(np.count_nonzero(z > 1.0, axis=1), _Moments.of(eta), _Moments.of(inf_norm[:, None]))
 
     def merge(self, other: "_BlockStats") -> "_BlockStats":
         """The statistics of both sample sets."""
-        return _BlockStats(self.exceed + other.exceed, self.z.merge(other.z), self.r.merge(other.r),
+        return _BlockStats(self.exceed + other.exceed, self.eta.merge(other.eta),
                            self.inf_norm.merge(other.inf_norm))
 
-    def summary(self) -> EmpiricalSummary:
-        """The sample means, covariances (ddof=1), frequencies and standard errors."""
-        n = self.z.n
+    def summary(self, root: np.ndarray, mu: np.ndarray) -> EmpiricalSummary:
+        """The sample means, covariances (ddof=1), frequencies and standard errors of the rows [z r] = eta root + mu."""
+        n, n_z = self.eta.n, self.exceed.shape[0]
         exceed = self.exceed / n
-        z_cov, r_cov = self.z.m2 / (n - 1), self.r.m2 / (n - 1)
+        mean = self.eta.mean @ root + mu
+        cov = root.T @ self.eta.m2 @ root / (n - 1)
+        z_cov, r_cov = cov[:n_z, :n_z], cov[n_z:, n_z:]
         return EmpiricalSummary(
-            z_mean=self.z.mean,
+            z_mean=mean[:n_z],
             z_cov=z_cov,
             z_mean_se=np.sqrt(np.diag(z_cov) / n),
             exceed_freq=exceed,
             exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n),
-            r_mean=self.r.mean,
+            r_mean=mean[n_z:],
             r_cov=r_cov,
             r_mean_se=np.sqrt(np.diag(r_cov) / n),
             e_inf_norm=float(self.inf_norm.mean[0]),
             e_inf_norm_se=math.sqrt(float(self.inf_norm.m2[0, 0]) / (n - 1)) / math.sqrt(n),
             samples=n,
         )
+
+
+def _affine_map(
+    system: SystemModel, attack: AttackMatrices, d: np.ndarray, q_z: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, mu): the literal closed loop's stacked rows [z r] are xi M + mu in its whitened inputs xi.
+
+    xi stacks, in the order the loop reads them, the initial state's 2 n_x
+    standard normals, then per step the sensor noise w's n_y and, except at
+    step N, the process noise v's n_x. M is the loop run on the identity over
+    xi with d's injected signals and reference off, and mu the loop run on
+    xi = 0 with them on, so M is not a difference of runs.
+    """
+    plant, ctrl, est = system.plant, system.controller, system.estimator
+    n_x, n_y, n_au = plant.n_x, plant.n_y, attack.n_au
+    chol_v, chol_w = np.linalg.cholesky(plant.sigma_v), np.linalg.cholesky(plant.sigma_w)
+    a_on, y_r_on = decision_layout(attack, N, ctrl.Q_yr).split(d)
+    cuts = np.cumsum([2 * n_x] + [n_y, n_x] * (N - attack.start_step))
+
+    def rows(xi: np.ndarray, on: float) -> np.ndarray:
+        a_seq, y_r, cols = on * a_on, on * y_r_on, iter(np.split(xi, cuts, axis=1))
+        x_e = next(cols) @ system.sqrt_sigma_0.T + system.t_0 @ y_r
+        z, r, recorded = [], [], []
+        for k in range(attack.start_step, N + 1):
+            x, x_hat = x_e[:, :n_x], x_e[:, n_x:]
+            y = x @ plant.C.T + next(cols) @ chol_w.T
+            u = ctrl.L_yr @ y_r - x_hat @ ctrl.L_xhat.T
+            if k < 0:  # recording window: the loop runs nominally
+                recorded.append(y @ attack.gamma_y)
+                y_att, u_att = y, u
+            else:
+                y_att = y @ attack.lambda_y.T + attack.gamma_y @ a_seq[k, n_au:]
+                if attack.has_recording:  # the tap of recording step k - N - 1
+                    y_att = y_att + recorded[k] @ attack.gamma_y.T
+                u_att = u @ attack.lambda_u.T + attack.gamma_u @ a_seq[k, :n_au]
+            innov = y_att - x_hat @ plant.C.T
+            if k >= 0:
+                r.append(innov @ est.sigma_r_invsqrt.T)
+            if k == N:
+                return np.hstack(z + r)
+            x_e = np.hstack([x @ plant.A.T + u_att @ plant.B.T + next(cols) @ chol_v.T,
+                             x_hat @ plant.A.T + u @ plant.B.T + innov @ est.K.T])
+            if k >= 0:
+                z.append(x_e @ q_z.T)
+
+    n_xi = cuts[-1] + n_y
+    return rows(np.eye(n_xi), 0.0), rows(np.zeros((1, n_xi)), 1.0)[0]
 
 
 def simulate(
@@ -160,7 +208,7 @@ def simulate(
     cfg: SimulationConfig,
     q_z: np.ndarray,
 ) -> EmpiricalSummary:
-    """Run cfg.samples independent closed-loop trajectories under the attack.
+    """Sample cfg.samples independent closed-loop trajectories under the attack.
 
     Trajectories start from the stationary law at the first simulated step.
     For recording strategies the loop runs nominally over the recording window
@@ -169,40 +217,35 @@ def simulate(
     matching the stacked-map row order. The critical map q_z acts on the
     extended state (x, x_hat), 2 n_x columns, as in stack_dynamics.
 
+    The rows are affine in the loop's n_xi standard-normal inputs xi, [z r] =
+    xi M + mu, and _affine_map runs the literal loop once per call for M and
+    once for mu. The samples are eta R + mu, where R = np.linalg.qr(M,
+    mode="r") has k = min(n_xi, len(mu)) rows and eta is standard normal in
+    k dimensions: xi Q is standard normal for M = QR, so this is the loop's
+    law exactly.
+
     The draws are part of the contract: the samples are cut into blocks of
-    _BLOCK (the last may be shorter), and block j of m samples draws from
-    SFC64 seeded by child j of SeedSequence(seed), that is
-    SeedSequence(seed, spawn_key=(j,)), an (m, 2 n_x) initial state, then per
-    step an (m, n_y) sensor noise w and, except at step N, an (m, n_x)
-    process noise v. So a seed gives the same trajectories, up to
-    rounding, whatever the storage layout. The caller and one helper thread
-    take blocks from a shared range iterator. Each thread stores a block's
-    signals feature-major, shape (dim, m), in its own buffers and reduces
-    them to the block's statistics, which are merged in block order; so
-    which thread ran a block changes no value, and no array grows with
-    cfg.samples. The helper is joined before simulate returns or raises. An
-    exception in a block on either thread reaches the caller, and the other
-    thread then takes no new block.
+    _BLOCK (the last may be shorter), and block j of m samples draws one
+    (m, k) array eta from SFC64 seeded by child j of SeedSequence(seed),
+    that is SeedSequence(seed, spawn_key=(j,)). The caller and one helper
+    thread take blocks from a shared range iterator. Each thread samples a
+    block's z into its own buffers and reduces it to the block's statistics
+    (z's exceedance counts and norms, and eta's moments, which the summary
+    maps through R), merged in block order; so which thread ran a block
+    changes no value, and no array grows with cfg.samples. The helper is
+    joined before simulate returns or raises. An exception in a block on
+    either thread reaches the caller, and the other thread takes no new one.
     """
     # imported here: concurrent.futures pulls in logging, which no other path needs
     from concurrent.futures import ThreadPoolExecutor
 
-    N = int(cfg.horizon)
-    plant, ctrl, est = system.plant, system.controller, system.estimator
-    n_x, n_y, n_u = plant.n_x, plant.n_y, plant.n_u
-    a_seq, y_r = decision_layout(attack, N, ctrl.Q_yr).split(d)
-    n_au = attack.n_au
-
-    chol_v = np.linalg.cholesky(plant.sigma_v)
-    chol_w = np.linalg.cholesky(plant.sigma_w)
-    n_z = q_z.shape[0]
-    n_s = cfg.samples
-    lam_y, gam_y = attack.lambda_y, attack.gamma_y
-    lam_u, gam_u = attack.lambda_u, attack.gamma_u
-    u_ref = (ctrl.L_yr @ y_r)[:, None]
-
+    N, n_s = int(cfg.horizon), cfg.samples
     n_blocks = -(-n_s // _BLOCK)
     numcore.require_addressable((n_blocks,), f"{n_s} samples")
+    m_map, mu = _affine_map(system, attack, d, q_z, N)
+    root = np.linalg.qr(m_map, mode="r")
+    n_z = N * q_z.shape[0]
+    root_z, mu_z = root[:, :n_z].T.copy(), mu[:n_z, None]  # z = root_z eta' + mu_z, feature-major
     pending = iter(range(n_blocks))  # one int of state, whatever n_blocks
     lock = threading.Lock()
     done: dict[int, _BlockStats] = {}  # blocks finished ahead of one still running
@@ -221,64 +264,21 @@ def simulate(
                 total = stats if total is None else total.merge(stats)
                 merged += 1
 
-    # a block's x_e, x_next, y (its rows double as the state update's scratch), innov
-    # (scratch until the step's innovation is formed), u, u_tilde, recording (recorded[k]
-    # holds the tap of recording step k < 0, read back at step k + N + 1), draws, z, |z| and r
-    def shapes(m: int) -> tuple[tuple[int, ...], ...]:
-        return ((2 * n_x, m), (2 * n_x, m), (max(n_x, n_y), m), (n_y, m), (n_u, m), (n_u, m),
-                (-attack.start_step, attack.n_ay, m), (m, 2 * n_x), (m, n_y), (m, n_x),
-                (N * n_z, m), (N * n_z, m), ((N + 1) * n_y, m))
+    # each thread's eta and z buffers, made before either thread runs, so the peak is the same whatever the timing
+    rows = min(n_s, _BLOCK)
+    buffers = [(np.empty((rows, len(root))), np.empty(n_z * rows)) for _ in range(2)]
 
     def run_blocks() -> None:
         nonlocal pending
-        bufs = [np.empty(math.prod(s)) for s in shapes(min(n_s, _BLOCK))]
+        eta_buf, z_buf = buffers.pop()
         try:
             for j in iter(take, None):
                 m = min(n_s, (j + 1) * _BLOCK) - j * _BLOCK
-                x_e, x_next, work, innov, u, u_tilde, recorded, x_0, w, v, z, abs_z, r = (
-                    b[: math.prod(s)].reshape(s) for b, s in zip(bufs, shapes(m))
-                )
-                y, tmp_x = work[:n_y], work[:n_x]
-                rng = _block_rng(cfg.seed, j)
-                rng.standard_normal(out=x_0)
-                np.matmul(system.sqrt_sigma_0, x_0.T, out=x_e)
-                x_e += (system.t_0 @ y_r)[:, None]
-                for k in range(attack.start_step, N + 1):
-                    x, x_hat = x_e[:n_x], x_e[n_x:]
-                    rng.standard_normal(out=w)
-                    np.matmul(plant.C, x, out=y)
-                    y += np.matmul(chol_w, w.T, out=innov)
-                    np.matmul(ctrl.L_xhat, x_hat, out=u)
-                    np.subtract(u_ref, u, out=u)
-                    if k < 0:  # recording window: the loop runs nominally
-                        np.matmul(gam_y.T, y, out=recorded[k])
-                        np.copyto(innov, y)
-                        u_att = u
-                    else:  # innov holds the attacked measurement until C x_hat is subtracted
-                        np.matmul(lam_y, y, out=innov)
-                        innov += (gam_y @ a_seq[k, n_au:])[:, None]
-                        if attack.has_recording:
-                            innov += np.matmul(gam_y, recorded[k - (N + 1)], out=y)
-                        u_att = u_tilde
-                        np.matmul(lam_u, u, out=u_att)
-                        u_att += (gam_u @ a_seq[k, :n_au])[:, None]
-                    innov -= np.matmul(plant.C, x_hat, out=y)
-                    if k >= 0:
-                        np.matmul(est.sigma_r_invsqrt, innov, out=r[k * n_y : (k + 1) * n_y])
-                    if k == N:
-                        break
-                    rng.standard_normal(out=v)
-                    x_new, x_hat_new = x_next[:n_x], x_next[n_x:]
-                    np.matmul(plant.A, x, out=x_new)
-                    x_new += np.matmul(plant.B, u_att, out=tmp_x)
-                    x_new += np.matmul(chol_v, v.T, out=tmp_x)
-                    np.matmul(plant.A, x_hat, out=x_hat_new)
-                    x_hat_new += np.matmul(plant.B, u, out=tmp_x)
-                    x_hat_new += np.matmul(est.K, innov, out=tmp_x)
-                    x_e, x_next = x_next, x_e
-                    if k >= 0:
-                        np.matmul(q_z, x_e, out=z[k * n_z : (k + 1) * n_z])
-                finish(j, _BlockStats.of(z, r, abs_z))
+                eta, z = eta_buf[:m], z_buf[: n_z * m].reshape(n_z, m)
+                _block_rng(cfg.seed, j).standard_normal(out=eta)
+                np.matmul(root_z, eta.T, out=z)
+                z += mu_z
+                finish(j, _BlockStats.of(eta, z))
         finally:  # after a failure the other thread takes no new block; after success none is left
             with lock:
                 pending = iter(())
@@ -287,7 +287,7 @@ def simulate(
         helper = pool.submit(run_blocks)
         run_blocks()
     helper.result()
-    return total.summary()
+    return total.summary(root, mu)
 
 
 def kl_verdict(

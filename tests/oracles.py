@@ -344,26 +344,20 @@ def whitened_rollout(system, ext, atk, q_ze, N, e, y_r, a_stack):
     return explicit_rollout(system, ext, atk, q_ze, N, x_e0, f_stack, y_r, a_stack)
 
 
-def reference_simulate(system, attack, d, cfg, q_z):
-    """Sample-major Monte Carlo loop that mcvalidate.simulate must reproduce.
+def reference_loop(system, attack, d, q_z, N, xi, inputs_on):
+    """Rows [z r] of the literal loop, one row per row of whitened inputs xi, with its own stepping.
 
-    Same SFC64 streams (one per block of mcvalidate._BLOCK samples, as read
-    at call time, with the same draw shapes and order) and the same literal
-    loop as the package's simulator, but all samples step together, every
-    signal is stored one row per sample, and the statistics come from np.cov
-    and separate std passes over all samples at once, so it is also the
-    oracle of the simulator's block-by-block merge. It borrows the package's
-    stationary law and symmetric square root, so it checks the loop, the
-    layout and the statistics, not the law.
+    xi's columns are the whitened initial state, then per step the sensor
+    noise w and, except at step N, the process noise v. With inputs_on false
+    the reference and the injected signals are zero, so the rows are the
+    loop's linear part in xi. It borrows the package's stationary law and
+    symmetric square root, so it checks the loop, not the law.
     """
-    from stealthimpact import mcvalidate
     from stealthimpact.distrib import stationary_law
-    from stealthimpact.mcvalidate import EmpiricalSummary
 
-    N = int(cfg.horizon)
     plant, ctrl, est = system.plant, system.controller, system.estimator
     n_x, n_y = plant.n_x, plant.n_y
-    d = np.asarray(d, dtype=float)
+    d = np.asarray(d, dtype=float) * float(inputs_on)
     n_blk = (N + 1) * attack.n_a
     a_seq, y_r = d[:n_blk].reshape(N + 1, attack.n_a), d[n_blk:]
     n_au = attack.n_au
@@ -371,15 +365,11 @@ def reference_simulate(system, attack, d, cfg, q_z):
     sqrt_0 = numcore.sym_sqrt(sigma_0)
     chol_v = np.linalg.cholesky(plant.sigma_v)
     chol_w = np.linalg.cholesky(plant.sigma_w)
-    n_s = cfg.samples
-
-    # block j draws its rows of each step's noise from SFC64 on child j of SeedSequence(seed), in step order
-    widths = np.diff(np.append(np.arange(0, n_s, mcvalidate._BLOCK), n_s))
-    children = np.random.SeedSequence(cfg.seed).spawn(len(widths))
-    rngs = [np.random.Generator(np.random.SFC64(child)) for child in children]
+    cursor = [0]
 
     def normals(cols):
-        return np.vstack([rng.standard_normal((m, cols)) for rng, m in zip(rngs, widths)])
+        cursor[0] += cols
+        return xi[:, cursor[0] - cols : cursor[0]]
 
     x_e = t_0 @ y_r + normals(2 * n_x) @ sqrt_0.T
     z_rows, r_rows, recorded = [], [], {}
@@ -411,9 +401,39 @@ def reference_simulate(system, attack, d, cfg, q_z):
         x_e = np.hstack([x_next, x_hat_next])
         if k >= 0:
             z_rows.append(x_e @ q_z.T)
+    assert cursor[0] == xi.shape[1], "xi has more columns than the loop reads"
+    return np.hstack(z_rows + r_rows)
 
-    z = np.hstack(z_rows) if z_rows else np.zeros((n_s, 0))
-    r = np.hstack(r_rows)
+
+def reference_simulate(system, attack, d, cfg, q_z):
+    """Sample-major Monte Carlo check that mcvalidate.simulate must reproduce.
+
+    Its own loop (reference_loop) on the identity over the loop's whitened
+    inputs, inputs off, gives M, and on zero inputs, inputs on, gives mu;
+    its own thin QR of M gives R with k rows. Block j of m samples (blocks of
+    mcvalidate._BLOCK, as read at call time) draws one (m, k) array from
+    SFC64 on child j of SeedSequence(seed), and all the blocks' samples
+    eta R + mu are reduced together with np.cov and separate std passes, so
+    it is also the oracle of the simulator's block-by-block merge.
+    """
+    from stealthimpact import mcvalidate
+    from stealthimpact.mcvalidate import EmpiricalSummary
+
+    N = int(cfg.horizon)
+    n_x, n_y = system.plant.n_x, system.plant.n_y
+    n_s = cfg.samples
+    n_xi = 2 * n_x + (N + 1 - attack.start_step) * n_y + (N - attack.start_step) * n_x
+    m_map = reference_loop(system, attack, d, q_z, N, np.eye(n_xi), False)
+    mu = reference_loop(system, attack, d, q_z, N, np.zeros((1, n_xi)), True)[0]
+    root = linalg.qr(m_map, mode="r", check_finite=False)[0][: min(m_map.shape)]
+
+    widths = np.diff(np.append(np.arange(0, n_s, mcvalidate._BLOCK), n_s))
+    children = np.random.SeedSequence(cfg.seed).spawn(len(widths))
+    rngs = [np.random.Generator(np.random.SFC64(child)) for child in children]
+    eta = np.vstack([rng.standard_normal((m, len(root))) for rng, m in zip(rngs, widths)])
+    rows = eta @ root + mu
+    n_zr = N * q_z.shape[0]
+    z, r = rows[:, :n_zr], rows[:, n_zr:]
     exceed = (np.abs(z) > 1.0).mean(axis=0)
     if z.shape[1]:
         inf_norms = np.abs(z).max(axis=1)

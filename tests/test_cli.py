@@ -685,6 +685,25 @@ def test_mc_validate_block(tmp_path):
     assert mc["z_mean_max_dev_se"] < 4.0
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_mc_blocks_meet_the_five_sigma_gate(tmp_path, seed):
+    """Every mc block of the bundled run meets the bench gate's rule, at seeds 0..4 fixed in advance.
+
+    |p_analytic - p_empirical| <= max(5 sqrt(p_e (1 - p_e) / n), 5 / n),
+    E||z||_inf >= mean_impact_lower_bound - 5 se, and a consistent KL verdict.
+    """
+    code, out = _run(tmp_path, "--mc-validate", "--seed", str(seed))
+    assert code == cli.EXIT_OK
+    entries = [e for e in json.loads(out.read_text())["entries"] if "mc" in e]
+    assert len(entries) == 6
+    for entry in entries:
+        mc = entry["mc"]
+        n, p_a, p_e = mc["samples"], mc["exceed_analytic"], mc["exceed_empirical"]
+        assert abs(p_a - p_e) <= max(5.0 * (p_e * (1.0 - p_e) / n) ** 0.5, 5.0 / n), entry["strategy"]
+        assert mc["e_inf_norm"] >= entry["mean_impact_lower_bound"] - 5.0 * mc["e_inf_norm_se"], entry["strategy"]
+        assert mc["kl_consistent"] is True, entry["strategy"]
+
+
 def test_mc_mean_bound_reads_the_simulated_row(tmp_path):
     """The mean bound is checked on the row whose maximizer is simulated.
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stealthimpact import attacks, distrib, mcvalidate, numcore
-from stealthimpact.sysmodel import DimensionMismatch
+from stealthimpact.sysmodel import DimensionMismatch, assemble_extended
 from oracles import nominal_long_run, reference_simulate, stacked_covariances
 
 
@@ -81,7 +81,7 @@ def _check_against_reference(system, scenario, kind, critical, samples=2_000):
 @pytest.mark.parametrize("critical", ["none", "plant", "extended"])
 @pytest.mark.parametrize("kind", ["fdi", "dos", "bias_injection", "replay"])
 def test_simulate_matches_sample_major_reference(system, scenario, kind, critical):
-    """The feature-major loop keeps the block streams and the statistics."""
+    """The sampler keeps the block streams, the square root of the loop's law and the statistics."""
     _check_against_reference(system, scenario, kind, critical)
 
 
@@ -98,6 +98,33 @@ def test_simulate_merges_blocks_like_one_pass(system, scenario, monkeypatch, kin
     """Blocks of 7: two full blocks, or a last block of one sample, whose cross-product is zero."""
     monkeypatch.setattr(mcvalidate, "_BLOCK", 7)
     _check_against_reference(system, scenario, kind, "extended", samples)
+
+
+@pytest.mark.parametrize("critical", ["plant", "extended"])
+@pytest.mark.parametrize("kind", ["fdi", "dos", "bias_injection", "replay"])
+def test_affine_map_is_the_stacked_law(system, scenario, kind, critical):
+    """The literal loop's rows xi M + mu have the stacked law exactly.
+
+    mu is [T_Z d; T_R d] of distrib.stack_dynamics, and M'M, the covariance
+    of xi M for standard-normal xi, has the z and r blocks of
+    stacked_covariances. The sampler draws eta R + mu with R'R = M'M, so
+    this pins what the statistical checks can only bound.
+    """
+    N = 6
+    atk = _attack(system, kind, N)
+    layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
+    d = 0.2 * np.random.default_rng(8).normal(size=layout.dim_d)
+    q_z = {"plant": _plant_state(system), "extended": scenario.q_z}[critical]
+    m_map, mu = mcvalidate._affine_map(system, atk, d, q_z, N)
+    ext = assemble_extended(system.plant, system.controller, system.estimator, [atk])[0]
+    t_z, t_r = distrib.stack_dynamics(ext, atk, system, q_z, N)
+    n_z = len(t_z)
+    sigma_z, sigma_r = stacked_covariances(system, atk, q_z, N)
+    cov = m_map.T @ m_map
+    for got, want in ((mu, np.concatenate([t_z @ d, t_r @ d])), (cov[:n_z, :n_z], sigma_z),
+                      (cov[n_z:, n_z:], sigma_r)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_simulate_memory_does_not_grow_with_samples(system, scenario, monkeypatch):
@@ -248,16 +275,17 @@ _CALLER = "simulate-caller"  # the thread _run_bounded runs simulate on
 
 
 class _WatchedRng:
-    """Generator stand-in that keeps a copy of each draw and can fail at one call."""
+    """Generator stand-in that keeps a copy of each draw, and fails at its thread's fail_at-th draw."""
 
-    def __init__(self, rng, watch, fail_at=None, wait=False):
-        self.rng, self.watch, self.fail_at, self.wait, self.draws = rng, watch, fail_at, wait, []
+    def __init__(self, rng, watch, who, fail_at=None, wait=False):
+        self.rng, self.watch, self.who, self.fail_at, self.wait, self.draws = rng, watch, who, fail_at, wait, []
 
     def standard_normal(self, *, out):
         if self.wait:  # hold this block until the other thread's block has failed
             assert self.watch.failed.wait(30), "the other thread's block did not fail"
             self.wait = False
-        if len(self.draws) + 1 == self.fail_at:
+        self.watch.drawn[self.who] += 1
+        if self.watch.drawn[self.who] == self.fail_at:
             self.watch.failed.set()
             raise RuntimeError("draw failed")
         self.rng.standard_normal(out=out)
@@ -268,14 +296,15 @@ class _BlockWatch:
     """Stand-in for mcvalidate._block_rng that notes which thread takes which block.
 
     The caller and the helper meet at their first block, so each runs at least
-    one. With fail_on set to "caller" or "helper", that thread's first block
-    raises at its fail_at-th draw, and the other thread's first block waits
-    for the failure before it draws.
+    one. With fail_on set to "caller" or "helper", that thread's fail_at-th
+    draw raises (a block draws once, so its fail_at-th block fails), and the
+    other thread's first block waits for the failure before it draws.
     """
 
     def __init__(self, fail_on=None, fail_at=None):
         self.real, self.fail_on, self.fail_at = mcvalidate._block_rng, fail_on, fail_at
         self.taken, self.rngs = [], {}  # (thread, block, active threads) per block taken
+        self.drawn = {"caller": 0, "helper": 0}  # draws per thread, over its blocks
         self.met, self.failed = threading.Barrier(2, timeout=30), threading.Event()
 
     def __call__(self, seed, j):
@@ -284,9 +313,9 @@ class _BlockWatch:
         self.taken.append((who, j, threading.active_count()))
         if first:
             self.met.wait()
-        fail_at = self.fail_at if first and who == self.fail_on else None
+        fail_at = self.fail_at if who == self.fail_on else None
         wait = first and self.fail_on not in (None, who)
-        self.rngs[j] = _WatchedRng(self.real(seed, j), self, fail_at, wait)
+        self.rngs[j] = _WatchedRng(self.real(seed, j), self, who, fail_at, wait)
         return self.rngs[j]
 
     def threads(self):
@@ -322,7 +351,11 @@ def _run_bounded(fn, timeout=60.0):
 
 @pytest.mark.parametrize("kind", ["fdi", "replay"])
 def test_simulate_consumes_the_documented_draw_order(system, scenario, monkeypatch, kind):
-    """Block j's draws are the sequential draws of SFC64 on child j of SeedSequence(seed), in the documented shapes."""
+    """Block j of m samples draws one (m, k) array from SFC64 on child j of SeedSequence(seed).
+
+    k = min(n_xi, n_out): the loop's whitened inputs, an initial state and
+    per step a w and, except at step N, a v, against its stacked z and r rows.
+    """
     N, n_s, seed = 3, 257, 5
     atk = _attack(system, kind, N)
     assert (atk.start_step < 0) == (kind == "replay")
@@ -334,15 +367,15 @@ def test_simulate_consumes_the_documented_draw_order(system, scenario, monkeypat
 
     n_x, n_y = system.plant.n_x, system.plant.n_y
     steps = N + 1 - atk.start_step
+    n_xi = 2 * n_x + steps * n_y + (steps - 1) * n_x
+    n_out = N * scenario.q_z.shape[0] + (N + 1) * n_y
     assert sorted(watch.rngs) == [0, 1, 2]
     children = np.random.SeedSequence(seed).spawn(3)
     for j, m in enumerate([100, 100, 57]):
         rng = np.random.Generator(np.random.SFC64(children[j]))
-        shapes = [(m, 2 * n_x)] + [(m, n_y), (m, n_x)] * (steps - 1) + [(m, n_y)]
-        draws = watch.rngs[j].draws
-        assert [a.shape for a in draws] == shapes, j
-        for i, (a, shape) in enumerate(zip(draws, shapes)):
-            assert np.array_equal(a, rng.standard_normal(shape)), (j, i)
+        (draw,) = watch.rngs[j].draws
+        assert draw.shape == (m, min(n_xi, n_out)), j
+        assert np.array_equal(draw, rng.standard_normal(draw.shape)), j
     want = reference_simulate(system, atk, d, cfg, q_z=scenario.q_z)
     np.testing.assert_allclose(got.r_cov, want.r_cov, rtol=1e-9, atol=1e-12)
 
@@ -371,23 +404,24 @@ def test_simulate_joins_the_helper_when_the_loop_raises(system, monkeypatch):
             system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6), _plant_state(system)
         ))
     assert threading.active_count() == before
-    assert watch.threads() == ["caller", "helper"]  # one block each of 7
+    assert watch.threads() == ["caller"] * 4 + ["helper"]  # of 7 blocks; the caller's fourth failed
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 13])
 def test_simulate_raises_the_helpers_exception(system, monkeypatch, fail_at):
-    """A block that fails on the helper, at its initial, first and last process-noise draw, reaches the caller."""
-    atk, layout = _fdi_setup(system, N=6)  # a block draws its initial state, 7 w and 6 v blocks
+    """A block that fails on the helper, its first, second or thirteenth, reaches the caller."""
+    atk, layout = _fdi_setup(system, N=6)
     before = threading.active_count()
-    watch = _watch_blocks(monkeypatch, 16, fail_on="helper", fail_at=fail_at)
+    watch = _watch_blocks(monkeypatch, 4, fail_on="helper", fail_at=fail_at)  # 25 blocks, one draw each
     with pytest.raises(RuntimeError, match="draw failed"):
         _run_bounded(lambda: mcvalidate.simulate(
             system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6), _plant_state(system)
         ))
     assert threading.active_count() == before
-    assert watch.threads() == ["caller", "helper"]  # the caller took no block after the failure
-    (helper_block,) = [j for t, j, _ in watch.taken if t == "helper"]
-    assert len(watch.rngs[helper_block].draws) == fail_at - 1
+    # the caller's one block waited for the failure and took no block after it
+    assert watch.threads() == ["caller"] + ["helper"] * fail_at
+    helper_draws = [len(watch.rngs[j].draws) for t, j, _ in watch.taken if t == "helper"]
+    assert helper_draws == [1] * (fail_at - 1) + [0]
 
 
 class _IdleExecutor:

@@ -1,13 +1,14 @@
 """Monte Carlo oracle for the analytic machinery.
 
-Samples the literal closed loop (plant, estimator, feedback, attack
-channels, and for replay the record-then-substitute protocol) with fresh
-Gaussian noise, so empirical means, covariances, exceedance frequencies, and
-KL budgets can be compared against the stacked-map predictions. The loop,
-run once per call on the basis of its whitened noise, gives the affine map
-of its rows; the samples are drawn through the thin-QR square root of that
-map's covariance, in blocks on the calling thread and one helper, each block
-from its own SFC64 stream. The blocks' statistics are merged in block order,
+Runs the literal closed loop (plant, estimator, feedback, attack channels,
+and for replay the record-then-substitute protocol) on the basis of its
+whitened noise, which gives the affine map of its rows. Its residual rows'
+law is read from that map exactly, for the KL budget check. Its critical
+rows are sampled through the thin-QR square root of their covariance, so
+empirical means, covariances, exceedance frequencies and the mean peak
+magnitude can be compared against the stacked-map predictions. The samples
+are drawn in blocks on the calling thread and one helper, each block from
+its own SFC64 stream, and the blocks' statistics are merged in block order,
 so a seed fixes every value, whichever thread ran a block.
 """
 
@@ -30,6 +31,7 @@ class SimulationConfig:
     samples: int
     seed: int
     horizon: int
+    stream: int = 0  # calls at one seed on different streams draw independently
 
     def __post_init__(self) -> None:
         if self.samples < 2:  # the sample statistics use ddof=1
@@ -38,7 +40,7 @@ class SimulationConfig:
 
 @dataclass
 class EmpiricalSummary:
-    """Sample statistics of the critical and residual trajectories."""
+    """Sample statistics of the critical trajectories; r_mean and r_cov are the loop's exact residual law, not sampled."""
 
     z_mean: np.ndarray
     z_cov: np.ndarray
@@ -47,7 +49,6 @@ class EmpiricalSummary:
     exceed_se: np.ndarray
     r_mean: np.ndarray
     r_cov: np.ndarray
-    r_mean_se: np.ndarray
     e_inf_norm: float
     e_inf_norm_se: float
     samples: int
@@ -55,23 +56,22 @@ class EmpiricalSummary:
 
 @dataclass
 class KlCheckResult:
-    """Agreement between the analytic budget test and the empirical KL rate."""
+    """Agreement between the analytic budget test and the loop's exact KL rate."""
 
     quad_value: float
     radius: float
     analytic_ok: bool
-    empirical_rate: float
+    rate: float
     epsilon: float
-    slack: float
-    empirical_ok: bool
+    rate_ok: bool
     consistent: bool
 
 
 def min_samples(system: SystemModel, horizon: int) -> int:
-    """Fewest samples for which kl_verdict's residual covariance can be nonsingular.
+    """Fewest samples --mc-validate accepts, (N+1) n_y + 1.
 
-    The residual rows stack (N+1) n_y dimensions, and a sample covariance of
-    that dimension has full rank only from (N+1) n_y + 1 samples on.
+    A sampled residual covariance once needed that many to be nonsingular.
+    The residual law is exact now; the floor stays so that no exit code moves.
     """
     return (horizon + 1) * system.plant.n_y + 1
 
@@ -81,14 +81,14 @@ def min_samples(system: SystemModel, horizon: int) -> int:
 _BLOCK = 8192
 
 
-def _block_rng(seed: int, j: int) -> np.random.Generator:
-    """The generator of sample block j: SFC64 on child j of SeedSequence(seed)."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(j,))))
+def _block_rng(seed: int, stream: int, j: int) -> np.random.Generator:
+    """The generator of sample block j of a stream: SFC64 on SeedSequence(seed, spawn_key=(stream, j))."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream, j))))
 
 
 @dataclass(frozen=True)
 class _Moments:
-    """Count, column means and centred cross-product of sample-major samples."""
+    """Count, row means and centred cross-product of feature-major samples."""
 
     n: int
     mean: np.ndarray
@@ -96,10 +96,10 @@ class _Moments:
 
     @classmethod
     def of(cls, s: np.ndarray) -> "_Moments":
-        """The moments of s, shape (n, dim), which is centred in place."""
-        mean = s.mean(axis=0)
-        s -= mean
-        return cls(s.shape[0], mean, s.T @ s)
+        """The moments of s, shape (dim, n), which is centred in place."""
+        mean = s.mean(axis=1)
+        s -= mean[:, None]
+        return cls(s.shape[1], mean, s @ s.T)
 
     def merge(self, other: "_Moments") -> "_Moments":
         """The moments of both sample sets, by the pairwise update of Chan, Golub and LeVeque (1983)."""
@@ -122,32 +122,29 @@ class _BlockStats:
 
     @classmethod
     def of(cls, eta: np.ndarray, z: np.ndarray) -> "_BlockStats":
-        """One block's statistics, from its draws eta, centred in place, and its z, shape (n_z, m), made |z|."""
+        """One block's statistics, from its draws eta, shape (k_z, m), centred in place, and its z, shape (n_z, m), made |z|."""
         np.abs(z, out=z)
         inf_norm = z.max(axis=0, initial=0.0)  # zeros when z has no rows
-        return cls(np.count_nonzero(z > 1.0, axis=1), _Moments.of(eta), _Moments.of(inf_norm[:, None]))
+        return cls(np.count_nonzero(z > 1.0, axis=1), _Moments.of(eta), _Moments.of(inf_norm[None, :]))
 
     def merge(self, other: "_BlockStats") -> "_BlockStats":
         """The statistics of both sample sets."""
         return _BlockStats(self.exceed + other.exceed, self.eta.merge(other.eta),
                            self.inf_norm.merge(other.inf_norm))
 
-    def summary(self, root: np.ndarray, mu: np.ndarray) -> EmpiricalSummary:
-        """The sample means, covariances (ddof=1), frequencies and standard errors of the rows [z r] = eta root + mu."""
-        n, n_z = self.eta.n, self.exceed.shape[0]
+    def summary(self, root: np.ndarray, mu_z: np.ndarray, r_mean: np.ndarray, r_cov: np.ndarray) -> EmpiricalSummary:
+        """The sample mean, covariance (ddof=1), frequencies and standard errors of z = eta root + mu_z, and r's law."""
+        n = self.eta.n
         exceed = self.exceed / n
-        mean = self.eta.mean @ root + mu
-        cov = root.T @ self.eta.m2 @ root / (n - 1)
-        z_cov, r_cov = cov[:n_z, :n_z], cov[n_z:, n_z:]
+        z_cov = root.T @ self.eta.m2 @ root / (n - 1)
         return EmpiricalSummary(
-            z_mean=mean[:n_z],
+            z_mean=self.eta.mean @ root + mu_z,
             z_cov=z_cov,
             z_mean_se=np.sqrt(np.diag(z_cov) / n),
             exceed_freq=exceed,
             exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n),
-            r_mean=mean[n_z:],
+            r_mean=r_mean,
             r_cov=r_cov,
-            r_mean_se=np.sqrt(np.diag(r_cov) / n),
             e_inf_norm=float(self.inf_norm.mean[0]),
             e_inf_norm_se=math.sqrt(float(self.inf_norm.m2[0, 0]) / (n - 1)) / math.sqrt(n),
             samples=n,
@@ -218,23 +215,25 @@ def simulate(
     extended state (x, x_hat), 2 n_x columns, as in stack_dynamics.
 
     The rows are affine in the loop's n_xi standard-normal inputs xi, [z r] =
-    xi M + mu, and _affine_map runs the literal loop once per call for M and
-    once for mu. The samples are eta R + mu, where R = np.linalg.qr(M,
-    mode="r") has k = min(n_xi, len(mu)) rows and eta is standard normal in
-    k dimensions: xi Q is standard normal for M = QR, so this is the loop's
-    law exactly.
+    xi [M_z M_r] + [mu_z mu_r], and _affine_map runs the literal loop once
+    per call for M and once for mu. The residual rows' law is returned
+    exactly: mean mu_r, covariance M_r' M_r. Only z is sampled, as eta R +
+    mu_z, where R = np.linalg.qr(M_z, mode="r") has k_z = min(n_xi, len(mu_z))
+    rows and eta is standard normal in k_z dimensions: xi Q is standard
+    normal for M_z = QR, so this is the loop's law of z exactly.
 
     The draws are part of the contract: the samples are cut into blocks of
     _BLOCK (the last may be shorter), and block j of m samples draws one
-    (m, k) array eta from SFC64 seeded by child j of SeedSequence(seed),
-    that is SeedSequence(seed, spawn_key=(j,)). The caller and one helper
-    thread take blocks from a shared range iterator. Each thread samples a
-    block's z into its own buffers and reduces it to the block's statistics
-    (z's exceedance counts and norms, and eta's moments, which the summary
-    maps through R), merged in block order; so which thread ran a block
-    changes no value, and no array grows with cfg.samples. The helper is
-    joined before simulate returns or raises. An exception in a block on
-    either thread reaches the caller, and the other thread takes no new one.
+    (k_z, m) array eta from SFC64 seeded by SeedSequence(cfg.seed,
+    spawn_key=(cfg.stream, j)), so calls on different streams draw
+    independently at one seed. The caller and one helper thread take blocks
+    from a shared range iterator. Each thread samples a block's z into its
+    own buffers and reduces it to the block's statistics (z's exceedance
+    counts and norms, and eta's moments, which the summary maps through R),
+    merged in block order; so which thread ran a block changes no value, and
+    no array grows with cfg.samples. The helper is joined before simulate
+    returns or raises. An exception in a block on either thread reaches the
+    caller, and the other thread takes no new one.
     """
     # imported here: concurrent.futures pulls in logging, which no other path needs
     from concurrent.futures import ThreadPoolExecutor
@@ -243,9 +242,10 @@ def simulate(
     n_blocks = -(-n_s // _BLOCK)
     numcore.require_addressable((n_blocks,), f"{n_s} samples")
     m_map, mu = _affine_map(system, attack, d, q_z, N)
-    root = np.linalg.qr(m_map, mode="r")
     n_z = N * q_z.shape[0]
-    root_z, mu_z = root[:, :n_z].T.copy(), mu[:n_z, None]  # z = root_z eta' + mu_z, feature-major
+    m_z, m_r = m_map[:, :n_z], m_map[:, n_z:]
+    root = np.linalg.qr(m_z, mode="r")
+    k_z, root_z, mu_z = len(root), root.T.copy(), mu[:n_z, None]  # z = root_z eta + mu_z, feature-major
     pending = iter(range(n_blocks))  # one int of state, whatever n_blocks
     lock = threading.Lock()
     done: dict[int, _BlockStats] = {}  # blocks finished ahead of one still running
@@ -266,7 +266,7 @@ def simulate(
 
     # each thread's eta and z buffers, made before either thread runs, so the peak is the same whatever the timing
     rows = min(n_s, _BLOCK)
-    buffers = [(np.empty((rows, len(root))), np.empty(n_z * rows)) for _ in range(2)]
+    buffers = [(np.empty(k_z * rows), np.empty(n_z * rows)) for _ in range(2)]
 
     def run_blocks() -> None:
         nonlocal pending
@@ -274,9 +274,9 @@ def simulate(
         try:
             for j in iter(take, None):
                 m = min(n_s, (j + 1) * _BLOCK) - j * _BLOCK
-                eta, z = eta_buf[:m], z_buf[: n_z * m].reshape(n_z, m)
-                _block_rng(cfg.seed, j).standard_normal(out=eta)
-                np.matmul(root_z, eta.T, out=z)
+                eta, z = eta_buf[: k_z * m].reshape(k_z, m), z_buf[: n_z * m].reshape(n_z, m)
+                _block_rng(cfg.seed, cfg.stream, j).standard_normal(out=eta)
+                np.matmul(root_z, eta, out=z)
                 z += mu_z
                 finish(j, _BlockStats.of(eta, z))
         finally:  # after a failure the other thread takes no new block; after success none is left
@@ -287,45 +287,39 @@ def simulate(
         helper = pool.submit(run_blocks)
         run_blocks()
     helper.result()
-    return total.summary(root, mu)
+    return total.summary(root, mu[:n_z], mu[n_z:], m_r.T @ m_r)
 
 
 def kl_verdict(
     sim: EmpiricalSummary, t_r: np.ndarray, d: np.ndarray, radius: float, epsilon: float, N: int
 ) -> KlCheckResult:
-    """Compare the analytic budget verdict at d with the empirical KL rate.
+    """Compare the analytic budget verdict at d with the loop's exact KL rate.
 
     The analytic side evaluates the quadratic form |t_r d|^2 against the
-    stealthiness radius of the configuration's Gaussian summary. The empirical
-    side plugs the sample residual mean m and covariance S of sim into the
-    closed-form divergence from the nominal N(0, I),
+    stealthiness radius of the configuration's Gaussian summary. The loop's
+    side plugs sim's residual mean m and covariance S, the literal loop's
+    exact law, into the closed-form divergence from the nominal N(0, I),
     (tr S + m'm - n - ln det S) / 2, per step of the window [0, N], with tr S
     and ln det S from numcore.cholesky_audit, which applies to S's Cholesky
     pivots the definiteness rule every audit uses; an S that fails it raises
-    NotPositiveDefinite. Within the Monte Carlo slack band around epsilon,
-    the empirical verdict defers to the analytic one.
+    NotPositiveDefinite. Both sides pass at the analytic side's tolerance,
+    1e-9 max(1, |radius|) on the quadratic form, which is that over 2(N+1)
+    on the rate.
     """
     quad = float(np.square(t_r @ np.asarray(d, dtype=float)).sum())
-    analytic_ok = quad <= radius + 1e-9 * max(1.0, abs(radius))
-    dim_r = sim.r_mean.shape[0]
+    tol = 1e-9 * max(1.0, abs(radius))
+    analytic_ok = quad <= radius + tol
     pd, trace, logdet = numcore.cholesky_audit(sim.r_cov)
     if not pd:
-        raise numcore.NotPositiveDefinite("sample residual covariance not positive definite")
-    rate = 0.5 * (trace + float(sim.r_mean @ sim.r_mean) - dim_r - logdet) / (N + 1)
-    slack = 4.0 * math.sqrt(2.0 * dim_r / sim.samples) * (1.0 + quad) / (N + 1)
-    if rate > epsilon + slack:
-        empirical_ok = False
-    elif rate < epsilon - slack:
-        empirical_ok = True
-    else:
-        empirical_ok = analytic_ok
+        raise numcore.NotPositiveDefinite("the loop's residual covariance is not positive definite")
+    rate = 0.5 * (trace + float(sim.r_mean @ sim.r_mean) - sim.r_mean.shape[0] - logdet) / (N + 1)
+    rate_ok = rate <= epsilon + tol / (2 * (N + 1))
     return KlCheckResult(
         quad_value=quad,
         radius=radius,
         analytic_ok=analytic_ok,
-        empirical_rate=float(rate),
+        rate=float(rate),
         epsilon=epsilon,
-        slack=slack,
-        empirical_ok=empirical_ok,
-        consistent=empirical_ok == analytic_ok,
+        rate_ok=rate_ok,
+        consistent=rate_ok == analytic_ok,
     )

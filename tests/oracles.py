@@ -409,12 +409,14 @@ def reference_simulate(system, attack, d, cfg, q_z):
     """Sample-major Monte Carlo check that mcvalidate.simulate must reproduce.
 
     Its own loop (reference_loop) on the identity over the loop's whitened
-    inputs, inputs off, gives M, and on zero inputs, inputs on, gives mu;
-    its own thin QR of M gives R with k rows. Block j of m samples (blocks of
-    mcvalidate._BLOCK, as read at call time) draws one (m, k) array from
-    SFC64 on child j of SeedSequence(seed), and all the blocks' samples
-    eta R + mu are reduced together with np.cov and separate std passes, so
-    it is also the oracle of the simulator's block-by-block merge.
+    inputs, inputs off, gives M = [M_z M_r], and on zero inputs, inputs on,
+    gives mu = [mu_z mu_r]. The residual law is (mu_r, M_r' M_r), exactly.
+    Its own thin QR of M_z gives R with k_z rows. Block j of m samples
+    (blocks of mcvalidate._BLOCK, as read at call time) draws one (k_z, m)
+    array from SFC64 on child j of SeedSequence(seed, spawn_key=(stream,)),
+    and all the blocks' samples z = eta' R + mu_z are reduced together with
+    np.cov and separate std passes, so it is also the oracle of the
+    simulator's block-by-block merge.
     """
     from stealthimpact import mcvalidate
     from stealthimpact.mcvalidate import EmpiricalSummary
@@ -425,15 +427,15 @@ def reference_simulate(system, attack, d, cfg, q_z):
     n_xi = 2 * n_x + (N + 1 - attack.start_step) * n_y + (N - attack.start_step) * n_x
     m_map = reference_loop(system, attack, d, q_z, N, np.eye(n_xi), False)
     mu = reference_loop(system, attack, d, q_z, N, np.zeros((1, n_xi)), True)[0]
-    root = linalg.qr(m_map, mode="r", check_finite=False)[0][: min(m_map.shape)]
+    n_zr = N * q_z.shape[0]
+    m_z, m_r = m_map[:, :n_zr], m_map[:, n_zr:]
+    root = linalg.qr(m_z, mode="r", check_finite=False)[0][: min(m_z.shape)]
 
     widths = np.diff(np.append(np.arange(0, n_s, mcvalidate._BLOCK), n_s))
-    children = np.random.SeedSequence(cfg.seed).spawn(len(widths))
+    children = np.random.SeedSequence(cfg.seed, spawn_key=(cfg.stream,)).spawn(len(widths))
     rngs = [np.random.Generator(np.random.SFC64(child)) for child in children]
-    eta = np.vstack([rng.standard_normal((m, len(root))) for rng, m in zip(rngs, widths)])
-    rows = eta @ root + mu
-    n_zr = N * q_z.shape[0]
-    z, r = rows[:, :n_zr], rows[:, n_zr:]
+    eta = np.hstack([rng.standard_normal((len(root), m)) for rng, m in zip(rngs, widths)])
+    z = eta.T @ root + mu[:n_zr]
     exceed = (np.abs(z) > 1.0).mean(axis=0)
     if z.shape[1]:
         inf_norms = np.abs(z).max(axis=1)
@@ -446,9 +448,8 @@ def reference_simulate(system, attack, d, cfg, q_z):
         z_mean_se=z.std(axis=0, ddof=1) / np.sqrt(n_s),
         exceed_freq=exceed,
         exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n_s),
-        r_mean=r.mean(axis=0),
-        r_cov=np.atleast_2d(np.cov(r.T, ddof=1)),
-        r_mean_se=r.std(axis=0, ddof=1) / np.sqrt(n_s),
+        r_mean=mu[n_zr:],
+        r_cov=m_r.T @ m_r,
         e_inf_norm=e_inf,
         e_inf_norm_se=e_inf_se,
         samples=n_s,

@@ -383,8 +383,9 @@ def test_sweep_failure_is_the_first_in_epsilon_major_order(tmp_path, capsys):
     """Two configurations that fail at different epsilons: the sweep reports the first failure it reads.
 
     Of vulnerability_1/dos, configuration 1 misses its certificate from
-    epsilon = 1e14 on and configuration 0 from 1e17 (ROADMAP item 6). The
-    sweep 1e14,1e17 reads configuration 0 at 1e14 first, which evaluates its
+    epsilon = 1e14 on and configuration 0 from 1e17 (ROADMAP item
+    "Certificates at the edge of double precision"). The sweep 1e14,1e17
+    reads configuration 0 at 1e14 first, which evaluates its
     batch, failure at 1e17 included; that failure waits for its own read, so
     the run exits 3 with configuration 1's message at 1e14, as a run at 1e14
     alone does, and not with the one a run at 1e17 alone prints.
@@ -496,9 +497,10 @@ def test_large_budgets_certified(tmp_path):
     assert len(json.loads(out.read_text())["entries"]) == 30
 
 
-# ROADMAP item 6: the DoS-type pairs cannot certify a box-limited optimum at
-# epsilon = 1e20, where the rounding of the multipliers is weighed by
-# sqrt(radius) ~ 1e10 in the duality gap
+# ROADMAP item "Certificates at the edge of double precision": the DoS-type
+# pairs cannot certify a box-limited optimum at epsilon = 1e20, where the
+# rounding of the multipliers is weighed by sqrt(radius) ~ 1e10 in the
+# duality gap
 LARGE_BUDGET_FAILURES = {
     ("vulnerability_1", "dos"),
     ("vulnerability_1", "rerouting"),
@@ -513,7 +515,8 @@ def _bundled_pairs():
     for vulnerability in doc["vulnerabilities"]:
         for strategy in doc["strategies"]:
             failing = (vulnerability, strategy) in LARGE_BUDGET_FAILURES
-            reason = "ROADMAP item 6: duality gap above 1e-9 at epsilon = 1e20"
+            reason = ('ROADMAP item "Certificates at the edge of double precision": '
+                      "duality gap above 1e-9 at epsilon = 1e20")
             marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)] if failing else []
             yield pytest.param(vulnerability, strategy, marks=marks, id=f"{vulnerability}-{strategy}")
 
@@ -692,16 +695,40 @@ def test_mc_blocks_meet_the_five_sigma_gate(tmp_path, seed):
     |p_analytic - p_empirical| <= max(5 sqrt(p_e (1 - p_e) / n), 5 / n),
     E||z||_inf >= mean_impact_lower_bound - 5 se, and a consistent KL verdict.
     """
-    code, out = _run(tmp_path, "--mc-validate", "--seed", str(seed))
-    assert code == cli.EXIT_OK
-    entries = [e for e in json.loads(out.read_text())["entries"] if "mc" in e]
-    assert len(entries) == 6
-    for entry in entries:
+    for entry in _bundled_mc_entries(tmp_path, seed):
         mc = entry["mc"]
         n, p_a, p_e = mc["samples"], mc["exceed_analytic"], mc["exceed_empirical"]
         assert abs(p_a - p_e) <= max(5.0 * (p_e * (1.0 - p_e) / n) ** 0.5, 5.0 / n), entry["strategy"]
         assert mc["e_inf_norm"] >= entry["mean_impact_lower_bound"] - 5.0 * mc["e_inf_norm_se"], entry["strategy"]
         assert mc["kl_consistent"] is True, entry["strategy"]
+
+
+def _bundled_mc_entries(tmp_path, seed):
+    """The six entries of the bundled run with --mc-validate --seed seed that carry an mc block."""
+    code, out = _run(tmp_path, "--mc-validate", "--seed", str(seed))
+    assert code == cli.EXIT_OK
+    entries = [e for e in json.loads(out.read_text())["entries"] if "mc" in e]
+    assert len(entries) == 6
+    return entries
+
+
+def test_mc_entries_sample_their_own_streams(tmp_path):
+    """Each entry draws from its own stream at one seed, so the six blocks' z-mean deviations all differ."""
+    deviations = {e["mc"]["z_mean_max_dev_se"] for e in _bundled_mc_entries(tmp_path, 0)}
+    assert len(deviations) == 6
+
+
+def test_mc_kl_rate_is_the_loops_exact_rate(tmp_path):
+    """The KL check reads the literal loop's exact rate: epsilon = 0.3 where the budget binds.
+
+    vulnerability_1/replay_dos is limited by the reference box, not by the
+    budget, so its rate stays below epsilon.
+    """
+    for entry in _bundled_mc_entries(tmp_path, 0):
+        mc, pair = entry["mc"], (entry["vulnerability"], entry["strategy"])
+        binds = pair != ("vulnerability_1", "replay_dos")
+        assert mc["kl_rate"] == pytest.approx(0.3 if binds else 0.206509219681, abs=1e-9), pair
+        assert mc["kl_consistent"] is True, pair
 
 
 def test_mc_mean_bound_reads_the_simulated_row(tmp_path):
@@ -733,7 +760,7 @@ def _no_solve(*args, **kwargs):
     [(1, [], 34), (2, [], 34), (33, [], 34), (34, ["--sweep", "N", "--values", "2,11,10"], 37)],
 )
 def test_mc_validate_sample_minimum(tmp_path, capsys, monkeypatch, samples, extra, needed):
-    """Fewer samples than (N_max+1)*n_y + 1 make the residual covariance singular: exit 2 up front."""
+    """Fewer samples than (N_max+1)*n_y + 1 exit 2 up front, before any solve."""
     doc = json.loads(bundled_scenario_path().read_text())
     doc["mc"]["samples"] = samples
     path = _write_scenario(tmp_path, doc)

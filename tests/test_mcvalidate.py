@@ -45,12 +45,11 @@ def test_simulate_reproducible(system, scenario):
     one = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
     two = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
     assert np.array_equal(one.z_mean, two.z_mean)
-    assert np.array_equal(one.r_cov, two.r_cov)
+    assert np.array_equal(one.z_cov, two.z_cov)
     assert one.e_inf_norm == two.e_inf_norm
-    three = mcvalidate.simulate(
-        system, atk, d, mcvalidate.SimulationConfig(samples=500, seed=43, horizon=4), q_z=scenario.q_z
-    )
-    assert not np.array_equal(one.z_mean, three.z_mean)
+    for other in (dataclasses.replace(cfg, seed=43), dataclasses.replace(cfg, stream=1)):
+        three = mcvalidate.simulate(system, atk, d, other, q_z=scenario.q_z)
+        assert not np.array_equal(one.z_mean, three.z_mean)
 
 
 def _attack(system, kind, N):
@@ -130,9 +129,9 @@ def test_affine_map_is_the_stacked_law(system, scenario, kind, critical):
 def test_simulate_memory_does_not_grow_with_samples(system, scenario, monkeypatch):
     """Each block is reduced to its statistics on its thread, so 16 blocks peak where 4 do.
 
-    The peaks differ by less than one block's z, |z| and r buffers; a
-    simulator that kept z and r for every sample would differ by 12 blocks'
-    z and r.
+    The peaks differ by less than one block's eta and z buffers, k_z <= n_z
+    and n_z rows; a simulator that kept eta or z for every sample would
+    differ by 12 blocks' of them.
     """
     N = 4
     atk, layout = _fdi_setup(system, N)
@@ -148,8 +147,14 @@ def test_simulate_memory_does_not_grow_with_samples(system, scenario, monkeypatc
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    rows = 2 * N * scenario.q_z.shape[0] + (N + 1) * system.plant.n_y
+    rows = 2 * N * scenario.q_z.shape[0]
     assert abs(peaks[1] - peaks[0]) < 8 * rows * mcvalidate._BLOCK
+
+
+def _assert_exact(got, want):
+    """got equals want to 1e-12 of want's scale, as the loop's affine map equals the stacked law."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_simulate_matches_analytic_fdi(system, scenario):
@@ -161,10 +166,10 @@ def test_simulate_matches_analytic_fdi(system, scenario):
     cfg = mcvalidate.SimulationConfig(samples=30_000, seed=3, horizon=N)
     sim = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
     mu_z = summary.t_z @ d
-    mu_r = summary.t_r @ d
     assert np.all(np.abs(sim.z_mean - mu_z) <= 4.0 * sim.z_mean_se)
-    assert np.all(np.abs(sim.r_mean - mu_r) <= 4.0 * sim.r_mean_se)
-    sigma_z, _ = stacked_covariances(system, atk, scenario.q_z, N)
+    sigma_z, sigma_r = stacked_covariances(system, atk, scenario.q_z, N)
+    _assert_exact(sim.r_mean, summary.t_r @ d)
+    _assert_exact(sim.r_cov, sigma_r)
     assert np.max(np.abs(sim.z_cov - sigma_z)) < 0.02
     # exceedance frequencies against the Gaussian law, binomial error bars
     p = numcore.gaussian_exceed(mu_z, summary.sigma)
@@ -184,8 +189,9 @@ def test_simulate_matches_analytic_replay(system, scenario):
     sim = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
     assert sim.z_mean.shape[0] == summary.t_z.shape[0]
     assert np.all(np.abs(sim.z_mean - summary.t_z @ d) <= 4.0 * sim.z_mean_se)
-    assert np.all(np.abs(sim.r_mean - summary.t_r @ d) <= 4.0 * sim.r_mean_se)
-    sigma_z, _ = stacked_covariances(system, atk, scenario.q_z, N)
+    sigma_z, sigma_r = stacked_covariances(system, atk, scenario.q_z, N)
+    _assert_exact(sim.r_mean, summary.t_r @ d)
+    _assert_exact(sim.r_cov, sigma_r)
     assert np.max(np.abs(sim.z_cov - sigma_z)) < 0.02
 
 
@@ -197,8 +203,11 @@ def test_nominal_residuals_white(system, scenario):
     d = np.array([0.5, 0.5, 0.5])  # reference only
     cfg = mcvalidate.SimulationConfig(samples=30_000, seed=11, horizon=N)
     sim = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
-    assert np.all(np.abs(sim.r_mean) <= 4.0 * sim.r_mean_se)
-    assert np.max(np.abs(sim.r_cov - np.eye(sim.r_mean.shape[0]))) < 0.05
+    n_r = (N + 1) * system.plant.n_y
+    _assert_exact(sim.r_mean, np.zeros(n_r))
+    _assert_exact(sim.r_cov, stacked_covariances(system, atk, scenario.q_z, N)[1])
+    # the filter is stationary to solve_dare's residual gate, 1e-9
+    assert np.max(np.abs(sim.r_cov - np.eye(n_r))) < 1e-9
 
 
 def _kl_check(system, atk, d, summary, cfg, epsilon=0.3):
@@ -214,7 +223,7 @@ def test_kl_check_feasible_point(system):
     summary = distrib.gaussian_summary(system, atk, layout, _plant_state(system), N, 0.3)
     check = _kl_check(system, atk, np.zeros(layout.dim_d), summary, cfg)
     assert check.analytic_ok
-    assert check.empirical_ok
+    assert check.rate_ok
     assert check.consistent
     assert bool(check)
     assert check.quad_value == pytest.approx(0.0, abs=1e-12)
@@ -232,7 +241,8 @@ def _scaled_injection(system, atk, layout, N, target_quad):
     return d * np.sqrt(target_quad / quad0), ext_summary
 
 
-def test_kl_check_boundary_defers_to_analytic(system):
+def test_kl_check_boundary_point_is_consistent(system):
+    """On the budget boundary the loop's exact rate is epsilon, within the analytic side's tolerance."""
     N = 4
     atk, layout = _fdi_setup(system, N)
     cfg = mcvalidate.SimulationConfig(samples=20_000, seed=4, horizon=N)
@@ -242,6 +252,8 @@ def test_kl_check_boundary_defers_to_analytic(system):
     check = _kl_check(system, atk, d, summary, cfg)
     assert check.quad_value == pytest.approx(check.radius, rel=1e-9)
     assert check.analytic_ok
+    assert check.rate == pytest.approx(check.epsilon, abs=1e-9)
+    assert check.rate_ok
     assert check.consistent
 
 
@@ -253,9 +265,9 @@ def test_kl_check_rejects_oversized_injection(system):
     d = d * np.sqrt(3.0 * summary.eps_prime)
     check = _kl_check(system, atk, d, summary, cfg)
     assert not check.analytic_ok
-    assert not check.empirical_ok
+    assert not check.rate_ok
     assert check.consistent
-    assert check.empirical_rate > check.epsilon
+    assert check.rate > check.epsilon
 
 
 def test_nominal_long_run_matches_stationary_law(system):
@@ -307,7 +319,7 @@ class _BlockWatch:
         self.drawn = {"caller": 0, "helper": 0}  # draws per thread, over its blocks
         self.met, self.failed = threading.Barrier(2, timeout=30), threading.Event()
 
-    def __call__(self, seed, j):
+    def __call__(self, seed, stream, j):
         who = "caller" if threading.current_thread().name == _CALLER else "helper"
         first = who not in {t for t, _, _ in self.taken}
         self.taken.append((who, j, threading.active_count()))
@@ -315,7 +327,7 @@ class _BlockWatch:
             self.met.wait()
         fail_at = self.fail_at if who == self.fail_on else None
         wait = first and self.fail_on not in (None, who)
-        self.rngs[j] = _WatchedRng(self.real(seed, j), self, who, fail_at, wait)
+        self.rngs[j] = _WatchedRng(self.real(seed, stream, j), self, who, fail_at, wait)
         return self.rngs[j]
 
     def threads(self):
@@ -351,33 +363,32 @@ def _run_bounded(fn, timeout=60.0):
 
 @pytest.mark.parametrize("kind", ["fdi", "replay"])
 def test_simulate_consumes_the_documented_draw_order(system, scenario, monkeypatch, kind):
-    """Block j of m samples draws one (m, k) array from SFC64 on child j of SeedSequence(seed).
+    """Block j of m samples draws one (k_z, m) array from SFC64 on SeedSequence(seed, spawn_key=(stream, j)).
 
-    k = min(n_xi, n_out): the loop's whitened inputs, an initial state and
-    per step a w and, except at step N, a v, against its stacked z and r rows.
+    k_z = min(n_xi, n_z): the loop's whitened inputs, an initial state and
+    per step a w and, except at step N, a v, against its stacked z rows.
     """
-    N, n_s, seed = 3, 257, 5
+    N, n_s, seed, stream = 3, 257, 5, 2
     atk = _attack(system, kind, N)
     assert (atk.start_step < 0) == (kind == "replay")
     layout = attacks.decision_layout(atk, N, system.controller.Q_yr)
     d = 0.2 * np.random.default_rng(2).normal(size=layout.dim_d)
-    cfg = mcvalidate.SimulationConfig(n_s, seed, N)
+    cfg = mcvalidate.SimulationConfig(n_s, seed, N, stream)
     watch = _watch_blocks(monkeypatch, 100)  # blocks of 100, 100 and 57 samples
     got = _run_bounded(lambda: mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z))
 
     n_x, n_y = system.plant.n_x, system.plant.n_y
     steps = N + 1 - atk.start_step
     n_xi = 2 * n_x + steps * n_y + (steps - 1) * n_x
-    n_out = N * scenario.q_z.shape[0] + (N + 1) * n_y
+    n_z = N * scenario.q_z.shape[0]
     assert sorted(watch.rngs) == [0, 1, 2]
-    children = np.random.SeedSequence(seed).spawn(3)
     for j, m in enumerate([100, 100, 57]):
-        rng = np.random.Generator(np.random.SFC64(children[j]))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream, j))))
         (draw,) = watch.rngs[j].draws
-        assert draw.shape == (m, min(n_xi, n_out)), j
+        assert draw.shape == (min(n_xi, n_z), m), j
         assert np.array_equal(draw, rng.standard_normal(draw.shape)), j
     want = reference_simulate(system, atk, d, cfg, q_z=scenario.q_z)
-    np.testing.assert_allclose(got.r_cov, want.r_cov, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(got.z_cov, want.z_cov, rtol=1e-9, atol=1e-12)
 
 
 def test_simulate_joins_its_one_helper_thread(system, monkeypatch):

@@ -544,8 +544,8 @@ def _bundled_curve(scenario, vulnerability, kind, N=None):
 @pytest.mark.parametrize(
     "vulnerability, kind, failing",
     [
-        # past the certified range (ROADMAP item 6): a certificate miss at
-        # 1e200 and an overflow at 1e308
+        # past the certified range (ROADMAP item "Certificates at the edge of
+        # double precision"): a certificate miss at 1e200 and an overflow at 1e308
         ("vulnerability_2", "replay_dos", {1e200: "optimality certificate not met",
                                            1e308: "overflow encountered"}),
         ("vulnerability_2", "fdi", {1e200: "no sign pattern produced a feasible candidate"}),
@@ -599,7 +599,8 @@ def _outcome(curve, radius):
     """A solve's result as plain values, or the message it failed (or overflowed) with.
 
     At r = 1e30 the rounding of a box-limited optimum exceeds CERT_TOL on
-    some of these programs (ROADMAP item 6).
+    some of these programs (ROADMAP item "Certificates at the edge of double
+    precision").
     """
     try:
         return _plain(curve.solve(radius))

@@ -193,9 +193,12 @@ def _mc_block(
 ) -> Optional[dict]:
     """Simulation cross-check at the entry's worst decision vector and law.
 
-    The mean bound is checked on the simulated row i: at d = d_star[i],
-    E||z||_inf >= |mu_i(d)| = report.mu[i]. mean_lower may be another row's
-    optimum, reached at another decision vector. The Monte Carlo stream is
+    The literal loop's exact law of z is consistent with the analytic one
+    when its mean is T_Z d within CERT_TOL max(1, ||T_Z d||_inf) and its
+    standard deviations are sigma within CERT_TOL sigma, row by row. The mean
+    bound is checked on the simulated row i: at d = d_star[i], E||z||_inf >=
+    |mu_i(d)| = report.mu[i]. mean_lower may be another row's optimum,
+    reached at another decision vector. The Monte Carlo stream is
     the pair's position among the scenario's pairs, vulnerability-major, so
     the pairs of a run draw apart, and an entry's block does not depend on
     which other pairs or sweep values the run has.
@@ -211,8 +214,10 @@ def _mc_block(
     sim = simulate(scenario.system, entry.candidate.attack, d, cfg, q_z=scenario.q_z)
 
     analytic_mean = summary.t_z @ d
-    dev_se = np.max(
-        np.abs(analytic_mean - sim.z_mean) / np.maximum(sim.z_mean_se, 1e-300)
+    mean_tol = CERT_TOL * max(1.0, np.max(np.abs(analytic_mean), initial=0.0))
+    sigma_loop = np.sqrt(np.diag(sim.z_cov))  # the column norms of the loop's square root R
+    z_law_ok = np.all(np.abs(sim.z_mean - analytic_mean) <= mean_tol) and np.all(
+        np.abs(sigma_loop - summary.sigma) <= CERT_TOL * summary.sigma
     )
     p_analytic = report.p_exceed[i]
     p_emp = sim.exceed_freq[i]
@@ -220,7 +225,7 @@ def _mc_block(
     kl = kl_verdict(sim, summary.t_r, d, summary.eps_prime, entry.epsilon, entry.horizon)
     return {
         "samples": sim.samples,
-        "z_mean_max_dev_se": _round12(float(dev_se)),
+        "z_law_consistent": bool(z_law_ok),
         "exceed_analytic": _round12(float(p_analytic)),
         "exceed_empirical": _round12(float(p_emp)),
         "exceed_within_band": bool(abs(p_analytic - p_emp) <= band),
@@ -299,61 +304,7 @@ def _emit_json(
     if sweep is not None:
         doc["sweep"] = sweep
     doc["entries"] = [_entry_dict(e, timings) for e in entries]
-    return _indented(doc) + "\n"
-
-
-# CPython's C encoder runs only without indent. No encoded scalar holds a raw
-# newline, so with a newline item separator the encoding of a flat list
-# splits into its items exactly.
-_LEAVES = json.JSONEncoder(separators=("\n", ": "))
-_CONTAINERS = (dict, list, tuple)
-
-
-def _indented(doc) -> str:
-    """json.dumps(doc, indent=2), byte for byte, with every scalar and key encoded in one C call.
-
-    _lay_out walks the containers and records the literal layout text before
-    each leaf; the leaves are encoded together and interleaved with it.
-    """
-    texts: list[str] = []
-    leaves: list = []
-    tail = _lay_out(doc, "", "", texts, leaves)
-    pieces = texts + texts  # texts and encoded leaves, interleaved
-    pieces[::2] = texts
-    pieces[1::2] = _LEAVES.encode(leaves)[1:-1].split("\n") if leaves else []
-    return "".join(pieces) + tail
-
-
-def _lay_out(obj, pad: str, before: str, texts: list, leaves: list) -> str:
-    """Record obj's layout at indent pad after the literal before; return the literal after its last leaf."""
-    if not isinstance(obj, _CONTAINERS):
-        texts.append(before)
-        leaves.append(obj)
-        return ""
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    if not obj:
-        return before + brackets
-    inner = pad + "  "
-    sep = brackets[0] + "\n" + inner
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(key, str):
-                texts.append(before + sep)
-                leaves.append(key)
-                before = ": "
-            else:  # json's own key conversion: 1 -> "1", None -> "null"
-                before += sep + _LEAVES.encode({key: None})[1 : -len(": null}")] + ": "
-            before = _lay_out(value, inner, before, texts, leaves)
-            sep = ",\n" + inner
-    elif any(isinstance(value, _CONTAINERS) for value in obj):
-        for value in obj:
-            before = _lay_out(value, inner, before + sep, texts, leaves)
-            sep = ",\n" + inner
-    else:  # a flat list, such as a decision vector: all its leaves at once
-        texts += [before + sep] + [",\n" + inner] * (len(obj) - 1)
-        leaves += obj
-        before = ""
-    return before + "\n" + pad + brackets[1]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 _CSV_COLUMNS = [

@@ -2,14 +2,15 @@
 
 Runs the literal closed loop (plant, estimator, feedback, attack channels,
 and for replay the record-then-substitute protocol) on the basis of its
-whitened noise, which gives the affine map of its rows. Its residual rows'
-law is read from that map exactly, for the KL budget check. Its critical
-rows are sampled through the thin-QR square root of their covariance, so
-empirical means, covariances, exceedance frequencies and the mean peak
-magnitude can be compared against the stacked-map predictions. The samples
-are drawn in blocks on the calling thread and one helper, each block from
-its own SFC64 stream, and the blocks' statistics are merged in block order,
-so a seed fixes every value, whichever thread ran a block.
+whitened noise, which gives the affine map of its rows, hence the exact
+Gaussian law of its critical and residual rows. The residual law feeds the
+KL budget check; the critical law's mean and covariance can be compared
+against the stacked-map predictions exactly. Only what has no closed form
+is sampled: the critical rows are drawn through the thin-QR square root of
+their covariance for their exceedance frequencies and mean peak magnitude.
+The samples are drawn in blocks on the calling thread and one helper, each
+block from its own SFC64 stream, and the blocks' statistics are merged in
+block order, so a seed fixes every value, whichever thread ran a block.
 """
 
 from __future__ import annotations
@@ -40,17 +41,16 @@ class SimulationConfig:
 
 @dataclass
 class EmpiricalSummary:
-    """Sample statistics of the critical trajectories; r_mean and r_cov are the loop's exact residual law, not sampled."""
+    """The literal loop's exact law of z and r, and the statistics of its sampled critical rows."""
 
-    z_mean: np.ndarray
-    z_cov: np.ndarray
-    z_mean_se: np.ndarray
-    exceed_freq: np.ndarray
-    exceed_se: np.ndarray
-    r_mean: np.ndarray
-    r_cov: np.ndarray
-    e_inf_norm: float
-    e_inf_norm_se: float
+    z_mean: np.ndarray  # exact: mu_z
+    z_cov: np.ndarray  # exact: R'R = M_z'M_z
+    r_mean: np.ndarray  # exact: mu_r
+    r_cov: np.ndarray  # exact: M_r'M_r
+    exceed_freq: np.ndarray  # sampled: the frequency of |z_i| > 1, per critical row
+    exceed_se: np.ndarray  # sampled: its binomial standard error
+    e_inf_norm: float  # sampled: the mean of ||z||_inf
+    e_inf_norm_se: float  # sampled: its standard error
     samples: int
 
 
@@ -87,66 +87,45 @@ def _block_rng(seed: int, stream: int, j: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class _Moments:
-    """Count, row means and centred cross-product of feature-major samples."""
-
-    n: int
-    mean: np.ndarray
-    m2: np.ndarray
-
-    @classmethod
-    def of(cls, s: np.ndarray) -> "_Moments":
-        """The moments of s, shape (dim, n), which is centred in place."""
-        mean = s.mean(axis=1)
-        s -= mean[:, None]
-        return cls(s.shape[1], mean, s @ s.T)
-
-    def merge(self, other: "_Moments") -> "_Moments":
-        """The moments of both sample sets, by the pairwise update of Chan, Golub and LeVeque (1983)."""
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        return _Moments(
-            n,
-            self.mean + delta * (other.n / n),
-            self.m2 + other.m2 + np.outer(delta, delta) * (self.n * other.n / n),
-        )
-
-
-@dataclass(frozen=True)
 class _BlockStats:
-    """Exceedance counts per critical row, and the moments of the draws eta and of the per-sample ‖z‖∞."""
+    """Exceedance counts per critical row, and the count, mean and centred sum of squares of the per-sample ‖z‖∞."""
 
     exceed: np.ndarray
-    eta: _Moments
-    inf_norm: _Moments
+    n: int
+    mean: float
+    m2: float
 
     @classmethod
-    def of(cls, eta: np.ndarray, z: np.ndarray) -> "_BlockStats":
-        """One block's statistics, from its draws eta, shape (k_z, m), centred in place, and its z, shape (n_z, m), made |z|."""
+    def of(cls, z: np.ndarray) -> "_BlockStats":
+        """One block's statistics, from its z, shape (n_z, m), made |z|."""
         np.abs(z, out=z)
-        inf_norm = z.max(axis=0, initial=0.0)  # zeros when z has no rows
-        return cls(np.count_nonzero(z > 1.0, axis=1), _Moments.of(eta), _Moments.of(inf_norm[None, :]))
+        norm = z.max(axis=0, initial=0.0)  # zeros when z has no rows
+        mean = norm.mean()
+        norm -= mean
+        return cls(np.count_nonzero(z > 1.0, axis=1), len(norm), mean, norm @ norm)
 
     def merge(self, other: "_BlockStats") -> "_BlockStats":
-        """The statistics of both sample sets."""
-        return _BlockStats(self.exceed + other.exceed, self.eta.merge(other.eta),
-                           self.inf_norm.merge(other.inf_norm))
+        """The statistics of both sample sets, by the pairwise update of Chan, Golub and LeVeque (1983)."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return _BlockStats(self.exceed + other.exceed, n, self.mean + delta * (other.n / n),
+                           self.m2 + other.m2 + delta * delta * (self.n * other.n / n))
 
-    def summary(self, root: np.ndarray, mu_z: np.ndarray, r_mean: np.ndarray, r_cov: np.ndarray) -> EmpiricalSummary:
-        """The sample mean, covariance (ddof=1), frequencies and standard errors of z = eta root + mu_z, and r's law."""
-        n = self.eta.n
+    def summary(
+        self, z_mean: np.ndarray, z_cov: np.ndarray, r_mean: np.ndarray, r_cov: np.ndarray
+    ) -> EmpiricalSummary:
+        """The frequencies, the mean ‖z‖∞ and their standard errors, next to the exact laws of z and r."""
+        n = self.n
         exceed = self.exceed / n
-        z_cov = root.T @ self.eta.m2 @ root / (n - 1)
         return EmpiricalSummary(
-            z_mean=self.eta.mean @ root + mu_z,
+            z_mean=z_mean,
             z_cov=z_cov,
-            z_mean_se=np.sqrt(np.diag(z_cov) / n),
-            exceed_freq=exceed,
-            exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n),
             r_mean=r_mean,
             r_cov=r_cov,
-            e_inf_norm=float(self.inf_norm.mean[0]),
-            e_inf_norm_se=math.sqrt(float(self.inf_norm.m2[0, 0]) / (n - 1)) / math.sqrt(n),
+            exceed_freq=exceed,
+            exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n),
+            e_inf_norm=float(self.mean),
+            e_inf_norm_se=math.sqrt(float(self.m2) / (n - 1)) / math.sqrt(n),
             samples=n,
         )
 
@@ -216,11 +195,12 @@ def simulate(
 
     The rows are affine in the loop's n_xi standard-normal inputs xi, [z r] =
     xi [M_z M_r] + [mu_z mu_r], and _affine_map runs the literal loop once
-    per call for M and once for mu. The residual rows' law is returned
-    exactly: mean mu_r, covariance M_r' M_r. Only z is sampled, as eta R +
-    mu_z, where R = np.linalg.qr(M_z, mode="r") has k_z = min(n_xi, len(mu_z))
-    rows and eta is standard normal in k_z dimensions: xi Q is standard
-    normal for M_z = QR, so this is the loop's law of z exactly.
+    per call for M and once for mu. Both rows' laws are returned exactly:
+    z's mean mu_z and covariance R'R, and r's mean mu_r and covariance
+    M_r' M_r, where R = np.linalg.qr(M_z, mode="r") has k_z = min(n_xi,
+    len(mu_z)) rows. Only z is sampled, as eta R + mu_z with eta standard
+    normal in k_z dimensions: xi Q is standard normal for M_z = QR, so this
+    is the loop's law of z exactly.
 
     The draws are part of the contract: the samples are cut into blocks of
     _BLOCK (the last may be shorter), and block j of m samples draws one
@@ -229,11 +209,11 @@ def simulate(
     independently at one seed. The caller and one helper thread take blocks
     from a shared range iterator. Each thread samples a block's z into its
     own buffers and reduces it to the block's statistics (z's exceedance
-    counts and norms, and eta's moments, which the summary maps through R),
-    merged in block order; so which thread ran a block changes no value, and
-    no array grows with cfg.samples. The helper is joined before simulate
-    returns or raises. An exception in a block on either thread reaches the
-    caller, and the other thread takes no new one.
+    counts and the moments of its norms), merged in block order; so which
+    thread ran a block changes no value, and no array grows with
+    cfg.samples. The helper is joined before simulate returns or raises. An
+    exception in a block on either thread reaches the caller, and the other
+    thread takes no new one.
     """
     # imported here: concurrent.futures pulls in logging, which no other path needs
     from concurrent.futures import ThreadPoolExecutor
@@ -278,7 +258,7 @@ def simulate(
                 _block_rng(cfg.seed, cfg.stream, j).standard_normal(out=eta)
                 np.matmul(root_z, eta, out=z)
                 z += mu_z
-                finish(j, _BlockStats.of(eta, z))
+                finish(j, _BlockStats.of(z))
         finally:  # after a failure the other thread takes no new block; after success none is left
             with lock:
                 pending = iter(())
@@ -287,7 +267,7 @@ def simulate(
         helper = pool.submit(run_blocks)
         run_blocks()
     helper.result()
-    return total.summary(root, mu[:n_z], mu[n_z:], m_r.T @ m_r)
+    return total.summary(mu[:n_z], root.T @ root, mu[n_z:], m_r.T @ m_r)
 
 
 def kl_verdict(

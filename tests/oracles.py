@@ -410,13 +410,13 @@ def reference_simulate(system, attack, d, cfg, q_z):
 
     Its own loop (reference_loop) on the identity over the loop's whitened
     inputs, inputs off, gives M = [M_z M_r], and on zero inputs, inputs on,
-    gives mu = [mu_z mu_r]. The residual law is (mu_r, M_r' M_r), exactly.
-    Its own thin QR of M_z gives R with k_z rows. Block j of m samples
-    (blocks of mcvalidate._BLOCK, as read at call time) draws one (k_z, m)
-    array from SFC64 on child j of SeedSequence(seed, spawn_key=(stream,)),
-    and all the blocks' samples z = eta' R + mu_z are reduced together with
-    np.cov and separate std passes, so it is also the oracle of the
-    simulator's block-by-block merge.
+    gives mu = [mu_z mu_r]. Its own thin QR of M_z gives R with k_z rows.
+    The laws are exact: z's is (mu_z, R'R) and r's is (mu_r, M_r' M_r).
+    Block j of m samples (blocks of mcvalidate._BLOCK, as read at call time)
+    draws one (k_z, m) array from SFC64 on child j of SeedSequence(seed,
+    spawn_key=(stream,)), and all the blocks' samples z = eta' R + mu_z are
+    reduced together, with a separate std pass for the norms, so it is also
+    the oracle of the simulator's block-by-block merge.
     """
     from stealthimpact import mcvalidate
     from stealthimpact.mcvalidate import EmpiricalSummary
@@ -443,13 +443,12 @@ def reference_simulate(system, attack, d, cfg, q_z):
     else:
         e_inf, e_inf_se = 0.0, 0.0
     return EmpiricalSummary(
-        z_mean=z.mean(axis=0),
-        z_cov=np.atleast_2d(np.cov(z.T, ddof=1)) if z.shape[1] else np.zeros((0, 0)),
-        z_mean_se=z.std(axis=0, ddof=1) / np.sqrt(n_s),
-        exceed_freq=exceed,
-        exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n_s),
+        z_mean=mu[:n_zr],
+        z_cov=root.T @ root,
         r_mean=mu[n_zr:],
         r_cov=m_r.T @ m_r,
+        exceed_freq=exceed,
+        exceed_se=np.sqrt(np.clip(exceed * (1.0 - exceed), 0.0, None) / n_s),
         e_inf_norm=e_inf,
         e_inf_norm_se=e_inf_se,
         samples=n_s,

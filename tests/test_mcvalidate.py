@@ -3,6 +3,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,12 +45,12 @@ def test_simulate_reproducible(system, scenario):
     cfg = mcvalidate.SimulationConfig(samples=500, seed=42, horizon=4)
     one = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
     two = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
-    assert np.array_equal(one.z_mean, two.z_mean)
-    assert np.array_equal(one.z_cov, two.z_cov)
+    assert np.array_equal(one.exceed_freq, two.exceed_freq)
     assert one.e_inf_norm == two.e_inf_norm
+    assert one.e_inf_norm_se == two.e_inf_norm_se
     for other in (dataclasses.replace(cfg, seed=43), dataclasses.replace(cfg, stream=1)):
         three = mcvalidate.simulate(system, atk, d, other, q_z=scenario.q_z)
-        assert not np.array_equal(one.z_mean, three.z_mean)
+        assert one.e_inf_norm != three.e_inf_norm
 
 
 def _attack(system, kind, N):
@@ -166,11 +167,11 @@ def test_simulate_matches_analytic_fdi(system, scenario):
     cfg = mcvalidate.SimulationConfig(samples=30_000, seed=3, horizon=N)
     sim = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
     mu_z = summary.t_z @ d
-    assert np.all(np.abs(sim.z_mean - mu_z) <= 4.0 * sim.z_mean_se)
     sigma_z, sigma_r = stacked_covariances(system, atk, scenario.q_z, N)
+    _assert_exact(sim.z_mean, mu_z)
+    _assert_exact(sim.z_cov, sigma_z)
     _assert_exact(sim.r_mean, summary.t_r @ d)
     _assert_exact(sim.r_cov, sigma_r)
-    assert np.max(np.abs(sim.z_cov - sigma_z)) < 0.02
     # exceedance frequencies against the Gaussian law, binomial error bars
     p = numcore.gaussian_exceed(mu_z, summary.sigma)
     band = 3.0 * np.maximum(sim.exceed_se, 1e-4)
@@ -187,12 +188,15 @@ def test_simulate_matches_analytic_replay(system, scenario):
     d[-3:] = [0.6, -0.3, 0.2]
     cfg = mcvalidate.SimulationConfig(samples=30_000, seed=7, horizon=N)
     sim = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
-    assert sim.z_mean.shape[0] == summary.t_z.shape[0]
-    assert np.all(np.abs(sim.z_mean - summary.t_z @ d) <= 4.0 * sim.z_mean_se)
     sigma_z, sigma_r = stacked_covariances(system, atk, scenario.q_z, N)
+    _assert_exact(sim.z_mean, summary.t_z @ d)
+    _assert_exact(sim.z_cov, sigma_z)
     _assert_exact(sim.r_mean, summary.t_r @ d)
     _assert_exact(sim.r_cov, sigma_r)
-    assert np.max(np.abs(sim.z_cov - sigma_z)) < 0.02
+    # exceedance frequencies against the Gaussian law, binomial error bars
+    p = numcore.gaussian_exceed(summary.t_z @ d, summary.sigma)
+    band = 3.0 * np.maximum(sim.exceed_se, 1e-4)
+    assert np.all(np.abs(sim.exceed_freq - p) <= band)
 
 
 def test_nominal_residuals_white(system, scenario):
@@ -225,8 +229,15 @@ def test_kl_check_feasible_point(system):
     assert check.analytic_ok
     assert check.rate_ok
     assert check.consistent
-    assert bool(check)
     assert check.quad_value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_kl_verdict_rejects_a_singular_residual_covariance():
+    """A residual law whose covariance fails the Cholesky audit raises, rather than giving a rate."""
+    n_r = 4
+    law = SimpleNamespace(r_mean=np.zeros(n_r), r_cov=np.diag([1.0, 1.0, 1.0, 0.0]))
+    with pytest.raises(numcore.NotPositiveDefinite, match="residual covariance"):
+        mcvalidate.kl_verdict(law, np.eye(n_r), np.zeros(n_r), 1.0, 0.3, 3)
 
 
 def _scaled_injection(system, atk, layout, N, target_quad):
@@ -388,7 +399,9 @@ def test_simulate_consumes_the_documented_draw_order(system, scenario, monkeypat
         assert draw.shape == (min(n_xi, n_z), m), j
         assert np.array_equal(draw, rng.standard_normal(draw.shape)), j
     want = reference_simulate(system, atk, d, cfg, q_z=scenario.q_z)
-    np.testing.assert_allclose(got.z_cov, want.z_cov, rtol=1e-9, atol=1e-12)
+    np.testing.assert_array_equal(got.exceed_freq, want.exceed_freq)
+    for field in ("e_inf_norm", "e_inf_norm_se"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=1e-12), field
 
 
 def test_simulate_joins_its_one_helper_thread(system, monkeypatch):

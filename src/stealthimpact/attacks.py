@@ -68,18 +68,18 @@ _EFFECTS = {
 
 def _check_kind(kind: str) -> None:
     if kind not in ACTIONS:
-        raise ValueError(f"unknown strategy kind {kind!r}; expected one of {KINDS}")
+        raise numcore.InputError(f"unknown strategy kind {kind!r}; expected one of {KINDS}")
 
 
-class InvalidPermutation(ValueError):
+class InvalidPermutation(numcore.InputError):
     """Permutation moves a channel outside the compromised set."""
 
 
-class EmptyResources(ValueError):
+class EmptyResources(numcore.InputError):
     """Strategy requires at least one compromised channel."""
 
 
-class EnumerationCapExceeded(ValueError):
+class EnumerationCapExceeded(numcore.InputError):
     """Worst-case search would exceed the combination cap."""
 
 
@@ -93,17 +93,17 @@ class ResourceSet:
     def __post_init__(self):
         for name, idx in (("sensors", self.sensors), ("actuators", self.actuators)):
             if len(set(idx)) != len(idx):
-                raise ValueError(f"duplicate {name} indices: {idx}")
+                raise numcore.InputError(f"duplicate {name} indices: {idx}")
             if any(i < 0 for i in idx):
-                raise ValueError(f"negative {name} index")
+                raise numcore.InputError(f"negative {name} index")
         object.__setattr__(self, "sensors", tuple(sorted(self.sensors)))
         object.__setattr__(self, "actuators", tuple(sorted(self.actuators)))
 
     def validate(self, dims: SystemDims) -> None:
         if any(i >= dims.n_y for i in self.sensors):
-            raise ValueError(f"sensor index out of range (n_y={dims.n_y}): {self.sensors}")
+            raise numcore.InputError(f"sensor index out of range (n_y={dims.n_y}): {self.sensors}")
         if any(i >= dims.n_u for i in self.actuators):
-            raise ValueError(f"actuator index out of range (n_u={dims.n_u}): {self.actuators}")
+            raise numcore.InputError(f"actuator index out of range (n_u={dims.n_u}): {self.actuators}")
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def decision_layout(attack: AttackMatrices, N: int, Q_yr: np.ndarray) -> Decisio
     n_blk = (N + 1) * n_a
     modes = [attack.au_mode] * attack.n_au + [attack.ay_mode] * attack.n_ay
     if not set(modes) <= {FREE, HELD, PINNED}:
-        raise ValueError(f"unknown injection mode in {sorted(set(modes))}")
+        raise numcore.InputError(f"unknown injection mode in {sorted(set(modes))}")
     dim_d = n_blk + n_yr
     numcore.require_addressable((dim_d,), f"decision dimension {dim_d}")
     free_channels = np.array([mode == FREE for mode in modes], dtype=bool)

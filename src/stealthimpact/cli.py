@@ -23,34 +23,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import numcore
-from .attacks import (
-    Candidate,
-    EmptyResources,
-    EnumerationCapExceeded,
-    InvalidPermutation,
-    StrategySpec,
-    candidates,
-    decision_layout,
-)
-from .distrib import BudgetOverflow, GaussianLaw, GaussianSummary, gaussian_summaries, kl_budget, summarize
+from .attacks import Candidate, StrategySpec, candidates, decision_layout
+from .distrib import GaussianLaw, GaussianSummary, gaussian_summaries, kl_budget, summarize
 from .mcvalidate import SimulationConfig, kl_verdict, min_samples, simulate
-from .scenario import (
-    DimensionError,
-    ParseError,
-    Scenario,
-    SchemaError,
-    bundled_scenario_path,
-    load_scenario,
-)
-from .solver import (
-    CERT_TOL,
-    ImpactReport,
-    NumericalFailure,
-    PatternCapExceeded,
-    check_pattern_cap,
-    compute_impact,
-    first_near_max,
-)
+from .scenario import Scenario, SchemaError, bundled_scenario_path, load_scenario
+from .solver import CERT_TOL, ImpactReport, check_pattern_cap, compute_impact, first_near_max
 
 SCHEMA_VERSION = 2
 
@@ -58,27 +35,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_ALL_ZERO = 4
-
-_VALIDATION_ERRORS = (
-    ParseError,
-    SchemaError,
-    DimensionError,
-    EmptyResources,
-    EnumerationCapExceeded,
-    InvalidPermutation,
-    PatternCapExceeded,
-    BudgetOverflow,
-)
-_NUMERICAL_ERRORS = (
-    NumericalFailure,
-    numcore.NonConvergence,
-    numcore.UnstableClosedLoop,
-    numcore.UnstableMatrix,
-    numcore.NotPositiveDefinite,
-    numcore.DegenerateVariance,
-    np.linalg.LinAlgError,
-    FloatingPointError,  # an overflow in the laws or the solve
-)
 
 
 @dataclass
@@ -506,10 +462,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if all(e.report.exceed_prob == 0.0 for e in entries):
             return EXIT_ALL_ZERO
         return EXIT_OK
-    except _VALIDATION_ERRORS as exc:
+    except numcore.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _NUMERICAL_ERRORS as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # numcore.NumericalError, FloatingPointError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

@@ -176,7 +176,7 @@ def stack_dynamics(
     steps, times that mean to the y_r columns.
     """
     if N < 1:
-        raise ValueError("horizon must be at least 1")
+        raise numcore.InputError("horizon must be at least 1")
     n_y, n_a, n_z = ext.n_y, attack.n_a, q_z.shape[0]
     obs = np.vstack([q_z, ext.C_r]) @ numcore.matrix_powers(ext.A_cl, N)
     inputs = np.hstack([ext.G_a, ext.E_r])
@@ -315,7 +315,7 @@ def _lifted_rows(
     return obs.reshape(n_rows, obs.shape[-1]), gathered, summed
 
 
-class BudgetOverflow(ValueError):
+class BudgetOverflow(numcore.InputError):
     """The KL budget of an epsilon overflows double precision."""
 
 
@@ -472,7 +472,7 @@ def gaussian_summaries(
     first read.
     """
     if N < 1:
-        raise ValueError("horizon must be at least 1")
+        raise numcore.InputError("horizon must be at least 1")
     _lags(N)  # the largest array the gathers share, so a horizon too long fails here, before the audit
     ext = assemble_extended(system.plant, system.controller, system.estimator, attacks)
     if layout.dim_d != (N + 1) * attacks[0].n_a + ext.n_yr:

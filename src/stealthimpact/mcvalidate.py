@@ -24,6 +24,7 @@ import numpy as np
 
 from . import numcore
 from .attacks import AttackMatrices, decision_layout
+from .solver import CERT_TOL
 from .sysmodel import SystemModel
 
 
@@ -36,7 +37,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if self.samples < 2:  # the sample statistics use ddof=1
-            raise ValueError("samples must be at least 2")
+            raise numcore.InputError("samples must be at least 2")
 
 
 @dataclass
@@ -283,11 +284,11 @@ def kl_verdict(
     and ln det S from numcore.cholesky_audit, which applies to S's Cholesky
     pivots the definiteness rule every audit uses; an S that fails it raises
     NotPositiveDefinite. Both sides pass at the analytic side's tolerance,
-    1e-9 max(1, |radius|) on the quadratic form, which is that over 2(N+1)
-    on the rate.
+    the solver's CERT_TOL max(1, |radius|) on the quadratic form, which is
+    that over 2(N+1) on the rate.
     """
     quad = float(np.square(t_r @ np.asarray(d, dtype=float)).sum())
-    tol = 1e-9 * max(1.0, abs(radius))
+    tol = CERT_TOL * max(1.0, abs(radius))
     analytic_ok = quad <= radius + tol
     pd, trace, logdet = numcore.cholesky_audit(sim.r_cov)
     if not pd:

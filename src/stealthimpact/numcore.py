@@ -19,23 +19,27 @@ _DARE_TOL = 1e-10
 _DARE_MAX_ITER = 100_000
 
 
-class NonConvergence(RuntimeError):
+class InputError(ValueError):
+    """An input the package cannot assess: a scenario, an argument or a value out of range (exit 2)."""
+
+
+class NumericalError(ArithmeticError):
+    """A computation on valid input that did not produce a certified number (exit 3)."""
+
+
+class NonConvergence(NumericalError):
     """An iterative solver failed to reach its tolerance within the cap."""
 
 
-class UnstableClosedLoop(ValueError):
-    """The estimator closed loop has spectral radius >= 1."""
-
-
-class UnstableMatrix(ValueError):
+class UnstableMatrix(NumericalError):
     """A matrix required to be Schur stable is not."""
 
 
-class DegenerateVariance(ValueError):
+class DegenerateVariance(NumericalError):
     """A standard deviation or variance that must be positive is not."""
 
 
-class NotPositiveDefinite(ValueError):
+class NotPositiveDefinite(NumericalError):
     """A matrix required to be positive definite is not."""
 
 
@@ -141,8 +145,7 @@ def kalman_gain(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steady-state gain K and innovation covariance from the error covariance.
 
-    Raises UnstableClosedLoop when rho(A - K C) >= 1, which signals violated
-    model assumptions rather than a numerical problem.
+    Raises UnstableMatrix when rho(A - K C) >= 1.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -151,7 +154,7 @@ def kalman_gain(
     K = np.linalg.solve(sigma_r, (A @ sigma_e @ C.T).T).T
     rho = spectral_radius(A - K @ C)
     if rho >= 1.0:
-        raise UnstableClosedLoop(f"estimator loop unstable: spectral radius {rho:.6f}")
+        raise UnstableMatrix(f"estimator loop unstable: spectral radius {rho:.6f}")
     return K, sigma_r
 
 

@@ -20,24 +20,15 @@ import numpy as np
 
 from . import numcore
 from .attacks import KINDS, ResourceSet
-from .sysmodel import (
-    ControllerModel,
-    DimensionMismatch,
-    PlantModel,
-    SystemModel,
-)
+from .sysmodel import ControllerModel, DimensionMismatch, PlantModel, SystemModel
 
 
-class ParseError(ValueError):
+class ParseError(numcore.InputError):
     """The file could not be read or is not valid JSON."""
 
 
-class SchemaError(ValueError):
+class SchemaError(numcore.InputError):
     """A field is missing, has the wrong type, or violates a value constraint."""
-
-
-class DimensionError(ValueError):
-    """Matrix dimensions are mutually inconsistent."""
 
 
 @dataclass
@@ -96,8 +87,12 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     """Load, validate, and assemble a scenario file.
 
     Raises ParseError for unreadable or malformed JSON, SchemaError for
-    value-level violations (missing fields, indefinite noise, bad indices),
-    and DimensionError when matrix shapes disagree.
+    value-level violations (missing fields, bad indices), DimensionMismatch
+    when matrix shapes disagree, and numcore.InputError for an invalid model
+    (noise that is not positive definite, an unobservable or uncontrollable
+    plant, a singular Q_yr). A filter or nominal loop that is not stable
+    raises a numcore.NumericalError, as does a Riccati solve that does not
+    converge.
     """
     path = Path(path)
     try:
@@ -117,32 +112,23 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
     plant_doc = _require(doc, "plant", "")
     ctrl_doc = _require(doc, "controller", "")
-    try:
-        plant = PlantModel(
-            A=_matrix(_require(plant_doc, "A", "plant"), "plant.A"),
-            B=_matrix(_require(plant_doc, "B", "plant"), "plant.B"),
-            C=_matrix(_require(plant_doc, "C", "plant"), "plant.C"),
-            sigma_v=_matrix(_require(plant_doc, "sigma_v", "plant"), "plant.sigma_v"),
-            sigma_w=_matrix(_require(plant_doc, "sigma_w", "plant"), "plant.sigma_w"),
-        )
-        controller = ControllerModel(
-            L_xhat=_matrix(_require(ctrl_doc, "L_xhat", "controller"), "controller.L_xhat"),
-            L_yr=_matrix(_require(ctrl_doc, "L_yr", "controller"), "controller.L_yr"),
-            Q_yr=_matrix(_require(ctrl_doc, "Q_yr", "controller"), "controller.Q_yr"),
-        )
-        system = SystemModel(plant=plant, controller=controller)
-    except DimensionMismatch as exc:
-        raise DimensionError(str(exc)) from None
-    except numcore.NotPositiveDefinite as exc:
-        raise SchemaError(str(exc)) from None
-    except (numcore.NonConvergence, numcore.UnstableClosedLoop, numcore.UnstableMatrix):
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    plant = PlantModel(
+        A=_matrix(_require(plant_doc, "A", "plant"), "plant.A"),
+        B=_matrix(_require(plant_doc, "B", "plant"), "plant.B"),
+        C=_matrix(_require(plant_doc, "C", "plant"), "plant.C"),
+        sigma_v=_matrix(_require(plant_doc, "sigma_v", "plant"), "plant.sigma_v"),
+        sigma_w=_matrix(_require(plant_doc, "sigma_w", "plant"), "plant.sigma_w"),
+    )
+    controller = ControllerModel(
+        L_xhat=_matrix(_require(ctrl_doc, "L_xhat", "controller"), "controller.L_xhat"),
+        L_yr=_matrix(_require(ctrl_doc, "L_yr", "controller"), "controller.L_yr"),
+        Q_yr=_matrix(_require(ctrl_doc, "Q_yr", "controller"), "controller.Q_yr"),
+    )
+    system = SystemModel(plant=plant, controller=controller)
 
     q_z = _matrix(_require(doc, "critical_map", ""), "critical_map")
     if q_z.shape[1] not in (plant.n_x, 2 * plant.n_x):
-        raise DimensionError(
+        raise DimensionMismatch(
             f"critical_map must have {plant.n_x} or {2 * plant.n_x} columns, got {q_z.shape[1]}"
         )
     zero_rows = np.flatnonzero(~q_z.any(axis=1))

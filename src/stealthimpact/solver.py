@@ -159,15 +159,11 @@ _BLOCK = 2**PATTERN_CAP * PATTERN_CAP  # (radius, pattern, box row) entries eval
 _CHUNK = 2**16  # (radius, row, column) entries of one batch of radii
 
 
-class Infeasible(RuntimeError):
-    """The stealthiness radius is negative: no decision vector is feasible."""
-
-
-class NumericalFailure(RuntimeError):
+class NumericalFailure(numcore.NumericalError):
     """A solve did not reach its optimality certificate."""
 
 
-class PatternCapExceeded(ValueError):
+class PatternCapExceeded(numcore.InputError):
     """The reference box has more rows than the active-set enumeration allows."""
 
 
@@ -585,17 +581,6 @@ class ImpactCurve:
         geom, c_eta, bounded = self._reduced
         return _enumerate(geom, c_eta) if bounded else None
 
-    def solve(self, radius: float) -> Optional[_Batch]:
-        """Exact optimum of every row at a radius, or None when some row is unbounded.
-
-        solve_each's stream of one. Raises Infeasible at a negative radius,
-        and NumericalFailure when the duality gap or a constraint residual
-        of any row exceeds CERT_TOL.
-        """
-        if radius < 0:
-            raise Infeasible(f"negative stealthiness radius {radius:.6e}")
-        return _value(next(self.solve_each([radius])))
-
     def solve_each(self, radii: Sequence[float]) -> Iterator:
         """The outcome at each of the nonnegative radii, in order, one per read.
 
@@ -631,7 +616,7 @@ class ImpactCurve:
 
 
 def _value(outcome):
-    """A solve_each outcome as solve returns it: a failure is raised."""
+    """A solve_each outcome as a value: a failure is raised."""
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from .attacks import AttackMatrices
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(numcore.InputError):
     """Matrix shapes are mutually inconsistent."""
 
 
@@ -42,7 +42,7 @@ def _as_matrix(M, name: str) -> np.ndarray:
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise numcore.InputError(f"{name} contains non-finite entries")
     return M
 
 
@@ -76,16 +76,16 @@ class PlantModel:
         for name, M in (("sigma_v", self.sigma_v), ("sigma_w", self.sigma_w)):
             is_pd, lowest = numcore.spd_check(M)
             if not is_pd:
-                raise numcore.NotPositiveDefinite(f"{name} not positive definite (min eigenvalue {lowest:.3e})")
+                raise numcore.InputError(f"{name} not positive definite (min eigenvalue {lowest:.3e})")
         with np.errstate(over="ignore", invalid="ignore"):
             powers = numcore.matrix_powers(self.A, n_x - 1)
             obs, ctrb = np.vstack(self.C @ powers), np.hstack(powers @ self.B)
         if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(ctrb))):
-            raise ValueError("observability or controllability matrix overflows")
+            raise numcore.InputError("observability or controllability matrix overflows")
         if numcore.matrix_rank(obs) < n_x:
-            raise ValueError("(C, A) is not observable")
+            raise numcore.InputError("(C, A) is not observable")
         if numcore.matrix_rank(ctrb) < n_x:
-            raise ValueError("(B, A) is not controllable")
+            raise numcore.InputError("(B, A) is not controllable")
 
     @property
     def n_x(self) -> int:
@@ -122,7 +122,7 @@ class ControllerModel:
         if self.Q_yr.shape != (n_yr, n_yr):
             raise DimensionMismatch("Q_yr must be square with n_yr rows")
         if numcore.matrix_rank(self.Q_yr) < n_yr:
-            raise ValueError("Q_yr must be invertible")
+            raise numcore.InputError("Q_yr must be invertible")
 
     @property
     def n_u(self) -> int:

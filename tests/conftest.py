@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import tempfile
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import stealthimpact
 from stealthimpact import attacks, bundled_scenario_path, distrib, load_scenario
 from stealthimpact.sysmodel import ControllerModel, PlantModel, SystemModel
 
@@ -31,6 +34,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+def package_exception_classes() -> list[type]:
+    """Every exception class defined in a stealthimpact module, in module then source order."""
+    found = []
+    for info in sorted(pkgutil.iter_modules(stealthimpact.__path__), key=lambda i: i.name):
+        module = importlib.import_module(f"stealthimpact.{info.name}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        ]
+    return found
 
 
 @pytest.fixture(scope="session")

@@ -791,7 +791,7 @@ class _RefGeometry:
         dim_d: int,
     ) -> None:
         if radius < 0:
-            raise solver.Infeasible(f"negative stealthiness radius {radius:.6e}")
+            raise ValueError(f"negative stealthiness radius {radius:.6e}")
         q_box = np.asarray(q_box, dtype=float).reshape(-1, dim_d)
         m_quad = np.asarray(m_quad, dtype=float).reshape(-1, dim_d)
         f_eq = np.asarray(f_eq, dtype=float).reshape(-1, dim_d)

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stealthimpact
-from stealthimpact import attacks, cli, distrib, solver, sysmodel
+from stealthimpact import attacks, cli, distrib, numcore, solver, sysmodel
 from stealthimpact.scenario import bundled_scenario_path, load_scenario
-from conftest import candidate_summary
+from conftest import candidate_summary, package_exception_classes
 
 
 def _run(tmp_path, *extra, name="out.json"):
@@ -1171,7 +1171,28 @@ def _kind(value):
     return "string" if isinstance(value, str) else "number"
 
 
-def test_mutated_scenarios_exit_with_documented_codes(tmp_path):
+@pytest.mark.parametrize(
+    "exc_type",
+    [*package_exception_classes(), FloatingPointError, np.linalg.LinAlgError, MemoryError],
+    ids=lambda cls: cls.__name__,
+)
+def test_exit_code_follows_the_error_base(monkeypatch, capsys, exc_type):
+    """An error's base class fixes its exit code and its one line of stderr; none is listed by name."""
+    def fail(path):
+        raise exc_type("the reason")
+
+    monkeypatch.setattr(cli, "load_scenario", fail)
+    code = cli.main(["assess"])
+    if issubclass(exc_type, MemoryError):
+        expected = (cli.EXIT_NUMERICAL, "out of memory: the reason\n")
+    elif issubclass(exc_type, numcore.InputError):
+        expected = (cli.EXIT_VALIDATION, "error: the reason\n")
+    else:
+        expected = (cli.EXIT_NUMERICAL, "numerical failure: the reason\n")
+    assert (code, capsys.readouterr().err) == expected
+
+
+def test_mutated_scenarios_exit_with_documented_codes(tmp_path, capsys):
     base = json.loads(bundled_scenario_path().read_text())
     scenario_path = tmp_path / "mutated.json"
     out = tmp_path / "out.json"
@@ -1196,6 +1217,13 @@ def test_mutated_scenarios_exit_with_documented_codes(tmp_path):
                 parent[key] = data.draw(_WRONG_TYPE[_kind(node)])
         scenario_path.write_text(json.dumps(doc))
         code = cli.main(["assess", "--scenario", str(scenario_path), "--out", str(out)])
+        err = capsys.readouterr().err
         assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_ALL_ZERO)
+        if code == cli.EXIT_VALIDATION:
+            assert re.fullmatch(r"error: [^\n]*\n", err), err
+        elif code == cli.EXIT_NUMERICAL:
+            assert re.fullmatch(r"(numerical failure|out of memory): [^\n]*\n", err), err
+        else:
+            assert err == ""
 
     check()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
 from stealthimpact import numcore
-from conftest import random_system
+from conftest import package_exception_classes, random_system
 from oracles import exceed_quadrature, lyapunov_residual, lyapunov_series
 
 
@@ -139,7 +139,7 @@ def test_kalman_gain_unstable_loop_raises():
     A = np.array([[1.5]])
     C = np.zeros((1, 1))
     sigma_e = np.array([[1.0]])
-    with pytest.raises(numcore.UnstableClosedLoop):
+    with pytest.raises(numcore.UnstableMatrix, match="estimator loop unstable"):
         numcore.kalman_gain(A, C, sigma_e, np.array([[1.0]]))
 
 
@@ -292,3 +292,11 @@ def test_null_basis_orthonormal_property(rows, cols, seed):
     if Z.shape[1]:
         assert np.allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-10)
         assert np.max(np.abs(M @ Z)) < 1e-9 * max(1.0, np.max(np.abs(M)))
+
+
+def test_every_package_error_has_one_exit_code_base():
+    """Each exception class of the package derives from exactly one of the two bases that fix its exit code."""
+    classes = package_exception_classes()
+    assert numcore.InputError in classes and numcore.NumericalError in classes
+    for cls in classes:
+        assert issubclass(cls, numcore.InputError) + issubclass(cls, numcore.NumericalError) == 1, cls

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from stealthimpact import numcore
 from stealthimpact import scenario as scen
+from stealthimpact.sysmodel import DimensionMismatch
 
 
 @pytest.fixture()
@@ -59,7 +61,7 @@ def test_missing_field(tmp_path, doc):
 
 def test_indefinite_noise_rejected(tmp_path, doc):
     doc["plant"]["sigma_w"][0][0] = -0.01
-    with pytest.raises(scen.SchemaError, match="positive definite"):
+    with pytest.raises(numcore.InputError, match="positive definite"):
         scen.load_scenario(_dump(tmp_path, doc))
 
 
@@ -85,13 +87,13 @@ def test_matrix_entry_too_large_for_float(tmp_path, doc):
 
 def test_dimension_mismatch_is_dimension_error(tmp_path, doc):
     doc["controller"]["L_xhat"] = [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]]
-    with pytest.raises(scen.DimensionError):
+    with pytest.raises(DimensionMismatch):
         scen.load_scenario(_dump(tmp_path, doc))
 
 
 def test_critical_map_column_check(tmp_path, doc):
     doc["critical_map"] = [[1.0, 0.0]]
-    with pytest.raises(scen.DimensionError, match="critical_map"):
+    with pytest.raises(DimensionMismatch, match="critical_map"):
         scen.load_scenario(_dump(tmp_path, doc))
 
 
@@ -180,5 +182,5 @@ def test_critical_map_padded_at_load(tmp_path, doc):
     doc["critical_map"] = extended
     assert np.array_equal(scen.load_scenario(_dump(tmp_path, doc, "ext.json")).q_z, extended)
     doc["critical_map"] = [[1.0, 1.0, 1.0, 1.0]]
-    with pytest.raises(scen.DimensionError, match="critical_map must have 3 or 6 columns, got 4"):
+    with pytest.raises(DimensionMismatch, match="critical_map must have 3 or 6 columns, got 4"):
         scen.load_scenario(_dump(tmp_path, doc, "wide.json"))

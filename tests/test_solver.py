@@ -25,12 +25,17 @@ def _curve(c, q_box=None, m_quad=None, f_eq=None):
     )
 
 
+def _at(curve, radius):
+    """The curve's outcome at one nonnegative radius, read from solve_each; a failure is raised."""
+    return solver._value(next(curve.solve_each([radius])))
+
+
 def _solve(c, q_box=None, m_quad=None, f_eq=None, radius=1.0):
     """One program through the solver's path: its curve, evaluated at the radius.
 
     Returns the batch (rows of d_star and mu), or None when the program is unbounded.
     """
-    return _curve(c, q_box, m_quad, f_eq).solve(radius)
+    return _at(_curve(c, q_box, m_quad, f_eq), radius)
 
 
 def test_quadratic_binds_before_box():
@@ -74,11 +79,6 @@ def test_full_rank_equalities_pin_origin():
     res = _solve([1.0, 1.0], q_box=np.eye(2), m_quad=np.eye(2), f_eq=np.eye(2))
     assert res is not None
     assert res.mu[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_negative_radius_infeasible():
-    with pytest.raises(solver.Infeasible):
-        _solve([1.0, 0.0], m_quad=np.eye(2), radius=-0.1)
 
 
 def test_zero_radius_collapses_quadratic():
@@ -409,7 +409,7 @@ def test_rank_cut_reads_no_radius():
     m = np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
     curve = _curve(np.eye(3), q_box=q, m_quad=m)
     for radius in (1e-6, 1.0, 1e10, 1e30):
-        batch = curve.solve(radius)
+        batch = _at(curve, radius)
         assert batch is not None, radius
         np.testing.assert_allclose(batch.mu, [math.sqrt(radius), 1e3 * math.sqrt(radius), 1.0], rtol=1e-12)
 
@@ -583,7 +583,7 @@ def test_batch_memory_does_not_grow_with_the_sweep(scenario):
     for count in (200, 2000):
         radii = [float(r) for r in np.linspace(0.0, 10.0, count)]
         curve = solver.ImpactCurve(*maps)
-        curve.solve(1.0)  # the enumeration, which every count shares
+        _at(curve, 1.0)  # the enumeration, which every count shares
         tracemalloc.start()
         try:
             solved = sum(isinstance(outcome, solver._Batch) for outcome in curve.solve_each(radii))
@@ -603,7 +603,7 @@ def _outcome(curve, radius):
     precision").
     """
     try:
-        return _plain(curve.solve(radius))
+        return _plain(_at(curve, radius))
     except (solver.NumericalFailure, FloatingPointError) as exc:
         return str(exc)
 
@@ -685,7 +685,7 @@ def test_solve_matches_row_space_reference():
     for c, q, m, f, radius in _oracle_cases():
         curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c)
         for r in (radius, *RADII):
-            solved += _assert_matches_reference(curve.solve(r), r, oracles.reference_solve_rows(c, q, m, f, r))
+            solved += _assert_matches_reference(_at(curve, r), r, oracles.reference_solve_rows(c, q, m, f, r))
     assert solved >= 30 * (1 + len(RADII))
 
 
@@ -704,7 +704,7 @@ def test_pattern_blocks_match_row_space_reference():
     for batch in (False, True):
         curve = solver.ImpactCurve(q, m, DenseBasis(linalg.null_space(f)), c)
         assert curve._pieces.kappa.size * q.shape[0] > 2 * solver._BLOCK
-        solved = curve.solve_each(RADII) if batch else map(curve.solve, RADII)
+        solved = curve.solve_each(RADII) if batch else (_at(curve, r) for r in RADII)
         for r, outcome in zip(RADII, solved, strict=True):
             assert _assert_matches_reference(outcome, r, oracles.reference_solve_rows(c, q, m, f, r))
 
@@ -732,7 +732,7 @@ def test_bundled_solves_match_row_space_reference(scenario, N):
                     ref = oracles.reference_solve_rows(
                         summary.t_z, layout.Q, summary.t_r, _equality_map(cand.attack, layout), r
                     )
-                    solved += _assert_matches_reference(curve.solve(r), r, ref)
+                    solved += _assert_matches_reference(_at(curve, r), r, ref)
     assert solved >= 6 * (1 + len(RADII))
 
 

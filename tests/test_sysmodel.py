@@ -44,7 +44,7 @@ def test_plant_rejects_bad_shapes():
 
 
 def test_plant_rejects_indefinite_noise():
-    with pytest.raises(numcore.NotPositiveDefinite):
+    with pytest.raises(numcore.InputError):
         sysmodel.PlantModel(
             A=0.5 * np.eye(2),
             B=np.ones((2, 1)),

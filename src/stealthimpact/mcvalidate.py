@@ -8,9 +8,10 @@ KL budget check; the critical law's mean and covariance can be compared
 against the stacked-map predictions exactly. Only what has no closed form
 is sampled: the critical rows are drawn through the thin-QR square root of
 their covariance for their exceedance frequencies and mean peak magnitude.
-The samples are drawn in blocks on the calling thread and one helper, each
-block from its own SFC64 stream, and the blocks' statistics are merged in
-block order, so a seed fixes every value, whichever thread ran a block.
+The samples are drawn in blocks, each from its own SFC64 stream: the calling
+thread takes the even blocks and one helper the odd ones, each merges its
+blocks' statistics in block order, and the two totals are merged last, so a
+seed fixes every value, however the threads are timed.
 """
 
 from __future__ import annotations
@@ -207,14 +208,14 @@ def simulate(
     _BLOCK (the last may be shorter), and block j of m samples draws one
     (k_z, m) array eta from SFC64 seeded by SeedSequence(cfg.seed,
     spawn_key=(cfg.stream, j)), so calls on different streams draw
-    independently at one seed. The caller and one helper thread take blocks
-    from a shared range iterator. Each thread samples a block's z into its
-    own buffers and reduces it to the block's statistics (z's exceedance
-    counts and the moments of its norms), merged in block order; so which
-    thread ran a block changes no value, and no array grows with
-    cfg.samples. The helper is joined before simulate returns or raises. An
-    exception in a block on either thread reaches the caller, and the other
-    thread takes no new one.
+    independently at one seed. The caller takes the even blocks and one
+    helper thread the odd ones. Each thread samples a block's z into its own
+    buffers, reduces it to the block's statistics (z's exceedance counts and
+    the moments of its norms) and merges them in block order; the even total
+    takes the odd one last. That order is fixed, so thread timing changes no
+    value, and no array grows with cfg.samples. The helper is joined before
+    simulate returns or raises. An exception in a block on either thread
+    reaches the caller, and neither thread starts another block.
     """
     # imported here: concurrent.futures pulls in logging, which no other path needs
     from concurrent.futures import ThreadPoolExecutor
@@ -227,47 +228,35 @@ def simulate(
     m_z, m_r = m_map[:, :n_z], m_map[:, n_z:]
     root = np.linalg.qr(m_z, mode="r")
     k_z, root_z, mu_z = len(root), root.T.copy(), mu[:n_z, None]  # z = root_z eta + mu_z, feature-major
-    pending = iter(range(n_blocks))  # one int of state, whatever n_blocks
-    lock = threading.Lock()
-    done: dict[int, _BlockStats] = {}  # blocks finished ahead of one still running
-    merged, total = 0, None  # blocks 0..merged-1 are merged into total
-
-    def take() -> Optional[int]:
-        with lock:
-            return next(pending, None)
-
-    def finish(j: int, stats: _BlockStats) -> None:
-        nonlocal merged, total
-        with lock:
-            done[j] = stats
-            while merged in done:
-                stats = done.pop(merged)
-                total = stats if total is None else total.merge(stats)
-                merged += 1
-
+    failed = threading.Event()  # set when a block raises: neither thread starts another
     # each thread's eta and z buffers, made before either thread runs, so the peak is the same whatever the timing
     rows = min(n_s, _BLOCK)
     buffers = [(np.empty(k_z * rows), np.empty(n_z * rows)) for _ in range(2)]
 
-    def run_blocks() -> None:
-        nonlocal pending
-        eta_buf, z_buf = buffers.pop()
+    def run_blocks(first: int) -> Optional[_BlockStats]:
+        """Blocks first, first + 2, ..., each sampled into this thread's buffers and merged in order."""
+        (eta_buf, z_buf), total = buffers[first], None
         try:
-            for j in iter(take, None):
+            for j in range(first, n_blocks, 2):
+                if failed.is_set():
+                    break
                 m = min(n_s, (j + 1) * _BLOCK) - j * _BLOCK
                 eta, z = eta_buf[: k_z * m].reshape(k_z, m), z_buf[: n_z * m].reshape(n_z, m)
                 _block_rng(cfg.seed, cfg.stream, j).standard_normal(out=eta)
                 np.matmul(root_z, eta, out=z)
                 z += mu_z
-                finish(j, _BlockStats.of(z))
-        finally:  # after a failure the other thread takes no new block; after success none is left
-            with lock:
-                pending = iter(())
+                stats = _BlockStats.of(z)
+                total = stats if total is None else total.merge(stats)
+        except BaseException:
+            failed.set()
+            raise
+        return total
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(run_blocks)
-        run_blocks()
-    helper.result()
+        helper = pool.submit(run_blocks, 1)
+        even = run_blocks(0)
+    odd = helper.result()
+    total = even if odd is None else even.merge(odd)
     return total.summary(mu[:n_z], root.T @ root, mu[n_z:], m_r.T @ m_r)
 
 

@@ -154,7 +154,7 @@ def kalman_gain(
     K = np.linalg.solve(sigma_r, (A @ sigma_e @ C.T).T).T
     rho = spectral_radius(A - K @ C)
     if rho >= 1.0:
-        raise UnstableMatrix(f"estimator loop unstable: spectral radius {rho:.6f}")
+        raise UnstableMatrix(f"estimator loop unstable: spectral radius {rho:.6g}")
     return K, sigma_r
 
 
@@ -168,7 +168,7 @@ def solve_lyapunov(A_e: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     rho = spectral_radius(A_e)
     if rho >= 1.0:
-        raise UnstableMatrix(f"spectral radius {rho:.6f}")
+        raise UnstableMatrix(f"spectral radius {rho:.6g}")
     S = Q.copy()
     M = A_e.copy()
     for _ in range(200):

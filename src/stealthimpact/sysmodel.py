@@ -272,7 +272,8 @@ class SystemModel:
     covariance. The loop state starts from N(t_0 y_r, sigma_0); sqrt_sigma_0
     and sqrt_sigma_f are the symmetric square roots of sigma_0 and sigma_f.
     Building the stationary law checks the nominal loop's stability
-    (UnstableMatrix).
+    (UnstableMatrix); a gain so large that the loop matrix overflows raises
+    FloatingPointError first.
     """
 
     plant: PlantModel
@@ -296,9 +297,13 @@ class SystemModel:
 
         plant = self.plant
         self.estimator = build_estimator(plant)
-        self.nominal = assemble_extended(
-            plant, self.controller, self.estimator, [identity_routing(plant.n_y, plant.n_u)]
-        )[0]
+        try:  # fail in one line here, not with numpy's warnings and then on the inf entries
+            with np.errstate(over="raise"):
+                self.nominal = assemble_extended(
+                    plant, self.controller, self.estimator, [identity_routing(plant.n_y, plant.n_u)]
+                )[0]
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"nominal loop overflows: {exc}") from None
         self.sigma_f = np.zeros((plant.n_x + plant.n_y,) * 2)
         self.sigma_f[: plant.n_x, : plant.n_x] = plant.sigma_v
         self.sigma_f[plant.n_x :, plant.n_x :] = plant.sigma_w

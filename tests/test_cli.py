@@ -998,10 +998,10 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, changes, extra):
     strategy: numpy's MemoryError ends the run before the audit's first QR.
     Longer horizons ask for shapes beyond the address range, which numpy
     refuses with a ValueError: the decision layout and the lag index check
-    those sizes first. 10^30 Monte Carlo samples need a queue of more blocks
-    than the address range holds, which the sampler checks before it builds
-    the queue. Only the Monte Carlo case gets as far as an audit, since its
-    samples are drawn after the solve.
+    those sizes first. 10^30 Monte Carlo samples make more blocks than the
+    address range holds, which the sampler's block-count check refuses before
+    it maps the loop. Only the Monte Carlo case gets as far as an audit, since
+    its samples are drawn after the solve.
     """
     doc = json.loads(bundled_scenario_path().read_text())
     doc.update(changes)
@@ -1048,6 +1048,27 @@ def test_unstable_nominal_loop_exit_code(tmp_path, capsys, monkeypatch):
     shapes.clear()
     load_scenario(bundled_scenario_path())
     assert shapes == [(3, 3), (6, 6)]
+
+
+@pytest.mark.parametrize("gain, message", [
+    (1e308, "nominal loop overflows: overflow encountered in matmul"),
+    (1e300, "nominal loop unstable: spectral radius 2.3e+300"),
+])
+def test_huge_gain_fails_in_one_short_line(tmp_path, capsys, gain, message):
+    """A gain entry near the float range exits 3 with one line that names the nominal loop.
+
+    At 1e308 the loop matrix overflows while it is assembled, before numpy can
+    warn; at 1e300 it is finite and its spectral radius prints in six
+    significant digits, not as a 300-digit number.
+    """
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["controller"]["L_xhat"][1][0] = gain
+    code = cli.main(["assess", "--scenario", str(_write_scenario(tmp_path, doc))])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err == f"numerical failure: {message}\n"
+    assert len(err) < 100
 
 
 def test_public_names_resolve():

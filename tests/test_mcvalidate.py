@@ -318,17 +318,18 @@ class _WatchedRng:
 class _BlockWatch:
     """Stand-in for mcvalidate._block_rng that notes which thread takes which block.
 
-    The caller and the helper meet at their first block, so each runs at least
-    one. With fail_on set to "caller" or "helper", that thread's fail_at-th
-    draw raises (a block draws once, so its fail_at-th block fails), and the
-    other thread's first block waits for the failure before it draws.
+    The caller and the helper meet at their first block, so both run at once;
+    a one-block run, whose helper has no block, passes meet=1. With fail_on
+    set to "caller" or "helper", that thread's fail_at-th draw raises (a block
+    draws once, so its fail_at-th block fails), and the other thread's first
+    block waits for the failure before it draws.
     """
 
-    def __init__(self, fail_on=None, fail_at=None):
+    def __init__(self, fail_on=None, fail_at=None, meet=2):
         self.real, self.fail_on, self.fail_at = mcvalidate._block_rng, fail_on, fail_at
         self.taken, self.rngs = [], {}  # (thread, block, active threads) per block taken
         self.drawn = {"caller": 0, "helper": 0}  # draws per thread, over its blocks
-        self.met, self.failed = threading.Barrier(2, timeout=30), threading.Event()
+        self.met, self.failed = threading.Barrier(meet, timeout=30), threading.Event()
 
     def __call__(self, seed, stream, j):
         who = "caller" if threading.current_thread().name == _CALLER else "helper"
@@ -344,11 +345,14 @@ class _BlockWatch:
     def threads(self):
         return sorted(t for t, _, _ in self.taken)
 
+    def blocks(self, who):
+        return [j for t, j, _ in self.taken if t == who]
 
-def _watch_blocks(monkeypatch, block, **fail):
+
+def _watch_blocks(monkeypatch, block, **watch_args):
     """Cut the samples into blocks of `block` and route each block's generator through a _BlockWatch."""
     monkeypatch.setattr(mcvalidate, "_BLOCK", block)
-    watch = _BlockWatch(**fail)
+    watch = _BlockWatch(**watch_args)
     monkeypatch.setattr(mcvalidate, "_block_rng", watch)
     return watch
 
@@ -418,6 +422,18 @@ def test_simulate_joins_its_one_helper_thread(system, monkeypatch):
     assert sorted(j for _, j, _ in watch.taken) == list(range(7))
 
 
+@pytest.mark.parametrize("samples, n_blocks", [(100, 7), (16, 1)])
+def test_simulate_splits_the_blocks_by_parity(system, monkeypatch, samples, n_blocks):
+    """The caller draws the even blocks and the helper the odd ones, each once; one block leaves the helper none."""
+    atk, layout = _fdi_setup(system, N=4)
+    watch = _watch_blocks(monkeypatch, 16, meet=min(n_blocks, 2))
+    _run_bounded(lambda: mcvalidate.simulate(
+        system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(samples, 0, 4), _plant_state(system)
+    ))
+    assert watch.blocks("caller") == list(range(0, n_blocks, 2))
+    assert watch.blocks("helper") == list(range(1, n_blocks, 2))
+
+
 def test_simulate_joins_the_helper_when_the_loop_raises(system, monkeypatch):
     """A block that fails on the caller: the helper finishes its block, takes no other, and is joined."""
     atk, layout = _fdi_setup(system, N=6)
@@ -431,12 +447,12 @@ def test_simulate_joins_the_helper_when_the_loop_raises(system, monkeypatch):
     assert watch.threads() == ["caller"] * 4 + ["helper"]  # of 7 blocks; the caller's fourth failed
 
 
-@pytest.mark.parametrize("fail_at", [1, 2, 13])
+@pytest.mark.parametrize("fail_at", [1, 2, 12])
 def test_simulate_raises_the_helpers_exception(system, monkeypatch, fail_at):
-    """A block that fails on the helper, its first, second or thirteenth, reaches the caller."""
+    """A block that fails on the helper, its first, second or last, reaches the caller."""
     atk, layout = _fdi_setup(system, N=6)
     before = threading.active_count()
-    watch = _watch_blocks(monkeypatch, 4, fail_on="helper", fail_at=fail_at)  # 25 blocks, one draw each
+    watch = _watch_blocks(monkeypatch, 4, fail_on="helper", fail_at=fail_at)  # 25 blocks, the helper's 12 odd ones
     with pytest.raises(RuntimeError, match="draw failed"):
         _run_bounded(lambda: mcvalidate.simulate(
             system, atk, np.zeros(layout.dim_d), mcvalidate.SimulationConfig(100, 0, 6), _plant_state(system)
@@ -448,8 +464,8 @@ def test_simulate_raises_the_helpers_exception(system, monkeypatch, fail_at):
     assert helper_draws == [1] * (fail_at - 1) + [0]
 
 
-class _IdleExecutor:
-    """ThreadPoolExecutor stand-in whose worker never runs: every block falls to the caller."""
+class _InlineExecutor:
+    """ThreadPoolExecutor stand-in that runs a submitted function at once, on the caller, before the caller's half."""
 
     def __init__(self, max_workers):
         pass
@@ -460,14 +476,14 @@ class _IdleExecutor:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn):
+    def submit(self, fn, *args):
         done = concurrent.futures.Future()
-        done.set_result(None)
+        done.set_result(fn(*args))
         return done
 
 
 def test_simulate_is_bit_identical_with_every_block_on_the_caller(system, scenario, monkeypatch):
-    """Which thread ran a block changes no bit, with the threads switching as often as they can."""
+    """Two threads switching as often as they can give the bits of one thread that runs the odd blocks first."""
     atk = _attack(system, "replay", 4)
     layout = attacks.decision_layout(atk, 4, system.controller.Q_yr)
     d = 0.2 * np.random.default_rng(3).normal(size=layout.dim_d)
@@ -476,13 +492,13 @@ def test_simulate_is_bit_identical_with_every_block_on_the_caller(system, scenar
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        shared = _run_bounded(lambda: mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z))
+        threaded = _run_bounded(lambda: mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z))
     finally:
         sys.setswitchinterval(interval)
     assert set(watch.threads()) == {"caller", "helper"}
     assert sorted(j for _, j, _ in watch.taken) == list(range(126))  # each block once
     monkeypatch.setattr(mcvalidate, "_block_rng", watch.real)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _IdleExecutor)
-    alone = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineExecutor)
+    inline = mcvalidate.simulate(system, atk, d, cfg, q_z=scenario.q_z)
     for field in dataclasses.fields(mcvalidate.EmpiricalSummary):
-        assert np.array_equal(getattr(shared, field.name), getattr(alone, field.name)), field.name
+        assert np.array_equal(getattr(threaded, field.name), getattr(inline, field.name)), field.name
